@@ -1,12 +1,12 @@
 //! Criterion bench: baseline comparisons outside the decision-tree family —
-//! RFC preprocessing, TCAM programming and the parallel multi-engine
-//! frontend.
+//! RFC preprocessing, TCAM programming and the accelerator model's banked
+//! multi-engine replay.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pclass_bench::{acl_ruleset, styled_ruleset, trace_for};
 use pclass_classbench::SeedStyle;
 use pclass_core::builder::{BuildConfig, CutAlgorithm};
-use pclass_core::parallel::ParallelAccelerator;
+use pclass_core::hw::Accelerator;
 use pclass_core::program::HardwareProgram;
 use pclass_tcam::TcamClassifier;
 use std::time::Duration;
@@ -52,12 +52,12 @@ fn bench_baselines(c: &mut Criterion) {
     )
     .unwrap();
     group.throughput(Throughput::Elements(trace.len() as u64));
+    let accelerator = Accelerator::new(&program);
     for &engines in &[1usize, 2, 4] {
-        let bank = ParallelAccelerator::new(&program, engines);
         group.bench_with_input(
             BenchmarkId::new("parallel_engines", engines),
             &trace,
-            |b, trace| b.iter(|| bank.classify_trace(trace).cycles),
+            |b, trace| b.iter(|| accelerator.classify_trace_banked(trace, engines).cycles),
         );
     }
     group.finish();

@@ -947,7 +947,6 @@ fn tenant_sweep(
             let progress = Arc::new(AtomicU64::new(0));
             let mut config = EngineConfig::new()
                 .workers(s.workers)
-                .lane_width(lane_width)
                 .progress(Arc::clone(&progress));
             if s.cache {
                 config = config.hot_cache(geometry);

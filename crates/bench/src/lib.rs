@@ -8,11 +8,10 @@
 //! top of the paper reproduction the crate carries the serving-throughput
 //! measurement stack:
 //!
-//! * [`serving_roster`] / [`serving_roster_lanes`] /
-//!   [`serving_roster_config`] — the single source of truth for which
-//!   classifiers serve a ruleset (and at which flat-arena [`LaneWidth`]),
-//!   with explicit skip records for builds that cannot; the registration
-//!   list itself is the typed [`roster_entries`] table.
+//! * [`serving_roster`] / [`serving_roster_lanes`] — the single source of
+//!   truth for which classifiers serve a ruleset (and at which flat-arena
+//!   [`LaneWidth`]), with explicit skip records for builds that cannot;
+//!   the registration list itself is the typed [`roster_entries`] table.
 //! * [`scenario`] — the declarative scenario matrix: ruleset style × size
 //!   × trace profile × churn profile × worker count, with `quick` tags so
 //!   CI and the weekly full sweep can never drift apart.
@@ -61,7 +60,7 @@ use pclass_core::builder::{BuildConfig, CutAlgorithm, SpeedMode};
 use pclass_core::hw::{Accelerator, AcceleratorClassifier, ClassificationReport};
 use pclass_core::program::{HardwareProgram, ProgramStats};
 use pclass_energy::sa1100::Sa1100Model;
-use pclass_engine::{EngineConfig, SharedClassifier, TenantSpec};
+use pclass_engine::{SharedClassifier, TenantSpec};
 use pclass_tcam::TcamClassifier;
 use pclass_types::{ArenaStats, RuleSet, Trace};
 use std::sync::Arc;
@@ -506,18 +505,6 @@ pub fn serving_roster_scoped(ruleset: &RuleSet, scope: RosterScope) -> Classifie
     serving_roster_lanes(ruleset, scope, LaneWidth::default())
 }
 
-/// [`serving_roster_scoped`] driven by an [`EngineConfig`]: the roster's
-/// flat-arena lane width comes from [`EngineConfig::lanes`], so one
-/// builder value plumbs from a CLI flag through roster construction and
-/// engine construction alike.
-pub fn serving_roster_config(
-    ruleset: &RuleSet,
-    scope: RosterScope,
-    config: &EngineConfig,
-) -> ClassifierRoster {
-    serving_roster_lanes(ruleset, scope, config.lanes())
-}
-
 /// [`serving_roster_scoped`] with an explicit [`LaneWidth`] for the flat
 /// arena walk.  The `throughput` binary's `--lane-width` flag routes here,
 /// so the batched vector walk and the scalar fallback
@@ -694,26 +681,6 @@ mod tests {
             assert_eq!(spec.cache_share_value(), 1);
             assert!(spec.memory_budget_bytes().is_none());
         }
-    }
-
-    #[test]
-    fn roster_config_lane_width_reaches_the_flat_arenas() {
-        let rs = acl_ruleset(120);
-        let config = EngineConfig::new().lane_width(LaneWidth::Scalar);
-        let roster = serving_roster_config(&rs, RosterScope::Software, &config);
-        // Same entries as the default-lane roster; the lane width only
-        // changes the flat arenas' walk, which their settings expose.
-        let names: Vec<&str> = roster.classifiers.iter().map(|(n, _)| *n).collect();
-        assert!(names.contains(&"hicuts-flat"));
-        let default_roster = serving_roster_scoped(&rs, RosterScope::Software);
-        assert_eq!(
-            names,
-            default_roster
-                .classifiers
-                .iter()
-                .map(|(n, _)| *n)
-                .collect::<Vec<_>>()
-        );
     }
 
     #[test]

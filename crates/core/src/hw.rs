@@ -205,24 +205,48 @@ impl<'p> Accelerator<'p> {
 
     /// Replays a whole trace, reproducing the pipelined cycle accounting.
     pub fn classify_trace(&self, trace: &Trace) -> ClassificationReport {
-        let mut results = Vec::with_capacity(trace.len());
-        let mut per_packet = Vec::with_capacity(trace.len());
-        // One cycle at reset to move the root node from memory to register A.
-        let mut cycles: u64 = 1;
-        let mut memory_accesses: u64 = 1;
-        for entry in trace.entries() {
-            let (result, pc) = self.classify_packet(&entry.header);
-            cycles += u64::from(pc.visible_cycles());
-            memory_accesses += u64::from(pc.internal_fetches + pc.leaf_fetches);
-            results.push(result);
-            per_packet.push(pc);
+        self.classify_trace_banked(trace, 1)
+    }
+
+    /// Replays a trace over a bank of `engines` engines (at least 1) sharing
+    /// this program — the "multiple memory blocks in parallel" deployment of
+    /// the paper's introduction.  Engine *i* replays shard *i* of
+    /// [`Trace::shards`]; results and per-packet measurements stay in trace
+    /// order.  The bank runs in lock-step off one clock, so `cycles` is the
+    /// slowest engine's count, while `memory_accesses` sums over the engines
+    /// because each has its own memory port.
+    ///
+    /// The replay is sequential — host threads add nothing to a cycle model.
+    /// To *serve* the model on several cores, put an
+    /// [`AcceleratorClassifier`] behind `pclass-engine`.
+    pub fn classify_trace_banked(&self, trace: &Trace, engines: usize) -> ClassificationReport {
+        let mut bank = ClassificationReport {
+            results: Vec::with_capacity(trace.len()),
+            per_packet: Vec::with_capacity(trace.len()),
+            cycles: 0,
+            memory_accesses: 0,
+        };
+        for (engine, shard) in trace.shards(engines).into_iter().enumerate() {
+            // Engine 0 is reset even for an empty trace; further engines
+            // with nothing to replay are never instantiated.
+            if engine > 0 && shard.is_empty() {
+                continue;
+            }
+            // One cycle at reset to move the root node from memory to
+            // register A.
+            let mut cycles: u64 = 1;
+            let mut memory_accesses: u64 = 1;
+            for entry in shard {
+                let (result, pc) = self.classify_packet(&entry.header);
+                cycles += u64::from(pc.visible_cycles());
+                memory_accesses += u64::from(pc.internal_fetches + pc.leaf_fetches);
+                bank.results.push(result);
+                bank.per_packet.push(pc);
+            }
+            bank.cycles = bank.cycles.max(cycles);
+            bank.memory_accesses += memory_accesses;
         }
-        ClassificationReport {
-            results,
-            per_packet,
-            cycles,
-            memory_accesses,
-        }
+        bank
     }
 }
 
@@ -490,5 +514,46 @@ mod tests {
             rules_examined: 0,
         };
         assert_eq!(pc.visible_cycles(), 1);
+    }
+
+    #[test]
+    fn banked_results_match_single_engine() {
+        let (_, trace, program) = setup(SeedStyle::Ipc, 400, 2000, CutAlgorithm::HyperCuts);
+        let engine = Accelerator::new(&program);
+        let single = engine.classify_trace(&trace);
+        for engines in [1u64, 2, 4, 7] {
+            let report = engine.classify_trace_banked(&trace, engines as usize);
+            assert_eq!(report.results, single.results, "engines = {engines}");
+            assert_eq!(report.per_packet, single.per_packet, "engines = {engines}");
+            // Each further engine's port pays its own root preload.
+            assert_eq!(report.memory_accesses, single.memory_accesses + engines - 1);
+        }
+    }
+
+    #[test]
+    fn banked_cycles_scale_down_with_engines() {
+        let (_, trace, program) = setup(SeedStyle::Acl, 800, 4000, CutAlgorithm::HiCuts);
+        let engine = Accelerator::new(&program);
+        let one = engine.classify_trace_banked(&trace, 1).cycles;
+        let four = engine.classify_trace_banked(&trace, 4).cycles;
+        // Four engines finish in roughly a quarter of the cycles (chunks are
+        // equal-sized and per-packet work is similar).
+        assert!(
+            four * 3 < one * 2,
+            "expected a large speedup: {four} vs {one}"
+        );
+    }
+
+    #[test]
+    fn zero_engines_is_clamped_and_empty_trace_handled() {
+        let (_, trace, program) = setup(SeedStyle::Acl, 50, 3, CutAlgorithm::HiCuts);
+        let engine = Accelerator::new(&program);
+        let one = engine.classify_trace(&trace).cycles;
+        assert_eq!(engine.classify_trace_banked(&trace, 0).cycles, one);
+        // More engines than packets: the idle ones cost nothing.
+        assert_eq!(engine.classify_trace_banked(&trace, 7).packets(), 3);
+        let empty = Trace::from_headers("empty", vec![]);
+        let report = engine.classify_trace_banked(&empty, 4);
+        assert_eq!((report.packets(), report.cycles), (0, 1));
     }
 }

@@ -20,13 +20,12 @@
 //!    datapath of Figures 4 and 5 (registers A/B/C, one 4800-bit word fetch
 //!    per cycle, 30 parallel rule comparators, root-node traversal of the
 //!    next packet overlapped with the leaf search of the current one).
-//! 5. [`parallel`] — a multi-engine frontend that shards a trace over
-//!    several accelerator instances (the "multiple memory blocks in
-//!    parallel" deployment the introduction describes) using scoped
-//!    threads.  The same accelerator also serves behind the generic
-//!    software `Classifier` trait via [`hw::AcceleratorClassifier`], which
-//!    is how the `pclass-engine` serving layer and the throughput harness
-//!    drive it.
+//! 5. Deployment — [`hw::Accelerator::classify_trace_banked`] replays a
+//!    trace over a lock-step bank of engines (the "multiple memory blocks
+//!    in parallel" deployment the introduction describes), and
+//!    [`hw::AcceleratorClassifier`] puts the same accelerator behind the
+//!    generic software `Classifier` trait, which is how the `pclass-engine`
+//!    serving layer and the throughput harness drive it multi-core.
 //!
 //! Every classification decision produced by the accelerator model is
 //! checked against linear search in the test suite; cycle counts follow the
@@ -61,12 +60,10 @@ pub mod bits;
 pub mod builder;
 pub mod encode;
 pub mod hw;
-pub mod parallel;
 pub mod program;
 
 pub use builder::{BuildConfig, BuildError, CutAlgorithm, SpeedMode};
 pub use hw::{Accelerator, AcceleratorClassifier, ClassificationReport};
-pub use parallel::ParallelAccelerator;
 pub use program::{HardwareProgram, ProgramStats};
 
 /// Width of one hardware memory word in bits (Section 3 of the paper).

@@ -1,42 +1,29 @@
-//! The unified builder-style construction API of the serving layer.
+//! The builder-style construction API of the serving layer: one
+//! [`EngineConfig`] that every front end is built from, and the only way
+//! to build one —
 //!
-//! The engine family used to grow one ad-hoc constructor chain per type —
-//! `Engine::new` / `Engine::from_shared` / `Engine::with_batch_size`,
-//! `LiveEngine::new` / `with_batch_size` / `with_progress` — so every new
-//! serving axis multiplied `with_*` methods across three types.
-//! [`EngineConfig`] collapses them into one builder that every front end
-//! consumes:
-//!
-//! * [`EngineConfig::engine`] / [`EngineConfig::engine_with`] — a fixed
-//!   [`Engine`] over one shared classifier (or one per worker shard);
+//! * [`EngineConfig::engine`] — a fixed [`Engine`] over one shared
+//!   classifier;
 //! * [`EngineConfig::live_engine`] — a [`LiveEngine`] over an epoch-swap
 //!   [`LiveClassifier`];
 //! * [`EngineConfig::tenant_router`] — a [`TenantRouter`] over a roster of
 //!   per-tenant live classifiers.
 //!
-//! The builder is the *only* construction path: the old per-type
-//! constructors (`Engine::new`, `LiveEngine::with_progress`, …) have been
-//! deleted.
+//! Knob semantics — all three front ends run the same sharded loop, so
+//! the first four mean the same thing on each:
 //!
-//! Knob semantics:
-//!
-//! * **workers** and **batch size** apply to every front end;
-//! * the **progress hook** applies to the live front ends ([`LiveEngine`],
-//!   [`TenantRouter`]) — the fixed [`Engine`] has no sustained-pacing use
-//!   for it and ignores it;
+//! * **workers** and **batch size** set the loop's geometry;
+//! * the **progress hook** ([`EngineConfig::progress`]) is bumped by the
+//!   size of every finished sub-batch;
 //! * the **hot cache** ([`EngineConfig::hot_cache`]) puts an exact-match
-//!   flow cache in front of the classifier: per worker shard on [`Engine`]
-//!   and [`LiveEngine`], per tenant on [`TenantRouter`] (where the entry
-//!   budget is sliced across the roster by each tenant's
-//!   [`TenantSpec::cache_share`]);
+//!   flow cache in front of the classifier, probed once per sub-batch:
+//!   one per worker shard on [`Engine`] and [`LiveEngine`], one per tenant
+//!   on [`TenantRouter`] (where the entry budget is sliced across the
+//!   roster by each tenant's [`TenantSpec::cache_share`]);
 //! * the **memory budget** ([`EngineConfig::memory_budget`]) bounds the
 //!   [`TenantRouter`] roster's total classifier + cache bytes — admission
-//!   checks against it;
-//! * the **lane width** is not consumed by the engines themselves (it
-//!   tunes the flat-arena classifiers, not the sharding loop); it rides on
-//!   the config so one value can be plumbed from a CLI flag through roster
-//!   construction (`pclass_bench::serving_roster_config`) and the engines
-//!   alike.
+//!   checks against it; the single-classifier front ends have no roster
+//!   and do not consume it.
 //!
 //! Every setter **rejects a double-set with a panic**: two subsystems
 //! configuring the same knob on one config is a wiring bug that last-wins
@@ -65,7 +52,7 @@
 use crate::live::{LiveClassifier, LiveEngine};
 use crate::tenant::{TenantRouter, TenantSpec};
 use crate::{Engine, SharedClassifier, DEFAULT_BATCH_SIZE};
-use pclass_algos::{Classifier, HotCacheConfig, LaneWidth};
+use pclass_algos::{Classifier, HotCacheConfig};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -79,14 +66,13 @@ pub struct EngineConfig {
     workers: Option<usize>,
     batch: Option<usize>,
     progress: Option<Arc<AtomicU64>>,
-    lanes: Option<LaneWidth>,
     hot_cache: Option<HotCacheConfig>,
     memory_budget: Option<usize>,
 }
 
 impl EngineConfig {
     /// The default configuration: 1 worker, [`DEFAULT_BATCH_SIZE`], no
-    /// progress hook, default [`LaneWidth`], no hot cache.
+    /// progress hook, no hot cache, no memory budget.
     pub fn new() -> EngineConfig {
         EngineConfig::default()
     }
@@ -124,7 +110,7 @@ impl EngineConfig {
         self
     }
 
-    /// Attaches a shared serving-progress counter: the live front ends add
+    /// Attaches a shared serving-progress counter: every front end adds
     /// the size of each finished sub-batch, across every classify call —
     /// the pacing hook for sustained update streams (an updater spreads
     /// its stream over packets actually served instead of wall-clock
@@ -146,30 +132,13 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the flat-arena lane width carried by this config (consumed by
-    /// roster/classifier construction, not by the engines; see the module
-    /// docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lane width was already set.
-    pub fn lane_width(mut self, lanes: LaneWidth) -> EngineConfig {
-        assert!(
-            self.lanes.is_none(),
-            "EngineConfig::lane_width set twice — the lane width is already \
-             configured; a second value would silently override the first \
-             subsystem's choice"
-        );
-        self.lanes = Some(lanes);
-        self
-    }
-
     /// Puts an exact-match hot-flow cache
     /// ([`pclass_algos::hotcache::HotCache`]) in front of the classifier:
     /// each [`Engine`]/[`LiveEngine`] worker shard gets its own cache with
-    /// this geometry, and a [`TenantRouter`] gives every tenant its own
-    /// cache with `capacity / tenant_count` entries (the per-tenant entry
-    /// budget), so one hot tenant cannot cache-starve its neighbours.
+    /// this geometry, and a [`TenantRouter`] treats `capacity` as a
+    /// router-wide entry budget sliced into one cache per tenant in
+    /// proportion to [`TenantSpec::cache_share`], so one hot tenant cannot
+    /// cache-starve its neighbours.
     ///
     /// # Panics
     ///
@@ -220,11 +189,6 @@ impl EngineConfig {
         self.progress.as_ref()
     }
 
-    /// The flat-arena lane width this config carries.
-    pub fn lanes(&self) -> LaneWidth {
-        self.lanes.unwrap_or_default()
-    }
-
     /// The hot-flow cache geometry, if one is configured.
     pub fn hot_cache_config(&self) -> Option<HotCacheConfig> {
         self.hot_cache
@@ -239,14 +203,7 @@ impl EngineConfig {
     /// classifier — the common deployment, mirroring the paper's engines
     /// sharing one read-only memory image.
     pub fn engine(&self, classifier: SharedClassifier) -> Engine {
-        self.engine_with(|_| Arc::clone(&classifier))
-    }
-
-    /// Builds a fixed [`Engine`], calling `factory(worker_index)` once per
-    /// shard — for workers that should own their own copy of the search
-    /// structure (e.g. to place it in that worker's NUMA domain).
-    pub fn engine_with(&self, factory: impl FnMut(usize) -> SharedClassifier) -> Engine {
-        Engine::from_config(self, factory)
+        Engine::from_config(self, classifier)
     }
 
     /// Builds a [`LiveEngine`] serving an epoch-swap [`LiveClassifier`],
@@ -285,6 +242,7 @@ impl EngineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tenant::TaggedTrace;
     use pclass_algos::LinearClassifier;
     use pclass_classbench::{ClassBenchGenerator, SeedStyle, TraceGenerator};
     use std::sync::atomic::Ordering;
@@ -301,7 +259,6 @@ mod tests {
         assert_eq!(config.worker_count(), 1);
         assert_eq!(config.batch(), DEFAULT_BATCH_SIZE);
         assert!(config.progress_counter().is_none());
-        assert_eq!(config.lanes(), LaneWidth::default());
         assert!(config.hot_cache_config().is_none());
         assert!(config.memory_budget_bytes().is_none());
         assert_eq!(EngineConfig::default().batch(), config.batch());
@@ -338,33 +295,26 @@ mod tests {
     }
 
     #[test]
-    fn engine_with_calls_the_factory_once_per_shard() {
-        let (rs, trace) = workload(40, 120);
-        let mut calls = 0usize;
-        let engine = EngineConfig::new().workers(3).engine_with(|worker| {
-            assert_eq!(worker, calls);
-            calls += 1;
-            Arc::new(LinearClassifier::new(rs.clone()))
-        });
-        assert_eq!(calls, 3);
-        assert_eq!(
-            engine.classify_trace(&trace).results,
-            trace.ground_truth(&rs)
-        );
-    }
-
-    #[test]
-    fn progress_counter_is_inherited_by_live_front_ends() {
+    fn progress_counter_is_inherited_by_every_front_end() {
         let (rs, trace) = workload(60, 300);
         let counter = Arc::new(AtomicU64::new(0));
-        let live = Arc::new(LiveClassifier::new(LinearClassifier::new(rs.clone())));
-        let engine = EngineConfig::new()
+        let config = EngineConfig::new()
             .workers(2)
             .batch_size(32)
-            .progress(Arc::clone(&counter))
-            .live_engine(live);
-        engine.classify_trace(&trace);
+            .progress(Arc::clone(&counter));
+        let linear = LinearClassifier::new(rs.clone());
+        config
+            .engine(Arc::new(linear.clone()))
+            .classify_trace(&trace);
         assert_eq!(counter.load(Ordering::Relaxed), trace.len() as u64);
+        config
+            .live_engine(Arc::new(LiveClassifier::new(linear.clone())))
+            .classify_trace(&trace);
+        assert_eq!(counter.load(Ordering::Relaxed), 2 * trace.len() as u64);
+        let router = config.tenant_router([(TenantSpec::new("t0"), linear)]);
+        let tagged = TaggedTrace::interleave("t", &[(router.tenant_ids()[0], &trace)]);
+        router.classify_tagged(&tagged);
+        assert_eq!(counter.load(Ordering::Relaxed), 3 * trace.len() as u64);
     }
 
     #[test]
@@ -387,14 +337,6 @@ mod tests {
     #[should_panic(expected = "batch_size set twice")]
     fn double_set_batch_size_is_rejected() {
         let _ = EngineConfig::new().batch_size(64).batch_size(64);
-    }
-
-    #[test]
-    #[should_panic(expected = "lane_width set twice")]
-    fn double_set_lane_width_is_rejected() {
-        let _ = EngineConfig::new()
-            .lane_width(LaneWidth::X4)
-            .lane_width(LaneWidth::X8);
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! The paper's parallel deployment — several search engines sharing one
 //! read-only structure, each consuming a shard of the traffic — is not
 //! specific to the hardware model: any [`Classifier`] can serve a sharded
-//! trace the same way.  This crate generalises the sharding previously
-//! hard-coded for the accelerator in `pclass-core::parallel` into an
-//! [`Engine`] that
+//! trace the same way.  This crate writes that deployment down once, as
+//! one sharded serving loop every front end is a view over; the simplest
+//! view is an [`Engine`] that
 //!
-//! * owns one shared classifier handle per worker shard
+//! * shares one classifier handle between its worker shards
 //!   (`Arc<dyn Classifier + Send + Sync>`),
 //! * splits a [`Trace`] into the deterministic balanced chunks of
 //!   [`pclass_types::shard_slices`] over `std::thread::scope` workers,
@@ -61,6 +61,7 @@
 
 pub mod config;
 pub mod live;
+mod pool;
 pub mod tenant;
 
 pub use config::EngineConfig;
@@ -71,10 +72,9 @@ pub use tenant::{
 };
 
 use pclass_algos::Classifier;
-use pclass_types::{MatchResult, PacketHeader, Trace};
+use pclass_types::{MatchResult, Trace};
 use serde::Serialize;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A classifier handle the engine can share across worker threads.
 pub type SharedClassifier = Arc<dyn Classifier + Send + Sync>;
@@ -148,62 +148,38 @@ pub(crate) fn mpps(pkts: u64, wall_ns: u64) -> f64 {
 /// assert_eq!(run.report.pkts, 1_000);
 /// ```
 pub struct Engine {
-    shards: Vec<SharedClassifier>,
-    batch: usize,
-    /// Per-shard hot-flow caches when [`EngineConfig::hot_cache`] is set
-    /// (kept alongside the type-erased shard handles for stats reporting).
-    caches: Vec<Arc<pclass_algos::HotCache>>,
+    classifier: SharedClassifier,
+    pool: pool::WorkerPool,
 }
 
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("workers", &self.shards.len())
-            .field("batch", &self.batch)
+            .field("workers", &self.workers())
+            .field("batch", &self.batch_size())
             .field("classifier", &self.name())
             .finish()
     }
 }
 
 impl Engine {
-    /// The canonical constructor: used by [`EngineConfig::engine_with`]
-    /// (and through it [`EngineConfig::engine`]), which every public
-    /// construction path funnels into.
-    pub(crate) fn from_config(
-        config: &EngineConfig,
-        mut factory: impl FnMut(usize) -> SharedClassifier,
-    ) -> Engine {
-        let mut shards: Vec<SharedClassifier> =
-            (0..config.worker_count()).map(&mut factory).collect();
-        let mut caches = Vec::new();
-        if let Some(geometry) = config.hot_cache_config() {
-            // Each worker shard gets its own hot-flow cache in front of its
-            // classifier handle: no cross-worker contention, and the shard
-            // only ever sees its own slice of the trace anyway.
-            shards = shards
-                .into_iter()
-                .map(|shard| {
-                    let cached = pclass_algos::CachedClassifier::new(shard, geometry);
-                    caches.push(Arc::clone(cached.cache()));
-                    Arc::new(cached) as SharedClassifier
-                })
-                .collect();
-        }
+    /// The canonical constructor, used by [`EngineConfig::engine`]: every
+    /// worker shard shares the one classifier handle.
+    pub(crate) fn from_config(config: &EngineConfig, classifier: SharedClassifier) -> Engine {
         Engine {
-            shards,
-            batch: config.batch(),
-            caches,
+            classifier,
+            pool: pool::WorkerPool::from_config(config),
         }
     }
 
     /// Number of worker shards.
     pub fn workers(&self) -> usize {
-        self.shards.len()
+        self.pool.workers
     }
 
     /// Current sub-batch size.
     pub fn batch_size(&self) -> usize {
-        self.batch
+        self.pool.batch
     }
 
     /// Aggregated hit/miss/eviction counters of the per-shard hot-flow
@@ -211,20 +187,12 @@ impl Engine {
     /// [`EngineConfig::hot_cache`].  Counters are cumulative across every
     /// [`Engine::classify_trace`] call.
     pub fn cache_stats(&self) -> Option<pclass_types::CacheStats> {
-        if self.caches.is_empty() {
-            return None;
-        }
-        let mut total = pclass_types::CacheStats::default();
-        for cache in &self.caches {
-            total.merge(&cache.stats());
-        }
-        Some(total)
+        self.pool.cache_stats()
     }
 
-    /// Name reported by the shard classifiers (they are all the same
-    /// algorithm by construction; the first shard's name is used).
+    /// Name reported by the classifier being served.
     pub fn name(&self) -> &'static str {
-        self.shards[0].name()
+        self.classifier.name()
     }
 
     /// Classifies a whole trace, sharding it across the workers.
@@ -232,95 +200,8 @@ impl Engine {
     /// Results are merged in trace order and are identical to what a
     /// sequential per-packet loop over the same classifier would produce.
     pub fn classify_trace(&self, trace: &Trace) -> EngineRun {
-        run_sharded(
-            trace,
-            self.shards.len(),
-            self.batch,
-            |worker, headers, results| self.shards[worker].classify_batch(headers, results),
-        )
-    }
-}
-
-/// The sharded serving loop shared by [`Engine`] and [`live::LiveEngine`]:
-/// splits the trace into deterministic balanced shards, drives each worker
-/// through `serve_batch(worker, headers, results)` in `batch`-sized
-/// sub-batches, and merges the per-worker outputs back in trace order with
-/// per-worker timing.  The engines differ only in how `serve_batch`
-/// obtains its classifier (a fixed shard handle vs a fresh epoch snapshot
-/// per sub-batch).
-pub(crate) fn run_sharded<F>(
-    trace: &Trace,
-    workers: usize,
-    batch: usize,
-    serve_batch: F,
-) -> EngineRun
-where
-    F: Fn(usize, &[PacketHeader], &mut Vec<MatchResult>) + Sync,
-{
-    let started = Instant::now();
-    let shards = trace.shards(workers);
-    let mut partials: Vec<Option<(Vec<MatchResult>, u64)>> = (0..workers).map(|_| None).collect();
-
-    let serve_shard = |worker: usize, slice: &[pclass_types::TraceEntry]| {
-        let worker_started = Instant::now();
-        let mut results = Vec::with_capacity(slice.len());
-        let mut headers: Vec<PacketHeader> = Vec::with_capacity(batch.min(slice.len()));
-        for sub in slice.chunks(batch) {
-            headers.clear();
-            headers.extend(sub.iter().map(|e| e.header));
-            serve_batch(worker, &headers, &mut results);
-        }
-        let wall_ns = worker_started.elapsed().as_nanos() as u64;
-        (results, wall_ns)
-    };
-
-    if workers == 1 {
-        // Single shard: serve inline on the caller thread.  Spawning a
-        // scoped thread costs tens of microseconds — pure overhead that
-        // would be charged to every measurement of a fast classifier.
-        partials[0] = Some(serve_shard(0, shards[0]));
-    } else {
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (i, slice) in shards.into_iter().enumerate() {
-                if slice.is_empty() {
-                    partials[i] = Some((Vec::new(), 0));
-                    continue;
-                }
-                let serve = &serve_shard;
-                handles.push((i, scope.spawn(move || serve(i, slice))));
-            }
-            for (i, handle) in handles {
-                partials[i] = Some(handle.join().expect("engine worker panicked"));
-            }
-        });
-    }
-
-    let mut results = Vec::with_capacity(trace.len());
-    let mut per_worker = Vec::with_capacity(workers);
-    for (worker, partial) in partials.into_iter().enumerate() {
-        let (shard_results, wall_ns) = partial.expect("worker output missing");
-        let pkts = shard_results.len() as u64;
-        per_worker.push(WorkerReport {
-            worker,
-            pkts,
-            wall_ns,
-            mpps: mpps(pkts, wall_ns),
-        });
-        results.extend(shard_results);
-    }
-    debug_assert_eq!(results.len(), trace.len());
-
-    let wall_ns = started.elapsed().as_nanos() as u64;
-    let pkts = results.len() as u64;
-    EngineRun {
-        results,
-        report: ThroughputReport {
-            pkts,
-            wall_ns,
-            mpps: mpps(pkts, wall_ns),
-            per_worker,
-        },
+        // The classifier never changes, so one cache tag serves for good.
+        self.pool.serve_trace(trace, || (0, &self.classifier))
     }
 }
 

@@ -23,6 +23,7 @@
 //! [`crate::Engine`], but each worker re-snapshots per sub-batch, so a
 //! ruleset change lands mid-trace without stopping the stream.
 
+use crate::pool::WorkerPool;
 use crate::{EngineConfig, EngineRun};
 use pclass_algos::update::{RuleUpdate, UpdatableClassifier, UpdateError};
 use pclass_algos::Classifier;
@@ -115,10 +116,7 @@ impl<C: UpdatableClassifier + Clone> LiveClassifier<C> {
 /// [`crate::Engine`] over the same classifier produces.
 pub struct LiveEngine<C> {
     live: Arc<LiveClassifier<C>>,
-    workers: usize,
-    batch: usize,
-    progress: Option<Arc<AtomicU64>>,
-    caches: Vec<Arc<pclass_algos::HotCache>>,
+    pool: WorkerPool,
 }
 
 impl<C: Classifier + Clone + Send + Sync> LiveEngine<C> {
@@ -130,25 +128,15 @@ impl<C: Classifier + Clone + Send + Sync> LiveEngine<C> {
         config: &EngineConfig,
         live: Arc<LiveClassifier<C>>,
     ) -> LiveEngine<C> {
-        let workers = config.worker_count();
-        let caches = match config.hot_cache_config() {
-            Some(geometry) => (0..workers)
-                .map(|_| Arc::new(pclass_algos::HotCache::new(geometry)))
-                .collect(),
-            None => Vec::new(),
-        };
         LiveEngine {
             live,
-            workers,
-            batch: config.batch(),
-            progress: config.progress_counter().cloned(),
-            caches,
+            pool: WorkerPool::from_config(config),
         }
     }
 
     /// Number of worker shards.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.pool.workers
     }
 
     /// The shared live classifier.
@@ -161,14 +149,7 @@ impl<C: Classifier + Clone + Send + Sync> LiveEngine<C> {
     /// [`EngineConfig::hot_cache`].  Counters are cumulative across every
     /// [`LiveEngine::classify_trace`] call.
     pub fn cache_stats(&self) -> Option<pclass_types::CacheStats> {
-        if self.caches.is_empty() {
-            return None;
-        }
-        let mut total = pclass_types::CacheStats::default();
-        for cache in &self.caches {
-            total.merge(&cache.stats());
-        }
-        Some(total)
+        self.pool.cache_stats()
     }
 
     /// Classifies a whole trace, sharding it across the workers; each
@@ -179,26 +160,10 @@ impl<C: Classifier + Clone + Send + Sync> LiveEngine<C> {
     /// it classifies against, and a published update invalidates every
     /// older entry without touching the cache.
     pub fn classify_trace(&self, trace: &Trace) -> EngineRun {
-        crate::run_sharded(
-            trace,
-            self.workers,
-            self.batch,
-            |worker, headers, results| {
-                // Re-snapshot per sub-batch: a generation published mid-shard
-                // serves the remaining batches, while this batch drains on the
-                // snapshot it started with.
-                let (tag, snap) = self.live.snapshot_tagged();
-                match self.caches.get(worker) {
-                    Some(cache) => cache.serve_batch(tag, headers, results, |misses, out| {
-                        snap.classify_batch(misses, out)
-                    }),
-                    None => snap.classify_batch(headers, results),
-                }
-                if let Some(counter) = &self.progress {
-                    counter.fetch_add(headers.len() as u64, Ordering::Relaxed);
-                }
-            },
-        )
+        // Re-snapshot per sub-batch: a generation published mid-shard
+        // serves the remaining batches, while this batch drains on the
+        // snapshot it started with.
+        self.pool.serve_trace(trace, || self.live.snapshot_tagged())
     }
 }
 

@@ -63,11 +63,10 @@
 //! bit-identical.
 
 use crate::live::LiveClassifier;
-use crate::{EngineConfig, EngineRun, ThroughputReport, WorkerReport};
+use crate::{EngineConfig, EngineRun, ThroughputReport};
 use pclass_algos::{Classifier, HotCache, HotCacheConfig};
 use pclass_types::{
-    shard_slices, CacheStats, FairnessSummary, LatencyPercentiles, MatchResult, MemoryReport,
-    PacketHeader, Trace,
+    CacheStats, FairnessSummary, LatencyPercentiles, MatchResult, MemoryReport, PacketHeader, Trace,
 };
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, RwLock};
@@ -581,11 +580,118 @@ struct AdmissionState {
     evicted: u64,
 }
 
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct TenantAccum {
     pkts: u64,
     busy_ns: u64,
     latencies: Vec<u64>,
+}
+
+/// Accumulators by tenant; the entry rides along because a tenant evicted
+/// mid-run is on no roster by the end.
+type TenantAccums<C> = Vec<(Arc<TenantEntry<C>>, TenantAccum)>;
+
+/// `entry`'s accumulator, appended on first use.  A linear scan: a roster
+/// is tens of tenants, and this runs once per tenant group on the serving
+/// path, where a map's allocations would show.
+fn accum_for<'a, C>(
+    accums: &'a mut TenantAccums<C>,
+    entry: &Arc<TenantEntry<C>>,
+) -> &'a mut TenantAccum {
+    let at = accums.iter().position(|(e, _)| e.id == entry.id);
+    let at = at.unwrap_or_else(|| {
+        accums.push((Arc::clone(entry), TenantAccum::default()));
+        accums.len() - 1
+    });
+    &mut accums[at].1
+}
+
+/// One worker's state across its shard of a [`TenantRouter::classify_tagged`]
+/// run: the roster it last saw (with the service order and per-slot group
+/// buffers derived from it), scratch blocks, and what it has accumulated.
+struct TenantWorker<C> {
+    roster: Arc<Roster<C>>,
+    order: Vec<usize>,
+    groups: Vec<Vec<usize>>,
+    headers: Vec<PacketHeader>,
+    group_results: Vec<MatchResult>,
+    accums: TenantAccums<C>,
+}
+
+impl<C: Classifier + Clone> TenantWorker<C> {
+    fn new(roster: Arc<Roster<C>>) -> TenantWorker<C> {
+        TenantWorker {
+            order: roster.service_order(),
+            groups: vec![Vec::new(); roster.slots.len()],
+            roster,
+            headers: Vec::new(),
+            group_results: Vec::new(),
+            accums: Vec::new(),
+        }
+    }
+
+    /// The router's own step of the shared loop: group one sub-batch by
+    /// tenant under the `current` roster, serve the groups in service
+    /// order, and scatter each group's results back to arrival positions.
+    fn serve_sub(
+        &mut self,
+        current: Arc<Roster<C>>,
+        sub: &[TaggedPacket],
+        results: &mut Vec<MatchResult>,
+    ) {
+        if !Arc::ptr_eq(&current, &self.roster) {
+            self.order = current.service_order();
+            self.groups.resize_with(current.slots.len(), Vec::new);
+            self.roster = current;
+        }
+        for group in &mut self.groups {
+            group.clear();
+        }
+        // Placeholder slots first: an unroutable packet joins no group and
+        // keeps the NoMatch.
+        let base = results.len();
+        results.resize(base + sub.len(), MatchResult::NoMatch);
+        for (i, pkt) in sub.iter().enumerate() {
+            if self.roster.get(pkt.tenant).is_some() {
+                self.groups[pkt.tenant.slot as usize].push(i);
+            }
+        }
+        for &slot in &self.order {
+            let group = &self.groups[slot];
+            if group.is_empty() {
+                continue;
+            }
+            let entry = self.roster.slots[slot]
+                .as_ref()
+                .expect("service order is occupied");
+            self.headers.clear();
+            self.headers.extend(group.iter().map(|&i| sub[i].header));
+            // One snapshot per (tenant, sub-batch): the whole group drains
+            // on a single consistent generation.  The probe tag folds the
+            // admission epoch in next to the generation, so a cached group
+            // only consumes entries filled from this exact generation of
+            // this exact tenant.
+            let (generation, snapshot) = entry.live.snapshot_tagged();
+            let group_started = Instant::now();
+            self.group_results.clear();
+            crate::pool::serve_cached(
+                entry.cache.as_deref(),
+                entry.cache_tag(generation),
+                &*snapshot,
+                &self.headers,
+                &mut self.group_results,
+            );
+            let busy_ns = group_started.elapsed().as_nanos() as u64;
+            debug_assert_eq!(self.group_results.len(), group.len());
+            for (&i, &result) in group.iter().zip(&self.group_results) {
+                results[base + i] = result;
+            }
+            let accum = accum_for(&mut self.accums, entry);
+            accum.pkts += group.len() as u64;
+            accum.busy_ns += busy_ns;
+            accum.latencies.push(busy_ns);
+        }
+    }
 }
 
 /// A multi-tenant serving front end: [`TenantId`] → [`LiveClassifier`],
@@ -987,192 +1093,59 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
     /// Results come back in trace order; [`TaggedTrace::tenant_results`]
     /// projects them per tenant.
     pub fn classify_tagged(&self, trace: &TaggedTrace) -> TenantRun {
-        let started = Instant::now();
         // Per-tenant cache counters are cumulative; snapshot the run-start
         // roster's counters so the reports below can carry this run's
         // delta (tenants admitted mid-run fall back to their
         // admission-time baseline).
-        let start_roster = self.roster_snapshot();
-        let cache_before: Vec<(TenantId, CacheStats)> = start_roster
+        let cache_before: Vec<(TenantId, CacheStats)> = self
+            .roster_snapshot()
             .live_entries()
             .filter_map(|e| e.cache.as_ref().map(|c| (e.id, c.stats())))
             .collect();
-        let workers = self.workers;
-        let shards = shard_slices(trace.entries(), workers);
-        type Partial<C> = (
-            Vec<MatchResult>,
-            u64,
-            Vec<(Arc<TenantEntry<C>>, TenantAccum)>,
-            u64,
-        );
-        let mut partials: Vec<Option<Partial<C>>> = (0..workers).map(|_| None).collect();
 
-        let serve_shard = |slice: &[TaggedPacket]| -> Partial<C> {
-            let worker_started = Instant::now();
-            let mut results = Vec::with_capacity(slice.len());
-            let mut headers: Vec<PacketHeader> = Vec::new();
-            let mut tenant_results: Vec<MatchResult> = Vec::new();
-            let mut accums: Vec<(Arc<TenantEntry<C>>, TenantAccum)> = Vec::new();
-            let mut unroutable = 0u64;
-            let mut roster = self.roster_snapshot();
-            let mut order = roster.service_order();
-            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); roster.slots.len()];
-            for sub in slice.chunks(self.batch) {
+        let (results, report, served) = crate::pool::run_sharded(
+            trace.entries(),
+            self.workers,
+            self.batch,
+            |_| TenantWorker::new(self.roster_snapshot()),
+            |worker, sub, results| {
                 // Pick up lifecycle changes at the sub-batch boundary —
-                // the roster analogue of the per-sub-batch classifier
-                // snapshot below.
-                let current = self.roster_snapshot();
-                if !Arc::ptr_eq(&current, &roster) {
-                    roster = current;
-                    order = roster.service_order();
-                    groups.resize_with(roster.slots.len(), Vec::new);
-                }
-                for group in &mut groups {
-                    group.clear();
-                }
-                // Placeholder slots, then scatter each tenant group's
-                // results back to their arrival positions; unroutable
-                // packets keep the NoMatch placeholder.
-                let base = results.len();
-                results.resize(base + sub.len(), MatchResult::NoMatch);
-                for (i, pkt) in sub.iter().enumerate() {
-                    match roster.get(pkt.tenant) {
-                        Some(_) => groups[pkt.tenant.slot as usize].push(i),
-                        None => unroutable += 1,
-                    }
-                }
-                for &slot in &order {
-                    let group = &groups[slot];
-                    if group.is_empty() {
-                        continue;
-                    }
-                    let entry = roster.slots[slot]
-                        .as_ref()
-                        .expect("service order is occupied");
-                    headers.clear();
-                    headers.extend(group.iter().map(|&i| sub[i].header));
-                    // One snapshot per (tenant, sub-batch): the whole
-                    // group drains on a single consistent generation.
-                    // With a hot cache, the probe tag folds the admission
-                    // epoch in next to the generation, so the group only
-                    // consumes entries filled from this exact generation
-                    // of this exact tenant.
-                    let (generation, snapshot) = entry.live.snapshot_tagged();
-                    let tag = entry.cache_tag(generation);
-                    let group_started = Instant::now();
-                    tenant_results.clear();
-                    match &entry.cache {
-                        Some(cache) => {
-                            cache.serve_batch(tag, &headers, &mut tenant_results, |misses, out| {
-                                snapshot.classify_batch(misses, out)
-                            });
-                        }
-                        None => snapshot.classify_batch(&headers, &mut tenant_results),
-                    }
-                    let busy_ns = group_started.elapsed().as_nanos() as u64;
-                    debug_assert_eq!(tenant_results.len(), group.len());
-                    for (&i, &result) in group.iter().zip(tenant_results.iter()) {
-                        results[base + i] = result;
-                    }
-                    let accum = match accums.iter_mut().find(|(e, _)| e.id == entry.id) {
-                        Some((_, accum)) => accum,
-                        None => {
-                            accums.push((Arc::clone(entry), TenantAccum::default()));
-                            &mut accums.last_mut().expect("just pushed").1
-                        }
-                    };
-                    accum.pkts += group.len() as u64;
-                    accum.busy_ns += busy_ns;
-                    accum.latencies.push(busy_ns);
-                }
+                // the roster analogue of the per-group classifier snapshot.
+                worker.serve_sub(self.roster_snapshot(), sub, results);
                 if let Some(counter) = &self.progress {
                     counter.fetch_add(sub.len() as u64, Ordering::Relaxed);
                 }
-            }
-            let wall_ns = worker_started.elapsed().as_nanos() as u64;
-            (results, wall_ns, accums, unroutable)
-        };
+            },
+        );
 
-        if workers == 1 {
-            // Single shard: serve inline, matching `run_sharded`'s policy
-            // of not charging thread-spawn overhead to one-worker runs.
-            partials[0] = Some(serve_shard(shards[0]));
-        } else {
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (i, slice) in shards.into_iter().enumerate() {
-                    if slice.is_empty() {
-                        partials[i] = Some((Vec::new(), 0, Vec::new(), 0));
-                        continue;
-                    }
-                    let serve = &serve_shard;
-                    handles.push((i, scope.spawn(move || serve(slice))));
-                }
-                for (i, handle) in handles {
-                    partials[i] = Some(handle.join().expect("tenant router worker panicked"));
-                }
-            });
-        }
-
-        let mut results = Vec::with_capacity(trace.len());
-        let mut per_worker = Vec::with_capacity(workers);
-        let mut merged: Vec<(Arc<TenantEntry<C>>, TenantAccum)> = Vec::new();
-        let mut unroutable = 0u64;
-        for (worker, partial) in partials.into_iter().enumerate() {
-            let (shard_results, wall_ns, accums, shard_unroutable) =
-                partial.expect("worker output missing");
-            let pkts = shard_results.len() as u64;
-            per_worker.push(WorkerReport {
-                worker,
-                pkts,
-                wall_ns,
-                mpps: crate::mpps(pkts, wall_ns),
-            });
-            results.extend(shard_results);
-            unroutable += shard_unroutable;
-            for (entry, from) in accums {
-                match merged.iter_mut().find(|(e, _)| e.id == entry.id) {
-                    Some((_, into)) => {
-                        into.pkts += from.pkts;
-                        into.busy_ns += from.busy_ns;
-                        into.latencies.extend(from.latencies);
-                    }
-                    None => merged.push((entry, from)),
-                }
+        // Report every tenant live at the end of the run (idle ones with
+        // zeros) plus any tenant that was served and then evicted mid-run.
+        let mut merged: TenantAccums<C> = self
+            .roster_snapshot()
+            .live_entries()
+            .map(|e| (Arc::clone(e), TenantAccum::default()))
+            .collect();
+        for worker in served {
+            for (entry, from) in worker.accums {
+                let into = accum_for(&mut merged, &entry);
+                into.pkts += from.pkts;
+                into.busy_ns += from.busy_ns;
+                into.latencies.extend(from.latencies);
             }
         }
-        debug_assert_eq!(results.len(), trace.len());
-
-        // Report every tenant live at the end of the run plus any tenant
-        // that was served and then evicted mid-run, in slot order.
-        let end_roster = self.roster_snapshot();
-        let mut entries: Vec<Arc<TenantEntry<C>>> =
-            end_roster.live_entries().map(Arc::clone).collect();
-        for (entry, _) in &merged {
-            if !entries.iter().any(|e| e.id == entry.id) {
-                entries.push(Arc::clone(entry));
-            }
-        }
-        entries.sort_by_key(|e| e.id);
+        merged.sort_by_key(|(entry, _)| entry.id);
 
         let served_pkts: u64 = merged.iter().map(|(_, a)| a.pkts).sum();
-        let served_weight: u64 = entries
+        // Every routable packet was counted into its tenant's group.
+        let unroutable = report.pkts - served_pkts;
+        let served_weight: u64 = merged
             .iter()
-            .filter(|e| {
-                merged
-                    .iter()
-                    .any(|(m, accum)| m.id == e.id && accum.pkts > 0)
-            })
-            .map(|e| e.weight as u64)
+            .filter(|(_, accum)| accum.pkts > 0)
+            .map(|(e, _)| e.weight as u64)
             .sum();
-        let tenants: Vec<TenantReport> = entries
-            .iter()
-            .map(|entry| {
-                let mut accum = merged
-                    .iter()
-                    .find(|(e, _)| e.id == entry.id)
-                    .map(|(_, a)| a.clone())
-                    .unwrap_or_default();
+        let tenants: Vec<TenantReport> = merged
+            .into_iter()
+            .map(|(entry, mut accum)| {
                 let slo_rel = if accum.pkts == 0 || served_pkts == 0 || served_weight == 0 {
                     0.0
                 } else {
@@ -1203,16 +1176,9 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
         let slo_rels: Vec<f64> = served.iter().map(|t| t.slo_rel).collect();
         let fairness = FairnessSummary::over_rates(&rates).weighted_over(&slo_rels);
 
-        let wall_ns = started.elapsed().as_nanos() as u64;
-        let pkts = results.len() as u64;
         TenantRun {
             results,
-            report: ThroughputReport {
-                pkts,
-                wall_ns,
-                mpps: crate::mpps(pkts, wall_ns),
-                per_worker,
-            },
+            report,
             tenants,
             fairness,
             unroutable,
@@ -1224,18 +1190,20 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
     /// tenant-cell benchmark compares cross-tenant batching against.
     /// Takes the tenant's [`TenantId`] handle (from
     /// `admit`/construction), so solo baselines and router runs are
-    /// guaranteed like-for-like on the same live classifier.  Always
-    /// uncached, so the baseline measures the classifier itself and the
-    /// solo run neither warms nor perturbs the tenant's cache.
+    /// guaranteed like-for-like on the same live classifier: the run is a
+    /// [`crate::LiveEngine`] over the tenant's live cell.  Always uncached
+    /// and off the progress hook, so the baseline measures the classifier
+    /// itself and neither warms the tenant's cache nor advances a pacer.
     ///
     /// # Panics
     ///
     /// Panics if the handle does not resolve to a live tenant.
     pub fn classify_solo(&self, tenant: TenantId, trace: &Trace) -> EngineRun {
-        let live = self.live(tenant);
-        crate::run_sharded(trace, self.workers, self.batch, |_, headers, results| {
-            live.snapshot().classify_batch(headers, results);
-        })
+        EngineConfig::new()
+            .workers(self.workers)
+            .batch_size(self.batch)
+            .live_engine(self.live(tenant))
+            .classify_trace(trace)
     }
 }
 

@@ -111,8 +111,8 @@ impl Trace {
 /// items than shards).
 ///
 /// This is the work-distribution policy shared by every parallel frontend
-/// in the workspace — the accelerator bank in `pclass-core::parallel` and
-/// the software serving engine in `pclass-engine` — so that sharded replay
+/// in the workspace — the accelerator model's banked replay in `pclass-core`
+/// and the serving loop of `pclass-engine` — so that sharded replay
 /// is deterministic and results can be merged back in trace order by simple
 /// concatenation.
 pub fn shard_slices<T>(items: &[T], shards: usize) -> Vec<&[T]> {

@@ -7,7 +7,7 @@
 //! cycle-accurate model for its guaranteed (worst-case) and observed
 //! (trace-average) throughput on both the ASIC and the FPGA targets, and
 //! reports which line rates each configuration can sustain — including the
-//! multi-engine deployment of `ParallelAccelerator`.
+//! multi-engine deployment of `Accelerator::classify_trace_banked`.
 //!
 //! Run with:
 //! ```text
@@ -15,7 +15,6 @@
 //! ```
 
 use packet_classifier::prelude::*;
-use pclass_core::parallel::ParallelAccelerator;
 use pclass_energy::AcceleratorEnergyModel;
 
 /// OC-192 worst-case packet rate (40-byte packets back to back).
@@ -94,9 +93,9 @@ fn main() {
     let config = BuildConfig::paper_defaults(CutAlgorithm::HyperCuts);
     let program = pclass_core::HardwareProgram::build_with_capacity(&ruleset, &config, 4096)
         .expect("ACL structure fits");
+    let accelerator = Accelerator::new(&program);
     for engines in [1usize, 2, 4, 8] {
-        let bank = ParallelAccelerator::new(&program, engines);
-        let report = bank.classify_trace(&trace);
+        let report = accelerator.classify_trace_banked(&trace, engines);
         let pps = report.packets_per_second(226e6);
         println!(
             "  {engines} engine(s): {:>8.1} Mpps aggregate at 226 MHz ({} cycles on the critical engine)",

@@ -3,6 +3,8 @@
 //! per-packet sequential decisions, for any worker count and any trace
 //! length — including the chunk-boundary edge cases (empty trace, trace
 //! smaller than the worker count, trace length not divisible by workers).
+//! A second property pins that every serving front end goes through the
+//! same shard split.
 //!
 //! The classifier roster comes from `pclass_bench::serving_roster`, the
 //! same single source of truth the `throughput` CI harness uses, so a
@@ -54,6 +56,62 @@ proptest! {
                 prop_assert_eq!(run.report.per_worker.len(), workers);
             }
         }
+    }
+
+    #[test]
+    fn every_front_end_serves_the_same_shard_split(
+        seed in 0u64..1_000_000,
+        rules in 1usize..120,
+        packets in 0usize..300,
+    ) {
+        let rs = ClassBenchGenerator::new(SeedStyle::Acl, seed).generate(rules);
+        let trace = TraceGenerator::new(&rs, seed ^ 0xBEEF).generate(packets);
+        let truth = trace.ground_truth(&rs);
+        let linear = LinearClassifier::new(rs);
+        for workers in [1usize, 2, 4, 7] {
+            for batch in [1usize, 3, 512] {
+                let config = EngineConfig::new().workers(workers).batch_size(batch);
+                assert_front_ends_agree(&config, &linear, &trace, &truth);
+                let cached = config.hot_cache(pclass_algos::HotCacheConfig::new(64, 4));
+                assert_front_ends_agree(&cached, &linear, &trace, &truth);
+            }
+        }
+    }
+}
+
+/// `Engine`, a quiescent `LiveEngine`, a one-tenant `TenantRouter` and its
+/// `classify_solo` are views over one sharded loop: built from one config
+/// they make the same decisions over the same per-worker split —
+/// `Trace::shards` — on a cold pass and on a warm one over whatever the
+/// first pass cached.
+fn assert_front_ends_agree(
+    config: &EngineConfig,
+    linear: &LinearClassifier,
+    trace: &Trace,
+    truth: &[MatchResult],
+) {
+    let engine = config.engine(Arc::new(linear.clone()));
+    let live = config.live_engine(Arc::new(LiveClassifier::new(linear.clone())));
+    let router = config.tenant_router([(TenantSpec::new("t0"), linear.clone())]);
+    let id = router.tenant_ids()[0];
+    let tagged = TaggedTrace::interleave("solo", &[(id, trace)]);
+    let shards = trace.shards(config.worker_count());
+    let shards: Vec<usize> = shards.iter().map(|s| s.len()).collect();
+    for pass in ["cold", "warm"] {
+        let check = |front_end: &str, run: EngineRun| {
+            let at = format!("{front_end} from {config:?}, {pass} pass");
+            let worker_pkts = run.report.per_worker.iter().map(|w| w.pkts as usize);
+            assert_eq!(run.results, truth, "{at}");
+            assert_eq!(run.report.pkts, trace.len() as u64, "{at}");
+            assert_eq!(worker_pkts.collect::<Vec<_>>(), shards, "{at}");
+        };
+        check("engine", engine.classify_trace(trace));
+        check("live engine", live.classify_trace(trace));
+        let TenantRun {
+            results, report, ..
+        } = router.classify_tagged(&tagged);
+        check("router", EngineRun { results, report });
+        check("solo", router.classify_solo(id, trace));
     }
 }
 
