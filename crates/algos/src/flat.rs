@@ -581,8 +581,7 @@ impl FlatTree {
     }
 
     /// Sizes and actual in-memory footprint of the arena arrays (the
-    /// "Arena" rows of the README's memory table and of
-    /// `BENCH_throughput.json`'s `builds` records).
+    /// "Arena" rows of the README's memory table).
     ///
     /// Counts the *serving image* — node records, slabs and overflow
     /// rules, everything a lookup can touch — not the write-path
@@ -1414,8 +1413,8 @@ fn count_scan(s: &mut LookupStats, compared: u64) {
 /// Obtained from a built pointer-tree classifier via
 /// [`HiCutsClassifier::flatten`] or [`HyperCutsClassifier::flatten`]; the
 /// serving roster registers these as `hicuts-flat` / `hypercuts-flat`, so
-/// the engine, the equivalence tests and the `throughput` harness pick the
-/// flat variants up with no extra glue.
+/// the engine and the equivalence tests pick the flat variants up with no
+/// extra glue.
 #[derive(Debug, Clone)]
 pub struct FlatTreeClassifier {
     name: &'static str,

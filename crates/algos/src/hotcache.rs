@@ -1,12 +1,11 @@
 //! Popularity-adaptive exact-match hot-flow cache.
 //!
-//! The Zipf cells of the scenario matrix show that skewed traffic already
-//! runs faster than uniform traffic purely from hardware cache residency;
-//! nothing in the stack *adapts* to the skew.  This module adds the classic
-//! software analogue of the source paper's TCAM fast path: a small bounded
-//! exact-match cache keyed on the 5-tuple, sitting in front of any
-//! [`Classifier`], that answers repeat flows without walking the search
-//! structure at all.
+//! Skewed (Zipf) traffic already runs faster than uniform traffic purely
+//! from hardware cache residency; nothing in the stack *adapts* to the
+//! skew.  This module adds the classic software analogue of the source
+//! paper's TCAM fast path: a small bounded exact-match cache keyed on the
+//! 5-tuple, sitting in front of any [`Classifier`], that answers repeat
+//! flows without walking the search structure at all.
 //!
 //! Two layers:
 //!

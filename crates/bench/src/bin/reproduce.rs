@@ -9,7 +9,8 @@
 //! `table7`, `table8`, `speedups`, `power`, `tcam`, `speed_tradeoff`, `all`.
 //! The `--quick` flag scales the largest rulesets down so the whole suite
 //! finishes in a couple of minutes; the recorded outputs in EXPERIMENTS.md
-//! were produced without it.
+//! were produced without it.  An unknown subcommand or flag prints the usage
+//! list and exits with status 2.
 
 use pclass_algos::Classifier;
 use pclass_bench::*;
@@ -23,52 +24,53 @@ use pclass_types::toy;
 
 const TRACE_PACKETS: usize = 20_000;
 
+/// A subcommand: its name and what it runs, given `--quick`.
+type Command = (&'static str, fn(bool));
+
+/// Every subcommand in `all` order; `--quick` only changes `table4`.
+const COMMANDS: [Command; 12] = [
+    ("figures", |_| figures()),
+    ("table2", |_| table2()),
+    ("table3", |_| table3()),
+    ("table4", table4),
+    ("table5", |_| table5()),
+    ("table6", |_| table6()),
+    ("table7", |_| table7()),
+    ("table8", |_| table8()),
+    ("speedups", |_| speedups()),
+    ("power", |_| power()),
+    ("tcam", |_| tcam()),
+    ("speed_tradeoff", |_| speed_tradeoff()),
+];
+
+fn usage_and_exit(problem: &str) -> ! {
+    let names: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
+    eprintln!("reproduce: {problem}");
+    eprintln!("usage: reproduce [all|{}] [--quick]", names.join("|"));
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let command = args
+    let mut quick = false;
+    let mut command = None;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            flag if flag.starts_with("--") => usage_and_exit(&format!("unknown flag {flag}")),
+            _ if command.is_some() => usage_and_exit(&format!("unexpected argument {arg}")),
+            _ => command = Some(arg),
+        }
+    }
+    let command = command.unwrap_or_else(|| "all".to_string());
+    let selected: Vec<&Command> = COMMANDS
         .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
-
-    let run = |name: &str| command == "all" || command == name;
-
-    if run("figures") {
-        figures();
+        .filter(|(name, _)| command == "all" || command == *name)
+        .collect();
+    if selected.is_empty() {
+        usage_and_exit(&format!("unknown subcommand {command}"));
     }
-    if run("table2") {
-        table2();
-    }
-    if run("table3") {
-        table3();
-    }
-    if run("table4") {
-        table4(quick);
-    }
-    if run("table5") {
-        table5();
-    }
-    if run("table6") {
-        table6();
-    }
-    if run("table7") {
-        table7();
-    }
-    if run("table8") {
-        table8();
-    }
-    if run("speedups") {
-        speedups();
-    }
-    if run("power") {
-        power();
-    }
-    if run("tcam") {
-        tcam();
-    }
-    if run("speed_tradeoff") {
-        speed_tradeoff();
+    for (_, run) in selected {
+        run(quick);
     }
 }
 

@@ -1,10 +1,10 @@
-//! The live-update ("churn") workload behind `throughput --churn`.
+//! The live-update ("churn") workloads of the update-equivalence tests.
 //!
-//! A churn cell measures one updatable classifier serving a trace through
+//! [`run_churn`] drives one updatable classifier serving a trace through
 //! the `pclass-engine` epoch-swap cell *while* a deterministic stream of
 //! insert/delete bursts lands on the writer copy: the serving workers keep
 //! draining batches on the previous snapshot as each burst publishes the
-//! next generation.  The cell records
+//! next generation.  It records
 //!
 //! * serving throughput over the churn window (packets served / wall),
 //! * per-burst update latency percentiles (p50/p95/p99 of
@@ -14,10 +14,9 @@
 //! * a **correctness verdict**: after the stream drains, the final
 //!   snapshot must classify the whole trace packet-for-packet like a
 //!   from-scratch rebuild of the surviving ruleset (and like linear search
-//!   over it) — this is the hard floor CI gates on.
+//!   over it) — the verdict the tests assert.
 //!
-//! What lands and how is described by a [`ChurnProfile`] — the churn axis
-//! of the scenario matrix (see `crate::scenario`):
+//! What lands and how is described by a [`ChurnProfile`]:
 //!
 //! * **burst1** — the original 1 % delete+insert stream in bursts of 4,
 //!   spread over ~2 trace passes;
@@ -99,9 +98,8 @@ impl Default for ChurnConfig {
     }
 }
 
-/// The churn axis of the scenario matrix: a named, fully deterministic
-/// update workload (stream shape + pacing).  See the module docs for what
-/// each profile models.
+/// A named, fully deterministic update workload (stream shape + pacing).
+/// See the module docs for what each profile models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChurnProfile {
     /// 1 % delete+insert pairs in bursts of 4 (the original PR-4 workload).
@@ -117,7 +115,7 @@ pub enum ChurnProfile {
 }
 
 impl ChurnProfile {
-    /// Every churn profile, in matrix order.
+    /// Every churn profile.
     pub const ALL: [ChurnProfile; 4] = [
         ChurnProfile::Burst1,
         ChurnProfile::Deep10,
@@ -125,7 +123,7 @@ impl ChurnProfile {
         ChurnProfile::Sustained,
     ];
 
-    /// The tag recorded in `BENCH_throughput.json` cells (schema v4).
+    /// Short name of the profile, for test and log messages.
     pub fn tag(self) -> &'static str {
         match self {
             ChurnProfile::Burst1 => "burst1",
@@ -516,7 +514,7 @@ mod tests {
             Pacing::Sustained { passes: 4.0 }
         );
         assert_eq!(ChurnProfile::Sustained.config().burst_ops, 1);
-        // Tags are distinct (they key regression-gate cells).
+        // Tags are distinct.
         let tags: std::collections::HashSet<_> =
             ChurnProfile::ALL.iter().map(|p| p.tag()).collect();
         assert_eq!(tags.len(), ChurnProfile::ALL.len());

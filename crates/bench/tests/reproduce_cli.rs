@@ -1,0 +1,31 @@
+//! Exit-code contract of the `reproduce` binary: a misspelt subcommand or
+//! flag must fail loudly (exit 2, usage on stderr) instead of running
+//! nothing and reporting success.
+
+use std::process::{Command, Output};
+
+fn reproduce(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(args)
+        .output()
+        .expect("reproduce binary runs")
+}
+
+#[test]
+fn unknown_subcommands_and_flags_exit_2_with_usage() {
+    for args in [&["tabel4"][..], &["table2", "--quik"], &["--fast"]] {
+        let out = reproduce(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} must run nothing");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: reproduce"), "{args:?}: {stderr}");
+        assert!(stderr.contains("table4"), "usage lists the subcommands");
+    }
+}
+
+#[test]
+fn known_subcommand_runs_and_exits_0() {
+    let out = reproduce(&["figures", "--quick"]);
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("Figure 1"));
+}

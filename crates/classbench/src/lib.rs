@@ -77,19 +77,6 @@ pub fn table4_sizes(style: SeedStyle) -> Vec<usize> {
     sizes
 }
 
-/// The serving-sweep ruleset-size ladder per seed style, used as the
-/// ruleset axis of the `pclass-bench` scenario matrix: the acl1 ladder
-/// climbs past the paper's largest set to 32 k and 64 k rules (ACL-style
-/// sets keep their trees shallow, so generation and builds stay feasible),
-/// while fw1/ipc1 stop at 10 k — their wildcard-heavy structure makes
-/// decision trees balloon well before the acl ceiling.
-pub fn sweep_sizes(style: SeedStyle) -> &'static [usize] {
-    match style {
-        SeedStyle::Acl => &[500, 2_000, 10_000, 32_000, 64_000],
-        SeedStyle::Fw | SeedStyle::Ipc => &[2_000, 10_000],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,12 +91,10 @@ mod tests {
 
     #[test]
     fn sweep_ladder_tops_generate_exact_distinct_counts() {
-        assert_eq!(sweep_sizes(SeedStyle::Acl).last(), Some(&64_000));
-        assert_eq!(sweep_sizes(SeedStyle::Fw).last(), Some(&10_000));
-        assert_eq!(sweep_sizes(SeedStyle::Ipc).last(), Some(&10_000));
-        // Generation must honour the extended ladder exactly: the top acl
-        // size and the fw/ipc tops produce the requested number of distinct
-        // rules (the generator's rejection loop must not run dry).
+        // Generation must be exact well past the paper's largest set: 64 k
+        // acl rules (the repository benchmark's largest workload) and 10 k
+        // fw/ipc rules produce the requested number of distinct rules (the
+        // generator's rejection loop must not run dry).
         let acl = ClassBenchGenerator::new(SeedStyle::Acl, 42).generate(64_000);
         assert_eq!(acl.len(), 64_000);
         let distinct: std::collections::HashSet<_> = acl.rules().iter().map(|r| r.ranges).collect();

@@ -25,7 +25,7 @@
 //!    in parallel" deployment the introduction describes), and
 //!    [`hw::AcceleratorClassifier`] puts the same accelerator behind the
 //!    generic software `Classifier` trait, which is how the `pclass-engine`
-//!    serving layer and the throughput harness drive it multi-core.
+//!    serving layer drives it multi-core.
 //!
 //! Every classification decision produced by the accelerator model is
 //! checked against linear search in the test suite; cycle counts follow the

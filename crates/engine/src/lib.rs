@@ -18,9 +18,7 @@
 //! * merges the per-worker outputs back in trace order, together with a
 //!   machine-readable [`ThroughputReport`].
 //!
-//! The report serializes to JSON through the workspace serde shim; the
-//! `throughput` binary in `pclass-bench` uses that to record the
-//! performance trajectory (`BENCH_throughput.json`) in CI.
+//! The report serializes to JSON through the workspace serde shim.
 //!
 //! Determinism: results are *always* packet-for-packet identical to a
 //! sequential per-packet run of the same classifier — sharding only changes

@@ -1187,7 +1187,7 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
 
     /// Serves one tenant's headers solo through the shared-pool geometry
     /// (same workers/batch), as a plain [`Trace`] — the baseline the
-    /// tenant-cell benchmark compares cross-tenant batching against.
+    /// repository benchmark compares cross-tenant batching against.
     /// Takes the tenant's [`TenantId`] handle (from
     /// `admit`/construction), so solo baselines and router runs are
     /// guaranteed like-for-like on the same live classifier: the run is a

@@ -12,10 +12,9 @@ use std::collections::HashSet;
 
 /// Footprint of a flattened (arena) search structure.
 ///
-/// Produced by `pclass_algos::flat::FlatTree::arena_stats` and recorded per
-/// build in `BENCH_throughput.json`'s `builds` records; it lives here, next
-/// to [`RuleSetStats`], so every crate that serializes measurements shares
-/// one definition.  Unlike the idealised 32-bit software memory model the
+/// Produced by `pclass_algos::flat::FlatTree::arena_stats`; it lives here,
+/// next to [`RuleSetStats`], so every crate that serializes measurements
+/// shares one definition.  Unlike the idealised 32-bit software memory model the
 /// pointer trees report under, these byte counts are the *actual* in-memory
 /// sizes of the arena arrays.
 ///
@@ -46,12 +45,8 @@ pub struct ArenaStats {
 /// activity.
 ///
 /// Tracked by the rebuild-free `insert`/`delete` paths of
-/// `pclass_algos::dtree::DecisionTree` and `pclass_algos::flat::FlatTree`
-/// and recorded per churn cell in `BENCH_throughput.json`'s `churn` records
-/// (schema `pclass-throughput/v4`, where each cell also carries the
-/// scenario-matrix churn-profile tag it was measured under — 1 % burst,
-/// 10 % deep churn, delete-heavy drain, or a sustained paced stream); it
-/// lives here, next to [`ArenaStats`], so every crate that serializes
+/// `pclass_algos::dtree::DecisionTree` and `pclass_algos::flat::FlatTree`;
+/// it lives here, next to [`ArenaStats`], so every crate that serializes
 /// measurements shares one definition.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UpdateStats {
@@ -86,10 +81,8 @@ pub struct LatencyPercentiles {
 
 impl LatencyPercentiles {
     /// Computes the percentiles of a sample set (sorted in place; an empty
-    /// set yields all-zero percentiles).  The rank formula
-    /// `sorted[(len * p / 100).min(len - 1)]` is the one the churn harness
-    /// has recorded since schema v2, so regenerated baselines stay
-    /// comparable.
+    /// set yields all-zero percentiles).  The rank formula is
+    /// `sorted[(len * p / 100).min(len - 1)]`.
     pub fn from_samples(samples: &mut [u64]) -> LatencyPercentiles {
         samples.sort_unstable();
         let pct = |p: usize| -> u64 {
@@ -109,10 +102,9 @@ impl LatencyPercentiles {
 
 /// Running hit/miss/eviction counters of an exact-match hot-flow cache.
 ///
-/// Produced by `pclass_algos::hotcache::HotCache::stats` and recorded per
-/// cached cell in `BENCH_throughput.json` (schema `pclass-throughput/v6`);
-/// it lives here, next to [`ArenaStats`] and [`UpdateStats`], so every crate
-/// that serializes measurements shares one definition.  Counters are
+/// Produced by `pclass_algos::hotcache::HotCache::stats`; it lives here,
+/// next to [`ArenaStats`] and [`UpdateStats`], so every crate that
+/// serializes measurements shares one definition.  Counters are
 /// cumulative over the cache's lifetime; [`CacheStats::delta_since`] turns
 /// two snapshots into a per-run figure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -160,10 +152,9 @@ impl CacheStats {
 /// serving structure, the tenant's hot-cache slice, and the budget the
 /// tenant was admitted under.
 ///
-/// Produced by `pclass_engine::TenantRouter` at admission time and
-/// recorded in `BENCH_throughput.json` tenant cells (schema
-/// `pclass-throughput/v7`); it lives here, next to [`ArenaStats`], so
-/// every crate that serializes measurements shares one definition.
+/// Produced by `pclass_engine::TenantRouter` at admission time; it lives
+/// here, next to [`ArenaStats`], so every crate that serializes
+/// measurements shares one definition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemoryReport {
     /// Bytes of the tenant's classifier ([`crate::RuleSet`] + search

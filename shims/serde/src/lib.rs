@@ -6,8 +6,8 @@
 //! original marker-only shim, `Serialize` is now functional: the derive in
 //! `serde_derive` generates real implementations that stream a value into
 //! the [`json::JsonWriter`], and [`json::to_string`] renders any
-//! serializable value as a JSON document (this is what the benchmark
-//! harness uses to emit `BENCH_throughput.json`).
+//! serializable value as a JSON document (the repository benchmark,
+//! `benchmark/`, drives the writer directly to emit its result objects).
 //!
 //! Divergence from upstream worth knowing about when this shim is ever
 //! replaced by the registry crates: upstream's `Serialize::serialize` is
@@ -17,8 +17,7 @@
 //! a `Result`.  `Deserialize` remains a marker trait; document parsing goes
 //! through [`json::parse`], which returns a dynamically-typed
 //! [`json::Value`] tree (the shim's stand-in for `serde_json::Value`) —
-//! that is what the `throughput --check` regression gate uses to read a
-//! committed baseline back.
+//! that is what `benchmark --compare` uses to read two result files back.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,8 +7,8 @@
 //! same shard split.
 //!
 //! The classifier roster comes from `pclass_bench::serving_roster`, the
-//! same single source of truth the `throughput` CI harness uses, so a
-//! classifier added to the workspace is automatically covered here.
+//! single source of truth, so a classifier added to the workspace is
+//! automatically covered here.
 
 use packet_classifier::prelude::*;
 use pclass_bench::serving_roster;

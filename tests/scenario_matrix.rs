@@ -1,10 +1,11 @@
-//! Property-based coverage of the two new workload axes of the scenario
-//! matrix (see `pclass_bench::scenario`):
+//! Property-based coverage of the two workload shapes `pclass-bench` adds
+//! on top of the ClassBench defaults (see `pclass_bench::TraceProfile` and
+//! `pclass_bench::churn`):
 //!
 //! * **Zipf-skewed traces** are seed-deterministic and *header-valid* —
 //!   every directed packet actually matches the rule it was sampled from,
 //!   across random rulesets, seed styles, sizes and exponents — so a
-//!   skew cell can never quietly serve malformed traffic;
+//!   skewed workload can never quietly serve malformed traffic;
 //! * **sustained-stream churn** ends packet-for-packet equal to a
 //!   from-scratch rebuild of the surviving ruleset (and linear search over
 //!   it), mirroring `tests/update_equivalence.rs` for the progress-paced
@@ -14,7 +15,7 @@ use packet_classifier::prelude::*;
 use pclass_algos::hicuts::HiCutsConfig;
 use pclass_algos::hypercuts::HyperCutsConfig;
 use pclass_bench::churn::{self, ChurnConfig, ChurnProfile, Pacing};
-use pclass_bench::scenario::{self, TraceProfile};
+use pclass_bench::TraceProfile;
 use proptest::prelude::*;
 
 proptest! {
@@ -101,10 +102,10 @@ proptest! {
     }
 }
 
-/// The acceptance scenario pinned as a deterministic test: the quick
-/// matrix's sustained cell shape (acl1 at 2 k rules, 2 % stream, one
-/// update per burst paced over four passes) verifies on the flat arena and
-/// covers several serving passes while the stream lands.
+/// The sustained profile pinned as a deterministic test: acl1 at 2 k
+/// rules, 2 % stream, one update per burst paced over four passes verifies
+/// on the flat arena and covers several serving passes while the stream
+/// lands.
 #[test]
 fn sustained_cell_on_acl1_2000_verifies_and_spans_the_window() {
     let rs = pclass_bench::acl_ruleset(2_000);
@@ -127,9 +128,8 @@ fn sustained_cell_on_acl1_2000_verifies_and_spans_the_window() {
     );
 }
 
-/// Zipf cells serve correctly end to end: every classifier of the roster
-/// agrees with linear-search ground truth on a Zipf-skewed trace (the same
-/// packet-for-packet gate the `throughput` bin applies per cell).
+/// Zipf traffic serves correctly end to end: every classifier of the
+/// roster agrees with linear-search ground truth on a Zipf-skewed trace.
 #[test]
 fn zipf_cell_serves_every_classifier_packet_for_packet() {
     let rs = pclass_bench::acl_ruleset(300);
@@ -148,9 +148,10 @@ fn zipf_cell_serves_every_classifier_packet_for_packet() {
     }
 }
 
-/// Deep-churn and delete-heavy cells mirror `update_equivalence`: applying
-/// the profile streams directly (no serving loop) leaves every updatable
-/// classifier packet-for-packet equal to a rebuild of the survivors.
+/// The deep-churn and delete-heavy profiles mirror `update_equivalence`:
+/// applying the profile streams directly (no serving loop) leaves every
+/// updatable classifier packet-for-packet equal to a rebuild of the
+/// survivors.
 #[test]
 fn deep_and_delete_heavy_streams_match_rebuild_on_every_updatable() {
     use pclass_algos::update::{
@@ -227,26 +228,4 @@ fn deep_and_delete_heavy_streams_match_rebuild_on_every_updatable() {
         c.live_rules().len(),
         rs.len()
     );
-}
-
-/// The scenario matrix is the single source of truth for both sweep
-/// modes: the quick subset relation and the promised CI envelope are also
-/// asserted here at the workspace level (unit tests in `scenario` cover
-/// the details).
-#[test]
-fn quick_matrix_is_a_tagged_subset_with_the_promised_cells() {
-    let full = scenario::scenarios(false);
-    let quick = scenario::scenarios(true);
-    for s in &quick {
-        assert!(full.contains(s), "quick cell {s:?} not in full matrix");
-    }
-    assert!(quick.iter().any(|s| s.rules == 64_000));
-    assert!(quick.iter().any(|s| s.trace == TraceProfile::Zipf));
-    for profile in ChurnProfile::ALL {
-        assert!(
-            quick.iter().any(|s| s.churn == Some(profile)),
-            "quick matrix must gate churn profile {}",
-            profile.tag()
-        );
-    }
 }

@@ -3,7 +3,7 @@
 //! generation-tagged handle semantics, and cache-slice recycling across
 //! eviction generations.
 //!
-//! Three behaviours are pinned down:
+//! Four behaviours are pinned down:
 //!
 //! * **Evict + admit mid-trace** — evicting one tenant and admitting a
 //!   replacement leaves every surviving tenant's decisions bit-identical
@@ -17,8 +17,13 @@
 //!   slice serves the new occupant's decisions for the *same* flow keys
 //!   the previous occupant warmed it with; entries filled under an
 //!   earlier epoch are unreachable.
+//! * **Weighted fairness at 16 tenants** — one weight-4 tenant beside
+//!   fifteen weight-1 tenants, offered load in weight proportion: every
+//!   tenant's SLO-relative share lands within ±10 % of 1.0 and the
+//!   weighted Jain index reaches 0.95, on flat arenas of mixed size.
 
 use packet_classifier::prelude::*;
+use pclass_algos::hicuts::HiCutsConfig;
 use pclass_algos::update::classify_live_linear;
 use pclass_algos::HotCacheConfig;
 use proptest::prelude::*;
@@ -199,4 +204,68 @@ fn recycled_cache_slices_cannot_serve_stale_hits_across_generations() {
         router.classify_solo(ids[1], &keep_trace).results,
         keep_trace.ground_truth(&rs_keep)
     );
+}
+
+/// The weighted-fairness acceptance bar: 16 tenants — one larger weight-4
+/// tenant sharing the pool with fifteen small weight-1 tenants — each
+/// offering `weight x 128` packets, merged by the router's own weighted
+/// interleave so offered share equals weight share.  Every tenant must be
+/// decided by its own rules, nothing may be unroutable, every SLO-relative
+/// share must land within ±10 % of 1.0 and the weighted Jain index must
+/// reach 0.95, at one worker and at two.
+#[test]
+fn sixteen_weighted_tenants_meet_their_slo_relative_shares() {
+    const SEED: u64 = 20080414;
+    let workloads: Vec<(u32, RuleSet, Trace)> = (0..16u64)
+        .map(|t| {
+            let (weight, rules) = if t == 0 { (4, 400) } else { (1, 60) };
+            let rs =
+                ClassBenchGenerator::new(SeedStyle::Acl, SEED ^ (0x7E57_0000 + t)).generate(rules);
+            let trace =
+                TraceGenerator::new(&rs, SEED ^ (0xBEEF_0000 + t)).generate(128 * weight as usize);
+            (weight, rs, trace)
+        })
+        .collect();
+    for workers in [1usize, 2] {
+        let router =
+            EngineConfig::new()
+                .workers(workers)
+                .tenant_router(workloads.iter().enumerate().map(|(t, (weight, rs, _))| {
+                    (
+                        TenantSpec::new(format!("t{t}")).weight(*weight),
+                        HiCutsClassifier::build(rs, &HiCutsConfig::paper_defaults()).flatten(),
+                    )
+                }));
+        let ids = router.tenant_ids();
+        let parts: Vec<(TenantId, &Trace)> = ids
+            .iter()
+            .zip(&workloads)
+            .map(|(&id, (_, _, trace))| (id, trace))
+            .collect();
+        let tagged = router.interleave("skew16", &parts);
+        let run = router.classify_tagged(&tagged);
+        assert_eq!(run.unroutable, 0, "x{workers}");
+        for (&id, (_, rs, trace)) in ids.iter().zip(&workloads) {
+            assert_eq!(
+                tagged.tenant_results(id, &run.results),
+                trace.ground_truth(rs),
+                "tenant {} x{workers}",
+                id.slot()
+            );
+        }
+        assert_eq!(run.tenants.len(), 16);
+        for report in &run.tenants {
+            assert!(
+                (report.slo_rel - 1.0).abs() <= 0.10,
+                "tenant {} x{workers}: slo_rel {}",
+                report.name,
+                report.slo_rel
+            );
+        }
+        assert!(
+            run.fairness.weighted_jain >= 0.95,
+            "x{workers}: weighted Jain {}",
+            run.fairness.weighted_jain
+        );
+    }
 }

@@ -184,7 +184,7 @@ proptest! {
 
 /// Deterministic pin: a churn heavy enough to leave overflow entries live
 /// (threshold = infinity) on the acl1 2 k workload, checked at every lane
-/// width — the scenario the churn cells of the throughput harness serve.
+/// width.
 #[test]
 fn acl1_2000_churn_with_live_overflow_is_lane_exact() {
     let rs = pclass_bench::acl_ruleset(2_000);
