@@ -107,6 +107,40 @@ impl LookupStats {
         LookupStats::default()
     }
 
+    /// Charges one tree-node visit: a structure memory access that loads
+    /// the node header and its cut description and decodes them.
+    ///
+    /// Together with [`LookupStats::count_child_select`] and
+    /// [`LookupStats::count_scan`] this is the SA-1100 cost model of a
+    /// decision-tree lookup; the pointer tree and the flat arena both charge
+    /// through these three methods, so they account a walk identically.
+    pub fn count_node(&mut self) {
+        self.memory_accesses += 1;
+        self.ops.loads += 2;
+        self.ops.alu += 4;
+        self.ops.branches += 1;
+    }
+
+    /// Charges the child selection of an internal node cutting `dims`
+    /// dimensions: one multiply, add and compare of index arithmetic per
+    /// cut dimension, plus the child-pointer load.
+    pub fn count_child_select(&mut self, dims: u64) {
+        self.ops.alu += 3 * dims;
+        self.ops.muls += dims;
+        self.ops.loads += 1;
+    }
+
+    /// Charges a linear scan that compared `compared` rules: each is one
+    /// structure memory access loading five packed range pairs, tested with
+    /// two compares and a branch per pair.
+    pub fn count_scan(&mut self, compared: u64) {
+        self.rules_compared += compared;
+        self.memory_accesses += compared;
+        self.ops.loads += 5 * compared;
+        self.ops.alu += 10 * compared;
+        self.ops.branches += 5 * compared;
+    }
+
     /// Merges another lookup's work into this one (used to accumulate a
     /// whole trace).
     pub fn merge(&mut self, other: &LookupStats) {

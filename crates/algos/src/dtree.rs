@@ -8,9 +8,27 @@
 //! implemented once here.  The two builders differ only in how they choose
 //! the dimensions and the number of cuts; those policies live in
 //! [`crate::hicuts`] and [`crate::hypercuts`].
+//!
+//! Everything a cut-tree *builder* needs besides its selection policy is
+//! here too, written once for the original algorithms and for the
+//! hardware-oriented variants in `pclass-core`:
+//!
+//! * [`rules_intersecting`], [`cut_histogram`] and [`max_child_occupancy`] —
+//!   the pure rule-distribution functions.  They count nothing: each builder
+//!   charges its own [`BuildStats`] where it calls them, so what an
+//!   algorithm pays for an evaluation is stated next to its policy.
+//! * the node-emission core behind [`CutTreeClassifier::build`] — leaves,
+//!   the shared empty leaf, and the distribute → merge identical leaves →
+//!   recurse → patch step — driven by a cut policy that
+//!   [`crate::hicuts::HiCutsConfig`] and
+//!   [`crate::hypercuts::HyperCutsConfig`] implement.
+//! * [`CutTreeClassifier`] — the classifier shell both
+//!   [`crate::hicuts::HiCutsClassifier`] and
+//!   [`crate::hypercuts::HyperCutsClassifier`] are.
 
-use crate::counters::LookupStats;
-use crate::update::UpdateError;
+use crate::counters::{BuildStats, LookupStats};
+use crate::update::{UpdatableClassifier, UpdateError};
+use crate::Classifier;
 use pclass_types::{
     Dimension, DimensionSpec, FieldRange, MatchResult, PacketHeader, Rule, RuleId, RuleSet,
     UpdateStats, FIELD_COUNT,
@@ -306,27 +324,11 @@ impl DecisionTree {
     pub fn insert(&mut self, rule: Rule) -> Result<(), UpdateError> {
         let id = rule.id;
         let idx = id as usize;
-        if idx < self.rules.len() && self.live[idx] {
-            return Err(UpdateError::DuplicateRuleId(id));
-        }
-        // Bound the sparse-id gap: the slot vector grows to the maximum id,
-        // so an unbounded id would allocate unboundedly (and u32::MAX is
-        // the lookup sentinel).  The limit is computed from the highest
-        // *live* id — the same base the flat arena uses — so the two
-        // structures accept exactly the same update streams.
+        // The occupied range ends at the highest *live* id — the same base
+        // the flat arena uses — so the two structures accept exactly the
+        // same update streams.
         let occupied_end = self.live.iter().rposition(|&l| l).map_or(0, |i| i + 1);
-        let limit = crate::update::id_limit(occupied_end);
-        if id >= limit {
-            return Err(UpdateError::RuleIdTooSparse { rule: id, limit });
-        }
-        for d in Dimension::ALL {
-            if rule.range(d).hi > self.spec.max_value(d) {
-                return Err(UpdateError::RangeExceedsWidth {
-                    rule: id,
-                    dimension: d,
-                });
-            }
-        }
+        crate::update::validate_insert(&rule, &self.spec, self.is_live(id), occupied_end)?;
         while self.rules.len() <= idx {
             // Filler content for the intermediate dead slots; never read.
             let dead_id = self.rules.len() as RuleId;
@@ -512,10 +514,7 @@ impl DecisionTree {
         loop {
             let node = &self.nodes[node_id as usize];
             if let Some(s) = stats.as_deref_mut() {
-                s.memory_accesses += 1;
-                s.ops.loads += 2; // node header + cut description
-                s.ops.alu += 4;
-                s.ops.branches += 1;
+                s.count_node();
             }
             match &node.kind {
                 NodeKind::Leaf { rules } => {
@@ -537,12 +536,7 @@ impl DecisionTree {
                     match cuts.child_index(cut_region, pkt) {
                         Some(idx) => {
                             if let Some(s) = stats.as_deref_mut() {
-                                // Index arithmetic: one mul/add/compare per cut dimension
-                                // plus the child-pointer load.
-                                let dims = cuts.cut_dimensions().len() as u64;
-                                s.ops.alu += 3 * dims;
-                                s.ops.muls += dims;
-                                s.ops.loads += 1;
+                                s.count_child_select(cuts.cut_dimensions().len() as u64);
                             }
                             node_id = children[idx as usize];
                         }
@@ -563,16 +557,11 @@ impl DecisionTree {
         ids: &[RuleId],
         pkt: &PacketHeader,
         best: &mut Option<RuleId>,
-        mut stats: Option<&mut LookupStats>,
+        stats: Option<&mut LookupStats>,
     ) {
+        let mut compared = 0u64;
         for &id in ids {
-            if let Some(s) = stats.as_deref_mut() {
-                s.rules_compared += 1;
-                s.memory_accesses += 1;
-                s.ops.loads += 5; // five range pairs (packed words)
-                s.ops.alu += 10;
-                s.ops.branches += 5;
-            }
+            compared += 1;
             // Rules are stored in ascending id order, so the first hit in a
             // list is the best within that list; still guard against an
             // earlier stored-rule hit from a shallower node.
@@ -587,6 +576,9 @@ impl DecisionTree {
                     break;
                 }
             }
+        }
+        if let Some(s) = stats {
+            s.count_scan(compared);
         }
     }
 
@@ -729,6 +721,398 @@ pub fn rules_intersecting(
         .copied()
         .filter(|&id| rules[id as usize].intersects_region(region))
         .collect()
+}
+
+/// For `parts` equal cuts of `r` along `dim`, returns the maximum number of
+/// `candidates` any child would hold and the total number of child rule
+/// references.  Shared by every tree builder.
+///
+/// Uses a difference array, so the cost is O(candidates + parts).  This is
+/// the inner loop of every HiCuts build (original and modified): it stays a
+/// lean 1-D pass of its own instead of a special case of
+/// [`max_child_occupancy`].
+pub fn cut_histogram(
+    rules: &[Rule],
+    candidates: &[RuleId],
+    r: FieldRange,
+    dim: Dimension,
+    parts: u32,
+) -> (usize, u64) {
+    let mut diff = vec![0i64; parts as usize + 1];
+    let mut total: u64 = 0;
+    for &id in candidates {
+        let rr = rules[id as usize].range(dim);
+        let lo = rr.lo.max(r.lo);
+        let hi = rr.hi.min(r.hi);
+        if lo > hi {
+            continue; // rule does not overlap this dimension slice
+        }
+        let a = r.index_of(parts, lo);
+        let b = r.index_of(parts, hi);
+        diff[a as usize] += 1;
+        diff[b as usize + 1] -= 1;
+        total += u64::from(b - a + 1);
+    }
+    let mut max = 0i64;
+    let mut acc = 0i64;
+    for v in &diff[..parts as usize] {
+        acc += v;
+        max = max.max(acc);
+    }
+    (max as usize, total)
+}
+
+/// Maximum number of `candidates` any child would hold when `region` is cut
+/// into `parts[d]` equal parts along every dimension `d` (1 = not cut).
+/// Shared by every tree builder.
+///
+/// Uses a multi-dimensional difference array (inclusion–exclusion over the
+/// corners of each rule's child-index box) followed by a prefix sum, so the
+/// cost is O(candidates · 2^dims + children · dims) with one allocation —
+/// the grid — per call.
+pub fn max_child_occupancy(
+    rules: &[Rule],
+    candidates: &[RuleId],
+    region: &[FieldRange; FIELD_COUNT],
+    parts: &[u32; FIELD_COUNT],
+) -> usize {
+    // The cut dimensions, most significant first (row-major grid).
+    let mut dims = [0usize; FIELD_COUNT];
+    let mut n = 0;
+    for (d, &p) in parts.iter().enumerate() {
+        if p > 1 {
+            dims[n] = d;
+            n += 1;
+        }
+    }
+    if n == 0 {
+        return candidates.len();
+    }
+    let dims = &dims[..n];
+    let mut strides = [1usize; FIELD_COUNT];
+    for k in (0..n - 1).rev() {
+        strides[k] = strides[k + 1] * parts[dims[k + 1]] as usize;
+    }
+    let total = strides[0] * parts[dims[0]] as usize;
+    let mut grid = vec![0i64; total];
+
+    'rules: for &id in candidates {
+        let rule = &rules[id as usize];
+        // Child-index box of the rule in each cut dimension.
+        let mut lo_idx = [0u32; FIELD_COUNT];
+        let mut hi_idx = [0u32; FIELD_COUNT];
+        for (k, &d) in dims.iter().enumerate() {
+            let lo = rule.ranges[d].lo.max(region[d].lo);
+            let hi = rule.ranges[d].hi.min(region[d].hi);
+            if lo > hi {
+                continue 'rules; // outside the region: in no child
+            }
+            lo_idx[k] = region[d].index_of(parts[d], lo);
+            hi_idx[k] = region[d].index_of(parts[d], hi);
+        }
+        // Inclusion–exclusion: add (-1)^popcount at each corner of the box.
+        // A corner one past the high edge of the grid is skipped: cells
+        // beyond the grid are never read.
+        'corners: for corner in 0..1usize << n {
+            let mut index = 0usize;
+            for k in 0..n {
+                let coord = if corner & (1 << k) == 0 {
+                    lo_idx[k] as usize
+                } else {
+                    hi_idx[k] as usize + 1
+                };
+                if coord >= parts[dims[k]] as usize {
+                    continue 'corners;
+                }
+                index += coord * strides[k];
+            }
+            grid[index] += if corner.count_ones() % 2 == 0 { 1 } else { -1 };
+        }
+    }
+
+    // Multi-dimensional prefix sum, one axis at a time.
+    for k in 0..n {
+        let extent = parts[dims[k]] as usize;
+        for cell in 0..total {
+            if (cell / strides[k]) % extent != 0 {
+                grid[cell] += grid[cell - strides[k]];
+            }
+        }
+    }
+    grid.into_iter().max().unwrap_or(0).max(0) as usize
+}
+
+pub(crate) use build::{CutPolicy, TreeBuilder};
+
+/// The node-emission core of the original HiCuts and HyperCuts builders.
+///
+/// The items are `pub` inside a private module: crate code implements and
+/// drives them, while outside the crate [`CutPolicy`] can be neither named
+/// nor implemented — the two policies of the paper are the whole set.
+mod build {
+    use super::*;
+
+    /// Safety limit on tree depth; real trees stay far below this.
+    const MAX_DEPTH: u32 = 64;
+
+    /// How one algorithm chooses its cuts — everything a builder
+    /// configuration adds to the shared [`TreeBuilder`].
+    pub trait CutPolicy: Copy {
+        /// Roster name of the pointer-tree classifier.
+        const NAME: &'static str;
+        /// Roster name of its flat-arena form.
+        const FLAT_NAME: &'static str;
+        /// Stores charged for writing one internal node's header.
+        const HEADER_STORES: u64;
+
+        /// Maximum number of rules a leaf may hold.
+        fn binth(&self) -> usize;
+
+        /// Space factor of the algorithm's space measure.
+        fn spfac(&self) -> f64;
+
+        /// Chooses the cuts of a node holding more than `binth` rules and
+        /// the (possibly compacted) region they apply to, charging the
+        /// evaluation to `kit.stats`; `None` leaves the node an oversized
+        /// leaf (nothing left to cut, or cutting separates nothing).
+        fn plan(
+            &self,
+            kit: &mut TreeBuilder<'_>,
+            region: &[FieldRange; FIELD_COUNT],
+            rules: &[RuleId],
+        ) -> Option<(CutSpec, [FieldRange; FIELD_COUNT])>;
+
+        /// Moves rules out of the distributed child lists into the node's
+        /// own stored list before recursion.  Only HyperCuts' push-common
+        /// heuristic does.
+        fn hoist(
+            &self,
+            _kit: &mut TreeBuilder<'_>,
+            _child_rules: &mut [Vec<RuleId>],
+        ) -> Vec<RuleId> {
+            Vec::new()
+        }
+    }
+
+    /// Builder state shared by the two original algorithms.
+    pub struct TreeBuilder<'a> {
+        /// The ruleset's rules, indexed by id.
+        pub rules: &'a [Rule],
+        /// Work charged so far.
+        pub stats: BuildStats,
+        nodes: Vec<Node>,
+        empty_leaf: Option<NodeId>,
+    }
+
+    impl<'a> TreeBuilder<'a> {
+        /// Builds the tree of `ruleset` under `policy`.
+        pub fn build<P: CutPolicy>(ruleset: &'a RuleSet, policy: &P) -> (DecisionTree, BuildStats) {
+            let mut kit = TreeBuilder {
+                rules: ruleset.rules(),
+                stats: BuildStats::new(),
+                nodes: Vec::new(),
+                empty_leaf: None,
+            };
+            let all_rules: Vec<RuleId> = (0..ruleset.len() as RuleId).collect();
+            let root = kit.build_node(policy, ruleset.full_region(), all_rules, 0);
+            (DecisionTree::new(ruleset, kit.nodes, root), kit.stats)
+        }
+
+        fn build_node<P: CutPolicy>(
+            &mut self,
+            policy: &P,
+            region: [FieldRange; FIELD_COUNT],
+            rules: Vec<RuleId>,
+            depth: u32,
+        ) -> NodeId {
+            self.stats.max_depth = self.stats.max_depth.max(depth);
+            if rules.len() <= policy.binth() || depth >= MAX_DEPTH {
+                return self.make_leaf(region, rules, depth);
+            }
+            let Some((cuts, cut_region)) = policy.plan(self, &region, &rules) else {
+                return self.make_leaf(region, rules, depth);
+            };
+
+            // Reserve the node slot before the children so the root keeps id 0.
+            let node_id = self.nodes.len() as NodeId;
+            self.nodes.push(Node {
+                region,
+                depth,
+                kind: NodeKind::Leaf { rules: vec![] },
+            });
+            self.stats.internal_nodes += 1;
+            self.stats.ops.stores += P::HEADER_STORES;
+
+            let child_count = cuts.child_count();
+            let mut child_rules: Vec<Vec<RuleId>> = (0..child_count)
+                .map(|i| self.distribute(&rules, &cuts.child_region(&cut_region, i)))
+                .collect();
+            let stored_rules = policy.hoist(self, &mut child_rules);
+
+            // Merge children that hold identical rule sets — HiCuts' standard
+            // storage optimisation, which HyperCuts and the paper keep — and
+            // share one empty leaf.  Sharing is restricted to children that
+            // become leaves: a leaf search does not depend on the child's
+            // covered region, whereas sharing an internal subtree between two
+            // different regions would route packets from the second region
+            // through cuts computed for the first.
+            let mut children: Vec<NodeId> = Vec::with_capacity(child_count as usize);
+            let mut merged: Vec<(Vec<RuleId>, NodeId)> = Vec::new();
+            for (i, list) in child_rules.into_iter().enumerate() {
+                if list.is_empty() {
+                    children.push(self.empty_leaf(depth + 1));
+                    continue;
+                }
+                let child_region = cuts.child_region(&cut_region, i as u64);
+                if list.len() > policy.binth() {
+                    children.push(self.build_node(policy, child_region, list, depth + 1));
+                } else if let Some((_, existing)) = merged.iter().find(|(r, _)| *r == list) {
+                    children.push(*existing);
+                } else {
+                    let child_id = self.build_node(policy, child_region, list.clone(), depth + 1);
+                    merged.push((list, child_id));
+                    children.push(child_id);
+                }
+            }
+
+            self.nodes[node_id as usize].kind = NodeKind::Internal {
+                cuts,
+                children,
+                stored_rules,
+                cut_region,
+            };
+            node_id
+        }
+
+        fn make_leaf(
+            &mut self,
+            region: [FieldRange; FIELD_COUNT],
+            rules: Vec<RuleId>,
+            depth: u32,
+        ) -> NodeId {
+            let id = self.nodes.len() as NodeId;
+            self.stats.leaf_nodes += 1;
+            self.stats.stored_rule_refs += rules.len() as u64;
+            self.stats.ops.stores += 2 + rules.len() as u64;
+            self.nodes.push(Node {
+                region,
+                depth,
+                kind: NodeKind::Leaf { rules },
+            });
+            id
+        }
+
+        fn empty_leaf(&mut self, depth: u32) -> NodeId {
+            if let Some(id) = self.empty_leaf {
+                return id;
+            }
+            let id = self.make_leaf([FieldRange::exact(0); FIELD_COUNT], vec![], depth);
+            self.empty_leaf = Some(id);
+            id
+        }
+
+        /// The rules of one child: [`rules_intersecting`], charged one
+        /// five-field overlap test per candidate and a store per kept id.
+        fn distribute(
+            &mut self,
+            rules: &[RuleId],
+            region: &[FieldRange; FIELD_COUNT],
+        ) -> Vec<RuleId> {
+            let out = rules_intersecting(self.rules, rules, region);
+            self.stats.ops.loads += rules.len() as u64 * FIELD_COUNT as u64;
+            self.stats.ops.alu += rules.len() as u64 * FIELD_COUNT as u64 * 2;
+            self.stats.ops.branches += rules.len() as u64;
+            self.stats.ops.stores += out.len() as u64;
+            out
+        }
+    }
+}
+
+/// A packet classifier backed by a [`DecisionTree`] built under one of the
+/// original algorithms' cut policies — the one shell behind
+/// [`crate::hicuts::HiCutsClassifier`] (`C` =
+/// [`HiCutsConfig`](crate::hicuts::HiCutsConfig)) and
+/// [`crate::hypercuts::HyperCutsClassifier`] (`C` =
+/// [`HyperCutsConfig`](crate::hypercuts::HyperCutsConfig)).
+#[derive(Debug, Clone)]
+pub struct CutTreeClassifier<C> {
+    tree: DecisionTree,
+    config: C,
+    build_stats: BuildStats,
+}
+
+impl<C: CutPolicy> CutTreeClassifier<C> {
+    /// Builds the decision tree for a ruleset.
+    pub fn build(ruleset: &RuleSet, config: &C) -> CutTreeClassifier<C> {
+        assert!(config.binth() >= 1, "binth must be at least 1");
+        assert!(config.spfac() > 0.0, "spfac must be positive");
+        let (tree, build_stats) = TreeBuilder::build(ruleset, config);
+        CutTreeClassifier {
+            tree,
+            config: *config,
+            build_stats,
+        }
+    }
+
+    /// The decision tree (for dumps, encoders and diagnostics).
+    pub fn tree(&self) -> &DecisionTree {
+        &self.tree
+    }
+
+    /// The builder configuration.
+    pub fn config(&self) -> &C {
+        &self.config
+    }
+
+    /// Work performed while building the tree (drives Table 3's software
+    /// build-energy figures).
+    pub fn build_stats(&self) -> &BuildStats {
+        &self.build_stats
+    }
+}
+
+impl<C: CutPolicy> Classifier for CutTreeClassifier<C> {
+    fn name(&self) -> &'static str {
+        C::NAME
+    }
+
+    fn classify(&self, pkt: &PacketHeader) -> MatchResult {
+        self.tree.classify(pkt, None)
+    }
+
+    fn classify_with_stats(&self, pkt: &PacketHeader, stats: &mut LookupStats) -> MatchResult {
+        self.tree.classify(pkt, Some(stats))
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.tree.memory_bytes()
+    }
+
+    fn worst_case_memory_accesses(&self) -> Option<u64> {
+        Some(self.tree.stats().worst_case_accesses)
+    }
+}
+
+impl<C: CutPolicy> UpdatableClassifier for CutTreeClassifier<C> {
+    fn insert(&mut self, rule: Rule) -> Result<(), UpdateError> {
+        self.tree.insert(rule)
+    }
+
+    fn delete(&mut self, rule_id: RuleId) -> Result<(), UpdateError> {
+        self.tree.delete(rule_id)
+    }
+
+    fn live_rules(&self) -> Vec<Rule> {
+        self.tree.live_rules()
+    }
+
+    fn spec(&self) -> DimensionSpec {
+        *self.tree.spec()
+    }
+
+    fn update_stats(&self) -> UpdateStats {
+        self.tree.update_stats()
+    }
 }
 
 #[cfg(test)]

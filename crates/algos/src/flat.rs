@@ -104,14 +104,12 @@
 //! re-provisions every span with fresh slack.
 
 use crate::counters::LookupStats;
-use crate::dtree::{DecisionTree, Node, NodeId, NodeKind};
-use crate::hicuts::HiCutsClassifier;
-use crate::hypercuts::HyperCutsClassifier;
+use crate::dtree::{CutPolicy, CutTreeClassifier, DecisionTree, Node, NodeId, NodeKind};
 use crate::update::UpdateError;
 use crate::Classifier;
 use pclass_types::{
-    ArenaStats, Dimension, DimensionSpec, FieldRange, MatchResult, PacketHeader, Rule, RuleId,
-    UpdateStats, FIELD_COUNT,
+    ArenaStats, DimensionSpec, FieldRange, MatchResult, PacketHeader, Rule, RuleId, UpdateStats,
+    FIELD_COUNT,
 };
 use std::collections::{BTreeMap, HashMap};
 
@@ -607,6 +605,33 @@ impl FlatTree {
         }
     }
 
+    /// Worst-case memory accesses of a lookup in the arena *as it is now*:
+    /// along the most expensive root-to-leaf path, one access per node plus
+    /// one per rule the node stores (span and overflow) — the bound
+    /// [`DecisionTree::stats`] computes for the pointer tree.
+    fn worst_case_accesses(&self) -> u64 {
+        // Per node, the worst cost from it down; 0 = not computed yet (a
+        // real cost is at least 1), so a shared node is visited once.
+        let mut memo = vec![0u64; self.nodes.len()];
+        self.worst_case_from(0, &mut memo)
+    }
+
+    fn worst_case_from(&self, node: usize, memo: &mut [u64]) -> u64 {
+        if memo[node] == 0 {
+            let rec = self.nodes[node];
+            let overflow = self.overflow.get(&(node as u32)).map_or(0, Vec::len);
+            let mut below = 0;
+            if rec.cut_count() > 0 {
+                let base = rec.child_base as usize;
+                for slot in base..base + self.child_count(node) {
+                    below = below.max(self.worst_case_from(self.children[slot] as usize, memo));
+                }
+            }
+            memo[node] = 1 + u64::from(rec.rules.len) + overflow as u64 + below;
+        }
+        memo[node]
+    }
+
     /// Mixed-radix child index of `pkt` under an internal node's cut
     /// records (first inline, rest from the slab), or `None` when the
     /// packet lies outside the (compacted) cut region — the flat mirror of
@@ -692,42 +717,28 @@ impl FlatTree {
         let mut node = 0usize;
         loop {
             let rec = self.nodes[node];
-            let rules = rec.rules;
             if let Some(s) = stats.as_deref_mut() {
-                s.memory_accesses += 1;
-                s.ops.loads += 2; // node record + cut span
-                s.ops.alu += 4;
-                s.ops.branches += 1;
+                s.count_node();
+            }
+            // What the node stores — a leaf's rules, an internal node's
+            // pushed-up rules — is scanned either way.
+            let mut compared = self.scan_slab(rec.rules, pkt, &mut best);
+            if rec.has_overflow() {
+                compared += self.scan_overflow(node as u32, pkt, &mut best);
+            }
+            if let Some(s) = stats.as_deref_mut() {
+                s.count_scan(compared);
             }
             if rec.cut_count() == 0 {
-                let mut compared = self.scan_slab(rules, pkt, &mut best);
-                if rec.has_overflow() {
-                    compared += self.scan_overflow(node as u32, pkt, &mut best);
-                }
-                if let Some(s) = stats.as_deref_mut() {
-                    count_scan(s, compared);
-                }
                 break;
             }
             if let Some(s) = stats.as_deref_mut() {
                 s.nodes_visited += 1;
             }
-            if rules.len > 0 || rec.has_overflow() {
-                let mut compared = self.scan_slab(rules, pkt, &mut best);
-                if rec.has_overflow() {
-                    compared += self.scan_overflow(node as u32, pkt, &mut best);
-                }
-                if let Some(s) = stats.as_deref_mut() {
-                    count_scan(s, compared);
-                }
-            }
             match self.child_index(&rec, pkt) {
                 Some(idx) => {
                     if let Some(s) = stats.as_deref_mut() {
-                        let dims = u64::from(rec.cut_count());
-                        s.ops.alu += 3 * dims;
-                        s.ops.muls += dims;
-                        s.ops.loads += 1;
+                        s.count_child_select(u64::from(rec.cut_count()));
                     }
                     node = self.children[rec.child_base as usize + idx as usize] as usize;
                 }
@@ -1000,33 +1011,18 @@ impl FlatTree {
     /// target span in ascending id order — via span slack when there is a
     /// free slot, via the overflow side-table when the span is full.
     pub fn insert(&mut self, rule: &Rule) -> Result<(), UpdateError> {
-        let id = rule.id;
-        if self.live.contains_key(&id) {
-            return Err(UpdateError::DuplicateRuleId(id));
-        }
-        // Same sparse-id bound as the pointer tree; also keeps every live
-        // id strictly below the NO_MATCH lookup sentinel.
+        // The shared checks also keep every live id strictly below the
+        // NO_MATCH lookup sentinel.
         let occupied_end = self
             .live
             .last_key_value()
-            .map(|(&k, _)| k as usize + 1)
-            .unwrap_or(0);
-        let limit = crate::update::id_limit(occupied_end);
-        if id >= limit {
-            return Err(UpdateError::RuleIdTooSparse { rule: id, limit });
-        }
-        for d in Dimension::ALL {
-            if rule.range(d).hi > self.spec.max_value(d) {
-                return Err(UpdateError::RangeExceedsWidth {
-                    rule: id,
-                    dimension: d,
-                });
-            }
-        }
+            .map_or(0, |(&k, _)| k as usize + 1);
+        let slot_is_live = self.live.contains_key(&rule.id);
+        crate::update::validate_insert(rule, &self.spec, slot_is_live, occupied_end)?;
         self.ensure_refs();
         let img = PackedRule::new(rule);
         self.insert_at(0, rule.ranges, img);
-        self.live.insert(id, img);
+        self.live.insert(rule.id, img);
         self.update_stats.inserts += 1;
         Ok(())
     }
@@ -1399,49 +1395,33 @@ fn push_slab(slab: &mut Vec<PackedRule>, rules: &[Rule], ids: &[RuleId]) -> Span
     }
 }
 
-/// Per-scanned-rule operation accounting, identical to the pointer tree's.
-fn count_scan(s: &mut LookupStats, compared: u64) {
-    s.rules_compared += compared;
-    s.memory_accesses += compared;
-    s.ops.loads += 5 * compared;
-    s.ops.alu += 10 * compared;
-    s.ops.branches += 5 * compared;
-}
-
 /// A [`Classifier`] serving a [`FlatTree`] arena.
 ///
 /// Obtained from a built pointer-tree classifier via
-/// [`HiCutsClassifier::flatten`] or [`HyperCutsClassifier::flatten`]; the
-/// serving roster registers these as `hicuts-flat` / `hypercuts-flat`, so
-/// the engine and the equivalence tests pick the flat variants up with no
-/// extra glue.
+/// [`CutTreeClassifier::flatten`]; the serving roster registers these as
+/// `hicuts-flat` / `hypercuts-flat`, so the engine and the equivalence
+/// tests pick the flat variants up with no extra glue.
 #[derive(Debug, Clone)]
 pub struct FlatTreeClassifier {
     name: &'static str,
     flat: FlatTree,
-    worst_case_accesses: u64,
     dirty_threshold: f64,
-    lanes: LaneWidth,
 }
 
 /// Default [`FlatTree::dirty_ratio`] past which [`FlatTreeClassifier`]
 /// triggers an amortized re-flatten after an update.
 pub const DEFAULT_DIRTY_THRESHOLD: f64 = 0.05;
 
-/// The serving/update tuning of a [`FlatTreeClassifier`], applied in one
-/// shot through [`FlatTreeClassifier::with_settings`].
+/// The update tuning of a [`FlatTreeClassifier`], applied in one shot
+/// through [`FlatTreeClassifier::with_settings`].
 ///
 /// The settings bundle is the *only* tuning path: construction sites name
 /// the fields they override and inherit the rest from
 /// [`FlatSettings::default`], so adding a tuning axis never multiplies
 /// `with_*` methods (`pclass_engine::EngineConfig` plays the same role
-/// one layer up, and its lane width is plumbed down into this struct by
-/// the bench roster).
+/// one layer up).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlatSettings {
-    /// Lane width of the batched vectorised walk ([`LaneWidth::Scalar`]
-    /// selects the per-packet fallback).
-    pub lanes: LaneWidth,
     /// Dirty-ratio threshold past which an update triggers an amortized
     /// re-flatten (`f64::INFINITY` disables compaction).
     pub dirty_threshold: f64,
@@ -1450,30 +1430,25 @@ pub struct FlatSettings {
 impl Default for FlatSettings {
     fn default() -> FlatSettings {
         FlatSettings {
-            lanes: LaneWidth::default(),
             dirty_threshold: DEFAULT_DIRTY_THRESHOLD,
         }
     }
 }
 
 impl FlatTreeClassifier {
-    /// Wraps a flattened tree under a roster name (default [`LaneWidth`]).
-    pub fn new(name: &'static str, flat: FlatTree, worst_case_accesses: u64) -> FlatTreeClassifier {
+    /// Wraps a flattened tree under a roster name.
+    pub fn new(name: &'static str, flat: FlatTree) -> FlatTreeClassifier {
         FlatTreeClassifier {
             name,
             flat,
-            worst_case_accesses,
             dirty_threshold: DEFAULT_DIRTY_THRESHOLD,
-            lanes: LaneWidth::default(),
         }
     }
 
     /// Applies a [`FlatSettings`] bundle — the one construction path for
     /// every tuning axis (tests use tiny dirty thresholds to force the
-    /// compaction path; the serving layers route
-    /// `pclass_engine::EngineConfig`'s lane width here).
+    /// compaction path).
     pub fn with_settings(mut self, settings: FlatSettings) -> FlatTreeClassifier {
-        self.lanes = settings.lanes;
         self.dirty_threshold = settings.dirty_threshold;
         self
     }
@@ -1481,14 +1456,8 @@ impl FlatTreeClassifier {
     /// The current settings bundle.
     pub fn settings(&self) -> FlatSettings {
         FlatSettings {
-            lanes: self.lanes,
             dirty_threshold: self.dirty_threshold,
         }
-    }
-
-    /// The lane width the batched walk serves with.
-    pub fn lanes(&self) -> LaneWidth {
-        self.lanes
     }
 
     /// The underlying arena.
@@ -1496,8 +1465,7 @@ impl FlatTreeClassifier {
         &self.flat
     }
 
-    /// Arena footprint statistics (recorded per build by the `throughput`
-    /// harness).
+    /// Arena footprint statistics.
     pub fn arena_stats(&self) -> ArenaStats {
         self.flat.arena_stats()
     }
@@ -1545,7 +1513,7 @@ impl Classifier for FlatTreeClassifier {
     }
 
     fn classify_batch(&self, pkts: &[PacketHeader], out: &mut Vec<MatchResult>) {
-        self.flat.classify_batch_lanes(pkts, out, self.lanes);
+        self.flat.classify_batch(pkts, out);
     }
 
     fn classify_with_stats(&self, pkt: &PacketHeader, stats: &mut LookupStats) -> MatchResult {
@@ -1560,7 +1528,7 @@ impl Classifier for FlatTreeClassifier {
     }
 
     fn worst_case_memory_accesses(&self) -> Option<u64> {
-        Some(self.worst_case_accesses)
+        Some(self.flat.worst_case_accesses())
     }
 
     fn arena_stats(&self) -> Option<ArenaStats> {
@@ -1568,35 +1536,19 @@ impl Classifier for FlatTreeClassifier {
     }
 }
 
-impl HiCutsClassifier {
+impl<C: CutPolicy> CutTreeClassifier<C> {
     /// Flattens the built tree into a cache-compact arena classifier
-    /// (roster name `hicuts-flat`).
+    /// (roster name `hicuts-flat` / `hypercuts-flat`).
     pub fn flatten(&self) -> FlatTreeClassifier {
-        FlatTreeClassifier::new(
-            "hicuts-flat",
-            FlatTree::from_tree(self.tree()),
-            self.tree().stats().worst_case_accesses,
-        )
-    }
-}
-
-impl HyperCutsClassifier {
-    /// Flattens the built tree into a cache-compact arena classifier
-    /// (roster name `hypercuts-flat`).
-    pub fn flatten(&self) -> FlatTreeClassifier {
-        FlatTreeClassifier::new(
-            "hypercuts-flat",
-            FlatTree::from_tree(self.tree()),
-            self.tree().stats().worst_case_accesses,
-        )
+        FlatTreeClassifier::new(C::FLAT_NAME, FlatTree::from_tree(self.tree()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hicuts::HiCutsConfig;
-    use crate::hypercuts::HyperCutsConfig;
+    use crate::hicuts::{HiCutsClassifier, HiCutsConfig};
+    use crate::hypercuts::{HyperCutsClassifier, HyperCutsConfig};
     use pclass_types::toy;
 
     fn toy_flat() -> (HiCutsClassifier, FlatTreeClassifier) {
@@ -1843,7 +1795,6 @@ mod tests {
         let (_, flatc) = toy_flat();
         let mut c = flatc.with_settings(FlatSettings {
             dirty_threshold: 0.01,
-            ..FlatSettings::default()
         });
         let spec = UpdatableClassifier::spec(&c);
         for id in [30u32, 31] {
@@ -1857,7 +1808,6 @@ mod tests {
         let (_, flatc) = toy_flat();
         let mut c = flatc.with_settings(FlatSettings {
             dirty_threshold: f64::INFINITY,
-            ..FlatSettings::default()
         });
         c.insert(Rule::wildcard(30, &spec)).unwrap();
         assert_eq!(c.update_stats().reflattens, 0);

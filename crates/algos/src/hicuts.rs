@@ -16,15 +16,9 @@
 //! SA-1100; the hardware-oriented modified variant (cuts start at 32 and are
 //! capped at 256) lives in `pclass-core`.
 
-use crate::counters::{BuildStats, LookupStats};
-use crate::dtree::{CutSpec, DecisionTree, Node, NodeId, NodeKind};
-use crate::Classifier;
-use pclass_types::{
-    Dimension, FieldRange, MatchResult, PacketHeader, Rule, RuleId, RuleSet, FIELD_COUNT,
-};
+use crate::dtree::{cut_histogram, CutPolicy, CutSpec, CutTreeClassifier, TreeBuilder};
+use pclass_types::{Dimension, FieldRange, RuleId, FIELD_COUNT};
 
-/// Safety limit on tree depth; real trees stay far below this.
-const MAX_DEPTH: u32 = 64;
 /// Upper bound on the number of cuts a software node may perform; prevents
 /// pathological memory explosion on adversarial inputs.
 const MAX_CUTS: u32 = 1 << 16;
@@ -64,232 +58,63 @@ impl Default for HiCutsConfig {
 }
 
 /// A packet classifier backed by an original-HiCuts decision tree.
-#[derive(Debug, Clone)]
-pub struct HiCutsClassifier {
-    tree: DecisionTree,
-    config: HiCutsConfig,
-    build_stats: BuildStats,
-}
+pub type HiCutsClassifier = CutTreeClassifier<HiCutsConfig>;
 
-impl HiCutsClassifier {
-    /// Builds the decision tree for a ruleset.
-    pub fn build(ruleset: &RuleSet, config: &HiCutsConfig) -> HiCutsClassifier {
-        assert!(config.binth >= 1, "binth must be at least 1");
-        assert!(config.spfac > 0.0, "spfac must be positive");
-        let mut builder = Builder {
-            rules: ruleset.rules(),
-            config: *config,
-            nodes: Vec::new(),
-            stats: BuildStats::new(),
-            empty_leaf: None,
-        };
-        let all_rules: Vec<RuleId> = (0..ruleset.len() as RuleId).collect();
-        let root = builder.build_node(ruleset.full_region(), all_rules, 0);
-        let stats = builder.stats;
-        let tree = DecisionTree::new(ruleset, builder.nodes, root);
-        HiCutsClassifier {
-            tree,
-            config: *config,
-            build_stats: stats,
-        }
+impl CutPolicy for HiCutsConfig {
+    const NAME: &'static str = "hicuts";
+    const FLAT_NAME: &'static str = "hicuts-flat";
+    const HEADER_STORES: u64 = 4;
+
+    fn binth(&self) -> usize {
+        self.binth
     }
 
-    /// The decision tree (for dumps, encoders and diagnostics).
-    pub fn tree(&self) -> &DecisionTree {
-        &self.tree
+    fn spfac(&self) -> f64 {
+        self.spfac
     }
 
-    /// The builder configuration.
-    pub fn config(&self) -> &HiCutsConfig {
-        &self.config
-    }
-
-    /// Work performed while building the tree (drives Table 3's software
-    /// build-energy figures).
-    pub fn build_stats(&self) -> &BuildStats {
-        &self.build_stats
-    }
-}
-
-impl Classifier for HiCutsClassifier {
-    fn name(&self) -> &'static str {
-        "hicuts"
-    }
-
-    fn classify(&self, pkt: &PacketHeader) -> MatchResult {
-        self.tree.classify(pkt, None)
-    }
-
-    fn classify_with_stats(&self, pkt: &PacketHeader, stats: &mut LookupStats) -> MatchResult {
-        self.tree.classify(pkt, Some(stats))
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.tree.memory_bytes()
-    }
-
-    fn worst_case_memory_accesses(&self) -> Option<u64> {
-        Some(self.tree.stats().worst_case_accesses)
-    }
-}
-
-impl crate::update::UpdatableClassifier for HiCutsClassifier {
-    fn insert(&mut self, rule: Rule) -> Result<(), crate::update::UpdateError> {
-        self.tree.insert(rule)
-    }
-
-    fn delete(&mut self, rule_id: RuleId) -> Result<(), crate::update::UpdateError> {
-        self.tree.delete(rule_id)
-    }
-
-    fn live_rules(&self) -> Vec<Rule> {
-        self.tree.live_rules()
-    }
-
-    fn spec(&self) -> pclass_types::DimensionSpec {
-        *self.tree.spec()
-    }
-
-    fn update_stats(&self) -> pclass_types::UpdateStats {
-        self.tree.update_stats()
-    }
-}
-
-/// Internal builder state.
-struct Builder<'a> {
-    rules: &'a [Rule],
-    config: HiCutsConfig,
-    nodes: Vec<Node>,
-    stats: BuildStats,
-    empty_leaf: Option<NodeId>,
-}
-
-impl<'a> Builder<'a> {
-    fn build_node(
-        &mut self,
-        region: [FieldRange; FIELD_COUNT],
-        rules: Vec<RuleId>,
-        depth: u32,
-    ) -> NodeId {
-        self.stats.max_depth = self.stats.max_depth.max(depth);
-        if rules.len() <= self.config.binth || depth >= MAX_DEPTH {
-            return self.make_leaf(region, rules, depth);
-        }
-
-        // Evaluate each cuttable dimension: pick np by the doubling rule of
-        // Eq. 1, remember the resulting worst child occupancy.
+    /// Evaluates each cuttable dimension — `np` by the doubling rule of
+    /// Eq. 1 — and cuts the one with the smallest worst child occupancy.
+    fn plan(
+        &self,
+        kit: &mut TreeBuilder<'_>,
+        region: &[FieldRange; FIELD_COUNT],
+        rules: &[RuleId],
+    ) -> Option<(CutSpec, [FieldRange; FIELD_COUNT])> {
         let mut best: Option<(Dimension, u32, usize)> = None; // (dim, np, max_child_rules)
         for d in Dimension::ALL {
             let r = region[d.index()];
             if r.len() < 2 {
                 continue;
             }
-            let np = self.choose_np(&rules, r, d);
-            let (max_child, _total) = self.distribution(&rules, r, d, np);
-            let better = match best {
-                None => true,
-                Some((_, _, best_max)) => max_child < best_max,
-            };
-            if better {
+            let np = self.choose_np(kit, rules, r, d);
+            let (max_child, _total) = distribution(kit, rules, r, d, np);
+            if best.is_none_or(|(_, _, best_max)| max_child < best_max) {
                 best = Some((d, np, max_child));
             }
         }
-
-        let (dim, np, max_child) = match best {
-            Some(b) => b,
-            None => return self.make_leaf(region, rules, depth), // nothing left to cut
-        };
-        // Cutting made no progress: every child would hold the same rules as
-        // the parent, so stop here (oversized leaf) rather than recurse
-        // forever.
+        // No dimension is left to cut, or cutting made no progress — every
+        // child would hold the same rules as the parent: stop here (oversized
+        // leaf) rather than recurse forever.
+        let (dim, np, max_child) = best?;
         if max_child >= rules.len() {
-            return self.make_leaf(region, rules, depth);
+            return None;
         }
-
-        // Reserve the node slot before the children so the root keeps id 0.
-        let node_id = self.nodes.len() as NodeId;
-        self.nodes.push(Node {
-            region,
-            depth,
-            kind: NodeKind::Leaf { rules: vec![] },
-        });
-        self.stats.internal_nodes += 1;
-        self.stats.ops.stores += 4;
-
-        let cuts = CutSpec::single(dim, np);
-        let mut children: Vec<NodeId> = Vec::with_capacity(np as usize);
-        // Merge children that hold identical rule sets — HiCuts' standard
-        // storage optimisation, which the paper keeps.  Sharing is restricted
-        // to children that become leaves: a leaf search does not depend on
-        // the child's covered region, whereas sharing an internal subtree
-        // between two different regions would route packets from the second
-        // region through cuts computed for the first.
-        let mut merged: Vec<(Vec<RuleId>, NodeId)> = Vec::new();
-        for i in 0..u64::from(np) {
-            let child_region = cuts.child_region(&region, i);
-            let child_rules = self.collect_rules(&rules, &child_region);
-            if child_rules.is_empty() {
-                children.push(self.empty_leaf(depth + 1));
-                continue;
-            }
-            let leaf_bound = child_rules.len() <= self.config.binth;
-            if leaf_bound {
-                if let Some((_, existing)) = merged.iter().find(|(r, _)| *r == child_rules) {
-                    children.push(*existing);
-                    continue;
-                }
-            }
-            let child_id = self.build_node(child_region, child_rules.clone(), depth + 1);
-            if leaf_bound {
-                merged.push((child_rules, child_id));
-            }
-            children.push(child_id);
-        }
-
-        self.nodes[node_id as usize] = Node {
-            region,
-            depth,
-            kind: NodeKind::Internal {
-                cuts,
-                children,
-                stored_rules: vec![],
-                cut_region: region,
-            },
-        };
-        node_id
+        Some((CutSpec::single(dim, np), *region))
     }
+}
 
-    fn make_leaf(
-        &mut self,
-        region: [FieldRange; FIELD_COUNT],
-        rules: Vec<RuleId>,
-        depth: u32,
-    ) -> NodeId {
-        let id = self.nodes.len() as NodeId;
-        self.stats.leaf_nodes += 1;
-        self.stats.stored_rule_refs += rules.len() as u64;
-        self.stats.ops.stores += 2 + rules.len() as u64;
-        self.nodes.push(Node {
-            region,
-            depth,
-            kind: NodeKind::Leaf { rules },
-        });
-        id
-    }
-
-    fn empty_leaf(&mut self, depth: u32) -> NodeId {
-        if let Some(id) = self.empty_leaf {
-            return id;
-        }
-        let id = self.make_leaf([FieldRange::exact(0); FIELD_COUNT], vec![], depth);
-        self.empty_leaf = Some(id);
-        id
-    }
-
+impl HiCutsConfig {
     /// Chooses the number of cuts along `dim` by the Eq. 1 doubling rule.
-    fn choose_np(&mut self, rules: &[RuleId], r: FieldRange, dim: Dimension) -> u32 {
+    fn choose_np(
+        &self,
+        kit: &mut TreeBuilder<'_>,
+        rules: &[RuleId],
+        r: FieldRange,
+        dim: Dimension,
+    ) -> u32 {
         let n = rules.len() as f64;
-        let budget = self.config.spfac * n;
+        let budget = self.spfac * n;
         let max_np = u64::from(MAX_CUTS).min(r.len()) as u32;
         let mut np = 2u32.min(max_np);
         loop {
@@ -297,7 +122,7 @@ impl<'a> Builder<'a> {
             if candidate > max_np {
                 break;
             }
-            let (_, total) = self.distribution(rules, r, dim, candidate);
+            let (_, total) = distribution(kit, rules, r, dim, candidate);
             if total as f64 + f64::from(candidate) <= budget {
                 np = candidate;
             } else {
@@ -306,74 +131,35 @@ impl<'a> Builder<'a> {
         }
         np
     }
+}
 
-    /// For `np` cuts of `r` along `dim`, returns the maximum number of rules
-    /// in any child and the total number of child rule references.
-    ///
-    /// Uses a difference array so the cost is O(rules + np), which the
-    /// builder charges to the build-operation counters.
-    fn distribution(
-        &mut self,
-        rules: &[RuleId],
-        r: FieldRange,
-        dim: Dimension,
-        np: u32,
-    ) -> (usize, u64) {
-        let mut diff = vec![0i64; np as usize + 1];
-        let mut total: u64 = 0;
-        for &id in rules {
-            let rule = &self.rules[id as usize];
-            let rr = rule.range(dim);
-            let lo = rr.lo.max(r.lo);
-            let hi = rr.hi.min(r.hi);
-            if lo > hi {
-                continue; // rule does not overlap this dimension slice
-            }
-            let a = r.index_of(np, lo);
-            let b = r.index_of(np, hi);
-            diff[a as usize] += 1;
-            diff[b as usize + 1] -= 1;
-            total += u64::from(b - a + 1);
-        }
-        let mut max = 0i64;
-        let mut acc = 0i64;
-        for v in &diff[..np as usize] {
-            acc += v;
-            max = max.max(acc);
-        }
-        // Operation accounting: one pass over the rules plus one over the
-        // histogram, a handful of ALU ops each.
-        self.stats.cut_evaluations += rules.len() as u64;
-        self.stats.ops.loads += rules.len() as u64 * 2 + u64::from(np);
-        self.stats.ops.alu += rules.len() as u64 * 6 + u64::from(np) * 2;
-        self.stats.ops.branches += rules.len() as u64 * 2;
-        self.stats.ops.divs += rules.len() as u64 * 2; // the two index_of divisions
-        (max as usize, total)
-    }
-
-    /// Rules (by id, ascending) that intersect `region`.
-    fn collect_rules(
-        &mut self,
-        rules: &[RuleId],
-        region: &[FieldRange; FIELD_COUNT],
-    ) -> Vec<RuleId> {
-        self.stats.ops.loads += rules.len() as u64 * FIELD_COUNT as u64;
-        self.stats.ops.alu += rules.len() as u64 * FIELD_COUNT as u64 * 2;
-        self.stats.ops.branches += rules.len() as u64;
-        let out: Vec<RuleId> = rules
-            .iter()
-            .copied()
-            .filter(|&id| self.rules[id as usize].intersects_region(region))
-            .collect();
-        self.stats.ops.stores += out.len() as u64;
-        out
-    }
+/// [`cut_histogram`] for `np` cuts of `r` along `dim`, charged as one pass
+/// over the rules plus one over the histogram, a handful of ALU ops each.
+fn distribution(
+    kit: &mut TreeBuilder<'_>,
+    rules: &[RuleId],
+    r: FieldRange,
+    dim: Dimension,
+    np: u32,
+) -> (usize, u64) {
+    let n = rules.len() as u64;
+    kit.stats.cut_evaluations += n;
+    kit.stats.ops.loads += n * 2 + u64::from(np);
+    kit.stats.ops.alu += n * 6 + u64::from(np) * 2;
+    kit.stats.ops.branches += n * 2;
+    // Software cuts have arbitrary widths, so locating a rule's first and
+    // last child is two divisions; the hardware-oriented builder's
+    // power-of-two cuts make the same step a shift and pay none.
+    kit.stats.ops.divs += n * 2;
+    cut_histogram(kit.rules, rules, r, dim, np)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pclass_types::toy;
+    use crate::counters::LookupStats;
+    use crate::Classifier;
+    use pclass_types::{toy, MatchResult, PacketHeader};
 
     fn toy_classifier(binth: usize, spfac: f64) -> HiCutsClassifier {
         let rs = toy::table1_ruleset();

@@ -23,16 +23,9 @@
 //! * **pushing common rule subsets upwards** — rules present in every child
 //!   are stored once at the parent and searched while traversing.
 
-use crate::counters::{BuildStats, LookupStats};
-use crate::dtree::{CutSpec, DecisionTree, Node, NodeId, NodeKind};
-use crate::Classifier;
-use pclass_types::{
-    Dimension, FieldRange, MatchResult, PacketHeader, Rule, RuleId, RuleSet, FIELD_COUNT,
-};
+use crate::dtree::{max_child_occupancy, CutPolicy, CutSpec, CutTreeClassifier, TreeBuilder};
+use pclass_types::{Dimension, FieldRange, RuleId, FIELD_COUNT};
 use std::collections::HashSet;
-
-/// Safety limit on tree depth.
-const MAX_DEPTH: u32 = 64;
 
 /// Configuration of the original HyperCuts builder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,470 +72,197 @@ impl Default for HyperCutsConfig {
 }
 
 /// A packet classifier backed by an original-HyperCuts decision tree.
-#[derive(Debug, Clone)]
-pub struct HyperCutsClassifier {
-    tree: DecisionTree,
-    config: HyperCutsConfig,
-    build_stats: BuildStats,
-}
+pub type HyperCutsClassifier = CutTreeClassifier<HyperCutsConfig>;
 
-impl HyperCutsClassifier {
-    /// Builds the decision tree for a ruleset.
-    pub fn build(ruleset: &RuleSet, config: &HyperCutsConfig) -> HyperCutsClassifier {
-        assert!(config.binth >= 1, "binth must be at least 1");
-        assert!(config.spfac > 0.0, "spfac must be positive");
-        let mut builder = Builder {
-            rules: ruleset.rules(),
-            config: *config,
-            nodes: Vec::new(),
-            stats: BuildStats::new(),
-            empty_leaf: None,
-        };
-        let all_rules: Vec<RuleId> = (0..ruleset.len() as RuleId).collect();
-        let root = builder.build_node(ruleset.full_region(), all_rules, 0);
-        let stats = builder.stats;
-        let tree = DecisionTree::new(ruleset, builder.nodes, root);
-        HyperCutsClassifier {
-            tree,
-            config: *config,
-            build_stats: stats,
-        }
+impl CutPolicy for HyperCutsConfig {
+    const NAME: &'static str = "hypercuts";
+    const FLAT_NAME: &'static str = "hypercuts-flat";
+    const HEADER_STORES: u64 = 6;
+
+    fn binth(&self) -> usize {
+        self.binth
     }
 
-    /// The decision tree.
-    pub fn tree(&self) -> &DecisionTree {
-        &self.tree
+    fn spfac(&self) -> f64 {
+        self.spfac
     }
 
-    /// The builder configuration.
-    pub fn config(&self) -> &HyperCutsConfig {
-        &self.config
-    }
-
-    /// Work performed while building the tree.
-    pub fn build_stats(&self) -> &BuildStats {
-        &self.build_stats
-    }
-}
-
-impl Classifier for HyperCutsClassifier {
-    fn name(&self) -> &'static str {
-        "hypercuts"
-    }
-
-    fn classify(&self, pkt: &PacketHeader) -> MatchResult {
-        self.tree.classify(pkt, None)
-    }
-
-    fn classify_with_stats(&self, pkt: &PacketHeader, stats: &mut LookupStats) -> MatchResult {
-        self.tree.classify(pkt, Some(stats))
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.tree.memory_bytes()
-    }
-
-    fn worst_case_memory_accesses(&self) -> Option<u64> {
-        Some(self.tree.stats().worst_case_accesses)
-    }
-}
-
-impl crate::update::UpdatableClassifier for HyperCutsClassifier {
-    fn insert(&mut self, rule: Rule) -> Result<(), crate::update::UpdateError> {
-        self.tree.insert(rule)
-    }
-
-    fn delete(&mut self, rule_id: RuleId) -> Result<(), crate::update::UpdateError> {
-        self.tree.delete(rule_id)
-    }
-
-    fn live_rules(&self) -> Vec<Rule> {
-        self.tree.live_rules()
-    }
-
-    fn spec(&self) -> pclass_types::DimensionSpec {
-        *self.tree.spec()
-    }
-
-    fn update_stats(&self) -> pclass_types::UpdateStats {
-        self.tree.update_stats()
-    }
-}
-
-struct Builder<'a> {
-    rules: &'a [Rule],
-    config: HyperCutsConfig,
-    nodes: Vec<Node>,
-    stats: BuildStats,
-    empty_leaf: Option<NodeId>,
-}
-
-impl<'a> Builder<'a> {
-    fn build_node(
-        &mut self,
-        region: [FieldRange; FIELD_COUNT],
-        rules: Vec<RuleId>,
-        depth: u32,
-    ) -> NodeId {
-        self.stats.max_depth = self.stats.max_depth.max(depth);
-        if rules.len() <= self.config.binth || depth >= MAX_DEPTH {
-            return self.make_leaf(region, rules, depth);
-        }
-
+    fn plan(
+        &self,
+        kit: &mut TreeBuilder<'_>,
+        region: &[FieldRange; FIELD_COUNT],
+        rules: &[RuleId],
+    ) -> Option<(CutSpec, [FieldRange; FIELD_COUNT])> {
         // Region compaction: cut the bounding box of the rules, not the full
         // covered region.
-        let cut_region = if self.config.region_compaction {
-            self.compact_region(&region, &rules)
+        let cut_region = if self.region_compaction {
+            compact_region(kit, region, rules)
         } else {
-            region
+            *region
         };
 
         // Candidate dimensions: distinct range count >= mean (Eq. in §2.2).
-        let candidates = self.candidate_dimensions(&rules, &cut_region);
+        let candidates = candidate_dimensions(kit, rules, &cut_region);
         if candidates.is_empty() {
-            return self.make_leaf(region, rules, depth);
+            return None;
         }
 
         // Greedy combination search under the Eq. 2 child budget.
-        let budget = (self.config.spfac * (rules.len() as f64).sqrt())
-            .floor()
-            .max(2.0) as u64;
-        let cuts = self.choose_cuts(&rules, &cut_region, &candidates, budget);
+        let budget = (self.spfac * (rules.len() as f64).sqrt()).floor().max(2.0) as u64;
+        let cuts = choose_cuts(kit, rules, &cut_region, &candidates, budget);
         if cuts.child_count() <= 1 {
-            return self.make_leaf(region, rules, depth);
+            return None;
         }
-        let max_child = self.max_child_occupancy(&rules, &cut_region, &cuts);
-        if max_child >= rules.len() {
-            return self.make_leaf(region, rules, depth);
+        if occupancy(kit, rules, &cut_region, &cuts) >= rules.len() {
+            return None;
         }
-
-        let node_id = self.nodes.len() as NodeId;
-        self.nodes.push(Node {
-            region,
-            depth,
-            kind: NodeKind::Leaf { rules: vec![] },
-        });
-        self.stats.internal_nodes += 1;
-        self.stats.ops.stores += 6;
-
-        // Distribute the rules to the children.
-        let child_count = cuts.child_count();
-        let mut child_rules: Vec<Vec<RuleId>> = vec![Vec::new(); child_count as usize];
-        for i in 0..child_count {
-            let child_region = cuts.child_region(&cut_region, i);
-            child_rules[i as usize] = self.collect_rules(&rules, &child_region);
-        }
-
-        // Push rules common to all (non-empty consideration: the heuristic of
-        // the original paper applies to all children of the node).
-        let mut stored_rules: Vec<RuleId> = Vec::new();
-        if self.config.push_common_rules && child_count > 1 {
-            let mut common: HashSet<RuleId> = child_rules[0].iter().copied().collect();
-            for list in child_rules.iter().skip(1) {
-                let set: HashSet<RuleId> = list.iter().copied().collect();
-                common = common.intersection(&set).copied().collect();
-                if common.is_empty() {
-                    break;
-                }
-            }
-            if !common.is_empty() {
-                stored_rules = common.into_iter().collect();
-                stored_rules.sort_unstable();
-                for list in child_rules.iter_mut() {
-                    list.retain(|id| !stored_rules.contains(id));
-                }
-                self.stats.stored_rule_refs += stored_rules.len() as u64;
-                self.stats.ops.stores += stored_rules.len() as u64;
-            }
-        }
-
-        // Recurse, merging identical children and sharing one empty leaf.
-        // As in the HiCuts builder, only leaf-bound children are shared:
-        // a leaf search does not depend on the child's covered region.
-        let mut children: Vec<NodeId> = Vec::with_capacity(child_count as usize);
-        let mut merged: Vec<(Vec<RuleId>, NodeId)> = Vec::new();
-        for i in 0..child_count {
-            let list = std::mem::take(&mut child_rules[i as usize]);
-            if list.is_empty() {
-                children.push(self.empty_leaf(depth + 1));
-                continue;
-            }
-            let leaf_bound = list.len() <= self.config.binth;
-            if leaf_bound {
-                if let Some((_, existing)) = merged.iter().find(|(r, _)| *r == list) {
-                    children.push(*existing);
-                    continue;
-                }
-            }
-            let child_region = cuts.child_region(&cut_region, i);
-            let child_id = self.build_node(child_region, list.clone(), depth + 1);
-            if leaf_bound {
-                merged.push((list, child_id));
-            }
-            children.push(child_id);
-        }
-
-        self.nodes[node_id as usize] = Node {
-            region,
-            depth,
-            kind: NodeKind::Internal {
-                cuts,
-                children,
-                stored_rules,
-                cut_region,
-            },
-        };
-        node_id
+        Some((cuts, cut_region))
     }
 
-    fn make_leaf(
-        &mut self,
-        region: [FieldRange; FIELD_COUNT],
-        rules: Vec<RuleId>,
-        depth: u32,
-    ) -> NodeId {
-        let id = self.nodes.len() as NodeId;
-        self.stats.leaf_nodes += 1;
-        self.stats.stored_rule_refs += rules.len() as u64;
-        self.stats.ops.stores += 2 + rules.len() as u64;
-        self.nodes.push(Node {
-            region,
-            depth,
-            kind: NodeKind::Leaf { rules },
-        });
-        id
-    }
-
-    fn empty_leaf(&mut self, depth: u32) -> NodeId {
-        if let Some(id) = self.empty_leaf {
-            return id;
+    /// Pushes the rules common to *all* children of the node (the heuristic
+    /// of the original paper applies to every child, empty ones included)
+    /// up into the node's stored list.
+    fn hoist(&self, kit: &mut TreeBuilder<'_>, child_rules: &mut [Vec<RuleId>]) -> Vec<RuleId> {
+        if !self.push_common_rules || child_rules.len() <= 1 {
+            return Vec::new();
         }
-        let id = self.make_leaf([FieldRange::exact(0); FIELD_COUNT], vec![], depth);
-        self.empty_leaf = Some(id);
-        id
-    }
-
-    /// Bounding box of the rules, clipped to the node's region.
-    fn compact_region(
-        &mut self,
-        region: &[FieldRange; FIELD_COUNT],
-        rules: &[RuleId],
-    ) -> [FieldRange; FIELD_COUNT] {
-        let mut out = *region;
-        for d in Dimension::ALL {
-            let mut lo = u32::MAX;
-            let mut hi = 0u32;
-            for &id in rules {
-                let r = self.rules[id as usize].range(d);
-                lo = lo.min(r.lo.max(region[d.index()].lo));
-                hi = hi.max(r.hi.min(region[d.index()].hi));
-            }
-            if lo <= hi {
-                out[d.index()] = FieldRange::new(lo, hi);
+        let mut common: HashSet<RuleId> = child_rules[0].iter().copied().collect();
+        for list in child_rules.iter().skip(1) {
+            let set: HashSet<RuleId> = list.iter().copied().collect();
+            common = common.intersection(&set).copied().collect();
+            if common.is_empty() {
+                return Vec::new();
             }
         }
-        self.stats.ops.loads += rules.len() as u64 * FIELD_COUNT as u64;
-        self.stats.ops.alu += rules.len() as u64 * FIELD_COUNT as u64 * 2;
-        out
+        let mut stored_rules: Vec<RuleId> = common.into_iter().collect();
+        stored_rules.sort_unstable();
+        for list in child_rules.iter_mut() {
+            list.retain(|id| !stored_rules.contains(id));
+        }
+        kit.stats.stored_rule_refs += stored_rules.len() as u64;
+        kit.stats.ops.stores += stored_rules.len() as u64;
+        stored_rules
     }
+}
 
-    /// Dimensions whose number of distinct range specifications among the
-    /// node's rules is at least the mean over all dimensions, restricted to
-    /// dimensions that can still be cut.
-    fn candidate_dimensions(
-        &mut self,
-        rules: &[RuleId],
-        region: &[FieldRange; FIELD_COUNT],
-    ) -> Vec<Dimension> {
-        let mut counts = [0usize; FIELD_COUNT];
-        for d in Dimension::ALL {
-            let mut distinct: HashSet<FieldRange> = HashSet::with_capacity(rules.len());
-            for &id in rules {
-                distinct.insert(self.rules[id as usize].range(d));
-            }
-            counts[d.index()] = distinct.len();
-        }
-        self.stats.ops.loads += rules.len() as u64 * FIELD_COUNT as u64;
-        self.stats.ops.alu += rules.len() as u64 * FIELD_COUNT as u64;
-        let mean = counts.iter().sum::<usize>() as f64 / FIELD_COUNT as f64;
-        Dimension::ALL
-            .iter()
-            .copied()
-            .filter(|d| counts[d.index()] as f64 >= mean && region[d.index()].len() >= 2)
-            .collect()
-    }
-
-    /// Greedy combination search: repeatedly double the cut count of the
-    /// candidate dimension that most reduces the worst child occupancy, while
-    /// the total child count stays within `budget`.
-    fn choose_cuts(
-        &mut self,
-        rules: &[RuleId],
-        region: &[FieldRange; FIELD_COUNT],
-        candidates: &[Dimension],
-        budget: u64,
-    ) -> CutSpec {
-        let mut cuts = CutSpec::unit();
-        let mut current_max = rules.len();
-        loop {
-            let mut best: Option<(Dimension, usize)> = None;
-            for &d in candidates {
-                let parts = cuts.parts[d.index()];
-                let doubled = u64::from(parts) * 2;
-                if doubled > region[d.index()].len() {
-                    continue;
-                }
-                if cuts.child_count() / u64::from(parts) * doubled > budget {
-                    continue;
-                }
-                let mut trial = cuts.clone();
-                trial.parts[d.index()] = parts * 2;
-                let max_child = self.max_child_occupancy(rules, region, &trial);
-                if best.is_none_or(|(_, m)| max_child < m) {
-                    best = Some((d, max_child));
-                }
-            }
-            match best {
-                Some((d, max_child)) if max_child < current_max || cuts.child_count() == 1 => {
-                    cuts.parts[d.index()] *= 2;
-                    current_max = max_child;
-                }
-                _ => break,
-            }
-        }
-        cuts
-    }
-
-    /// Maximum number of rules any child of `cuts` over `region` would hold.
-    ///
-    /// Uses a multi-dimensional difference array (inclusion–exclusion over
-    /// the corners of each rule's child-index box) followed by a prefix sum,
-    /// so the cost is O(rules · 2^dims + children · dims).
-    fn max_child_occupancy(
-        &mut self,
-        rules: &[RuleId],
-        region: &[FieldRange; FIELD_COUNT],
-        cuts: &CutSpec,
-    ) -> usize {
-        let dims = cuts.cut_dimensions();
-        if dims.is_empty() {
-            return rules.len();
-        }
-        let shape: Vec<u32> = dims.iter().map(|d| cuts.parts[d.index()]).collect();
-        let total: usize = shape.iter().map(|&p| p as usize).product();
-        let mut diff = vec![0i64; total + 1];
-
-        // Strides for row-major indexing over the cut dimensions.
-        let mut strides = vec![1usize; dims.len()];
-        for i in (0..dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * shape[i + 1] as usize;
-        }
-
-        let mut skipped = 0usize;
+/// Bounding box of the rules, clipped to the node's region.
+fn compact_region(
+    kit: &mut TreeBuilder<'_>,
+    region: &[FieldRange; FIELD_COUNT],
+    rules: &[RuleId],
+) -> [FieldRange; FIELD_COUNT] {
+    let mut out = *region;
+    for d in Dimension::ALL {
+        let mut lo = u32::MAX;
+        let mut hi = 0u32;
         for &id in rules {
-            let rule = &self.rules[id as usize];
-            // Child-index box of the rule in each cut dimension.
-            let mut lo_idx = vec![0u32; dims.len()];
-            let mut hi_idx = vec![0u32; dims.len()];
-            let mut outside = false;
-            for (k, &d) in dims.iter().enumerate() {
-                let reg = region[d.index()];
-                let rr = rule.range(d);
-                let lo = rr.lo.max(reg.lo);
-                let hi = rr.hi.min(reg.hi);
-                if lo > hi {
-                    outside = true;
-                    break;
-                }
-                lo_idx[k] = reg.index_of(shape[k], lo);
-                hi_idx[k] = reg.index_of(shape[k], hi);
-            }
-            if outside {
-                skipped += 1;
+            let r = kit.rules[id as usize].range(d);
+            lo = lo.min(r.lo.max(region[d.index()].lo));
+            hi = hi.max(r.hi.min(region[d.index()].hi));
+        }
+        if lo <= hi {
+            out[d.index()] = FieldRange::new(lo, hi);
+        }
+    }
+    kit.stats.ops.loads += rules.len() as u64 * FIELD_COUNT as u64;
+    kit.stats.ops.alu += rules.len() as u64 * FIELD_COUNT as u64 * 2;
+    out
+}
+
+/// Dimensions whose number of distinct range specifications among the
+/// node's rules is at least the mean over all dimensions, restricted to
+/// dimensions that can still be cut.
+fn candidate_dimensions(
+    kit: &mut TreeBuilder<'_>,
+    rules: &[RuleId],
+    region: &[FieldRange; FIELD_COUNT],
+) -> Vec<Dimension> {
+    let mut counts = [0usize; FIELD_COUNT];
+    for d in Dimension::ALL {
+        let mut distinct: HashSet<FieldRange> = HashSet::with_capacity(rules.len());
+        for &id in rules {
+            distinct.insert(kit.rules[id as usize].range(d));
+        }
+        counts[d.index()] = distinct.len();
+    }
+    kit.stats.ops.loads += rules.len() as u64 * FIELD_COUNT as u64;
+    kit.stats.ops.alu += rules.len() as u64 * FIELD_COUNT as u64;
+    let mean = counts.iter().sum::<usize>() as f64 / FIELD_COUNT as f64;
+    Dimension::ALL
+        .iter()
+        .copied()
+        .filter(|d| counts[d.index()] as f64 >= mean && region[d.index()].len() >= 2)
+        .collect()
+}
+
+/// Greedy combination search: repeatedly double the cut count of the
+/// candidate dimension that most reduces the worst child occupancy, while
+/// the total child count stays within `budget`.
+fn choose_cuts(
+    kit: &mut TreeBuilder<'_>,
+    rules: &[RuleId],
+    region: &[FieldRange; FIELD_COUNT],
+    candidates: &[Dimension],
+    budget: u64,
+) -> CutSpec {
+    let mut cuts = CutSpec::unit();
+    let mut current_max = rules.len();
+    loop {
+        let mut best: Option<(Dimension, usize)> = None;
+        for &d in candidates {
+            let parts = cuts.parts[d.index()];
+            let doubled = u64::from(parts) * 2;
+            if doubled > region[d.index()].len() {
                 continue;
             }
-            // Inclusion–exclusion: add (-1)^popcount at each corner.
-            let corners = 1usize << dims.len();
-            for corner in 0..corners {
-                let mut index = 0usize;
-                let mut oob = false;
-                for k in 0..dims.len() {
-                    let coord = if corner & (1 << k) == 0 {
-                        lo_idx[k] as usize
-                    } else {
-                        hi_idx[k] as usize + 1
-                    };
-                    if coord >= shape[k] as usize {
-                        if corner & (1 << k) != 0 {
-                            oob = true;
-                            break;
-                        }
-                        unreachable!("lo index within shape");
-                    }
-                    index += coord * strides[k];
-                }
-                let sign = if (corner.count_ones() % 2) == 0 {
-                    1i64
-                } else {
-                    -1i64
-                };
-                if oob {
-                    // Corner falls off the high end: accumulate in the
-                    // overflow slot so the prefix sum stays balanced only for
-                    // in-range cells; equivalently we can simply skip it
-                    // because cells beyond the grid are never read.
-                    continue;
-                }
-                diff[index] += sign;
+            if cuts.child_count() / u64::from(parts) * doubled > budget {
+                continue;
+            }
+            let mut trial = cuts.clone();
+            trial.parts[d.index()] = parts * 2;
+            let max_child = occupancy(kit, rules, region, &trial);
+            if best.is_none_or(|(_, m)| max_child < m) {
+                best = Some((d, max_child));
             }
         }
-        let _ = skipped;
-
-        // Multi-dimensional prefix sum, one axis at a time.
-        for (k, &_d) in dims.iter().enumerate() {
-            let stride = strides[k];
-            let extent = shape[k] as usize;
-            for base in 0..total {
-                // Only accumulate along axis k: skip cells in the first slab.
-                let coord = (base / stride) % extent;
-                if coord == 0 {
-                    continue;
-                }
-                diff[base] += diff[base - stride];
+        match best {
+            Some((d, max_child)) if max_child < current_max || cuts.child_count() == 1 => {
+                cuts.parts[d.index()] *= 2;
+                current_max = max_child;
             }
+            _ => break,
         }
-
-        self.stats.cut_evaluations += rules.len() as u64;
-        self.stats.ops.loads += rules.len() as u64 * 4 + total as u64;
-        self.stats.ops.alu += rules.len() as u64 * (8 + (1u64 << dims.len())) + total as u64 * 2;
-        self.stats.ops.branches += rules.len() as u64 * 2;
-        self.stats.ops.divs += rules.len() as u64 * dims.len() as u64 * 2;
-
-        diff[..total].iter().copied().max().unwrap_or(0).max(0) as usize
     }
+    cuts
+}
 
-    fn collect_rules(
-        &mut self,
-        rules: &[RuleId],
-        region: &[FieldRange; FIELD_COUNT],
-    ) -> Vec<RuleId> {
-        self.stats.ops.loads += rules.len() as u64 * FIELD_COUNT as u64;
-        self.stats.ops.alu += rules.len() as u64 * FIELD_COUNT as u64 * 2;
-        self.stats.ops.branches += rules.len() as u64;
-        let out: Vec<RuleId> = rules
-            .iter()
-            .copied()
-            .filter(|&id| self.rules[id as usize].intersects_region(region))
-            .collect();
-        self.stats.ops.stores += out.len() as u64;
-        out
-    }
+/// [`max_child_occupancy`] of `cuts` over `region`, charged as one pass over
+/// the rules (2^dims grid corners each) plus one over the grid.
+fn occupancy(
+    kit: &mut TreeBuilder<'_>,
+    rules: &[RuleId],
+    region: &[FieldRange; FIELD_COUNT],
+    cuts: &CutSpec,
+) -> usize {
+    let n = rules.len() as u64;
+    let dims = cuts.parts.iter().filter(|&&p| p > 1).count() as u64;
+    let cells = cuts.child_count();
+    kit.stats.cut_evaluations += n;
+    kit.stats.ops.loads += n * 4 + cells;
+    kit.stats.ops.alu += n * (8 + (1u64 << dims)) + cells * 2;
+    kit.stats.ops.branches += n * 2;
+    // Two divisions per rule per cut dimension (first and last child index),
+    // as in the original HiCuts' `distribution`.
+    kit.stats.ops.divs += n * dims * 2;
+    max_child_occupancy(kit.rules, rules, region, &cuts.parts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pclass_types::toy;
+    use crate::counters::LookupStats;
+    use crate::Classifier;
+    use pclass_types::{toy, MatchResult, PacketHeader};
 
     fn toy_classifier(config: HyperCutsConfig) -> HyperCutsClassifier {
         HyperCutsClassifier::build(&toy::table1_ruleset(), &config)

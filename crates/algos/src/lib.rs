@@ -34,8 +34,7 @@
 //! (including the vectorised lane walk) against linear search:
 //!
 //! ```
-//! use pclass_algos::flat::FlatSettings;
-//! use pclass_algos::{Classifier, LaneWidth};
+//! use pclass_algos::Classifier;
 //! use pclass_algos::hicuts::{HiCutsClassifier, HiCutsConfig};
 //! use pclass_classbench::{ClassBenchGenerator, SeedStyle, TraceGenerator};
 //!
@@ -43,10 +42,7 @@
 //! let trace = TraceGenerator::new(&rs, 7).generate(256);
 //!
 //! let tree = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
-//! let flat = tree.flatten().with_settings(FlatSettings {
-//!     lanes: LaneWidth::X8,
-//!     ..FlatSettings::default()
-//! });
+//! let flat = tree.flatten();
 //!
 //! let headers: Vec<_> = trace.headers().copied().collect();
 //! let mut out = Vec::new();

@@ -14,6 +14,9 @@
 //!   span is full and re-flattening (amortized) once the tracked dirty
 //!   ratio crosses a threshold.
 //!
+//! Both run [`validate_insert`] before touching anything, so they accept
+//! and reject exactly the same update streams.
+//!
 //! Rule identity and priority stay fused (lower id wins), so an update
 //! stream works over a *sparse* id space: deleting rule 57 frees the id,
 //! inserting a different rule as 57 is a "replace", inserting beyond the
@@ -75,6 +78,38 @@ pub const MAX_ID_GAP: u32 = 65_536;
 /// sentinel.
 pub fn id_limit(occupied_end: usize) -> RuleId {
     (occupied_end as u64 + u64::from(MAX_ID_GAP)).min(u64::from(u32::MAX) - 1) as RuleId
+}
+
+/// The checks every structure runs before an `insert` touches it, so all of
+/// them accept exactly the same update streams: the slot must not be live,
+/// the id must lie below [`id_limit`] of the structure's occupied range
+/// (`occupied_end` = highest live id + 1), and every range must fit the
+/// geometry.
+pub fn validate_insert(
+    rule: &Rule,
+    spec: &DimensionSpec,
+    slot_is_live: bool,
+    occupied_end: usize,
+) -> Result<(), UpdateError> {
+    if slot_is_live {
+        return Err(UpdateError::DuplicateRuleId(rule.id));
+    }
+    let limit = id_limit(occupied_end);
+    if rule.id >= limit {
+        return Err(UpdateError::RuleIdTooSparse {
+            rule: rule.id,
+            limit,
+        });
+    }
+    for dimension in Dimension::ALL {
+        if rule.range(dimension).hi > spec.max_value(dimension) {
+            return Err(UpdateError::RangeExceedsWidth {
+                rule: rule.id,
+                dimension,
+            });
+        }
+    }
+    Ok(())
 }
 
 impl std::fmt::Display for UpdateError {

@@ -1,7 +1,7 @@
 //! Ablation bench: the paper's key algorithmic change is starting at 32 cuts
 //! and capping at 256.  This bench sweeps the starting cut count and the cap
 //! and measures build time (the memory/cycles side of the ablation is
-//! reported by `reproduce speed_tradeoff` and EXPERIMENTS.md).
+//! reported by `reproduce speed_tradeoff`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pclass_bench::acl_ruleset;

@@ -8,9 +8,8 @@
 //! Subcommands: `figures`, `table2`, `table3`, `table4`, `table5`, `table6`,
 //! `table7`, `table8`, `speedups`, `power`, `tcam`, `speed_tradeoff`, `all`.
 //! The `--quick` flag scales the largest rulesets down so the whole suite
-//! finishes in a couple of minutes; the recorded outputs in EXPERIMENTS.md
-//! were produced without it.  An unknown subcommand or flag prints the usage
-//! list and exits with status 2.
+//! finishes in a couple of minutes; drop it for the paper's full sizes.  An
+//! unknown subcommand or flag prints the usage list and exits with status 2.
 
 use pclass_algos::Classifier;
 use pclass_bench::*;

@@ -3,8 +3,8 @@
 //! benches) and for the workspace's integration tests.
 //!
 //! Every table and figure of the paper's evaluation section is regenerated
-//! from these building blocks; see `EXPERIMENTS.md` at the workspace root
-//! for the experiment-by-experiment mapping and the recorded outputs.
+//! from these building blocks: each is a subcommand of the `reproduce`
+//! binary (listed in the README's "Reproducing the paper" section).
 //! Serving performance is *not* measured here: the repository benchmark
 //! (`BENCHMARK.json` and the stand-alone `benchmark/` package) is the one
 //! place that defines it.  What the tests share with the harness:

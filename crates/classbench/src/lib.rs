@@ -23,8 +23,8 @@
 //! (Pareto-like) rule-popularity distribution and short repeated bursts, so
 //! traces exhibit the locality a real line card sees.
 //!
-//! Everything is seeded explicitly and fully deterministic, so every table in
-//! `EXPERIMENTS.md` can be regenerated bit-for-bit.
+//! Everything is seeded explicitly and fully deterministic, so every table
+//! the `reproduce` binary prints can be regenerated bit-for-bit.
 
 //!
 //! # Example

@@ -24,6 +24,7 @@
 //! [`crate::program::HardwareProgram`] serialises into memory words.
 
 use pclass_algos::counters::BuildStats;
+use pclass_algos::dtree::{cut_histogram, max_child_occupancy, rules_intersecting, CutSpec};
 use pclass_types::{Dimension, DimensionSpec, FieldRange, Rule, RuleId, RuleSet, FIELD_COUNT};
 use std::collections::HashSet;
 
@@ -370,7 +371,7 @@ impl<'a> TreeBuilder<'a> {
         // children: past that point an oversized multi-word leaf is both
         // smaller and faster than further cutting.
         let child_count = 1usize << total_bits;
-        let max_child = self.max_child_occupancy(&rules, &region, &cut_bits);
+        let max_child = self.occupancy(&rules, &region, &cut_bits);
         if max_child >= rules.len() || max_child * 10 >= rules.len() * 9 {
             return self.make_leaf(rules);
         }
@@ -400,7 +401,13 @@ impl<'a> TreeBuilder<'a> {
         let mut merged: Vec<(Vec<RuleId>, usize)> = Vec::new();
         for i in 0..child_count as u64 {
             let child_region = child_region(&region, &cut_bits, i);
-            let child_rules = self.collect_rules(&rules, &child_region);
+            // Charged like the software builders' distribution step: one
+            // five-field overlap test per candidate, a store per kept id.
+            let child_rules = rules_intersecting(self.rules, &rules, &child_region);
+            self.stats.ops.loads += rules.len() as u64 * FIELD_COUNT as u64;
+            self.stats.ops.alu += rules.len() as u64 * FIELD_COUNT as u64 * 2;
+            self.stats.ops.branches += rules.len() as u64;
+            self.stats.ops.stores += child_rules.len() as u64;
             if child_rules.is_empty() {
                 children.push(None);
                 continue;
@@ -586,7 +593,7 @@ impl<'a> TreeBuilder<'a> {
                 }
                 let mut trial = cut_bits;
                 trial[d.index()] += 1;
-                let max_child = self.max_child_occupancy(rules, region, &trial);
+                let max_child = self.occupancy(rules, region, &trial);
                 let scored = max_child + penalty(d);
                 if best.is_none_or(|(_, s, _)| scored < s) {
                     best = Some((d, scored, max_child));
@@ -613,8 +620,9 @@ impl<'a> TreeBuilder<'a> {
         cut_bits
     }
 
-    /// Per-dimension histogram: worst child occupancy and total child rule
-    /// references for `2^bits` cuts of `region[d]`.
+    /// [`cut_histogram`] for `2^bits` cuts of `region[d]`.  The cuts are
+    /// power-of-two aligned, so locating a rule's first and last child is a
+    /// shift: unlike the original HiCuts, no divisions are charged.
     fn histogram(
         &mut self,
         rules: &[RuleId],
@@ -623,137 +631,42 @@ impl<'a> TreeBuilder<'a> {
         bits: u8,
     ) -> (usize, u64) {
         let parts = 1u32 << bits;
-        let r = region[d.index()];
-        let mut diff = vec![0i64; parts as usize + 1];
-        let mut total = 0u64;
-        for &id in rules {
-            let rr = self.rules[id as usize].range(d);
-            let lo = rr.lo.max(r.lo);
-            let hi = rr.hi.min(r.hi);
-            if lo > hi {
-                continue;
-            }
-            let a = r.index_of(parts, lo);
-            let b = r.index_of(parts, hi);
-            diff[a as usize] += 1;
-            diff[b as usize + 1] -= 1;
-            total += u64::from(b - a + 1);
-        }
-        let mut acc = 0i64;
-        let mut max = 0i64;
-        for v in &diff[..parts as usize] {
-            acc += v;
-            max = max.max(acc);
-        }
-        self.stats.cut_evaluations += rules.len() as u64;
-        self.stats.ops.loads += rules.len() as u64 * 2 + u64::from(parts);
-        self.stats.ops.alu += rules.len() as u64 * 6 + u64::from(parts) * 2;
-        self.stats.ops.branches += rules.len() as u64 * 2;
-        (max as usize, total)
+        let n = rules.len() as u64;
+        self.stats.cut_evaluations += n;
+        self.stats.ops.loads += n * 2 + u64::from(parts);
+        self.stats.ops.alu += n * 6 + u64::from(parts) * 2;
+        self.stats.ops.branches += n * 2;
+        cut_histogram(self.rules, rules, region[d.index()], d, parts)
     }
 
-    /// Worst child occupancy for a multi-dimensional cut, via the same
-    /// inclusion–exclusion difference grid the software HyperCuts uses.
-    fn max_child_occupancy(
+    /// [`max_child_occupancy`] of a multi-dimensional cut.
+    ///
+    /// Inherited drift, kept so Table 3 does not move: this charge was
+    /// copied from the software HyperCuts', so it pays that builder's two
+    /// divisions per rule per cut dimension (even for the one-dimensional
+    /// progress check of modified HiCuts) but not its two branches per rule.
+    fn occupancy(
         &mut self,
         rules: &[RuleId],
         region: &[FieldRange; FIELD_COUNT],
         cut_bits: &[u8; FIELD_COUNT],
     ) -> usize {
-        let dims: Vec<Dimension> = Dimension::ALL
-            .iter()
-            .copied()
-            .filter(|d| cut_bits[d.index()] > 0)
-            .collect();
-        if dims.is_empty() {
-            return rules.len();
-        }
-        let shape: Vec<u32> = dims.iter().map(|d| 1u32 << cut_bits[d.index()]).collect();
-        let total: usize = shape.iter().map(|&p| p as usize).product();
-        let mut strides = vec![1usize; dims.len()];
-        for i in (0..dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * shape[i + 1] as usize;
-        }
-        let mut diff = vec![0i64; total + 1];
-        for &id in rules {
-            let rule = &self.rules[id as usize];
-            let mut lo_idx = vec![0u32; dims.len()];
-            let mut hi_idx = vec![0u32; dims.len()];
-            let mut outside = false;
-            for (k, &d) in dims.iter().enumerate() {
-                let reg = region[d.index()];
-                let rr = rule.range(d);
-                let lo = rr.lo.max(reg.lo);
-                let hi = rr.hi.min(reg.hi);
-                if lo > hi {
-                    outside = true;
-                    break;
-                }
-                lo_idx[k] = reg.index_of(shape[k], lo);
-                hi_idx[k] = reg.index_of(shape[k], hi);
-            }
-            if outside {
-                continue;
-            }
-            let corners = 1usize << dims.len();
-            for corner in 0..corners {
-                let mut index = 0usize;
-                let mut skip = false;
-                for k in 0..dims.len() {
-                    let coord = if corner & (1 << k) == 0 {
-                        lo_idx[k] as usize
-                    } else {
-                        hi_idx[k] as usize + 1
-                    };
-                    if coord >= shape[k] as usize {
-                        skip = true;
-                        break;
-                    }
-                    index += coord * strides[k];
-                }
-                if skip {
-                    continue;
-                }
-                let sign = if corner.count_ones() % 2 == 0 {
-                    1i64
-                } else {
-                    -1i64
-                };
-                diff[index] += sign;
-            }
-        }
-        for k in 0..dims.len() {
-            let stride = strides[k];
-            let extent = shape[k] as usize;
-            for base in 0..total {
-                let coord = (base / stride) % extent;
-                if coord != 0 {
-                    diff[base] += diff[base - stride];
-                }
-            }
-        }
-        self.stats.cut_evaluations += rules.len() as u64;
-        self.stats.ops.loads += rules.len() as u64 * 4 + total as u64;
-        self.stats.ops.alu += rules.len() as u64 * (8 + (1u64 << dims.len())) + total as u64 * 2;
-        self.stats.ops.divs += rules.len() as u64 * dims.len() as u64 * 2;
-        diff[..total].iter().copied().max().unwrap_or(0).max(0) as usize
+        let cuts = cut_parts(cut_bits);
+        let n = rules.len() as u64;
+        let dims = cut_bits.iter().filter(|&&b| b > 0).count() as u64;
+        let cells = cuts.child_count();
+        self.stats.cut_evaluations += n;
+        self.stats.ops.loads += n * 4 + cells;
+        self.stats.ops.alu += n * (8 + (1u64 << dims)) + cells * 2;
+        self.stats.ops.divs += n * dims * 2;
+        max_child_occupancy(self.rules, rules, region, &cuts.parts)
     }
+}
 
-    fn collect_rules(
-        &mut self,
-        rules: &[RuleId],
-        region: &[FieldRange; FIELD_COUNT],
-    ) -> Vec<RuleId> {
-        self.stats.ops.loads += rules.len() as u64 * FIELD_COUNT as u64;
-        self.stats.ops.alu += rules.len() as u64 * FIELD_COUNT as u64 * 2;
-        self.stats.ops.branches += rules.len() as u64;
-        let out: Vec<RuleId> = rules
-            .iter()
-            .copied()
-            .filter(|&id| self.rules[id as usize].intersects_region(region))
-            .collect();
-        self.stats.ops.stores += out.len() as u64;
-        out
+/// The cut specification `cut_bits` describes (`2^bits` parts per dimension).
+fn cut_parts(cut_bits: &[u8; FIELD_COUNT]) -> CutSpec {
+    CutSpec {
+        parts: cut_bits.map(|b| 1u32 << b),
     }
 }
 
@@ -764,20 +677,9 @@ impl<'a> TreeBuilder<'a> {
 pub fn child_region(
     region: &[FieldRange; FIELD_COUNT],
     cut_bits: &[u8; FIELD_COUNT],
-    mut i: u64,
+    i: u64,
 ) -> [FieldRange; FIELD_COUNT] {
-    let mut out = *region;
-    for d in Dimension::ALL.iter().rev() {
-        let bits = cut_bits[d.index()];
-        if bits == 0 {
-            continue;
-        }
-        let parts = 1u32 << bits;
-        let digit = (i % u64::from(parts)) as u32;
-        i /= u64::from(parts);
-        out[d.index()] = region[d.index()].split_child(parts, digit);
-    }
-    out
+    cut_parts(cut_bits).child_region(region, i)
 }
 
 #[cfg(test)]

@@ -22,8 +22,9 @@
 //! counters emitted by the instrumented classifiers and tree builders
 //! (`pclass-algos::counters`) into cycles and joules.  The absolute constants
 //! are calibrated to the SA-1100's published characteristics, not to the
-//! authors' exact Sim-Panalyzer setup, so EXPERIMENTS.md compares *shapes and
-//! ratios* (who wins, by roughly what factor) rather than absolute joules.
+//! authors' exact Sim-Panalyzer setup, so the `reproduce` tables are to be
+//! compared with the paper's in *shapes and ratios* (who wins, by roughly
+//! what factor) rather than in absolute joules.
 
 //!
 //! # Example

@@ -17,8 +17,10 @@ use packet_classifier::prelude::*;
 use pclass_algos::hicuts::HiCutsConfig;
 use pclass_algos::hypercuts::HyperCutsConfig;
 use pclass_algos::update::{
-    classify_live_linear, map_result, renumbered_ruleset, UpdatableClassifier,
+    classify_live_linear, id_limit, map_result, renumbered_ruleset, RuleUpdate,
+    UpdatableClassifier, UpdateError,
 };
+use pclass_algos::LookupStats;
 use proptest::prelude::*;
 
 /// A scripted update stream: `(is_insert, pick)` pairs resolved against
@@ -175,7 +177,6 @@ proptest! {
         // HiCuts flat arena.
         let settings = FlatSettings {
             dirty_threshold: threshold,
-            ..FlatSettings::default()
         };
         let build_hcf = |rs: &RuleSet| build_hc(rs).flatten().with_settings(settings);
         let mut c = build_hcf(&rs);
@@ -232,4 +233,149 @@ fn one_percent_churn_on_acl1_2000_matches_rebuild() {
         );
         assert_eq!(updated_out[i], classify_live_linear(&live, pkt));
     }
+}
+
+/// The boundary of what an update stream may contain is defined once
+/// (`update::validate_insert`), so the pointer trees and both flat arenas
+/// must give every boundary update the same verdict — and keep deciding
+/// like linear search over the live rules after each accepted one.
+#[test]
+fn boundary_updates_get_one_verdict_from_all_four_structures() {
+    use RuleUpdate::{Delete, Insert};
+    let rs = ClassBenchGenerator::new(SeedStyle::Acl, 7).generate(40);
+    let spec = *rs.spec();
+    let n = rs.len() as u32;
+    let trace = TraceGenerator::new(&rs, 7 ^ 0xD00D).generate(96);
+    let headers: Vec<PacketHeader> = trace.headers().copied().collect();
+
+    let hc = HiCutsClassifier::build(
+        &rs,
+        &HiCutsConfig {
+            binth: 4,
+            spfac: 4.0,
+        },
+    );
+    let hyc = HyperCutsClassifier::build(
+        &rs,
+        &HyperCutsConfig {
+            binth: 4,
+            ..HyperCutsConfig::paper_defaults()
+        },
+    );
+    let mut structures: Vec<Box<dyn UpdatableClassifier>> = vec![
+        Box::new(hc.flatten()),
+        Box::new(hyc.flatten()),
+        Box::new(hc),
+        Box::new(hyc),
+    ];
+
+    let limit = id_limit(rs.len());
+    let mut too_wide = Rule::wildcard(n + 1, &spec);
+    too_wide.ranges[Dimension::SrcPort.index()] = FieldRange::new(0, 70_000);
+    let mut table: Vec<(&str, RuleUpdate, Result<(), UpdateError>)> = vec![
+        (
+            "duplicate id",
+            Insert(rs.rules()[0]),
+            Err(UpdateError::DuplicateRuleId(0)),
+        ),
+        (
+            "first id past the sparse-id limit",
+            Insert(Rule::wildcard(limit, &spec)),
+            Err(UpdateError::RuleIdTooSparse { rule: limit, limit }),
+        ),
+        (
+            "last id within the sparse-id limit",
+            Insert(Rule::wildcard(limit - 1, &spec)),
+            Ok(()),
+        ),
+        (
+            "range wider than the dimension",
+            Insert(too_wide),
+            Err(UpdateError::RangeExceedsWidth {
+                rule: n + 1,
+                dimension: Dimension::SrcPort,
+            }),
+        ),
+        (
+            "/0 all-wildcard rule",
+            Insert(Rule::wildcard(n, &spec)),
+            Ok(()),
+        ),
+    ];
+    for id in (0..=n).chain([limit - 1]) {
+        table.push(("delete to empty", Delete(id), Ok(())));
+    }
+    table.push((
+        "delete from an empty structure",
+        Delete(0),
+        Err(UpdateError::UnknownRuleId(0)),
+    ));
+    for rule in rs.rules() {
+        table.push(("refill", Insert(*rule), Ok(())));
+    }
+
+    for (step, (what, update, want)) in table.iter().enumerate() {
+        for c in &mut structures {
+            assert_eq!(
+                c.apply(update),
+                *want,
+                "step {step} ({what}) on {}",
+                c.name()
+            );
+            if want.is_err() {
+                continue;
+            }
+            let live = c.live_rules();
+            for pkt in &headers {
+                assert_eq!(
+                    c.classify(pkt),
+                    classify_live_linear(&live, pkt),
+                    "step {step} ({what}) on {}: {pkt:?}",
+                    c.name()
+                );
+            }
+        }
+    }
+    for c in &structures {
+        assert_eq!(c.live_rules(), rs.rules(), "{} after the refill", c.name());
+    }
+}
+
+/// The advertised static bound (Table 8's software column) must hold for
+/// the structure as it is *now*: the flat classifier used to report the
+/// bound of the tree it was flattened from, which inserts can exceed.
+#[test]
+fn flat_worst_case_bound_holds_after_updates() {
+    let rs = ClassBenchGenerator::new(SeedStyle::Acl, 42).generate(300);
+    let trace = TraceGenerator::new(&rs, 42 ^ 0xD00D).generate(2_000);
+    let hc = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
+    let hyc = HyperCutsClassifier::build(&rs, &HyperCutsConfig::paper_defaults());
+    // Before any update the arena and the pointer tree agree on the bound.
+    let mut flat = hc.flatten();
+    assert_eq!(
+        flat.worst_case_memory_accesses(),
+        hc.worst_case_memory_accesses()
+    );
+    assert_eq!(
+        hyc.flatten().worst_case_memory_accesses(),
+        hyc.worst_case_memory_accesses()
+    );
+
+    for k in 0..40 {
+        flat.insert(Rule::wildcard(300 + k, rs.spec())).unwrap();
+    }
+    let observed = trace
+        .headers()
+        .map(|pkt| {
+            let mut stats = LookupStats::new();
+            flat.classify_with_stats(pkt, &mut stats);
+            stats.memory_accesses
+        })
+        .max()
+        .unwrap();
+    let bound = flat.worst_case_memory_accesses().unwrap();
+    assert!(
+        observed <= bound,
+        "a lookup made {observed} accesses, the advertised worst case is {bound}"
+    );
 }

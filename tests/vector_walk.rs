@@ -162,7 +162,6 @@ proptest! {
             // are never compacted back into the slab.
             let mut c = build().with_settings(FlatSettings {
                 dirty_threshold: f64::INFINITY,
-                ..FlatSettings::default()
             });
             apply_script(&mut c, &script, &fresh_pool);
             // The scalar oracle itself is checked against linear search
@@ -196,7 +195,6 @@ fn acl1_2000_churn_with_live_overflow_is_lane_exact() {
         .flatten()
         .with_settings(FlatSettings {
             dirty_threshold: f64::INFINITY,
-            ..FlatSettings::default()
         });
     for u in &updates {
         c.apply(u).expect("churn update applies");
