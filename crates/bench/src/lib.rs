@@ -1,6 +1,6 @@
 //! Shared workload construction and measurement helpers for the
-//! paper-reproduction harness (the `reproduce` binary and the criterion
-//! benches) and for the workspace's integration tests.
+//! paper-reproduction harness (the `reproduce` binary) and for the
+//! workspace's integration tests.
 //!
 //! Every table and figure of the paper's evaluation section is regenerated
 //! from these building blocks: each is a subcommand of the `reproduce`
@@ -11,9 +11,10 @@
 //!
 //! * [`serving_roster`] — the single source of truth for which classifiers
 //!   serve a ruleset, with explicit skip records for builds that cannot.
-//! * [`TraceProfile`] — the deterministic uniform and Zipf-skewed traces.
+//! * [`trace_for`] / [`zipf_trace_for`] — the deterministic uniform and
+//!   Zipf-skewed traces.
 //! * [`churn`] — deterministic live-update streams (burst, deep,
-//!   delete-heavy, sustained) and the serve-under-churn verification loop.
+//!   delete-heavy).
 //!
 //! # Example
 //!
@@ -73,33 +74,16 @@ pub fn trace_for(ruleset: &RuleSet, packets: usize) -> Trace {
     TraceGenerator::new(ruleset, WORKLOAD_SEED ^ 0xF00D).generate(packets)
 }
 
-/// Exponent of the [`TraceProfile::Zipf`] popularity law (rank `k` drawn
-/// with probability ∝ `1/k`): on a 2 000-rule set the hottest 1 % of the
-/// rules draws roughly 40 % of the directed packets.
-pub const ZIPF_EXPONENT: f64 = 1.0;
-
-/// The two deterministic trace shapes the integration tests serve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TraceProfile {
-    /// The ClassBench default mix: mild Pareto-style popularity skew, 10 %
-    /// background packets, short bursts.
-    Uniform,
-    /// Seeded Zipf popularity ([`ZIPF_EXPONENT`]) over rule ranks — the
-    /// heavily skewed traffic a production classifier sees, repeatedly
-    /// hitting the same hot rules (and therefore the same tree paths).
-    Zipf,
-}
-
-impl TraceProfile {
-    /// Builds this profile's deterministic trace for a ruleset.
-    pub fn trace(self, ruleset: &RuleSet, packets: usize) -> Trace {
-        match self {
-            TraceProfile::Uniform => trace_for(ruleset, packets),
-            TraceProfile::Zipf => TraceGenerator::new(ruleset, WORKLOAD_SEED ^ 0x51FF)
-                .zipf(ZIPF_EXPONENT)
-                .generate_named(packets, format!("{}_zipf_trace", ruleset.name())),
-        }
-    }
+/// Builds the Zipf-skewed trace used with a ruleset: seeded Zipf
+/// popularity over rule ranks at exponent 1 (rank `k` drawn with
+/// probability ∝ `1/k` — on a 2 000-rule set the hottest 1 % of the rules
+/// draws roughly 40 % of the directed packets), the heavily skewed traffic
+/// a production classifier sees, repeatedly hitting the same hot rules
+/// (and therefore the same tree paths).
+pub fn zipf_trace_for(ruleset: &RuleSet, packets: usize) -> Trace {
+    TraceGenerator::new(ruleset, WORKLOAD_SEED ^ 0x51FF)
+        .zipf(1.0)
+        .generate_named(packets, format!("{}_zipf_trace", ruleset.name()))
 }
 
 /// Result of measuring one software classifier over a trace.
@@ -321,10 +305,10 @@ mod tests {
     #[test]
     fn zipf_trace_profile_is_deterministic_and_distinct_from_uniform() {
         let rs = acl_ruleset(300);
-        let a = TraceProfile::Zipf.trace(&rs, 800);
-        assert_eq!(a, TraceProfile::Zipf.trace(&rs, 800));
+        let a = zipf_trace_for(&rs, 800);
+        assert_eq!(a, zipf_trace_for(&rs, 800));
         assert_eq!(a.name(), "acl1_300_zipf_trace");
-        assert_ne!(a, TraceProfile::Uniform.trace(&rs, 800));
+        assert_ne!(a, trace_for(&rs, 800));
     }
 
     #[test]

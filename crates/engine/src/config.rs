@@ -10,11 +10,9 @@
 //!   per-tenant live classifiers.
 //!
 //! Knob semantics — all three front ends run the same sharded loop, so
-//! the first four mean the same thing on each:
+//! the first three mean the same thing on each:
 //!
 //! * **workers** and **batch size** set the loop's geometry;
-//! * the **progress hook** ([`EngineConfig::progress`]) is bumped by the
-//!   size of every finished sub-batch;
 //! * the **hot cache** ([`EngineConfig::hot_cache`]) puts an exact-match
 //!   flow cache in front of the classifier, probed once per sub-batch:
 //!   one per worker shard on [`Engine`] and [`LiveEngine`], one per tenant
@@ -27,8 +25,7 @@
 //!
 //! Every setter **rejects a double-set with a panic**: two subsystems
 //! configuring the same knob on one config is a wiring bug that last-wins
-//! semantics would hide (the deprecated `with_*` chains did exactly that
-//! with the progress counter).
+//! semantics would hide.
 //!
 //! # Example
 //!
@@ -53,7 +50,6 @@ use crate::live::{LiveClassifier, LiveEngine};
 use crate::tenant::{TenantRouter, TenantSpec};
 use crate::{Engine, SharedClassifier, DEFAULT_BATCH_SIZE};
 use pclass_algos::{Classifier, HotCacheConfig};
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// The shared builder every serving front end is constructed through.
@@ -65,14 +61,13 @@ use std::sync::Arc;
 pub struct EngineConfig {
     workers: Option<usize>,
     batch: Option<usize>,
-    progress: Option<Arc<AtomicU64>>,
     hot_cache: Option<HotCacheConfig>,
     memory_budget: Option<usize>,
 }
 
 impl EngineConfig {
-    /// The default configuration: 1 worker, [`DEFAULT_BATCH_SIZE`], no
-    /// progress hook, no hot cache, no memory budget.
+    /// The default configuration: 1 worker, [`DEFAULT_BATCH_SIZE`], no hot
+    /// cache, no memory budget.
     pub fn new() -> EngineConfig {
         EngineConfig::default()
     }
@@ -107,28 +102,6 @@ impl EngineConfig {
              first subsystem's choice"
         );
         self.batch = Some(batch.max(1));
-        self
-    }
-
-    /// Attaches a shared serving-progress counter: every front end adds
-    /// the size of each finished sub-batch, across every classify call —
-    /// the pacing hook for sustained update streams (an updater spreads
-    /// its stream over packets actually served instead of wall-clock
-    /// time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a counter is already attached: two subsystems wiring
-    /// pacing counters into one config is a bug that silent last-wins
-    /// replacement would hide.
-    pub fn progress(mut self, counter: Arc<AtomicU64>) -> EngineConfig {
-        assert!(
-            self.progress.is_none(),
-            "EngineConfig::progress set twice — a progress counter is \
-             already attached, and replacing it would silently detach the \
-             first subscriber's pacing"
-        );
-        self.progress = Some(counter);
         self
     }
 
@@ -184,11 +157,6 @@ impl EngineConfig {
         self.batch.unwrap_or(DEFAULT_BATCH_SIZE)
     }
 
-    /// The attached progress counter, if any.
-    pub fn progress_counter(&self) -> Option<&Arc<AtomicU64>> {
-        self.progress.as_ref()
-    }
-
     /// The hot-flow cache geometry, if one is configured.
     pub fn hot_cache_config(&self) -> Option<HotCacheConfig> {
         self.hot_cache
@@ -207,8 +175,7 @@ impl EngineConfig {
     }
 
     /// Builds a [`LiveEngine`] serving an epoch-swap [`LiveClassifier`],
-    /// re-snapshotting per sub-batch; inherits this config's progress
-    /// hook.
+    /// re-snapshotting per sub-batch.
     pub fn live_engine<C: Classifier + Clone + Send + Sync>(
         &self,
         live: Arc<LiveClassifier<C>>,
@@ -222,8 +189,8 @@ impl EngineConfig {
     /// (handles come back from [`TenantRouter::tenant_ids`] in the same
     /// order), each classifier is wrapped in its own [`LiveClassifier`]
     /// (per-tenant churn isolation), and tagged traffic is served on this
-    /// config's shared worker pool; inherits the progress hook, the hot
-    /// cache (sliced over the roster by cache share) and the router-wide
+    /// config's shared worker pool; inherits the hot cache (sliced over
+    /// the roster by cache share) and the router-wide
     /// [`EngineConfig::memory_budget`].
     ///
     /// # Panics
@@ -242,10 +209,8 @@ impl EngineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tenant::TaggedTrace;
     use pclass_algos::LinearClassifier;
     use pclass_classbench::{ClassBenchGenerator, SeedStyle, TraceGenerator};
-    use std::sync::atomic::Ordering;
 
     fn workload(rules: usize, packets: usize) -> (pclass_types::RuleSet, pclass_types::Trace) {
         let rs = ClassBenchGenerator::new(SeedStyle::Acl, 91).generate(rules);
@@ -258,7 +223,6 @@ mod tests {
         let config = EngineConfig::new();
         assert_eq!(config.worker_count(), 1);
         assert_eq!(config.batch(), DEFAULT_BATCH_SIZE);
-        assert!(config.progress_counter().is_none());
         assert!(config.hot_cache_config().is_none());
         assert!(config.memory_budget_bytes().is_none());
         assert_eq!(EngineConfig::default().batch(), config.batch());
@@ -292,39 +256,6 @@ mod tests {
         assert_eq!(router.workers(), 3);
         assert_eq!(router.batch_size(), 64);
         assert_eq!(router.tenant_count(), 1);
-    }
-
-    #[test]
-    fn progress_counter_is_inherited_by_every_front_end() {
-        let (rs, trace) = workload(60, 300);
-        let counter = Arc::new(AtomicU64::new(0));
-        let config = EngineConfig::new()
-            .workers(2)
-            .batch_size(32)
-            .progress(Arc::clone(&counter));
-        let linear = LinearClassifier::new(rs.clone());
-        config
-            .engine(Arc::new(linear.clone()))
-            .classify_trace(&trace);
-        assert_eq!(counter.load(Ordering::Relaxed), trace.len() as u64);
-        config
-            .live_engine(Arc::new(LiveClassifier::new(linear.clone())))
-            .classify_trace(&trace);
-        assert_eq!(counter.load(Ordering::Relaxed), 2 * trace.len() as u64);
-        let router = config.tenant_router([(TenantSpec::new("t0"), linear)]);
-        let tagged = TaggedTrace::interleave("t", &[(router.tenant_ids()[0], &trace)]);
-        router.classify_tagged(&tagged);
-        assert_eq!(counter.load(Ordering::Relaxed), 3 * trace.len() as u64);
-    }
-
-    #[test]
-    #[should_panic(expected = "progress set twice")]
-    fn double_set_progress_is_rejected() {
-        let a = Arc::new(AtomicU64::new(0));
-        let b = Arc::new(AtomicU64::new(0));
-        // The deleted `LiveEngine::with_progress` shim silently replaced
-        // the first counter; the builder refuses.
-        let _ = EngineConfig::new().progress(a).progress(b);
     }
 
     #[test]

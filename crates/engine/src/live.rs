@@ -84,9 +84,21 @@ impl<C: UpdatableClassifier + Clone> LiveClassifier<C> {
     /// batch ever observes a prefix of it.  On error the failed update and
     /// everything after it are dropped but earlier updates of the burst
     /// are still published (the writer copy has already absorbed them).
+    ///
+    /// A burst that absorbs nothing — an empty one, or one whose first
+    /// update is rejected — publishes nothing: the snapshot and the
+    /// generation stay as they were (no whole-structure clone, no
+    /// invalidation of generation-tagged cache entries), and the call
+    /// returns the error, or `Ok` of the current generation.
     pub fn apply_batch(&self, updates: &[RuleUpdate]) -> Result<u64, UpdateError> {
         let mut writer = self.writer.lock().expect("writer lock poisoned");
-        let result = updates.iter().try_for_each(|u| writer.apply(u));
+        let mut absorbed = 0usize;
+        let result = updates
+            .iter()
+            .try_for_each(|u| writer.apply(u).map(|()| absorbed += 1));
+        if absorbed == 0 {
+            return result.map(|()| self.generation());
+        }
         let published = Arc::new(writer.clone());
         {
             // The generation advances inside the snapshot critical section
@@ -121,9 +133,9 @@ pub struct LiveEngine<C> {
 
 impl<C: Classifier + Clone + Send + Sync> LiveEngine<C> {
     /// The canonical constructor, used by [`EngineConfig::live_engine`];
-    /// inherits the config's workers, batch size, progress hook and
-    /// hot-cache geometry (one private cache per worker, so the hot path
-    /// never contends across shards).
+    /// inherits the config's workers, batch size and hot-cache geometry
+    /// (one private cache per worker, so the hot path never contends
+    /// across shards).
     pub(crate) fn from_config(
         config: &EngineConfig,
         live: Arc<LiveClassifier<C>>,
@@ -246,27 +258,24 @@ mod tests {
     }
 
     #[test]
-    fn progress_counter_tracks_served_packets_across_runs() {
-        let (rs, trace) = workload(80, 700);
-        let live = Arc::new(LiveClassifier::new(flat_for(&rs)));
-        let counter = Arc::new(AtomicU64::new(0));
-        let engine = EngineConfig::new()
-            .workers(3)
-            .batch_size(64)
-            .progress(Arc::clone(&counter))
-            .live_engine(Arc::clone(&live));
-        engine.classify_trace(&trace);
-        assert_eq!(counter.load(Ordering::Relaxed), trace.len() as u64);
-        // The counter is cumulative across calls — that is what lets a
-        // sustained updater pace itself over a multi-pass serving window.
-        engine.classify_trace(&trace);
-        assert_eq!(counter.load(Ordering::Relaxed), 2 * trace.len() as u64);
-        // An engine without the hook leaves the counter alone.
-        EngineConfig::new()
-            .workers(2)
-            .live_engine(Arc::clone(&live))
-            .classify_trace(&trace);
-        assert_eq!(counter.load(Ordering::Relaxed), 2 * trace.len() as u64);
+    fn a_burst_that_absorbs_nothing_publishes_nothing() {
+        let (rs, _) = workload(60, 1);
+        let live = LiveClassifier::new(flat_for(&rs));
+        let before = live.snapshot();
+        assert_eq!(
+            live.apply_batch(&[RuleUpdate::Delete(9_999)]),
+            Err(UpdateError::UnknownRuleId(9_999))
+        );
+        assert_eq!(live.apply_batch(&[]), Ok(0));
+        assert_eq!(live.generation(), 0);
+        assert!(
+            Arc::ptr_eq(&before, &live.snapshot()),
+            "a no-op burst must not clone and swap the snapshot"
+        );
+        // A real update still publishes, and a no-op after it reports the
+        // generation that update reached.
+        assert_eq!(live.apply_batch(&[RuleUpdate::Delete(1)]), Ok(1));
+        assert_eq!(live.apply_batch(&[]), Ok(1));
     }
 
     #[test]

@@ -5,8 +5,6 @@ use crate::{mpps, EngineConfig, EngineRun, ThroughputReport, WorkerReport};
 use pclass_algos::{Classifier, HotCache};
 use pclass_types::{shard_slices, CacheStats, MatchResult, PacketHeader, Trace};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The paper's deployment — several engines, one shared read-only
@@ -113,12 +111,11 @@ pub(crate) fn serve_cached(
 }
 
 /// What [`crate::Engine`] and [`crate::LiveEngine`] share: the loop's
-/// geometry, the progress hook, and one private hot-flow cache per worker
-/// (no cross-worker contention; a worker only ever sees its own shard).
+/// geometry and one private hot-flow cache per worker (no cross-worker
+/// contention; a worker only ever sees its own shard).
 pub(crate) struct WorkerPool {
     pub(crate) workers: usize,
     pub(crate) batch: usize,
-    progress: Option<Arc<AtomicU64>>,
     caches: Vec<HotCache>,
 }
 
@@ -132,7 +129,6 @@ impl WorkerPool {
         WorkerPool {
             workers,
             batch: config.batch(),
-            progress: config.progress_counter().cloned(),
             caches,
         }
     }
@@ -148,9 +144,9 @@ impl WorkerPool {
 
     /// Serves a trace: every sub-batch is copied into its worker's header
     /// scratch block (the dense slice [`Classifier::classify_batch`]
-    /// wants), classified by whatever `current()` returns at that moment —
-    /// a cache tag and a classifier handle — behind the worker's cache,
-    /// and then counted on the progress hook.
+    /// wants) and classified by whatever `current()` returns at that
+    /// moment — a cache tag and a classifier handle — behind the worker's
+    /// cache.
     pub(crate) fn serve_trace<H: Deref<Target: Classifier>>(
         &self,
         trace: &Trace,
@@ -166,9 +162,6 @@ impl WorkerPool {
                 headers.extend(sub.iter().map(|e| e.header));
                 let (tag, classifier) = current();
                 serve_cached(*cache, tag, &*classifier, headers, results);
-                if let Some(counter) = &self.progress {
-                    counter.fetch_add(sub.len() as u64, Ordering::Relaxed);
-                }
             },
         );
         EngineRun { results, report }

@@ -68,7 +68,6 @@ use pclass_algos::{Classifier, HotCache, HotCacheConfig};
 use pclass_types::{
     CacheStats, FairnessSummary, LatencyPercentiles, MatchResult, MemoryReport, PacketHeader, Trace,
 };
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
@@ -705,7 +704,6 @@ pub struct TenantRouter<C> {
     admission: Mutex<AdmissionState>,
     workers: usize,
     batch: usize,
-    progress: Option<Arc<std::sync::atomic::AtomicU64>>,
     cache_geometry: Option<HotCacheConfig>,
     memory_budget: Option<usize>,
 }
@@ -727,7 +725,6 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
             }),
             workers: config.worker_count(),
             batch: config.batch(),
-            progress: config.progress_counter().cloned(),
             cache_geometry: config.hot_cache_config(),
             memory_budget: config.memory_budget_bytes(),
         };
@@ -1112,9 +1109,6 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
                 // Pick up lifecycle changes at the sub-batch boundary —
                 // the roster analogue of the per-group classifier snapshot.
                 worker.serve_sub(self.roster_snapshot(), sub, results);
-                if let Some(counter) = &self.progress {
-                    counter.fetch_add(sub.len() as u64, Ordering::Relaxed);
-                }
             },
         );
 
@@ -1191,9 +1185,9 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
     /// Takes the tenant's [`TenantId`] handle (from
     /// `admit`/construction), so solo baselines and router runs are
     /// guaranteed like-for-like on the same live classifier: the run is a
-    /// [`crate::LiveEngine`] over the tenant's live cell.  Always uncached
-    /// and off the progress hook, so the baseline measures the classifier
-    /// itself and neither warms the tenant's cache nor advances a pacer.
+    /// [`crate::LiveEngine`] over the tenant's live cell.  Always
+    /// uncached, so the baseline measures the classifier itself and does
+    /// not warm the tenant's cache.
     ///
     /// # Panics
     ///
@@ -1226,7 +1220,6 @@ mod tests {
     use pclass_algos::{FlatTreeClassifier, LinearClassifier};
     use pclass_classbench::{ClassBenchGenerator, SeedStyle, TraceGenerator};
     use pclass_types::{Rule, RuleSet};
-    use std::sync::atomic::AtomicU64;
 
     fn workload(seed: u64, rules: usize, packets: usize) -> (RuleSet, Trace) {
         let rs = ClassBenchGenerator::new(SeedStyle::Acl, seed).generate(rules);
@@ -1358,11 +1351,7 @@ mod tests {
     #[test]
     fn single_tenant_router_matches_live_engine_packet_for_packet() {
         let (rs, trace) = workload(21, 80, 500);
-        let counter = Arc::new(AtomicU64::new(0));
-        let config = EngineConfig::new()
-            .workers(2)
-            .batch_size(64)
-            .progress(Arc::clone(&counter));
+        let config = EngineConfig::new().workers(2).batch_size(64);
         let live = Arc::new(LiveClassifier::new(LinearClassifier::new(rs.clone())));
         let engine_run = config.live_engine(Arc::clone(&live)).classify_trace(&trace);
 
@@ -1376,8 +1365,6 @@ mod tests {
         assert_eq!(run.results, engine_run.results);
         assert_eq!(run.report.pkts, engine_run.report.pkts);
         assert_eq!(run.unroutable, 0);
-        // Both live front ends feed the same progress hook.
-        assert_eq!(counter.load(Ordering::Relaxed), 2 * trace.len() as u64);
     }
 
     #[test]

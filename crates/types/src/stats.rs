@@ -64,11 +64,9 @@ pub struct UpdateStats {
 
 /// p50/p95/p99 percentiles over a set of wall-time samples (nanoseconds).
 ///
-/// Shared by every layer that reports latency distributions: the churn
-/// harness records per-burst `apply_batch` latencies, and the multi-tenant
-/// router records per-tenant batch-service latencies.  It lives here, next
-/// to [`UpdateStats`], so every crate that serializes measurements shares
-/// one definition — and one rank formula.
+/// The multi-tenant router records per-tenant batch-service latencies in
+/// it.  It lives here, next to [`UpdateStats`], so every crate that
+/// serializes measurements shares one definition — and one rank formula.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyPercentiles {
     /// Median (50th-percentile) sample, nanoseconds.

@@ -11,7 +11,7 @@ use packet_classifier::prelude::*;
 use pclass_algos::hicuts::{HiCutsClassifier, HiCutsConfig};
 use pclass_algos::update::{classify_live_linear, UpdatableClassifier};
 use pclass_algos::{CachedClassifier, Classifier, HotCacheConfig};
-use pclass_bench::churn::ChurnProfile;
+use pclass_bench::churn::{churn_updates, ChurnProfile};
 use proptest::prelude::*;
 
 proptest! {
@@ -67,12 +67,6 @@ proptest! {
         profile_pick in 0usize..4,
     ) {
         let capacity = [0usize, 1, 32, 512][capacity_pick];
-        let profile = [
-            ChurnProfile::Burst1,
-            ChurnProfile::Deep10,
-            ChurnProfile::DeleteHeavy,
-            ChurnProfile::Sustained,
-        ][profile_pick];
         let rs = ClassBenchGenerator::new(SeedStyle::Acl, seed).generate(rules);
         let headers: Vec<_> = TraceGenerator::new(&rs, seed ^ 0xD00D)
             .generate(packets)
@@ -95,7 +89,11 @@ proptest! {
         // Apply the same scripted stream to both copies, re-verifying
         // packet for packet after every burst — a stale cache hit
         // surviving a mutation shows up here immediately.
-        let updates = profile.stream(&rs);
+        let updates = match profile_pick {
+            // The 2 % stream the live-serving test lands one at a time.
+            3 => churn_updates(&rs, 0.02),
+            pick => ChurnProfile::ALL[pick].stream(&rs),
+        };
         for (burst_no, burst) in updates.chunks(5).enumerate() {
             for update in burst {
                 let a = plain.apply(update);
