@@ -13,7 +13,7 @@
 //!
 //! * one **64-byte, cache-line-aligned record per node** (`NodeRec`):
 //!   the rule-slab span, the child-base index, the cut count (0 marks a
-//!   leaf), the overflow mark *and the node's first cut record inline* —
+//!   leaf) *and the node's first cut record inline* —
 //!   everything one walk step needs before branching, in exactly one
 //!   potential cache miss;
 //! * one shared **cut slab** of `(dimension, parts, lo, hi, magics)`
@@ -75,7 +75,7 @@
 //! and the differential-test oracle) and serves worklist tails shorter
 //! than a lane; `tests/vector_walk.rs` property-tests the lane walk
 //! against it packet-for-packet across rulesets, lane widths, odd tail
-//! sizes and post-churn arenas with live overflow entries.
+//! sizes and post-churn arenas whose spans have moved.
 //!
 //! A second measured negative result, for the record: building with
 //! `-C target-cpu=native` (AVX2/AVX-512 codegen on the reference host)
@@ -93,15 +93,16 @@
 //! ranges intersect (un-sharing merged leaves on the way down, exactly like
 //! the pointer tree) and edits the leaf's rule span inside the slab.  A
 //! delete shrinks the span, leaving a free slot of *slack* behind; an
-//! insert first fills span slack and only when the span is full parks the
-//! rule in a per-node **overflow side-table**, which lookups scan after the
-//! span (a one-byte per-node mark keeps the static path free of hash
-//! lookups).  The fraction of rules living outside their span — the
-//! [`FlatTree::dirty_ratio`] — is what degrades the cache-compact layout,
-//! so once it crosses a threshold [`FlatTreeClassifier`] triggers an
-//! amortized [`FlatTree::reflatten`]: one sequential compaction pass that
-//! rebuilds the slabs from the live node graph (no tree rebuild) and
-//! re-provisions every span with fresh slack.
+//! insert first fills span slack and only when the span is full **moves the
+//! span** to the slab end with fresh slack, so a node's rules always have
+//! exactly one home and a lookup never looks anywhere else.  The slots a
+//! moved span leaves behind are dead weight in the slab; their share of it
+//! — the [`FlatTree::dirty_ratio`] — is what degrades the cache-compact
+//! layout, so once it crosses `REFLATTEN_DIRTY_RATIO`
+//! [`FlatTreeClassifier`] triggers an amortized [`FlatTree::reflatten`]:
+//! one sequential compaction pass that rebuilds the slabs from the live
+//! node graph (no tree rebuild), drops the dead slots and re-provisions
+//! every span with fresh slack.
 
 use crate::counters::LookupStats;
 use crate::dtree::{CutPolicy, CutTreeClassifier, DecisionTree, Node, NodeId, NodeKind};
@@ -111,7 +112,7 @@ use pclass_types::{
     ArenaStats, DimensionSpec, FieldRange, MatchResult, PacketHeader, Rule, RuleId, UpdateStats,
     FIELD_COUNT,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Sentinel for "no match found yet" in the batched traversal (no rule id
 /// can take this value: build-time ids equal ruleset positions, and
@@ -125,50 +126,26 @@ const NO_MATCH: u32 = u32::MAX;
 /// [`LaneWidth::Scalar`] is the per-packet fallback — the oracle the
 /// property tests compare the vector widths against, and the tail path for
 /// worklist levels shorter than a lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+///
+/// [`FlatTree::classify_batch`] picks the width itself, from the arena
+/// size, by what the benchmark's `algos.flat.lanes_{x4,x16}.ns_per_pkt`
+/// probes measure: [`LaneWidth::X16`] wins while the arena is
+/// cache-resident (35.1 vs 37.1 ns per packet at 2,000 rules),
+/// [`LaneWidth::X4`] once it is far past cache (420 vs 506 ns on the
+/// 403 MiB arena of 64,000 rules).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneWidth {
     /// Per-packet worklist walk (lane width 1).
     Scalar,
-    /// Lanes of 4 packets.
+    /// Lanes of 4 packets — serves arenas past `PREFETCH_MIN_BYTES`.
     X4,
-    /// Lanes of 8 packets — the default: wide enough to overlap the
-    /// dependent-load chains, narrow enough that a level's sub-lane tail
-    /// stays cheap.
-    #[default]
-    X8,
-    /// Lanes of 16 packets.
+    /// Lanes of 16 packets — serves cache-resident arenas.
     X16,
 }
 
 impl LaneWidth {
     /// Every lane width, scalar first (test sweeps iterate this).
-    pub const ALL: [LaneWidth; 4] = [
-        LaneWidth::Scalar,
-        LaneWidth::X4,
-        LaneWidth::X8,
-        LaneWidth::X16,
-    ];
-
-    /// The lane width as a packet count.
-    pub fn width(self) -> usize {
-        match self {
-            LaneWidth::Scalar => 1,
-            LaneWidth::X4 => 4,
-            LaneWidth::X8 => 8,
-            LaneWidth::X16 => 16,
-        }
-    }
-
-    /// The widest supported lane width not exceeding `w` packets
-    /// (`0` and `1` select the scalar walk).
-    pub fn from_width(w: usize) -> LaneWidth {
-        match w {
-            0..=3 => LaneWidth::Scalar,
-            4..=7 => LaneWidth::X4,
-            8..=15 => LaneWidth::X8,
-            _ => LaneWidth::X16,
-        }
-    }
+    pub const ALL: [LaneWidth; 3] = [LaneWidth::Scalar, LaneWidth::X4, LaneWidth::X16];
 }
 
 /// Rules per branch-free scan block: the five range pairs of a whole block
@@ -277,7 +254,7 @@ impl FlatCut {
     }
 
     /// Filler for the inline cut slot of leaf records; never read because
-    /// the cut count in [`NodeRec::meta`] guards every access.
+    /// [`NodeRec::cut_count`] guards every access.
     const DEAD: FlatCut = FlatCut {
         dim: 0,
         parts: 0,
@@ -313,17 +290,13 @@ impl FlatCut {
     }
 }
 
-/// Bit of [`NodeRec::meta`] marking a node with overflow rules; the low
-/// bits hold the cut count.
-const META_OVERFLOW: u32 = 1 << 31;
-
 /// The hot per-node record: **exactly one cache line**, 64-byte aligned,
 /// holding everything a walk step needs before it knows which way to go —
-/// the stored-rule span, the child base, the cut count, the overflow mark
-/// *and the first cut record inline*.
+/// the stored-rule span, the child base, the cut count *and the first cut
+/// record inline*.
 ///
 /// The PR 3 arena kept these as parallel struct-of-arrays vectors (cut
-/// span, child base, rule span, overflow mark) plus the shared cut slab;
+/// span, child base, rule span) plus the shared cut slab;
 /// on arenas past cache size that made one internal-node visit four to
 /// five potential cache misses.  Folding them into a single aligned line
 /// makes a visit cost one miss for the record (first cut included — every
@@ -339,9 +312,8 @@ struct NodeRec {
     rules: Span,
     /// Base index into `children` (unused for leaves).
     child_base: u32,
-    /// Cut count in the low bits (0 marks a leaf), [`META_OVERFLOW`] when
-    /// the node has overflow rules.
-    meta: u32,
+    /// Number of cut records (0 marks a leaf).
+    cut_count: u32,
     /// Offset into `cuts` of cut records `1..cut_count` (the first is
     /// inline in `cut0`).
     rest_off: u32,
@@ -355,22 +327,10 @@ impl NodeRec {
         NodeRec {
             rules,
             child_base: 0,
-            meta: 0,
+            cut_count: 0,
             rest_off: 0,
             cut0: FlatCut::DEAD,
         }
-    }
-
-    /// Number of cut records (0 for leaves).
-    #[inline]
-    fn cut_count(&self) -> u32 {
-        self.meta & !META_OVERFLOW
-    }
-
-    /// Whether the node has rules in the overflow side-table.
-    #[inline]
-    fn has_overflow(&self) -> bool {
-        self.meta & META_OVERFLOW != 0
     }
 }
 
@@ -446,17 +406,17 @@ pub struct FlatTree {
     children: Vec<u32>,
     /// Shared packed-rule-image slab.
     rule_slab: Vec<PackedRule>,
-    /// Overflow side-table: rules whose node span had no free slot, per
-    /// node, in ascending id order.
-    overflow: HashMap<u32, Vec<PackedRule>>,
+    /// Slab slots no span covers any more: what full spans left behind
+    /// when an insert moved them to the slab end.  Zero until the first
+    /// such move and again after every [`FlatTree::reflatten`].
+    dead_slots: usize,
     /// The live rules by id — delete needs the ranges to retrace the
     /// insert descent, and re-flatten verification needs the full set.
     live: BTreeMap<RuleId, PackedRule>,
     /// Per-node reference counts (child slots + 1 for the root), built
     /// lazily by the first update and maintained by un-sharing clones.
     refs: Option<Vec<u32>>,
-    /// Update-activity counters since the build (or last re-flatten for
-    /// the overflow gauge).
+    /// Update-activity counters since the build.
     update_stats: UpdateStats,
 }
 
@@ -486,7 +446,7 @@ impl FlatTree {
             cuts: Vec::new(),
             children: Vec::new(),
             rule_slab: Vec::new(),
-            overflow: HashMap::new(),
+            dead_slots: 0,
             live: rules
                 .iter()
                 .filter(|r| tree.is_live(r.id))
@@ -538,7 +498,7 @@ impl FlatTree {
                     flat.nodes.push(NodeRec {
                         rules: span,
                         child_base,
-                        meta: count,
+                        cut_count: count,
                         rest_off,
                         cut0,
                     });
@@ -581,10 +541,9 @@ impl FlatTree {
     /// Sizes and actual in-memory footprint of the arena arrays (the
     /// "Arena" rows of the README's memory table).
     ///
-    /// Counts the *serving image* — node records, slabs and overflow
-    /// rules, everything a lookup can touch — not the write-path
-    /// bookkeeping (`live` map, lazy refcounts; see
-    /// [`ArenaStats`]'s docs).
+    /// Counts the *serving image* — node records and slabs, everything a
+    /// lookup can touch — not the write-path bookkeeping (`live` map, lazy
+    /// refcounts; see [`ArenaStats`]'s docs).
     pub fn arena_stats(&self) -> ArenaStats {
         use std::mem::size_of;
         // Per node: the one-line record (first cut inline) plus the
@@ -592,23 +551,21 @@ impl FlatTree {
         let structure_bytes = self.nodes.len() * (size_of::<NodeRec>() + size_of::<u32>())
             + self.cuts.len() * size_of::<FlatCut>()
             + self.children.len() * size_of::<u32>();
-        let overflow_rules: usize = self.overflow.values().map(Vec::len).sum();
         ArenaStats {
             nodes: self.nodes.len(),
             // Slab records plus the inline first cut of every internal node.
-            cut_records: self.cuts.len() + self.nodes.iter().filter(|r| r.cut_count() > 0).count(),
+            cut_records: self.cuts.len() + self.nodes.iter().filter(|r| r.cut_count > 0).count(),
             child_slots: self.children.len(),
-            rule_refs: self.rule_slab.len() + overflow_rules,
+            rule_refs: self.rule_slab.len(),
             arena_bytes: structure_bytes,
-            total_bytes: structure_bytes
-                + (self.rule_slab.len() + overflow_rules) * size_of::<PackedRule>(),
+            total_bytes: structure_bytes + self.rule_slab.len() * size_of::<PackedRule>(),
         }
     }
 
     /// Worst-case memory accesses of a lookup in the arena *as it is now*:
     /// along the most expensive root-to-leaf path, one access per node plus
-    /// one per rule the node stores (span and overflow) — the bound
-    /// [`DecisionTree::stats`] computes for the pointer tree.
+    /// one per rule the node stores — the bound [`DecisionTree::stats`]
+    /// computes for the pointer tree.
     fn worst_case_accesses(&self) -> u64 {
         // Per node, the worst cost from it down; 0 = not computed yet (a
         // real cost is at least 1), so a shared node is visited once.
@@ -619,15 +576,14 @@ impl FlatTree {
     fn worst_case_from(&self, node: usize, memo: &mut [u64]) -> u64 {
         if memo[node] == 0 {
             let rec = self.nodes[node];
-            let overflow = self.overflow.get(&(node as u32)).map_or(0, Vec::len);
             let mut below = 0;
-            if rec.cut_count() > 0 {
+            if rec.cut_count > 0 {
                 let base = rec.child_base as usize;
                 for slot in base..base + self.child_count(node) {
                     below = below.max(self.worst_case_from(self.children[slot] as usize, memo));
                 }
             }
-            memo[node] = 1 + u64::from(rec.rules.len) + overflow as u64 + below;
+            memo[node] = 1 + u64::from(rec.rules.len) + below;
         }
         memo[node]
     }
@@ -639,7 +595,7 @@ impl FlatTree {
     #[inline]
     fn child_index(&self, rec: &NodeRec, pkt: &PacketHeader) -> Option<u64> {
         let mut idx: u64 = 0;
-        for k in 0..rec.cut_count() {
+        for k in 0..rec.cut_count {
             let cut = self.cut_at(rec, k);
             let v = pkt.fields[cut.dim as usize];
             if v < cut.lo || v > cut.hi {
@@ -672,11 +628,10 @@ impl FlatTree {
         compared
     }
 
-    /// Whether the lane walk should issue read-ahead touches: only when
-    /// the serving image outgrows [`PREFETCH_MIN_BYTES`] (a cache-resident
-    /// arena cannot miss).  Deliberately cheaper than
-    /// [`FlatTree::arena_stats`] — no overflow-table walk — because it
-    /// runs once per served batch.
+    /// Whether the serving image outgrows [`PREFETCH_MIN_BYTES`]: past it
+    /// the lane walk issues read-ahead touches (a cache-resident arena
+    /// cannot miss) and [`FlatTree::classify_batch`] narrows its lanes.
+    /// Four multiplies, because it runs once per served batch.
     #[inline]
     fn prefetch_hint(&self) -> bool {
         use std::mem::size_of;
@@ -685,28 +640,6 @@ impl FlatTree {
             + self.children.len() * size_of::<u32>()
             + self.cuts.len() * size_of::<FlatCut>();
         bytes > PREFETCH_MIN_BYTES
-    }
-
-    /// Scans a node's overflow list with the same early-exit semantics as
-    /// [`FlatTree::scan_slab`].  Called only when the node's overflow mark
-    /// is set, so the untouched (no-churn) hot path never hashes.
-    #[inline]
-    fn scan_overflow(&self, node: u32, pkt: &PacketHeader, best: &mut u32) -> u64 {
-        let Some(list) = self.overflow.get(&node) else {
-            return 0;
-        };
-        let mut compared = 0u64;
-        for rule in list {
-            compared += 1;
-            if rule.id >= *best {
-                break;
-            }
-            if rule.matches(&pkt.fields) {
-                *best = rule.id;
-                break;
-            }
-        }
-        compared
     }
 
     /// Classifies one packet by walking the arena, optionally recording the
@@ -722,14 +655,11 @@ impl FlatTree {
             }
             // What the node stores — a leaf's rules, an internal node's
             // pushed-up rules — is scanned either way.
-            let mut compared = self.scan_slab(rec.rules, pkt, &mut best);
-            if rec.has_overflow() {
-                compared += self.scan_overflow(node as u32, pkt, &mut best);
-            }
+            let compared = self.scan_slab(rec.rules, pkt, &mut best);
             if let Some(s) = stats.as_deref_mut() {
                 s.count_scan(compared);
             }
-            if rec.cut_count() == 0 {
+            if rec.cut_count == 0 {
                 break;
             }
             if let Some(s) = stats.as_deref_mut() {
@@ -738,7 +668,7 @@ impl FlatTree {
             match self.child_index(&rec, pkt) {
                 Some(idx) => {
                     if let Some(s) = stats.as_deref_mut() {
-                        s.count_child_select(u64::from(rec.cut_count()));
+                        s.count_child_select(u64::from(rec.cut_count));
                     }
                     node = self.children[rec.child_base as usize + idx as usize] as usize;
                 }
@@ -748,9 +678,9 @@ impl FlatTree {
         decode(best)
     }
 
-    /// Classifies a batch of packets level-synchronously with the default
-    /// [`LaneWidth`], appending one result per packet to `out` in input
-    /// order.
+    /// Classifies a batch of packets level-synchronously, appending one
+    /// result per packet to `out` in input order, at the [`LaneWidth`] the
+    /// probes measure fastest for the arena's size (see its docs).
     ///
     /// All packets advance through tree level *k* before any packet touches
     /// level *k + 1*; combined with the breadth-first record order this
@@ -759,7 +689,12 @@ impl FlatTree {
     /// [`FlatTree::classify`] calls would produce; see the module docs for
     /// the vectorised lane walk this dispatches to.
     pub fn classify_batch(&self, pkts: &[PacketHeader], out: &mut Vec<MatchResult>) {
-        self.classify_batch_lanes(pkts, out, LaneWidth::default());
+        let lanes = if self.prefetch_hint() {
+            LaneWidth::X4
+        } else {
+            LaneWidth::X16
+        };
+        self.classify_batch_lanes(pkts, out, lanes);
     }
 
     /// [`FlatTree::classify_batch`] with an explicit lane width —
@@ -783,7 +718,6 @@ impl FlatTree {
         match lanes {
             LaneWidth::Scalar => self.walk_scalar(pkts, out),
             LaneWidth::X4 => self.walk_lanes::<4>(pkts, out),
-            LaneWidth::X8 => self.walk_lanes::<8>(pkts, out),
             LaneWidth::X16 => self.walk_lanes::<16>(pkts, out),
         }
     }
@@ -806,19 +740,13 @@ impl FlatTree {
         let nid = node[pi] as usize;
         let rec = self.nodes[nid];
         let pkt = &pkts[pi];
-        if rec.cut_count() == 0 {
+        if rec.cut_count == 0 {
             self.scan_slab(rec.rules, pkt, &mut best[pi]);
-            if rec.has_overflow() {
-                self.scan_overflow(nid as u32, pkt, &mut best[pi]);
-            }
             out[pi] = decode(best[pi]);
             return;
         }
         if rec.rules.len > 0 {
             self.scan_slab(rec.rules, pkt, &mut best[pi]);
-        }
-        if rec.has_overflow() {
-            self.scan_overflow(nid as u32, pkt, &mut best[pi]);
         }
         match self.child_index(&rec, pkt) {
             Some(idx) => {
@@ -913,11 +841,11 @@ impl FlatTree {
         for i in 0..L {
             nid[i] = node[lane[i] as usize] as usize;
         }
-        let mut meta = [0u32; L];
+        let mut cut_count = [0u32; L];
         for i in 0..L {
-            meta[i] = self.nodes[nid[i]].meta;
+            cut_count[i] = self.nodes[nid[i]].cut_count;
         }
-        let meta = std::hint::black_box(meta);
+        let cut_count = std::hint::black_box(cut_count);
 
         // Stage 2: cut arithmetic, block scans and advancement per lane,
         // reading the now-hot record lines.  The first cut comes straight
@@ -927,23 +855,13 @@ impl FlatTree {
             let rec = self.nodes[nid[i]];
             let pi = lane[i] as usize;
             let fields = &pkts[pi].fields;
-            if meta[i] & !META_OVERFLOW == 0 {
+            if cut_count[i] == 0 {
                 scan_rules_blocks(&self.rule_slab[rec.rules.range()], fields, &mut best[pi]);
-                if rec.has_overflow() {
-                    if let Some(list) = self.overflow.get(&(nid[i] as u32)) {
-                        scan_rules_blocks(list, fields, &mut best[pi]);
-                    }
-                }
                 out[pi] = decode(best[pi]);
                 continue;
             }
             if rec.rules.len > 0 {
                 scan_rules_blocks(&self.rule_slab[rec.rules.range()], fields, &mut best[pi]);
-            }
-            if rec.has_overflow() {
-                if let Some(list) = self.overflow.get(&(nid[i] as u32)) {
-                    scan_rules_blocks(list, fields, &mut best[pi]);
-                }
             }
             match self.child_index(&rec, &pkts[pi]) {
                 Some(idx) => {
@@ -953,7 +871,7 @@ impl FlatTree {
                         // Read-ahead: one word of the child's record line,
                         // pulled a full level of work ahead of its use so
                         // the next gather finds it in cache.
-                        std::hint::black_box(self.nodes[child].meta);
+                        std::hint::black_box(self.nodes[child].cut_count);
                     }
                     next.push(lane[i]);
                 }
@@ -981,22 +899,20 @@ impl FlatTree {
         self.live.len()
     }
 
-    /// Update-activity counters since the build (`overflow_rules` is a
-    /// gauge: it drops back to 0 on re-flatten).
+    /// Update-activity counters since the build.
     pub fn update_stats(&self) -> UpdateStats {
         self.update_stats
     }
 
-    /// Fraction of rule images living in the overflow side-table instead
-    /// of their node's slab span — the measure of how far the arena has
-    /// drifted from its cache-compact layout.  0 when untouched.
+    /// Fraction of the rule slab that is dead — slots a full span left
+    /// behind when an insert moved it to the slab end — the measure of how
+    /// far the arena has drifted from its cache-compact layout.  0 when
+    /// untouched and after every [`FlatTree::reflatten`].
     pub fn dirty_ratio(&self) -> f64 {
-        let overflow = self.update_stats.overflow_rules as f64;
-        let total = self.rule_slab.len() as f64 + overflow;
-        if total == 0.0 {
+        if self.rule_slab.is_empty() {
             0.0
         } else {
-            overflow / total
+            self.dead_slots as f64 / self.rule_slab.len() as f64
         }
     }
 
@@ -1008,8 +924,8 @@ impl FlatTree {
     /// cloning (the clone's span gets fresh slack at the slab end), a rule
     /// reaching beyond a node's compacted cut region in a cut dimension is
     /// parked in that node's stored span, and the rule image lands in each
-    /// target span in ascending id order — via span slack when there is a
-    /// free slot, via the overflow side-table when the span is full.
+    /// target span in ascending id order — a full span first moves to the
+    /// slab end, where it gets fresh slack.
     pub fn insert(&mut self, rule: &Rule) -> Result<(), UpdateError> {
         // The shared checks also keep every live id strictly below the
         // NO_MATCH lookup sentinel.
@@ -1027,8 +943,8 @@ impl FlatTree {
         Ok(())
     }
 
-    /// Deletes the live rule `id`, removing its image from every span and
-    /// overflow list the insert/build placement could have put it in.
+    /// Deletes the live rule `id`, removing its image from every span the
+    /// insert/build placement could have put it in.
     pub fn delete(&mut self, id: RuleId) -> Result<(), UpdateError> {
         let Some(img) = self.live.get(&id) else {
             return Err(UpdateError::UnknownRuleId(id));
@@ -1058,15 +974,14 @@ impl FlatTree {
     /// implicit).
     fn child_count(&self, node: usize) -> usize {
         let rec = self.nodes[node];
-        (0..rec.cut_count())
+        (0..rec.cut_count)
             .map(|k| self.cut_at(&rec, k).parts as usize)
             .product()
     }
 
     /// Clones node `n` so one child slot can diverge from its sharers: the
     /// immutable cut span is shared, the child slots and the rule span are
-    /// copied to their slab ends (the rule span with fresh slack), and the
-    /// overflow list (if any) is duplicated.
+    /// copied to their slab ends (the rule span with fresh slack).
     fn clone_node(&mut self, n: u32) -> u32 {
         let nu = n as usize;
         let clone = self.nodes.len() as u32;
@@ -1076,7 +991,7 @@ impl FlatTree {
         // The cut records (inline first cut, shared slab rest) are
         // immutable and carried over verbatim by the record copy.
         let mut rec = self.nodes[nu];
-        if rec.cut_count() > 0 {
+        if rec.cut_count > 0 {
             let base = rec.child_base as usize;
             let count = self.child_count(nu);
             rec.child_base = self.children.len() as u32;
@@ -1088,85 +1003,64 @@ impl FlatTree {
         } else {
             rec.child_base = 0;
         }
-        let span = rec.rules;
-        let len = span.len;
-        let cap = len + span_slack(len);
-        let new_off = self.rule_slab.len() as u32;
-        for j in span.range() {
-            let img = self.rule_slab[j];
-            self.rule_slab.push(img);
-        }
-        self.rule_slab
-            .extend(std::iter::repeat_n(PackedRule::DEAD, (cap - len) as usize));
-        rec.rules = Span { off: new_off, len };
-        self.node_rule_cap.push(cap);
-        let cloned_overflow = self.overflow.get(&n).cloned();
-        if cloned_overflow.is_some() {
-            rec.meta |= META_OVERFLOW;
-        } else {
-            rec.meta &= !META_OVERFLOW;
-        }
+        let (span, cap) = self.copy_span(rec.rules);
+        rec.rules = span;
         self.nodes.push(rec);
-        if let Some(list) = cloned_overflow {
-            self.update_stats.overflow_rules += list.len() as u64;
-            self.overflow.insert(clone, list);
-        }
+        self.node_rule_cap.push(cap);
         clone
     }
 
-    /// Adds a rule image to a node's rule list: into span slack when a
-    /// free slot exists, into the overflow side-table otherwise.
-    fn add_rule(&mut self, node: usize, img: PackedRule) {
-        let span = self.nodes[node].rules;
-        let (start, len) = (span.off as usize, span.len as usize);
-        if span.len < self.node_rule_cap[node] {
-            let pos =
-                match self.rule_slab[start..start + len].binary_search_by_key(&img.id, |r| r.id) {
-                    Ok(_) => return, // already present (defensive; descent visits once)
-                    Err(pos) => pos,
-                };
-            for j in (start + pos..start + len).rev() {
-                self.rule_slab[j + 1] = self.rule_slab[j];
-            }
-            self.rule_slab[start + pos] = img;
-            self.nodes[node].rules.len += 1;
-        } else {
-            let list = self.overflow.entry(node as u32).or_default();
-            if let Err(pos) = list.binary_search_by_key(&img.id, |r| r.id) {
-                list.insert(pos, img);
-                self.nodes[node].meta |= META_OVERFLOW;
-                self.update_stats.overflow_rules += 1;
-            }
-        }
+    /// Copies a rule span to the slab end with fresh slack; returns the
+    /// copy and its capacity.  The source slots are untouched: whether they
+    /// stay live (un-sharing: the original node keeps them) or turn dead (a
+    /// full span moving) is the caller's bookkeeping.
+    fn copy_span(&mut self, span: Span) -> (Span, u32) {
+        let cap = span.len + span_slack(span.len);
+        let off = self.rule_slab.len() as u32;
+        self.rule_slab.extend_from_within(span.range());
+        self.rule_slab.extend(std::iter::repeat_n(
+            PackedRule::DEAD,
+            (cap - span.len) as usize,
+        ));
+        (Span { off, len: span.len }, cap)
     }
 
-    /// Removes a rule id from a node's span or overflow list; returns
-    /// whether it was present.  A vacated span slot becomes slack.
+    /// Adds a rule image to a node's span, in ascending id order.  A full
+    /// span first moves to the slab end, leaving its old slots dead until
+    /// the next re-flatten.
+    fn add_rule(&mut self, node: usize, img: PackedRule) {
+        let span = self.nodes[node].rules;
+        let Err(pos) = self.rule_slab[span.range()].binary_search_by_key(&img.id, |r| r.id) else {
+            return; // already present (defensive; descent visits once)
+        };
+        if span.len == self.node_rule_cap[node] {
+            self.dead_slots += span.len as usize;
+            let (moved, cap) = self.copy_span(span);
+            self.nodes[node].rules = moved;
+            self.node_rule_cap[node] = cap;
+        }
+        let (start, len) = (self.nodes[node].rules.off as usize, span.len as usize);
+        for j in (start + pos..start + len).rev() {
+            self.rule_slab[j + 1] = self.rule_slab[j];
+        }
+        self.rule_slab[start + pos] = img;
+        self.nodes[node].rules.len += 1;
+    }
+
+    /// Removes a rule id from a node's span; returns whether it was
+    /// present.  The vacated slot becomes slack.
     fn remove_rule(&mut self, node: usize, id: RuleId) -> bool {
         let span = self.nodes[node].rules;
         let (start, len) = (span.off as usize, span.len as usize);
-        if let Ok(pos) = self.rule_slab[start..start + len].binary_search_by_key(&id, |r| r.id) {
-            for j in start + pos..start + len - 1 {
-                self.rule_slab[j] = self.rule_slab[j + 1];
-            }
-            self.rule_slab[start + len - 1] = PackedRule::DEAD;
-            self.nodes[node].rules.len -= 1;
-            return true;
+        let Ok(pos) = self.rule_slab[span.range()].binary_search_by_key(&id, |r| r.id) else {
+            return false;
+        };
+        for j in start + pos..start + len - 1 {
+            self.rule_slab[j] = self.rule_slab[j + 1];
         }
-        if self.nodes[node].has_overflow() {
-            if let Some(list) = self.overflow.get_mut(&(node as u32)) {
-                if let Ok(pos) = list.binary_search_by_key(&id, |r| r.id) {
-                    list.remove(pos);
-                    self.update_stats.overflow_rules -= 1;
-                    if list.is_empty() {
-                        self.overflow.remove(&(node as u32));
-                        self.nodes[node].meta &= !META_OVERFLOW;
-                    }
-                    return true;
-                }
-            }
-        }
-        false
+        self.rule_slab[start + len - 1] = PackedRule::DEAD;
+        self.nodes[node].rules.len -= 1;
+        true
     }
 
     /// Whether `clip` escapes the node's (possibly compacted) cut region
@@ -1174,7 +1068,7 @@ impl FlatTree {
     /// this node and the rule must be searched here.
     fn escapes_cut_region(&self, node: usize, clip: &[FieldRange; FIELD_COUNT]) -> bool {
         let rec = self.nodes[node];
-        (0..rec.cut_count()).any(|k| {
+        (0..rec.cut_count).any(|k| {
             let cut = self.cut_at(&rec, k);
             let r = clip[cut.dim as usize];
             r.lo < cut.lo || r.hi > cut.hi
@@ -1183,7 +1077,7 @@ impl FlatTree {
 
     /// Recursive insert descent (see [`FlatTree::insert`]).
     fn insert_at(&mut self, node: usize, clip: [FieldRange; FIELD_COUNT], img: PackedRule) {
-        if self.nodes[node].cut_count() == 0 || self.escapes_cut_region(node, &clip) {
+        if self.nodes[node].cut_count == 0 || self.escapes_cut_region(node, &clip) {
             self.add_rule(node, img);
             return;
         }
@@ -1199,9 +1093,9 @@ impl FlatTree {
     }
 
     /// Recursive delete descent: a hit in an internal node's stored span
-    /// (or overflow) prunes the subtree below it.
+    /// prunes the subtree below it.
     fn delete_at(&mut self, node: usize, ranges: &[FieldRange; FIELD_COUNT], id: RuleId) {
-        if self.nodes[node].cut_count() == 0 || self.escapes_cut_region(node, ranges) {
+        if self.nodes[node].cut_count == 0 || self.escapes_cut_region(node, ranges) {
             self.remove_rule(node, id);
             return;
         }
@@ -1235,7 +1129,7 @@ impl FlatTree {
         clip: [FieldRange; FIELD_COUNT],
         visit: &mut impl FnMut(&mut FlatTree, usize, [FieldRange; FIELD_COUNT]),
     ) {
-        if k == rec.cut_count() {
+        if k == rec.cut_count {
             let slot = rec.child_base as usize + idx as usize;
             visit(self, slot, clip);
             return;
@@ -1262,11 +1156,11 @@ impl FlatTree {
     }
 
     /// Rebuilds the slabs compactly from the live node graph — one
-    /// sequential pass, no tree rebuild.  Overflow rules are merged back
-    /// into their node's span, every span is re-provisioned with fresh
-    /// slack for future in-place inserts, and records left unreferenced by
-    /// un-sharing clones are dropped.  Classification results are
-    /// unchanged.
+    /// sequential pass, no tree rebuild.  Only live spans are carried over
+    /// (the dead slots moved spans left behind are dropped), every span is
+    /// re-provisioned with fresh slack for future in-place inserts, and
+    /// records left unreferenced by un-sharing clones are dropped.
+    /// Classification results are unchanged.
     pub fn reflatten(&mut self) {
         let old_nodes = self.nodes.len();
         let mut map = vec![u32::MAX; old_nodes];
@@ -1280,11 +1174,10 @@ impl FlatTree {
             cuts: Vec::new(),
             children: Vec::new(),
             rule_slab: Vec::new(),
-            overflow: HashMap::new(),
+            dead_slots: 0,
             live: std::mem::take(&mut self.live),
             refs: None,
             update_stats: UpdateStats {
-                overflow_rules: 0,
                 reflattens: self.update_stats.reflattens + 1,
                 ..self.update_stats
             },
@@ -1296,17 +1189,16 @@ impl FlatTree {
             head += 1;
             let old_rec = self.nodes[old];
             let mut rec = old_rec;
-            rec.meta &= !META_OVERFLOW;
 
             // Carry the slab cut records over compactly (the inline first
             // cut travels in the record copy).
-            let extra = old_rec.cut_count().saturating_sub(1);
+            let extra = old_rec.cut_count.saturating_sub(1);
             rec.rest_off = new.cuts.len() as u32;
             for k in 0..extra {
                 new.cuts.push(self.cuts[(old_rec.rest_off + k) as usize]);
             }
 
-            if old_rec.cut_count() > 0 {
+            if old_rec.cut_count > 0 {
                 let base = old_rec.child_base as usize;
                 let count = self.child_count(old);
                 rec.child_base = new.children.len() as u32;
@@ -1322,15 +1214,10 @@ impl FlatTree {
                 rec.child_base = 0;
             }
 
-            let span = old_rec.rules;
+            let len = old_rec.rules.len;
             let new_off = new.rule_slab.len() as u32;
             new.rule_slab
-                .extend_from_slice(&self.rule_slab[span.range()]);
-            if let Some(list) = self.overflow.get(&(old as u32)) {
-                new.rule_slab.extend_from_slice(list);
-                new.rule_slab[new_off as usize..].sort_unstable_by_key(|r| r.id);
-            }
-            let len = new.rule_slab.len() as u32 - new_off;
+                .extend_from_slice(&self.rule_slab[old_rec.rules.range()]);
             let cap = len + span_slack(len);
             new.rule_slab
                 .extend(std::iter::repeat_n(PackedRule::DEAD, (cap - len) as usize));
@@ -1343,7 +1230,7 @@ impl FlatTree {
 }
 
 /// Slack slots appended to a re-provisioned rule span so the next few
-/// inserts into the node patch in place instead of overflowing.
+/// inserts into the node patch in place instead of moving the span.
 fn span_slack(len: u32) -> u32 {
     (len / 4).max(2)
 }
@@ -1405,59 +1292,18 @@ fn push_slab(slab: &mut Vec<PackedRule>, rules: &[Rule], ids: &[RuleId]) -> Span
 pub struct FlatTreeClassifier {
     name: &'static str,
     flat: FlatTree,
-    dirty_threshold: f64,
 }
 
-/// Default [`FlatTree::dirty_ratio`] past which [`FlatTreeClassifier`]
-/// triggers an amortized re-flatten after an update.
-pub const DEFAULT_DIRTY_THRESHOLD: f64 = 0.05;
-
-/// The update tuning of a [`FlatTreeClassifier`], applied in one shot
-/// through [`FlatTreeClassifier::with_settings`].
-///
-/// The settings bundle is the *only* tuning path: construction sites name
-/// the fields they override and inherit the rest from
-/// [`FlatSettings::default`], so adding a tuning axis never multiplies
-/// `with_*` methods (`pclass_engine::EngineConfig` plays the same role
-/// one layer up).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlatSettings {
-    /// Dirty-ratio threshold past which an update triggers an amortized
-    /// re-flatten (`f64::INFINITY` disables compaction).
-    pub dirty_threshold: f64,
-}
-
-impl Default for FlatSettings {
-    fn default() -> FlatSettings {
-        FlatSettings {
-            dirty_threshold: DEFAULT_DIRTY_THRESHOLD,
-        }
-    }
-}
+/// [`FlatTree::dirty_ratio`] past which [`FlatTreeClassifier`] re-flattens
+/// after an update: dead slots never make up more than a twentieth of the
+/// slab, and the compaction stays rare (`algos.update.reflattens` reads 1
+/// at the end of the benchmark's traced `churn10k` run).
+const REFLATTEN_DIRTY_RATIO: f64 = 0.05;
 
 impl FlatTreeClassifier {
     /// Wraps a flattened tree under a roster name.
     pub fn new(name: &'static str, flat: FlatTree) -> FlatTreeClassifier {
-        FlatTreeClassifier {
-            name,
-            flat,
-            dirty_threshold: DEFAULT_DIRTY_THRESHOLD,
-        }
-    }
-
-    /// Applies a [`FlatSettings`] bundle — the one construction path for
-    /// every tuning axis (tests use tiny dirty thresholds to force the
-    /// compaction path).
-    pub fn with_settings(mut self, settings: FlatSettings) -> FlatTreeClassifier {
-        self.dirty_threshold = settings.dirty_threshold;
-        self
-    }
-
-    /// The current settings bundle.
-    pub fn settings(&self) -> FlatSettings {
-        FlatSettings {
-            dirty_threshold: self.dirty_threshold,
-        }
+        FlatTreeClassifier { name, flat }
     }
 
     /// The underlying arena.
@@ -1471,7 +1317,7 @@ impl FlatTreeClassifier {
     }
 
     fn maybe_reflatten(&mut self) {
-        if self.flat.dirty_ratio() > self.dirty_threshold {
+        if self.flat.dirty_ratio() > REFLATTEN_DIRTY_RATIO {
             self.flat.reflatten();
         }
     }
@@ -1615,20 +1461,6 @@ mod tests {
                 .classify_batch_lanes(&pkts, &mut out, lanes);
             assert_eq!(out, scalar, "{lanes:?}");
         }
-        // And the width round-down mapping is total.
-        for (w, expect) in [
-            (0usize, LaneWidth::Scalar),
-            (1, LaneWidth::Scalar),
-            (4, LaneWidth::X4),
-            (6, LaneWidth::X4),
-            (8, LaneWidth::X8),
-            (15, LaneWidth::X8),
-            (16, LaneWidth::X16),
-            (64, LaneWidth::X16),
-        ] {
-            assert_eq!(LaneWidth::from_width(w), expect, "width {w}");
-            assert_eq!(LaneWidth::from_width(expect.width()), expect);
-        }
     }
 
     #[test]
@@ -1748,9 +1580,8 @@ mod tests {
         assert_eq!(flat.live_rule_count(), 9);
         assert_matches_live_linear(&flat);
         assert_eq!(flat.delete(5), Err(UpdateError::UnknownRuleId(5)));
-        // Re-inserting fills the slack the delete left behind: no overflow.
+        // Re-inserting fills the slack the delete left behind: no span moves.
         flat.insert(&rs.rules()[5]).unwrap();
-        assert_eq!(flat.update_stats().overflow_rules, 0);
         assert_eq!(flat.dirty_ratio(), 0.0);
         assert_matches_live_linear(&flat);
         assert_eq!(
@@ -1762,56 +1593,53 @@ mod tests {
     }
 
     #[test]
-    fn full_spans_spill_to_overflow_and_reflatten_compacts() {
+    fn full_spans_move_to_the_slab_end_and_reflatten_compacts() {
         let (_, flatc) = toy_flat();
         let mut flat = flatc.flat_tree().clone();
         let spec = *flat.spec();
-        // Fresh ids land in full spans: they must spill to the overflow
-        // side-table (the pristine arena has zero slack) and still serve.
+        let pristine = flat.arena_stats().rule_refs;
+        // Fresh ids land in full spans (the pristine arena has zero slack):
+        // the spans must move, leaving dead slots behind, and still serve.
         for id in [20u32, 21, 22] {
             flat.insert(&Rule::wildcard(id, &spec)).unwrap();
         }
-        assert!(flat.update_stats().overflow_rules > 0);
         assert!(flat.dirty_ratio() > 0.0);
+        assert!(flat.arena_stats().rule_refs > pristine);
         assert_matches_live_linear(&flat);
         let before = flat.update_stats();
         flat.reflatten();
         let after = flat.update_stats();
-        assert_eq!(after.overflow_rules, 0);
         assert_eq!(after.reflattens, before.reflattens + 1);
         assert_eq!(flat.dirty_ratio(), 0.0);
         assert_eq!(flat.live_rule_count(), 13);
         assert_matches_live_linear(&flat);
         // Post-reflatten spans carry slack: the next insert is in place.
+        let compact = flat.arena_stats().rule_refs;
         flat.delete(20).unwrap();
         flat.insert(&Rule::wildcard(20, &spec)).unwrap();
-        assert_eq!(flat.update_stats().overflow_rules, 0);
+        assert_eq!(flat.dirty_ratio(), 0.0);
+        assert_eq!(flat.arena_stats().rule_refs, compact);
         assert_matches_live_linear(&flat);
     }
 
     #[test]
     fn classifier_triggers_amortized_reflatten_past_threshold() {
         use crate::update::UpdatableClassifier;
-        let (_, flatc) = toy_flat();
-        let mut c = flatc.with_settings(FlatSettings {
-            dirty_threshold: 0.01,
-        });
+        let (_, mut c) = toy_flat();
         let spec = UpdatableClassifier::spec(&c);
         for id in [30u32, 31] {
             c.insert(Rule::wildcard(id, &spec)).unwrap();
         }
         let stats = c.update_stats();
         assert!(stats.reflattens >= 1, "{stats:?}");
-        assert_eq!(stats.overflow_rules, 0);
+        assert!(c.flat_tree().dirty_ratio() <= REFLATTEN_DIRTY_RATIO);
         assert_eq!(c.live_rules().len(), 12);
-        // And with the threshold effectively off, overflow accumulates.
+        // And the bare arena never compacts on its own: dead slots stay.
         let (_, flatc) = toy_flat();
-        let mut c = flatc.with_settings(FlatSettings {
-            dirty_threshold: f64::INFINITY,
-        });
-        c.insert(Rule::wildcard(30, &spec)).unwrap();
-        assert_eq!(c.update_stats().reflattens, 0);
-        assert!(c.update_stats().overflow_rules > 0);
+        let mut flat = flatc.flat_tree().clone();
+        flat.insert(&Rule::wildcard(30, &spec)).unwrap();
+        assert_eq!(flat.update_stats().reflattens, 0);
+        assert!(flat.dirty_ratio() > REFLATTEN_DIRTY_RATIO);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub mod rfc;
 pub mod update;
 
 pub use counters::{BuildStats, LookupStats, OpCounters};
-pub use flat::{FlatSettings, FlatTree, FlatTreeClassifier, LaneWidth};
+pub use flat::{FlatTree, FlatTreeClassifier, LaneWidth};
 pub use hicuts::{HiCutsClassifier, HiCutsConfig};
 pub use hotcache::{CachedClassifier, HotCache, HotCacheConfig};
 pub use hypercuts::{HyperCutsClassifier, HyperCutsConfig};

@@ -10,9 +10,9 @@
 //!   the subtrees the rule's ranges intersect, un-sharing merged leaves on
 //!   the way down;
 //! * [`crate::flat::FlatTree`] patches its leaf rule spans in place via
-//!   per-node free-slot slack, spilling to an overflow side-table when a
-//!   span is full and re-flattening (amortized) once the tracked dirty
-//!   ratio crosses a threshold.
+//!   per-node free-slot slack, moving a full span to the slab end (with
+//!   fresh slack) and re-flattening (amortized) once the dead slots moved
+//!   spans leave behind make up too much of the slab.
 //!
 //! Both run [`validate_insert`] before touching anything, so they accept
 //! and reject exactly the same update streams.

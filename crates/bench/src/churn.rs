@@ -11,8 +11,8 @@
 //!
 //! * **burst1** — the original 1 % delete+insert stream;
 //! * **deep10** — the same shape at 10 % of the ruleset, so slack
-//!   exhaustion, overflow side-tables and amortized re-flattens are
-//!   actually exercised;
+//!   exhaustion, span moves and amortized re-flattens are actually
+//!   exercised;
 //! * **delete-heavy** — a net *drain*: 10 % of the rules deleted with only
 //!   one fresh insert per five deletes, the decommissioning pattern that
 //!   leaves reusable slack behind.

@@ -814,13 +814,23 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
                     // remainder of the entry budget (live slices plus the
                     // free pool); a grant rounding to zero slots degrades
                     // the tenant to pass-through, never to over-budget.
-                    let allocated: usize = roster
+                    // Pooled slices too large to recycle must not starve
+                    // the grant they could pay for: they are released,
+                    // largest first, until it fits or the pool is empty.
+                    let live: usize = roster
                         .live_entries()
                         .filter_map(|e| e.cache.as_ref())
                         .map(|c| c.slot_count())
-                        .chain(admission.free_caches.iter().map(|c| c.slot_count()))
                         .sum();
-                    let remaining = geometry.capacity.saturating_sub(allocated);
+                    admission.free_caches.sort_by_key(|c| c.slot_count());
+                    let remaining = loop {
+                        let pooled: usize =
+                            admission.free_caches.iter().map(|c| c.slot_count()).sum();
+                        let remaining = geometry.capacity.saturating_sub(live + pooled);
+                        if remaining >= desired || admission.free_caches.pop().is_none() {
+                            break remaining;
+                        }
+                    };
                     Arc::new(HotCache::new(HotCacheConfig::new(
                         desired.min(remaining),
                         geometry.assoc,

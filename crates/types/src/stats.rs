@@ -19,7 +19,8 @@ use std::collections::HashSet;
 /// sizes of the arena arrays.
 ///
 /// The counts cover the **serving image** — everything a lookup can touch
-/// (node records, slabs, overflow rules) — not the update bookkeeping the
+/// (node records and slabs; a node's rules live nowhere but its slab span)
+/// — not the update bookkeeping the
 /// arena keeps on the side (the live-rule map and lazily built reference
 /// counts, roughly one extra rule image plus 4 bytes per node), which only
 /// the write path reads.
@@ -31,7 +32,9 @@ pub struct ArenaStats {
     pub cut_records: usize,
     /// Number of child-pointer slots in the shared child slab.
     pub child_slots: usize,
-    /// Number of packed rule images in the shared rule slab.
+    /// Number of rule-image slots in the shared rule slab — live images,
+    /// span slack, and the dead slots moved spans left behind until the
+    /// next re-flatten.
     pub rule_refs: usize,
     /// Bytes of the tree structure (node records + cut slab + child slab),
     /// excluding the rule slab.
@@ -54,11 +57,14 @@ pub struct UpdateStats {
     pub inserts: u64,
     /// Rules deleted since the structure was built.
     pub deletes: u64,
-    /// Amortized re-flatten compactions triggered by the dirty-ratio
-    /// threshold (flat arenas only; always 0 for pointer trees).
+    /// Amortized re-flatten compactions triggered when the dead share of
+    /// the rule slab crossed the arena's trigger (flat arenas only; always
+    /// 0 for pointer trees).
     pub reflattens: u64,
-    /// Rules currently parked in the overflow side-table because their
-    /// leaf's slab span had no free slot (flat arenas only).
+    /// Always 0: the flat arena no longer has an overflow side-table (a
+    /// full span moves to the slab end instead).  The field is retained
+    /// only because the frozen `algos.update.overflow_rules` benchmark
+    /// probe reads it; it goes when that probe does.
     pub overflow_rules: u64,
 }
 

@@ -55,7 +55,7 @@ pub use pclass_types as types;
 
 /// Convenient glob import of the most commonly used items.
 pub mod prelude {
-    pub use pclass_algos::flat::{FlatSettings, FlatTree, FlatTreeClassifier, LaneWidth};
+    pub use pclass_algos::flat::{FlatTree, FlatTreeClassifier, LaneWidth};
     pub use pclass_algos::hicuts::HiCutsClassifier;
     pub use pclass_algos::hypercuts::HyperCutsClassifier;
     pub use pclass_algos::linear::LinearClassifier;

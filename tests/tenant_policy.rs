@@ -3,7 +3,7 @@
 //! generation-tagged handle semantics, and cache-slice recycling across
 //! eviction generations.
 //!
-//! Four behaviours are pinned down:
+//! Five behaviours are pinned down:
 //!
 //! * **Evict + admit mid-trace** — evicting one tenant and admitting a
 //!   replacement leaves every surviving tenant's decisions bit-identical
@@ -17,6 +17,10 @@
 //!   slice serves the new occupant's decisions for the *same* flow keys
 //!   the previous occupant warmed it with; entries filled under an
 //!   earlier epoch are unreachable.
+//! * **An oversized pooled slice does not starve a grant** — a freed
+//!   slice too large for the next tenant's share is released to pay for a
+//!   fresh, smaller one instead of idling in the pool while the newcomer
+//!   runs uncached.
 //! * **Weighted fairness at 16 tenants** — one weight-4 tenant beside
 //!   fifteen weight-1 tenants, offered load in weight proportion: every
 //!   tenant's SLO-relative share lands within ±10 % of 1.0 and the
@@ -203,6 +207,61 @@ fn recycled_cache_slices_cannot_serve_stale_hits_across_generations() {
     assert_eq!(
         router.classify_solo(ids[1], &keep_trace).results,
         keep_trace.ground_truth(&rs_keep)
+    );
+}
+
+/// A pooled slice too large to recycle must not starve the grant it could
+/// have paid for: shares 2/1/1 over 4,096 entries, the share-2 tenant
+/// leaves, and a share-1 newcomer (desired 1,365 of the then 3 shares)
+/// cannot reuse the 2,048-slot slice — which used to leave it nothing,
+/// because the idle slice still counted against the entry budget.
+#[test]
+fn oversized_pooled_slice_is_released_to_pay_for_a_fresh_grant() {
+    let workloads = tenant_workloads(11, 4, 10);
+    let shares = [2u32, 1, 1];
+    let router = EngineConfig::new()
+        .hot_cache(HotCacheConfig::new(4096, 4))
+        .tenant_router(shares.iter().zip(&workloads).map(|(&share, (rs, _))| {
+            (
+                TenantSpec::new(format!("share{share}")).cache_share(share),
+                LinearClassifier::new(rs.clone()),
+            )
+        }));
+    let ids = router.tenant_ids();
+    assert_eq!(router.cache_slot_total(), 4096);
+    let evicted = router.memory_report(ids[0]);
+    let full = router.memory_in_use();
+
+    router.evict(ids[0]).expect("live tenant evicts");
+    assert_eq!(
+        router.memory_in_use(),
+        full - evicted.classifier_bytes,
+        "the freed slice idles in the pool, still charged"
+    );
+    let (rs_new, trace_new) = &workloads[3];
+    let newcomer = router
+        .admit(
+            TenantSpec::new("newcomer"),
+            LinearClassifier::new(rs_new.clone()),
+        )
+        .expect("admission fits");
+
+    let report = router.memory_report(newcomer);
+    assert!(
+        report.cache_bytes > 0,
+        "the newcomer was degraded to pass-through beside an idle 2,048-slot slice"
+    );
+    assert!(report.cache_bytes < evicted.cache_bytes);
+    assert!(router.cache_slot_total() <= 4096);
+    // The oversized slice is gone from the books, not just from the pool.
+    assert_eq!(
+        router.memory_in_use(),
+        full - evicted.total_bytes + report.total_bytes
+    );
+    let tagged = TaggedTrace::interleave("newcomer", &[(newcomer, trace_new)]);
+    assert_eq!(
+        router.classify_tagged(&tagged).results,
+        trace_new.ground_truth(rs_new)
     );
 }
 

@@ -9,9 +9,9 @@
 //!
 //! per packet and through `classify_batch` at batch sizes 0 / 1 / odd /
 //! full — across random rulesets, builder configurations (`binth`,
-//! `spfac`, the HyperCuts heuristics) and flat-arena dirty-ratio
-//! thresholds (0.0 forces a re-flatten after every dirtying update,
-//! infinity lets overflow accumulate forever).
+//! `spfac`, the HyperCuts heuristics) and flat-arena compaction policies
+//! (a re-flatten after every update, the classifier's own amortized one,
+//! or none at all, so dead slots pile up for the whole script).
 
 use packet_classifier::prelude::*;
 use pclass_algos::hicuts::HiCutsConfig;
@@ -23,61 +23,76 @@ use pclass_algos::update::{
 use pclass_algos::LookupStats;
 use proptest::prelude::*;
 
-/// A scripted update stream: `(is_insert, pick)` pairs resolved against
-/// the evolving live set, so any random script is valid by construction.
-#[derive(Debug, Clone)]
-struct Script {
-    ops: Vec<(bool, u8)>,
-}
-
-impl Script {
-    /// Expands a seed into a deterministic op script (the proptest shim
-    /// has no collection strategies, so the script is derived, not drawn).
-    fn from_seed(mut seed: u64, len: usize) -> Script {
-        let mut ops = Vec::with_capacity(len);
-        for _ in 0..len {
-            // xorshift64* keeps the script spread across both op kinds.
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            let word = seed.wrapping_mul(0x2545_F491_4F6C_DD1D);
-            ops.push((word & 1 == 0, (word >> 8) as u8));
-        }
-        Script { ops }
-    }
-}
-
-/// Applies the script: deletes pick a live id, inserts pick from the pool
-/// of fresh rules and previously deleted rules.  Returns the number of
-/// operations actually applied.
-fn apply_script<C: UpdatableClassifier>(
-    classifier: &mut C,
-    script: &Script,
+/// Expands a seed into a deterministic update stream over `base` (the
+/// proptest shim has no collection strategies, so the script is derived,
+/// not drawn): deletes pick a live id, inserts pick from the pool of fresh
+/// rules and previously deleted ones, so any script is valid by
+/// construction.  The live set is tracked here, not read back from a
+/// classifier, so every structure is driven by the same stream.
+fn scripted_updates(
+    mut seed: u64,
+    len: usize,
+    base: &[Rule],
     fresh_pool: &[Rule],
-) -> usize {
+) -> Vec<RuleUpdate> {
+    let mut live: Vec<Rule> = base.to_vec();
     let mut available: Vec<Rule> = fresh_pool.to_vec();
-    let mut applied = 0;
-    for &(is_insert, pick) in &script.ops {
-        if is_insert {
+    let mut updates = Vec::with_capacity(len);
+    for _ in 0..len {
+        // xorshift64* keeps the script spread across both op kinds.
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        let word = seed.wrapping_mul(0x2545_F491_4F6C_DD1D);
+        let pick = usize::from((word >> 8) as u8);
+        if word & 1 == 0 {
             if available.is_empty() {
                 continue;
             }
-            let rule = available.remove(pick as usize % available.len());
-            classifier.insert(rule).expect("scripted insert is valid");
+            let rule = available.remove(pick % available.len());
+            let at = live.partition_point(|r| r.id < rule.id);
+            live.insert(at, rule);
+            updates.push(RuleUpdate::Insert(rule));
         } else {
-            let live = classifier.live_rules();
             if live.is_empty() {
                 continue;
             }
-            let victim = live[pick as usize % live.len()];
-            classifier
-                .delete(victim.id)
-                .expect("scripted delete is valid");
+            let victim = live.remove(pick % live.len());
             available.push(victim); // deleted ids may be re-inserted later
+            updates.push(RuleUpdate::Delete(victim.id));
         }
-        applied += 1;
     }
-    applied
+    updates
+}
+
+/// Applies an update stream through the classifier's own update path (for
+/// a flat arena: with its amortized re-flatten).
+fn apply_all<C: UpdatableClassifier>(classifier: &mut C, updates: &[RuleUpdate]) {
+    for u in updates {
+        classifier.apply(u).expect("scripted update is valid");
+    }
+}
+
+/// Applies an update stream to the bare arena — which never compacts on
+/// its own — re-flattening after every update or not at all, and re-wraps
+/// the result.
+fn drive_arena(
+    base: &FlatTreeClassifier,
+    updates: &[RuleUpdate],
+    reflatten_every_update: bool,
+) -> FlatTreeClassifier {
+    let mut flat = base.flat_tree().clone();
+    for u in updates {
+        match u {
+            RuleUpdate::Insert(rule) => flat.insert(rule),
+            RuleUpdate::Delete(id) => flat.delete(*id),
+        }
+        .expect("scripted update is valid");
+        if reflatten_every_update {
+            flat.reflatten();
+        }
+    }
+    FlatTreeClassifier::new(base.name(), flat)
 }
 
 /// The core property: post-script decisions equal linear search over the
@@ -149,7 +164,6 @@ proptest! {
         let rs = ClassBenchGenerator::new(SeedStyle::Acl, seed).generate(rules);
         let trace = TraceGenerator::new(&rs, seed ^ 0xD00D).generate(packets);
         let headers: Vec<PacketHeader> = trace.headers().copied().collect();
-        let script = Script::from_seed(ops_seed, ops_len);
         // Fresh insert candidates at ids past the base ruleset.
         let fresh_pool: Vec<Rule> = ClassBenchGenerator::new(SeedStyle::Acl, seed ^ 0xF00)
             .generate(14)
@@ -157,6 +171,7 @@ proptest! {
             .iter()
             .map(|r| Rule::new(rs.len() as u32 + r.id, r.ranges))
             .collect();
+        let updates = scripted_updates(ops_seed, ops_len, rs.rules(), &fresh_pool);
         let spfac = f64::from(spfac_tenths) / 10.0;
         let hc_config = HiCutsConfig { binth, spfac };
         let hyc_config = HyperCutsConfig {
@@ -165,34 +180,38 @@ proptest! {
             region_compaction: compaction,
             push_common_rules: push_common,
         };
-        // 0.0 re-flattens after every dirtying update; infinity never does.
-        let threshold = [0.0, 0.05, f64::INFINITY][threshold_pick as usize];
+        // Compaction policy of the flat arenas: re-flatten after every
+        // update / the classifier's amortized default / never.
+        let churned_arena = |base: FlatTreeClassifier| match threshold_pick {
+            0 => drive_arena(&base, &updates, true),
+            1 => {
+                let mut c = base;
+                apply_all(&mut c, &updates);
+                c
+            }
+            _ => drive_arena(&base, &updates, false),
+        };
 
         // HiCuts pointer tree.
         let build_hc = |rs: &RuleSet| HiCutsClassifier::build(rs, &hc_config);
         let mut c = build_hc(&rs);
-        apply_script(&mut c, &script, &fresh_pool);
+        apply_all(&mut c, &updates);
         assert_equivalent(&c, build_hc, &headers);
 
         // HiCuts flat arena.
-        let settings = FlatSettings {
-            dirty_threshold: threshold,
-        };
-        let build_hcf = |rs: &RuleSet| build_hc(rs).flatten().with_settings(settings);
-        let mut c = build_hcf(&rs);
-        apply_script(&mut c, &script, &fresh_pool);
+        let build_hcf = |rs: &RuleSet| build_hc(rs).flatten();
+        let c = churned_arena(build_hcf(&rs));
         assert_equivalent(&c, build_hcf, &headers);
 
         // HyperCuts pointer tree (region compaction + push-common vary).
         let build_hyc = |rs: &RuleSet| HyperCutsClassifier::build(rs, &hyc_config);
         let mut c = build_hyc(&rs);
-        apply_script(&mut c, &script, &fresh_pool);
+        apply_all(&mut c, &updates);
         assert_equivalent(&c, build_hyc, &headers);
 
         // HyperCuts flat arena.
-        let build_hycf = |rs: &RuleSet| build_hyc(rs).flatten().with_settings(settings);
-        let mut c = build_hycf(&rs);
-        apply_script(&mut c, &script, &fresh_pool);
+        let build_hycf = |rs: &RuleSet| build_hyc(rs).flatten();
+        let c = churned_arena(build_hycf(&rs));
         assert_equivalent(&c, build_hycf, &headers);
     }
 }
@@ -233,6 +252,54 @@ fn one_percent_churn_on_acl1_2000_matches_rebuild() {
         );
         assert_eq!(updated_out[i], classify_live_linear(&live, pkt));
     }
+}
+
+/// A replace stream plateaus: replacing every rule in place, cycle after
+/// cycle, must not grow the arena past what the first cycle left — full
+/// spans move once, then have slack — and the amortized re-flatten keeps
+/// the dead share of the slab under its trigger.
+#[test]
+fn replace_stream_on_acl_2000_plateaus() {
+    let rs = pclass_bench::acl_ruleset(2_000);
+    let replacements = ClassBenchGenerator::new(SeedStyle::Acl, 0x2ED).generate(rs.len());
+    let trace = pclass_bench::trace_for(&rs, 2_000);
+    let headers: Vec<PacketHeader> = trace.headers().copied().collect();
+
+    let mut c = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults()).flatten();
+    let pristine = c.arena_stats().total_bytes;
+    let mut first_cycle = 0;
+    for cycle in 1..=8 {
+        for rule in replacements.rules() {
+            c.delete(rule.id).expect("the id is live");
+            c.insert(*rule).expect("the id was just freed");
+        }
+        let live = c.live_rules();
+        assert_eq!(live, replacements.rules(), "cycle {cycle}");
+        let mut out = Vec::new();
+        c.classify_batch(&headers, &mut out);
+        for (pkt, got) in headers.iter().zip(&out) {
+            assert_eq!(
+                *got,
+                classify_live_linear(&live, pkt),
+                "cycle {cycle}: {pkt:?}"
+            );
+        }
+        let bytes = c.arena_stats().total_bytes;
+        if cycle == 1 {
+            first_cycle = bytes;
+        }
+        assert!(
+            bytes <= first_cycle,
+            "cycle {cycle}: {bytes} B > {first_cycle} B"
+        );
+        assert!(
+            bytes <= 2 * pristine,
+            "cycle {cycle}: {bytes} B vs pristine {pristine} B"
+        );
+        // The classifier's private re-flatten trigger.
+        assert!(c.flat_tree().dirty_ratio() <= 0.05, "cycle {cycle}");
+    }
+    assert!(c.update_stats().reflattens >= 1);
 }
 
 /// The boundary of what an update stream may contain is defined once

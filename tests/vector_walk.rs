@@ -2,34 +2,40 @@
 //! [`LaneWidth`] the batched flat-arena walk must classify packet-for-packet
 //! like the scalar per-packet walk ([`LaneWidth::Scalar`] — the differential
 //! oracle) — across random rulesets and builder configurations, batch sizes
-//! that leave odd sub-lane tails, and post-churn arenas whose overflow
-//! side-tables are live (dirty threshold = infinity, so spilled inserts are
-//! never re-flattened away and the vector walk has to merge them itself).
+//! that leave odd sub-lane tails, and post-churn arenas driven without a
+//! re-flatten, so full spans have moved to the slab end and left dead
+//! slots behind.  The width [`FlatTree::classify_batch`] picks for itself
+//! is swept too, on arenas either side of its 1 MiB switch.
 
 use packet_classifier::prelude::*;
 use pclass_algos::hicuts::HiCutsConfig;
 use pclass_algos::hypercuts::HyperCutsConfig;
-use pclass_algos::update::UpdatableClassifier;
+use pclass_algos::update::RuleUpdate;
 use proptest::prelude::*;
 
 /// Batch sizes the walk is exercised at: sub-lane (1, 3), straddling the
-/// widest lane (7, 13, 21 leave odd tails at x4/x8/x16), and the full
+/// widest lane (7, 13, 21 leave odd tails at x4/x16), and the full
 /// trace in one batch.
 const BATCHES: [usize; 6] = [1, 3, 7, 13, 21, usize::MAX];
 
-/// The core property: every lane width agrees with the scalar walk over
-/// `headers`, per batch size, including the empty batch.
+/// The core property: every lane width — and the one `classify_batch`
+/// picks (`None`) — agrees with the scalar walk over `headers`, per batch
+/// size, including the empty batch.
 fn assert_lanes_match_scalar(name: &str, flat: &FlatTree, headers: &[PacketHeader]) {
     let scalar: Vec<MatchResult> = headers.iter().map(|h| flat.classify(h, None)).collect();
-    for lanes in LaneWidth::ALL {
+    let serve = |chunk: &[PacketHeader], out: &mut Vec<MatchResult>, lanes| match lanes {
+        Some(lanes) => flat.classify_batch_lanes(chunk, out, lanes),
+        None => flat.classify_batch(chunk, out),
+    };
+    for lanes in LaneWidth::ALL.map(Some).into_iter().chain([None]) {
         let mut empty = Vec::new();
-        flat.classify_batch_lanes(&[], &mut empty, lanes);
+        serve(&[], &mut empty, lanes);
         prop_assert!(empty.is_empty(), "{} {:?} empty batch", name, lanes);
         for batch in BATCHES {
             let batch = batch.min(headers.len().max(1));
             let mut out = Vec::new();
             for chunk in headers.chunks(batch) {
-                flat.classify_batch_lanes(chunk, &mut out, lanes);
+                serve(chunk, &mut out, lanes);
             }
             prop_assert_eq!(
                 &out,
@@ -57,9 +63,12 @@ fn script_from_seed(mut seed: u64, len: usize) -> Vec<(bool, u8)> {
     ops
 }
 
-/// Applies the script to a flat classifier: deletes pick a live id,
-/// inserts pick from fresh rules and previously deleted ones.
-fn apply_script(classifier: &mut FlatTreeClassifier, script: &[(bool, u8)], fresh_pool: &[Rule]) {
+/// Applies the script to the bare arena (which never re-flattens on its
+/// own): deletes pick a live id, inserts pick from fresh rules and
+/// previously deleted ones.  Then tops the churn up with wildcard inserts
+/// at ids from `next_id` until a non-empty span has had to move, so the
+/// arena handed to the lane sweep is dirty whatever the script did.
+fn apply_script(flat: &mut FlatTree, script: &[(bool, u8)], fresh_pool: &[Rule], next_id: u32) {
     let mut available: Vec<Rule> = fresh_pool.to_vec();
     for &(is_insert, pick) in script {
         if is_insert {
@@ -67,18 +76,23 @@ fn apply_script(classifier: &mut FlatTreeClassifier, script: &[(bool, u8)], fres
                 continue;
             }
             let rule = available.remove(pick as usize % available.len());
-            classifier.insert(rule).expect("scripted insert is valid");
+            flat.insert(&rule).expect("scripted insert is valid");
         } else {
-            let live = classifier.live_rules();
+            let live = flat.live_rules();
             if live.is_empty() {
                 continue;
             }
             let victim = live[pick as usize % live.len()];
-            classifier
-                .delete(victim.id)
-                .expect("scripted delete is valid");
+            flat.delete(victim.id).expect("scripted delete is valid");
             available.push(victim);
         }
+    }
+    let spec = *flat.spec();
+    let mut id = next_id;
+    while flat.dirty_ratio() == 0.0 {
+        flat.insert(&Rule::wildcard(id, &spec))
+            .expect("top-up insert is valid");
+        id += 1;
     }
 }
 
@@ -112,11 +126,11 @@ proptest! {
         assert_lanes_match_scalar("hypercuts-flat", hypercuts.flatten().flat_tree(), &headers);
     }
 
-    /// Post-churn arenas: random insert/delete scripts with the dirty
-    /// threshold at infinity, so overflow side-tables stay live and the
-    /// lane walk must consult them exactly like the scalar walk does.
+    /// Post-churn arenas: random insert/delete scripts with no re-flatten,
+    /// so the lane walk reads moved spans (and steps over the dead slots
+    /// they left) exactly like the scalar walk does.
     #[test]
-    fn lane_walk_matches_scalar_on_post_churn_arenas_with_live_overflow(
+    fn lane_walk_matches_scalar_on_post_churn_arenas_with_moved_spans(
         seed in 0u64..1_000_000,
         rules in 1usize..110,
         packets in 1usize..200,
@@ -158,61 +172,54 @@ proptest! {
                 }),
             ),
         ] {
-            // Infinity: dirtying inserts spill to overflow side-tables and
-            // are never compacted back into the slab.
-            let mut c = build().with_settings(FlatSettings {
-                dirty_threshold: f64::INFINITY,
-            });
-            apply_script(&mut c, &script, &fresh_pool);
+            let mut flat = build().flat_tree().clone();
+            let next_id = (rs.len() + fresh_pool.len()) as u32;
+            apply_script(&mut flat, &script, &fresh_pool, next_id);
+            prop_assert!(flat.dirty_ratio() > 0.0, "{} arena is not dirty", name);
             // The scalar oracle itself is checked against linear search
             // over the live set, so the chain is closed end to end.
-            let live = c.live_rules();
+            let live = flat.live_rules();
             for h in &headers {
                 let want = pclass_algos::update::classify_live_linear(&live, h);
                 prop_assert_eq!(
-                    c.flat_tree().classify(h, None),
+                    flat.classify(h, None),
                     want,
                     "{} scalar walk vs live linear",
                     name
                 );
             }
-            assert_lanes_match_scalar(name, c.flat_tree(), &headers);
+            assert_lanes_match_scalar(name, &flat, &headers);
         }
     }
 }
 
-/// Deterministic pin: a churn heavy enough to leave overflow entries live
-/// (threshold = infinity) on the acl1 2 k workload, checked at every lane
-/// width.
+/// Deterministic pin: churn heavy enough to move full spans, driven into
+/// the bare arena with no re-flatten, on an arena either side of
+/// `classify_batch`'s lane-width switch — the acl1 2 k workload
+/// (cache-resident, served at x16) and a 10 k ruleset (past 1 MiB, served
+/// at x4 with read-ahead touches) — checked at every lane width and at
+/// `classify_batch`'s own pick.
 #[test]
-fn acl1_2000_churn_with_live_overflow_is_lane_exact() {
-    let rs = pclass_bench::acl_ruleset(2_000);
-    let trace = pclass_bench::trace_for(&rs, 2_000);
-    let headers: Vec<PacketHeader> = trace.headers().copied().collect();
-    let updates = pclass_bench::churn::churn_updates(&rs, 0.10);
-
-    let mut c = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults())
-        .flatten()
-        .with_settings(FlatSettings {
-            dirty_threshold: f64::INFINITY,
-        });
-    for u in &updates {
-        c.apply(u).expect("churn update applies");
-    }
-    assert!(
-        c.update_stats().overflow_rules > 0,
-        "churn at infinite dirty threshold must leave overflow entries live"
-    );
-
-    let scalar: Vec<MatchResult> = headers
-        .iter()
-        .map(|h| c.flat_tree().classify(h, None))
-        .collect();
-    for lanes in LaneWidth::ALL {
-        let mut out = Vec::new();
-        for chunk in headers.chunks(512) {
-            c.flat_tree().classify_batch_lanes(chunk, &mut out, lanes);
+fn churned_acl_arenas_with_moved_spans_are_lane_exact() {
+    let small = pclass_bench::acl_ruleset(2_000);
+    let large = ClassBenchGenerator::new(SeedStyle::Acl, 10_000).generate(10_000);
+    for (rs, fraction, past_1_mib) in [(&small, 0.10, false), (&large, 0.02, true)] {
+        let trace = pclass_bench::trace_for(rs, 2_000);
+        let headers: Vec<PacketHeader> = trace.headers().copied().collect();
+        let c = HiCutsClassifier::build(rs, &HiCutsConfig::paper_defaults()).flatten();
+        let mut flat = c.flat_tree().clone();
+        for u in pclass_bench::churn::churn_updates(rs, fraction) {
+            match u {
+                RuleUpdate::Insert(rule) => flat.insert(&rule),
+                RuleUpdate::Delete(id) => flat.delete(id),
+            }
+            .expect("churn update applies");
         }
-        assert_eq!(out, scalar, "{lanes:?} disagrees with scalar post-churn");
+        assert!(
+            flat.dirty_ratio() > 0.0,
+            "churn without a re-flatten must leave dead slots behind"
+        );
+        assert_eq!(flat.arena_stats().total_bytes > 1 << 20, past_1_mib);
+        assert_lanes_match_scalar(rs.name(), &flat, &headers);
     }
 }
