@@ -465,8 +465,8 @@ impl HotCache {
 /// either copy mutates (via [`UpdatableClassifier`]), it moves alone to a
 /// freshly allocated generation, so divergent clones can never serve each
 /// other's entries.  That is exactly the lifecycle of
-/// `pclass_engine::LiveClassifier`'s writer/snapshot pairs, which this
-/// wrapper composes with unchanged.
+/// `pclass_engine::LiveClassifier`'s snapshot twins (one serves while the
+/// other absorbs updates), which this wrapper composes with unchanged.
 #[derive(Debug, Clone)]
 pub struct CachedClassifier<C> {
     inner: C,

@@ -144,8 +144,8 @@ impl std::error::Error for UpdateError {}
 ///
 /// Implemented by the HiCuts/HyperCuts pointer-tree classifiers and the
 /// flat-arena [`crate::flat::FlatTreeClassifier`]; the epoch-swap serving
-/// cell in `pclass-engine` drives this trait from a writer copy while
-/// readers keep serving the previous snapshot.
+/// cell in `pclass-engine` drives this trait on the snapshot its readers
+/// have drained from while they keep serving the published one.
 pub trait UpdatableClassifier: Classifier {
     /// Inserts a rule at the priority slot given by `rule.id`, which must
     /// not be live.

@@ -9,19 +9,33 @@
 //!   nanoseconds per batch — workers clone the `Arc` at the start of a
 //!   sub-batch and classify the whole batch on that immutable snapshot,
 //!   draining in flight while newer generations are published;
-//! * the **write path** owns a private writer copy of the classifier
-//!   (`Mutex`): updates patch it in place through
-//!   [`UpdatableClassifier`]'s rebuild-free `insert`/`delete`, and
-//!   [`LiveClassifier::apply_batch`] publishes a clone of the patched
-//!   writer as the next snapshot, bumping a generation counter.
+//! * the **write path** is a left-right pair (`Mutex`): beside the
+//!   published snapshot it keeps the snapshot the last publish *retired*,
+//!   and the updates the published one has absorbed since.  Once the
+//!   retired twin's readers have drained, `Arc` uniqueness proves nobody
+//!   can see it, so [`LiveClassifier::apply_batch`] replays those updates
+//!   onto it, patches the new burst in through [`UpdatableClassifier`]'s
+//!   rebuild-free `insert`/`delete`, and swaps the twins, bumping a
+//!   generation counter.  A publish therefore costs what changed — twice,
+//!   once per twin — and not what exists: nothing is copied, allocated or
+//!   freed.
 //!
 //! Serving therefore never blocks on an update (readers hold the lock only
-//! to clone the `Arc`), updates never observe a torn structure (they only
-//! touch the writer copy), and every served batch is classified by exactly
-//! one consistent generation.  [`LiveEngine`] is the multi-worker serving
-//! loop over a [`LiveClassifier`]: the trace is sharded like
-//! [`crate::Engine`], but each worker re-snapshots per sub-batch, so a
-//! ruleset change lands mid-trace without stopping the stream.
+//! to clone the `Arc`, writers only to swap a pointer), an update never
+//! waits for serving (a retired twin a reader still holds is replaced by a
+//! copy of the published one, the only whole-structure clone left), updates
+//! never touch a structure a reader can see, and every served batch is
+//! classified by exactly one consistent generation.  [`LiveEngine`] is the
+//! multi-worker serving loop over a [`LiveClassifier`]: the trace is
+//! sharded like [`crate::Engine`], but each worker re-snapshots per
+//! sub-batch, so a ruleset change lands mid-trace without stopping the
+//! stream.
+//!
+//! Two costs come with the pair.  Each twin absorbs every update, so work
+//! the update path amortizes (a flat arena's re-flatten) runs once per
+//! twin, on two consecutive bursts.  And a caller that holds a
+//! [`LiveClassifier::snapshot`] across two publishes pins the retired twin
+//! when the second one wants it, which costs that publish a clone.
 
 use crate::pool::WorkerPool;
 use crate::{EngineConfig, EngineRun};
@@ -31,27 +45,44 @@ use pclass_types::Trace;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// A classifier served through swappable immutable snapshots while a
-/// writer copy absorbs incremental updates.  See the module docs.
+/// A classifier served through swappable immutable snapshots, updated by
+/// patching the snapshot the previous publish retired.  See the module
+/// docs.
 pub struct LiveClassifier<C> {
     snapshot: RwLock<Arc<C>>,
-    writer: Mutex<C>,
+    writer: Mutex<WriteSide<C>>,
     generation: AtomicU64,
 }
 
+/// The off-line half of the left-right pair.
+struct WriteSide<C> {
+    /// The snapshot the last publish retired (`None` before the first
+    /// one).  Readers that took it earlier may still hold it; nobody can
+    /// take it any more.
+    spare: Option<Arc<C>>,
+    /// The updates the published snapshot has absorbed and `spare` has
+    /// not.
+    lag: Vec<RuleUpdate>,
+}
+
 impl<C: Classifier + Clone> LiveClassifier<C> {
-    /// Wraps a classifier: generation 0 serves its initial state.
+    /// Wraps a classifier: generation 0 serves its initial state.  The
+    /// cell holds that one copy until the first update.
     pub fn new(classifier: C) -> LiveClassifier<C> {
         LiveClassifier {
-            snapshot: RwLock::new(Arc::new(classifier.clone())),
-            writer: Mutex::new(classifier),
+            snapshot: RwLock::new(Arc::new(classifier)),
+            writer: Mutex::new(WriteSide {
+                spare: None,
+                lag: Vec::new(),
+            }),
             generation: AtomicU64::new(0),
         }
     }
 
     /// The current immutable snapshot.  Cheap (one `Arc` clone under a
-    /// read lock); hold it for at most a batch so the previous arena can
-    /// be dropped once all in-flight batches drain.
+    /// read lock); hold it for at most a batch: the next publish but one
+    /// patches this snapshot in place if every handle to it is gone, and
+    /// pays a whole-structure clone if one is not.
     pub fn snapshot(&self) -> Arc<C> {
         Arc::clone(&self.snapshot.read().expect("snapshot lock poisoned"))
     }
@@ -77,46 +108,87 @@ impl<C: Classifier + Clone> LiveClassifier<C> {
 }
 
 impl<C: UpdatableClassifier + Clone> LiveClassifier<C> {
-    /// Applies a burst of updates to the writer copy and publishes the
-    /// result as the next snapshot generation.
+    /// Applies a burst of updates to the retired twin and publishes it as
+    /// the next snapshot generation, retiring the one it displaces.
     ///
     /// The burst is applied atomically with respect to readers: no served
     /// batch ever observes a prefix of it.  On error the failed update and
     /// everything after it are dropped but earlier updates of the burst
-    /// are still published (the writer copy has already absorbed them).
+    /// are still published (the twin has already absorbed them).
     ///
-    /// A burst that absorbs nothing — an empty one, or one whose first
-    /// update is rejected — publishes nothing: the snapshot and the
-    /// generation stay as they were (no whole-structure clone, no
-    /// invalidation of generation-tagged cache entries), and the call
-    /// returns the error, or `Ok` of the current generation.
+    /// The cost is the burst plus a replay of the previous one, and no
+    /// whole-structure clone — except on the first publish, which has no
+    /// retired twin yet, and on one that finds a reader still holding the
+    /// retired twin: those copy the published snapshot instead, so an
+    /// update never waits for a reader.
+    ///
+    /// A burst that absorbs nothing publishes nothing: the snapshot and
+    /// the generation stay as they were (no invalidation of
+    /// generation-tagged cache entries), and the call returns the error,
+    /// or `Ok` of the current generation.  An empty burst is free.  One
+    /// whose first update is rejected learns that by trying it on the
+    /// twin, so it pays the copy if it is the call that has to make one —
+    /// and keeps the copy, so the bursts after it, rejected or not, do
+    /// not.
     pub fn apply_batch(&self, updates: &[RuleUpdate]) -> Result<u64, UpdateError> {
+        if updates.is_empty() {
+            return Ok(self.generation());
+        }
         let mut writer = self.writer.lock().expect("writer lock poisoned");
+        let WriteSide { spare, lag } = &mut *writer;
+        // Sole ownership of the retired `Arc` is the proof that its last
+        // reader has finished.  A twin that is still held is dropped right
+        // here, not waited for — and not under the snapshot lock below.
+        let drained = spare
+            .take()
+            .and_then(|mut twin| Arc::get_mut(&mut twin).is_some().then_some(twin));
+        let mut next = drained.unwrap_or_else(|| {
+            lag.clear();
+            Arc::new((*self.snapshot()).clone())
+        });
+        let twin = Arc::get_mut(&mut next).expect("no other handle to the twin exists");
+        for update in lag.drain(..) {
+            // The twins have absorbed the same updates up to this one,
+            // acceptance depends on nothing else, and the published twin
+            // accepted it.
+            twin.apply(&update)
+                .expect("the other twin absorbed this update");
+        }
         let mut absorbed = 0usize;
         let result = updates
             .iter()
-            .try_for_each(|u| writer.apply(u).map(|()| absorbed += 1));
+            .try_for_each(|u| twin.apply(u).map(|()| absorbed += 1));
         if absorbed == 0 {
+            // Level with the published snapshot: the next burst starts
+            // from here.
+            *spare = Some(next);
             return result.map(|()| self.generation());
         }
-        let published = Arc::new(writer.clone());
-        {
-            // The generation advances inside the snapshot critical section
-            // so that `snapshot_tagged` can never pair a snapshot with the
-            // wrong number.  Writers are already serialised by the writer
-            // mutex, so a load+store is race-free here.
+        let (retired, generation) = {
+            // The critical section is a pointer swap, a load and a store.
+            // The displaced snapshot is moved out, never dropped here:
+            // freeing an arena (a multi-MiB `munmap`) would park every
+            // reader on this lock.  The generation advances inside the
+            // section so that `snapshot_tagged` can never pair a snapshot
+            // with the wrong number; writers are already serialised by
+            // the writer mutex, so a load+store is race-free.
             let mut snapshot = self.snapshot.write().expect("snapshot lock poisoned");
-            *snapshot = published;
+            let retired = std::mem::replace(&mut *snapshot, next);
             let generation = self.generation.load(Ordering::Relaxed) + 1;
             self.generation.store(generation, Ordering::Release);
-            result.map(|()| generation)
-        }
+            (retired, generation)
+        };
+        *spare = Some(retired);
+        lag.extend_from_slice(&updates[..absorbed]);
+        result.map(|()| generation)
     }
 
-    /// Runs a closure against the writer copy without publishing (used to
-    /// inspect update statistics mid-stream).
+    /// Runs a closure against the newest state — the published snapshot —
+    /// with the write side locked, so no publish lands while it runs (used
+    /// to inspect update statistics mid-stream).
     pub fn with_writer<T>(&self, f: impl FnOnce(&C) -> T) -> T {
-        f(&self.writer.lock().expect("writer lock poisoned"))
+        let _writer = self.writer.lock().expect("writer lock poisoned");
+        f(&self.snapshot())
     }
 }
 
@@ -183,9 +255,10 @@ impl<C: Classifier + Clone + Send + Sync> LiveEngine<C> {
 mod tests {
     use super::*;
     use pclass_algos::update::classify_live_linear;
-    use pclass_algos::{HiCutsClassifier, HiCutsConfig};
+    use pclass_algos::{HiCutsClassifier, HiCutsConfig, LookupStats};
     use pclass_classbench::{ClassBenchGenerator, SeedStyle, TraceGenerator};
-    use pclass_types::Rule;
+    use pclass_types::{DimensionSpec, MatchResult, PacketHeader, Rule, RuleId, UpdateStats};
+    use std::sync::atomic::AtomicUsize;
 
     fn workload(rules: usize, packets: usize) -> (pclass_types::RuleSet, Trace) {
         let rs = ClassBenchGenerator::new(SeedStyle::Acl, 77).generate(rules);
@@ -276,6 +349,153 @@ mod tests {
         // generation that update reached.
         assert_eq!(live.apply_batch(&[RuleUpdate::Delete(1)]), Ok(1));
         assert_eq!(live.apply_batch(&[]), Ok(1));
+    }
+
+    /// A flat classifier whose `Clone` counts itself, so a test can see
+    /// which publishes copy the structure.
+    struct Counted(pclass_algos::FlatTreeClassifier, Arc<AtomicUsize>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Counted {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            Counted(self.0.clone(), Arc::clone(&self.1))
+        }
+    }
+
+    impl Classifier for Counted {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn classify(&self, pkt: &PacketHeader) -> MatchResult {
+            self.0.classify(pkt)
+        }
+
+        fn classify_with_stats(&self, pkt: &PacketHeader, stats: &mut LookupStats) -> MatchResult {
+            self.0.classify_with_stats(pkt, stats)
+        }
+
+        fn memory_bytes(&self) -> usize {
+            self.0.memory_bytes()
+        }
+    }
+
+    impl UpdatableClassifier for Counted {
+        fn insert(&mut self, rule: Rule) -> Result<(), UpdateError> {
+            self.0.insert(rule)
+        }
+
+        fn delete(&mut self, rule_id: RuleId) -> Result<(), UpdateError> {
+            self.0.delete(rule_id)
+        }
+
+        fn live_rules(&self) -> Vec<Rule> {
+            self.0.live_rules()
+        }
+
+        fn spec(&self) -> DimensionSpec {
+            self.0.spec()
+        }
+
+        fn update_stats(&self) -> UpdateStats {
+            self.0.update_stats()
+        }
+    }
+
+    /// A counted live cell over `rs`, its clone counter, and an endless
+    /// stream of bursts that each replace one rule of `rs` in place.
+    fn counted(
+        rs: &pclass_types::RuleSet,
+    ) -> (
+        LiveClassifier<Counted>,
+        Arc<AtomicUsize>,
+        impl Iterator<Item = [RuleUpdate; 2]>,
+    ) {
+        let clones = Arc::new(AtomicUsize::new(0));
+        let live = LiveClassifier::new(Counted(flat_for(rs), Arc::clone(&clones)));
+        let fresh = ClassBenchGenerator::new(SeedStyle::Acl, 79).generate(rs.len());
+        let replaces = (0..rs.len()).cycle().map(move |at| {
+            let id = at as RuleId;
+            let rule = Rule::new(id, fresh.rules()[at].ranges);
+            [RuleUpdate::Delete(id), RuleUpdate::Insert(rule)]
+        });
+        (live, clones, replaces)
+    }
+
+    #[test]
+    fn a_publish_patches_the_retired_twin_and_clones_only_past_a_held_snapshot() {
+        let (rs, trace) = workload(150, 300);
+        let (live, clones, mut replaces) = counted(&rs);
+        let mut publish = || {
+            live.apply_batch(&replaces.next().unwrap())
+                .expect("replace")
+        };
+        let count = || clones.load(Ordering::Relaxed);
+        assert_eq!(count(), 0, "an idle cell holds the one copy it was given");
+        publish();
+        assert_eq!(count(), 1, "the first publish makes the second twin");
+        for _ in 0..100 {
+            publish();
+        }
+        assert_eq!(count(), 1, "a drained twin is patched, not copied");
+
+        // A handle held across two publishes pins the twin the second one
+        // wants: that publish copies instead of waiting, and the handle
+        // keeps serving the generation it was taken at.
+        let pin = live.snapshot();
+        let pinned_rules = pin.live_rules();
+        publish();
+        assert_eq!(count(), 1, "the first publish past a handle retires it");
+        publish();
+        assert_eq!(count(), 2, "the second finds it held and copies");
+        assert_eq!(live.generation(), 103);
+        assert_eq!(pin.live_rules(), pinned_rules);
+        assert_ne!(live.snapshot().live_rules(), pinned_rules);
+        for entry in trace.entries() {
+            let expected = classify_live_linear(&pinned_rules, &entry.header);
+            assert_eq!(pin.classify(&entry.header), expected);
+        }
+        drop(pin);
+        for _ in 0..100 {
+            publish();
+        }
+        assert_eq!(count(), 2);
+        let snap = live.snapshot();
+        let final_rules = snap.live_rules();
+        for entry in trace.entries() {
+            let expected = classify_live_linear(&final_rules, &entry.header);
+            assert_eq!(snap.classify(&entry.header), expected);
+        }
+    }
+
+    #[test]
+    fn bursts_that_absorb_nothing_cost_one_clone_between_them() {
+        let (rs, _) = workload(60, 1);
+        let (live, clones, mut replaces) = counted(&rs);
+        let count = || clones.load(Ordering::Relaxed);
+        assert_eq!(live.apply_batch(&[]), Ok(0));
+        assert_eq!(count(), 0, "an empty burst touches nothing");
+        // Finding out that an update is rejected takes a twin to try it
+        // on; the twin is kept.
+        for _ in 0..100 {
+            assert_eq!(
+                live.apply_batch(&[RuleUpdate::Delete(9_999)]),
+                Err(UpdateError::UnknownRuleId(9_999))
+            );
+        }
+        assert_eq!(count(), 1);
+        assert_eq!(live.generation(), 0);
+        // ... level with the published snapshot, so the next real bursts
+        // are patched into it.
+        let mut direct = flat_for(&rs);
+        for generation in 1..=3 {
+            let burst = replaces.next().unwrap();
+            burst.iter().for_each(|u| direct.apply(u).expect("replace"));
+            assert_eq!(live.apply_batch(&burst), Ok(generation));
+            assert_eq!(live.apply_batch(&[]), Ok(generation));
+            assert_eq!(live.snapshot().live_rules(), direct.live_rules());
+        }
+        assert_eq!(count(), 1);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   next sub-batch boundary;
 //! * each tenant holds its own [`LiveClassifier`], so **churn is isolated
 //!   per tenant**: one tenant's [`LiveClassifier::apply_batch`] touches
-//!   only its own writer copy and snapshot slot and never blocks another
-//!   tenant's readers;
+//!   only its own pair of snapshots (one until its first update) and
+//!   never blocks another tenant's readers;
 //! * tagged traffic ([`TaggedTrace`]) is served on a **shared worker
 //!   pool** with cross-tenant batching: each worker takes a sub-batch of
 //!   the interleaved stream, groups it by tenant, serves the groups in
@@ -994,7 +994,11 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
         self.entry(tenant).weight
     }
 
-    /// One tenant's memory accounting, as charged at admission time.
+    /// One tenant's memory accounting, as charged at admission time: the
+    /// classifier bytes are the serving copy's.  A tenant that has been
+    /// updated since holds a second copy of its classifier (the retired
+    /// twin [`LiveClassifier::apply_batch`] patches), which is not
+    /// charged.
     ///
     /// # Panics
     ///

@@ -6,7 +6,8 @@
 //! classifies a mixed traffic trace, reporting per-rule hit counts — i.e.
 //! the accelerator used as the policy-enforcement stage of a firewall line
 //! card.  The same policy is also pushed through the TCAM baseline to show
-//! the storage-efficiency gap caused by port ranges.
+//! the storage-efficiency gap caused by port ranges, and served by the
+//! software engine while a policy push replaces one of its rules live.
 //!
 //! Run with:
 //! ```text
@@ -14,8 +15,11 @@
 //! ```
 
 use packet_classifier::prelude::*;
+use pclass_algos::hicuts::HiCutsConfig;
+use pclass_algos::update::RuleUpdate;
 use pclass_tcam::TcamClassifier;
 use pclass_types::DimensionSpec;
+use std::sync::Arc;
 
 /// Builds a small but realistic enterprise policy.
 fn build_policy() -> RuleSet {
@@ -123,6 +127,17 @@ fn build_policy() -> RuleSet {
     RuleSet::new("enterprise_policy", DimensionSpec::FIVE_TUPLE, rules).expect("valid policy")
 }
 
+/// Packets decided for each rule id.
+fn hits_per_rule(results: &[MatchResult], rules: usize) -> Vec<u64> {
+    let mut hits = vec![0u64; rules];
+    for result in results {
+        if let MatchResult::Matched(id) = result {
+            hits[*id as usize] += 1;
+        }
+    }
+    hits
+}
+
 fn main() {
     let policy = build_policy();
     println!("== Enterprise policy ({} rules) ==", policy.len());
@@ -141,15 +156,11 @@ fn main() {
     let report = engine.classify_trace(&trace);
 
     // Per-rule hit accounting, validated against linear search.
-    let mut hits = vec![0u64; policy.len()];
-    let mut misses = 0u64;
     for (entry, result) in trace.entries().iter().zip(report.results.iter()) {
         assert_eq!(*result, policy.classify_linear(&entry.header));
-        match result {
-            MatchResult::Matched(id) => hits[*id as usize] += 1,
-            MatchResult::NoMatch => misses += 1,
-        }
     }
+    let hits = hits_per_rule(&report.results, policy.len());
+    let misses = trace.len() as u64 - hits.iter().sum::<u64>();
 
     println!("\n== Classification results ({} packets) ==", trace.len());
     for (id, count) in hits.iter().enumerate() {
@@ -184,4 +195,33 @@ fn main() {
         );
     }
     println!("  (TCAM decisions verified against linear search on 5,000 packets)");
+
+    // A live policy push: the same policy as a flat arena behind the
+    // software engine's epoch-swap cell.  Between two passes the guest WLAN
+    // loses plain HTTP — rule 9 is replaced in place by 8443/tcp — through
+    // one `apply_batch`, which patches the arena (no rebuild) and publishes
+    // it as the next generation; a pass in flight would drain on the old
+    // one.
+    let flat = HiCutsClassifier::build(&policy, &HiCutsConfig::paper_defaults()).flatten();
+    let live = Arc::new(LiveClassifier::new(flat));
+    let serving = EngineConfig::new()
+        .workers(2)
+        .live_engine(Arc::clone(&live));
+    let before = hits_per_rule(&serving.classify_trace(&trace).results, policy.len());
+    let guest_alt_https = RuleBuilder::new(9)
+        .src_prefix(0x0A05_0000, 16)
+        .dst_port(8443)
+        .protocol(6)
+        .build();
+    let generation = live
+        .apply_batch(&[RuleUpdate::Delete(9), RuleUpdate::Insert(guest_alt_https)])
+        .expect("rule 9 is live, and its slot is free once deleted");
+    let after = hits_per_rule(&serving.classify_trace(&trace).results, policy.len());
+    println!("\n== Live policy push (generation {generation}) ==");
+    for (id, (was, now)) in before.iter().zip(&after).enumerate() {
+        if was != now {
+            let delta = *now as i64 - *was as i64;
+            println!("  rule R{id:<2}  {was:>7} -> {now:>7} packets ({delta:+})");
+        }
+    }
 }

@@ -302,6 +302,79 @@ fn replace_stream_on_acl_2000_plateaus() {
     assert!(c.update_stats().reflattens >= 1);
 }
 
+/// The two snapshots a `LiveClassifier` alternates between never diverge:
+/// a replace stream published in bursts of 1–7 — one of them empty, one
+/// with a rejected update in the middle (prefix published, suffix dropped)
+/// — leaves the live cell exactly where the same absorbed updates leave a
+/// plain classifier, on a 10 k-rule arena and for long enough that both
+/// twins re-flatten, so replays that cross a re-flatten are covered.
+#[test]
+fn live_twins_track_a_direct_classifier_across_reflattens_at_10k() {
+    let rs = ClassBenchGenerator::new(SeedStyle::Acl, 10_000).generate(10_000);
+    // 5,000 replaces re-flatten this arena three times.
+    let replacements = ClassBenchGenerator::new(SeedStyle::Acl, 0x2ED).generate(5_000);
+    let trace = pclass_bench::trace_for(&rs, 2_048);
+    let headers: Vec<PacketHeader> = trace.headers().copied().collect();
+    let stream: Vec<RuleUpdate> = replacements
+        .rules()
+        .iter()
+        .flat_map(|r| [RuleUpdate::Delete(r.id), RuleUpdate::Insert(*r)])
+        .collect();
+
+    let mut direct = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults()).flatten();
+    let live = LiveClassifier::new(direct.clone());
+    let (mut at, mut burst_no) = (0, 0usize);
+    while at < stream.len() {
+        // Sizes cycle 1..=7 against an even stream, so bursts split
+        // replaces: a delete can be published a generation before its
+        // insert.
+        let size = (burst_no % 7 + 1).min(stream.len() - at);
+        let burst = &stream[at..at + size];
+        let generation = live.generation();
+        let absorbed = match burst_no {
+            40 => {
+                assert_eq!(live.apply_batch(&[]), Ok(generation));
+                0
+            }
+            41 => {
+                let mut poisoned = burst.to_vec();
+                poisoned.insert(size / 2, RuleUpdate::Delete(u32::MAX));
+                assert_eq!(
+                    live.apply_batch(&poisoned),
+                    Err(UpdateError::UnknownRuleId(u32::MAX))
+                );
+                size / 2
+            }
+            _ => {
+                assert_eq!(live.apply_batch(burst), Ok(generation + 1));
+                size
+            }
+        };
+        assert_eq!(live.generation(), generation + u64::from(absorbed > 0));
+        apply_all(&mut direct, &stream[at..at + absorbed]);
+        at += absorbed;
+        burst_no += 1;
+
+        assert_eq!(
+            live.with_writer(|c| c.update_stats()),
+            direct.update_stats(),
+            "burst {burst_no}"
+        );
+        if burst_no % 250 == 0 || at == stream.len() {
+            let rules = direct.live_rules();
+            let snapshot = live.snapshot();
+            assert_eq!(snapshot.live_rules(), rules, "burst {burst_no}");
+            let mut out = Vec::new();
+            snapshot.classify_batch(&headers, &mut out);
+            for (pkt, got) in headers.iter().zip(&out) {
+                assert_eq!(*got, classify_live_linear(&rules, pkt), "burst {burst_no}");
+            }
+        }
+    }
+    let reflattens = direct.update_stats().reflattens;
+    assert!(reflattens >= 2, "only {reflattens} re-flattens");
+}
+
 /// The boundary of what an update stream may contain is defined once
 /// (`update::validate_insert`), so the pointer trees and both flat arenas
 /// must give every boundary update the same verdict — and keep deciding
