@@ -1,9 +1,12 @@
 //! Contract of the `reproduce` binary: a misspelt subcommand or flag must
 //! fail loudly (exit 2, usage on stderr) instead of running nothing and
-//! reporting success, and the two tables computed purely from the
-//! builders' `BuildStats` and the structures' worst-case access bounds
-//! must print byte-for-byte what `tests/golden/` holds — a refactor that
-//! claims "no output changed" is held to it here, not by a hand-run `cmp`.
+//! reporting success, and the four tables that are pure model output must
+//! print byte-for-byte what `tests/golden/` holds — Tables 3 and 8 from the
+//! builders' `BuildStats` and the structures' worst-case access bounds,
+//! Tables 6 and 7 from the SA-1100 operation mixes and the cycles the
+//! accelerator model counts over 20,000 packets per ruleset.  A refactor
+//! that claims "no output changed" is held to it here, not by a hand-run
+//! `cmp`.
 
 use std::process::{Command, Output};
 
@@ -37,6 +40,8 @@ fn known_subcommand_runs_and_exits_0() {
 fn deterministic_tables_match_their_golden_files() {
     for (table, golden) in [
         ("table3", include_str!("golden/table3.txt")),
+        ("table6", include_str!("golden/table6.txt")),
+        ("table7", include_str!("golden/table7.txt")),
         ("table8", include_str!("golden/table8.txt")),
     ] {
         let out = reproduce(&[table]);
