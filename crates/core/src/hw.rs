@@ -23,11 +23,25 @@
 //! fetched for that packet (internal nodes after the root + leaf words until
 //! the match), with a minimum of one cycle per packet, which reproduces
 //! Eqs. 5 and 7.
+//!
+//! ## Where the bits are decoded
+//!
+//! The device never decodes a word at run time: a fetched word drives the
+//! comparators and the child-select logic by wiring.  The model keeps that
+//! division of labour.  The 4800-bit image is decoded once, when the
+//! [`HardwareProgram`] is built — configuration time, the device's own load
+//! — into the program's private mirror, and [`Accelerator::classify_packet`]
+//! walks that mirror and nothing else: which word a packet fetches next,
+//! which of a word's 30 slots match and every count in [`PacketCycles`] are
+//! exactly what reading the bit fields per packet gives (a differential
+//! test in this module holds the two walks equal packet for packet), at a
+//! host cost within a small factor of the software flat-arena walk over the
+//! same tree instead of six to ten times it.
 
-use crate::encode::{read_child, read_header, read_rule, ChildEntry};
+use crate::encode::ChildEntry;
 use crate::program::HardwareProgram;
 use crate::RULES_PER_WORD;
-use pclass_types::{MatchResult, PacketHeader, Trace, FIELD_COUNT};
+use pclass_types::{MatchResult, PacketHeader, Trace};
 
 /// Per-packet measurement produced by the accelerator model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,25 +119,18 @@ impl ClassificationReport {
 }
 
 /// The accelerator model.  It borrows the program (the memory image) and
-/// keeps only the tiny register state of the real datapath, so many engines
-/// can share one program across threads.
+/// holds no state of its own — register A is word 0 of the program, read in
+/// place — so many engines can share one program across threads.
 #[derive(Debug, Clone)]
 pub struct Accelerator<'p> {
     program: &'p HardwareProgram,
-    /// Register A: the decoded root header plus the root child entries are
-    /// read directly from word 0 on demand; holding the reference mirrors
-    /// the preload without copying 4800 bits around.
-    root_loaded: bool,
 }
 
 impl<'p> Accelerator<'p> {
     /// Creates an engine over a program (the equivalent of asserting the
     /// Reset pin: the root word is transferred to register A).
     pub fn new(program: &'p HardwareProgram) -> Accelerator<'p> {
-        Accelerator {
-            program,
-            root_loaded: true,
-        }
+        Accelerator { program }
     }
 
     /// The program this engine executes.
@@ -133,74 +140,58 @@ impl<'p> Accelerator<'p> {
 
     /// Classifies a single packet and reports the cycles it used.
     pub fn classify_packet(&self, pkt: &PacketHeader) -> (MatchResult, PacketCycles) {
-        debug_assert!(self.root_loaded);
-        let spec = self.program.spec();
-        let msb8: [u8; FIELD_COUNT] = pkt.msb8(spec);
-        let mut cycles = PacketCycles {
-            internal_fetches: 0,
-            leaf_fetches: 0,
-            rules_examined: 0,
+        let image = self.program.mirror();
+        let msb8 = pkt.msb8(self.program.spec());
+
+        // Steer the packet down the tree.  The root's child selection comes
+        // out of register A (no memory access); every further internal node
+        // is one word fetched on the next rising edge.
+        let mut word = 0;
+        let mut internal_fetches = 0;
+        let first = loop {
+            match image.child(word, &msb8) {
+                ChildEntry::Null => {
+                    let cycles = PacketCycles {
+                        internal_fetches,
+                        leaf_fetches: 0,
+                        rules_examined: 0,
+                    };
+                    return (MatchResult::NoMatch, cycles);
+                }
+                ChildEntry::Internal { word: next } => {
+                    internal_fetches += 1;
+                    word = next;
+                }
+                ChildEntry::Leaf { word, pos } => break word * RULES_PER_WORD + pos,
+            }
         };
 
-        // Root child selection out of register A (no memory access).
-        let mut word_idx;
-        let mut node_word = self.program.root_word();
-        loop {
-            let header = read_header(node_word);
-            let index = header.child_index(&msb8) as usize;
-            match read_child(node_word, index) {
-                ChildEntry::Null => return (MatchResult::NoMatch, cycles),
-                ChildEntry::Internal { word } => {
-                    // Fetch the child node word on the next rising edge.
-                    cycles.internal_fetches += 1;
-                    word_idx = word;
-                    node_word = self.program.word(word_idx);
-                }
-                ChildEntry::Leaf { word, pos } => {
-                    // Packet moves from register B to register C; the leaf
-                    // search starts at (word, pos).
-                    return (self.search_leaf(pkt, word, pos, &mut cycles), cycles);
-                }
+        // The packet moves from register B to register C and its leaf is
+        // searched from slot `first`: one cycle per leaf word, whose 30
+        // comparators fire at once, so the lowest matching slot wins.  A
+        // leaf that continues in the next word (speed = 0 packing or an
+        // oversized leaf) is the next slot index; the image was checked at
+        // load to end every leaf with a marker.
+        let slots = image.slots();
+        let mut last = first;
+        let result = loop {
+            let slot = slots[last]
+                .as_ref()
+                .expect("load decoded every leaf up to its marker");
+            if slot.matches(pkt) {
+                break MatchResult::Matched(slot.id);
             }
-        }
-    }
-
-    /// Searches a leaf starting at rule slot `pos` of `word`, walking
-    /// subsequent words until the end-of-leaf marker, and returns the
-    /// highest-priority match.
-    fn search_leaf(
-        &self,
-        pkt: &PacketHeader,
-        mut word: usize,
-        mut pos: usize,
-        cycles: &mut PacketCycles,
-    ) -> MatchResult {
-        loop {
-            // One cycle to fetch this leaf word; the 30 comparators evaluate
-            // it combinationally.
-            cycles.leaf_fetches += 1;
-            let w = self.program.word(word);
-            while pos < RULES_PER_WORD {
-                let rule = read_rule(w, pos);
-                cycles.rules_examined += 1;
-                if rule.matches(pkt) {
-                    return MatchResult::Matched(rule.id);
-                }
-                if rule.end_of_leaf {
-                    return MatchResult::NoMatch;
-                }
-                pos += 1;
+            if slot.end_of_leaf {
+                break MatchResult::NoMatch;
             }
-            // Leaf continues in the next word (speed = 0 packing or an
-            // oversized leaf).
-            word += 1;
-            pos = 0;
-            if word >= self.program.word_count() {
-                // Defensive: a well-formed program always terminates a leaf
-                // with an end marker before running off the image.
-                return MatchResult::NoMatch;
-            }
-        }
+            last += 1;
+        };
+        let cycles = PacketCycles {
+            internal_fetches,
+            leaf_fetches: (last / RULES_PER_WORD - first / RULES_PER_WORD + 1) as u32,
+            rules_examined: (last - first + 1) as u32,
+        };
+        (result, cycles)
     }
 
     /// Replays a whole trace, reproducing the pipelined cycle accounting.
@@ -253,8 +244,8 @@ impl<'p> Accelerator<'p> {
 /// The accelerator wrapped as a software [`Classifier`](pclass_algos::Classifier),
 /// so the hardware
 /// model plugs into every generic harness in the workspace (the serving
-/// engine in `pclass-engine`, the throughput benchmark, the equivalence
-/// tests).
+/// engine in `pclass-engine`, the equivalence tests, the repository
+/// benchmark).
 ///
 /// Unlike [`Accelerator`], which borrows a program, this adapter *owns* its
 /// [`HardwareProgram`] — the trait's `&self` methods leave no room for an
@@ -341,9 +332,314 @@ impl pclass_algos::Classifier for AcceleratorClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::zero_word;
     use crate::builder::{BuildConfig, CutAlgorithm, SpeedMode};
+    use crate::encode::{
+        read_child, read_header, read_rule, write_internal, write_rule, NodeHeader,
+    };
     use pclass_classbench::{ClassBenchGenerator, SeedStyle, TraceGenerator};
-    use pclass_types::RuleSet;
+    use pclass_types::{DimensionSpec, Rule, RuleBuilder, RuleSet};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The walk this module shipped while it still decoded the image per
+    /// packet: every header, child entry and rule is re-read from the
+    /// 4800-bit words.  Kept as the reference the mirror walk is held to.
+    fn classify_bit_level(
+        program: &HardwareProgram,
+        pkt: &PacketHeader,
+    ) -> (MatchResult, PacketCycles) {
+        let msb8 = pkt.msb8(program.spec());
+        let mut cycles = PacketCycles {
+            internal_fetches: 0,
+            leaf_fetches: 0,
+            rules_examined: 0,
+        };
+        let mut node_word = program.root_word();
+        let (mut word, mut pos) = loop {
+            let index = read_header(node_word).child_index(&msb8) as usize;
+            match read_child(node_word, index) {
+                ChildEntry::Null => return (MatchResult::NoMatch, cycles),
+                ChildEntry::Internal { word } => {
+                    cycles.internal_fetches += 1;
+                    node_word = program.word(word);
+                }
+                ChildEntry::Leaf { word, pos } => break (word, pos),
+            }
+        };
+        loop {
+            cycles.leaf_fetches += 1;
+            let w = program.word(word);
+            while pos < RULES_PER_WORD {
+                let rule = read_rule(w, pos);
+                cycles.rules_examined += 1;
+                if rule.matches(pkt) {
+                    return (MatchResult::Matched(rule.id), cycles);
+                }
+                if rule.end_of_leaf {
+                    return (MatchResult::NoMatch, cycles);
+                }
+                pos += 1;
+            }
+            word += 1;
+            pos = 0;
+        }
+    }
+
+    fn assert_walks_agree<'a>(
+        program: &HardwareProgram,
+        packets: impl IntoIterator<Item = &'a PacketHeader>,
+    ) {
+        let engine = Accelerator::new(program);
+        for pkt in packets {
+            assert_eq!(
+                engine.classify_packet(pkt),
+                classify_bit_level(program, pkt),
+                "on {pkt}"
+            );
+        }
+    }
+
+    /// The generator of `tests/property_based.rs`: a random but
+    /// hardware-encodable ruleset (prefix IP fields of every length, range
+    /// ports, exact-or-any protocol).
+    fn random_ruleset(seed: u64, rules: usize) -> RuleSet {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut out = Vec::with_capacity(rules);
+        for id in 0..rules {
+            let mut b = RuleBuilder::new(id as u32);
+            if rng.gen_bool(0.8) {
+                b = b.src_prefix(rng.gen(), rng.gen_range(0..=32));
+            }
+            if rng.gen_bool(0.8) {
+                b = b.dst_prefix(rng.gen(), rng.gen_range(0..=32));
+            }
+            if rng.gen_bool(0.5) {
+                let lo = rng.gen_range(0u16..60_000);
+                b = b.src_port_range(lo, lo.saturating_add(rng.gen_range(0..5_000)));
+            }
+            if rng.gen_bool(0.7) {
+                let lo = rng.gen_range(0u16..60_000);
+                b = b.dst_port_range(lo, lo.saturating_add(rng.gen_range(0..5_000)));
+            }
+            if rng.gen_bool(0.7) {
+                b = b.protocol(if rng.gen_bool(0.7) { 6 } else { 17 });
+            }
+            out.push(b.build());
+        }
+        RuleSet::new(format!("prop_{seed}"), DimensionSpec::FIVE_TUPLE, out).unwrap()
+    }
+
+    /// Its packet generator: rule corners and midpoints plus pure noise.
+    fn random_packets(seed: u64, rs: &RuleSet, count: usize) -> Vec<PacketHeader> {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5555);
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            if rng.gen_bool(0.7) {
+                let rule = &rs.rules()[rng.gen_range(0..rs.len())];
+                let mut fields = [0u32; 5];
+                for (f, r) in fields.iter_mut().zip(rule.ranges) {
+                    *f = match rng.gen_range(0u8..3) {
+                        0 => r.lo,
+                        1 => r.hi,
+                        _ => r.lo + ((r.len() / 2) as u32).min(r.hi - r.lo),
+                    };
+                }
+                out.push(PacketHeader::from_fields(fields));
+            } else {
+                out.push(PacketHeader::five_tuple(
+                    rng.gen(),
+                    rng.gen(),
+                    rng.gen(),
+                    rng.gen(),
+                    rng.gen(),
+                ));
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn prop_mirror_walk_equals_the_bit_level_walk(
+            seed in 0u64..10_000,
+            rules in 1usize..100,
+        ) {
+            let rs = random_ruleset(seed, rules);
+            let directed = random_packets(seed, &rs, 80);
+            let background = TraceGenerator::new(&rs, seed)
+                .random_fraction(1.0)
+                .generate(80);
+            for algorithm in [CutAlgorithm::HiCuts, CutAlgorithm::HyperCuts] {
+                for speed in [SpeedMode::MemoryEfficient, SpeedMode::Throughput] {
+                    let mut config = BuildConfig::paper_defaults(algorithm);
+                    config.speed = speed;
+                    let program =
+                        HardwareProgram::build_with_capacity(&rs, &config, 4096).unwrap();
+                    let engine = Accelerator::new(&program);
+                    for pkt in directed.iter().chain(background.headers()) {
+                        let got = engine.classify_packet(pkt);
+                        prop_assert_eq!(
+                            got,
+                            classify_bit_level(&program, pkt),
+                            "{:?}/{:?} on {}", algorithm, speed, pkt
+                        );
+                        prop_assert_eq!(
+                            got.0,
+                            rs.classify_linear(pkt),
+                            "{:?}/{:?} on {}", algorithm, speed, pkt
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Rule `id` matches exactly the packets whose destination port is `id`.
+    fn port_rules(ids: std::ops::Range<u16>) -> Vec<Rule> {
+        ids.map(|id| RuleBuilder::new(u32::from(id)).dst_port(id).build())
+            .collect()
+    }
+
+    fn to_port(src_ip: u32, dst_port: u16) -> PacketHeader {
+        PacketHeader::five_tuple(src_ip, 0, 0, dst_port, 0)
+    }
+
+    /// A hand-assembled image: word 0 cuts the source address's top bit in
+    /// two, and each `(word, pos, rules)` leaf is written where it says —
+    /// packings the builders' generated leaves (at most `binth` rules)
+    /// rarely or never produce.
+    fn hand_built(
+        children: [ChildEntry; 2],
+        leaves: &[(usize, usize, &[Rule])],
+        words: usize,
+    ) -> HardwareProgram {
+        let mut image = vec![zero_word(); words];
+        let header = NodeHeader {
+            masks: [0x80, 0, 0, 0, 0],
+            shifts: [7, 0, 0, 0, 0],
+        };
+        write_internal(&mut image[0], &header, &children).unwrap();
+        for &(word, pos, rules) in leaves {
+            for (i, rule) in rules.iter().enumerate() {
+                let at = word * RULES_PER_WORD + pos + i;
+                let end = i + 1 == rules.len();
+                write_rule(
+                    &mut image[at / RULES_PER_WORD],
+                    at % RULES_PER_WORD,
+                    rule,
+                    end,
+                )
+                .unwrap();
+            }
+        }
+        one_rule_program().reimaged(image)
+    }
+
+    /// The smallest image the builders emit: one wildcard rule.
+    fn one_rule_program() -> HardwareProgram {
+        let rules = vec![RuleBuilder::new(0).build()];
+        let rs = RuleSet::new("one", DimensionSpec::FIVE_TUPLE, rules).unwrap();
+        HardwareProgram::build(&rs, &BuildConfig::paper_defaults(CutAlgorithm::HiCuts)).unwrap()
+    }
+
+    fn cycles(internal_fetches: u32, leaf_fetches: u32, rules_examined: u32) -> PacketCycles {
+        PacketCycles {
+            internal_fetches,
+            leaf_fetches,
+            rules_examined,
+        }
+    }
+
+    #[test]
+    fn leaf_from_slot_29_spills_across_two_more_words() {
+        // 34 rules from slot 29 of word 1: one there, thirty in word 2,
+        // three in word 3 (speed = 0 packing of an oversized leaf).  The
+        // root's other child is null.
+        let rules = port_rules(0..34);
+        let program = hand_built(
+            [ChildEntry::Leaf { word: 1, pos: 29 }, ChildEntry::Null],
+            &[(1, 29, &rules)],
+            4,
+        );
+        let engine = Accelerator::new(&program);
+        for k in 0..34u16 {
+            // Rule k sits in slot 59 + k of the image, the search starts
+            // in word 1, and every word up to the match costs one fetch.
+            let fetches = (59 + u32::from(k)) / 30;
+            assert_eq!(
+                engine.classify_packet(&to_port(0, k)),
+                (
+                    MatchResult::Matched(u32::from(k)),
+                    cycles(0, fetches, u32::from(k) + 1)
+                ),
+                "rule {k}"
+            );
+        }
+        assert_eq!(
+            engine.classify_packet(&to_port(0, 999)),
+            (MatchResult::NoMatch, cycles(0, 3, 34))
+        );
+        // The null child at the root: no match without a single fetch.
+        assert_eq!(
+            engine.classify_packet(&to_port(0x8000_0000, 5)),
+            (MatchResult::NoMatch, cycles(0, 0, 0))
+        );
+        let packets: Vec<PacketHeader> = (0..40)
+            .flat_map(|k| [to_port(0, k), to_port(0xFFFF_FFFF, k)])
+            .collect();
+        assert_walks_agree(&program, &packets);
+    }
+
+    #[test]
+    fn leaf_ending_on_slot_29_does_not_touch_the_next_word() {
+        let rules = port_rules(0..5);
+        let program = hand_built(
+            [
+                ChildEntry::Leaf { word: 1, pos: 27 },
+                ChildEntry::Leaf { word: 2, pos: 0 },
+            ],
+            &[(1, 27, &rules[..3]), (2, 0, &rules[3..])],
+            3,
+        );
+        let engine = Accelerator::new(&program);
+        assert_eq!(
+            engine.classify_packet(&to_port(0, 2)),
+            (MatchResult::Matched(2), cycles(0, 1, 3))
+        );
+        // Rule 4 lives in the other leaf: the miss stops at the marker in
+        // slot 29 instead of running on into word 2.
+        assert_eq!(
+            engine.classify_packet(&to_port(0, 4)),
+            (MatchResult::NoMatch, cycles(0, 1, 3))
+        );
+        assert_eq!(
+            engine.classify_packet(&to_port(0x8000_0000, 4)),
+            (MatchResult::Matched(4), cycles(0, 1, 2))
+        );
+        let packets: Vec<PacketHeader> = (0..8)
+            .flat_map(|k| [to_port(0, k), to_port(0x8000_0000, k)])
+            .collect();
+        assert_walks_agree(&program, &packets);
+    }
+
+    #[test]
+    fn one_rule_image_matches_everything_in_one_fetch() {
+        let program = one_rule_program();
+        let rs = RuleSet::new("one", DimensionSpec::FIVE_TUPLE, program.rules().to_vec()).unwrap();
+        let packets = random_packets(7, &rs, 50);
+        let engine = Accelerator::new(&program);
+        for pkt in &packets {
+            assert_eq!(
+                engine.classify_packet(pkt),
+                (MatchResult::Matched(0), cycles(0, 1, 1))
+            );
+        }
+        assert_walks_agree(&program, &packets);
+    }
 
     fn setup(
         style: SeedStyle,

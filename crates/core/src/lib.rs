@@ -15,11 +15,15 @@
 //!    serialised into 4800-bit memory words (internal nodes first, then
 //!    leaves, packed according to the *speed* parameter), i.e. exactly what
 //!    would be written into the FPGA block RAMs / ASIC SRAM at configuration
-//!    time.
+//!    time.  Building a program also *loads* it: the emitted words are read
+//!    back and decoded once into a private host-side mirror, and an image
+//!    that does not hang together fails there.
 //! 4. [`hw`] — [`hw::Accelerator`]: a cycle-accurate software model of the
 //!    datapath of Figures 4 and 5 (registers A/B/C, one 4800-bit word fetch
 //!    per cycle, 30 parallel rule comparators, root-node traversal of the
-//!    next packet overlapped with the leaf search of the current one).
+//!    next packet overlapped with the leaf search of the current one).  Per
+//!    packet it walks the decoded mirror, never the bits, which keeps its
+//!    host cost near that of a software tree walk.
 //! 5. Deployment — [`hw::Accelerator::classify_trace_banked`] replays a
 //!    trace over a lock-step bank of engines (the "multiple memory blocks
 //!    in parallel" deployment the introduction describes), and
@@ -60,6 +64,7 @@ pub mod bits;
 pub mod builder;
 pub mod encode;
 pub mod hw;
+mod mirror;
 pub mod program;
 
 pub use builder::{BuildConfig, BuildError, CutAlgorithm, SpeedMode};

@@ -15,10 +15,21 @@
 //! * word 0 holds the root node; the accelerator preloads it into register A
 //!   at reset, which is why the root's memory access does not appear in the
 //!   per-packet cycle counts.
+//!
+//! Building a program is the model's *configuration time*: the words are
+//! emitted and then, the way a device is loaded once before traffic flows,
+//! read back and decoded once into the private mirror (`mirror.rs`) that
+//! [`crate::hw::Accelerator`] walks per packet.  The mirror is built from
+//! the emitted bits alone, and a malformed image fails there, at load.
+//! [`HardwareProgram::memory_bytes`] and [`ProgramStats::memory_bytes`]
+//! count device memory only (`words × 600` bytes); the mirror is host
+//! memory of the simulator beside it, about 1,460 bytes per word plus 4 per
+//! selectable child entry (≈0.7 MiB for a 503-word image).
 
 use crate::bits::{zero_word, Word};
 use crate::builder::{BuildConfig, BuildError, HwNode, HwTree};
 use crate::encode::{write_internal, write_rule, ChildEntry, NodeHeader};
+use crate::mirror::Mirror;
 use crate::{DEFAULT_WORD_CAPACITY, RULES_PER_WORD, WORD_BYTES};
 use pclass_algos::counters::BuildStats;
 use pclass_types::{DimensionSpec, Rule, RuleSet, FIELD_COUNT};
@@ -40,7 +51,8 @@ pub struct ProgramStats {
     pub leaf_words: usize,
     /// Total memory words used.
     pub total_words: usize,
-    /// Bytes of accelerator memory used (`total_words * 600`).
+    /// Bytes of accelerator memory used (`total_words * 600`; device SRAM,
+    /// not the simulator's host memory).
     pub memory_bytes: usize,
     /// Total rule images stored in leaves (counts replication).
     pub stored_rules: usize,
@@ -55,6 +67,8 @@ pub struct ProgramStats {
 #[derive(Debug, Clone)]
 pub struct HardwareProgram {
     words: Vec<Word>,
+    /// `words`, decoded once (see the module docs).
+    mirror: Mirror,
     config: BuildConfig,
     stats: ProgramStats,
     build_stats: BuildStats,
@@ -100,8 +114,8 @@ impl HardwareProgram {
         stats
     }
 
-    /// Serialises an already-built tree (used by the ablation benches).
-    pub fn from_tree(
+    /// Serialises an already-built tree and decodes the emitted image.
+    fn from_tree(
         tree: HwTree,
         config: &BuildConfig,
         word_capacity: usize,
@@ -184,6 +198,7 @@ impl HardwareProgram {
             tree_depth: layout.tree_depth,
         };
         Ok(HardwareProgram {
+            mirror: Mirror::decode(&words),
             words,
             config: *config,
             stats,
@@ -192,6 +207,22 @@ impl HardwareProgram {
             spec: tree.spec,
             word_capacity,
         })
+    }
+
+    /// This program with its image replaced by `words` and decoded afresh:
+    /// how tests load hand-built or deliberately corrupted images.
+    #[cfg(test)]
+    pub(crate) fn reimaged(&self, words: Vec<Word>) -> HardwareProgram {
+        HardwareProgram {
+            mirror: Mirror::decode(&words),
+            words,
+            ..self.clone()
+        }
+    }
+
+    /// The decoded image the accelerator model walks.
+    pub(crate) fn mirror(&self) -> &Mirror {
+        &self.mirror
     }
 
     /// The memory word at `addr`.
@@ -214,7 +245,8 @@ impl HardwareProgram {
         &self.words[0]
     }
 
-    /// Bytes of accelerator memory used.
+    /// Bytes of accelerator memory used (device SRAM; the host-side decoded
+    /// mirror is not counted).
     pub fn memory_bytes(&self) -> usize {
         self.stats.memory_bytes
     }
