@@ -27,11 +27,10 @@
 //!   [`crate::hypercuts::HyperCutsClassifier`] are.
 
 use crate::counters::{BuildStats, LookupStats};
-use crate::update::{UpdatableClassifier, UpdateError};
 use crate::Classifier;
 use pclass_types::{
     Dimension, DimensionSpec, FieldRange, MatchResult, PacketHeader, Rule, RuleId, RuleSet,
-    UpdateStats, FIELD_COUNT,
+    FIELD_COUNT,
 };
 
 /// Index of a node inside a [`DecisionTree`].
@@ -219,24 +218,16 @@ pub struct TreeStats {
 
 /// A decision tree over a ruleset, produced by a HiCuts- or HyperCuts-style
 /// builder.
+///
+/// The tree is an immutable build product — what a builder emits and
+/// [`crate::flat::FlatTree::from_tree`] or the hardware encoder consumes.
+/// Rule updates are owned by the flat arena alone (see [`crate::update`]).
 #[derive(Debug, Clone)]
 pub struct DecisionTree {
     spec: DimensionSpec,
     rules: Vec<Rule>,
     nodes: Vec<Node>,
     root: NodeId,
-    /// Per rule slot: is the id currently live?  Deletes tombstone the slot
-    /// (the `Rule` content of a dead slot is never read); inserts may revive
-    /// it with a new rule or extend the vector.
-    live: Vec<bool>,
-    /// Number of live rule slots.
-    live_count: usize,
-    /// Per-node reference counts (how many child slots, plus 1 for the
-    /// root, point at each node) — built lazily by the first update and
-    /// maintained by the un-sharing clones thereafter.
-    refs: Option<Vec<u32>>,
-    /// Update-activity counters since the build.
-    update_stats: UpdateStats,
 }
 
 impl DecisionTree {
@@ -244,16 +235,11 @@ impl DecisionTree {
     /// child index must be in bounds (checked in debug builds).
     pub fn new(ruleset: &RuleSet, nodes: Vec<Node>, root: NodeId) -> DecisionTree {
         debug_assert!((root as usize) < nodes.len());
-        let live_count = ruleset.len();
         DecisionTree {
             spec: *ruleset.spec(),
             rules: ruleset.rules().to_vec(),
             nodes,
             root,
-            live: vec![true; live_count],
-            live_count,
-            refs: None,
-            update_stats: UpdateStats::default(),
         }
     }
 
@@ -273,238 +259,9 @@ impl DecisionTree {
     }
 
     /// The rules the tree classifies against (copied from the ruleset at
-    /// build time so the tree is self-contained).  After deletions the
-    /// vector keeps tombstoned slots; filter through [`DecisionTree::is_live`]
-    /// when enumerating.
+    /// build time so the tree is self-contained), indexed by id.
     pub fn rules(&self) -> &[Rule] {
         &self.rules
-    }
-
-    /// Whether the rule slot `id` currently holds a live rule.
-    pub fn is_live(&self, id: RuleId) -> bool {
-        self.live.get(id as usize).copied().unwrap_or(false)
-    }
-
-    /// Number of live rules.
-    pub fn live_rule_count(&self) -> usize {
-        self.live_count
-    }
-
-    /// The live rules in ascending id (= priority) order.
-    pub fn live_rules(&self) -> Vec<Rule> {
-        self.rules
-            .iter()
-            .zip(&self.live)
-            .filter(|(_, &l)| l)
-            .map(|(r, _)| *r)
-            .collect()
-    }
-
-    /// Update-activity counters since the build.
-    pub fn update_stats(&self) -> UpdateStats {
-        self.update_stats
-    }
-
-    /// Inserts a rule at the priority slot `rule.id` (which must not be
-    /// live) by descending only the subtrees the rule's ranges intersect —
-    /// no rebuild.
-    ///
-    /// Placement mirrors what a fresh build would do: the rule lands in
-    /// every leaf a matching packet can reach.  Two structural cases are
-    /// handled on the way down:
-    ///
-    /// * **shared nodes** (merged identical leaves, the builders' shared
-    ///   empty leaf) are un-shared by cloning before mutation, so sharers
-    ///   whose regions the rule does not cover keep their old contents;
-    /// * **compacted cut regions** (HyperCuts region compaction): when the
-    ///   rule extends beyond a node's compacted cut region in a cut
-    ///   dimension, packets outside that region stop at the node — so the
-    ///   rule is parked in the node's `stored_rules` list, which every
-    ///   packet reaching the node scans, instead of descending below it.
-    pub fn insert(&mut self, rule: Rule) -> Result<(), UpdateError> {
-        let id = rule.id;
-        let idx = id as usize;
-        // The occupied range ends at the highest *live* id — the same base
-        // the flat arena uses — so the two structures accept exactly the
-        // same update streams.
-        let occupied_end = self.live.iter().rposition(|&l| l).map_or(0, |i| i + 1);
-        crate::update::validate_insert(&rule, &self.spec, self.is_live(id), occupied_end)?;
-        while self.rules.len() <= idx {
-            // Filler content for the intermediate dead slots; never read.
-            let dead_id = self.rules.len() as RuleId;
-            self.rules.push(Rule::new(dead_id, rule.ranges));
-            self.live.push(false);
-        }
-        self.rules[idx] = rule;
-        self.live[idx] = true;
-        self.live_count += 1;
-        self.ensure_refs();
-        self.insert_at(self.root, rule.ranges, id);
-        self.update_stats.inserts += 1;
-        Ok(())
-    }
-
-    /// Deletes the live rule `id`, descending only the subtrees its ranges
-    /// intersect and tombstoning its rule slot.
-    pub fn delete(&mut self, id: RuleId) -> Result<(), UpdateError> {
-        if !self.is_live(id) {
-            return Err(UpdateError::UnknownRuleId(id));
-        }
-        let ranges = self.rules[id as usize].ranges;
-        self.delete_at(self.root, &ranges, id);
-        self.live[id as usize] = false;
-        self.live_count -= 1;
-        self.update_stats.deletes += 1;
-        Ok(())
-    }
-
-    /// Builds the per-node reference counts on the first update.
-    fn ensure_refs(&mut self) {
-        if self.refs.is_some() {
-            return;
-        }
-        let mut refs = vec![0u32; self.nodes.len()];
-        refs[self.root as usize] = 1;
-        for node in &self.nodes {
-            if let NodeKind::Internal { children, .. } = &node.kind {
-                for &c in children {
-                    refs[c as usize] += 1;
-                }
-            }
-        }
-        self.refs = Some(refs);
-    }
-
-    /// Clones node `n` (sharing its grandchildren), returning the clone's
-    /// id.  The caller repoints exactly one child slot from `n` to the
-    /// clone; reference counts are adjusted here.
-    fn clone_node(&mut self, n: NodeId) -> NodeId {
-        let clone = self.nodes[n as usize].clone();
-        let clone_id = self.nodes.len() as NodeId;
-        let refs = self.refs.as_mut().expect("refs built before cloning");
-        refs[n as usize] -= 1;
-        refs.push(1);
-        if let NodeKind::Internal { children, .. } = &clone.kind {
-            for &g in children {
-                refs[g as usize] += 1;
-            }
-        }
-        self.nodes.push(clone);
-        clone_id
-    }
-
-    /// Recursive insert descent (see [`DecisionTree::insert`]).  `clip` is
-    /// the rule's ranges intersected with the cut constraints accumulated
-    /// along the path; only cut dimensions matter for placement, because
-    /// traversal routes packets by cut dimensions alone.
-    fn insert_at(&mut self, node_id: NodeId, clip: [FieldRange; FIELD_COUNT], id: RuleId) {
-        let (cuts, cut_region, child_count) = match &self.nodes[node_id as usize].kind {
-            NodeKind::Leaf { .. } => {
-                if let NodeKind::Leaf { rules } = &mut self.nodes[node_id as usize].kind {
-                    if let Err(pos) = rules.binary_search(&id) {
-                        rules.insert(pos, id);
-                    }
-                }
-                return;
-            }
-            NodeKind::Internal {
-                cuts,
-                cut_region,
-                children,
-                ..
-            } => (cuts.clone(), *cut_region, children.len()),
-        };
-
-        // Compaction escape: packets outside the compacted cut region stop
-        // at this node, so a rule reaching beyond it in a cut dimension
-        // must be searched *at* this node.
-        let escapes = cuts.cut_dimensions().iter().any(|d| {
-            let i = d.index();
-            clip[i].lo < cut_region[i].lo || clip[i].hi > cut_region[i].hi
-        });
-        if escapes {
-            if let NodeKind::Internal { stored_rules, .. } = &mut self.nodes[node_id as usize].kind
-            {
-                if let Err(pos) = stored_rules.binary_search(&id) {
-                    stored_rules.insert(pos, id);
-                }
-            }
-            return;
-        }
-
-        for i in 0..child_count as u64 {
-            let child_region = cuts.child_region(&cut_region, i);
-            let mut child_clip = clip;
-            let mut intersects = true;
-            for d in cuts.cut_dimensions() {
-                let di = d.index();
-                match clip[di].intersect(&child_region[di]) {
-                    Some(r) => child_clip[di] = r,
-                    None => {
-                        intersects = false;
-                        break;
-                    }
-                }
-            }
-            if !intersects {
-                continue;
-            }
-            let mut child = match &self.nodes[node_id as usize].kind {
-                NodeKind::Internal { children, .. } => children[i as usize],
-                NodeKind::Leaf { .. } => unreachable!("kind checked above"),
-            };
-            if self.refs.as_ref().expect("refs built")[child as usize] > 1 {
-                let clone = self.clone_node(child);
-                if let NodeKind::Internal { children, .. } = &mut self.nodes[node_id as usize].kind
-                {
-                    children[i as usize] = clone;
-                }
-                child = clone;
-            }
-            self.insert_at(child, child_clip, id);
-        }
-    }
-
-    /// Recursive delete descent: retraces every path an insert or a fresh
-    /// build could have placed the rule on.  A hit in a `stored_rules`
-    /// list prunes the subtree below it (a stored rule is never also
-    /// stored deeper down).
-    fn delete_at(&mut self, node_id: NodeId, ranges: &[FieldRange; FIELD_COUNT], id: RuleId) {
-        let (cuts, cut_region, child_count) = match &mut self.nodes[node_id as usize].kind {
-            NodeKind::Leaf { rules } => {
-                if let Ok(pos) = rules.binary_search(&id) {
-                    rules.remove(pos);
-                }
-                return;
-            }
-            NodeKind::Internal {
-                cuts,
-                cut_region,
-                children,
-                stored_rules,
-            } => {
-                if let Ok(pos) = stored_rules.binary_search(&id) {
-                    stored_rules.remove(pos);
-                    return;
-                }
-                (cuts.clone(), *cut_region, children.len())
-            }
-        };
-        for i in 0..child_count as u64 {
-            let child_region = cuts.child_region(&cut_region, i);
-            let intersects = cuts
-                .cut_dimensions()
-                .iter()
-                .all(|d| ranges[d.index()].overlaps(&child_region[d.index()]));
-            if !intersects {
-                continue;
-            }
-            let child = match &self.nodes[node_id as usize].kind {
-                NodeKind::Internal { children, .. } => children[i as usize],
-                NodeKind::Leaf { .. } => unreachable!("kind checked above"),
-            };
-            self.delete_at(child, ranges, id);
-        }
     }
 
     /// Classifies a packet, optionally recording work into `stats`.
@@ -585,7 +342,7 @@ impl DecisionTree {
     /// Memory footprint of the structure plus the stored ruleset under the
     /// software [`MemoryModel`].
     pub fn memory_bytes(&self) -> usize {
-        let mut bytes = self.live_count * MemoryModel::RULE_BYTES;
+        let mut bytes = self.rules.len() * MemoryModel::RULE_BYTES;
         for node in &self.nodes {
             match &node.kind {
                 NodeKind::Internal {
@@ -1093,28 +850,6 @@ impl<C: CutPolicy> Classifier for CutTreeClassifier<C> {
     }
 }
 
-impl<C: CutPolicy> UpdatableClassifier for CutTreeClassifier<C> {
-    fn insert(&mut self, rule: Rule) -> Result<(), UpdateError> {
-        self.tree.insert(rule)
-    }
-
-    fn delete(&mut self, rule_id: RuleId) -> Result<(), UpdateError> {
-        self.tree.delete(rule_id)
-    }
-
-    fn live_rules(&self) -> Vec<Rule> {
-        self.tree.live_rules()
-    }
-
-    fn spec(&self) -> DimensionSpec {
-        *self.tree.spec()
-    }
-
-    fn update_stats(&self) -> UpdateStats {
-        self.tree.update_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1267,113 +1002,5 @@ mod tests {
         let dump = tree.dump();
         assert!(dump.contains("src_ip x4"));
         assert!(dump.contains("leaf ["));
-    }
-
-    /// Sweeps a packet grid comparing the tree against linear search over
-    /// its live rules.
-    fn assert_matches_live_linear(tree: &DecisionTree) {
-        let live = tree.live_rules();
-        for f0 in (0..256).step_by(5) {
-            for f4 in (0..256).step_by(9) {
-                let pkt = PacketHeader::from_fields([f0, 80, 40, 180, f4]);
-                let expected = crate::update::classify_live_linear(&live, &pkt);
-                assert_eq!(tree.classify(&pkt, None), expected, "packet {pkt:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn delete_then_reinsert_round_trips() {
-        let rs = toy::table1_ruleset();
-        let mut tree = tiny_tree();
-        assert_eq!(tree.live_rule_count(), 10);
-        tree.delete(5).unwrap();
-        assert!(!tree.is_live(5));
-        assert_eq!(tree.live_rule_count(), 9);
-        assert_matches_live_linear(&tree);
-        assert_eq!(tree.delete(5), Err(UpdateError::UnknownRuleId(5)));
-        tree.insert(rs.rules()[5]).unwrap();
-        assert!(tree.is_live(5));
-        assert_matches_live_linear(&tree);
-        assert_eq!(
-            tree.insert(rs.rules()[5]),
-            Err(UpdateError::DuplicateRuleId(5))
-        );
-        let stats = tree.update_stats();
-        assert_eq!((stats.inserts, stats.deletes), (1, 1));
-    }
-
-    #[test]
-    fn insert_beyond_current_ids_appends_at_lowest_priority() {
-        let mut tree = tiny_tree();
-        // A wildcard rule far past the current id range: matches whenever
-        // nothing else does.
-        let spec = *tree.spec();
-        tree.insert(Rule::wildcard(17, &spec)).unwrap();
-        assert!(tree.is_live(17));
-        assert!(!tree.is_live(12));
-        assert_eq!(tree.live_rule_count(), 11);
-        assert_matches_live_linear(&tree);
-        // Every packet now matches something.
-        let pkt = PacketHeader::from_fields([255, 255, 255, 255, 255]);
-        assert_eq!(tree.classify(&pkt, None), MatchResult::Matched(17));
-    }
-
-    #[test]
-    fn insert_rejects_ids_far_beyond_the_occupied_range() {
-        let mut tree = tiny_tree();
-        let spec = *tree.spec();
-        // Within the gap: fine (and allocates only gap-many slots).
-        tree.insert(Rule::wildcard(1_000, &spec)).unwrap();
-        // u32::MAX is the lookup sentinel and unboundedly far: rejected
-        // without allocating.
-        let err = tree.insert(Rule::wildcard(u32::MAX, &spec)).unwrap_err();
-        assert!(matches!(err, UpdateError::RuleIdTooSparse { .. }));
-        let err = tree.insert(Rule::wildcard(2_000_000, &spec)).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                UpdateError::RuleIdTooSparse {
-                    rule: 2_000_000,
-                    ..
-                }
-            ),
-            "{err:?}"
-        );
-        assert_eq!(tree.live_rule_count(), 11);
-    }
-
-    #[test]
-    fn insert_rejects_out_of_width_ranges() {
-        let mut tree = tiny_tree();
-        let mut rule = Rule::wildcard(20, tree.spec());
-        rule.ranges[0] = FieldRange::new(0, 300); // exceeds the toy 8-bit dim
-        assert!(matches!(
-            tree.insert(rule),
-            Err(UpdateError::RangeExceedsWidth { rule: 20, .. })
-        ));
-        assert!(!tree.is_live(20));
-        assert_eq!(tree.live_rule_count(), 10);
-    }
-
-    #[test]
-    fn updates_unshare_merged_leaves() {
-        use crate::hicuts::{HiCutsClassifier, HiCutsConfig};
-        let rs = toy::table1_ruleset();
-        let built = HiCutsClassifier::build(&rs, &HiCutsConfig::figure1());
-        let mut tree = built.tree().clone();
-        // A narrow rule that reaches only part of the space: any leaf
-        // shared with an untouched region must be unshared, not mutated.
-        let mut rule = Rule::wildcard(12, tree.spec());
-        rule.ranges[0] = FieldRange::new(3, 7);
-        rule.ranges[4] = FieldRange::new(200, 210);
-        tree.insert(rule).unwrap();
-        assert_matches_live_linear(&tree);
-        tree.delete(12).unwrap();
-        assert_matches_live_linear(&tree);
-        for id in [0u32, 3, 9] {
-            tree.delete(id).unwrap();
-        }
-        assert_matches_live_linear(&tree);
     }
 }

@@ -88,10 +88,11 @@
 //!
 //! # Incremental updates
 //!
-//! The arena is *patchable in place* ([`FlatTree::insert`] /
-//! [`FlatTree::delete`]): an update descends only the subtrees the rule's
-//! ranges intersect (un-sharing merged leaves on the way down, exactly like
-//! the pointer tree) and edits the leaf's rule span inside the slab.  A
+//! The arena is the one structure that takes rule updates — the pointer
+//! tree is an immutable build product — and it is *patchable in place*
+//! ([`FlatTree::insert`] / [`FlatTree::delete`]): an update descends only
+//! the subtrees the rule's ranges intersect (un-sharing merged leaves on
+//! the way down) and edits the leaf's rule span inside the slab.  A
 //! delete shrinks the span, leaving a free slot of *slack* behind; an
 //! insert first fills span slack and only when the span is full **moves the
 //! span** to the slab end with fresh slack, so a node's rules always have
@@ -447,11 +448,7 @@ impl FlatTree {
             children: Vec::new(),
             rule_slab: Vec::new(),
             dead_slots: 0,
-            live: rules
-                .iter()
-                .filter(|r| tree.is_live(r.id))
-                .map(|r| (r.id, PackedRule::new(r)))
-                .collect(),
+            live: rules.iter().map(|r| (r.id, PackedRule::new(r))).collect(),
             refs: None,
             update_stats: UpdateStats::default(),
         };
@@ -919,13 +916,18 @@ impl FlatTree {
     /// Inserts a rule at the (currently unused) priority slot `rule.id` by
     /// patching the arena in place — no rebuild, no re-flatten.
     ///
-    /// The descent mirrors [`DecisionTree::insert`]: only subtrees the
-    /// rule's ranges intersect are visited, shared nodes are un-shared by
-    /// cloning (the clone's span gets fresh slack at the slab end), a rule
-    /// reaching beyond a node's compacted cut region in a cut dimension is
-    /// parked in that node's stored span, and the rule image lands in each
-    /// target span in ascending id order — a full span first moves to the
-    /// slab end, where it gets fresh slack.
+    /// Placement is what a fresh build would do — the rule lands in every
+    /// span a matching packet can reach: only subtrees the rule's ranges
+    /// intersect are visited; shared nodes (merged identical leaves, the
+    /// builders' shared empty leaf) are un-shared by cloning before
+    /// mutation (the clone's span gets fresh slack at the slab end), so
+    /// sharers whose regions the rule does not cover keep their contents;
+    /// a rule reaching beyond a node's compacted cut region in a cut
+    /// dimension is parked in that node's stored span, which every packet
+    /// reaching the node scans (packets outside the region stop there);
+    /// and the rule image lands in each target span in ascending id order
+    /// — a full span first moves to the slab end, where it gets fresh
+    /// slack.
     pub fn insert(&mut self, rule: &Rule) -> Result<(), UpdateError> {
         // The shared checks also keep every live id strictly below the
         // NO_MATCH lookup sentinel.
@@ -1669,13 +1671,38 @@ mod tests {
         let (_, flatc) = toy_flat();
         let mut flat = flatc.flat_tree().clone();
         let spec = *flat.spec();
+        // Within the gap: an append at the lowest priority, which decides
+        // every packet nothing else matches.
+        let unmatched = PacketHeader::from_fields([255, 255, 255, 255, 255]);
+        assert_eq!(flat.classify(&unmatched, None), MatchResult::NoMatch);
         flat.insert(&Rule::wildcard(1_000, &spec)).unwrap();
+        assert_eq!(flat.classify(&unmatched, None), MatchResult::Matched(1_000));
+        let accepted = (flat.live_rules(), flat.arena_stats());
         // The NO_MATCH sentinel (u32::MAX) must never become a live id —
         // it would be silently unmatchable.
         let err = flat.insert(&Rule::wildcard(u32::MAX, &spec)).unwrap_err();
         assert!(matches!(err, UpdateError::RuleIdTooSparse { .. }));
         let err = flat.insert(&Rule::wildcard(2_000_000, &spec)).unwrap_err();
-        assert!(matches!(err, UpdateError::RuleIdTooSparse { .. }));
+        assert!(
+            matches!(
+                err,
+                UpdateError::RuleIdTooSparse {
+                    rule: 2_000_000,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        // The other geometry check: a range wider than the toy 8-bit
+        // dimension.
+        let mut wide = Rule::wildcard(20, &spec);
+        wide.ranges[0] = FieldRange::new(0, 300);
+        assert!(matches!(
+            flat.insert(&wide),
+            Err(UpdateError::RangeExceedsWidth { rule: 20, .. })
+        ));
+        // A rejected insert leaves the structure as it was.
+        assert_eq!((flat.live_rules(), flat.arena_stats()), accepted);
         assert_eq!(flat.live_rule_count(), 11);
         assert_matches_live_linear(&flat);
     }

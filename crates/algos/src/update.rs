@@ -2,20 +2,22 @@
 //!
 //! The paper's classifiers are built once and served forever, but real
 //! rulesets churn — firewall pushes, ACL edits — while traffic keeps
-//! flowing.  This module defines the update interface shared by the
-//! structures that support patching a built search structure in place:
+//! flowing.  This module defines the update interface, and one structure
+//! owns rule updates behind it: the flat arena.
 //!
-//! * [`crate::dtree::DecisionTree`] (and through it the HiCuts and
-//!   HyperCuts classifiers) inserts and deletes rules by descending only
-//!   the subtrees the rule's ranges intersect, un-sharing merged leaves on
-//!   the way down;
-//! * [`crate::flat::FlatTree`] patches its leaf rule spans in place via
+//! * [`crate::flat::FlatTree`] inserts and deletes rules by descending
+//!   only the subtrees the rule's ranges intersect, un-sharing merged
+//!   leaves on the way down.  It patches its leaf rule spans in place via
 //!   per-node free-slot slack, moving a full span to the slab end (with
 //!   fresh slack) and re-flattening (amortized) once the dead slots moved
 //!   spans leave behind make up too much of the slab.
+//! * [`crate::dtree::DecisionTree`] — the pointer tree the HiCuts and
+//!   HyperCuts builders emit — is an immutable build product.  A built
+//!   classifier becomes updatable through
+//!   [`flatten`](crate::dtree::CutTreeClassifier::flatten).
 //!
-//! Both run [`validate_insert`] before touching anything, so they accept
-//! and reject exactly the same update streams.
+//! Every insert passes [`validate_insert`] before anything is touched, so
+//! what an update stream may contain is defined in one place.
 //!
 //! Rule identity and priority stay fused (lower id wins), so an update
 //! stream works over a *sparse* id space: deleting rule 57 frees the id,
@@ -55,10 +57,8 @@ pub enum UpdateError {
     },
     /// `insert` was given an id too far beyond the structure's current id
     /// range.  The sparse-id model allows gaps, but a bounded one
-    /// ([`MAX_ID_GAP`] past the occupied range): the pointer tree holds
-    /// one slot per id up to the maximum, so an unbounded id would
-    /// allocate unboundedly, and `u32::MAX` is reserved as the lookup
-    /// no-match sentinel.
+    /// ([`MAX_ID_GAP`] past the occupied range), and `u32::MAX` is never
+    /// insertable: it is reserved as the lookup no-match sentinel.
     RuleIdTooSparse {
         /// Offending rule id.
         rule: RuleId,
@@ -80,8 +80,8 @@ pub fn id_limit(occupied_end: usize) -> RuleId {
     (occupied_end as u64 + u64::from(MAX_ID_GAP)).min(u64::from(u32::MAX) - 1) as RuleId
 }
 
-/// The checks every structure runs before an `insert` touches it, so all of
-/// them accept exactly the same update streams: the slot must not be live,
+/// The checks an updatable structure runs before an `insert` touches it, so
+/// every one accepts exactly the same update streams: the slot must not be live,
 /// the id must lie below [`id_limit`] of the structure's occupied range
 /// (`occupied_end` = highest live id + 1), and every range must fit the
 /// geometry.
@@ -142,10 +142,37 @@ impl std::error::Error for UpdateError {}
 /// A [`Classifier`] whose rule set can be patched in place, without a full
 /// rebuild, while keeping decisions exactly first-match-by-id.
 ///
-/// Implemented by the HiCuts/HyperCuts pointer-tree classifiers and the
-/// flat-arena [`crate::flat::FlatTreeClassifier`]; the epoch-swap serving
-/// cell in `pclass-engine` drives this trait on the snapshot its readers
-/// have drained from while they keep serving the published one.
+/// Implemented by the flat-arena [`crate::flat::FlatTreeClassifier`] (and
+/// by [`crate::hotcache::CachedClassifier`] over an updatable inner
+/// classifier); the epoch-swap serving cell in `pclass-engine` drives this
+/// trait on the snapshot its readers have drained from while they keep
+/// serving the published one.
+///
+/// The pointer-tree classifiers are immutable build products and do
+/// **not** implement it:
+///
+/// ```compile_fail,E0277
+/// use pclass_algos::{HiCutsClassifier, UpdatableClassifier};
+/// fn updatable<C: UpdatableClassifier>() {}
+/// updatable::<HiCutsClassifier>();
+/// ```
+///
+/// (E0277, the unsatisfied bound, is the error meant; the example below
+/// imports the same paths, so a rename breaks it rather than passing
+/// here.)  A built classifier takes updates once it is flattened:
+///
+/// ```
+/// use pclass_algos::{FlatTreeClassifier, HiCutsClassifier, HiCutsConfig, UpdatableClassifier};
+/// use pclass_types::toy;
+///
+/// fn updatable<C: UpdatableClassifier>() {}
+/// updatable::<FlatTreeClassifier>();
+///
+/// let built = HiCutsClassifier::build(&toy::table1_ruleset(), &HiCutsConfig::figure1());
+/// let mut flat = built.flatten();
+/// flat.delete(5).unwrap();
+/// assert_eq!(flat.live_rules().len(), 9);
+/// ```
 pub trait UpdatableClassifier: Classifier {
     /// Inserts a rule at the priority slot given by `rule.id`, which must
     /// not be live.

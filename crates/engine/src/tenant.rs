@@ -579,6 +579,26 @@ struct AdmissionState {
     evicted: u64,
 }
 
+impl AdmissionState {
+    /// Drops pooled slices, largest by `size` first, until `fits` accepts
+    /// the pool's remaining total or the pool is empty; returns that total.
+    fn release_pooled_until(
+        &mut self,
+        size: impl Fn(&HotCache) -> usize,
+        fits: impl Fn(usize) -> bool,
+    ) -> usize {
+        self.free_caches.sort_by_key(|c| size(c));
+        let mut pooled: usize = self.free_caches.iter().map(|c| size(c)).sum();
+        while !fits(pooled) {
+            match self.free_caches.pop() {
+                Some(released) => pooled -= size(&released),
+                None => break,
+            }
+        }
+        pooled
+    }
+}
+
 #[derive(Default)]
 struct TenantAccum {
     pkts: u64,
@@ -822,15 +842,10 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
                         .filter_map(|e| e.cache.as_ref())
                         .map(|c| c.slot_count())
                         .sum();
-                    admission.free_caches.sort_by_key(|c| c.slot_count());
-                    let remaining = loop {
-                        let pooled: usize =
-                            admission.free_caches.iter().map(|c| c.slot_count()).sum();
-                        let remaining = geometry.capacity.saturating_sub(live + pooled);
-                        if remaining >= desired || admission.free_caches.pop().is_none() {
-                            break remaining;
-                        }
-                    };
+                    let remaining = |pooled: usize| geometry.capacity.saturating_sub(live + pooled);
+                    let pooled = admission
+                        .release_pooled_until(HotCache::slot_count, |p| remaining(p) >= desired);
+                    let remaining = remaining(pooled);
                     Arc::new(HotCache::new(HotCacheConfig::new(
                         desired.min(remaining),
                         geometry.assoc,
@@ -871,12 +886,10 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
             }
         }
         if let Some(budget) = self.memory_budget {
-            let in_use: usize = roster
-                .live_entries()
-                .map(|e| e.memory.total_bytes)
-                .chain(admission.free_caches.iter().map(|c| c.memory_bytes()))
-                .sum();
-            if in_use + memory.total_bytes > budget {
+            let live: usize = roster.live_entries().map(|e| e.memory.total_bytes).sum();
+            if live + memory.total_bytes > budget {
+                let pooled: usize = admission.free_caches.iter().map(|c| c.memory_bytes()).sum();
+                let in_use = live + pooled;
                 return reject(
                     &mut admission,
                     AdmissionError::RouterOverBudget {
@@ -887,6 +900,12 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
                     },
                 );
             }
+            // Idle pooled slices are charged, but must not refuse a tenant
+            // they could make room for: they are released, largest first,
+            // until it fits (it does once the pool is empty).
+            admission.release_pooled_until(HotCache::memory_bytes, |pooled| {
+                live + pooled + memory.total_bytes <= budget
+            });
         }
 
         let slot = roster

@@ -48,8 +48,8 @@ pub struct ArenaStats {
 /// activity.
 ///
 /// Tracked by the rebuild-free `insert`/`delete` paths of
-/// `pclass_algos::dtree::DecisionTree` and `pclass_algos::flat::FlatTree`;
-/// it lives here, next to [`ArenaStats`], so every crate that serializes
+/// `pclass_algos::flat::FlatTree`, the one structure that takes rule
+/// updates; it lives here, next to [`ArenaStats`], so every crate that serializes
 /// measurements shares one definition.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UpdateStats {
@@ -58,8 +58,7 @@ pub struct UpdateStats {
     /// Rules deleted since the structure was built.
     pub deletes: u64,
     /// Amortized re-flatten compactions triggered when the dead share of
-    /// the rule slab crossed the arena's trigger (flat arenas only; always
-    /// 0 for pointer trees).
+    /// the rule slab crossed the arena's trigger.
     pub reflattens: u64,
     /// Always 0: the flat arena no longer has an overflow side-table (a
     /// full span moves to the slab end instead).  The field is retained

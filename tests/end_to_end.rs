@@ -192,8 +192,8 @@ fn tcam_storage_efficiency_sits_in_the_papers_band() {
 #[test]
 fn worst_case_cycles_scale_like_table4() {
     // Table 4: ACL-style sets stay at a handful of cycles even as the
-    // ruleset grows by an order of magnitude, and FW-style sets need more
-    // memory than ACL sets of the same size.
+    // ruleset grows by an order of magnitude, and FW-style sets need far
+    // more memory than ACL sets.
     let acl_small = HardwareProgram::build_with_capacity(
         &ClassBenchGenerator::new(SeedStyle::Acl, 3).generate(300),
         &BuildConfig::paper_defaults(CutAlgorithm::HyperCuts),
@@ -210,18 +210,24 @@ fn worst_case_cycles_scale_like_table4() {
     assert!(acl_large.worst_case_cycles() <= 8);
     assert!(acl_large.memory_bytes() > acl_small.memory_bytes());
 
-    let fw = HardwareProgram::build_with_capacity(
-        &ClassBenchGenerator::new(SeedStyle::Fw, 3).generate(5_000),
-        &BuildConfig::paper_defaults(CutAlgorithm::HyperCuts),
-        4096,
-    );
-    match fw {
-        Ok(p) => assert!(p.memory_bytes() > acl_large.memory_bytes()),
-        // FW-style sets legitimately exceed even the 4096-word budget at
-        // this size; that is itself the Table 4 trend (fw1 ≫ acl1).
-        Err(e) => assert!(
-            matches!(e, pclass_core::builder::BuildError::CapacityExceeded { .. }),
-            "{e}"
+    // fw1 ≫ acl1: a fifth of the rules already needs more words (3,796 vs
+    // 2,280), and doubling them again overflows the 4096-word budget
+    // (44,771 words).
+    let fw = |rules| {
+        HardwareProgram::build_with_capacity(
+            &ClassBenchGenerator::new(SeedStyle::Fw, 3).generate(rules),
+            &BuildConfig::paper_defaults(CutAlgorithm::HyperCuts),
+            4096,
+        )
+    };
+    let fw_fits = fw(1_000).unwrap();
+    assert!(fw_fits.word_count() > acl_large.word_count());
+    let fw_overflows = fw(2_000).unwrap_err();
+    assert!(
+        matches!(
+            fw_overflows,
+            pclass_core::builder::BuildError::CapacityExceeded { capacity: 4096, .. }
         ),
-    }
+        "{fw_overflows}"
+    );
 }

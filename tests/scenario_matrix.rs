@@ -208,7 +208,6 @@ proptest! {
         rules in 4usize..150,
         packets in 16usize..300,
         binth in 2usize..24,
-        flat in proptest::arbitrary::any::<bool>(),
         cached in proptest::arbitrary::any::<bool>(),
     ) {
         let rs = ClassBenchGenerator::new(SeedStyle::Acl, seed).generate(rules);
@@ -216,20 +215,15 @@ proptest! {
         let stream = SustainedStream::new(&rs, &trace);
         let hc = HiCutsConfig { binth, spfac: 4.0 };
         let cache = cached.then(|| HotCacheConfig::new(256, 4));
-        if flat {
-            let build = |rs: &RuleSet| HiCutsClassifier::build(rs, &hc).flatten();
-            assert_serves_correctly_while_the_stream_lands(&rs, build, &trace, &stream, cache);
-        } else {
-            let build = |rs: &RuleSet| HiCutsClassifier::build(rs, &hc);
-            assert_serves_correctly_while_the_stream_lands(&rs, build, &trace, &stream, cache);
-        }
+        let build = |rs: &RuleSet| HiCutsClassifier::build(rs, &hc).flatten();
+        assert_serves_correctly_while_the_stream_lands(&rs, build, &trace, &stream, cache);
     }
 }
 
 /// The sustained stream pinned as a deterministic test: acl1 at 2 k rules,
-/// 2 % replaced one update per generation under a serving `LiveEngine`, on
-/// the flat arena and the pointer tree, cache off and behind a hot cache
-/// small enough to keep evicting.
+/// 2 % replaced one update per generation under a serving `LiveEngine` over
+/// the flat arena, cache off and behind a hot cache small enough to keep
+/// evicting.
 #[test]
 fn sustained_cell_on_acl1_2000_verifies_and_spans_the_window() {
     let rs = pclass_bench::acl_ruleset(2_000);
@@ -238,11 +232,9 @@ fn sustained_cell_on_acl1_2000_verifies_and_spans_the_window() {
     assert_eq!(stream.updates.len(), 80, "2% of 2000, delete+insert pairs");
 
     let hc = HiCutsConfig::paper_defaults();
+    let flat = |rs: &RuleSet| HiCutsClassifier::build(rs, &hc).flatten();
     for cache in [None, Some(HotCacheConfig::new(256, 4))] {
-        let flat = |rs: &RuleSet| HiCutsClassifier::build(rs, &hc).flatten();
         assert_serves_correctly_while_the_stream_lands(&rs, flat, &trace, &stream, cache);
-        let tree = |rs: &RuleSet| HiCutsClassifier::build(rs, &hc);
-        assert_serves_correctly_while_the_stream_lands(&rs, tree, &trace, &stream, cache);
     }
 }
 
@@ -307,21 +299,7 @@ fn deep_and_delete_heavy_streams_match_rebuild_on_every_updatable() {
             &rs,
             &updates,
             &headers,
-            |rs| HiCutsClassifier::build(rs, &HiCutsConfig::paper_defaults()),
-            tag,
-        );
-        check(
-            &rs,
-            &updates,
-            &headers,
             |rs| HiCutsClassifier::build(rs, &HiCutsConfig::paper_defaults()).flatten(),
-            tag,
-        );
-        check(
-            &rs,
-            &updates,
-            &headers,
-            |rs| HyperCutsClassifier::build(rs, &HyperCutsConfig::paper_defaults()),
             tag,
         );
         check(
@@ -333,7 +311,7 @@ fn deep_and_delete_heavy_streams_match_rebuild_on_every_updatable() {
         );
     }
     // Delete-heavy genuinely drains: fewer live rules than the base set.
-    let mut c = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
+    let mut c = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults()).flatten();
     for u in ChurnProfile::DeleteHeavy.stream(&rs) {
         c.apply(&u).expect("drain applies");
     }

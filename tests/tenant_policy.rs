@@ -3,7 +3,7 @@
 //! generation-tagged handle semantics, and cache-slice recycling across
 //! eviction generations.
 //!
-//! Five behaviours are pinned down:
+//! Six behaviours are pinned down:
 //!
 //! * **Evict + admit mid-trace** — evicting one tenant and admitting a
 //!   replacement leaves every surviving tenant's decisions bit-identical
@@ -21,6 +21,10 @@
 //!   slice too large for the next tenant's share is released to pay for a
 //!   fresh, smaller one instead of idling in the pool while the newcomer
 //!   runs uncached.
+//! * **An idle pooled slice does not refuse a tenant** — under a
+//!   router-wide memory budget a freed slice is released, not left to
+//!   idle, when its bytes are what stands between a newcomer and
+//!   admission.
 //! * **Weighted fairness at 16 tenants** — one weight-4 tenant beside
 //!   fifteen weight-1 tenants, offered load in weight proportion: every
 //!   tenant's SLO-relative share lands within ±10 % of 1.0 and the
@@ -259,6 +263,55 @@ fn oversized_pooled_slice_is_released_to_pay_for_a_fresh_grant() {
         full - evicted.total_bytes + report.total_bytes
     );
     let tagged = TaggedTrace::interleave("newcomer", &[(newcomer, trace_new)]);
+    assert_eq!(
+        router.classify_tagged(&tagged).results,
+        trace_new.ground_truth(rs_new)
+    );
+}
+
+/// The router-wide memory budget charges pooled slices, but a router must
+/// not refuse a tenant over bytes it could free itself: two cached tenants
+/// fill the budget exactly, one leaves, and a `cache_share(0)` newcomer —
+/// which wants no slice, so the cache grant neither recycles nor releases
+/// the idle one — is larger than the evicted classifier by less than that
+/// slice.  It used to be refused with `RouterOverBudget`.
+#[test]
+fn idle_pooled_slice_is_released_to_fit_a_tenant_in_the_memory_budget() {
+    let workloads = tenant_workloads(12, 3, 10);
+    let cached_pair = |config: EngineConfig| {
+        config
+            .hot_cache(HotCacheConfig::new(4096, 4))
+            .tenant_router(workloads[..2].iter().enumerate().map(|(t, (rs, _))| {
+                (
+                    TenantSpec::new(format!("t{t}")),
+                    LinearClassifier::new(rs.clone()),
+                )
+            }))
+    };
+    let footprint = cached_pair(EngineConfig::new()).memory_in_use();
+    let router = cached_pair(EngineConfig::new().memory_budget(footprint));
+    let ids = router.tenant_ids();
+    assert_eq!(router.memory_in_use(), footprint);
+    assert_eq!(router.cache_slot_total(), 4096, "2,048 slots each");
+    let evicted = router.memory_report(ids[0]);
+    router.evict(ids[0]).expect("live tenant evicts");
+
+    let (rs_new, trace_new) = &workloads[2];
+    let classifier = LinearClassifier::new(rs_new.clone());
+    let bytes = classifier.memory_bytes();
+    assert!(evicted.classifier_bytes < bytes && bytes < evicted.total_bytes);
+    let newcomer = router
+        .admit(TenantSpec::new("uncached").cache_share(0), classifier)
+        .expect("dropping the idle slice fits the tenant");
+
+    let report = router.memory_report(newcomer);
+    assert_eq!(
+        router.memory_in_use(),
+        footprint - evicted.total_bytes + report.total_bytes
+    );
+    assert!(Some(router.memory_in_use()) <= router.memory_budget());
+    assert_eq!(router.cache_slot_total(), 2048, "exactly the idle slice");
+    let tagged = TaggedTrace::interleave("uncached", &[(newcomer, trace_new)]);
     assert_eq!(
         router.classify_tagged(&tagged).results,
         trace_new.ground_truth(rs_new)
