@@ -24,9 +24,14 @@
 //! * one shared **child slab** holding every child pointer array
 //!   back-to-back, addressed by `(child_base + index)`;
 //! * one shared **rule slab** with all leaf rule lists and pushed-up rule
-//!   lists packed end to end as inline rule *images* (id + the five range
-//!   pairs), addressed by `(offset, len)` — a leaf scan is one sequential
-//!   read, with no second indirection into a rules array.
+//!   lists packed end to end as 4-byte rule **ids**, addressed by
+//!   `(offset, len)`;
+//! * one **rule table** indexed by id holding each rule's image (the five
+//!   range pairs) exactly **once**, one cache line per rule — the paper's
+//!   software memory model (a leaf holds references, a rule is stored
+//!   once; [`crate::dtree::MemoryModel`]).  A scan reads the id off the
+//!   slab, drops it there if it cannot beat the best match so far, and
+//!   only otherwise loads the rule's line.
 //!
 //! Nodes are renumbered in breadth-first discovery order during
 //! [`FlatTree::from_tree`], so the records of one tree level are contiguous
@@ -58,7 +63,7 @@
 //!   high-multiply then divides exactly for every 32-bit offset), so the
 //!   hot loop contains no division at all — and the first cut record is
 //!   read straight off the node's record line, never from the cut slab;
-//! * leaf and stored-rule scans compare the packed rule images **branch
+//! * leaf and stored-rule scans compare the rule images **branch
 //!   free** in blocks of `SCAN_BLOCK`: all five range pairs of a block
 //!   are tested with non-short-circuiting compares into a bitmask and the
 //!   first match is taken from the mask, preserving the scalar early-exit
@@ -92,7 +97,9 @@
 //! tree is an immutable build product — and it is *patchable in place*
 //! ([`FlatTree::insert`] / [`FlatTree::delete`]): an update descends only
 //! the subtrees the rule's ranges intersect (un-sharing merged leaves on
-//! the way down) and edits the leaf's rule span inside the slab.  A
+//! the way down) and edits the leaf's span of rule ids inside the slab;
+//! the rule's image is written to (or retired from) its one line of the
+//! rule table, which is also the arena's record of which ids are live.  A
 //! delete shrinks the span, leaving a free slot of *slack* behind; an
 //! insert first fills span slack and only when the span is full **moves the
 //! span** to the slab end with fresh slack, so a node's rules always have
@@ -113,12 +120,12 @@ use pclass_types::{
     ArenaStats, DimensionSpec, FieldRange, MatchResult, PacketHeader, Rule, RuleId, UpdateStats,
     FIELD_COUNT,
 };
-use std::collections::BTreeMap;
 
-/// Sentinel for "no match found yet" in the batched traversal (no rule id
-/// can take this value: build-time ids equal ruleset positions, and
-/// [`FlatTree::insert`] rejects ids at or above the sparse-id limit, which
-/// is always below this sentinel).
+/// Sentinel for "no match found yet" in the batched traversal, and the
+/// filler of rule-slab slots no span covers (slack, vacated and dead
+/// slots).  No rule id can take this value: build-time ids equal ruleset
+/// positions, and [`FlatTree::insert`] rejects ids at or above the
+/// sparse-id limit, which is always below this sentinel.
 const NO_MATCH: u32 = u32::MAX;
 
 /// Number of packets one vectorised worklist lane advances together (the
@@ -131,9 +138,14 @@ const NO_MATCH: u32 = u32::MAX;
 /// [`FlatTree::classify_batch`] picks the width itself, from the arena
 /// size, by what the benchmark's `algos.flat.lanes_{x4,x16}.ns_per_pkt`
 /// probes measure: [`LaneWidth::X16`] wins while the arena is
-/// cache-resident (35.1 vs 37.1 ns per packet at 2,000 rules),
-/// [`LaneWidth::X4`] once it is far past cache (420 vs 506 ns on the
-/// 403 MiB arena of 64,000 rules).
+/// cache-resident (36.1 vs 37.4 ns per packet on the 0.33 MiB arena of
+/// 2,000 rules).  Past `PREFETCH_MIN_BYTES` the two are within each
+/// other's run-to-run spread — 78.0 (x4) vs 77.3 ns on the 2.2 MiB arena
+/// of 10,000 rules, 373–416 vs 375–381 ns over three runs on the 116 MiB
+/// arena of 64,000 (quartiles ≈ 60 ns apart) — and [`LaneWidth::X4`]
+/// serves there: it is never resolvably the slower one, and it was the
+/// faster one by a fifth (420 vs 506 ns) when the same 64,000 rules were
+/// served from a 403 MiB image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneWidth {
     /// Per-packet worklist walk (lane width 1).
@@ -155,7 +167,7 @@ impl LaneWidth {
 /// block instead of once per rule.
 const SCAN_BLOCK: usize = 4;
 
-/// Serving-image size below which read-ahead touches are skipped: a
+/// Arena size below which read-ahead touches are skipped: a
 /// cache-resident arena cannot miss, so the touches would be pure
 /// instruction overhead.  Set to a typical per-core L2 size.
 const PREFETCH_MIN_BYTES: usize = 1 << 20;
@@ -335,38 +347,51 @@ impl NodeRec {
     }
 }
 
-/// A rule image packed into the rule slab: the id (= priority) and the
-/// five `[lo, hi]` range pairs, inline.
+/// A rule image in the id-indexed rule table: the five `[lo, hi]` range
+/// pairs on **one cache line**.  The table stores every rule once; the
+/// rule slab's spans refer to it by id.
 ///
-/// Storing the image instead of a rule *id* makes a leaf scan one
-/// sequential read over the slab — no second indirection into a rules
-/// array — the same idea as the paper's 144-bit packed software rule
-/// images.  The match test is evaluated branch-free over all five
-/// dimensions (non-lazy `&`), which trades a handful of always-executed
-/// compares for the data-dependent branch mispredictions of the
-/// short-circuiting [`Rule::matches`].
+/// The alternative — a 44-byte image (id + ranges) copied into every span
+/// that references the rule, so that a scan is one sequential read — was
+/// measured, and the copies cost more than the indirection saves: at
+/// 64,000 acl rules they are 7.6 M images for 64,000 rules (320 MiB of a
+/// 403 MiB arena, against 116 MiB with ids) and the 10,000-rule arena with
+/// ids fits L2 and walks a quarter faster; what the indirection costs is
+/// one more dependent load where nothing misses — 2–4 % on the arenas that
+/// are cache-resident either way.  The entry is padded to a line because
+/// an un-aligned 40- or 44-byte one straddles two lines half the time and
+/// measures another ≈ 3 % slower on those workloads.
+///
+/// The match test is evaluated branch-free over all five dimensions
+/// (non-lazy `&`), which trades a handful of always-executed compares for
+/// the data-dependent branch mispredictions of the short-circuiting
+/// [`Rule::matches`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(align(64))]
 struct PackedRule {
-    id: RuleId,
     lo: [u32; FIELD_COUNT],
     hi: [u32; FIELD_COUNT],
 }
 
 impl PackedRule {
-    /// Filler image for unused slack slots inside a span (`len..cap`);
-    /// never scanned because `len` guards every read.
+    /// The table entry of an id that is not live: `lo > hi` in the first
+    /// dimension, which no packet satisfies and no rule can hold
+    /// ([`FieldRange`] keeps `lo <= hi`).
     const DEAD: PackedRule = PackedRule {
-        id: u32::MAX,
-        lo: [0; FIELD_COUNT],
+        lo: [1, 0, 0, 0, 0],
         hi: [0; FIELD_COUNT],
     };
 
     fn new(rule: &Rule) -> PackedRule {
         PackedRule {
-            id: rule.id,
             lo: std::array::from_fn(|d| rule.ranges[d].lo),
             hi: std::array::from_fn(|d| rule.ranges[d].hi),
         }
+    }
+
+    /// Whether the entry holds a rule (see [`PackedRule::DEAD`]).
+    fn is_live(&self) -> bool {
+        self.lo[0] <= self.hi[0]
     }
 
     /// The rule's ranges, reassembled from the packed image.
@@ -387,8 +412,7 @@ impl PackedRule {
 /// A decision tree flattened into contiguous arrays (see the module docs
 /// for the layout).  Built from a [`DecisionTree`] with
 /// [`FlatTree::from_tree`]; the root is always record 0.  The arena is
-/// self-contained: classification touches only these dense arrays (the
-/// rule slab stores full rule images, not references).
+/// self-contained: classification touches only these dense arrays.
 #[derive(Debug, Clone)]
 pub struct FlatTree {
     /// The geometry the tree classifies over (needed to validate inserted
@@ -405,15 +429,19 @@ pub struct FlatTree {
     cuts: Vec<FlatCut>,
     /// Shared child-pointer slab (flat node ids).
     children: Vec<u32>,
-    /// Shared packed-rule-image slab.
-    rule_slab: Vec<PackedRule>,
+    /// Shared slab of rule ids: every node's rule list, in ascending id
+    /// order, plus its slack ([`NO_MATCH`] in every slot past a span's
+    /// `len`).
+    rule_slab: Vec<RuleId>,
+    /// The rule images, indexed by id — each rule stored once, and the
+    /// record of which ids are live ([`PackedRule::DEAD`] marks a hole).
+    /// The last entry is always live, so `rule_table.len()` is the end of
+    /// the occupied id range.
+    rule_table: Vec<PackedRule>,
     /// Slab slots no span covers any more: what full spans left behind
     /// when an insert moved them to the slab end.  Zero until the first
     /// such move and again after every [`FlatTree::reflatten`].
     dead_slots: usize,
-    /// The live rules by id — delete needs the ranges to retrace the
-    /// insert descent, and re-flatten verification needs the full set.
-    live: BTreeMap<RuleId, PackedRule>,
     /// Per-node reference counts (child slots + 1 for the root), built
     /// lazily by the first update and maintained by un-sharing clones.
     refs: Option<Vec<u32>>,
@@ -434,32 +462,64 @@ impl FlatTree {
             "tree too large to flatten: {} nodes",
             nodes.len()
         );
+        // Pass 1: discover the reachable nodes breadth-first (root = 0) and
+        // count what they put in each slab, so every slab is allocated
+        // once, at its final size.
         let mut map = vec![u32::MAX; nodes.len()];
         let mut order: Vec<NodeId> = Vec::with_capacity(nodes.len());
         map[tree.root() as usize] = 0;
         order.push(tree.root());
+        let (mut cut_slots, mut child_slots, mut rule_slots) = (0usize, 0usize, 0usize);
+        let mut head = 0usize;
+        while head < order.len() {
+            match &nodes[order[head] as usize].kind {
+                NodeKind::Leaf { rules: ids } => rule_slots += ids.len(),
+                NodeKind::Internal {
+                    cuts,
+                    children,
+                    stored_rules,
+                    ..
+                } => {
+                    cut_slots += cuts.cut_dimensions().len().saturating_sub(1);
+                    child_slots += children.len();
+                    rule_slots += stored_rules.len();
+                    for &child in children {
+                        let slot = &mut map[child as usize];
+                        if *slot == u32::MAX {
+                            *slot = order.len() as u32;
+                            order.push(child);
+                        }
+                    }
+                }
+            }
+            head += 1;
+        }
+        assert!(
+            child_slots < u32::MAX as usize
+                && rule_slots < u32::MAX as usize
+                && cut_slots < u32::MAX as usize,
+            "flat arena slab exceeds u32 addressing"
+        );
 
-        let rules = tree.rules();
         let mut flat = FlatTree {
             spec: *tree.spec(),
-            nodes: Vec::with_capacity(nodes.len()),
-            node_rule_cap: Vec::with_capacity(nodes.len()),
-            cuts: Vec::new(),
-            children: Vec::new(),
-            rule_slab: Vec::new(),
+            nodes: Vec::with_capacity(order.len()),
+            node_rule_cap: Vec::with_capacity(order.len()),
+            cuts: Vec::with_capacity(cut_slots),
+            children: Vec::with_capacity(child_slots),
+            rule_slab: Vec::with_capacity(rule_slots),
             dead_slots: 0,
-            live: rules.iter().map(|r| (r.id, PackedRule::new(r))).collect(),
+            // Build-time ids equal ruleset positions: every entry is live.
+            rule_table: tree.rules().iter().map(PackedRule::new).collect(),
             refs: None,
             update_stats: UpdateStats::default(),
         };
 
-        let mut head = 0usize;
-        while head < order.len() {
-            let node = &nodes[order[head] as usize];
-            head += 1;
-            match &node.kind {
+        // Pass 2: emit the records in discovery order.
+        for &old in &order {
+            match &nodes[old as usize].kind {
                 NodeKind::Leaf { rules: ids } => {
-                    let span = push_slab(&mut flat.rule_slab, rules, ids);
+                    let span = push_slab(&mut flat.rule_slab, ids);
                     flat.nodes.push(NodeRec::leaf(span));
                     flat.node_rule_cap.push(span.len);
                 }
@@ -483,15 +543,9 @@ impl FlatTree {
                         count += 1;
                     }
                     let child_base = flat.children.len() as u32;
-                    for &child in children {
-                        let slot = &mut map[child as usize];
-                        if *slot == u32::MAX {
-                            *slot = order.len() as u32;
-                            order.push(child);
-                        }
-                        flat.children.push(*slot);
-                    }
-                    let span = push_slab(&mut flat.rule_slab, rules, stored_rules);
+                    flat.children
+                        .extend(children.iter().map(|&child| map[child as usize]));
+                    let span = push_slab(&mut flat.rule_slab, stored_rules);
                     flat.nodes.push(NodeRec {
                         rules: span,
                         child_base,
@@ -503,19 +557,6 @@ impl FlatTree {
                 }
             }
         }
-        assert!(
-            flat.children.len() < u32::MAX as usize
-                && flat.rule_slab.len() < u32::MAX as usize
-                && flat.cuts.len() < u32::MAX as usize,
-            "flat arena slab exceeds u32 addressing"
-        );
-        // Drop the growth slack so arena_stats' "actual in-memory bytes"
-        // claim is true of the allocations, not just the lengths.
-        flat.nodes.shrink_to_fit();
-        flat.node_rule_cap.shrink_to_fit();
-        flat.cuts.shrink_to_fit();
-        flat.children.shrink_to_fit();
-        flat.rule_slab.shrink_to_fit();
         flat
     }
 
@@ -535,27 +576,42 @@ impl FlatTree {
         }
     }
 
-    /// Sizes and actual in-memory footprint of the arena arrays (the
-    /// "Arena" rows of the README's memory table).
-    ///
-    /// Counts the *serving image* — node records and slabs, everything a
-    /// lookup can touch — not the write-path bookkeeping (`live` map, lazy
-    /// refcounts; see [`ArenaStats`]'s docs).
-    pub fn arena_stats(&self) -> ArenaStats {
+    /// In-memory bytes of the tree structure: the node records (one line
+    /// each, first cut inline, plus the write-path span capacity), the cut
+    /// slab and the child slab.
+    #[inline]
+    fn structure_bytes(&self) -> usize {
         use std::mem::size_of;
-        // Per node: the one-line record (first cut inline) plus the
-        // write-path rule-span capacity.
-        let structure_bytes = self.nodes.len() * (size_of::<NodeRec>() + size_of::<u32>())
+        self.nodes.len() * (size_of::<NodeRec>() + size_of::<u32>())
             + self.cuts.len() * size_of::<FlatCut>()
-            + self.children.len() * size_of::<u32>();
+            + self.children.len() * size_of::<u32>()
+    }
+
+    /// In-memory bytes of the whole arena: the structure, the id slab and
+    /// the rule table.  The one place the arena's size is computed — a
+    /// handful of multiplies, because [`FlatTree::prefetch_hint`] asks once
+    /// per served batch.
+    #[inline]
+    fn total_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.structure_bytes()
+            + self.rule_slab.len() * size_of::<RuleId>()
+            + self.rule_table.len() * size_of::<PackedRule>()
+    }
+
+    /// Sizes and actual in-memory footprint of the arena arrays (the
+    /// "Arena" rows of the README's memory table): node records, slabs and
+    /// the rule table — everything a lookup can touch, which is also every
+    /// copy of a rule the arena holds (see [`ArenaStats`]'s docs).
+    pub fn arena_stats(&self) -> ArenaStats {
         ArenaStats {
             nodes: self.nodes.len(),
             // Slab records plus the inline first cut of every internal node.
             cut_records: self.cuts.len() + self.nodes.iter().filter(|r| r.cut_count > 0).count(),
             child_slots: self.children.len(),
             rule_refs: self.rule_slab.len(),
-            arena_bytes: structure_bytes,
-            total_bytes: structure_bytes + self.rule_slab.len() * size_of::<PackedRule>(),
+            arena_bytes: self.structure_bytes(),
+            total_bytes: self.total_bytes(),
         }
     }
 
@@ -608,35 +664,30 @@ impl FlatTree {
     /// compared (for operation accounting).  Mirrors the early-exit logic of
     /// the pointer tree's scan: slab lists are in ascending id order, so the
     /// first hit wins within a list and ids at or above the current best
-    /// cannot improve it.
+    /// cannot improve it — those are dropped on the slab word, before the
+    /// rule's table line is touched.
     #[inline]
     fn scan_slab(&self, span: Span, pkt: &PacketHeader, best: &mut u32) -> u64 {
         let mut compared = 0u64;
-        for rule in &self.rule_slab[span.range()] {
+        for &id in &self.rule_slab[span.range()] {
             compared += 1;
-            if rule.id >= *best {
+            if id >= *best {
                 break;
             }
-            if rule.matches(&pkt.fields) {
-                *best = rule.id;
+            if self.rule_table[id as usize].matches(&pkt.fields) {
+                *best = id;
                 break;
             }
         }
         compared
     }
 
-    /// Whether the serving image outgrows [`PREFETCH_MIN_BYTES`]: past it
-    /// the lane walk issues read-ahead touches (a cache-resident arena
-    /// cannot miss) and [`FlatTree::classify_batch`] narrows its lanes.
-    /// Four multiplies, because it runs once per served batch.
+    /// Whether the arena outgrows [`PREFETCH_MIN_BYTES`]: past it the lane
+    /// walk issues read-ahead touches (a cache-resident arena cannot miss)
+    /// and [`FlatTree::classify_batch`] narrows its lanes.
     #[inline]
     fn prefetch_hint(&self) -> bool {
-        use std::mem::size_of;
-        let bytes = self.rule_slab.len() * size_of::<PackedRule>()
-            + self.nodes.len() * size_of::<NodeRec>()
-            + self.children.len() * size_of::<u32>()
-            + self.cuts.len() * size_of::<FlatCut>();
-        bytes > PREFETCH_MIN_BYTES
+        self.total_bytes() > PREFETCH_MIN_BYTES
     }
 
     /// Classifies one packet by walking the arena, optionally recording the
@@ -853,12 +904,14 @@ impl FlatTree {
             let pi = lane[i] as usize;
             let fields = &pkts[pi].fields;
             if cut_count[i] == 0 {
-                scan_rules_blocks(&self.rule_slab[rec.rules.range()], fields, &mut best[pi]);
+                let ids = &self.rule_slab[rec.rules.range()];
+                scan_rules_blocks(ids, &self.rule_table, fields, &mut best[pi]);
                 out[pi] = decode(best[pi]);
                 continue;
             }
             if rec.rules.len > 0 {
-                scan_rules_blocks(&self.rule_slab[rec.rules.range()], fields, &mut best[pi]);
+                let ids = &self.rule_slab[rec.rules.range()];
+                scan_rules_blocks(ids, &self.rule_table, fields, &mut best[pi]);
             }
             match self.child_index(&rec, &pkts[pi]) {
                 Some(idx) => {
@@ -883,17 +936,19 @@ impl FlatTree {
     }
 
     /// The live rules in ascending id (= priority) order, reassembled from
-    /// the packed images.
+    /// the rule table.
     pub fn live_rules(&self) -> Vec<Rule> {
-        self.live
+        self.rule_table
             .iter()
-            .map(|(&id, img)| Rule::new(id, img.ranges()))
+            .enumerate()
+            .filter(|(_, img)| img.is_live())
+            .map(|(id, img)| Rule::new(id as RuleId, img.ranges()))
             .collect()
     }
 
     /// Number of live rules.
     pub fn live_rule_count(&self) -> usize {
-        self.live.len()
+        self.rule_table.iter().filter(|img| img.is_live()).count()
     }
 
     /// Update-activity counters since the build.
@@ -925,35 +980,42 @@ impl FlatTree {
     /// a rule reaching beyond a node's compacted cut region in a cut
     /// dimension is parked in that node's stored span, which every packet
     /// reaching the node scans (packets outside the region stop there);
-    /// and the rule image lands in each target span in ascending id order
+    /// and the rule's id lands in each target span in ascending id order
     /// — a full span first moves to the slab end, where it gets fresh
-    /// slack.
+    /// slack.  The image is written once, to the rule's line of the table
+    /// (which grows by one not-live line per id skipped when the insert
+    /// reaches past the occupied range).
     pub fn insert(&mut self, rule: &Rule) -> Result<(), UpdateError> {
         // The shared checks also keep every live id strictly below the
         // NO_MATCH lookup sentinel.
-        let occupied_end = self
-            .live
-            .last_key_value()
-            .map_or(0, |(&k, _)| k as usize + 1);
-        let slot_is_live = self.live.contains_key(&rule.id);
-        crate::update::validate_insert(rule, &self.spec, slot_is_live, occupied_end)?;
+        let slot = rule.id as usize;
+        let slot_is_live = self.rule_table.get(slot).is_some_and(PackedRule::is_live);
+        crate::update::validate_insert(rule, &self.spec, slot_is_live, self.rule_table.len())?;
         self.ensure_refs();
-        let img = PackedRule::new(rule);
-        self.insert_at(0, rule.ranges, img);
-        self.live.insert(rule.id, img);
+        if slot >= self.rule_table.len() {
+            self.rule_table.resize(slot + 1, PackedRule::DEAD);
+        }
+        self.rule_table[slot] = PackedRule::new(rule);
+        self.insert_at(0, rule.ranges, rule.id);
         self.update_stats.inserts += 1;
         Ok(())
     }
 
-    /// Deletes the live rule `id`, removing its image from every span the
-    /// insert/build placement could have put it in.
+    /// Deletes the live rule `id`, removing it from every span the
+    /// insert/build placement could have put it in and retiring its table
+    /// line.
     pub fn delete(&mut self, id: RuleId) -> Result<(), UpdateError> {
-        let Some(img) = self.live.get(&id) else {
+        let Some(img) = self.rule_table.get(id as usize).filter(|img| img.is_live()) else {
             return Err(UpdateError::UnknownRuleId(id));
         };
         let ranges = img.ranges();
         self.delete_at(0, &ranges, id);
-        self.live.remove(&id);
+        self.rule_table[id as usize] = PackedRule::DEAD;
+        // Keep the table's last line live: its length is the end of the
+        // occupied id range the next insert is validated against.
+        while self.rule_table.last().is_some_and(|img| !img.is_live()) {
+            self.rule_table.pop();
+        }
         self.update_stats.deletes += 1;
         Ok(())
     }
@@ -1020,19 +1082,17 @@ impl FlatTree {
         let cap = span.len + span_slack(span.len);
         let off = self.rule_slab.len() as u32;
         self.rule_slab.extend_from_within(span.range());
-        self.rule_slab.extend(std::iter::repeat_n(
-            PackedRule::DEAD,
-            (cap - span.len) as usize,
-        ));
+        self.rule_slab
+            .extend(std::iter::repeat_n(NO_MATCH, (cap - span.len) as usize));
         (Span { off, len: span.len }, cap)
     }
 
-    /// Adds a rule image to a node's span, in ascending id order.  A full
+    /// Adds a rule id to a node's span, in ascending id order.  A full
     /// span first moves to the slab end, leaving its old slots dead until
     /// the next re-flatten.
-    fn add_rule(&mut self, node: usize, img: PackedRule) {
+    fn add_rule(&mut self, node: usize, id: RuleId) {
         let span = self.nodes[node].rules;
-        let Err(pos) = self.rule_slab[span.range()].binary_search_by_key(&img.id, |r| r.id) else {
+        let Err(pos) = self.rule_slab[span.range()].binary_search(&id) else {
             return; // already present (defensive; descent visits once)
         };
         if span.len == self.node_rule_cap[node] {
@@ -1042,10 +1102,9 @@ impl FlatTree {
             self.node_rule_cap[node] = cap;
         }
         let (start, len) = (self.nodes[node].rules.off as usize, span.len as usize);
-        for j in (start + pos..start + len).rev() {
-            self.rule_slab[j + 1] = self.rule_slab[j];
-        }
-        self.rule_slab[start + pos] = img;
+        self.rule_slab
+            .copy_within(start + pos..start + len, start + pos + 1);
+        self.rule_slab[start + pos] = id;
         self.nodes[node].rules.len += 1;
     }
 
@@ -1054,13 +1113,12 @@ impl FlatTree {
     fn remove_rule(&mut self, node: usize, id: RuleId) -> bool {
         let span = self.nodes[node].rules;
         let (start, len) = (span.off as usize, span.len as usize);
-        let Ok(pos) = self.rule_slab[span.range()].binary_search_by_key(&id, |r| r.id) else {
+        let Ok(pos) = self.rule_slab[span.range()].binary_search(&id) else {
             return false;
         };
-        for j in start + pos..start + len - 1 {
-            self.rule_slab[j] = self.rule_slab[j + 1];
-        }
-        self.rule_slab[start + len - 1] = PackedRule::DEAD;
+        self.rule_slab
+            .copy_within(start + pos + 1..start + len, start + pos);
+        self.rule_slab[start + len - 1] = NO_MATCH;
         self.nodes[node].rules.len -= 1;
         true
     }
@@ -1078,9 +1136,9 @@ impl FlatTree {
     }
 
     /// Recursive insert descent (see [`FlatTree::insert`]).
-    fn insert_at(&mut self, node: usize, clip: [FieldRange; FIELD_COUNT], img: PackedRule) {
+    fn insert_at(&mut self, node: usize, clip: [FieldRange; FIELD_COUNT], id: RuleId) {
         if self.nodes[node].cut_count == 0 || self.escapes_cut_region(node, &clip) {
-            self.add_rule(node, img);
+            self.add_rule(node, id);
             return;
         }
         self.for_each_intersecting_child(node, clip, &mut |flat, slot, child_clip| {
@@ -1090,7 +1148,7 @@ impl FlatTree {
                 flat.children[slot] = clone;
                 child = clone;
             }
-            flat.insert_at(child as usize, child_clip, img);
+            flat.insert_at(child as usize, child_clip, id);
         });
     }
 
@@ -1164,20 +1222,43 @@ impl FlatTree {
     /// records left unreferenced by un-sharing clones are dropped.
     /// Classification results are unchanged.
     pub fn reflatten(&mut self) {
-        let old_nodes = self.nodes.len();
-        let mut map = vec![u32::MAX; old_nodes];
+        // Pass 1: discover the reachable records breadth-first and count
+        // what they carry over (each span with its re-provisioned slack),
+        // so every slab is allocated once, at its final size.
+        let mut map = vec![u32::MAX; self.nodes.len()];
         let mut order: Vec<u32> = vec![0];
         map[0] = 0;
+        let (mut cut_slots, mut child_slots, mut rule_slots) = (0usize, 0usize, 0usize);
+        let mut head = 0usize;
+        while head < order.len() {
+            let old = order[head] as usize;
+            head += 1;
+            let rec = self.nodes[old];
+            cut_slots += rec.cut_count.saturating_sub(1) as usize;
+            rule_slots += (rec.rules.len + span_slack(rec.rules.len)) as usize;
+            if rec.cut_count > 0 {
+                let base = rec.child_base as usize;
+                let count = self.child_count(old);
+                child_slots += count;
+                for &child in &self.children[base..base + count] {
+                    if map[child as usize] == u32::MAX {
+                        map[child as usize] = order.len() as u32;
+                        order.push(child);
+                    }
+                }
+            }
+        }
 
         let mut new = FlatTree {
             spec: self.spec,
-            nodes: Vec::with_capacity(old_nodes),
-            node_rule_cap: Vec::with_capacity(old_nodes),
-            cuts: Vec::new(),
-            children: Vec::new(),
-            rule_slab: Vec::new(),
+            nodes: Vec::with_capacity(order.len()),
+            node_rule_cap: Vec::with_capacity(order.len()),
+            cuts: Vec::with_capacity(cut_slots),
+            children: Vec::with_capacity(child_slots),
+            rule_slab: Vec::with_capacity(rule_slots),
             dead_slots: 0,
-            live: std::mem::take(&mut self.live),
+            // Ids do not move: the table is carried over, not copied.
+            rule_table: std::mem::take(&mut self.rule_table),
             refs: None,
             update_stats: UpdateStats {
                 reflattens: self.update_stats.reflattens + 1,
@@ -1185,45 +1266,41 @@ impl FlatTree {
             },
         };
 
-        let mut head = 0usize;
-        while head < order.len() {
-            let old = order[head] as usize;
-            head += 1;
-            let old_rec = self.nodes[old];
+        // Pass 2: emit the records in discovery order.
+        for &old in &order {
+            let old_rec = self.nodes[old as usize];
             let mut rec = old_rec;
 
             // Carry the slab cut records over compactly (the inline first
             // cut travels in the record copy).
-            let extra = old_rec.cut_count.saturating_sub(1);
+            let extra = old_rec.cut_count.saturating_sub(1) as usize;
+            let rest = old_rec.rest_off as usize;
             rec.rest_off = new.cuts.len() as u32;
-            for k in 0..extra {
-                new.cuts.push(self.cuts[(old_rec.rest_off + k) as usize]);
-            }
+            new.cuts.extend_from_slice(&self.cuts[rest..rest + extra]);
 
             if old_rec.cut_count > 0 {
                 let base = old_rec.child_base as usize;
-                let count = self.child_count(old);
+                let count = self.child_count(old as usize);
                 rec.child_base = new.children.len() as u32;
-                for j in 0..count {
-                    let child = self.children[base + j] as usize;
-                    if map[child] == u32::MAX {
-                        map[child] = order.len() as u32;
-                        order.push(child as u32);
-                    }
-                    new.children.push(map[child]);
-                }
+                new.children.extend(
+                    self.children[base..base + count]
+                        .iter()
+                        .map(|&child| map[child as usize]),
+                );
             } else {
                 rec.child_base = 0;
             }
 
             let len = old_rec.rules.len;
-            let new_off = new.rule_slab.len() as u32;
+            let cap = len + span_slack(len);
+            rec.rules = Span {
+                off: new.rule_slab.len() as u32,
+                len,
+            };
             new.rule_slab
                 .extend_from_slice(&self.rule_slab[old_rec.rules.range()]);
-            let cap = len + span_slack(len);
             new.rule_slab
-                .extend(std::iter::repeat_n(PackedRule::DEAD, (cap - len) as usize));
-            rec.rules = Span { off: new_off, len };
+                .extend(std::iter::repeat_n(NO_MATCH, (cap - len) as usize));
             new.nodes.push(rec);
             new.node_rule_cap.push(cap);
         }
@@ -1239,23 +1316,29 @@ fn span_slack(len: u32) -> u32 {
 
 /// Branch-free block scan of an ascending-id rule list, updating `best`
 /// (`NO_MATCH` = none yet) exactly like the scalar early-exit scan: within
-/// each [`SCAN_BLOCK`]-rule block every packed image is compared without
+/// each [`SCAN_BLOCK`]-id block every rule's image is compared without
 /// short-circuiting (a bitmask of matches), then the first set bit — the
 /// lowest matching id, because lists are id-sorted — resolves the block.
-/// Blocks whose first id cannot improve `best` end the scan, preserving
-/// the scalar semantics rule for rule.
+/// Blocks whose first id cannot improve `best` end the scan on the slab
+/// word, before any of their table lines is touched, preserving the scalar
+/// semantics rule for rule.
 #[inline]
-fn scan_rules_blocks(rules: &[PackedRule], fields: &[u32; FIELD_COUNT], best: &mut u32) {
-    for block in rules.chunks(SCAN_BLOCK) {
-        if block[0].id >= *best {
+fn scan_rules_blocks(
+    ids: &[RuleId],
+    table: &[PackedRule],
+    fields: &[u32; FIELD_COUNT],
+    best: &mut u32,
+) {
+    for block in ids.chunks(SCAN_BLOCK) {
+        if block[0] >= *best {
             return;
         }
         let mut mask = 0u32;
-        for (j, rule) in block.iter().enumerate() {
-            mask |= u32::from(rule.matches(fields)) << j;
+        for (j, &id) in block.iter().enumerate() {
+            mask |= u32::from(table[id as usize].matches(fields)) << j;
         }
         if mask != 0 {
-            let id = block[mask.trailing_zeros() as usize].id;
+            let id = block[mask.trailing_zeros() as usize];
             if id < *best {
                 *best = id;
             }
@@ -1273,11 +1356,10 @@ fn decode(best: u32) -> MatchResult {
     }
 }
 
-/// Appends the packed images of `ids` to `slab` and returns the span
-/// covering them.
-fn push_slab(slab: &mut Vec<PackedRule>, rules: &[Rule], ids: &[RuleId]) -> Span {
+/// Appends `ids` to `slab` and returns the span covering them.
+fn push_slab(slab: &mut Vec<RuleId>, ids: &[RuleId]) -> Span {
     let off = slab.len() as u32;
-    slab.extend(ids.iter().map(|&id| PackedRule::new(&rules[id as usize])));
+    slab.extend_from_slice(ids);
     Span {
         off,
         len: ids.len() as u32,
@@ -1372,7 +1454,7 @@ impl Classifier for FlatTreeClassifier {
         // The arena is measured by its actual in-memory bytes (that is the
         // point of the layout), not by the idealised 32-bit software model
         // the pointer trees report under.
-        self.flat.arena_stats().total_bytes
+        self.flat.total_bytes()
     }
 
     fn worst_case_memory_accesses(&self) -> Option<u64> {
@@ -1622,6 +1704,105 @@ mod tests {
         assert_eq!(flat.dirty_ratio(), 0.0);
         assert_eq!(flat.arena_stats().rule_refs, compact);
         assert_matches_live_linear(&flat);
+    }
+
+    #[test]
+    fn a_reused_id_carries_nothing_of_the_rule_it_replaced() {
+        let (_, flatc) = toy_flat();
+        let mut flat = flatc.flat_tree().clone();
+        let spec = *flat.spec();
+        // Two rules that share nothing in dimension 0, and a grid of
+        // packets in each one's region.
+        let boxed = |lo, hi| {
+            let mut r = Rule::wildcard(3, &spec);
+            r.ranges[0] = FieldRange::new(lo, hi);
+            r
+        };
+        let (old, new) = (boxed(200, 230), boxed(10, 40));
+        let grid = |lo: u32, hi: u32| -> Vec<PacketHeader> {
+            (lo..=hi)
+                .flat_map(|f0| {
+                    (0..256)
+                        .step_by(51)
+                        .map(move |f4| PacketHeader::from_fields([f0, 80, 40, 180, f4]))
+                })
+                .collect()
+        };
+        let (old_region, new_region) = (grid(200, 230), grid(10, 40));
+        let hits = |flat: &FlatTree, pkts: &[PacketHeader], lanes| {
+            let mut out = Vec::new();
+            flat.classify_batch_lanes(pkts, &mut out, lanes);
+            out.iter()
+                .filter(|&&r| r == MatchResult::Matched(3))
+                .count()
+        };
+
+        flat.delete(3).unwrap();
+        flat.insert(&old).unwrap();
+        assert!(hits(&flat, &old_region, LaneWidth::Scalar) > 0);
+        flat.delete(3).unwrap();
+        // The delete took the id out of every span a lookup reads and
+        // retired its table line, so the line is free to hold another rule.
+        for (node, rec) in flat.nodes.iter().enumerate() {
+            let ids = &flat.rule_slab[rec.rules.range()];
+            assert!(!ids.contains(&3), "node {node} still lists the deleted id");
+        }
+        assert!(!flat.rule_table[3].is_live());
+        flat.insert(&new).unwrap();
+        for reflattened in [false, true] {
+            if reflattened {
+                flat.reflatten();
+            }
+            for lanes in LaneWidth::ALL {
+                assert_eq!(
+                    hits(&flat, &old_region, lanes),
+                    0,
+                    "{lanes:?}, reflattened: {reflattened}"
+                );
+                assert!(hits(&flat, &new_region, lanes) > 0, "{lanes:?}");
+            }
+            assert_matches_live_linear(&flat);
+        }
+    }
+
+    #[test]
+    fn flatten_and_reflatten_allocate_each_slab_at_its_final_size() {
+        fn assert_exact(flat: &FlatTree, what: &str) {
+            assert_eq!(flat.nodes.capacity(), flat.nodes.len(), "{what}: nodes");
+            assert_eq!(
+                flat.node_rule_cap.capacity(),
+                flat.node_rule_cap.len(),
+                "{what}: span capacities"
+            );
+            assert_eq!(flat.cuts.capacity(), flat.cuts.len(), "{what}: cuts");
+            assert_eq!(
+                flat.children.capacity(),
+                flat.children.len(),
+                "{what}: children"
+            );
+            assert_eq!(
+                flat.rule_slab.capacity(),
+                flat.rule_slab.len(),
+                "{what}: rule slab"
+            );
+        }
+        let rs = toy::table1_ruleset();
+        let spec = *rs.spec();
+        let hicuts = HiCutsClassifier::build(&rs, &HiCutsConfig::figure1());
+        let hypercuts = HyperCutsClassifier::build(&rs, &HyperCutsConfig::paper_defaults());
+        for tree in [hicuts.tree(), hypercuts.tree()] {
+            let mut flat = FlatTree::from_tree(tree);
+            assert_exact(&flat, "from_tree");
+            // Un-sharing clones, moved spans and dead slots: the re-flatten
+            // must size for what is reachable now, slack included.
+            for id in [20u32, 21, 22] {
+                flat.insert(&Rule::wildcard(id, &spec)).unwrap();
+            }
+            flat.delete(4).unwrap();
+            flat.reflatten();
+            assert_exact(&flat, "reflatten");
+            assert_matches_live_linear(&flat);
+        }
     }
 
     #[test]

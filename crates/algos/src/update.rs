@@ -57,8 +57,10 @@ pub enum UpdateError {
     },
     /// `insert` was given an id too far beyond the structure's current id
     /// range.  The sparse-id model allows gaps, but a bounded one
-    /// ([`MAX_ID_GAP`] past the occupied range), and `u32::MAX` is never
-    /// insertable: it is reserved as the lookup no-match sentinel.
+    /// ([`MAX_ID_GAP`] past the occupied range) — the arena's rule table
+    /// holds a line for every id up to the highest live one, holes
+    /// included — and `u32::MAX` is never insertable: it is reserved as
+    /// the lookup no-match sentinel.
     RuleIdTooSparse {
         /// Offending rule id.
         rule: RuleId,
@@ -69,7 +71,11 @@ pub enum UpdateError {
 }
 
 /// How far past the currently occupied id range an `insert` may reach
-/// (see [`UpdateError::RuleIdTooSparse`]).
+/// (see [`UpdateError::RuleIdTooSparse`]).  The flat arena stores rule
+/// images in a table indexed by id, one 64-byte line per id up to the
+/// highest live one, so one insert can grow it (and the `memory_bytes` it
+/// reports) by at most this many lines — 4 MiB — however sparse the
+/// stream; deleting the highest live id gives the lines back.
 pub const MAX_ID_GAP: u32 = 65_536;
 
 /// The first uninsertable id given the end of the occupied id range

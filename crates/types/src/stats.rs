@@ -18,29 +18,32 @@ use std::collections::HashSet;
 /// pointer trees report under, these byte counts are the *actual* in-memory
 /// sizes of the arena arrays.
 ///
-/// The counts cover the **serving image** — everything a lookup can touch
-/// (node records and slabs; a node's rules live nowhere but its slab span)
-/// — not the update bookkeeping the
-/// arena keeps on the side (the live-rule map and lazily built reference
-/// counts, roughly one extra rule image plus 4 bytes per node), which only
-/// the write path reads.
+/// The counts cover everything a lookup can touch — node records, slabs
+/// and the rule table — which is also every copy of a rule the arena
+/// holds: a node's span lists rule ids, and each rule's image is stored
+/// once, in the table line of its id (the table doubles as the record of
+/// which ids are live, so the write path keeps no second copy).  Only the
+/// lazily built per-node reference counts (4 bytes per node, built by the
+/// first update) are not counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ArenaStats {
     /// Number of node records.
     pub nodes: usize,
-    /// Number of cut-dimension records in the shared cut slab.
+    /// Number of cut-dimension records: the first cut of every internal
+    /// node (inline in its record) plus the records in the shared cut slab.
     pub cut_records: usize,
     /// Number of child-pointer slots in the shared child slab.
     pub child_slots: usize,
-    /// Number of rule-image slots in the shared rule slab — live images,
+    /// Number of rule-id slots in the shared rule slab — live references,
     /// span slack, and the dead slots moved spans left behind until the
     /// next re-flatten.
     pub rule_refs: usize,
     /// Bytes of the tree structure (node records + cut slab + child slab),
-    /// excluding the rule slab.
+    /// excluding the rule slab and the rule table.
     pub arena_bytes: usize,
-    /// Structure bytes plus the packed rule-image slab — everything a
-    /// lookup can touch (the arena is self-contained).
+    /// Structure bytes plus the id slab (4 bytes a slot) plus the rule
+    /// table (one 64-byte line per id up to the highest live one) —
+    /// everything a lookup can touch (the arena is self-contained).
     pub total_bytes: usize,
 }
 

@@ -85,7 +85,7 @@ fn software_hicuts_counts_are_pinned() {
             child_slots: 1640,
             rule_refs: 5136,
             arena_bytes: 87004,
-            total_bytes: 312988,
+            total_bytes: 171548,
         }
     );
     assert_lookup_stats(
@@ -154,7 +154,7 @@ fn software_hypercuts_counts_are_pinned() {
             child_slots: 700,
             rule_refs: 2189,
             arena_bytes: 43096,
-            total_bytes: 139412,
+            total_bytes: 115852,
         }
     );
     assert_lookup_stats(

@@ -464,6 +464,106 @@ fn boundary_updates_get_one_verdict_from_both_arenas() {
     }
 }
 
+/// The rule table holds one line per id up to the highest live one, so an
+/// insert at the far end of the sparse-id gap is charged for every line it
+/// skips — and a delete gives all of them back, along with the occupied
+/// range the next insert is validated against.
+#[test]
+fn a_sparse_insert_is_charged_for_its_gap_and_a_delete_refunds_it() {
+    let rs = ClassBenchGenerator::new(SeedStyle::Acl, 7).generate(40);
+    let spec = *rs.spec();
+    let far = id_limit(rs.len()) - 1;
+    // Warm the arena so the measured insert changes nothing but the table:
+    // a first pass un-shares every node the rule reaches, the re-flatten
+    // leaves every span slack for it.
+    let base = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults()).flatten();
+    let mut arena = base.flat_tree().clone();
+    arena.insert(&Rule::wildcard(far, &spec)).unwrap();
+    arena.delete(far).unwrap();
+    arena.reflatten();
+    let mut c = FlatTreeClassifier::new(base.name(), arena);
+
+    let too_sparse =
+        |c: &mut FlatTreeClassifier| match c.insert(Rule::wildcard(u32::MAX - 1, &spec)) {
+            Err(UpdateError::RuleIdTooSparse { limit, .. }) => limit,
+            other => panic!("expected RuleIdTooSparse, got {other:?}"),
+        };
+    let before = (c.memory_bytes(), c.arena_stats(), c.live_rules());
+    assert_eq!(too_sparse(&mut c), far + 1);
+
+    c.insert(Rule::wildcard(far, &spec))
+        .expect("last id within the gap");
+    let lines_added = far as usize + 1 - rs.len();
+    assert_eq!(lines_added, 65_536);
+    assert_eq!(c.memory_bytes(), before.0 + lines_added * 64);
+    assert_eq!(c.arena_stats().rule_refs, before.1.rule_refs);
+    assert_eq!(c.arena_stats().arena_bytes, before.1.arena_bytes);
+    assert_eq!(too_sparse(&mut c), id_limit(far as usize + 1));
+
+    c.delete(far).expect("the id is live");
+    assert_eq!((c.memory_bytes(), c.arena_stats(), c.live_rules()), before);
+    assert_eq!(too_sparse(&mut c), far + 1);
+}
+
+/// Liveness is read off the rule table: after a mixed stream that leaves
+/// holes all over the id range — including a trailing run of deletes, which
+/// shrinks the table — the live set and its count are the model's.
+#[test]
+fn live_rules_follow_a_model_set_with_holes_in_the_id_range() {
+    use std::collections::BTreeMap;
+    let rs = ClassBenchGenerator::new(SeedStyle::Acl, 11).generate(60);
+    // Fresh ids past the base set, two apart: holes even when all are in.
+    let fresh_pool: Vec<Rule> = ClassBenchGenerator::new(SeedStyle::Acl, 11 ^ 0xF00)
+        .generate(30)
+        .rules()
+        .iter()
+        .map(|r| Rule::new(rs.len() as u32 + 5 + 2 * r.id, r.ranges))
+        .collect();
+    let updates = scripted_updates(0x5EED, 400, rs.rules(), &fresh_pool);
+
+    let mut model: BTreeMap<RuleId, Rule> = rs.rules().iter().map(|r| (r.id, *r)).collect();
+    let mut c = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults()).flatten();
+    let check = |c: &FlatTreeClassifier, model: &BTreeMap<RuleId, Rule>, step: usize| {
+        let want: Vec<Rule> = model.values().copied().collect();
+        assert_eq!(c.live_rules(), want, "step {step}");
+        assert_eq!(c.flat_tree().live_rule_count(), want.len(), "step {step}");
+    };
+    let occupied_end = |model: &BTreeMap<RuleId, Rule>| {
+        model
+            .keys()
+            .next_back()
+            .map_or(0, |&last| last as usize + 1)
+    };
+    let mut saw_holes = false;
+    for (step, u) in updates.into_iter().enumerate() {
+        c.apply(&u).expect("scripted update is valid");
+        match u {
+            RuleUpdate::Insert(rule) => model.insert(rule.id, rule),
+            RuleUpdate::Delete(id) => model.remove(&id),
+        };
+        check(&c, &model, step);
+        saw_holes |= model.len() + 10 < occupied_end(&model);
+    }
+    assert!(saw_holes, "the script never left holes in the id range");
+    // Empty the top of the range: each delete of the highest live id
+    // retires the run of holes below it too.
+    for id in (40..rs.len() as u32 + 70).rev() {
+        if model.remove(&id).is_some() {
+            c.delete(id).expect("the model says it is live");
+            check(&c, &model, id as usize);
+        }
+    }
+    let occupied_end = occupied_end(&model);
+    assert!(0 < occupied_end && occupied_end <= 40);
+    assert_eq!(
+        c.insert(Rule::wildcard(u32::MAX - 1, rs.spec())),
+        Err(UpdateError::RuleIdTooSparse {
+            rule: u32::MAX - 1,
+            limit: id_limit(occupied_end),
+        })
+    );
+}
+
 /// The advertised static bound (Table 8's software column) must hold for
 /// the structure as it is *now*: the flat classifier used to report the
 /// bound of the tree it was flattened from, which inserts can exceed.
