@@ -17,11 +17,11 @@
 //!   the pure rule-distribution functions.  They count nothing: each builder
 //!   charges its own [`BuildStats`] where it calls them, so what an
 //!   algorithm pays for an evaluation is stated next to its policy.
-//! * the node-emission core behind [`CutTreeClassifier::build`] — leaves,
-//!   the shared empty leaf, and the distribute → merge identical leaves →
-//!   recurse → patch step — driven by a cut policy that
-//!   [`crate::hicuts::HiCutsConfig`] and
-//!   [`crate::hypercuts::HyperCutsConfig`] implement.
+//! * [`TreeBuilder`], the node-emission core — leaves, the shared empty
+//!   leaf, and the distribute → merge identical children → recurse → patch
+//!   step — driven by a [`CutPolicy`].  Four policies exist:
+//!   [`crate::hicuts::HiCutsConfig`], [`crate::hypercuts::HyperCutsConfig`]
+//!   and, in `pclass-core`, the paper's modified HiCuts and HyperCuts.
 //! * [`CutTreeClassifier`] — the classifier shell both
 //!   [`crate::hicuts::HiCutsClassifier`] and
 //!   [`crate::hypercuts::HyperCutsClassifier`] are.
@@ -599,13 +599,14 @@ pub fn max_child_occupancy(
     grid.into_iter().max().unwrap_or(0).max(0) as usize
 }
 
-pub(crate) use build::{CutPolicy, TreeBuilder};
+pub use build::{CutPolicy, RosterPolicy, TreeBuilder};
 
-/// The node-emission core of the original HiCuts and HyperCuts builders.
+/// The node-emission core of every HiCuts/HyperCuts builder.
 ///
-/// The items are `pub` inside a private module: crate code implements and
-/// drives them, while outside the crate [`CutPolicy`] can be neither named
-/// nor implemented — the two policies of the paper are the whole set.
+/// [`CutPolicy`] and [`TreeBuilder`] are `pub` because the paper's
+/// hardware-oriented algorithms are policies too, and `pclass-core` — which
+/// owns the 8-MSB cut rule and the word capacity they answer to — implements
+/// the trait from outside this crate.
 mod build {
     use super::*;
 
@@ -615,18 +616,14 @@ mod build {
     /// How one algorithm chooses its cuts — everything a builder
     /// configuration adds to the shared [`TreeBuilder`].
     pub trait CutPolicy: Copy {
-        /// Roster name of the pointer-tree classifier.
-        const NAME: &'static str;
-        /// Roster name of its flat-arena form.
-        const FLAT_NAME: &'static str;
         /// Stores charged for writing one internal node's header.
         const HEADER_STORES: u64;
+        /// Stores charged per rule written into a leaf: 1 for a software
+        /// rule pointer, 5 for the accelerator's 160-bit rule image.
+        const LEAF_RULE_STORES: u64;
 
         /// Maximum number of rules a leaf may hold.
         fn binth(&self) -> usize;
-
-        /// Space factor of the algorithm's space measure.
-        fn spfac(&self) -> f64;
 
         /// Chooses the cuts of a node holding more than `binth` rules and
         /// the (possibly compacted) region they apply to, charging the
@@ -649,9 +646,34 @@ mod build {
         ) -> Vec<RuleId> {
             Vec::new()
         }
+
+        /// Whether sibling children holding the identical over-`binth`
+        /// `list` may share one subtree.  Never, unless the policy can show
+        /// that the subtree cut for the first child's region routes packets
+        /// of the other children's regions identically.
+        fn shares_subtree(
+            &self,
+            _kit: &TreeBuilder<'_>,
+            _cuts: &CutSpec,
+            _cut_region: &[FieldRange; FIELD_COUNT],
+            _list: &[RuleId],
+        ) -> bool {
+            false
+        }
     }
 
-    /// Builder state shared by the two original algorithms.
+    /// What [`CutTreeClassifier`] needs of a policy beyond its cuts.
+    pub trait RosterPolicy: CutPolicy {
+        /// Roster name of the pointer-tree classifier.
+        const NAME: &'static str;
+        /// Roster name of its flat-arena form.
+        const FLAT_NAME: &'static str;
+
+        /// Space factor of the algorithm's space measure.
+        fn spfac(&self) -> f64;
+    }
+
+    /// Builder state shared by every cut policy.
     pub struct TreeBuilder<'a> {
         /// The ruleset's rules, indexed by id.
         pub rules: &'a [Rule],
@@ -659,6 +681,7 @@ mod build {
         pub stats: BuildStats,
         nodes: Vec<Node>,
         empty_leaf: Option<NodeId>,
+        leaf_rule_stores: u64,
     }
 
     impl<'a> TreeBuilder<'a> {
@@ -669,6 +692,7 @@ mod build {
                 stats: BuildStats::new(),
                 nodes: Vec::new(),
                 empty_leaf: None,
+                leaf_rule_stores: P::LEAF_RULE_STORES,
             };
             let all_rules: Vec<RuleId> = (0..ruleset.len() as RuleId).collect();
             let root = kit.build_node(policy, ruleset.full_region(), all_rules, 0);
@@ -708,11 +732,11 @@ mod build {
 
             // Merge children that hold identical rule sets — HiCuts' standard
             // storage optimisation, which HyperCuts and the paper keep — and
-            // share one empty leaf.  Sharing is restricted to children that
-            // become leaves: a leaf search does not depend on the child's
-            // covered region, whereas sharing an internal subtree between two
-            // different regions would route packets from the second region
-            // through cuts computed for the first.
+            // share one empty leaf.  Children that become leaves always
+            // share: a leaf search does not depend on the child's covered
+            // region.  Sharing an internal subtree between two different
+            // regions would route packets from the second region through
+            // cuts computed for the first, so that is the policy's call.
             let mut children: Vec<NodeId> = Vec::with_capacity(child_count as usize);
             let mut merged: Vec<(Vec<RuleId>, NodeId)> = Vec::new();
             for (i, list) in child_rules.into_iter().enumerate() {
@@ -721,7 +745,9 @@ mod build {
                     continue;
                 }
                 let child_region = cuts.child_region(&cut_region, i as u64);
-                if list.len() > policy.binth() {
+                let shareable = list.len() <= policy.binth()
+                    || policy.shares_subtree(self, &cuts, &cut_region, &list);
+                if !shareable {
                     children.push(self.build_node(policy, child_region, list, depth + 1));
                 } else if let Some((_, existing)) = merged.iter().find(|(r, _)| *r == list) {
                     children.push(*existing);
@@ -750,7 +776,7 @@ mod build {
             let id = self.nodes.len() as NodeId;
             self.stats.leaf_nodes += 1;
             self.stats.stored_rule_refs += rules.len() as u64;
-            self.stats.ops.stores += 2 + rules.len() as u64;
+            self.stats.ops.stores += 2 + rules.len() as u64 * self.leaf_rule_stores;
             self.nodes.push(Node {
                 region,
                 depth,
@@ -798,7 +824,7 @@ pub struct CutTreeClassifier<C> {
     build_stats: BuildStats,
 }
 
-impl<C: CutPolicy> CutTreeClassifier<C> {
+impl<C: RosterPolicy> CutTreeClassifier<C> {
     /// Builds the decision tree for a ruleset.
     pub fn build(ruleset: &RuleSet, config: &C) -> CutTreeClassifier<C> {
         assert!(config.binth() >= 1, "binth must be at least 1");
@@ -828,7 +854,7 @@ impl<C: CutPolicy> CutTreeClassifier<C> {
     }
 }
 
-impl<C: CutPolicy> Classifier for CutTreeClassifier<C> {
+impl<C: RosterPolicy> Classifier for CutTreeClassifier<C> {
     fn name(&self) -> &'static str {
         C::NAME
     }

@@ -113,7 +113,7 @@
 //! every span with fresh slack.
 
 use crate::counters::LookupStats;
-use crate::dtree::{CutPolicy, CutTreeClassifier, DecisionTree, Node, NodeId, NodeKind};
+use crate::dtree::{CutTreeClassifier, DecisionTree, Node, NodeId, NodeKind, RosterPolicy};
 use crate::update::UpdateError;
 use crate::Classifier;
 use pclass_types::{
@@ -1466,7 +1466,7 @@ impl Classifier for FlatTreeClassifier {
     }
 }
 
-impl<C: CutPolicy> CutTreeClassifier<C> {
+impl<C: RosterPolicy> CutTreeClassifier<C> {
     /// Flattens the built tree into a cache-compact arena classifier
     /// (roster name `hicuts-flat` / `hypercuts-flat`).
     pub fn flatten(&self) -> FlatTreeClassifier {

@@ -16,7 +16,9 @@
 //! SA-1100; the hardware-oriented modified variant (cuts start at 32 and are
 //! capped at 256) lives in `pclass-core`.
 
-use crate::dtree::{cut_histogram, CutPolicy, CutSpec, CutTreeClassifier, TreeBuilder};
+use crate::dtree::{
+    cut_histogram, CutPolicy, CutSpec, CutTreeClassifier, RosterPolicy, TreeBuilder,
+};
 use pclass_types::{Dimension, FieldRange, RuleId, FIELD_COUNT};
 
 /// Upper bound on the number of cuts a software node may perform; prevents
@@ -60,17 +62,21 @@ impl Default for HiCutsConfig {
 /// A packet classifier backed by an original-HiCuts decision tree.
 pub type HiCutsClassifier = CutTreeClassifier<HiCutsConfig>;
 
-impl CutPolicy for HiCutsConfig {
+impl RosterPolicy for HiCutsConfig {
     const NAME: &'static str = "hicuts";
     const FLAT_NAME: &'static str = "hicuts-flat";
-    const HEADER_STORES: u64 = 4;
-
-    fn binth(&self) -> usize {
-        self.binth
-    }
 
     fn spfac(&self) -> f64 {
         self.spfac
+    }
+}
+
+impl CutPolicy for HiCutsConfig {
+    const HEADER_STORES: u64 = 4;
+    const LEAF_RULE_STORES: u64 = 1;
+
+    fn binth(&self) -> usize {
+        self.binth
     }
 
     /// Evaluates each cuttable dimension — `np` by the doubling rule of

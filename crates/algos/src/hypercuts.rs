@@ -23,8 +23,10 @@
 //! * **pushing common rule subsets upwards** — rules present in every child
 //!   are stored once at the parent and searched while traversing.
 
-use crate::dtree::{max_child_occupancy, CutPolicy, CutSpec, CutTreeClassifier, TreeBuilder};
-use pclass_types::{Dimension, FieldRange, RuleId, FIELD_COUNT};
+use crate::dtree::{
+    max_child_occupancy, CutPolicy, CutSpec, CutTreeClassifier, RosterPolicy, TreeBuilder,
+};
+use pclass_types::{distinct_range_counts, Dimension, FieldRange, RuleId, FIELD_COUNT};
 use std::collections::HashSet;
 
 /// Configuration of the original HyperCuts builder.
@@ -74,17 +76,21 @@ impl Default for HyperCutsConfig {
 /// A packet classifier backed by an original-HyperCuts decision tree.
 pub type HyperCutsClassifier = CutTreeClassifier<HyperCutsConfig>;
 
-impl CutPolicy for HyperCutsConfig {
+impl RosterPolicy for HyperCutsConfig {
     const NAME: &'static str = "hypercuts";
     const FLAT_NAME: &'static str = "hypercuts-flat";
-    const HEADER_STORES: u64 = 6;
-
-    fn binth(&self) -> usize {
-        self.binth
-    }
 
     fn spfac(&self) -> f64 {
         self.spfac
+    }
+}
+
+impl CutPolicy for HyperCutsConfig {
+    const HEADER_STORES: u64 = 6;
+    const LEAF_RULE_STORES: u64 = 1;
+
+    fn binth(&self) -> usize {
+        self.binth
     }
 
     fn plan(
@@ -177,14 +183,7 @@ fn candidate_dimensions(
     rules: &[RuleId],
     region: &[FieldRange; FIELD_COUNT],
 ) -> Vec<Dimension> {
-    let mut counts = [0usize; FIELD_COUNT];
-    for d in Dimension::ALL {
-        let mut distinct: HashSet<FieldRange> = HashSet::with_capacity(rules.len());
-        for &id in rules {
-            distinct.insert(kit.rules[id as usize].range(d));
-        }
-        counts[d.index()] = distinct.len();
-    }
+    let counts = distinct_range_counts(kit.rules, rules);
     kit.stats.ops.loads += rules.len() as u64 * FIELD_COUNT as u64;
     kit.stats.ops.alu += rules.len() as u64 * FIELD_COUNT as u64;
     let mean = counts.iter().sum::<usize>() as f64 / FIELD_COUNT as f64;

@@ -40,7 +40,7 @@ use pclass_algos::hicuts::{HiCutsClassifier, HiCutsConfig};
 use pclass_algos::hypercuts::{HyperCutsClassifier, HyperCutsConfig};
 use pclass_algos::{Classifier, LinearClassifier, LookupStats, OpCounters, RfcClassifier};
 use pclass_classbench::{ClassBenchGenerator, SeedStyle, TraceGenerator};
-use pclass_core::builder::{BuildConfig, BuildError, CutAlgorithm, HwTree, SpeedMode};
+use pclass_core::builder::{build_tree, BuildConfig, BuildError, CutAlgorithm, SpeedMode};
 use pclass_core::hw::{Accelerator, AcceleratorClassifier, ClassificationReport};
 use pclass_core::program::{HardwareProgram, ProgramStats};
 use pclass_energy::sa1100::Sa1100Model;
@@ -170,8 +170,7 @@ pub fn plan_hardware(
     algorithm: CutAlgorithm,
 ) -> Option<(ProgramStats, pclass_algos::BuildStats)> {
     let config = BuildConfig::paper_defaults(algorithm);
-    let tree = HwTree::build(ruleset, &config).ok()?;
-    let build = tree.build_stats;
+    let (tree, build) = build_tree(ruleset, &config).ok()?;
     Some((
         HardwareProgram::plan_layout(&tree, SpeedMode::Throughput),
         build,

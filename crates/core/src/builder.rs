@@ -1,7 +1,10 @@
-//! The hardware-oriented *modified* HiCuts and HyperCuts builders
-//! (Section 3 of the paper).
+//! The hardware-oriented *modified* HiCuts and HyperCuts (Section 3 of the
+//! paper): the original algorithms with a different cut rule, so a
+//! [`CutPolicy`] over the one [`TreeBuilder`] every builder in the workspace
+//! shares — this module holds the policy and its charges, no node type and
+//! no recursion of its own.
 //!
-//! Differences from the original algorithms implemented in `pclass-algos`:
+//! Differences from the original policies implemented in `pclass-algos`:
 //!
 //! * The number of cuts at an internal node starts at **32** and is capped at
 //!   **256** (Eq. 3 for HiCuts, Eq. 4 for HyperCuts).  Starting high removes
@@ -20,13 +23,18 @@
 //! * Leaves store the actual rules (not pointers); a leaf may span several
 //!   memory words when it holds more than 30 rules.
 //!
-//! The builder produces a [`HwTree`], an intermediate form that
-//! [`crate::program::HardwareProgram`] serialises into memory words.
+//! [`build_tree`] returns a [`DecisionTree`] — the same kind the software
+//! classifiers walk — that [`crate::program::HardwareProgram`] serialises
+//! into memory words.
 
 use pclass_algos::counters::BuildStats;
-use pclass_algos::dtree::{cut_histogram, max_child_occupancy, rules_intersecting, CutSpec};
-use pclass_types::{Dimension, DimensionSpec, FieldRange, Rule, RuleId, RuleSet, FIELD_COUNT};
-use std::collections::HashSet;
+use pclass_algos::dtree::{
+    cut_histogram, max_child_occupancy, CutPolicy, CutSpec, DecisionTree, Node, NodeId, NodeKind,
+    TreeBuilder,
+};
+use pclass_types::{
+    distinct_range_counts, Dimension, DimensionSpec, FieldRange, RuleId, RuleSet, FIELD_COUNT,
+};
 
 /// Which modified algorithm drives the cut decisions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,7 +155,10 @@ pub enum BuildError {
     Encode(crate::encode::EncodeError),
     /// The structure needs more memory words than the accelerator addresses.
     CapacityExceeded {
-        /// Words required.
+        /// A lower bound on the words required: the builder stops cutting
+        /// once the internal nodes alone fill the capacity, so this is the
+        /// size of the truncated structure (always above `capacity`), not
+        /// of the full one.
         required: usize,
         /// Words available.
         capacity: usize,
@@ -168,7 +179,8 @@ impl std::fmt::Display for BuildError {
             BuildError::CapacityExceeded { required, capacity } => {
                 write!(
                     f,
-                    "search structure needs {required} words but the accelerator has {capacity}"
+                    "search structure needs more than the accelerator's {capacity} words \
+                     (at least {required})"
                 )
             }
         }
@@ -183,300 +195,173 @@ impl From<crate::encode::EncodeError> for BuildError {
     }
 }
 
-/// A node of the intermediate hardware tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HwNode {
-    /// An internal node cutting `cut_bits[d]` bits of each dimension.
-    Internal {
-        /// Number of bits cut per dimension (`parts = 2^bits`); the sum over
-        /// dimensions is between 5 (32 cuts) and 8 (256 cuts) for default
-        /// configurations.
-        cut_bits: [u8; FIELD_COUNT],
-        /// Bits already consumed per dimension on the path from the root
-        /// (used to position the hardware masks).
-        consumed: [u8; FIELD_COUNT],
-        /// Child node indices in mixed-radix order; `None` marks an empty
-        /// child (no rules).
-        children: Vec<Option<usize>>,
-    },
-    /// A leaf holding the ids of its rules in priority order.
-    Leaf {
-        /// Rules stored in the leaf.
-        rules: Vec<RuleId>,
-    },
+/// Builds the modified-algorithm decision tree for a ruleset, with no bound
+/// on its size (the Table 4 harness plans layouts the accelerator could not
+/// load).
+///
+/// The tree is what [`TreeBuilder`] emits under the configured policy, with
+/// the two things the memory image defines differently put right: the root
+/// is always an internal node, and the kit's shared empty leaf — a null
+/// child entry in the image, not a node — is not counted or charged.
+pub fn build_tree(
+    ruleset: &RuleSet,
+    config: &BuildConfig,
+) -> Result<(DecisionTree, BuildStats), BuildError> {
+    build_tree_within(ruleset, config, usize::MAX)
 }
 
-/// The intermediate decision tree produced by the modified builders.
-#[derive(Debug, Clone)]
-pub struct HwTree {
-    /// All nodes; index 0 is the root, which is always an internal node.
-    pub nodes: Vec<HwNode>,
-    /// The rules the tree was built over (after any priority-preserving
-    /// renumbering; identical to the ruleset's rules for 5-tuple sets).
-    pub rules: Vec<Rule>,
-    /// Geometry of the ruleset.
-    pub spec: DimensionSpec,
-    /// Build statistics (shared accounting with the software builders).
-    pub build_stats: BuildStats,
+/// [`build_tree`] for an accelerator of `word_capacity` words: once the
+/// internal nodes alone fill it, no further cut is planned, and the
+/// truncated tree fails the capacity check of the encoder.
+pub(crate) fn build_tree_within(
+    ruleset: &RuleSet,
+    config: &BuildConfig,
+    word_capacity: usize,
+) -> Result<(DecisionTree, BuildStats), BuildError> {
+    config.validate()?;
+    if *ruleset.spec() != DimensionSpec::FIVE_TUPLE {
+        return Err(BuildError::UnsupportedGeometry);
+    }
+    let policy = HwPolicy {
+        config: *config,
+        word_capacity,
+    };
+    let (mut tree, mut stats) = TreeBuilder::build(ruleset, &policy);
+
+    let root = tree.root() as usize;
+    let shared_empty_leaf = tree.nodes().iter().enumerate().any(|(i, node)| {
+        i != root && matches!(&node.kind, NodeKind::Leaf { rules } if rules.is_empty())
+    });
+    if shared_empty_leaf {
+        stats.leaf_nodes -= 1;
+        stats.ops.stores -= 2;
+    }
+
+    // The accelerator preloads the root into register A, so it must be an
+    // internal node: wrap a lone leaf in a trivial `start_cuts`-way node
+    // whose children all point at it.
+    if tree.nodes()[root].is_leaf() {
+        let mut nodes = tree.nodes().to_vec();
+        let region = nodes[root].region;
+        nodes[root].depth = 1;
+        let wrapper = nodes.len() as NodeId;
+        nodes.push(Node {
+            region,
+            depth: 0,
+            kind: NodeKind::Internal {
+                cuts: CutSpec::single(Dimension::SrcIp, config.start_cuts),
+                children: vec![root as NodeId; config.start_cuts as usize],
+                stored_rules: Vec::new(),
+                cut_region: region,
+            },
+        });
+        stats.internal_nodes += 1;
+        tree = DecisionTree::new(ruleset, nodes, wrapper);
+    }
+    Ok((tree, stats))
 }
 
-impl HwTree {
-    /// Builds the modified-algorithm tree for a ruleset.
-    pub fn build(ruleset: &RuleSet, config: &BuildConfig) -> Result<HwTree, BuildError> {
-        config.validate()?;
-        if *ruleset.spec() != DimensionSpec::FIVE_TUPLE {
-            return Err(BuildError::UnsupportedGeometry);
-        }
-        let mut builder = TreeBuilder {
-            rules: ruleset.rules(),
-            config: *config,
-            nodes: Vec::new(),
-            stats: BuildStats::new(),
-        };
-        let all: Vec<RuleId> = (0..ruleset.len() as RuleId).collect();
-        let region = ruleset.full_region();
-        let root = builder.build_node(region, [0u8; FIELD_COUNT], all, 0);
-        // The accelerator expects the root to be an internal node (it is
-        // preloaded into register A); wrap a lone leaf in a trivial 32-cut
-        // internal node whose children all point at it.
-        let root = builder.ensure_internal_root(root);
-        let mut nodes = builder.nodes;
-        if root != 0 {
-            nodes.swap(0, root);
-            // Fix any child references to the swapped positions.
-            let fix = |idx: &mut usize| {
-                if *idx == 0 {
-                    *idx = root;
-                } else if *idx == root {
-                    *idx = 0;
-                }
-            };
-            for node in &mut nodes {
-                if let HwNode::Internal { children, .. } = node {
-                    for child in children.iter_mut().flatten() {
-                        fix(child);
-                    }
-                }
-            }
-        }
-        Ok(HwTree {
-            nodes,
-            rules: ruleset.rules().to_vec(),
-            spec: *ruleset.spec(),
-            build_stats: builder.stats,
-        })
-    }
-
-    /// Number of internal nodes.
-    pub fn internal_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, HwNode::Internal { .. }))
-            .count()
-    }
-
-    /// Number of leaves.
-    pub fn leaf_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, HwNode::Leaf { .. }))
-            .count()
-    }
-
-    /// Maximum number of rules stored in any leaf.
-    pub fn max_leaf_rules(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter_map(|n| match n {
-                HwNode::Leaf { rules } => Some(rules.len()),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Total rule references stored across all leaves (measures replication).
-    pub fn stored_rule_refs(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter_map(|n| match n {
-                HwNode::Leaf { rules } => Some(rules.len()),
-                _ => None,
-            })
-            .sum()
-    }
-
-    /// Depth of the deepest leaf (root = depth 0), computed structurally.
-    pub fn max_depth(&self) -> u32 {
-        fn depth(nodes: &[HwNode], idx: usize) -> u32 {
-            match &nodes[idx] {
-                HwNode::Leaf { .. } => 0,
-                HwNode::Internal { children, .. } => {
-                    1 + children
-                        .iter()
-                        .flatten()
-                        .map(|&c| depth(nodes, c))
-                        .max()
-                        .unwrap_or(0)
-                }
-            }
-        }
-        depth(&self.nodes, 0)
-    }
+/// Bits of the 8 MSBs of each dimension already cut away on the path to a
+/// node covering `region` of the 5-tuple space.  Cuts are power-of-two
+/// aligned, so the region's size says how many.
+pub(crate) fn consumed_bits(region: &[FieldRange; FIELD_COUNT]) -> [u8; FIELD_COUNT] {
+    Dimension::ALL.map(|d| {
+        DimensionSpec::FIVE_TUPLE.width(d) - region[d.index()].len().trailing_zeros() as u8
+    })
 }
 
-struct TreeBuilder<'a> {
-    rules: &'a [Rule],
+/// The modified algorithms as a cut policy of the shared [`TreeBuilder`].
+#[derive(Clone, Copy)]
+struct HwPolicy {
     config: BuildConfig,
-    nodes: Vec<HwNode>,
-    stats: BuildStats,
+    /// Words of the accelerator the tree must fit; every internal node
+    /// takes one.
+    word_capacity: usize,
 }
 
-impl<'a> TreeBuilder<'a> {
-    fn build_node(
-        &mut self,
-        region: [FieldRange; FIELD_COUNT],
-        consumed: [u8; FIELD_COUNT],
-        rules: Vec<RuleId>,
-        depth: u32,
-    ) -> usize {
-        self.stats.max_depth = self.stats.max_depth.max(depth);
-        if rules.len() <= self.config.binth {
-            return self.make_leaf(rules);
+impl CutPolicy for HwPolicy {
+    const HEADER_STORES: u64 = 8;
+    const LEAF_RULE_STORES: u64 = 5; // 160-bit rule images
+
+    fn binth(&self) -> usize {
+        self.config.binth
+    }
+
+    fn plan(
+        &self,
+        kit: &mut TreeBuilder<'_>,
+        region: &[FieldRange; FIELD_COUNT],
+        rules: &[RuleId],
+    ) -> Option<(CutSpec, [FieldRange; FIELD_COUNT])> {
+        // Every internal node is one word: once they fill the capacity no
+        // further cut can lead to a loadable image, so stop cutting and let
+        // the encoder report the overflow.
+        if kit.stats.internal_nodes as usize >= self.word_capacity {
+            return None;
         }
         // Remaining cutting budget per dimension: the hardware selects
         // children from the 8 MSBs only.
-        let avail: Vec<u8> = Dimension::ALL
-            .iter()
-            .map(|&d| 8u8.saturating_sub(consumed[d.index()]))
-            .collect();
+        let avail = consumed_bits(region).map(|c| 8u8.saturating_sub(c));
         if avail.iter().all(|&a| a == 0) {
-            return self.make_leaf(rules);
+            return None;
         }
-
         let cut_bits = match self.config.algorithm {
-            CutAlgorithm::HiCuts => self.choose_hicuts(&rules, &region, &avail),
-            CutAlgorithm::HyperCuts => self.choose_hypercuts(&rules, &region, &avail),
+            CutAlgorithm::HiCuts => self.choose_hicuts(kit, rules, region, &avail),
+            CutAlgorithm::HyperCuts => self.choose_hypercuts(kit, rules, region, &avail),
         };
-        let total_bits: u32 = cut_bits.iter().map(|&b| u32::from(b)).sum();
-        if total_bits == 0 {
-            return self.make_leaf(rules);
+        if cut_bits.iter().all(|&b| b == 0) {
+            return None;
         }
 
-        // Distribute rules to children and check the cut actually separates
-        // something; otherwise fall back to a leaf to guarantee termination.
-        // The 90 % progress guard keeps wildcard-heavy rulesets (fw1-style)
-        // from building huge chains of nodes that each peel off only a
-        // couple of rules while replicating the rest into hundreds of
-        // children: past that point an oversized multi-word leaf is both
-        // smaller and faster than further cutting.
-        let child_count = 1usize << total_bits;
-        let max_child = self.occupancy(&rules, &region, &cut_bits);
+        // Check the cut actually separates something; otherwise fall back
+        // to a leaf to guarantee termination.  The 90 % progress guard keeps
+        // wildcard-heavy rulesets (fw1-style) from building huge chains of
+        // nodes that each peel off only a couple of rules while replicating
+        // the rest into hundreds of children: past that point an oversized
+        // multi-word leaf is both smaller and faster than further cutting.
+        let max_child = occupancy(kit, rules, region, &cut_bits);
         if max_child >= rules.len() || max_child * 10 >= rules.len() * 9 {
-            return self.make_leaf(rules);
+            return None;
         }
-
-        let node_idx = self.nodes.len();
-        self.nodes.push(HwNode::Leaf { rules: vec![] }); // placeholder
-        self.stats.internal_nodes += 1;
-        self.stats.ops.stores += 8;
-
-        let mut new_consumed = consumed;
-        for d in 0..FIELD_COUNT {
-            new_consumed[d] += cut_bits[d];
-        }
-
-        // Children holding identical rule sets are shared (the storage
-        // optimisation both algorithms keep in the paper).  Sharing is only
-        // safe when the shared subtree behaves identically for packets from
-        // either child region, which holds in two cases:
-        //
-        // * the child will be a leaf (leaf search ignores the region), or
-        // * every rule of the set spans the *entire* node region along every
-        //   cut dimension (the common case: wildcard / ephemeral-range rules
-        //   that straddle all children), so any further cutting distributes
-        //   them identically no matter which child the packet came from.
-        let cut_dims: Vec<usize> = (0..FIELD_COUNT).filter(|&d| cut_bits[d] > 0).collect();
-        let mut children: Vec<Option<usize>> = Vec::with_capacity(child_count);
-        let mut merged: Vec<(Vec<RuleId>, usize)> = Vec::new();
-        for i in 0..child_count as u64 {
-            let child_region = child_region(&region, &cut_bits, i);
-            // Charged like the software builders' distribution step: one
-            // five-field overlap test per candidate, a store per kept id.
-            let child_rules = rules_intersecting(self.rules, &rules, &child_region);
-            self.stats.ops.loads += rules.len() as u64 * FIELD_COUNT as u64;
-            self.stats.ops.alu += rules.len() as u64 * FIELD_COUNT as u64 * 2;
-            self.stats.ops.branches += rules.len() as u64;
-            self.stats.ops.stores += child_rules.len() as u64;
-            if child_rules.is_empty() {
-                children.push(None);
-                continue;
-            }
-            let mergeable = child_rules.len() <= self.config.binth
-                || child_rules.iter().all(|&id| {
-                    cut_dims
-                        .iter()
-                        .all(|&d| self.rules[id as usize].ranges[d].covers(&region[d]))
-                });
-            if mergeable {
-                if let Some((_, existing)) = merged.iter().find(|(r, _)| *r == child_rules) {
-                    children.push(Some(*existing));
-                    continue;
-                }
-            }
-            let child_idx =
-                self.build_node(child_region, new_consumed, child_rules.clone(), depth + 1);
-            if mergeable {
-                merged.push((child_rules, child_idx));
-            }
-            children.push(Some(child_idx));
-        }
-
-        self.nodes[node_idx] = HwNode::Internal {
-            cut_bits,
-            consumed,
-            children,
-        };
-        node_idx
+        Some((cut_parts(&cut_bits), *region))
     }
 
-    fn make_leaf(&mut self, rules: Vec<RuleId>) -> usize {
-        self.stats.leaf_nodes += 1;
-        self.stats.stored_rule_refs += rules.len() as u64;
-        self.stats.ops.stores += 2 + rules.len() as u64 * 5; // 160-bit rule images
-        let idx = self.nodes.len();
-        self.nodes.push(HwNode::Leaf { rules });
-        idx
+    /// Children holding identical rule sets are shared (the storage
+    /// optimisation both algorithms keep in the paper).  For a list that
+    /// will be cut further that is only safe when the shared subtree behaves
+    /// identically for packets from either child region: when every rule of
+    /// the list spans the *entire* node region along every cut dimension
+    /// (the common case: wildcard / ephemeral-range rules that straddle all
+    /// children), so any further cutting distributes them identically no
+    /// matter which child the packet came from.
+    fn shares_subtree(
+        &self,
+        kit: &TreeBuilder<'_>,
+        cuts: &CutSpec,
+        cut_region: &[FieldRange; FIELD_COUNT],
+        list: &[RuleId],
+    ) -> bool {
+        let cut_dims = cuts.cut_dimensions();
+        list.iter().all(|&id| {
+            cut_dims.iter().all(|d| {
+                kit.rules[id as usize]
+                    .range(*d)
+                    .covers(&cut_region[d.index()])
+            })
+        })
     }
+}
 
-    /// Wraps a leaf root in a trivial internal node so the accelerator's
-    /// register-A pipeline always has an internal root to preload.
-    fn ensure_internal_root(&mut self, root: usize) -> usize {
-        if matches!(self.nodes[root], HwNode::Internal { .. }) {
-            return root;
-        }
-        let bits = self.config.start_cuts.trailing_zeros() as u8;
-        let children = vec![Some(root); 1usize << bits];
-        let mut cut_bits = [0u8; FIELD_COUNT];
-        cut_bits[Dimension::SrcIp.index()] = bits;
-        self.stats.internal_nodes += 1;
-        let idx = self.nodes.len();
-        self.nodes.push(HwNode::Internal {
-            cut_bits,
-            consumed: [0u8; FIELD_COUNT],
-            children,
-        });
-        idx
-    }
-
+impl HwPolicy {
     /// Modified HiCuts: pick one dimension, cuts from `start_cuts` doubling
     /// under Eq. 3 up to `max_cuts`, choose the dimension that minimises the
     /// worst child occupancy.
     fn choose_hicuts(
-        &mut self,
+        &self,
+        kit: &mut TreeBuilder<'_>,
         rules: &[RuleId],
         region: &[FieldRange; FIELD_COUNT],
-        avail: &[u8],
+        avail: &[u8; FIELD_COUNT],
     ) -> [u8; FIELD_COUNT] {
         let n = rules.len() as f64;
         let budget = f64::from(self.config.spfac) * n;
@@ -496,14 +381,14 @@ impl<'a> TreeBuilder<'a> {
                 }
                 let candidate = bits + 1;
                 let np = 1u64 << candidate;
-                let (_, total) = self.histogram(rules, region, d, candidate);
+                let (_, total) = histogram(kit, rules, region, d, candidate);
                 if total as f64 + np as f64 <= budget && np <= u64::from(self.config.max_cuts) {
                     bits = candidate;
                 } else {
                     break;
                 }
             }
-            let (max_child, _) = self.histogram(rules, region, d, bits);
+            let (max_child, _) = histogram(kit, rules, region, d, bits);
             if best.is_none_or(|(_, _, m)| max_child < m) {
                 best = Some((d, bits, max_child));
             }
@@ -519,22 +404,16 @@ impl<'a> TreeBuilder<'a> {
     /// combinations bounded by Eq. 4 (`32 <= np <= 2^(4+spfac)`), greedy
     /// doubling choosing the combination with the smallest worst child.
     fn choose_hypercuts(
-        &mut self,
+        &self,
+        kit: &mut TreeBuilder<'_>,
         rules: &[RuleId],
         region: &[FieldRange; FIELD_COUNT],
-        avail: &[u8],
+        avail: &[u8; FIELD_COUNT],
     ) -> [u8; FIELD_COUNT] {
         // Distinct range specifications per dimension among this node's rules.
-        let mut distinct = [0usize; FIELD_COUNT];
-        for d in Dimension::ALL {
-            let mut set: HashSet<FieldRange> = HashSet::with_capacity(rules.len());
-            for &id in rules {
-                set.insert(self.rules[id as usize].range(d));
-            }
-            distinct[d.index()] = set.len();
-        }
-        self.stats.ops.loads += rules.len() as u64 * FIELD_COUNT as u64;
-        self.stats.ops.alu += rules.len() as u64 * FIELD_COUNT as u64;
+        let distinct = distinct_range_counts(kit.rules, rules);
+        kit.stats.ops.loads += rules.len() as u64 * FIELD_COUNT as u64;
+        kit.stats.ops.alu += rules.len() as u64 * FIELD_COUNT as u64;
         let mean = distinct.iter().sum::<usize>() as f64 / FIELD_COUNT as f64;
         let candidates: Vec<Dimension> = Dimension::ALL
             .iter()
@@ -561,7 +440,7 @@ impl<'a> TreeBuilder<'a> {
                 let spanning = rules
                     .iter()
                     .filter(|&&id| {
-                        self.rules[id as usize].ranges[d.index()].covers(&region[d.index()])
+                        kit.rules[id as usize].ranges[d.index()].covers(&region[d.index()])
                     })
                     .count();
                 (d, spanning as f64 / rules.len().max(1) as f64)
@@ -593,7 +472,7 @@ impl<'a> TreeBuilder<'a> {
                 }
                 let mut trial = cut_bits;
                 trial[d.index()] += 1;
-                let max_child = self.occupancy(rules, region, &trial);
+                let max_child = occupancy(kit, rules, region, &trial);
                 let scored = max_child + penalty(d);
                 if best.is_none_or(|(_, s, _)| scored < s) {
                     best = Some((d, scored, max_child));
@@ -615,52 +494,52 @@ impl<'a> TreeBuilder<'a> {
                 _ => break,
             }
         }
-        // If even the floor produced no separation the caller will turn the
+        // If even the floor produced no separation `plan` will turn the
         // node into a leaf (max_child check); return what we have.
         cut_bits
     }
+}
 
-    /// [`cut_histogram`] for `2^bits` cuts of `region[d]`.  The cuts are
-    /// power-of-two aligned, so locating a rule's first and last child is a
-    /// shift: unlike the original HiCuts, no divisions are charged.
-    fn histogram(
-        &mut self,
-        rules: &[RuleId],
-        region: &[FieldRange; FIELD_COUNT],
-        d: Dimension,
-        bits: u8,
-    ) -> (usize, u64) {
-        let parts = 1u32 << bits;
-        let n = rules.len() as u64;
-        self.stats.cut_evaluations += n;
-        self.stats.ops.loads += n * 2 + u64::from(parts);
-        self.stats.ops.alu += n * 6 + u64::from(parts) * 2;
-        self.stats.ops.branches += n * 2;
-        cut_histogram(self.rules, rules, region[d.index()], d, parts)
-    }
+/// [`cut_histogram`] for `2^bits` cuts of `region[d]`.  The cuts are
+/// power-of-two aligned, so locating a rule's first and last child is a
+/// shift: unlike the original HiCuts, no divisions are charged.
+fn histogram(
+    kit: &mut TreeBuilder<'_>,
+    rules: &[RuleId],
+    region: &[FieldRange; FIELD_COUNT],
+    d: Dimension,
+    bits: u8,
+) -> (usize, u64) {
+    let parts = 1u32 << bits;
+    let n = rules.len() as u64;
+    kit.stats.cut_evaluations += n;
+    kit.stats.ops.loads += n * 2 + u64::from(parts);
+    kit.stats.ops.alu += n * 6 + u64::from(parts) * 2;
+    kit.stats.ops.branches += n * 2;
+    cut_histogram(kit.rules, rules, region[d.index()], d, parts)
+}
 
-    /// [`max_child_occupancy`] of a multi-dimensional cut.
-    ///
-    /// Inherited drift, kept so Table 3 does not move: this charge was
-    /// copied from the software HyperCuts', so it pays that builder's two
-    /// divisions per rule per cut dimension (even for the one-dimensional
-    /// progress check of modified HiCuts) but not its two branches per rule.
-    fn occupancy(
-        &mut self,
-        rules: &[RuleId],
-        region: &[FieldRange; FIELD_COUNT],
-        cut_bits: &[u8; FIELD_COUNT],
-    ) -> usize {
-        let cuts = cut_parts(cut_bits);
-        let n = rules.len() as u64;
-        let dims = cut_bits.iter().filter(|&&b| b > 0).count() as u64;
-        let cells = cuts.child_count();
-        self.stats.cut_evaluations += n;
-        self.stats.ops.loads += n * 4 + cells;
-        self.stats.ops.alu += n * (8 + (1u64 << dims)) + cells * 2;
-        self.stats.ops.divs += n * dims * 2;
-        max_child_occupancy(self.rules, rules, region, &cuts.parts)
-    }
+/// [`max_child_occupancy`] of a multi-dimensional cut.
+///
+/// Inherited drift, kept so Table 3 does not move: this charge was copied
+/// from the software HyperCuts', so it pays that builder's two divisions per
+/// rule per cut dimension (even for the one-dimensional progress check of
+/// modified HiCuts) but not its two branches per rule.
+fn occupancy(
+    kit: &mut TreeBuilder<'_>,
+    rules: &[RuleId],
+    region: &[FieldRange; FIELD_COUNT],
+    cut_bits: &[u8; FIELD_COUNT],
+) -> usize {
+    let cuts = cut_parts(cut_bits);
+    let n = rules.len() as u64;
+    let dims = cut_bits.iter().filter(|&&b| b > 0).count() as u64;
+    let cells = cuts.child_count();
+    kit.stats.cut_evaluations += n;
+    kit.stats.ops.loads += n * 4 + cells;
+    kit.stats.ops.alu += n * (8 + (1u64 << dims)) + cells * 2;
+    kit.stats.ops.divs += n * dims * 2;
+    max_child_occupancy(kit.rules, rules, region, &cuts.parts)
 }
 
 /// The cut specification `cut_bits` describes (`2^bits` parts per dimension).
@@ -670,16 +549,10 @@ fn cut_parts(cut_bits: &[u8; FIELD_COUNT]) -> CutSpec {
     }
 }
 
-/// Region of the `i`-th child of a node with cut bit-counts `cut_bits`,
-/// decomposing `i` in mixed radix with dimension 0 as the most significant
-/// digit (the same convention [`crate::encode::NodeHeader`] realises in
-/// mask/shift form).
-pub fn child_region(
-    region: &[FieldRange; FIELD_COUNT],
-    cut_bits: &[u8; FIELD_COUNT],
-    i: u64,
-) -> [FieldRange; FIELD_COUNT] {
-    cut_parts(cut_bits).child_region(region, i)
+/// The inverse of [`cut_parts`]: bits cut per dimension by one of this
+/// module's (power-of-two) cut specifications.
+pub(crate) fn cut_bits(cuts: &CutSpec) -> [u8; FIELD_COUNT] {
+    cuts.parts.map(|p| p.trailing_zeros() as u8)
 }
 
 #[cfg(test)]
@@ -689,6 +562,24 @@ mod tests {
 
     fn acl(n: usize) -> RuleSet {
         ClassBenchGenerator::new(SeedStyle::Acl, 42).generate(n)
+    }
+
+    fn tree_of(rs: &RuleSet, algorithm: CutAlgorithm) -> (DecisionTree, BuildStats) {
+        build_tree(rs, &BuildConfig::paper_defaults(algorithm)).unwrap()
+    }
+
+    /// `(node, cut bits per dimension, children)` of every internal node.
+    fn internal_nodes(tree: &DecisionTree) -> Vec<(&Node, [u8; FIELD_COUNT], &[NodeId])> {
+        tree.nodes()
+            .iter()
+            .filter_map(|node| match &node.kind {
+                NodeKind::Internal { cuts, children, .. } => {
+                    assert!(cuts.parts.iter().all(|p| p.is_power_of_two()));
+                    Some((node, cut_bits(cuts), children.as_slice()))
+                }
+                NodeKind::Leaf { .. } => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -711,18 +602,25 @@ mod tests {
     #[test]
     fn rejects_toy_geometry() {
         let toy = pclass_types::toy::table1_ruleset();
-        let err =
-            HwTree::build(&toy, &BuildConfig::paper_defaults(CutAlgorithm::HiCuts)).unwrap_err();
+        let err = build_tree(&toy, &BuildConfig::paper_defaults(CutAlgorithm::HiCuts)).unwrap_err();
         assert_eq!(err, BuildError::UnsupportedGeometry);
     }
 
     #[test]
     fn root_is_always_internal() {
-        // Even a tiny ruleset (fewer rules than binth) gets an internal root.
+        // Even a tiny ruleset (fewer rules than binth) gets an internal
+        // root: 32 child entries, all of them its one leaf, one level down.
         let rs = acl(5);
         for algo in [CutAlgorithm::HiCuts, CutAlgorithm::HyperCuts] {
-            let tree = HwTree::build(&rs, &BuildConfig::paper_defaults(algo)).unwrap();
-            assert!(matches!(tree.nodes[0], HwNode::Internal { .. }), "{algo:?}");
+            let (tree, build) = tree_of(&rs, algo);
+            let root = &tree.nodes()[tree.root() as usize];
+            let NodeKind::Internal { children, .. } = &root.kind else {
+                panic!("{algo:?}: leaf root");
+            };
+            assert_eq!(children.len(), 32);
+            assert!(children.iter().all(|&c| c == children[0]));
+            assert_eq!(tree.nodes()[children[0] as usize].depth, 1);
+            assert_eq!((build.internal_nodes, build.leaf_nodes), (1, 1));
         }
     }
 
@@ -730,16 +628,11 @@ mod tests {
     fn internal_nodes_respect_the_cut_cap() {
         let rs = acl(800);
         for algo in [CutAlgorithm::HiCuts, CutAlgorithm::HyperCuts] {
-            let tree = HwTree::build(&rs, &BuildConfig::paper_defaults(algo)).unwrap();
-            for node in &tree.nodes {
-                if let HwNode::Internal {
-                    cut_bits, children, ..
-                } = node
-                {
-                    let total: u32 = cut_bits.iter().map(|&b| u32::from(b)).sum();
-                    assert!(total <= 8, "more than 256 cuts: {cut_bits:?}");
-                    assert_eq!(children.len(), 1usize << total);
-                }
+            let (tree, _) = tree_of(&rs, algo);
+            for (_, cut_bits, children) in internal_nodes(&tree) {
+                let total: u32 = cut_bits.iter().map(|&b| u32::from(b)).sum();
+                assert!(total <= 8, "more than 256 cuts: {cut_bits:?}");
+                assert_eq!(children.len(), 1usize << total);
             }
         }
     }
@@ -747,16 +640,11 @@ mod tests {
     #[test]
     fn cut_depth_never_exceeds_eight_bits_per_dimension() {
         let rs = acl(800);
-        let tree =
-            HwTree::build(&rs, &BuildConfig::paper_defaults(CutAlgorithm::HyperCuts)).unwrap();
-        for node in &tree.nodes {
-            if let HwNode::Internal {
-                cut_bits, consumed, ..
-            } = node
-            {
-                for d in 0..FIELD_COUNT {
-                    assert!(consumed[d] + cut_bits[d] <= 8, "dimension {d} over-cut");
-                }
+        let (tree, _) = tree_of(&rs, CutAlgorithm::HyperCuts);
+        for (node, cut_bits, _) in internal_nodes(&tree) {
+            let consumed = consumed_bits(&node.region);
+            for d in 0..FIELD_COUNT {
+                assert!(consumed[d] + cut_bits[d] <= 8, "dimension {d} over-cut");
             }
         }
     }
@@ -764,10 +652,10 @@ mod tests {
     #[test]
     fn leaves_cover_every_rule_at_least_once() {
         let rs = acl(500);
-        let tree = HwTree::build(&rs, &BuildConfig::paper_defaults(CutAlgorithm::HiCuts)).unwrap();
+        let (tree, _) = tree_of(&rs, CutAlgorithm::HiCuts);
         let mut seen = vec![false; rs.len()];
-        for node in &tree.nodes {
-            if let HwNode::Leaf { rules } = node {
+        for node in tree.nodes() {
+            if let NodeKind::Leaf { rules } = &node.kind {
                 for &r in rules {
                     seen[r as usize] = true;
                 }
@@ -784,27 +672,23 @@ mod tests {
     #[test]
     fn hicuts_cuts_single_dimension_per_node() {
         let rs = acl(400);
-        let tree = HwTree::build(&rs, &BuildConfig::paper_defaults(CutAlgorithm::HiCuts)).unwrap();
-        for node in &tree.nodes {
-            if let HwNode::Internal { cut_bits, .. } = node {
-                let cut_dims = cut_bits.iter().filter(|&&b| b > 0).count();
-                assert_eq!(
-                    cut_dims, 1,
-                    "modified HiCuts must cut exactly one dimension"
-                );
-            }
+        let (tree, _) = tree_of(&rs, CutAlgorithm::HiCuts);
+        for (_, cut_bits, _) in internal_nodes(&tree) {
+            let cut_dims = cut_bits.iter().filter(|&&b| b > 0).count();
+            assert_eq!(
+                cut_dims, 1,
+                "modified HiCuts must cut exactly one dimension"
+            );
         }
     }
 
     #[test]
     fn hypercuts_uses_multiple_dimensions_somewhere() {
         let rs = acl(1000);
-        let tree =
-            HwTree::build(&rs, &BuildConfig::paper_defaults(CutAlgorithm::HyperCuts)).unwrap();
-        let multi = tree.nodes.iter().any(|n| match n {
-            HwNode::Internal { cut_bits, .. } => cut_bits.iter().filter(|&&b| b > 0).count() > 1,
-            _ => false,
-        });
+        let (tree, _) = tree_of(&rs, CutAlgorithm::HyperCuts);
+        let multi = internal_nodes(&tree)
+            .iter()
+            .any(|(_, cut_bits, _)| cut_bits.iter().filter(|&&b| b > 0).count() > 1);
         assert!(multi, "expected at least one multi-dimensional cut");
     }
 
@@ -815,12 +699,10 @@ mod tests {
         small.binth = 4;
         let mut large = BuildConfig::paper_defaults(CutAlgorithm::HiCuts);
         large.binth = 30;
-        let t_small = HwTree::build(&rs, &small).unwrap();
-        let t_large = HwTree::build(&rs, &large).unwrap();
-        assert!(t_small.leaf_count() >= t_large.leaf_count());
-        assert!(
-            t_large.max_leaf_rules() <= 30 || t_small.max_leaf_rules() <= t_large.max_leaf_rules()
-        );
+        let t_small = build_tree(&rs, &small).unwrap().0.stats();
+        let t_large = build_tree(&rs, &large).unwrap().0.stats();
+        assert!(t_small.leaf_nodes >= t_large.leaf_nodes);
+        assert!(t_large.max_leaf_rules <= 30 || t_small.max_leaf_rules <= t_large.max_leaf_rules);
     }
 
     #[test]
@@ -829,7 +711,7 @@ mod tests {
         // building the structure than the original (cuts start at 32).
         use pclass_algos::hicuts::{HiCutsClassifier, HiCutsConfig};
         let rs = acl(800);
-        let hw = HwTree::build(&rs, &BuildConfig::paper_defaults(CutAlgorithm::HiCuts)).unwrap();
+        let (_, hw) = tree_of(&rs, CutAlgorithm::HiCuts);
         let sw = HiCutsClassifier::build(
             &rs,
             &HiCutsConfig {
@@ -838,9 +720,9 @@ mod tests {
             },
         );
         assert!(
-            hw.build_stats.cut_evaluations < sw.build_stats().cut_evaluations,
+            hw.cut_evaluations < sw.build_stats().cut_evaluations,
             "modified build should evaluate fewer cuts: hw {} vs sw {}",
-            hw.build_stats.cut_evaluations,
+            hw.cut_evaluations,
             sw.build_stats().cut_evaluations
         );
     }
@@ -849,15 +731,15 @@ mod tests {
     fn child_region_roundtrip() {
         let rs = acl(10);
         let region = rs.full_region();
-        let mut cut_bits = [0u8; FIELD_COUNT];
-        cut_bits[0] = 2;
-        cut_bits[4] = 1;
+        let cuts = cut_parts(&[2, 0, 0, 0, 1]);
         // All 8 children partition the region volume.
         let mut volume = 0u128;
         for i in 0..8u64 {
-            let child = child_region(&region, &cut_bits, i);
+            let child = cuts.child_region(&region, i);
             volume += u128::from(child[0].len()) * u128::from(child[4].len());
             assert_eq!(child[1], region[1]);
+            // What a child's size says was cut away above it.
+            assert_eq!(consumed_bits(&child), [2, 0, 0, 0, 1]);
         }
         assert_eq!(
             volume,
@@ -867,17 +749,24 @@ mod tests {
 
     #[test]
     fn tree_metrics_are_consistent() {
+        // The kit's shared empty leaf is a node of the tree but a null child
+        // entry of the image: the build counters leave it out.
         let rs = acl(300);
-        let tree =
-            HwTree::build(&rs, &BuildConfig::paper_defaults(CutAlgorithm::HyperCuts)).unwrap();
-        assert_eq!(tree.internal_count() + tree.leaf_count(), tree.nodes.len());
-        assert!(tree.max_depth() >= 1);
-        assert!(tree.stored_rule_refs() >= rs.len());
-        assert!(tree.max_leaf_rules() > 0);
-        assert_eq!(
-            tree.build_stats.internal_nodes as usize,
-            tree.internal_count()
-        );
-        assert_eq!(tree.build_stats.leaf_nodes as usize, tree.leaf_count());
+        let (tree, build) = tree_of(&rs, CutAlgorithm::HyperCuts);
+        let stats = tree.stats();
+        let empty_leaves = tree
+            .nodes()
+            .iter()
+            .filter(|n| matches!(&n.kind, NodeKind::Leaf { rules } if rules.is_empty()))
+            .count();
+        assert!(empty_leaves <= 1);
+        assert_eq!(stats.internal_nodes + stats.leaf_nodes, tree.nodes().len());
+        assert!(stats.max_depth >= 1);
+        assert!(stats.stored_rule_refs >= rs.len());
+        assert!(stats.max_leaf_rules > 0);
+        assert_eq!(build.internal_nodes as usize, stats.internal_nodes);
+        assert_eq!(build.leaf_nodes as usize, stats.leaf_nodes - empty_leaves);
+        assert_eq!(build.stored_rule_refs as usize, stats.stored_rule_refs);
+        assert_eq!(build.max_depth, stats.max_depth);
     }
 }

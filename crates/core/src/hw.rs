@@ -274,11 +274,6 @@ impl AcceleratorClassifier {
     pub fn program(&self) -> &HardwareProgram {
         &self.program
     }
-
-    /// Unwraps the program again.
-    pub fn into_program(self) -> HardwareProgram {
-        self.program
-    }
 }
 
 impl pclass_algos::Classifier for AcceleratorClassifier {

@@ -4,14 +4,16 @@
 //!
 //! The crate is organised the way the hardware flow is:
 //!
-//! 1. [`builder`] — the *modified* HiCuts and HyperCuts tree builders
-//!    (Section 3 of the paper): cuts start at 32 and are capped at 256, the
-//!    region-compaction and push-common-rules heuristics are removed, and
-//!    cut boundaries are restricted to what the accelerator's 8-bit
-//!    mask/shift child-selection logic can express.
+//! 1. [`builder`] — the *modified* HiCuts and HyperCuts (Section 3 of the
+//!    paper) as cut policies over `pclass_algos::dtree::TreeBuilder`: cuts
+//!    start at 32 and are capped at 256, the region-compaction and
+//!    push-common-rules heuristics are removed, and cut boundaries are
+//!    restricted to what the accelerator's 8-bit mask/shift child-selection
+//!    logic can express.  [`builder::build_tree`] returns the same
+//!    `DecisionTree` the software classifiers walk.
 //! 2. [`encode`] — bit-exact encodings of the 160-bit leaf rule format and
 //!    the internal-node format used inside a 4800-bit memory word.
-//! 3. [`program`] — [`program::HardwareProgram`]: the search structure
+//! 3. [`program`] — [`program::HardwareProgram`]: that tree
 //!    serialised into 4800-bit memory words (internal nodes first, then
 //!    leaves, packed according to the *speed* parameter), i.e. exactly what
 //!    would be written into the FPGA block RAMs / ASIC SRAM at configuration

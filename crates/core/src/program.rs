@@ -1,5 +1,6 @@
-//! Serialisation of the modified decision tree into 4800-bit memory words —
-//! the image that would be written into the accelerator's block RAMs.
+//! Serialisation of the modified algorithms' [`DecisionTree`] (see
+//! [`crate::builder::build_tree`]) into 4800-bit memory words — the image
+//! that would be written into the accelerator's block RAMs.
 //!
 //! The layout follows Section 3 of the paper:
 //!
@@ -27,11 +28,12 @@
 //! selectable child entry (≈0.7 MiB for a 503-word image).
 
 use crate::bits::{zero_word, Word};
-use crate::builder::{BuildConfig, BuildError, HwNode, HwTree};
+use crate::builder::{build_tree_within, consumed_bits, cut_bits, BuildConfig, BuildError};
 use crate::encode::{write_internal, write_rule, ChildEntry, NodeHeader};
 use crate::mirror::Mirror;
 use crate::{DEFAULT_WORD_CAPACITY, RULES_PER_WORD, WORD_BYTES};
 use pclass_algos::counters::BuildStats;
+use pclass_algos::dtree::{CutSpec, DecisionTree, NodeId, NodeKind};
 use pclass_types::{DimensionSpec, Rule, RuleSet, FIELD_COUNT};
 
 /// Placement of one leaf in the packed rule area.
@@ -96,8 +98,8 @@ impl HardwareProgram {
                 "word capacity must be between 1 and 4096".into(),
             ));
         }
-        let tree = HwTree::build(ruleset, config)?;
-        Self::from_tree(tree, config, word_capacity)
+        let (tree, build_stats) = build_tree_within(ruleset, config, word_capacity)?;
+        Self::from_tree(&tree, build_stats, config, word_capacity)
     }
 
     /// Plans the word layout of a tree without emitting the image: how many
@@ -109,18 +111,19 @@ impl HardwareProgram {
     /// observation for the largest fw1 sets): the layout can still be
     /// *planned* and its size reported even though such a structure could
     /// not be loaded into the accelerator unmodified.
-    pub fn plan_layout(tree: &HwTree, speed: crate::builder::SpeedMode) -> ProgramStats {
+    pub fn plan_layout(tree: &DecisionTree, speed: crate::builder::SpeedMode) -> ProgramStats {
         let (_, _, stats) = place(tree, speed);
         stats
     }
 
     /// Serialises an already-built tree and decodes the emitted image.
     fn from_tree(
-        tree: HwTree,
+        tree: &DecisionTree,
+        build_stats: BuildStats,
         config: &BuildConfig,
         word_capacity: usize,
     ) -> Result<HardwareProgram, BuildError> {
-        let (internal_word, leaf_placement, layout) = place(&tree, config.speed);
+        let (internal_word, leaf_placement, layout) = place(tree, config.speed);
         let internal_words = layout.internal_words;
         let total_words = layout.total_words;
         let leaf_words = layout.leaf_words;
@@ -134,40 +137,29 @@ impl HardwareProgram {
         // --- Emit the words ------------------------------------------------
         let mut words = vec![zero_word(); total_words];
         let mut stored_rules = 0usize;
-        for (idx, node) in tree.nodes.iter().enumerate() {
-            match node {
-                HwNode::Internal {
-                    cut_bits,
-                    consumed,
-                    children,
-                } => {
-                    let header = node_header(cut_bits, consumed);
+        for (idx, node) in tree.nodes().iter().enumerate() {
+            match &node.kind {
+                NodeKind::Internal { cuts, children, .. } => {
+                    let header = node_header(cuts, &consumed_bits(&node.region));
                     let entries: Vec<ChildEntry> = children
                         .iter()
-                        .map(|child| match child {
-                            None => ChildEntry::Null,
-                            Some(c) => match &tree.nodes[*c] {
-                                HwNode::Internal { .. } => ChildEntry::Internal {
-                                    word: internal_word[*c].expect("internal node has a word"),
+                        .map(|&c| match &tree.nodes()[c as usize].kind {
+                            NodeKind::Internal { .. } => ChildEntry::Internal {
+                                word: internal_word[c as usize].expect("internal node has a word"),
+                            },
+                            NodeKind::Leaf { .. } => match leaf_placement[c as usize] {
+                                Some(p) => ChildEntry::Leaf {
+                                    word: p.word,
+                                    pos: p.pos,
                                 },
-                                HwNode::Leaf { rules } => {
-                                    if rules.is_empty() {
-                                        ChildEntry::Null
-                                    } else {
-                                        let p = leaf_placement[*c].expect("leaf has a placement");
-                                        ChildEntry::Leaf {
-                                            word: p.word,
-                                            pos: p.pos,
-                                        }
-                                    }
-                                }
+                                None => ChildEntry::Null, // the empty leaf
                             },
                         })
                         .collect();
                     let w = internal_word[idx].expect("internal node has a word");
                     write_internal(&mut words[w], &header, &entries)?;
                 }
-                HwNode::Leaf { rules } => {
+                NodeKind::Leaf { rules } => {
                     let placement = match leaf_placement[idx] {
                         Some(p) => p,
                         None => continue,
@@ -176,7 +168,7 @@ impl HardwareProgram {
                     let mut p = placement.pos;
                     for (i, &rule_id) in rules.iter().enumerate() {
                         let end = i + 1 == rules.len();
-                        write_rule(&mut words[w], p, &tree.rules[rule_id as usize], end)?;
+                        write_rule(&mut words[w], p, &tree.rules()[rule_id as usize], end)?;
                         stored_rules += 1;
                         p += 1;
                         if p == RULES_PER_WORD {
@@ -202,9 +194,9 @@ impl HardwareProgram {
             words,
             config: *config,
             stats,
-            build_stats: tree.build_stats,
-            rules: tree.rules,
-            spec: tree.spec,
+            build_stats,
+            rules: tree.rules().to_vec(),
+            spec: *tree.spec(),
             word_capacity,
         })
     }
@@ -286,14 +278,16 @@ impl HardwareProgram {
 /// assignments and the resulting layout statistics (shared by
 /// [`HardwareProgram::from_tree`] and [`HardwareProgram::plan_layout`]).
 fn place(
-    tree: &HwTree,
+    tree: &DecisionTree,
     speed: crate::builder::SpeedMode,
 ) -> (Vec<Option<usize>>, Vec<Option<LeafPlacement>>, ProgramStats) {
-    // --- Assign words to internal nodes (in node order, root first) -------
-    let mut internal_word: Vec<Option<usize>> = vec![None; tree.nodes.len()];
+    let nodes = tree.nodes();
+    // --- Assign words to internal nodes (the root first, then node order) -
+    let root = tree.root() as usize;
+    let mut internal_word: Vec<Option<usize>> = vec![None; nodes.len()];
     let mut next_word = 0usize;
-    for (idx, node) in tree.nodes.iter().enumerate() {
-        if matches!(node, HwNode::Internal { .. }) {
+    for idx in std::iter::once(root).chain((0..nodes.len()).filter(|&idx| idx != root)) {
+        if !nodes[idx].is_leaf() {
             internal_word[idx] = Some(next_word);
             next_word += 1;
         }
@@ -301,13 +295,13 @@ fn place(
     let internal_words = next_word;
 
     // --- Pack leaves after the internal nodes -----------------------------
-    let mut leaf_placement: Vec<Option<LeafPlacement>> = vec![None; tree.nodes.len()];
+    let mut leaf_placement: Vec<Option<LeafPlacement>> = vec![None; nodes.len()];
     let mut word = internal_words;
     let mut pos = 0usize;
     let mut stored_rules = 0usize;
-    for (idx, node) in tree.nodes.iter().enumerate() {
-        let rules = match node {
-            HwNode::Leaf { rules } => rules,
+    for (idx, node) in nodes.iter().enumerate() {
+        let rules = match &node.kind {
+            NodeKind::Leaf { rules } => rules,
             _ => continue,
         };
         if rules.is_empty() {
@@ -339,18 +333,20 @@ fn place(
         total_words,
         memory_bytes: total_words * WORD_BYTES,
         stored_rules,
-        worst_case_cycles: worst_case_cycles(tree, &leaf_placement, 0, 0),
-        tree_depth: tree.max_depth(),
+        worst_case_cycles: worst_case_cycles(tree, &leaf_placement, tree.root(), 0),
+        tree_depth: nodes.iter().map(|n| n.depth).max().unwrap_or(0),
     };
     (internal_word, leaf_placement, stats)
 }
 
-/// Builds the hardware mask/shift header for a node.
+/// Builds the hardware mask/shift header for a node cutting `cuts` (a power
+/// of two per dimension) with `consumed` bits already cut away above it.
 ///
 /// Dimension `d` contributes the bits `[8 - consumed_d - cut_bits_d,
 /// 8 - consumed_d)` of its 8 MSBs; the shift aligns that contribution to its
 /// mixed-radix position (dimension 0 is the most significant digit).
-fn node_header(cut_bits: &[u8; FIELD_COUNT], consumed: &[u8; FIELD_COUNT]) -> NodeHeader {
+fn node_header(cuts: &CutSpec, consumed: &[u8; FIELD_COUNT]) -> NodeHeader {
+    let cut_bits = cut_bits(cuts);
     let mut header = NodeHeader::identity();
     // Bits contributed by later dimensions (lower-order digits).
     let mut low_bits_after = [0u8; FIELD_COUNT];
@@ -378,29 +374,28 @@ fn node_header(cut_bits: &[u8; FIELD_COUNT], consumed: &[u8; FIELD_COUNT]) -> No
 /// per further internal node + the number of leaf words touched by the
 /// largest leaf along the path (Eqs. 5/7 with the match in the last rule).
 fn worst_case_cycles(
-    tree: &HwTree,
+    tree: &DecisionTree,
     placement: &[Option<LeafPlacement>],
-    node: usize,
+    node: NodeId,
     depth_cycles: u32,
 ) -> u32 {
-    match &tree.nodes[node] {
-        HwNode::Leaf { rules } => {
-            if rules.is_empty() {
-                return depth_cycles.max(1);
-            }
-            let p = placement[node].expect("non-empty leaf placed");
+    match &tree.nodes()[node as usize].kind {
+        NodeKind::Leaf { .. } => {
+            let Some(p) = placement[node as usize] else {
+                return depth_cycles.max(1); // the empty leaf: nothing to load
+            };
             let words = (p.pos + p.rules).div_ceil(RULES_PER_WORD) - p.pos / RULES_PER_WORD;
             depth_cycles + words as u32
         }
-        HwNode::Internal { children, .. } => {
+        NodeKind::Internal { children, .. } => {
             let mut worst = depth_cycles + 1;
-            let mut seen: Vec<usize> = Vec::new();
-            for child in children.iter().flatten() {
-                if seen.contains(child) {
+            let mut seen: Vec<NodeId> = Vec::new();
+            for &child in children {
+                if seen.contains(&child) {
                     continue;
                 }
-                seen.push(*child);
-                worst = worst.max(worst_case_cycles(tree, placement, *child, depth_cycles + 1));
+                seen.push(child);
+                worst = worst.max(worst_case_cycles(tree, placement, child, depth_cycles + 1));
             }
             worst
         }
@@ -542,13 +537,43 @@ mod tests {
     }
 
     #[test]
+    fn a_fitting_build_is_the_unbounded_build() {
+        // The capacity only ever stops a build that could not fit: a build
+        // that fits is the unbounded tree, laid out.
+        let rs = acl(600);
+        for algo in [CutAlgorithm::HiCuts, CutAlgorithm::HyperCuts] {
+            let config = BuildConfig::paper_defaults(algo);
+            let (tree, build_stats) = crate::builder::build_tree(&rs, &config).unwrap();
+            let layout = HardwareProgram::plan_layout(&tree, config.speed);
+            // Exactly enough words, and the paper's default capacity.
+            for capacity in [layout.total_words, DEFAULT_WORD_CAPACITY] {
+                let program = HardwareProgram::build_with_capacity(&rs, &config, capacity).unwrap();
+                assert_eq!(*program.stats(), layout, "{algo:?} at {capacity}");
+                assert_eq!(
+                    *program.build_stats(),
+                    build_stats,
+                    "{algo:?} at {capacity}"
+                );
+            }
+            let err = HardwareProgram::build_with_capacity(&rs, &config, layout.total_words - 1)
+                .unwrap_err();
+            assert!(
+                matches!(err, BuildError::CapacityExceeded { capacity, .. }
+                    if capacity == layout.total_words - 1),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn node_header_mixed_radix_matches_child_region() {
-        use crate::builder::child_region;
         use pclass_types::PacketHeader;
         // 2 bits on src ip, 1 bit on protocol, nothing consumed yet.
-        let cut_bits = [2u8, 0, 0, 0, 1];
+        let cuts = CutSpec {
+            parts: [4, 1, 1, 1, 2],
+        };
         let consumed = [0u8; FIELD_COUNT];
-        let header = node_header(&cut_bits, &consumed);
+        let header = node_header(&cuts, &consumed);
         let rs = acl(1);
         let region = rs.full_region();
         let spec = DimensionSpec::FIVE_TUPLE;
@@ -556,7 +581,7 @@ mod tests {
             for proto in [0u32, 127, 128, 255] {
                 let pkt = PacketHeader::from_fields([src, 0, 0, 0, proto]);
                 let idx = header.child_index(&pkt.msb8(&spec));
-                let child = child_region(&region, &cut_bits, u64::from(idx));
+                let child = cuts.child_region(&region, u64::from(idx));
                 assert!(child[0].contains(src), "src {src:#x} idx {idx}");
                 assert!(child[4].contains(proto), "proto {proto} idx {idx}");
             }
@@ -567,9 +592,9 @@ mod tests {
     fn node_header_respects_consumed_bits() {
         use pclass_types::PacketHeader;
         // A node one level down: 2 bits of src already consumed, cut 3 more.
-        let cut_bits = [3u8, 0, 0, 0, 0];
+        let cuts = CutSpec::single(pclass_types::Dimension::SrcIp, 8);
         let consumed = [2u8, 0, 0, 0, 0];
-        let header = node_header(&cut_bits, &consumed);
+        let header = node_header(&cuts, &consumed);
         let spec = DimensionSpec::FIVE_TUPLE;
         // Bits 5..3 (counting from bit 7) of the MSB byte select the child.
         let pkt = PacketHeader::from_fields([0b0011_1000 << 24, 0, 0, 0, 0]);

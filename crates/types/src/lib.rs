@@ -63,7 +63,7 @@ pub use range::FieldRange;
 pub use rule::{Protocol, Rule, RuleBuilder, RuleId};
 pub use ruleset::{MatchResult, RuleSet, RuleSetError};
 pub use stats::{
-    ArenaStats, CacheStats, FairnessSummary, LatencyPercentiles, MemoryReport, RuleSetStats,
-    UpdateStats,
+    distinct_range_counts, ArenaStats, CacheStats, FairnessSummary, LatencyPercentiles,
+    MemoryReport, RuleSetStats, UpdateStats,
 };
 pub use trace::{shard_slices, Trace, TraceEntry};

@@ -6,6 +6,7 @@
 
 use crate::dimension::{Dimension, FIELD_COUNT};
 use crate::range::FieldRange;
+use crate::rule::{Rule, RuleId};
 use crate::ruleset::RuleSet;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -275,7 +276,6 @@ impl RuleSetStats {
     pub fn compute(rs: &RuleSet) -> RuleSetStats {
         let spec = rs.spec();
         let n = rs.len();
-        let mut distinct: [HashSet<FieldRange>; FIELD_COUNT] = Default::default();
         let mut wildcards = [0usize; FIELD_COUNT];
         let mut rel_width = [0f64; FIELD_COUNT];
         let mut double_wild = 0usize;
@@ -286,7 +286,6 @@ impl RuleSetStats {
             for d in Dimension::ALL {
                 let i = d.index();
                 let r = rule.range(d);
-                distinct[i].insert(r);
                 let full = FieldRange::full(spec.width(d));
                 if r == full {
                     wildcards[i] += 1;
@@ -307,38 +306,31 @@ impl RuleSetStats {
         for i in 0..FIELD_COUNT {
             mean_relative_width[i] = rel_width[i] / denom;
         }
+        let all: Vec<RuleId> = (0..n as RuleId).collect();
         RuleSetStats {
             rules: n,
-            distinct_ranges: [
-                distinct[0].len(),
-                distinct[1].len(),
-                distinct[2].len(),
-                distinct[3].len(),
-                distinct[4].len(),
-            ],
+            distinct_ranges: distinct_range_counts(rs.rules(), &all),
             wildcards,
             double_wildcard_fraction: double_wild as f64 / denom,
             mean_wildcard_dims: total_wild_dims as f64 / denom,
             mean_relative_width,
         }
     }
+}
 
-    /// Mean of the per-dimension distinct-range counts (used by the
-    /// HyperCuts dimension-selection heuristic).
-    pub fn mean_distinct_ranges(&self) -> f64 {
-        self.distinct_ranges.iter().sum::<usize>() as f64 / FIELD_COUNT as f64
+/// Number of distinct range specifications per dimension among the rules
+/// `ids` names — the quantity every HyperCuts variant compares against its
+/// mean over the dimensions when it picks the ones to cut.
+pub fn distinct_range_counts(rules: &[Rule], ids: &[RuleId]) -> [usize; FIELD_COUNT] {
+    let mut counts = [0usize; FIELD_COUNT];
+    for d in Dimension::ALL {
+        let mut distinct: HashSet<FieldRange> = HashSet::with_capacity(ids.len());
+        for &id in ids {
+            distinct.insert(rules[id as usize].range(d));
+        }
+        counts[d.index()] = distinct.len();
     }
-
-    /// Dimensions whose distinct-range count is at least the mean — the set
-    /// HyperCuts considers for multi-dimensional cutting.
-    pub fn hypercuts_candidate_dimensions(&self) -> Vec<Dimension> {
-        let mean = self.mean_distinct_ranges();
-        Dimension::ALL
-            .iter()
-            .copied()
-            .filter(|d| self.distinct_ranges[d.index()] as f64 >= mean)
-            .collect()
-    }
+    counts
 }
 
 #[cfg(test)]
@@ -359,18 +351,23 @@ mod tests {
         assert_eq!(stats.distinct_ranges[2], 4);
         // Two rules are wildcards (0-255) in field 2.
         assert_eq!(stats.wildcards[2], 2);
-        assert!(stats.mean_distinct_ranges() > 0.0);
     }
 
     #[test]
     fn hypercuts_candidates_follow_mean() {
         let rs = toy::table1_ruleset();
-        let stats = rs.stats();
-        let candidates = stats.hypercuts_candidate_dimensions();
-        // Field 0 (10 distinct) and field 4 (10 distinct) dominate the mean.
-        assert!(candidates.contains(&Dimension::SrcIp));
-        assert!(candidates.contains(&Dimension::Protocol));
-        assert!(!candidates.contains(&Dimension::SrcPort));
+        let all: Vec<RuleId> = (0..rs.len() as RuleId).collect();
+        let counts = distinct_range_counts(rs.rules(), &all);
+        assert_eq!(counts, rs.stats().distinct_ranges);
+        // Field 0 (9 distinct) and field 4 (10 distinct) dominate the mean.
+        let mean = counts.iter().sum::<usize>() as f64 / FIELD_COUNT as f64;
+        assert!(counts[Dimension::SrcIp.index()] as f64 >= mean);
+        assert!(counts[Dimension::Protocol.index()] as f64 >= mean);
+        assert!((counts[Dimension::SrcPort.index()] as f64) < mean);
+        // A subset is counted on its own: two rules, at most two ranges.
+        assert!(distinct_range_counts(rs.rules(), &all[..2])
+            .iter()
+            .all(|&c| (1..=2).contains(&c)));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Golden pins of everything the four tree builders and the two software
 //! walks *count* on `acl_ruleset(1000)`: the full [`BuildStats`] of the
-//! software HiCuts/HyperCuts builders and of the hardware-oriented `HwTree`
-//! builders, the pointer-tree and arena shapes, and the summed
+//! software HiCuts/HyperCuts builders and of the hardware-oriented modified
+//! ones — four cut policies over one `TreeBuilder` — the pointer-tree and
+//! arena shapes, and the summed
 //! [`LookupStats`] of a 2,000-packet trace.
 //!
 //! These numbers feed Table 2 (memory), Table 3 (build energy) and Table 8
@@ -18,7 +19,7 @@ use pclass_algos::hicuts::{HiCutsClassifier, HiCutsConfig};
 use pclass_algos::hypercuts::{HyperCutsClassifier, HyperCutsConfig};
 use pclass_algos::Classifier;
 use pclass_bench::{acl_ruleset, trace_for};
-use pclass_core::builder::{BuildConfig, CutAlgorithm, HwTree, SpeedMode};
+use pclass_core::builder::{build_tree, BuildConfig, CutAlgorithm, SpeedMode};
 use pclass_core::program::{HardwareProgram, ProgramStats};
 use pclass_types::{ArenaStats, Trace};
 
@@ -184,9 +185,9 @@ fn software_hypercuts_counts_are_pinned() {
 /// its build counters with the memory layout they lead to.
 fn hardware_build(algorithm: CutAlgorithm) -> (BuildStats, ProgramStats) {
     let rs = acl_ruleset(1000);
-    let tree = HwTree::build(&rs, &BuildConfig::paper_defaults(algorithm)).unwrap();
+    let (tree, build) = build_tree(&rs, &BuildConfig::paper_defaults(algorithm)).unwrap();
     let layout = HardwareProgram::plan_layout(&tree, SpeedMode::Throughput);
-    (tree.build_stats, layout)
+    (build, layout)
 }
 
 #[test]

@@ -212,7 +212,9 @@ fn worst_case_cycles_scale_like_table4() {
 
     // fw1 ≫ acl1: a fifth of the rules already needs more words (3,796 vs
     // 2,280), and doubling them again overflows the 4096-word budget
-    // (44,771 words).
+    // (44,771 words).  At 5,000 rules the full structure would be 3.8
+    // million words; the builder stops cutting once the internal nodes
+    // alone fill the budget, so the verdict takes a second, not minutes.
     let fw = |rules| {
         HardwareProgram::build_with_capacity(
             &ClassBenchGenerator::new(SeedStyle::Fw, 3).generate(rules),
@@ -222,12 +224,14 @@ fn worst_case_cycles_scale_like_table4() {
     };
     let fw_fits = fw(1_000).unwrap();
     assert!(fw_fits.word_count() > acl_large.word_count());
-    let fw_overflows = fw(2_000).unwrap_err();
-    assert!(
-        matches!(
-            fw_overflows,
-            pclass_core::builder::BuildError::CapacityExceeded { capacity: 4096, .. }
-        ),
-        "{fw_overflows}"
-    );
+    for rules in [2_000, 5_000] {
+        let fw_overflows = fw(rules).unwrap_err();
+        assert!(
+            matches!(
+                fw_overflows,
+                pclass_core::builder::BuildError::CapacityExceeded { capacity: 4096, .. }
+            ),
+            "{fw_overflows}"
+        );
+    }
 }
