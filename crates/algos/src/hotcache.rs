@@ -32,7 +32,7 @@
 //! [`LookupStats`].
 
 use crate::counters::LookupStats;
-use crate::update::{RuleUpdate, UpdatableClassifier, UpdateError};
+use crate::update::{UpdatableClassifier, UpdateError};
 use crate::Classifier;
 use pclass_types::{
     CacheStats, DimensionSpec, MatchResult, PacketHeader, Rule, RuleId, UpdateStats,
@@ -558,6 +558,11 @@ impl<C: Classifier> Classifier for CachedClassifier<C> {
             .worst_case_memory_accesses()
             .map(|inner| inner + self.cache.assoc as u64)
     }
+
+    fn arena_stats(&self) -> Option<pclass_types::ArenaStats> {
+        // The arena is the inner structure's; the cache adds no arena.
+        self.inner.arena_stats()
+    }
 }
 
 impl<C: UpdatableClassifier> UpdatableClassifier for CachedClassifier<C> {
@@ -583,13 +588,6 @@ impl<C: UpdatableClassifier> UpdatableClassifier for CachedClassifier<C> {
 
     fn update_stats(&self) -> UpdateStats {
         self.inner.update_stats()
-    }
-
-    fn apply(&mut self, update: &RuleUpdate) -> Result<(), UpdateError> {
-        match update {
-            RuleUpdate::Insert(rule) => self.insert(*rule),
-            RuleUpdate::Delete(id) => self.delete(*id),
-        }
     }
 }
 
@@ -761,6 +759,11 @@ mod tests {
         let mut lookup = LookupStats::new();
         cached.classify_with_stats(&trace[0], &mut lookup);
         assert_eq!(lookup.cache_hits + lookup.cache_misses, 1);
+        // The layout report passes through: the cache adds no arena.
+        assert_eq!(cached.arena_stats(), None);
+        let flat = CachedClassifier::new(updatable(&rs), HotCacheConfig::new(64, 4));
+        let arena = flat.inner().arena_stats();
+        assert_eq!(Classifier::arena_stats(&flat), Some(arena));
     }
 
     #[test]

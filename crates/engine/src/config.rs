@@ -10,18 +10,19 @@
 //!   per-tenant live classifiers.
 //!
 //! Knob semantics — all three front ends run the same sharded loop, so
-//! the first three mean the same thing on each:
+//! the first two mean the same thing on each:
 //!
 //! * **workers** and **batch size** set the loop's geometry;
 //! * the **hot cache** ([`EngineConfig::hot_cache`]) puts an exact-match
 //!   flow cache in front of the classifier, probed once per sub-batch:
-//!   one per worker shard on [`Engine`] and [`LiveEngine`], one per tenant
-//!   on [`TenantRouter`] (where the entry budget is sliced across the
-//!   roster by each tenant's [`TenantSpec::cache_share`]);
+//!   one private cache per worker shard of an [`Engine`] or
+//!   [`LiveEngine`].  A [`TenantRouter`] owns no cache and refuses a
+//!   config that carries one — a tenant that wants a cache is admitted as
+//!   a [`pclass_algos::CachedClassifier`];
 //! * the **memory budget** ([`EngineConfig::memory_budget`]) bounds the
-//!   [`TenantRouter`] roster's total classifier + cache bytes — admission
-//!   checks against it; the single-classifier front ends have no roster
-//!   and do not consume it.
+//!   [`TenantRouter`] roster's total classifier bytes — admission checks
+//!   against it; the single-classifier front ends have no roster and do
+//!   not consume it.
 //!
 //! Every setter **rejects a double-set with a panic**: two subsystems
 //! configuring the same knob on one config is a wiring bug that last-wins
@@ -107,11 +108,9 @@ impl EngineConfig {
 
     /// Puts an exact-match hot-flow cache
     /// ([`pclass_algos::hotcache::HotCache`]) in front of the classifier:
-    /// each [`Engine`]/[`LiveEngine`] worker shard gets its own cache with
-    /// this geometry, and a [`TenantRouter`] treats `capacity` as a
-    /// router-wide entry budget sliced into one cache per tenant in
-    /// proportion to [`TenantSpec::cache_share`], so one hot tenant cannot
-    /// cache-starve its neighbours.
+    /// each [`Engine`]/[`LiveEngine`] worker shard gets its own private
+    /// cache with this geometry.  [`EngineConfig::tenant_router`] refuses
+    /// a config that carries one.
     ///
     /// # Panics
     ///
@@ -128,10 +127,11 @@ impl EngineConfig {
     }
 
     /// Sets the router-wide memory budget in bytes, consumed by
-    /// [`TenantRouter`] admission: a tenant whose classifier plus cache
-    /// slice would push the roster's total past the budget is rejected
-    /// with [`crate::AdmissionError::RouterOverBudget`].  The
-    /// single-tenant front ends do not consume it.
+    /// [`TenantRouter`] admission: a tenant whose classifier (its
+    /// [`Classifier::memory_bytes`], a cache in front of it included)
+    /// would push the roster's total past the budget is rejected with
+    /// [`crate::AdmissionError::RouterOverBudget`].  The single-tenant
+    /// front ends do not consume it.
     ///
     /// # Panics
     ///
@@ -185,23 +185,32 @@ impl EngineConfig {
 
     /// Builds a [`TenantRouter`] over `(spec, classifier)` pairs — every
     /// tenant is declared through a [`TenantSpec`] (name, scheduling
-    /// weight, memory budget, cache share), admitted in iteration order
-    /// (handles come back from [`TenantRouter::tenant_ids`] in the same
-    /// order), each classifier is wrapped in its own [`LiveClassifier`]
-    /// (per-tenant churn isolation), and tagged traffic is served on this
-    /// config's shared worker pool; inherits the hot cache (sliced over
-    /// the roster by cache share) and the router-wide
+    /// weight, memory budget), admitted in iteration order (handles come
+    /// back from [`TenantRouter::tenant_ids`] in the same order), each
+    /// classifier is wrapped in its own [`LiveClassifier`] (per-tenant
+    /// churn isolation), and tagged traffic is served on this config's
+    /// shared worker pool; inherits the router-wide
     /// [`EngineConfig::memory_budget`].
     ///
     /// # Panics
     ///
     /// Panics if the roster is empty or any declared tenant fails
     /// admission (runtime [`TenantRouter::admit`] returns the error
-    /// instead).
+    /// instead), and if this config carries a
+    /// [hot cache](EngineConfig::hot_cache): the router owns no cache, so
+    /// a tenant that wants one is admitted behind it, as
+    /// `CachedClassifier::new(classifier, HotCacheConfig::new(entries, assoc))`
+    /// ([`pclass_algos::CachedClassifier`]).
     pub fn tenant_router<C: Classifier + Clone + Send + Sync>(
         &self,
         tenants: impl IntoIterator<Item = (TenantSpec, C)>,
     ) -> TenantRouter<C> {
+        assert!(
+            self.hot_cache.is_none(),
+            "EngineConfig::hot_cache is one private cache per Engine/LiveEngine \
+             worker and a TenantRouter owns none — admit a tenant that wants a \
+             cache as CachedClassifier::new(classifier, HotCacheConfig::new(..))"
+        );
         TenantRouter::from_config(self, tenants)
     }
 }
@@ -295,6 +304,15 @@ mod tests {
             config.tenant_router([(TenantSpec::new("t0"), LinearClassifier::new(rs.clone()))]);
         assert_eq!(router.memory_budget(), Some(64 << 20));
         assert!(router.memory_in_use() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "admit a tenant that wants a cache as CachedClassifier::new")]
+    fn a_cached_config_builds_no_tenant_router() {
+        let (rs, _) = workload(40, 0);
+        let _ = EngineConfig::new()
+            .hot_cache(HotCacheConfig::new(256, 4))
+            .tenant_router([(TenantSpec::new("t0"), LinearClassifier::new(rs))]);
     }
 
     #[test]

@@ -29,9 +29,11 @@
 //! [`LiveEngine`], and the multi-tenant [`tenant::TenantRouter`] — is
 //! built through one [`EngineConfig`] builder (the older per-type
 //! constructors are gone).  The builder can also put an exact-match
-//! hot-flow cache in front of any of them ([`EngineConfig::hot_cache`]):
+//! hot-flow cache in front of the first two ([`EngineConfig::hot_cache`]):
 //! each worker shard probes its own cache first and falls cache misses
-//! through to the classifier as one dense batch.
+//! through to the classifier as one dense batch.  A tenant of the router
+//! is cached by composition instead, admitted as a
+//! [`pclass_algos::CachedClassifier`].
 //!
 //! # Example
 //!

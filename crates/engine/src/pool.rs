@@ -3,7 +3,7 @@
 
 use crate::{mpps, EngineConfig, EngineRun, ThroughputReport, WorkerReport};
 use pclass_algos::{Classifier, HotCache};
-use pclass_types::{shard_slices, CacheStats, MatchResult, PacketHeader, Trace};
+use pclass_types::{shard_slices, CacheStats, MatchResult, Trace};
 use std::ops::Deref;
 use std::time::Instant;
 
@@ -92,24 +92,6 @@ pub(crate) fn run_sharded<P: Sync, W: Send>(
     (results, report, states)
 }
 
-/// Probe the hot cache under `tag`, else classify: hits are served from the
-/// cache and the misses fall through to the classifier as one dense batch;
-/// without a cache the classifier sees the whole batch.
-pub(crate) fn serve_cached(
-    cache: Option<&HotCache>,
-    tag: u64,
-    classifier: &(impl Classifier + ?Sized),
-    headers: &[PacketHeader],
-    out: &mut Vec<MatchResult>,
-) {
-    match cache {
-        Some(cache) => cache.serve_batch(tag, headers, out, |misses, fell| {
-            classifier.classify_batch(misses, fell)
-        }),
-        None => classifier.classify_batch(headers, out),
-    }
-}
-
 /// What [`crate::Engine`] and [`crate::LiveEngine`] share: the loop's
 /// geometry and one private hot-flow cache per worker (no cross-worker
 /// contention; a worker only ever sees its own shard).
@@ -145,8 +127,10 @@ impl WorkerPool {
     /// Serves a trace: every sub-batch is copied into its worker's header
     /// scratch block (the dense slice [`Classifier::classify_batch`]
     /// wants) and classified by whatever `current()` returns at that
-    /// moment — a cache tag and a classifier handle — behind the worker's
-    /// cache.
+    /// moment — a cache tag and a classifier handle.  Behind a cache, the
+    /// hits are served from it and the misses fall through to the
+    /// classifier as one dense batch; without one the classifier sees the
+    /// whole sub-batch.
     pub(crate) fn serve_trace<H: Deref<Target: Classifier>>(
         &self,
         trace: &Trace,
@@ -161,7 +145,12 @@ impl WorkerPool {
                 headers.clear();
                 headers.extend(sub.iter().map(|e| e.header));
                 let (tag, classifier) = current();
-                serve_cached(*cache, tag, &*classifier, headers, results);
+                match cache {
+                    Some(cache) => cache.serve_batch(tag, headers, results, |misses, fell| {
+                        classifier.classify_batch(misses, fell)
+                    }),
+                    None => classifier.classify_batch(headers, results),
+                }
             },
         );
         EngineRun { results, report }

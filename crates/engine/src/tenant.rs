@@ -7,8 +7,8 @@
 //! on shared cores.  [`TenantRouter`] is that front end:
 //!
 //! * every tenant is declared through a [`TenantSpec`] (name, scheduling
-//!   **weight**, per-tenant **memory budget**, hot-cache **slice share**),
-//!   the only construction path — there is no positional roster API;
+//!   **weight**, per-tenant **memory budget**), the only construction
+//!   path — there is no positional roster API;
 //! * the roster itself is **epoch-swapped**: [`TenantRouter::admit`] and
 //!   [`TenantRouter::evict`] publish a new roster snapshot the same way a
 //!   [`LiveClassifier`] publishes a new generation, so serving workers
@@ -34,22 +34,17 @@
 //! `admit`/construction.  Eviction retires the epoch: packets tagged with
 //! a retired handle are counted as *unroutable*
 //! ([`TenantRun::unroutable`]) and decided [`MatchResult::NoMatch`],
-//! never silently served by the slot's next occupant.  Hot-cache probe
-//! tags fold the admission epoch in next to the classifier generation, so
-//! even though an evicted tenant's cache slice is **recycled** to a later
-//! admission (admission on the datapath must not allocate megabytes), its
-//! physically present entries are structurally unreachable — a stale hit
-//! across eviction generations is impossible by construction, which the
-//! workspace negative tests pin.
+//! never silently served by the slot's next occupant.
 //!
 //! # Memory budgeting
 //!
-//! Admission charges each tenant's classifier bytes plus its cache-slice
-//! bytes into a [`MemoryReport`].  A spec-level budget
-//! ([`TenantSpec::memory_budget`]) bounds one tenant; a router-wide
-//! budget ([`crate::EngineConfig::memory_budget`]) bounds the roster —
-//! [`TenantRouter::admit`] rejects (it does not panic) when either would
-//! be exceeded.
+//! Admission charges each tenant's classifier bytes
+//! ([`Classifier::memory_bytes`]) into a [`MemoryReport`].  A spec-level
+//! budget ([`TenantSpec::memory_budget`]) bounds one tenant; a
+//! router-wide budget ([`crate::EngineConfig::memory_budget`]) bounds the
+//! roster — [`TenantRouter::admit`] rejects (it does not panic) when
+//! either would be exceeded, and [`TenantRouter::evict`] frees exactly
+//! what `admit` charged.
 //!
 //! Construction goes through [`crate::EngineConfig::tenant_router`], the
 //! same builder the single-tenant engines use.
@@ -61,13 +56,38 @@
 //! equals its solo run.  The workspace property tests enforce both, plus
 //! that a mid-trace evict/admit cycle leaves surviving tenants
 //! bit-identical.
+//!
+//! # Caching a tenant
+//!
+//! The router owns no cache: a tenant that wants a hot-flow cache is
+//! admitted behind one, as a [`pclass_algos::CachedClassifier`].
+//!
+//! ```
+//! use pclass_algos::{CachedClassifier, LinearClassifier};
+//! use pclass_classbench::{ClassBenchGenerator, SeedStyle};
+//! use pclass_engine::{EngineConfig, TenantSpec};
+//!
+//! let rules = ClassBenchGenerator::new(SeedStyle::Acl, 42).generate(100);
+//! // Any geometry; the default is 1,024 entries, 4-way.
+//! let cached = CachedClassifier::new(LinearClassifier::new(rules), Default::default());
+//! let router = EngineConfig::new().tenant_router([(TenantSpec::new("t0"), cached)]);
+//! assert!(router.memory_in_use() > 1024 * 4); // the cache is charged
+//! ```
+//!
+//! The cache is then part of the tenant's classifier: private to it,
+//! charged against both budgets through `memory_bytes()`, moved to a fresh
+//! generation by every update through [`TenantRouter::live`] (a stale hit
+//! is structurally impossible), and dropped at eviction — a readmitted
+//! tenant starts cold.
 
 use crate::live::LiveClassifier;
 use crate::{EngineConfig, EngineRun, ThroughputReport};
-use pclass_algos::{Classifier, HotCache, HotCacheConfig};
+use pclass_algos::Classifier;
 use pclass_types::{
-    CacheStats, FairnessSummary, LatencyPercentiles, MatchResult, MemoryReport, PacketHeader, Trace,
+    FairnessSummary, LatencyPercentiles, MatchResult, MemoryReport, PacketHeader, Trace,
 };
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
@@ -117,14 +137,12 @@ impl std::fmt::Display for TenantId {
 /// double-set** — two subsystems configuring the same knob on one spec is
 /// a wiring bug that last-wins semantics would hide.
 ///
-/// Defaults: weight 1, no per-tenant memory budget, cache share equal to
-/// the weight.
+/// Defaults: weight 1, no per-tenant memory budget.
 #[derive(Debug, Clone)]
 pub struct TenantSpec {
     name: String,
     weight: Option<u32>,
     memory_budget: Option<usize>,
-    cache_share: Option<u32>,
 }
 
 impl TenantSpec {
@@ -134,7 +152,6 @@ impl TenantSpec {
             name: name.into(),
             weight: None,
             memory_budget: None,
-            cache_share: None,
         }
     }
 
@@ -157,8 +174,8 @@ impl TenantSpec {
     }
 
     /// Sets the tenant's memory budget in bytes: admission fails with
-    /// [`AdmissionError::TenantOverBudget`] when the classifier plus the
-    /// tenant's cache slice would exceed it.
+    /// [`AdmissionError::TenantOverBudget`] when the classifier's
+    /// [`Classifier::memory_bytes`] exceed it.
     ///
     /// # Panics
     ///
@@ -171,24 +188,6 @@ impl TenantSpec {
              subsystem's choice"
         );
         self.memory_budget = Some(bytes);
-        self
-    }
-
-    /// Sets the tenant's share of the router-wide hot-cache entry budget
-    /// (relative to the other tenants' shares; 0 means no cache slice).
-    /// When unset, the cache share follows the scheduling weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the share was already set.
-    pub fn cache_share(mut self, share: u32) -> TenantSpec {
-        assert!(
-            self.cache_share.is_none(),
-            "TenantSpec::cache_share set twice — a cache share is already \
-             configured; a second value would silently override the first \
-             subsystem's choice"
-        );
-        self.cache_share = Some(share);
         self
     }
 
@@ -206,23 +205,18 @@ impl TenantSpec {
     pub fn memory_budget_bytes(&self) -> Option<usize> {
         self.memory_budget
     }
-
-    /// The cache share this spec resolves to (default: the weight).
-    pub fn cache_share_value(&self) -> u32 {
-        self.cache_share.unwrap_or_else(|| self.weight_value())
-    }
 }
 
 /// Why [`TenantRouter::admit`] (or roster construction, which panics with
 /// the same message) refused a tenant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdmissionError {
-    /// The tenant's classifier plus cache slice exceeds its own
+    /// The tenant's classifier exceeds its own
     /// [`TenantSpec::memory_budget`].
     TenantOverBudget {
         /// The refused tenant's name.
         name: String,
-        /// Bytes the tenant needs (classifier + cache slice).
+        /// Bytes the tenant's classifier needs.
         needs: usize,
         /// The spec's budget.
         budget: usize,
@@ -232,9 +226,9 @@ pub enum AdmissionError {
     RouterOverBudget {
         /// The refused tenant's name.
         name: String,
-        /// Bytes the tenant needs (classifier + cache slice).
+        /// Bytes the tenant's classifier needs.
         needs: usize,
-        /// Bytes already in use (live tenants plus recycled cache slices).
+        /// Bytes already in use by the live tenants.
         in_use: usize,
         /// The router-wide budget.
         budget: usize,
@@ -349,43 +343,27 @@ impl TaggedTrace {
     }
 
     /// The shared deficit scheduler behind both interleaves: pick the
-    /// part minimising `(emitted + 1) / share`, compared by
-    /// cross-multiplication to stay exact, ties to the earliest part.
+    /// part minimising `(emitted + 1) / share`, ties to the earliest part.
+    /// The parts with packets left wait in a heap keyed by their next
+    /// [`Turn`], so a packet costs O(log parts) rather than a scan of all.
     fn interleave_by(
         name: impl Into<String>,
         parts: &[(TenantId, &Trace)],
         shares: &[u128],
     ) -> TaggedTrace {
         let total: usize = parts.iter().map(|(_, t)| t.len()).sum();
-        let mut next = vec![0usize; parts.len()];
         let mut entries = Vec::with_capacity(total);
-        for _ in 0..total {
-            let mut best: Option<usize> = None;
-            for (t, (_, trace)) in parts.iter().enumerate() {
-                if next[t] >= trace.len() {
-                    continue;
-                }
-                best = Some(match best {
-                    None => t,
-                    Some(b) => {
-                        // t is further behind than b iff
-                        // (next[t]+1)/shares[t] < (next[b]+1)/shares[b].
-                        let t_share = (next[t] as u128 + 1) * shares[b];
-                        let b_share = (next[b] as u128 + 1) * shares[t];
-                        if t_share < b_share {
-                            t
-                        } else {
-                            b
-                        }
-                    }
-                });
+        let mut turns: BinaryHeap<Turn> = (0..parts.len())
+            .filter(|&part| !parts[part].1.is_empty())
+            .map(|part| Turn(1, shares[part], part))
+            .collect();
+        while let Some(Turn(nth, share, part)) = turns.pop() {
+            let (tenant, trace) = parts[part];
+            let header = trace.entries()[nth as usize - 1].header;
+            entries.push(TaggedPacket { tenant, header });
+            if (nth as usize) < trace.len() {
+                turns.push(Turn(nth + 1, share, part));
             }
-            let t = best.expect("fewer emitted packets than counted total");
-            entries.push(TaggedPacket {
-                tenant: parts[t].0,
-                header: parts[t].1.entries()[next[t]].header,
-            });
-            next[t] += 1;
         }
         TaggedTrace {
             name: name.into(),
@@ -456,6 +434,29 @@ impl TaggedTrace {
     }
 }
 
+/// One part's next turn in [`TaggedTrace::interleave_by`], as `(nth,
+/// share, part)`: the part's `nth` packet (1-based) is due at virtual time
+/// `nth / share`.  The greatest turn — what [`BinaryHeap::pop`] returns —
+/// is the one due first (times compared by cross-multiplication to stay
+/// exact), equal times going to the earliest part.
+#[derive(PartialEq, Eq)]
+struct Turn(u128, u128, usize);
+
+impl Ord for Turn {
+    fn cmp(&self, other: &Turn) -> Ordering {
+        let (Turn(nth, share, part), Turn(other_nth, other_share, other_part)) = (self, other);
+        (other_nth * share)
+            .cmp(&(nth * other_share))
+            .then(other_part.cmp(part))
+    }
+}
+
+impl PartialOrd for Turn {
+    fn partial_cmp(&self, other: &Turn) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// Per-tenant accounting of one [`TenantRouter::classify_tagged`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantReport {
@@ -481,11 +482,6 @@ pub struct TenantReport {
     /// Latency percentiles over this tenant's per-sub-batch classify
     /// calls (one sample per tenant group actually served).
     pub batch_latency: LatencyPercentiles,
-    /// Hit/miss/eviction counters of this tenant's hot-flow cache over
-    /// *this run only* (the cumulative counters are deltaed per call), or
-    /// `None` when the router was built without
-    /// [`crate::EngineConfig::hot_cache`].
-    pub cache: Option<CacheStats>,
 }
 
 /// Output of [`TenantRouter::classify_tagged`]: merged decisions in trace
@@ -513,25 +509,8 @@ struct TenantEntry<C> {
     id: TenantId,
     name: String,
     weight: u32,
-    cache_share: u32,
     live: Arc<LiveClassifier<C>>,
-    cache: Option<Arc<HotCache>>,
-    /// The cache's cumulative counters at admission time — the delta
-    /// baseline for a recycled slice (its counters carry over from the
-    /// previous occupant).
-    cache_admitted: CacheStats,
     memory: MemoryReport,
-}
-
-impl<C> TenantEntry<C> {
-    /// The probe tag for this tenant at one classifier generation: the
-    /// admission epoch in the high bits next to the generation, so a
-    /// recycled cache slice can never serve an entry filled under a
-    /// previous occupant (or an earlier generation) — distinct for every
-    /// (epoch, generation) pair with generations below 2³².
-    fn cache_tag(&self, generation: u64) -> u64 {
-        ((self.id.epoch as u64) << 32).wrapping_add(generation)
-    }
 }
 
 /// One published roster snapshot; readers hold it by `Arc` exactly like a
@@ -571,32 +550,8 @@ impl<C> Roster<C> {
 /// serving path) is the right tool.
 struct AdmissionState {
     next_epoch: u32,
-    /// Cache slices of evicted tenants, kept allocated for recycling —
-    /// admission on the datapath should not allocate megabytes.  Their
-    /// bytes stay charged against the budgets until reused.
-    free_caches: Vec<Arc<HotCache>>,
     admitted: u64,
     evicted: u64,
-}
-
-impl AdmissionState {
-    /// Drops pooled slices, largest by `size` first, until `fits` accepts
-    /// the pool's remaining total or the pool is empty; returns that total.
-    fn release_pooled_until(
-        &mut self,
-        size: impl Fn(&HotCache) -> usize,
-        fits: impl Fn(usize) -> bool,
-    ) -> usize {
-        self.free_caches.sort_by_key(|c| size(c));
-        let mut pooled: usize = self.free_caches.iter().map(|c| size(c)).sum();
-        while !fits(pooled) {
-            match self.free_caches.pop() {
-                Some(released) => pooled -= size(&released),
-                None => break,
-            }
-        }
-        pooled
-    }
 }
 
 #[derive(Default)]
@@ -686,20 +641,11 @@ impl<C: Classifier + Clone> TenantWorker<C> {
             self.headers.clear();
             self.headers.extend(group.iter().map(|&i| sub[i].header));
             // One snapshot per (tenant, sub-batch): the whole group drains
-            // on a single consistent generation.  The probe tag folds the
-            // admission epoch in next to the generation, so a cached group
-            // only consumes entries filled from this exact generation of
-            // this exact tenant.
-            let (generation, snapshot) = entry.live.snapshot_tagged();
+            // on a single consistent generation.
+            let snapshot = entry.live.snapshot();
             let group_started = Instant::now();
             self.group_results.clear();
-            crate::pool::serve_cached(
-                entry.cache.as_deref(),
-                entry.cache_tag(generation),
-                &*snapshot,
-                &self.headers,
-                &mut self.group_results,
-            );
+            snapshot.classify_batch(&self.headers, &mut self.group_results);
             let busy_ns = group_started.elapsed().as_nanos() as u64;
             debug_assert_eq!(self.group_results.len(), group.len());
             for (&i, &result) in group.iter().zip(&self.group_results) {
@@ -724,7 +670,6 @@ pub struct TenantRouter<C> {
     admission: Mutex<AdmissionState>,
     workers: usize,
     batch: usize,
-    cache_geometry: Option<HotCacheConfig>,
     memory_budget: Option<usize>,
 }
 
@@ -733,37 +678,27 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
         config: &EngineConfig,
         tenants: impl IntoIterator<Item = (TenantSpec, C)>,
     ) -> TenantRouter<C> {
-        let specs: Vec<(TenantSpec, C)> = tenants.into_iter().collect();
-        assert!(!specs.is_empty(), "TenantRouter needs at least one tenant");
         let router = TenantRouter {
             roster: RwLock::new(Arc::new(Roster { slots: Vec::new() })),
             admission: Mutex::new(AdmissionState {
                 next_epoch: 1,
-                free_caches: Vec::new(),
                 admitted: 0,
                 evicted: 0,
             }),
             workers: config.worker_count(),
             batch: config.batch(),
-            cache_geometry: config.hot_cache_config(),
             memory_budget: config.memory_budget_bytes(),
         };
-        // Construction slices the cache budget over the *whole* declared
-        // roster (capacity × share / Σ shares), so the initial slices are
-        // exactly proportional; runtime admissions compute their share
-        // against the then-live roster instead.
-        let total_shares: usize = specs
-            .iter()
-            .map(|(spec, _)| spec.cache_share_value() as usize)
-            .sum();
-        for (spec, classifier) in specs {
+        for (spec, classifier) in tenants {
             let name = spec.name().to_string();
-            router
-                .admit_inner(spec, classifier, Some(total_shares))
-                .unwrap_or_else(|e| {
-                    panic!("TenantRouter construction rejected tenant {name}: {e}")
-                });
+            router.admit(spec, classifier).unwrap_or_else(|e| {
+                panic!("TenantRouter construction rejected tenant {name}: {e}")
+            });
         }
+        assert!(
+            router.tenant_count() > 0,
+            "TenantRouter needs at least one tenant"
+        );
         router
     }
 
@@ -778,134 +713,40 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
             .unwrap_or_else(|| panic!("unknown or evicted tenant {tenant}"))
     }
 
-    /// Admits a tenant at runtime: wraps the classifier in a fresh
-    /// [`LiveClassifier`], grants it a hot-cache slice (recycling an
-    /// evicted tenant's slice when one fits, else allocating from the
-    /// unused remainder of the router-wide entry budget), checks the
-    /// spec's and the router's memory budgets, and publishes a new roster
-    /// snapshot — serving workers pick it up at their next sub-batch
-    /// boundary, without ever blocking on the admission.
+    /// Admits a tenant at runtime: checks the classifier's bytes against
+    /// the spec's and the router's memory budgets, wraps it in a fresh
+    /// [`LiveClassifier`] and publishes a new roster snapshot — serving
+    /// workers pick it up at their next sub-batch boundary, without ever
+    /// blocking on the admission.
     ///
     /// Returns the new tenant's handle; its slot reuses the lowest
     /// evicted slot, its epoch is globally fresh.
     pub fn admit(&self, spec: TenantSpec, classifier: C) -> Result<TenantId, AdmissionError> {
-        self.admit_inner(spec, classifier, None)
-    }
-
-    /// `fixed_total_shares` is `Some` during construction, where the
-    /// slice denominator covers the whole declared roster rather than
-    /// the tenants admitted so far.
-    fn admit_inner(
-        &self,
-        spec: TenantSpec,
-        classifier: C,
-        fixed_total_shares: Option<usize>,
-    ) -> Result<TenantId, AdmissionError> {
         let mut admission = self.admission.lock().expect("admission lock poisoned");
         let roster = self.roster_snapshot();
-        let share = spec.cache_share_value() as usize;
-
-        // Decide the cache grant first so its bytes can be charged.
-        let mut reused = false;
-        let cache: Option<Arc<HotCache>> = self.cache_geometry.map(|geometry| {
-            let total_shares = fixed_total_shares.unwrap_or_else(|| {
-                roster
-                    .live_entries()
-                    .map(|e| e.cache_share as usize)
-                    .sum::<usize>()
-                    + share
-            });
-            let desired = geometry.capacity * share / total_shares.max(1);
-            // Recycle the largest freed slice that fits the grant.
-            let best_free = admission
-                .free_caches
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.slot_count() <= desired)
-                .max_by_key(|(_, c)| c.slot_count())
-                .map(|(i, _)| i);
-            match best_free {
-                Some(i) => {
-                    reused = true;
-                    admission.free_caches.swap_remove(i)
-                }
-                None => {
-                    // Fresh allocation, bounded by the un-allocated
-                    // remainder of the entry budget (live slices plus the
-                    // free pool); a grant rounding to zero slots degrades
-                    // the tenant to pass-through, never to over-budget.
-                    // Pooled slices too large to recycle must not starve
-                    // the grant they could pay for: they are released,
-                    // largest first, until it fits or the pool is empty.
-                    let live: usize = roster
-                        .live_entries()
-                        .filter_map(|e| e.cache.as_ref())
-                        .map(|c| c.slot_count())
-                        .sum();
-                    let remaining = |pooled: usize| geometry.capacity.saturating_sub(live + pooled);
-                    let pooled = admission
-                        .release_pooled_until(HotCache::slot_count, |p| remaining(p) >= desired);
-                    let remaining = remaining(pooled);
-                    Arc::new(HotCache::new(HotCacheConfig::new(
-                        desired.min(remaining),
-                        geometry.assoc,
-                    )))
-                }
-            }
-        });
-
-        let classifier_bytes = classifier.memory_bytes();
-        let cache_bytes = cache.as_ref().map(|c| c.memory_bytes()).unwrap_or(0);
         let memory = MemoryReport {
-            classifier_bytes,
-            cache_bytes,
-            total_bytes: classifier_bytes + cache_bytes,
+            classifier_bytes: classifier.memory_bytes(),
             budget_bytes: spec.memory_budget_bytes(),
             arena: classifier.arena_stats(),
         };
-        let reject = |admission: &mut AdmissionState, error: AdmissionError| {
-            // Return a recycled slice to the pool; a fresh one is simply
-            // dropped (its allocation was never published).
-            if reused {
-                if let Some(cache) = &cache {
-                    admission.free_caches.push(Arc::clone(cache));
-                }
-            }
-            Err(error)
-        };
-        if let Some(budget) = memory.budget_bytes {
-            if memory.total_bytes > budget {
-                return reject(
-                    &mut admission,
-                    AdmissionError::TenantOverBudget {
-                        name: spec.name().to_string(),
-                        needs: memory.total_bytes,
-                        budget,
-                    },
-                );
-            }
+        let needs = memory.classifier_bytes;
+        if let Some(budget) = memory.budget_bytes.filter(|&budget| needs > budget) {
+            return Err(AdmissionError::TenantOverBudget {
+                name: spec.name().to_string(),
+                needs,
+                budget,
+            });
         }
         if let Some(budget) = self.memory_budget {
-            let live: usize = roster.live_entries().map(|e| e.memory.total_bytes).sum();
-            if live + memory.total_bytes > budget {
-                let pooled: usize = admission.free_caches.iter().map(|c| c.memory_bytes()).sum();
-                let in_use = live + pooled;
-                return reject(
-                    &mut admission,
-                    AdmissionError::RouterOverBudget {
-                        name: spec.name().to_string(),
-                        needs: memory.total_bytes,
-                        in_use,
-                        budget,
-                    },
-                );
+            let in_use = self.memory_in_use();
+            if in_use + needs > budget {
+                return Err(AdmissionError::RouterOverBudget {
+                    name: spec.name().to_string(),
+                    needs,
+                    in_use,
+                    budget,
+                });
             }
-            // Idle pooled slices are charged, but must not refuse a tenant
-            // they could make room for: they are released, largest first,
-            // until it fits (it does once the pool is empty).
-            admission.release_pooled_until(HotCache::memory_bytes, |pooled| {
-                live + pooled + memory.total_bytes <= budget
-            });
         }
 
         let slot = roster
@@ -919,15 +760,11 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
         };
         admission.next_epoch += 1;
         admission.admitted += 1;
-        let cache_admitted = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
         let entry = Arc::new(TenantEntry {
             id,
             name: spec.name().to_string(),
             weight: spec.weight_value(),
-            cache_share: spec.cache_share_value(),
             live: Arc::new(LiveClassifier::new(classifier)),
-            cache,
-            cache_admitted,
             memory,
         });
         let mut slots = roster.slots.clone();
@@ -944,9 +781,7 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
     /// workers drop it at their next sub-batch boundary; in-flight groups
     /// drain on their held snapshot) and retires its handle — packets
     /// still tagged with it become [unroutable](TenantRun::unroutable).
-    /// The tenant's cache slice is kept allocated for recycling by a
-    /// later [`TenantRouter::admit`]; its entries are unreachable there
-    /// because probe tags fold in the admission epoch.
+    /// Its bytes leave [`TenantRouter::memory_in_use`] at once.
     pub fn evict(&self, tenant: TenantId) -> Result<(), UnknownTenant> {
         let mut admission = self.admission.lock().expect("admission lock poisoned");
         let roster = self.roster_snapshot();
@@ -954,12 +789,7 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
             return Err(UnknownTenant(tenant));
         }
         let mut slots = roster.slots.clone();
-        let entry = slots[tenant.slot as usize].take().expect("resolved above");
-        if let Some(cache) = &entry.cache {
-            if cache.slot_count() > 0 {
-                admission.free_caches.push(Arc::clone(cache));
-            }
-        }
+        slots[tenant.slot as usize] = None;
         admission.evicted += 1;
         *self.roster.write().expect("roster lock poisoned") = Arc::new(Roster { slots });
         Ok(())
@@ -1027,48 +857,17 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
     }
 
     /// Bytes currently charged against the router-wide memory budget:
-    /// every live tenant's classifier and cache slice, plus the freed
-    /// cache slices kept allocated for recycling.
+    /// the sum of the live tenants' [`MemoryReport::classifier_bytes`].
     pub fn memory_in_use(&self) -> usize {
-        let admission = self.admission.lock().expect("admission lock poisoned");
         let roster = self.roster_snapshot();
-        roster
-            .live_entries()
-            .map(|e| e.memory.total_bytes)
-            .chain(admission.free_caches.iter().map(|c| c.memory_bytes()))
-            .sum()
+        let charged = roster.live_entries().map(|e| e.memory.classifier_bytes);
+        charged.sum()
     }
 
     /// The router-wide memory budget admission checks against, if one was
     /// configured ([`crate::EngineConfig::memory_budget`]).
     pub fn memory_budget(&self) -> Option<usize> {
         self.memory_budget
-    }
-
-    /// Cumulative hit/miss/eviction counters of one tenant's hot-flow
-    /// cache, or `None` when the router was built without
-    /// [`crate::EngineConfig::hot_cache`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle does not resolve to a live tenant.
-    pub fn cache_stats(&self, tenant: TenantId) -> Option<CacheStats> {
-        self.entry(tenant).cache.as_ref().map(|c| c.stats())
-    }
-
-    /// Total cache slots actually allocated — live tenants' slices plus
-    /// freed slices awaiting recycling — always within the
-    /// [`crate::EngineConfig::hot_cache`] capacity budget (0 when no
-    /// cache is configured).
-    pub fn cache_slot_total(&self) -> usize {
-        let admission = self.admission.lock().expect("admission lock poisoned");
-        let roster = self.roster_snapshot();
-        roster
-            .live_entries()
-            .filter_map(|e| e.cache.as_ref())
-            .map(|c| c.slot_count())
-            .chain(admission.free_caches.iter().map(|c| c.slot_count()))
-            .sum()
     }
 
     /// One tenant's live classifier — the handle for that tenant's churn
@@ -1123,16 +922,6 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
     /// Results come back in trace order; [`TaggedTrace::tenant_results`]
     /// projects them per tenant.
     pub fn classify_tagged(&self, trace: &TaggedTrace) -> TenantRun {
-        // Per-tenant cache counters are cumulative; snapshot the run-start
-        // roster's counters so the reports below can carry this run's
-        // delta (tenants admitted mid-run fall back to their
-        // admission-time baseline).
-        let cache_before: Vec<(TenantId, CacheStats)> = self
-            .roster_snapshot()
-            .live_entries()
-            .filter_map(|e| e.cache.as_ref().map(|c| (e.id, c.stats())))
-            .collect();
-
         let (results, report, served) = crate::pool::run_sharded(
             trace.entries(),
             self.workers,
@@ -1180,11 +969,6 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
                     let weight_share = entry.weight as f64 / served_weight as f64;
                     pkt_share / weight_share
                 };
-                let before = cache_before
-                    .iter()
-                    .find(|(id, _)| *id == entry.id)
-                    .map(|(_, stats)| *stats)
-                    .unwrap_or(entry.cache_admitted);
                 TenantReport {
                     tenant: entry.id,
                     name: entry.name.clone(),
@@ -1194,7 +978,6 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
                     mpps: crate::mpps(accum.pkts, accum.busy_ns),
                     slo_rel,
                     batch_latency: LatencyPercentiles::from_samples(&mut accum.latencies),
-                    cache: entry.cache.as_ref().map(|c| c.stats().delta_since(&before)),
                 }
             })
             .collect();
@@ -1218,9 +1001,9 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
     /// Takes the tenant's [`TenantId`] handle (from
     /// `admit`/construction), so solo baselines and router runs are
     /// guaranteed like-for-like on the same live classifier: the run is a
-    /// [`crate::LiveEngine`] over the tenant's live cell.  Always
-    /// uncached, so the baseline measures the classifier itself and does
-    /// not warm the tenant's cache.
+    /// [`crate::LiveEngine`] over the tenant's live cell.  Serves the
+    /// classifier as admitted: a tenant cached per the [module
+    /// docs](self) probes, and warms, its cache here too.
     ///
     /// # Panics
     ///
@@ -1250,9 +1033,12 @@ mod tests {
     use super::*;
     use pclass_algos::hicuts::{HiCutsClassifier, HiCutsConfig};
     use pclass_algos::update::{classify_live_linear, RuleUpdate};
-    use pclass_algos::{FlatTreeClassifier, LinearClassifier};
+    use pclass_algos::{CachedClassifier, FlatTreeClassifier, LinearClassifier};
     use pclass_classbench::{ClassBenchGenerator, SeedStyle, TraceGenerator};
-    use pclass_types::{Rule, RuleSet};
+    use pclass_types::{CacheStats, Rule, RuleSet};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn workload(seed: u64, rules: usize, packets: usize) -> (RuleSet, Trace) {
         let rs = ClassBenchGenerator::new(SeedStyle::Acl, seed).generate(rules);
@@ -1272,19 +1058,103 @@ mod tests {
         HiCutsClassifier::build(rs, &HiCutsConfig::paper_defaults()).flatten()
     }
 
+    /// How a tenant is cached: behind a private cache of its own, here of
+    /// the default geometry (1,024 entries, 4-way).
+    fn cached<C>(classifier: C) -> CachedClassifier<C> {
+        CachedClassifier::new(classifier, Default::default())
+    }
+
+    /// Cumulative counters of a cached tenant's cache.
+    fn cache_stats<C: Classifier + Clone + Send + Sync>(
+        router: &TenantRouter<CachedClassifier<C>>,
+        id: TenantId,
+    ) -> CacheStats {
+        router.live(id).snapshot().cache().stats()
+    }
+
+    /// The scan `interleave_by`'s heap replaced, kept as its reference:
+    /// every packet rescans all parts for the one furthest behind.
+    fn interleave_by_scan(parts: &[(TenantId, &Trace)], shares: &[u128]) -> Vec<TaggedPacket> {
+        let total: usize = parts.iter().map(|(_, t)| t.len()).sum();
+        let mut next = vec![0usize; parts.len()];
+        let mut entries = Vec::with_capacity(total);
+        for _ in 0..total {
+            let mut best: Option<usize> = None;
+            for (t, (_, trace)) in parts.iter().enumerate() {
+                if next[t] >= trace.len() {
+                    continue;
+                }
+                best = Some(match best {
+                    None => t,
+                    Some(b) => {
+                        // t is further behind than b iff
+                        // (next[t]+1)/shares[t] < (next[b]+1)/shares[b].
+                        let t_share = (next[t] as u128 + 1) * shares[b];
+                        let b_share = (next[b] as u128 + 1) * shares[t];
+                        if t_share < b_share {
+                            t
+                        } else {
+                            b
+                        }
+                    }
+                });
+            }
+            let t = best.expect("fewer emitted packets than counted total");
+            entries.push(TaggedPacket {
+                tenant: parts[t].0,
+                header: parts[t].1.entries()[next[t]].header,
+            });
+            next[t] += 1;
+        }
+        entries
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The heap emits exactly the scan's sequence — same parts, same
+        /// tie-breaks — for both interleaves, empty parts included.
+        #[test]
+        fn heap_interleave_emits_the_scans_sequence(
+            seed in 0u64..1_000_000,
+            count in 1usize..25,
+        ) {
+            // Lengths 0–400 (one part in eight empty), weights 1–9.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let traces: Vec<Trace> = (0..count as u32)
+                .map(|part| {
+                    let len = if rng.gen_range(0..8) == 0 { 0 } else { rng.gen_range(0..=400u32) };
+                    // Every header names its part and position.
+                    let headers = (0..len).map(|i| PacketHeader::from_fields([part, i, 0, 0, 0]));
+                    Trace::from_headers(format!("p{part}"), headers.collect())
+                })
+                .collect();
+            let weights: Vec<u32> = (0..count).map(|_| rng.gen_range(1..=9)).collect();
+            let parts: Vec<(TenantId, &Trace)> = traces
+                .iter()
+                .enumerate()
+                .map(|(part, trace)| (TenantId::new(part as u32, 1), trace))
+                .collect();
+
+            let lengths: Vec<u128> = traces.iter().map(|t| t.len() as u128).collect();
+            let fair = TaggedTrace::interleave("fair", &parts);
+            prop_assert_eq!(fair.entries(), &interleave_by_scan(&parts, &lengths)[..]);
+
+            let shares: Vec<u128> = weights.iter().map(|&w| w as u128).collect();
+            let weighted = TaggedTrace::interleave_weighted("wrr", &parts, &weights);
+            prop_assert_eq!(weighted.entries(), &interleave_by_scan(&parts, &shares)[..]);
+        }
+    }
+
     #[test]
     fn spec_defaults_follow_the_weight() {
         let spec = TenantSpec::new("t");
         assert_eq!(spec.name(), "t");
         assert_eq!(spec.weight_value(), 1);
-        assert_eq!(spec.cache_share_value(), 1);
         assert!(spec.memory_budget_bytes().is_none());
-        // Weight 0 clamps to 1; the cache share follows the weight unless
-        // set explicitly (0 is a legal explicit share: no cache slice).
+        // Weight 0 clamps to 1.
         assert_eq!(TenantSpec::new("t").weight(0).weight_value(), 1);
-        assert_eq!(TenantSpec::new("t").weight(4).cache_share_value(), 4);
-        let spec = TenantSpec::new("t").weight(4).cache_share(0);
-        assert_eq!(spec.cache_share_value(), 0);
+        assert_eq!(TenantSpec::new("t").weight(4).weight_value(), 4);
         assert_eq!(
             TenantSpec::new("t")
                 .memory_budget(4096)
@@ -1303,12 +1173,6 @@ mod tests {
     #[should_panic(expected = "memory_budget set twice")]
     fn spec_double_set_memory_budget_is_rejected() {
         let _ = TenantSpec::new("t").memory_budget(1).memory_budget(2);
-    }
-
-    #[test]
-    #[should_panic(expected = "cache_share set twice")]
-    fn spec_double_set_cache_share_is_rejected() {
-        let _ = TenantSpec::new("t").cache_share(1).cache_share(2);
     }
 
     #[test]
@@ -1579,142 +1443,101 @@ mod tests {
     }
 
     #[test]
-    fn cache_slices_follow_shares_within_the_entry_budget() {
-        let workloads = workloads(3, 10);
-        let router = EngineConfig::new()
-            .hot_cache(HotCacheConfig::new(1024, 4))
-            .tenant_router(workloads.iter().enumerate().map(|(t, (rs, _))| {
-                (
-                    TenantSpec::new(format!("t{t}")).cache_share(if t == 0 { 2 } else { 1 }),
-                    LinearClassifier::new(rs.clone()),
-                )
-            }));
-        let ids = router.tenant_ids();
-        // Shares 2:1:1 over 1024 entries → 512/256/256, all allocated.
-        assert_eq!(router.cache_slot_total(), 1024);
-        let big = router.memory_report(ids[0]).cache_bytes;
-        let small = router.memory_report(ids[1]).cache_bytes;
-        assert!(
-            big > small,
-            "share-2 slice ({big}) must out-size share-1 ({small})"
-        );
-        assert_eq!(
-            router.memory_report(ids[1]).cache_bytes,
-            router.memory_report(ids[2]).cache_bytes
-        );
-    }
-
-    #[test]
-    fn recycled_cache_slices_cannot_serve_stale_hits() {
-        let (rs, trace) = workload(61, 60, 400);
-        let truth = trace.ground_truth(&rs);
-        let router = EngineConfig::new()
-            .batch_size(64)
-            .hot_cache(HotCacheConfig::new(1024, 4))
-            .tenant_router([(TenantSpec::new("t0"), LinearClassifier::new(rs.clone()))]);
-        let id = router.tenant_ids()[0];
-        let tagged = TaggedTrace::interleave("solo", &[(id, &trace)]);
-        // Warm the slice: the second pass hits on every flow.
-        let first = router.classify_tagged(&tagged);
-        assert_eq!(first.results, truth);
-        let first_cache = first.tenants[0].cache.expect("cache configured");
-        let warm = router.classify_tagged(&tagged);
-        assert_eq!(warm.results, truth);
-        let warm_cache = warm.tenants[0].cache.expect("cache configured");
-        assert!(
-            warm_cache.hits > first_cache.hits,
-            "second pass must hit the warm slice"
-        );
-        assert_eq!(warm_cache.misses, 0);
-
-        // Evict and readmit the *same* ruleset: the freed slice (still
-        // physically holding the old tenant's entries) is recycled, but
-        // the new admission epoch changes every probe tag — identical
-        // headers must all miss on the first pass.
-        router.evict(id).expect("live tenant evicts");
-        let id2 = router
-            .admit(TenantSpec::new("t0b"), LinearClassifier::new(rs))
-            .expect("admission fits");
-        assert_eq!(
-            router.cache_slot_total(),
-            1024,
-            "the slice is recycled, not reallocated"
-        );
-        let tagged2 = TaggedTrace::interleave("solo2", &[(id2, &trace)]);
-        let cold = router.classify_tagged(&tagged2);
-        assert_eq!(cold.results, truth);
-        let cold_cache = cold.tenants[0].cache.expect("cache configured");
-        // Behaviourally indistinguishable from the original fresh slice:
-        // the same intra-run hits on repeated flows, the same misses —
-        // none of the previous epoch's warm entries are reachable (they
-        // would have turned the misses into hits, as the warm pass did).
-        assert_eq!(
-            cold_cache, first_cache,
-            "a recycled slice must never serve a previous epoch's entries"
-        );
-        assert_eq!(cold_cache.misses, first_cache.misses);
-        // ... and it warms again under the new epoch.
-        let rewarm = router.classify_tagged(&tagged2);
-        assert_eq!(rewarm.tenants[0].cache.expect("cache configured").misses, 0);
-    }
-
-    #[test]
     fn cached_router_serves_identically_and_isolates_churn() {
         let workloads = workloads(2, 300);
-        let router = EngineConfig::new()
-            .workers(2)
-            .batch_size(32)
-            .hot_cache(HotCacheConfig::new(2048, 4))
-            .tenant_router(
-                workloads
-                    .iter()
-                    .enumerate()
-                    .map(|(t, (rs, _))| (TenantSpec::new(format!("t{t}")), flatten(rs))),
-            );
-        let ids = router.tenant_ids();
-        let parts: Vec<(TenantId, &Trace)> = ids
-            .iter()
-            .zip(&workloads)
-            .map(|(&id, (_, trace))| (id, trace))
-            .collect();
-        let tagged = TaggedTrace::interleave("mixed", &parts);
-        for _ in 0..2 {
-            let run = router.classify_tagged(&tagged);
-            for (&id, (rs, trace)) in ids.iter().zip(&workloads) {
-                assert_eq!(
-                    tagged.tenant_results(id, &run.results),
-                    trace.ground_truth(rs)
-                );
+        for workers in [1usize, 2] {
+            // An uncached config: each tenant brings its own cache.
+            let router =
+                EngineConfig::new()
+                    .workers(workers)
+                    .batch_size(32)
+                    .tenant_router(workloads.iter().enumerate().map(|(t, (rs, _))| {
+                        (TenantSpec::new(format!("t{t}")), cached(flatten(rs)))
+                    }));
+            let ids = router.tenant_ids();
+            let parts: Vec<(TenantId, &Trace)> = ids
+                .iter()
+                .zip(&workloads)
+                .map(|(&id, (_, trace))| (id, trace))
+                .collect();
+            let tagged = TaggedTrace::interleave("mixed", &parts);
+            // A cold pass, then a warm one — which misses nothing when no
+            // second worker can race (and so drop) a fill.
+            for pass in ["cold", "warm"] {
+                let before: Vec<CacheStats> =
+                    ids.iter().map(|&id| cache_stats(&router, id)).collect();
+                let run = router.classify_tagged(&tagged);
+                for ((&id, (rs, trace)), before) in ids.iter().zip(&workloads).zip(&before) {
+                    assert_eq!(
+                        tagged.tenant_results(id, &run.results),
+                        trace.ground_truth(rs),
+                        "{pass} pass x{workers}"
+                    );
+                    let delta = cache_stats(&router, id).delta_since(before);
+                    assert_eq!(delta.hits + delta.misses, trace.len() as u64);
+                    if pass == "cold" {
+                        assert!(delta.misses > 0, "x{workers}: {delta:?}");
+                    } else {
+                        assert!(delta.hits > 0, "x{workers}: {delta:?}");
+                        assert!(delta.misses == 0 || workers > 1, "x{workers}: {delta:?}");
+                    }
+                }
             }
+            // Churn tenant 0: every update moves it to a fresh cache
+            // generation; tenant 1 keeps serving (and hitting) untouched.
+            let victims: Vec<Rule> = workloads[0].0.rules().to_vec();
+            let updates: Vec<RuleUpdate> = victims
+                .iter()
+                .take(victims.len() / 2)
+                .map(|r| RuleUpdate::Delete(r.id))
+                .collect();
+            router
+                .live(ids[0])
+                .apply_batch(&updates)
+                .expect("churn batch applies");
+            let before = cache_stats(&router, ids[1]);
+            let run = router.classify_tagged(&tagged);
+            let survivors: Vec<Rule> = victims.iter().skip(victims.len() / 2).cloned().collect();
+            let expected: Vec<MatchResult> = workloads[0]
+                .1
+                .headers()
+                .map(|h| classify_live_linear(&survivors, h))
+                .collect();
+            assert_eq!(tagged.tenant_results(ids[0], &run.results), expected);
+            assert_eq!(
+                tagged.tenant_results(ids[1], &run.results),
+                workloads[1].1.ground_truth(&workloads[1].0)
+            );
+            let untouched = cache_stats(&router, ids[1]).delta_since(&before);
+            assert!(
+                untouched.hits > 0 && (untouched.misses == 0 || workers > 1),
+                "the untouched tenant keeps hitting its warm cache"
+            );
+
+            // The books: every tenant is charged its classifier, cache
+            // included, and an evicted tenant's bytes leave at once.
+            let charged: Vec<usize> = ids
+                .iter()
+                .map(|&id| router.live(id).snapshot().memory_bytes())
+                .collect();
+            assert_eq!(router.memory_in_use(), charged.iter().sum::<usize>());
+            router.evict(ids[0]).expect("live tenant evicts");
+            assert_eq!(router.memory_in_use(), charged[1]);
         }
-        // Churn tenant 0: its cache is invalidated by the generation tag,
-        // tenant 1 keeps serving (and hitting) untouched.
-        let victims: Vec<Rule> = workloads[0].0.rules().to_vec();
-        let updates: Vec<RuleUpdate> = victims
-            .iter()
-            .take(victims.len() / 2)
-            .map(|r| RuleUpdate::Delete(r.id))
-            .collect();
-        router
-            .live(ids[0])
-            .apply_batch(&updates)
-            .expect("churn batch applies");
-        let run = router.classify_tagged(&tagged);
-        let survivors: Vec<Rule> = victims.iter().skip(victims.len() / 2).cloned().collect();
-        let expected: Vec<MatchResult> = workloads[0]
-            .1
-            .headers()
-            .map(|h| classify_live_linear(&survivors, h))
-            .collect();
-        assert_eq!(tagged.tenant_results(ids[0], &run.results), expected);
-        assert_eq!(
-            tagged.tenant_results(ids[1], &run.results),
-            workloads[1].1.ground_truth(&workloads[1].0)
-        );
-        assert!(
-            run.tenants[1].cache.expect("cache configured").hits > 0,
-            "the untouched tenant keeps hitting its warm slice"
-        );
+    }
+
+    #[test]
+    fn cached_tenant_report_carries_the_inner_arena_and_charges_the_cache() {
+        let (rs, _) = workload(62, 80, 0);
+        let tenant = cached(flatten(&rs));
+        let arena = tenant.inner().arena_stats();
+        let bytes = tenant.inner().memory_bytes() + tenant.cache().memory_bytes();
+        assert!(tenant.cache().memory_bytes() > 0);
+        let router = EngineConfig::new().tenant_router([(TenantSpec::new("t0"), tenant)]);
+        let report = router.memory_report(router.tenant_ids()[0]);
+        assert_eq!(report.arena, Some(arena));
+        assert_eq!(report.classifier_bytes, bytes);
+        assert_eq!(router.memory_in_use(), bytes);
     }
 
     #[test]
@@ -1750,8 +1573,6 @@ mod tests {
             .expect("budget at the classifier size admits");
         let report = router.memory_report(id);
         assert_eq!(report.classifier_bytes, bytes);
-        assert_eq!(report.cache_bytes, 0);
-        assert_eq!(report.total_bytes, bytes);
         assert_eq!(report.budget_bytes, Some(bytes));
     }
 

@@ -156,7 +156,7 @@ impl CacheStats {
 }
 
 /// Per-tenant memory accounting of a multi-tenant roster entry: the
-/// serving structure, the tenant's hot-cache slice, and the budget the
+/// bytes admission charged for the tenant's classifier and the budget the
 /// tenant was admitted under.
 ///
 /// Produced by `pclass_engine::TenantRouter` at admission time; it lives
@@ -164,15 +164,12 @@ impl CacheStats {
 /// measurements shares one definition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemoryReport {
-    /// Bytes of the tenant's classifier ([`crate::RuleSet`] + search
-    /// structure, via `Classifier::memory_bytes`).
+    /// Bytes of the tenant's classifier as admitted ([`crate::RuleSet`] +
+    /// search structure, via `Classifier::memory_bytes`) — what admission
+    /// charges against the budgets.  A tenant admitted behind a
+    /// `pclass_algos::CachedClassifier` has its hot-flow cache counted
+    /// here: the cache is part of the classifier.
     pub classifier_bytes: usize,
-    /// Bytes of the tenant's hot-flow cache slice (0 when the router is
-    /// uncached or the slice rounded to zero slots).
-    pub cache_bytes: usize,
-    /// `classifier_bytes + cache_bytes` — what admission charges against
-    /// the budgets.
-    pub total_bytes: usize,
     /// The per-tenant budget the spec declared, if any
     /// (`TenantSpec::memory_budget`).
     pub budget_bytes: Option<usize>,
@@ -460,17 +457,11 @@ mod tests {
     #[test]
     fn memory_report_totals_are_consistent() {
         let report = MemoryReport {
-            classifier_bytes: 1_000,
-            cache_bytes: 24,
-            total_bytes: 1_024,
+            classifier_bytes: 1_024,
             budget_bytes: Some(2_048),
             arena: None,
         };
-        assert_eq!(
-            report.total_bytes,
-            report.classifier_bytes + report.cache_bytes
-        );
-        assert!(report.total_bytes <= report.budget_bytes.unwrap());
+        assert!(report.classifier_bytes <= report.budget_bytes.unwrap());
     }
 
     #[test]

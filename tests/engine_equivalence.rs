@@ -11,6 +11,7 @@
 //! automatically covered here.
 
 use packet_classifier::prelude::*;
+use pclass_algos::{CachedClassifier, HotCacheConfig};
 use pclass_bench::serving_roster;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -71,35 +72,42 @@ proptest! {
         for workers in [1usize, 2, 4, 7] {
             for batch in [1usize, 3, 512] {
                 let config = EngineConfig::new().workers(workers).batch_size(batch);
-                assert_front_ends_agree(&config, &linear, &trace, &truth);
-                let cached = config.hot_cache(pclass_algos::HotCacheConfig::new(64, 4));
-                assert_front_ends_agree(&cached, &linear, &trace, &truth);
+                assert_front_ends_agree(&config, &config, &linear, linear.clone(), &trace, &truth);
+                // Cached: the engines take the cache from the config, the
+                // router's tenant brings its own.
+                let geometry = HotCacheConfig::new(64, 4);
+                let tenant = CachedClassifier::new(linear.clone(), geometry);
+                let cached = config.clone().hot_cache(geometry);
+                assert_front_ends_agree(&cached, &config, &linear, tenant, &trace, &truth);
             }
         }
     }
 }
 
 /// `Engine`, a quiescent `LiveEngine`, a one-tenant `TenantRouter` and its
-/// `classify_solo` are views over one sharded loop: built from one config
-/// they make the same decisions over the same per-worker split —
-/// `Trace::shards` — on a cold pass and on a warm one over whatever the
-/// first pass cached.
-fn assert_front_ends_agree(
-    config: &EngineConfig,
+/// `classify_solo` are views over one sharded loop: built over one
+/// geometry (`engines` may add a hot cache to `router`'s config, `tenant`
+/// its own to `linear`) they make the same decisions over the same
+/// per-worker split — `Trace::shards` — on a cold pass and on a warm one
+/// over whatever the first pass cached.
+fn assert_front_ends_agree<C: Classifier + Clone + Send + Sync>(
+    engines: &EngineConfig,
+    router: &EngineConfig,
     linear: &LinearClassifier,
+    tenant: C,
     trace: &Trace,
     truth: &[MatchResult],
 ) {
-    let engine = config.engine(Arc::new(linear.clone()));
-    let live = config.live_engine(Arc::new(LiveClassifier::new(linear.clone())));
-    let router = config.tenant_router([(TenantSpec::new("t0"), linear.clone())]);
+    let engine = engines.engine(Arc::new(linear.clone()));
+    let live = engines.live_engine(Arc::new(LiveClassifier::new(linear.clone())));
+    let router = router.tenant_router([(TenantSpec::new("t0"), tenant)]);
     let id = router.tenant_ids()[0];
     let tagged = TaggedTrace::interleave("solo", &[(id, trace)]);
-    let shards = trace.shards(config.worker_count());
+    let shards = trace.shards(engines.worker_count());
     let shards: Vec<usize> = shards.iter().map(|s| s.len()).collect();
     for pass in ["cold", "warm"] {
         let check = |front_end: &str, run: EngineRun| {
-            let at = format!("{front_end} from {config:?}, {pass} pass");
+            let at = format!("{front_end} from {engines:?}, {pass} pass");
             let worker_pkts = run.report.per_worker.iter().map(|w| w.pkts as usize);
             assert_eq!(run.results, truth, "{at}");
             assert_eq!(run.report.pkts, trace.len() as u64, "{at}");

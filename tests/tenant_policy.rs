@@ -1,9 +1,9 @@
 //! Lifecycle and policy properties of the tenant API: runtime
 //! admission/eviction behind [`TenantRouter::admit`] / `evict`, the
-//! generation-tagged handle semantics, and cache-slice recycling across
-//! eviction generations.
+//! generation-tagged handle semantics, and what a tenant admitted behind
+//! its own hot-flow cache (`CachedClassifier`) is charged and freed.
 //!
-//! Six behaviours are pinned down:
+//! Five behaviours are pinned down:
 //!
 //! * **Evict + admit mid-trace** — evicting one tenant and admitting a
 //!   replacement leaves every surviving tenant's decisions bit-identical
@@ -13,18 +13,14 @@
 //!   handle is decided `NoMatch` (and counted), even after the slot has
 //!   been reoccupied under a fresh epoch: a stale handle can never read
 //!   the next occupant's rules.
-//! * **No stale cache hits across generations** — a recycled hot-cache
-//!   slice serves the new occupant's decisions for the *same* flow keys
-//!   the previous occupant warmed it with; entries filled under an
-//!   earlier epoch are unreachable.
-//! * **An oversized pooled slice does not starve a grant** — a freed
-//!   slice too large for the next tenant's share is released to pay for a
-//!   fresh, smaller one instead of idling in the pool while the newcomer
-//!   runs uncached.
-//! * **An idle pooled slice does not refuse a tenant** — under a
-//!   router-wide memory budget a freed slice is released, not left to
-//!   idle, when its bytes are what stands between a newcomer and
-//!   admission.
+//! * **A cached tenant's cache comes and goes with it** — through 200
+//!   admit/evict cycles raced by a serving thread, every readmission of
+//!   the same ruleset starts cold, `memory_in_use()` returns to its
+//!   pre-admission value after every eviction and never passes the
+//!   router-wide budget.
+//! * **The cache is charged like the classifier it fronts** — a
+//!   router-wide byte budget refuses exactly the tenant whose cache
+//!   pushes the roster over it.
 //! * **Weighted fairness at 16 tenants** — one weight-4 tenant beside
 //!   fifteen weight-1 tenants, offered load in weight proportion: every
 //!   tenant's SLO-relative share lands within ±10 % of 1.0 and the
@@ -33,8 +29,10 @@
 use packet_classifier::prelude::*;
 use pclass_algos::hicuts::HiCutsConfig;
 use pclass_algos::update::classify_live_linear;
-use pclass_algos::HotCacheConfig;
+use pclass_algos::{CachedClassifier, HotCacheConfig};
 use proptest::prelude::*;
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Distinct per-tenant workloads (ruleset seeds differ per tenant, so
 /// cross-tenant leakage cannot hide behind equal rulesets).
@@ -145,176 +143,124 @@ proptest! {
     }
 }
 
-/// The stale-cache-hit negative test: occupant A warms its hot-cache
-/// slice, is evicted, and occupant B — admitted into the same slot,
-/// recycling the same slice — serves the *same flow keys*.  Every
-/// decision must come from B's rules; a single entry surviving A's epoch
-/// would surface as A's rule id here.
+/// The admit/evict storm over a cached tenant, raced by a serving thread:
+/// the router owns no cache, so every readmission of the *same* ruleset
+/// starts cold — its first pass misses every flow at least once, on
+/// counters that start at zero — eviction returns `memory_in_use()` to its pre-admission value at
+/// once, and no step takes the roster past the router-wide budget.
 #[test]
-fn recycled_cache_slices_cannot_serve_stale_hits_across_generations() {
-    let rs_a = ClassBenchGenerator::new(SeedStyle::Acl, 20080414).generate(80);
-    let rs_keep = ClassBenchGenerator::new(SeedStyle::Ipc, 20080415).generate(50);
-    // Same trace (same flow keys) served to both occupants of the slot;
-    // a different ruleset style, so A's and B's decisions disagree on
-    // many of those flows.
-    let trace = TraceGenerator::new(&rs_a, 7).generate(400);
-    let rs_b = ClassBenchGenerator::new(SeedStyle::Fw, 20080416).generate(60);
-
+fn cached_tenant_storm_starts_cold_and_frees_what_admission_charged() {
+    let workloads = tenant_workloads(13, 2, 64);
+    let geometry = HotCacheConfig::new(256, 4);
+    let cached =
+        |t: usize| CachedClassifier::new(LinearClassifier::new(workloads[t].0.clone()), geometry);
+    // Room for exactly the bystander and one occupant of the churned slot.
+    let budget = cached(0).memory_bytes() + cached(1).memory_bytes();
     let router = EngineConfig::new()
         .workers(2)
-        .hot_cache(HotCacheConfig::new(1024, 4))
-        .tenant_router([
-            (TenantSpec::new("a"), LinearClassifier::new(rs_a.clone())),
-            (
-                TenantSpec::new("keep"),
-                LinearClassifier::new(rs_keep.clone()),
-            ),
-        ]);
-    let ids = router.tenant_ids();
+        .batch_size(16)
+        .memory_budget(budget)
+        .tenant_router([(TenantSpec::new("keep"), cached(0))]);
+    let keep = router.tenant_ids()[0];
+    let idle = router.memory_in_use();
+    assert_eq!(idle, cached(0).memory_bytes());
 
-    // Warm A's slice: a cold pass fills it, the warm pass hits it.
-    let tagged_a = TaggedTrace::interleave("a", &[(ids[0], &trace)]);
-    let cold = router.classify_tagged(&tagged_a);
-    assert_eq!(cold.results, trace.ground_truth(&rs_a));
-    let warm = router.classify_tagged(&tagged_a);
-    assert_eq!(warm.results, trace.ground_truth(&rs_a));
-    let warmed = router.cache_stats(ids[0]).expect("cached router");
-    assert!(
-        warmed.hits > 0,
-        "warm pass must actually exercise the cache"
-    );
+    let (rs_keep, trace_keep) = &workloads[0];
+    let (rs_churn, trace_churn) = &workloads[1];
+    let tagged_keep = TaggedTrace::interleave("keep", &[(keep, trace_keep)]);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        // The bystander is served, and decided by its own rules, throughout.
+        scope.spawn(|| {
+            let truth = trace_keep.ground_truth(rs_keep);
+            while !stop.load(Ordering::Relaxed) {
+                assert_eq!(router.classify_tagged(&tagged_keep).results, truth);
+            }
+        });
+        // The control thread must stop the server even when it fails.
+        let stop = StopOnDrop(&stop);
+        let truth = trace_churn.ground_truth(rs_churn);
+        let flows: HashSet<PacketHeader> = trace_churn.headers().copied().collect();
+        for cycle in 0..200 {
+            let id = router
+                .admit(TenantSpec::new("churned"), cached(1))
+                .expect("the budget has room for one occupant");
+            assert_eq!(router.memory_in_use(), budget, "cycle {cycle}");
+            assert!(Some(router.memory_in_use()) <= router.memory_budget());
+            let refused = router.admit(TenantSpec::new("extra"), cached(1));
+            assert!(matches!(
+                refused,
+                Err(AdmissionError::RouterOverBudget { .. })
+            ));
 
-    // Evict A, admit B into the recycled slice, offer the same flows.
-    router.evict(ids[0]).expect("evicting occupant A");
-    let b = router
-        .admit(TenantSpec::new("b"), LinearClassifier::new(rs_b.clone()))
-        .expect("admission within budget");
-    assert_eq!(b.slot(), ids[0].slot(), "B reoccupies A's slot");
+            let tagged = TaggedTrace::interleave("churned", &[(id, trace_churn)]);
+            assert_eq!(
+                router.classify_tagged(&tagged).results,
+                truth,
+                "cycle {cycle}"
+            );
+            let cold = router.live(id).snapshot().cache().stats();
+            assert_eq!(cold.hits + cold.misses, trace_churn.len() as u64);
+            assert!(
+                cold.misses >= flows.len() as u64,
+                "cycle {cycle} did not start cold: {cold:?}"
+            );
 
-    let tagged_b = TaggedTrace::interleave("b", &[(b, &trace)]);
-    let truth_b = trace.ground_truth(&rs_b);
-    // Both the cold pass (fills under B's generation tag) and the warm
-    // pass (answers from the cache) must decide from B's rules only.
-    assert_eq!(
-        router.classify_tagged(&tagged_b).results,
-        truth_b,
-        "a recycled slice served an entry filled under the previous occupant"
-    );
-    assert_eq!(
-        router.classify_tagged(&tagged_b).results,
-        truth_b,
-        "a warm recycled slice served a stale hit"
-    );
-
-    // The bystander keeps serving its own rules through the whole cycle.
-    let keep_trace = TraceGenerator::new(&rs_keep, 9).generate(200);
-    assert_eq!(
-        router.classify_solo(ids[1], &keep_trace).results,
-        keep_trace.ground_truth(&rs_keep)
-    );
+            router.evict(id).expect("live tenant evicts");
+            assert_eq!(router.memory_in_use(), idle, "cycle {cycle}");
+        }
+        drop(stop);
+    });
+    assert_eq!(router.admission_counts(), (201, 200));
 }
 
-/// A pooled slice too large to recycle must not starve the grant it could
-/// have paid for: shares 2/1/1 over 4,096 entries, the share-2 tenant
-/// leaves, and a share-1 newcomer (desired 1,365 of the then 3 shares)
-/// cannot reuse the 2,048-slot slice — which used to leave it nothing,
-/// because the idle slice still counted against the entry budget.
-#[test]
-fn oversized_pooled_slice_is_released_to_pay_for_a_fresh_grant() {
-    let workloads = tenant_workloads(11, 4, 10);
-    let shares = [2u32, 1, 1];
-    let router = EngineConfig::new()
-        .hot_cache(HotCacheConfig::new(4096, 4))
-        .tenant_router(shares.iter().zip(&workloads).map(|(&share, (rs, _))| {
-            (
-                TenantSpec::new(format!("share{share}")).cache_share(share),
-                LinearClassifier::new(rs.clone()),
-            )
-        }));
-    let ids = router.tenant_ids();
-    assert_eq!(router.cache_slot_total(), 4096);
-    let evicted = router.memory_report(ids[0]);
-    let full = router.memory_in_use();
+/// Raises the flag when dropped — on the normal path and on unwind.
+struct StopOnDrop<'a>(&'a AtomicBool);
 
-    router.evict(ids[0]).expect("live tenant evicts");
-    assert_eq!(
-        router.memory_in_use(),
-        full - evicted.classifier_bytes,
-        "the freed slice idles in the pool, still charged"
-    );
-    let (rs_new, trace_new) = &workloads[3];
-    let newcomer = router
-        .admit(
-            TenantSpec::new("newcomer"),
-            LinearClassifier::new(rs_new.clone()),
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
+/// A tenant's cache is part of its classifier's bytes, so the router-wide
+/// budget refuses exactly the tenant whose cache pushes the roster over
+/// it: one byte short of two cached tenants, the second is refused behind
+/// its cache and admitted behind a zero-entry (pass-through) one.
+#[test]
+fn router_budget_refuses_the_tenant_whose_cache_overflows_it() {
+    let (rs, trace) = &tenant_workloads(14, 1, 100)[0];
+    let behind = |entries: usize| {
+        CachedClassifier::new(
+            LinearClassifier::new(rs.clone()),
+            HotCacheConfig::new(entries, 4),
         )
-        .expect("admission fits");
-
-    let report = router.memory_report(newcomer);
-    assert!(
-        report.cache_bytes > 0,
-        "the newcomer was degraded to pass-through beside an idle 2,048-slot slice"
-    );
-    assert!(report.cache_bytes < evicted.cache_bytes);
-    assert!(router.cache_slot_total() <= 4096);
-    // The oversized slice is gone from the books, not just from the pool.
-    assert_eq!(
-        router.memory_in_use(),
-        full - evicted.total_bytes + report.total_bytes
-    );
-    let tagged = TaggedTrace::interleave("newcomer", &[(newcomer, trace_new)]);
-    assert_eq!(
-        router.classify_tagged(&tagged).results,
-        trace_new.ground_truth(rs_new)
-    );
-}
-
-/// The router-wide memory budget charges pooled slices, but a router must
-/// not refuse a tenant over bytes it could free itself: two cached tenants
-/// fill the budget exactly, one leaves, and a `cache_share(0)` newcomer —
-/// which wants no slice, so the cache grant neither recycles nor releases
-/// the idle one — is larger than the evicted classifier by less than that
-/// slice.  It used to be refused with `RouterOverBudget`.
-#[test]
-fn idle_pooled_slice_is_released_to_fit_a_tenant_in_the_memory_budget() {
-    let workloads = tenant_workloads(12, 3, 10);
-    let cached_pair = |config: EngineConfig| {
-        config
-            .hot_cache(HotCacheConfig::new(4096, 4))
-            .tenant_router(workloads[..2].iter().enumerate().map(|(t, (rs, _))| {
-                (
-                    TenantSpec::new(format!("t{t}")),
-                    LinearClassifier::new(rs.clone()),
-                )
-            }))
     };
-    let footprint = cached_pair(EngineConfig::new()).memory_in_use();
-    let router = cached_pair(EngineConfig::new().memory_budget(footprint));
-    let ids = router.tenant_ids();
-    assert_eq!(router.memory_in_use(), footprint);
-    assert_eq!(router.cache_slot_total(), 4096, "2,048 slots each");
-    let evicted = router.memory_report(ids[0]);
-    router.evict(ids[0]).expect("live tenant evicts");
-
-    let (rs_new, trace_new) = &workloads[2];
-    let classifier = LinearClassifier::new(rs_new.clone());
-    let bytes = classifier.memory_bytes();
-    assert!(evicted.classifier_bytes < bytes && bytes < evicted.total_bytes);
-    let newcomer = router
-        .admit(TenantSpec::new("uncached").cache_share(0), classifier)
-        .expect("dropping the idle slice fits the tenant");
-
-    let report = router.memory_report(newcomer);
+    let (cached, uncached) = (behind(1024).memory_bytes(), behind(0).memory_bytes());
+    assert_eq!(uncached, LinearClassifier::new(rs.clone()).memory_bytes());
+    assert!(uncached < cached);
+    let budget = 2 * cached - 1;
+    let router = EngineConfig::new()
+        .memory_budget(budget)
+        .tenant_router([(TenantSpec::new("t0"), behind(1024))]);
     assert_eq!(
-        router.memory_in_use(),
-        footprint - evicted.total_bytes + report.total_bytes
+        router.admit(TenantSpec::new("t1"), behind(1024)),
+        Err(AdmissionError::RouterOverBudget {
+            name: "t1".to_string(),
+            needs: cached,
+            in_use: cached,
+            budget,
+        })
     );
-    assert!(Some(router.memory_in_use()) <= router.memory_budget());
-    assert_eq!(router.cache_slot_total(), 2048, "exactly the idle slice");
-    let tagged = TaggedTrace::interleave("uncached", &[(newcomer, trace_new)]);
+    let id = router
+        .admit(TenantSpec::new("t1"), behind(0))
+        .expect("without its cache the tenant fits");
+    assert_eq!(router.memory_report(id).classifier_bytes, uncached);
+    assert_eq!(router.memory_in_use(), cached + uncached);
+    let tagged = TaggedTrace::interleave("t1", &[(id, trace)]);
     assert_eq!(
         router.classify_tagged(&tagged).results,
-        trace_new.ground_truth(rs_new)
+        trace.ground_truth(rs)
     );
 }
 
