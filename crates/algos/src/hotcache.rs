@@ -23,6 +23,8 @@
 //!   successful `insert`/`delete` moves the wrapper to a fresh generation
 //!   allocated by the cache, so a stale hit is structurally impossible —
 //!   entries filled against the old ruleset no longer match any probe.
+//!   It is the stack's only cache integration: an `Engine` worker, a live
+//!   cell or a router tenant that wants a cache is built over one.
 //!
 //! Eviction is CLOCK (second chance): a hit sets the entry's reference bit,
 //! a fill sweeps the set's clock hand, clearing reference bits until it
@@ -156,7 +158,7 @@ pub struct HotCache {
     slots: Vec<Slot>,
     /// Power-of-two set count (0 when the cache is disabled).
     sets: usize,
-    /// Effective associativity after clamping against the capacity.
+    /// Effective associativity after clamping (0 when the cache is disabled).
     assoc: usize,
     /// Per-set CLOCK hands.
     hands: Vec<AtomicUsize>,
@@ -184,7 +186,7 @@ impl HotCache {
     /// entry budget is a hard bound.
     pub fn new(config: HotCacheConfig) -> HotCache {
         let (sets, assoc) = if config.capacity == 0 {
-            (0, config.assoc.max(1))
+            (0, 0)
         } else {
             let assoc = config.assoc.clamp(1, config.capacity);
             let max_sets = (config.capacity / assoc).max(1);
@@ -220,7 +222,7 @@ impl HotCache {
     /// Distinct tags never hit each other's entries, so every classifier
     /// lineage (and every post-update state) gets its own namespace inside
     /// one shared cache.
-    pub fn allocate_generation(&self) -> u64 {
+    fn allocate_generation(&self) -> u64 {
         let tag = self.generations.fetch_add(1, Ordering::Relaxed);
         debug_assert_ne!(tag, EMPTY_GENERATION);
         tag
@@ -457,8 +459,8 @@ impl HotCache {
     }
 }
 
-/// Fronts any [`Classifier`] with a [`HotCache`].  See the
-/// [module docs](self).
+/// Fronts any [`Classifier`] with a fresh [`HotCache`] of its own.  See
+/// the [module docs](self).
 ///
 /// Cloning shares the cache (`Arc`) and keeps the generation tag: a clone
 /// serves the same ruleset, so warm entries stay valid for it.  The moment
@@ -466,7 +468,8 @@ impl HotCache {
 /// freshly allocated generation, so divergent clones can never serve each
 /// other's entries.  That is exactly the lifecycle of
 /// `pclass_engine::LiveClassifier`'s snapshot twins (one serves while the
-/// other absorbs updates), which this wrapper composes with unchanged.
+/// other absorbs updates), which this wrapper composes with unchanged: a
+/// cell over one has one cache, shared by both twins and their workers.
 #[derive(Debug, Clone)]
 pub struct CachedClassifier<C> {
     inner: C,
@@ -477,17 +480,11 @@ pub struct CachedClassifier<C> {
 impl<C> CachedClassifier<C> {
     /// Wraps a classifier behind a fresh cache with this geometry.
     pub fn new(inner: C, config: HotCacheConfig) -> CachedClassifier<C> {
-        CachedClassifier::with_cache(inner, Arc::new(HotCache::new(config)))
-    }
-
-    /// Wraps a classifier behind an existing (possibly shared) cache; the
-    /// wrapper starts on a freshly allocated generation of that cache.
-    pub fn with_cache(inner: C, cache: Arc<HotCache>) -> CachedClassifier<C> {
-        let generation = cache.allocate_generation();
+        let cache = HotCache::new(config);
         CachedClassifier {
             inner,
-            cache,
-            generation,
+            generation: cache.allocate_generation(),
+            cache: Arc::new(cache),
         }
     }
 
@@ -531,8 +528,8 @@ impl<C: Classifier> Classifier for CachedClassifier<C> {
     }
 
     fn classify_with_stats(&self, pkt: &PacketHeader, stats: &mut LookupStats) -> MatchResult {
-        // The probe touches up to `assoc` entries regardless of outcome.
-        let probe_loads = self.cache.assoc.max(1) as u64;
+        // The probe touches the set's `assoc` entries (0 without slots).
+        let probe_loads = self.cache.assoc as u64;
         stats.ops.loads += probe_loads;
         stats.memory_accesses += probe_loads;
         if let Some(result) = self.cache.probe(pkt, self.generation) {
@@ -541,10 +538,10 @@ impl<C: Classifier> Classifier for CachedClassifier<C> {
         }
         stats.cache_misses += 1;
         let result = self.inner.classify_with_stats(pkt, stats);
-        if self.cache.fill(pkt, self.generation, result) {
-            stats.cache_evictions += 1;
+        if probe_loads > 0 {
+            stats.ops.stores += 8; // one slot rewrite
+            stats.cache_evictions += u64::from(self.cache.fill(pkt, self.generation, result));
         }
-        stats.ops.stores += 8; // one slot rewrite
         result
     }
 
@@ -764,6 +761,28 @@ mod tests {
         let flat = CachedClassifier::new(updatable(&rs), HotCacheConfig::new(64, 4));
         let arena = flat.inner().arena_stats();
         assert_eq!(Classifier::arena_stats(&flat), Some(arena));
+    }
+
+    #[test]
+    fn zero_capacity_wrapper_charges_only_the_inner_lookup() {
+        // No slots: no set to probe and no entry to fill, so the per-lookup
+        // work is the inner classifier's plus one counted miss.
+        use pclass_classbench::{ClassBenchGenerator, SeedStyle, TraceGenerator};
+        let rs = ClassBenchGenerator::new(SeedStyle::Acl, 5).generate(50);
+        let trace = TraceGenerator::new(&rs, 6).generate(200);
+        let inner = LinearClassifier::new(rs.clone());
+        let cached = CachedClassifier::new(inner.clone(), HotCacheConfig::new(0, 4));
+        for pkt in trace.headers() {
+            let (mut want, mut got) = (LookupStats::new(), LookupStats::new());
+            let result = inner.classify_with_stats(pkt, &mut want);
+            assert_eq!(cached.classify_with_stats(pkt, &mut got), result);
+            want.cache_misses = 1;
+            assert_eq!(got, want, "{pkt}");
+        }
+        assert_eq!(
+            cached.worst_case_memory_accesses(),
+            inner.worst_case_memory_accesses()
+        );
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! * **workers** and **batch size** set the loop's geometry;
 //! * the **hot cache** ([`EngineConfig::hot_cache`]) puts an exact-match
 //!   flow cache in front of the classifier, probed once per sub-batch:
-//!   one private cache per worker shard of an [`Engine`] or
-//!   [`LiveEngine`].  A [`TenantRouter`] owns no cache and refuses a
-//!   config that carries one — a tenant that wants a cache is admitted as
-//!   a [`pclass_algos::CachedClassifier`];
+//!   one private [`pclass_algos::CachedClassifier`] per worker shard of an
+//!   [`Engine`].  A [`LiveEngine`] and a [`TenantRouter`] own no cache and
+//!   refuse a config that carries one — a live cell or a tenant that
+//!   wants a cache wraps its classifier in a `CachedClassifier`;
 //! * the **memory budget** ([`EngineConfig::memory_budget`]) bounds the
 //!   [`TenantRouter`] roster's total classifier bytes — admission checks
 //!   against it; the single-classifier front ends have no roster and do
@@ -106,11 +106,11 @@ impl EngineConfig {
         self
     }
 
-    /// Puts an exact-match hot-flow cache
-    /// ([`pclass_algos::hotcache::HotCache`]) in front of the classifier:
-    /// each [`Engine`]/[`LiveEngine`] worker shard gets its own private
-    /// cache with this geometry.  [`EngineConfig::tenant_router`] refuses
-    /// a config that carries one.
+    /// Puts an exact-match hot-flow cache in front of the classifier:
+    /// each [`Engine`] worker shard serves it through its own private
+    /// [`pclass_algos::CachedClassifier`] with this geometry.
+    /// [`EngineConfig::live_engine`] and [`EngineConfig::tenant_router`]
+    /// refuse a config that carries one.
     ///
     /// # Panics
     ///
@@ -176,10 +176,23 @@ impl EngineConfig {
 
     /// Builds a [`LiveEngine`] serving an epoch-swap [`LiveClassifier`],
     /// re-snapshotting per sub-batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this config carries a [hot cache](EngineConfig::hot_cache):
+    /// the live engine owns no cache, so a live cell that wants one wraps
+    /// its classifier in a [`pclass_algos::CachedClassifier`] (see
+    /// [`LiveEngine::classify_trace`]).
     pub fn live_engine<C: Classifier + Clone + Send + Sync>(
         &self,
         live: Arc<LiveClassifier<C>>,
     ) -> LiveEngine<C> {
+        assert!(
+            self.hot_cache.is_none(),
+            "EngineConfig::hot_cache is one private cache per Engine worker and \
+             a LiveEngine owns none — build a cached live cell as \
+             LiveClassifier::new(CachedClassifier::new(classifier, HotCacheConfig::new(..)))"
+        );
         LiveEngine::from_config(self, live)
     }
 
@@ -207,9 +220,9 @@ impl EngineConfig {
     ) -> TenantRouter<C> {
         assert!(
             self.hot_cache.is_none(),
-            "EngineConfig::hot_cache is one private cache per Engine/LiveEngine \
-             worker and a TenantRouter owns none — admit a tenant that wants a \
-             cache as CachedClassifier::new(classifier, HotCacheConfig::new(..))"
+            "EngineConfig::hot_cache is one private cache per Engine worker and \
+             a TenantRouter owns none — admit a tenant that wants a cache as \
+             CachedClassifier::new(classifier, HotCacheConfig::new(..))"
         );
         TenantRouter::from_config(self, tenants)
     }
@@ -313,6 +326,17 @@ mod tests {
         let _ = EngineConfig::new()
             .hot_cache(HotCacheConfig::new(256, 4))
             .tenant_router([(TenantSpec::new("t0"), LinearClassifier::new(rs))]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "LiveClassifier::new(CachedClassifier::new(classifier, HotCacheConfig::new(..)))"
+    )]
+    fn a_cached_config_builds_no_live_engine() {
+        let (rs, _) = workload(40, 0);
+        let _ = EngineConfig::new()
+            .hot_cache(HotCacheConfig::new(256, 4))
+            .live_engine(Arc::new(LiveClassifier::new(LinearClassifier::new(rs))));
     }
 
     #[test]

@@ -28,12 +28,11 @@
 //! Every serving front end — the fixed [`Engine`], the epoch-swap
 //! [`LiveEngine`], and the multi-tenant [`tenant::TenantRouter`] — is
 //! built through one [`EngineConfig`] builder (the older per-type
-//! constructors are gone).  The builder can also put an exact-match
-//! hot-flow cache in front of the first two ([`EngineConfig::hot_cache`]):
-//! each worker shard probes its own cache first and falls cache misses
-//! through to the classifier as one dense batch.  A tenant of the router
-//! is cached by composition instead, admitted as a
-//! [`pclass_algos::CachedClassifier`].
+//! constructors are gone).  The loop itself knows no cache: an exact-match
+//! hot-flow cache is a [`pclass_algos::CachedClassifier`] in front of the
+//! classifier.  [`EngineConfig::hot_cache`] gives each worker shard of an
+//! [`Engine`] its own; a live cell or a router tenant is cached by
+//! composition instead, as a `CachedClassifier` its twins share.
 //!
 //! # Example
 //!
@@ -71,8 +70,8 @@ pub use tenant::{
     TenantSpec, UnknownTenant,
 };
 
-use pclass_algos::Classifier;
-use pclass_types::{MatchResult, Trace};
+use pclass_algos::{CachedClassifier, Classifier};
+use pclass_types::{CacheStats, MatchResult, Trace};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -149,6 +148,9 @@ pub(crate) fn mpps(pkts: u64, wall_ns: u64) -> f64 {
 /// ```
 pub struct Engine {
     classifier: SharedClassifier,
+    /// Under [`EngineConfig::hot_cache`], one private cache in front of
+    /// `classifier` per worker (no cross-worker contention); else empty.
+    cached: Vec<CachedClassifier<SharedClassifier>>,
     pool: pool::WorkerPool,
 }
 
@@ -166,8 +168,15 @@ impl Engine {
     /// The canonical constructor, used by [`EngineConfig::engine`]: every
     /// worker shard shares the one classifier handle.
     pub(crate) fn from_config(config: &EngineConfig, classifier: SharedClassifier) -> Engine {
+        let cached = match config.hot_cache_config() {
+            Some(geometry) => (0..config.worker_count())
+                .map(|_| CachedClassifier::new(Arc::clone(&classifier), geometry))
+                .collect(),
+            None => Vec::new(),
+        };
         Engine {
             classifier,
+            cached,
             pool: pool::WorkerPool::from_config(config),
         }
     }
@@ -186,8 +195,11 @@ impl Engine {
     /// caches, or `None` when the engine was built without
     /// [`EngineConfig::hot_cache`].  Counters are cumulative across every
     /// [`Engine::classify_trace`] call.
-    pub fn cache_stats(&self) -> Option<pclass_types::CacheStats> {
-        self.pool.cache_stats()
+    pub fn cache_stats(&self) -> Option<CacheStats> {
+        let mut caches = self.cached.iter().map(|worker| worker.cache().stats());
+        let mut total = caches.next()?;
+        caches.for_each(|stats| total.merge(&stats));
+        Some(total)
     }
 
     /// Name reported by the classifier being served.
@@ -200,8 +212,11 @@ impl Engine {
     /// Results are merged in trace order and are identical to what a
     /// sequential per-packet loop over the same classifier would produce.
     pub fn classify_trace(&self, trace: &Trace) -> EngineRun {
-        // The classifier never changes, so one cache tag serves for good.
-        self.pool.serve_trace(trace, || (0, &self.classifier))
+        if self.cached.is_empty() {
+            self.pool.serve_trace(trace, |_| &self.classifier)
+        } else {
+            self.pool.serve_trace(trace, |worker| &self.cached[worker])
+        }
     }
 }
 
@@ -348,6 +363,14 @@ mod tests {
                 }
                 let stats = engine.cache_stats().expect("cache configured");
                 assert!(stats.hits > 0, "{}: warm pass must hit", engine.name());
+                assert_eq!(stats.hits + stats.misses, 2 * trace.len() as u64);
+                // One private cache per worker.
+                assert_eq!(engine.cached.len(), workers);
+                for (i, a) in engine.cached.iter().enumerate() {
+                    for b in &engine.cached[..i] {
+                        assert!(!Arc::ptr_eq(a.cache(), b.cache()));
+                    }
+                }
             }
         }
     }

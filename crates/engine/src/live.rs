@@ -87,20 +87,6 @@ impl<C: Classifier + Clone> LiveClassifier<C> {
         Arc::clone(&self.snapshot.read().expect("snapshot lock poisoned"))
     }
 
-    /// The current snapshot together with the generation that published
-    /// it, read as one consistent pair (the generation is only ever
-    /// advanced while the snapshot write lock is held, so holding the
-    /// read lock across both loads rules out a snapshot tagged with a
-    /// neighbouring generation's number).  This is the handle a hot-flow
-    /// cache needs: tagging cache fills with the pair's generation makes
-    /// entries from an older ruleset structurally unreachable the moment
-    /// a new one is published.
-    pub fn snapshot_tagged(&self) -> (u64, Arc<C>) {
-        let guard = self.snapshot.read().expect("snapshot lock poisoned");
-        let generation = self.generation.load(Ordering::Acquire);
-        (generation, Arc::clone(&guard))
-    }
-
     /// Number of published update generations (0 = never updated).
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
@@ -169,9 +155,10 @@ impl<C: UpdatableClassifier + Clone> LiveClassifier<C> {
             // The displaced snapshot is moved out, never dropped here:
             // freeing an arena (a multi-MiB `munmap`) would park every
             // reader on this lock.  The generation advances inside the
-            // section so that `snapshot_tagged` can never pair a snapshot
-            // with the wrong number; writers are already serialised by
-            // the writer mutex, so a load+store is race-free.
+            // section, so a snapshot is never newer than a `generation()`
+            // read after it — the bracket `tests/scenario_matrix.rs`'s
+            // straddle oracle reads around a pass; writers are already
+            // serialised by the writer mutex, so a load+store is race-free.
             let mut snapshot = self.snapshot.write().expect("snapshot lock poisoned");
             let retired = std::mem::replace(&mut *snapshot, next);
             let generation = self.generation.load(Ordering::Relaxed) + 1;
@@ -205,9 +192,7 @@ pub struct LiveEngine<C> {
 
 impl<C: Classifier + Clone + Send + Sync> LiveEngine<C> {
     /// The canonical constructor, used by [`EngineConfig::live_engine`];
-    /// inherits the config's workers, batch size and hot-cache geometry
-    /// (one private cache per worker, so the hot path never contends
-    /// across shards).
+    /// inherits the config's workers and batch size.
     pub(crate) fn from_config(
         config: &EngineConfig,
         live: Arc<LiveClassifier<C>>,
@@ -228,26 +213,17 @@ impl<C: Classifier + Clone + Send + Sync> LiveEngine<C> {
         &self.live
     }
 
-    /// Aggregated hit/miss/eviction counters of the per-worker hot-flow
-    /// caches, or `None` when the engine was built without
-    /// [`EngineConfig::hot_cache`].  Counters are cumulative across every
-    /// [`LiveEngine::classify_trace`] call.
-    pub fn cache_stats(&self) -> Option<pclass_types::CacheStats> {
-        self.pool.cache_stats()
-    }
-
     /// Classifies a whole trace, sharding it across the workers; each
-    /// sub-batch is served by the snapshot current at its start.  With a
-    /// hot cache configured, the worker probes its cache with the
-    /// snapshot's generation as the entry tag — a sub-batch therefore
-    /// only ever consumes cache entries filled from the exact snapshot
-    /// it classifies against, and a published update invalidates every
-    /// older entry without touching the cache.
+    /// sub-batch is served by the snapshot current at its start.  A cell
+    /// built over a [`pclass_algos::CachedClassifier`] is served through
+    /// its one cache: every update moves the updated twin to a fresh
+    /// generation of it, so a sub-batch only ever consumes entries filled
+    /// from the exact ruleset it classifies against.
     pub fn classify_trace(&self, trace: &Trace) -> EngineRun {
         // Re-snapshot per sub-batch: a generation published mid-shard
         // serves the remaining batches, while this batch drains on the
         // snapshot it started with.
-        self.pool.serve_trace(trace, || self.live.snapshot_tagged())
+        self.pool.serve_trace(trace, |_| self.live.snapshot())
     }
 }
 
@@ -500,41 +476,58 @@ mod tests {
 
     #[test]
     fn cached_live_engine_matches_truth_and_warm_passes_hit() {
+        // A cached live cell is a cell over a `CachedClassifier`, served
+        // from an uncached config: one cache, shared by the twins and the
+        // workers.
         let (rs, trace) = workload(150, 900);
         let truth = trace.ground_truth(&rs);
-        let live = Arc::new(LiveClassifier::new(flat_for(&rs)));
-        let engine = EngineConfig::new()
-            .workers(2)
-            .batch_size(64)
-            .hot_cache(pclass_algos::HotCacheConfig::new(512, 4))
-            .live_engine(Arc::clone(&live));
-        for pass in 0..2 {
-            assert_eq!(engine.classify_trace(&trace).results, truth, "pass {pass}");
-        }
-        let stats = engine.cache_stats().expect("cache configured");
-        assert!(stats.hits > 0, "warm pass must hit");
-        assert_eq!(stats.hits + stats.misses, 2 * trace.len() as u64);
-        // An update invalidates by generation: the next pass still matches
-        // the *new* truth packet for packet even though old entries are
-        // physically present in the cache.
-        live.apply_batch(&[RuleUpdate::Delete(0)]).expect("delete");
-        let snap = live.snapshot();
-        let final_live = snap.live_rules();
-        let run = engine.classify_trace(&trace);
-        for (entry, got) in trace.entries().iter().zip(&run.results) {
-            assert_eq!(*got, classify_live_linear(&final_live, &entry.header));
+        let geometry = pclass_algos::HotCacheConfig::new(512, 4);
+        for workers in [1usize, 2] {
+            let cached = pclass_algos::CachedClassifier::new(flat_for(&rs), geometry);
+            let live = Arc::new(LiveClassifier::new(cached));
+            let engine = EngineConfig::new()
+                .workers(workers)
+                .batch_size(64)
+                .live_engine(Arc::clone(&live));
+            for pass in 0..2 {
+                let run = engine.classify_trace(&trace);
+                assert_eq!(run.results, truth, "x{workers} pass {pass}");
+            }
+            let stats = live.snapshot().cache().stats();
+            assert!(stats.hits > 0, "x{workers}: warm pass must hit");
+            assert_eq!(stats.hits + stats.misses, 2 * trace.len() as u64);
+            // An update moves the updated twin to a fresh generation of the
+            // same cache: every later pass matches the *new* truth packet
+            // for packet even though old entries are physically present.
+            for round in 0..3u32 {
+                let retired = live.snapshot();
+                live.apply_batch(&[RuleUpdate::Delete(round)])
+                    .expect("delete");
+                let snap = live.snapshot();
+                assert!(Arc::ptr_eq(retired.cache(), snap.cache()), "one cache");
+                assert_ne!(retired.generation(), snap.generation());
+                drop(retired);
+                let final_live = snap.live_rules();
+                for pass in 0..2 {
+                    let run = engine.classify_trace(&trace);
+                    for (entry, got) in trace.entries().iter().zip(&run.results) {
+                        let expected = classify_live_linear(&final_live, &entry.header);
+                        assert_eq!(*got, expected, "x{workers} round {round} pass {pass}");
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn snapshot_tagged_pairs_are_consistent_under_churn() {
-        // Hammer apply_batch while readers take tagged snapshots; a tag
-        // must always identify the snapshot it came with.  The writer
-        // inserts a wildcard rule whose id encodes the generation, so a
-        // reader can cross-check the pair.
+    fn a_snapshot_is_bracketed_by_the_generations_read_around_it() {
+        // Hammer apply_batch while a reader brackets each snapshot by two
+        // generation reads: the snapshot is never older than the first nor
+        // newer than the second.  The writer inserts one wildcard rule per
+        // generation, so generation g has exactly base + g live rules.
         let (rs, _) = workload(40, 1);
         let spec = *rs.spec();
-        let base_rules = rs.len() as u64;
+        let base = rs.len() as u64;
         let live = Arc::new(LiveClassifier::new(flat_for(&rs)));
         std::thread::scope(|scope| {
             let live_ref = &live;
@@ -546,12 +539,13 @@ mod tests {
                 }
             });
             for _ in 0..2_000 {
-                let (tag, snap) = live.snapshot_tagged();
-                // Generation g has exactly base_rules + g live rules.
-                assert_eq!(
-                    snap.live_rules().len() as u64,
-                    base_rules + tag,
-                    "tag must match the snapshot it was read with"
+                let g0 = live.generation();
+                let snap = live.snapshot();
+                let g1 = live.generation();
+                let rules = snap.live_rules().len() as u64;
+                assert!(
+                    base + g0 <= rules && rules <= base + g1,
+                    "snapshot of {rules} rules outside generations {g0}..={g1}"
                 );
             }
             writer.join().expect("writer panicked");

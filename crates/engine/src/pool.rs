@@ -1,9 +1,9 @@
-//! The one sharded serving loop, and the worker pool the single-classifier
-//! front ends put on top of it.
+//! The one sharded serving loop, and the worker pool the front ends put on
+//! top of it.
 
 use crate::{mpps, EngineConfig, EngineRun, ThroughputReport, WorkerReport};
-use pclass_algos::{Classifier, HotCache};
-use pclass_types::{shard_slices, CacheStats, MatchResult, Trace};
+use pclass_algos::Classifier;
+use pclass_types::{shard_slices, MatchResult, Trace};
 use std::ops::Deref;
 use std::time::Instant;
 
@@ -92,65 +92,38 @@ pub(crate) fn run_sharded<P: Sync, W: Send>(
     (results, report, states)
 }
 
-/// What [`crate::Engine`] and [`crate::LiveEngine`] share: the loop's
-/// geometry and one private hot-flow cache per worker (no cross-worker
-/// contention; a worker only ever sees its own shard).
+/// What every front end shares: the loop's geometry.
 pub(crate) struct WorkerPool {
     pub(crate) workers: usize,
     pub(crate) batch: usize,
-    caches: Vec<HotCache>,
 }
 
 impl WorkerPool {
     pub(crate) fn from_config(config: &EngineConfig) -> WorkerPool {
-        let workers = config.worker_count();
-        let caches = match config.hot_cache_config() {
-            Some(geometry) => (0..workers).map(|_| HotCache::new(geometry)).collect(),
-            None => Vec::new(),
-        };
         WorkerPool {
-            workers,
+            workers: config.worker_count(),
             batch: config.batch(),
-            caches,
         }
-    }
-
-    /// Hit/miss/eviction counters summed over the per-worker caches
-    /// (cumulative across calls), or `None` without a hot cache.
-    pub(crate) fn cache_stats(&self) -> Option<CacheStats> {
-        let mut caches = self.caches.iter().map(HotCache::stats);
-        let mut total = caches.next()?;
-        caches.for_each(|stats| total.merge(&stats));
-        Some(total)
     }
 
     /// Serves a trace: every sub-batch is copied into its worker's header
     /// scratch block (the dense slice [`Classifier::classify_batch`]
-    /// wants) and classified by whatever `current()` returns at that
-    /// moment — a cache tag and a classifier handle.  Behind a cache, the
-    /// hits are served from it and the misses fall through to the
-    /// classifier as one dense batch; without one the classifier sees the
-    /// whole sub-batch.
+    /// wants) and classified in one call by whatever handle
+    /// `current(worker)` returns at that moment.
     pub(crate) fn serve_trace<H: Deref<Target: Classifier>>(
         &self,
         trace: &Trace,
-        current: impl Fn() -> (u64, H) + Sync,
+        current: impl Fn(usize) -> H + Sync,
     ) -> EngineRun {
         let (results, report, _) = run_sharded(
             trace.entries(),
             self.workers,
             self.batch,
-            |worker| (self.caches.get(worker), Vec::new()),
-            |(cache, headers), sub, results| {
+            |worker| (worker, Vec::new()),
+            |(worker, headers), sub, results| {
                 headers.clear();
                 headers.extend(sub.iter().map(|e| e.header));
-                let (tag, classifier) = current();
-                match cache {
-                    Some(cache) => cache.serve_batch(tag, headers, results, |misses, fell| {
-                        classifier.classify_batch(misses, fell)
-                    }),
-                    None => classifier.classify_batch(headers, results),
-                }
+                current(*worker).classify_batch(headers, results);
             },
         );
         EngineRun { results, report }

@@ -81,6 +81,7 @@
 //! tenant starts cold.
 
 use crate::live::LiveClassifier;
+use crate::pool::WorkerPool;
 use crate::{EngineConfig, EngineRun, ThroughputReport};
 use pclass_algos::Classifier;
 use pclass_types::{
@@ -668,8 +669,7 @@ impl<C: Classifier + Clone> TenantWorker<C> {
 pub struct TenantRouter<C> {
     roster: RwLock<Arc<Roster<C>>>,
     admission: Mutex<AdmissionState>,
-    workers: usize,
-    batch: usize,
+    pool: WorkerPool,
     memory_budget: Option<usize>,
 }
 
@@ -685,8 +685,7 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
                 admitted: 0,
                 evicted: 0,
             }),
-            workers: config.worker_count(),
-            batch: config.batch(),
+            pool: WorkerPool::from_config(config),
             memory_budget: config.memory_budget_bytes(),
         };
         for (spec, classifier) in tenants {
@@ -810,12 +809,12 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
 
     /// Number of worker shards in the shared pool.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.pool.workers
     }
 
     /// Sub-batch size of the shared pool.
     pub fn batch_size(&self) -> usize {
-        self.batch
+        self.pool.batch
     }
 
     /// Total admissions and evictions over the router's lifetime
@@ -924,8 +923,8 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
     pub fn classify_tagged(&self, trace: &TaggedTrace) -> TenantRun {
         let (results, report, served) = crate::pool::run_sharded(
             trace.entries(),
-            self.workers,
-            self.batch,
+            self.pool.workers,
+            self.pool.batch,
             |_| TenantWorker::new(self.roster_snapshot()),
             |worker, sub, results| {
                 // Pick up lifecycle changes at the sub-batch boundary —
@@ -1000,20 +999,17 @@ impl<C: Classifier + Clone + Send + Sync> TenantRouter<C> {
     /// repository benchmark compares cross-tenant batching against.
     /// Takes the tenant's [`TenantId`] handle (from
     /// `admit`/construction), so solo baselines and router runs are
-    /// guaranteed like-for-like on the same live classifier: the run is a
-    /// [`crate::LiveEngine`] over the tenant's live cell.  Serves the
-    /// classifier as admitted: a tenant cached per the [module
+    /// guaranteed like-for-like on the same live classifier: the run is
+    /// what a [`crate::LiveEngine`] over the tenant's live cell serves.
+    /// Serves the classifier as admitted: a tenant cached per the [module
     /// docs](self) probes, and warms, its cache here too.
     ///
     /// # Panics
     ///
     /// Panics if the handle does not resolve to a live tenant.
     pub fn classify_solo(&self, tenant: TenantId, trace: &Trace) -> EngineRun {
-        EngineConfig::new()
-            .workers(self.workers)
-            .batch_size(self.batch)
-            .live_engine(self.live(tenant))
-            .classify_trace(trace)
+        let live = self.live(tenant);
+        self.pool.serve_trace(trace, |_| live.snapshot())
     }
 }
 
@@ -1022,8 +1018,8 @@ impl<C> std::fmt::Debug for TenantRouter<C> {
         let roster = self.roster.read().expect("roster lock poisoned");
         f.debug_struct("TenantRouter")
             .field("tenants", &roster.live_entries().count())
-            .field("workers", &self.workers)
-            .field("batch", &self.batch)
+            .field("workers", &self.pool.workers)
+            .field("batch", &self.pool.batch)
             .finish()
     }
 }

@@ -73,12 +73,12 @@ proptest! {
             for batch in [1usize, 3, 512] {
                 let config = EngineConfig::new().workers(workers).batch_size(batch);
                 assert_front_ends_agree(&config, &config, &linear, linear.clone(), &trace, &truth);
-                // Cached: the engines take the cache from the config, the
-                // router's tenant brings its own.
+                // Cached: the engine takes its caches from the config, the
+                // live cell and the router's tenant bring their own.
                 let geometry = HotCacheConfig::new(64, 4);
-                let tenant = CachedClassifier::new(linear.clone(), geometry);
+                let cell = CachedClassifier::new(linear.clone(), geometry);
                 let cached = config.clone().hot_cache(geometry);
-                assert_front_ends_agree(&cached, &config, &linear, tenant, &trace, &truth);
+                assert_front_ends_agree(&cached, &config, &linear, cell, &trace, &truth);
             }
         }
     }
@@ -86,24 +86,24 @@ proptest! {
 
 /// `Engine`, a quiescent `LiveEngine`, a one-tenant `TenantRouter` and its
 /// `classify_solo` are views over one sharded loop: built over one
-/// geometry (`engines` may add a hot cache to `router`'s config, `tenant`
-/// its own to `linear`) they make the same decisions over the same
-/// per-worker split — `Trace::shards` — on a cold pass and on a warm one
-/// over whatever the first pass cached.
+/// geometry (`engines` may add a hot cache to `config`, `cell` its own to
+/// `linear`) they make the same decisions over the same per-worker split —
+/// `Trace::shards` — on a cold pass and on a warm one over whatever the
+/// first pass cached.  The live engine serves `cell`, the router a clone.
 fn assert_front_ends_agree<C: Classifier + Clone + Send + Sync>(
     engines: &EngineConfig,
-    router: &EngineConfig,
+    config: &EngineConfig,
     linear: &LinearClassifier,
-    tenant: C,
+    cell: C,
     trace: &Trace,
     truth: &[MatchResult],
 ) {
     let engine = engines.engine(Arc::new(linear.clone()));
-    let live = engines.live_engine(Arc::new(LiveClassifier::new(linear.clone())));
-    let router = router.tenant_router([(TenantSpec::new("t0"), tenant)]);
+    let live = config.live_engine(Arc::new(LiveClassifier::new(cell.clone())));
+    let router = config.tenant_router([(TenantSpec::new("t0"), cell)]);
     let id = router.tenant_ids()[0];
     let tagged = TaggedTrace::interleave("solo", &[(id, trace)]);
-    let shards = trace.shards(engines.worker_count());
+    let shards = trace.shards(config.worker_count());
     let shards: Vec<usize> = shards.iter().map(|s| s.len()).collect();
     for pass in ["cold", "warm"] {
         let check = |front_end: &str, run: EngineRun| {

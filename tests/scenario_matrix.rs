@@ -20,7 +20,7 @@ use pclass_algos::hypercuts::HyperCutsConfig;
 use pclass_algos::update::{
     classify_live_linear, map_result, renumbered_ruleset, RuleUpdate, UpdatableClassifier,
 };
-use pclass_algos::HotCacheConfig;
+use pclass_algos::{CachedClassifier, HotCacheConfig};
 use pclass_bench::churn::{churn_updates, ChurnProfile};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -90,15 +90,11 @@ fn assert_serves_correctly_while_the_stream_lands<C>(
     build: impl Fn(&RuleSet) -> C,
     trace: &Trace,
     stream: &SustainedStream,
-    cache: Option<HotCacheConfig>,
 ) where
     C: UpdatableClassifier + Clone + Send + Sync,
 {
     let base = build(rs);
-    let mut config = EngineConfig::new().workers(2).batch_size(32);
-    if let Some(geometry) = cache {
-        config = config.hot_cache(geometry);
-    }
+    let config = EngineConfig::new().workers(2).batch_size(32);
     let (mut passes, mut straddling) = (0usize, 0usize);
     for _attempt in 0..8 {
         let live = Arc::new(LiveClassifier::new(base.clone()));
@@ -214,16 +210,20 @@ proptest! {
         let trace = TraceGenerator::new(&rs, seed ^ 0xFADE).generate(packets);
         let stream = SustainedStream::new(&rs, &trace);
         let hc = HiCutsConfig { binth, spfac: 4.0 };
-        let cache = cached.then(|| HotCacheConfig::new(256, 4));
-        let build = |rs: &RuleSet| HiCutsClassifier::build(rs, &hc).flatten();
-        assert_serves_correctly_while_the_stream_lands(&rs, build, &trace, &stream, cache);
+        let flat = |rs: &RuleSet| HiCutsClassifier::build(rs, &hc).flatten();
+        if cached {
+            let build = |rs: &RuleSet| CachedClassifier::new(flat(rs), HotCacheConfig::new(256, 4));
+            assert_serves_correctly_while_the_stream_lands(&rs, build, &trace, &stream);
+        } else {
+            assert_serves_correctly_while_the_stream_lands(&rs, flat, &trace, &stream);
+        }
     }
 }
 
 /// The sustained stream pinned as a deterministic test: acl1 at 2 k rules,
 /// 2 % replaced one update per generation under a serving `LiveEngine` over
 /// the flat arena, cache off and behind a hot cache small enough to keep
-/// evicting.
+/// evicting (a cell over a `CachedClassifier`).
 #[test]
 fn sustained_cell_on_acl1_2000_verifies_and_spans_the_window() {
     let rs = pclass_bench::acl_ruleset(2_000);
@@ -233,9 +233,9 @@ fn sustained_cell_on_acl1_2000_verifies_and_spans_the_window() {
 
     let hc = HiCutsConfig::paper_defaults();
     let flat = |rs: &RuleSet| HiCutsClassifier::build(rs, &hc).flatten();
-    for cache in [None, Some(HotCacheConfig::new(256, 4))] {
-        assert_serves_correctly_while_the_stream_lands(&rs, flat, &trace, &stream, cache);
-    }
+    assert_serves_correctly_while_the_stream_lands(&rs, flat, &trace, &stream);
+    let cached = |rs: &RuleSet| CachedClassifier::new(flat(rs), HotCacheConfig::new(256, 4));
+    assert_serves_correctly_while_the_stream_lands(&rs, cached, &trace, &stream);
 }
 
 /// Zipf traffic serves correctly end to end: every classifier of the
