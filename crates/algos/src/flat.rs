@@ -11,18 +11,23 @@
 //!
 //! [`FlatTree`] re-packs a built tree into a handful of dense arrays:
 //!
-//! * one **64-byte, cache-line-aligned record per node** (`NodeRec`):
-//!   the rule-slab span, the child-base index, the cut count (0 marks a
-//!   leaf) *and the node's first cut record inline* —
-//!   everything one walk step needs before branching, in exactly one
-//!   potential cache miss;
+//! * one **64-byte, cache-line-aligned record per internal node**
+//!   (`NodeRec`): the stored-rule span, the child-base index, the cut
+//!   count *and the node's first cut record inline* — everything one walk
+//!   step needs before branching, in exactly one potential cache miss;
+//! * one dense **leaf table** of 8-byte rule-slab spans, one per leaf — a
+//!   leaf is nothing but its rule list, so it needs no record, and eight
+//!   leaves share a cache line;
 //! * one shared **cut slab** of `(dimension, parts, lo, hi, magics)`
 //!   records for cuts past each node's first (HyperCuts' extra
 //!   dimensions; empty for HiCuts trees), in dimension order so the
 //!   mixed-radix child index of
 //!   [`CutSpec::child_index`](crate::dtree::CutSpec::child_index) is reproduced exactly;
 //! * one shared **child slab** holding every child pointer array
-//!   back-to-back, addressed by `(child_base + index)`;
+//!   back-to-back, addressed by `(child_base + index)`; a child slot is a
+//!   tagged `u32` — an internal-record index, or, with the high bit set, a
+//!   leaf-table index — so a walk knows it has reached a leaf before
+//!   loading anything;
 //! * one shared **rule slab** with all leaf rule lists and pushed-up rule
 //!   lists packed end to end as 4-byte rule **ids**, addressed by
 //!   `(offset, len)`;
@@ -34,8 +39,8 @@
 //!   only otherwise loads the rule's line.
 //!
 //! Nodes are renumbered in breadth-first discovery order during
-//! [`FlatTree::from_tree`], so the records of one tree level are contiguous
-//! in memory.  [`FlatTree::classify_batch`] exploits that: it advances a
+//! [`FlatTree::from_tree`] (internal records and leaf spans each in their
+//! own table), so the entries of one tree level are contiguous in memory.  [`FlatTree::classify_batch`] exploits that: it advances a
 //! whole batch of packets one level at a time (a per-batch worklist), so the
 //! node records of the hot top levels are touched by every packet while they
 //! are still in cache — the tree analogue of RFC's phase-major batched loop.
@@ -50,9 +55,10 @@
 //! [`FlatTree::classify_batch`] does not merely iterate the worklist packet
 //! by packet: it advances the level-synchronous worklist in **lanes** of
 //! [`LaneWidth`] packets (hand-unrolled fixed-size arrays — no nightly
-//! `std::simd`).  Each lane step first gathers one word from all `N` node
-//! records with no branches in between, so the `N` one-line records are
-//! fetched as overlapped, independent cache misses — memory-level
+//! `std::simd`).  Each lane step first gathers one word of each of the `N`
+//! slots — an internal node's record or a leaf's span, told apart by the
+//! slot's tag — so the `N` loads are fetched as overlapped, independent
+//! cache misses — memory-level
 //! parallelism where the packet-at-a-time walk would serialise behind one
 //! miss at a time — and then finishes each lane over the now-hot lines:
 //!
@@ -71,8 +77,10 @@
 //! * on advancing a packet, the walk issues a **portable read-ahead
 //!   touch** (the crate forbids `unsafe`, so a `std::hint::black_box`
 //!   read stands in for `_mm_prefetch`) of one word of the child's record
-//!   line — a full level of work ahead of its use, so the next level's
-//!   gather finds the line in cache.  Touches are only issued for arenas
+//!   line, or of its 8-byte span when the child is a leaf — a full level
+//!   of work ahead of its use, so the next level's gather finds the line
+//!   in cache.  A packet whose slot names a leaf retires at that gather
+//!   without any record load.  Touches are only issued for arenas
 //!   larger than `PREFETCH_MIN_BYTES`; a cache-resident arena gains
 //!   nothing from them.
 //!
@@ -97,7 +105,9 @@
 //! tree is an immutable build product — and it is *patchable in place*
 //! ([`FlatTree::insert`] / [`FlatTree::delete`]): an update descends only
 //! the subtrees the rule's ranges intersect (un-sharing merged leaves on
-//! the way down) and edits the leaf's span of rule ids inside the slab;
+//! the way down — reference counts cover leaves and internal records
+//! alike, so the builders' shared empty leaf is cloned, never written
+//! through) and edits the leaf's span of rule ids inside the slab;
 //! the rule's image is written to (or retired from) its one line of the
 //! rule table, which is also the arena's record of which ids are live.  A
 //! delete shrinks the span, leaving a free slot of *slack* behind; an
@@ -137,15 +147,16 @@ const NO_MATCH: u32 = u32::MAX;
 ///
 /// [`FlatTree::classify_batch`] picks the width itself, from the arena
 /// size, by what the benchmark's `algos.flat.lanes_{x4,x16}.ns_per_pkt`
-/// probes measure: [`LaneWidth::X16`] wins while the arena is
-/// cache-resident (36.1 vs 37.4 ns per packet on the 0.33 MiB arena of
-/// 2,000 rules).  Past `PREFETCH_MIN_BYTES` the two are within each
-/// other's run-to-run spread — 78.0 (x4) vs 77.3 ns on the 2.2 MiB arena
-/// of 10,000 rules, 373–416 vs 375–381 ns over three runs on the 116 MiB
-/// arena of 64,000 (quartiles ≈ 60 ns apart) — and [`LaneWidth::X4`]
-/// serves there: it is never resolvably the slower one, and it was the
-/// faster one by a fifth (420 vs 506 ns) when the same 64,000 rules were
-/// served from a 403 MiB image.
+/// probes measure (traced runs on a 2-vCPU Xeon guest with a 2 MiB L2 per
+/// core): [`LaneWidth::X16`] wins while the arena is cache-resident
+/// (39.7–70.7 vs 43.5–72.3 ns per packet over three runs on the 0.21 MiB
+/// arena of 2,000 rules, ahead in each).  Past `PREFETCH_MIN_BYTES` the
+/// two are within each other's run-to-run spread — medians 98.1 (x4) vs
+/// 102.0 ns over six runs on the 1.54 MiB arena of 10,000 rules, 344–524
+/// vs 382–493 ns over three runs on the 74 MiB arena of 64,000 (quartiles
+/// 22–144 ns apart) — and [`LaneWidth::X4`] serves there: it is never
+/// resolvably the slower one, and it was the faster one by a fifth (420
+/// vs 506 ns) when the same 64,000 rules were served from a 403 MiB image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneWidth {
     /// Per-packet worklist walk (lane width 1).
@@ -172,8 +183,10 @@ const SCAN_BLOCK: usize = 4;
 /// instruction overhead.  Set to a typical per-core L2 size.
 const PREFETCH_MIN_BYTES: usize = 1 << 20;
 
-/// A `(offset, len)` span into one of the shared slabs.
+/// A `(offset, len)` span into one of the shared slabs.  Aligned to its
+/// 8 bytes, so a leaf-table entry never straddles a cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(align(8))]
 struct Span {
     off: u32,
     len: u32,
@@ -183,6 +196,54 @@ impl Span {
     #[inline]
     fn range(self) -> std::ops::Range<usize> {
         self.off as usize..(self.off + self.len) as usize
+    }
+}
+
+/// The high bit of a child slot (and of [`FlatTree`]'s root slot): set, the
+/// rest of the slot indexes the leaf table; clear, the slot indexes the
+/// internal records.
+const LEAF_TAG: u32 = 1 << 31;
+
+/// Most entries the internal-record table or the leaf table may hold.
+/// Every index then stays below [`LEAF_TAG`], and no slot equals
+/// `u32::MAX`, the flatten passes' "not placed yet" marker.
+const MAX_TABLE_LEN: usize = (LEAF_TAG - 1) as usize;
+
+/// A child slot, decoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// Index into [`FlatTree`]'s internal records.
+    Internal(usize),
+    /// Index into [`FlatTree`]'s leaf table.
+    Leaf(usize),
+}
+
+impl Slot {
+    #[inline]
+    fn of(slot: u32) -> Slot {
+        if slot & LEAF_TAG == 0 {
+            Slot::Internal(slot as usize)
+        } else {
+            Slot::Leaf((slot & !LEAF_TAG) as usize)
+        }
+    }
+
+    fn is_leaf(self) -> bool {
+        matches!(self, Slot::Leaf(_))
+    }
+}
+
+/// The slot naming entry `i` of the leaf table (`leaf`) or of the internal
+/// records; panics once `i` reaches [`MAX_TABLE_LEN`].
+fn encode_slot(i: usize, leaf: bool) -> u32 {
+    assert!(
+        i < MAX_TABLE_LEN,
+        "flat arena table index {i} reaches the leaf tag bit"
+    );
+    if leaf {
+        i as u32 | LEAF_TAG
+    } else {
+        i as u32
     }
 }
 
@@ -266,19 +327,6 @@ impl FlatCut {
         }
     }
 
-    /// Filler for the inline cut slot of leaf records; never read because
-    /// [`NodeRec::cut_count`] guards every access.
-    const DEAD: FlatCut = FlatCut {
-        dim: 0,
-        parts: 0,
-        lo: 0,
-        hi: 0,
-        rem: 0,
-        wide_span: 0,
-        m_wide: 0,
-        m_base: 0,
-    };
-
     /// Index of the child containing `v`, mirroring
     /// [`FieldRange::index_of`] over the precomputed parameters — division
     /// free (see the struct docs).  The caller has already checked
@@ -303,12 +351,12 @@ impl FlatCut {
     }
 }
 
-/// The hot per-node record: **exactly one cache line**, 64-byte aligned,
-/// holding everything a walk step needs before it knows which way to go —
-/// the stored-rule span, the child base, the cut count *and the first cut
-/// record inline*.
+/// The hot per-internal-node record: **exactly one cache line**, 64-byte
+/// aligned, holding everything a walk step needs before it knows which way
+/// to go — the stored-rule span, the child base, the cut count *and the
+/// first cut record inline*.
 ///
-/// The PR 3 arena kept these as parallel struct-of-arrays vectors (cut
+/// An earlier arena kept these as parallel struct-of-arrays vectors (cut
 /// span, child base, rule span) plus the shared cut slab;
 /// on arenas past cache size that made one internal-node visit four to
 /// five potential cache misses.  Folding them into a single aligned line
@@ -317,34 +365,26 @@ impl FlatCut {
 /// cut-slab access at all) plus one for the child pointer.  Only cut
 /// records past the first (HyperCuts' extra dimensions) live in the
 /// shared `cuts` slab, at `rest_off`.
+///
+/// Leaves have no record: a leaf is its rule span alone, an 8-byte entry
+/// of the leaf table that a tagged child slot names directly.  A record
+/// per leaf would wrap that span in 56 bytes of padding, and at 64,000 acl
+/// rules three nodes in four are leaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(align(64))]
 struct NodeRec {
-    /// Span into `rule_slab`: the leaf rules of a leaf, the pushed-up
-    /// stored rules of an internal node.
+    /// Span into `rule_slab` of the pushed-up stored rules (empty unless
+    /// the builder hoisted rules here).
     rules: Span,
-    /// Base index into `children` (unused for leaves).
+    /// Base index into `children`.
     child_base: u32,
-    /// Number of cut records (0 marks a leaf).
+    /// Number of cut records (at least 1).
     cut_count: u32,
     /// Offset into `cuts` of cut records `1..cut_count` (the first is
     /// inline in `cut0`).
     rest_off: u32,
-    /// The node's first cut record, inline (valid when `cut_count > 0`).
+    /// The node's first cut record, inline.
     cut0: FlatCut,
-}
-
-impl NodeRec {
-    /// A leaf record over a rule span.
-    fn leaf(rules: Span) -> NodeRec {
-        NodeRec {
-            rules,
-            child_base: 0,
-            cut_count: 0,
-            rest_off: 0,
-            cut0: FlatCut::DEAD,
-        }
-    }
 }
 
 /// A rule image in the id-indexed rule table: the five `[lo, hi]` range
@@ -411,23 +451,31 @@ impl PackedRule {
 
 /// A decision tree flattened into contiguous arrays (see the module docs
 /// for the layout).  Built from a [`DecisionTree`] with
-/// [`FlatTree::from_tree`]; the root is always record 0.  The arena is
-/// self-contained: classification touches only these dense arrays.
+/// [`FlatTree::from_tree`]; the root is the first entry of its table —
+/// internal record 0, or leaf 0 when the whole tree is one leaf.  The
+/// arena is self-contained: classification touches only these dense
+/// arrays.
 #[derive(Debug, Clone)]
 pub struct FlatTree {
     /// The geometry the tree classifies over (needed to validate inserted
     /// rules and to rebuild a ruleset from the live set).
     spec: DimensionSpec,
-    /// One cache-line record per node (see [`NodeRec`]).
+    /// The root's slot (see [`LEAF_TAG`]).
+    root: u32,
+    /// One cache-line record per internal node (see [`NodeRec`]).
     nodes: Vec<NodeRec>,
-    /// Per-node capacity of the rule span: slots `len..cap` are free slack
-    /// an insert may claim in place.  Always `cap >= len`.  Kept out of
-    /// [`NodeRec`]: only the write path reads it.
+    /// Per-internal-node capacity of the rule span: slots `len..cap` are
+    /// free slack an insert may claim in place.  Always `cap >= len`.  Kept
+    /// out of [`NodeRec`]: only the write path reads it.
     node_rule_cap: Vec<u32>,
+    /// One rule span per leaf.
+    leaves: Vec<Span>,
+    /// Per-leaf span capacity, as `node_rule_cap` is per internal node.
+    leaf_rule_cap: Vec<u32>,
     /// Shared slab of cut records past each node's first (HyperCuts'
     /// extra dimensions; empty for pure HiCuts trees).
     cuts: Vec<FlatCut>,
-    /// Shared child-pointer slab (flat node ids).
+    /// Shared child-slot slab (tagged, see [`LEAF_TAG`]).
     children: Vec<u32>,
     /// Shared slab of rule ids: every node's rule list, in ascending id
     /// order, plus its slack ([`NO_MATCH`] in every slot past a span's
@@ -442,33 +490,78 @@ pub struct FlatTree {
     /// when an insert moved them to the slab end.  Zero until the first
     /// such move and again after every [`FlatTree::reflatten`].
     dead_slots: usize,
-    /// Per-node reference counts (child slots + 1 for the root), built
-    /// lazily by the first update and maintained by un-sharing clones.
-    refs: Option<Vec<u32>>,
+    /// How many slots (child slots, plus 1 for the root) name each
+    /// internal record and each leaf — built lazily by the first update and
+    /// maintained by un-sharing clones.  An insert clones what is named
+    /// more than once before writing to it, above all the builders' one
+    /// shared empty leaf.
+    refs: Option<PerSlot>,
     /// Update-activity counters since the build.
     update_stats: UpdateStats,
+}
+
+/// One `u32` per internal record and per leaf, addressed by slot: the
+/// write path's reference counts, and a re-flatten's old-to-new slot map.
+#[derive(Debug, Clone)]
+struct PerSlot {
+    internal: Vec<u32>,
+    leaves: Vec<u32>,
+}
+
+impl PerSlot {
+    fn new(flat: &FlatTree, fill: u32) -> PerSlot {
+        PerSlot {
+            internal: vec![fill; flat.nodes.len()],
+            leaves: vec![fill; flat.leaves.len()],
+        }
+    }
+
+    fn of(&mut self, slot: u32) -> &mut u32 {
+        match Slot::of(slot) {
+            Slot::Internal(n) => &mut self.internal[n],
+            Slot::Leaf(l) => &mut self.leaves[l],
+        }
+    }
+}
+
+/// Breadth-first renumbering step of [`FlatTree::from_tree`] and
+/// [`FlatTree::reflatten`]: a node met for the first time (`*new` still
+/// `u32::MAX`) gets the next index of its table — `counts` is
+/// `[internal, leaf]` — and `true` is returned so the caller queues it.
+fn place(new: &mut u32, leaf: bool, counts: &mut [usize; 2]) -> bool {
+    if *new != u32::MAX {
+        return false;
+    }
+    let count = &mut counts[usize::from(leaf)];
+    *new = encode_slot(*count, leaf);
+    *count += 1;
+    true
 }
 
 impl FlatTree {
     /// Flattens a built pointer tree into the arena layout.
     ///
-    /// Nodes are renumbered in breadth-first discovery order (root = 0), so
-    /// shared nodes (merged leaves, the builders' shared empty leaf) keep a
-    /// single record and records of one level stay contiguous.
+    /// Nodes are renumbered in breadth-first discovery order — internal
+    /// nodes into the record table, leaves into the leaf table — so shared
+    /// nodes (merged leaves, the builders' shared empty leaf) keep a single
+    /// entry and the entries of one level stay contiguous.  The rule slab
+    /// is laid out in that same discovery order.
     pub fn from_tree(tree: &DecisionTree) -> FlatTree {
         let nodes: &[Node] = tree.nodes();
-        assert!(
-            nodes.len() < u32::MAX as usize,
-            "tree too large to flatten: {} nodes",
-            nodes.len()
-        );
-        // Pass 1: discover the reachable nodes breadth-first (root = 0) and
-        // count what they put in each slab, so every slab is allocated
-        // once, at its final size.
+        // Pass 1: discover the reachable nodes breadth-first, giving each
+        // the next index of its table, and count what they put in each
+        // slab, so every table and slab is allocated once, at its final
+        // size.
         let mut map = vec![u32::MAX; nodes.len()];
         let mut order: Vec<NodeId> = Vec::with_capacity(nodes.len());
-        map[tree.root() as usize] = 0;
-        order.push(tree.root());
+        let mut counts = [0usize; 2];
+        let mut discover = |id: NodeId, map: &mut [u32], order: &mut Vec<NodeId>| {
+            let leaf = matches!(nodes[id as usize].kind, NodeKind::Leaf { .. });
+            if place(&mut map[id as usize], leaf, &mut counts) {
+                order.push(id);
+            }
+        };
+        discover(tree.root(), &mut map, &mut order);
         let (mut cut_slots, mut child_slots, mut rule_slots) = (0usize, 0usize, 0usize);
         let mut head = 0usize;
         while head < order.len() {
@@ -484,11 +577,7 @@ impl FlatTree {
                     child_slots += children.len();
                     rule_slots += stored_rules.len();
                     for &child in children {
-                        let slot = &mut map[child as usize];
-                        if *slot == u32::MAX {
-                            *slot = order.len() as u32;
-                            order.push(child);
-                        }
+                        discover(child, &mut map, &mut order);
                     }
                 }
             }
@@ -501,10 +590,14 @@ impl FlatTree {
             "flat arena slab exceeds u32 addressing"
         );
 
+        let [internal, leaves] = counts;
         let mut flat = FlatTree {
             spec: *tree.spec(),
-            nodes: Vec::with_capacity(order.len()),
-            node_rule_cap: Vec::with_capacity(order.len()),
+            root: map[tree.root() as usize],
+            nodes: Vec::with_capacity(internal),
+            node_rule_cap: Vec::with_capacity(internal),
+            leaves: Vec::with_capacity(leaves),
+            leaf_rule_cap: Vec::with_capacity(leaves),
             cuts: Vec::with_capacity(cut_slots),
             children: Vec::with_capacity(child_slots),
             rule_slab: Vec::with_capacity(rule_slots),
@@ -515,13 +608,13 @@ impl FlatTree {
             update_stats: UpdateStats::default(),
         };
 
-        // Pass 2: emit the records in discovery order.
+        // Pass 2: emit the entries in discovery order.
         for &old in &order {
             match &nodes[old as usize].kind {
                 NodeKind::Leaf { rules: ids } => {
                     let span = push_slab(&mut flat.rule_slab, ids);
-                    flat.nodes.push(NodeRec::leaf(span));
-                    flat.node_rule_cap.push(span.len);
+                    flat.leaves.push(span);
+                    flat.leaf_rule_cap.push(span.len);
                 }
                 NodeKind::Internal {
                     cuts,
@@ -529,19 +622,15 @@ impl FlatTree {
                     stored_rules,
                     cut_region,
                 } => {
-                    let mut cut0 = FlatCut::DEAD;
-                    let rest_off = flat.cuts.len() as u32;
-                    let mut count = 0u32;
-                    for d in cuts.cut_dimensions() {
+                    let mut recs = cuts.cut_dimensions().into_iter().map(|d| {
                         let i = d.index();
-                        let rec = FlatCut::new(i, cuts.parts[i], cut_region[i]);
-                        if count == 0 {
-                            cut0 = rec;
-                        } else {
-                            flat.cuts.push(rec);
-                        }
-                        count += 1;
-                    }
+                        FlatCut::new(i, cuts.parts[i], cut_region[i])
+                    });
+                    let cut0 = recs
+                        .next()
+                        .expect("an internal node cuts at least one dimension");
+                    let rest_off = flat.cuts.len() as u32;
+                    flat.cuts.extend(recs);
                     let child_base = flat.children.len() as u32;
                     flat.children
                         .extend(children.iter().map(|&child| map[child as usize]));
@@ -549,7 +638,7 @@ impl FlatTree {
                     flat.nodes.push(NodeRec {
                         rules: span,
                         child_base,
-                        cut_count: count,
+                        cut_count: 1 + flat.cuts.len() as u32 - rest_off,
                         rest_off,
                         cut0,
                     });
@@ -560,9 +649,39 @@ impl FlatTree {
         flat
     }
 
-    /// Number of node records in the arena.
+    /// Number of nodes in the arena: internal records plus leaves.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.nodes.len() + self.leaves.len()
+    }
+
+    /// The rule span of the node a slot names: a leaf's rules, or an
+    /// internal node's stored rules.
+    #[inline]
+    fn span(&self, slot: u32) -> Span {
+        match Slot::of(slot) {
+            Slot::Internal(n) => self.nodes[n].rules,
+            Slot::Leaf(l) => self.leaves[l],
+        }
+    }
+
+    /// The rule span of the node a slot names and its capacity, for the
+    /// write path.
+    fn span_mut(&mut self, slot: u32) -> (&mut Span, &mut u32) {
+        match Slot::of(slot) {
+            Slot::Internal(n) => (&mut self.nodes[n].rules, &mut self.node_rule_cap[n]),
+            Slot::Leaf(l) => (&mut self.leaves[l], &mut self.leaf_rule_cap[l]),
+        }
+    }
+
+    /// One word of what a step at `slot` loads first — the record's cut
+    /// count, or the leaf span's length: the lane walk's gather and its
+    /// read-ahead touch.
+    #[inline]
+    fn first_word(&self, slot: u32) -> u32 {
+        match Slot::of(slot) {
+            Slot::Internal(n) => self.nodes[n].cut_count,
+            Slot::Leaf(l) => self.leaves[l].len,
+        }
     }
 
     /// The `k`-th cut record of a node record: the first is inline, the
@@ -576,13 +695,14 @@ impl FlatTree {
         }
     }
 
-    /// In-memory bytes of the tree structure: the node records (one line
-    /// each, first cut inline, plus the write-path span capacity), the cut
-    /// slab and the child slab.
+    /// In-memory bytes of the tree structure: the internal records (one
+    /// line each, first cut inline), the leaf spans (8 bytes each), the
+    /// write-path span capacity of both, the cut slab and the child slab.
     #[inline]
     fn structure_bytes(&self) -> usize {
         use std::mem::size_of;
         self.nodes.len() * (size_of::<NodeRec>() + size_of::<u32>())
+            + self.leaves.len() * (size_of::<Span>() + size_of::<u32>())
             + self.cuts.len() * size_of::<FlatCut>()
             + self.children.len() * size_of::<u32>()
     }
@@ -600,14 +720,15 @@ impl FlatTree {
     }
 
     /// Sizes and actual in-memory footprint of the arena arrays (the
-    /// "Arena" rows of the README's memory table): node records, slabs and
-    /// the rule table — everything a lookup can touch, which is also every
-    /// copy of a rule the arena holds (see [`ArenaStats`]'s docs).
+    /// "Arena" rows of the README's memory table): internal records, leaf
+    /// spans, slabs and the rule table — everything a lookup can touch,
+    /// which is also every copy of a rule the arena holds (see
+    /// [`ArenaStats`]'s docs).
     pub fn arena_stats(&self) -> ArenaStats {
         ArenaStats {
-            nodes: self.nodes.len(),
+            nodes: self.node_count(),
             // Slab records plus the inline first cut of every internal node.
-            cut_records: self.cuts.len() + self.nodes.iter().filter(|r| r.cut_count > 0).count(),
+            cut_records: self.cuts.len() + self.nodes.len(),
             child_slots: self.children.len(),
             rule_refs: self.rule_slab.len(),
             arena_bytes: self.structure_bytes(),
@@ -620,21 +741,23 @@ impl FlatTree {
     /// one per rule the node stores — the bound [`DecisionTree::stats`]
     /// computes for the pointer tree.
     fn worst_case_accesses(&self) -> u64 {
-        // Per node, the worst cost from it down; 0 = not computed yet (a
-        // real cost is at least 1), so a shared node is visited once.
+        // Per internal node, the worst cost from it down; 0 = not computed
+        // yet (a real cost is at least 1), so a shared node is visited once.
         let mut memo = vec![0u64; self.nodes.len()];
-        self.worst_case_from(0, &mut memo)
+        self.worst_case_from(self.root, &mut memo)
     }
 
-    fn worst_case_from(&self, node: usize, memo: &mut [u64]) -> u64 {
+    fn worst_case_from(&self, slot: u32, memo: &mut [u64]) -> u64 {
+        let node = match Slot::of(slot) {
+            Slot::Leaf(l) => return 1 + u64::from(self.leaves[l].len),
+            Slot::Internal(n) => n,
+        };
         if memo[node] == 0 {
             let rec = self.nodes[node];
+            let base = rec.child_base as usize;
             let mut below = 0;
-            if rec.cut_count > 0 {
-                let base = rec.child_base as usize;
-                for slot in base..base + self.child_count(node) {
-                    below = below.max(self.worst_case_from(self.children[slot] as usize, memo));
-                }
+            for i in base..base + self.child_count(node) {
+                below = below.max(self.worst_case_from(self.children[i], memo));
             }
             memo[node] = 1 + u64::from(rec.rules.len) + below;
         }
@@ -695,21 +818,21 @@ impl FlatTree {
     /// [`DecisionTree::classify`].
     pub fn classify(&self, pkt: &PacketHeader, mut stats: Option<&mut LookupStats>) -> MatchResult {
         let mut best = NO_MATCH;
-        let mut node = 0usize;
+        let mut slot = self.root;
         loop {
-            let rec = self.nodes[node];
             if let Some(s) = stats.as_deref_mut() {
                 s.count_node();
             }
             // What the node stores — a leaf's rules, an internal node's
             // pushed-up rules — is scanned either way.
-            let compared = self.scan_slab(rec.rules, pkt, &mut best);
+            let compared = self.scan_slab(self.span(slot), pkt, &mut best);
             if let Some(s) = stats.as_deref_mut() {
                 s.count_scan(compared);
             }
-            if rec.cut_count == 0 {
+            let Slot::Internal(node) = Slot::of(slot) else {
                 break;
-            }
+            };
+            let rec = self.nodes[node];
             if let Some(s) = stats.as_deref_mut() {
                 s.nodes_visited += 1;
             }
@@ -718,7 +841,7 @@ impl FlatTree {
                     if let Some(s) = stats.as_deref_mut() {
                         s.count_child_select(u64::from(rec.cut_count));
                     }
-                    node = self.children[rec.child_base as usize + idx as usize] as usize;
+                    slot = self.children[rec.child_base as usize + idx as usize];
                 }
                 None => break,
             }
@@ -785,14 +908,15 @@ impl FlatTree {
         next: &mut Vec<u32>,
     ) {
         let pi = p as usize;
-        let nid = node[pi] as usize;
-        let rec = self.nodes[nid];
         let pkt = &pkts[pi];
-        if rec.cut_count == 0 {
-            self.scan_slab(rec.rules, pkt, &mut best[pi]);
-            out[pi] = decode(best[pi]);
-            return;
-        }
+        let rec = match Slot::of(node[pi]) {
+            Slot::Leaf(l) => {
+                self.scan_slab(self.leaves[l], pkt, &mut best[pi]);
+                out[pi] = decode(best[pi]);
+                return;
+            }
+            Slot::Internal(n) => self.nodes[n],
+        };
         if rec.rules.len > 0 {
             self.scan_slab(rec.rules, pkt, &mut best[pi]);
         }
@@ -809,7 +933,7 @@ impl FlatTree {
     /// time through [`FlatTree::step_packet`].
     fn walk_scalar(&self, pkts: &[PacketHeader], out: &mut [MatchResult]) {
         let n = pkts.len();
-        let mut node = vec![0u32; n];
+        let mut node = vec![self.root; n];
         let mut best = vec![NO_MATCH; n];
         let mut cur: Vec<u32> = (0..n as u32).collect();
         let mut next: Vec<u32> = Vec::with_capacity(n);
@@ -833,7 +957,7 @@ impl FlatTree {
     /// more than the extra row-buffer hits saved.)
     fn walk_lanes<const L: usize>(&self, pkts: &[PacketHeader], out: &mut [MatchResult]) {
         let n = pkts.len();
-        let mut node = vec![0u32; n];
+        let mut node = vec![self.root; n];
         let mut best = vec![NO_MATCH; n];
         let mut cur: Vec<u32> = (0..n as u32).collect();
         let mut next: Vec<u32> = Vec::with_capacity(n);
@@ -862,13 +986,13 @@ impl FlatTree {
     }
 
     /// One level step of a full lane of `L` packets, in three
-    /// lane-parallel stages: gather the `L` one-line node records (`L`
-    /// independent loads with no branches between them, so their cache
-    /// misses overlap — the lane walk's memory-level parallelism), run the
-    /// per-cut partition arithmetic across lanes (fixed-size arrays, the
-    /// division-free magics of [`FlatCut`]), then scan/advance each lane —
-    /// touching the next level's record as soon as the child is known, a
-    /// full level of work ahead of its use.
+    /// lane-parallel stages: gather what the `L` slots name — a one-line
+    /// internal record or an 8-byte leaf span (`L` independent loads, so
+    /// their cache misses overlap — the lane walk's memory-level
+    /// parallelism), run the per-cut partition arithmetic across lanes
+    /// (fixed-size arrays, the division-free magics of [`FlatCut`]), then
+    /// scan/advance each lane — touching the next level's record or span as
+    /// soon as the child is known, a full level of work ahead of its use.
     #[allow(clippy::too_many_arguments)] // hot-path state is deliberately SoA
     #[inline]
     fn step_lane<const L: usize>(
@@ -881,47 +1005,50 @@ impl FlatTree {
         next: &mut Vec<u32>,
         prefetch: bool,
     ) {
-        // Stage 1: gather one word of each lane's node record (the record
-        // is one aligned line, so this issues exactly one potential miss
-        // per lane with no branches in between — the misses overlap, and
-        // the full line is hot for the later stages).
-        let mut nid = [0usize; L];
+        // Stage 1: gather one word of what each lane's slot names (a record
+        // is one aligned line and a span never straddles one, so this
+        // issues exactly one potential miss per lane — the misses overlap,
+        // and the line is hot for the later stages).
+        let mut slot = [0u32; L];
         for i in 0..L {
-            nid[i] = node[lane[i] as usize] as usize;
+            slot[i] = node[lane[i] as usize];
         }
-        let mut cut_count = [0u32; L];
+        let mut word = [0u32; L];
         for i in 0..L {
-            cut_count[i] = self.nodes[nid[i]].cut_count;
+            word[i] = self.first_word(slot[i]);
         }
-        let cut_count = std::hint::black_box(cut_count);
+        std::hint::black_box(word);
 
         // Stage 2: cut arithmetic, block scans and advancement per lane,
-        // reading the now-hot record lines.  The first cut comes straight
-        // off the record line, so HiCuts nodes (and the first HyperCuts
-        // dimension) never touch the cut slab.
+        // reading the now-hot lines.  A leaf retires the packet on its
+        // span alone.  The first cut comes straight off the record line,
+        // so HiCuts nodes (and the first HyperCuts dimension) never touch
+        // the cut slab.
         for i in 0..L {
-            let rec = self.nodes[nid[i]];
             let pi = lane[i] as usize;
             let fields = &pkts[pi].fields;
-            if cut_count[i] == 0 {
-                let ids = &self.rule_slab[rec.rules.range()];
-                scan_rules_blocks(ids, &self.rule_table, fields, &mut best[pi]);
-                out[pi] = decode(best[pi]);
-                continue;
-            }
+            let rec = match Slot::of(slot[i]) {
+                Slot::Leaf(l) => {
+                    let ids = &self.rule_slab[self.leaves[l].range()];
+                    scan_rules_blocks(ids, &self.rule_table, fields, &mut best[pi]);
+                    out[pi] = decode(best[pi]);
+                    continue;
+                }
+                Slot::Internal(n) => self.nodes[n],
+            };
             if rec.rules.len > 0 {
                 let ids = &self.rule_slab[rec.rules.range()];
                 scan_rules_blocks(ids, &self.rule_table, fields, &mut best[pi]);
             }
             match self.child_index(&rec, &pkts[pi]) {
                 Some(idx) => {
-                    let child = self.children[rec.child_base as usize + idx as usize] as usize;
-                    node[pi] = child as u32;
+                    let child = self.children[rec.child_base as usize + idx as usize];
+                    node[pi] = child;
                     if prefetch {
-                        // Read-ahead: one word of the child's record line,
-                        // pulled a full level of work ahead of its use so
-                        // the next gather finds it in cache.
-                        std::hint::black_box(self.nodes[child].cut_count);
+                        // Read-ahead: one word of the child's record line
+                        // or leaf span, pulled a full level of work ahead
+                        // of its use so the next gather finds it in cache.
+                        std::hint::black_box(self.first_word(child));
                     }
                     next.push(lane[i]);
                 }
@@ -996,7 +1123,7 @@ impl FlatTree {
             self.rule_table.resize(slot + 1, PackedRule::DEAD);
         }
         self.rule_table[slot] = PackedRule::new(rule);
-        self.insert_at(0, rule.ranges, rule.id);
+        self.insert_at(self.root, rule.ranges, rule.id);
         self.update_stats.inserts += 1;
         Ok(())
     }
@@ -1009,7 +1136,7 @@ impl FlatTree {
             return Err(UpdateError::UnknownRuleId(id));
         };
         let ranges = img.ranges();
-        self.delete_at(0, &ranges, id);
+        self.delete_at(self.root, &ranges, id);
         self.rule_table[id as usize] = PackedRule::DEAD;
         // Keep the table's last line live: its length is the end of the
         // occupied id range the next insert is validated against.
@@ -1020,15 +1147,16 @@ impl FlatTree {
         Ok(())
     }
 
-    /// Builds the per-node reference counts on the first update.
+    /// Builds the reference counts of records and leaves on the first
+    /// update.
     fn ensure_refs(&mut self) {
         if self.refs.is_some() {
             return;
         }
-        let mut refs = vec![0u32; self.nodes.len()];
-        refs[0] += 1; // the root
+        let mut refs = PerSlot::new(self, 0);
+        *refs.of(self.root) += 1;
         for &c in &self.children {
-            refs[c as usize] += 1;
+            *refs.of(c) += 1;
         }
         self.refs = Some(refs);
     }
@@ -1043,35 +1171,42 @@ impl FlatTree {
             .product()
     }
 
-    /// Clones node `n` so one child slot can diverge from its sharers: the
-    /// immutable cut span is shared, the child slots and the rule span are
-    /// copied to their slab ends (the rule span with fresh slack).
-    fn clone_node(&mut self, n: u32) -> u32 {
-        let nu = n as usize;
-        let clone = self.nodes.len() as u32;
+    /// Clones the node `slot` names so one child slot can diverge from its
+    /// sharers, and returns the clone's slot.  A leaf's span is copied to
+    /// the slab end with fresh slack.  An internal record also copies its
+    /// child slots to the slab end; its cut records (inline first cut,
+    /// shared slab rest) are immutable and carried over verbatim by the
+    /// record copy.
+    fn clone_node(&mut self, slot: u32) -> u32 {
+        let (span, cap) = self.copy_span(self.span(slot));
         let refs = self.refs.as_mut().expect("refs built before cloning");
-        refs[nu] -= 1;
-        refs.push(1);
-        // The cut records (inline first cut, shared slab rest) are
-        // immutable and carried over verbatim by the record copy.
-        let mut rec = self.nodes[nu];
-        if rec.cut_count > 0 {
-            let base = rec.child_base as usize;
-            let count = self.child_count(nu);
-            rec.child_base = self.children.len() as u32;
-            for j in 0..count {
-                let g = self.children[base + j];
-                self.children.push(g);
-                self.refs.as_mut().expect("refs built")[g as usize] += 1;
+        *refs.of(slot) -= 1;
+        match Slot::of(slot) {
+            Slot::Leaf(_) => {
+                let clone = encode_slot(self.leaves.len(), true);
+                refs.leaves.push(1);
+                self.leaves.push(span);
+                self.leaf_rule_cap.push(cap);
+                clone
             }
-        } else {
-            rec.child_base = 0;
+            Slot::Internal(n) => {
+                let clone = encode_slot(self.nodes.len(), false);
+                refs.internal.push(1);
+                let mut rec = self.nodes[n];
+                let base = rec.child_base as usize;
+                let count = self.child_count(n);
+                rec.child_base = self.children.len() as u32;
+                for j in 0..count {
+                    let g = self.children[base + j];
+                    self.children.push(g);
+                    *self.refs.as_mut().expect("refs built").of(g) += 1;
+                }
+                rec.rules = span;
+                self.nodes.push(rec);
+                self.node_rule_cap.push(cap);
+                clone
+            }
         }
-        let (span, cap) = self.copy_span(rec.rules);
-        rec.rules = span;
-        self.nodes.push(rec);
-        self.node_rule_cap.push(cap);
-        clone
     }
 
     /// Copies a rule span to the slab end with fresh slack; returns the
@@ -1087,31 +1222,32 @@ impl FlatTree {
         (Span { off, len: span.len }, cap)
     }
 
-    /// Adds a rule id to a node's span, in ascending id order.  A full
-    /// span first moves to the slab end, leaving its old slots dead until
-    /// the next re-flatten.
-    fn add_rule(&mut self, node: usize, id: RuleId) {
-        let span = self.nodes[node].rules;
+    /// Adds a rule id to the span of the node `slot` names, in ascending id
+    /// order.  A full span first moves to the slab end, leaving its old
+    /// slots dead until the next re-flatten.
+    fn add_rule(&mut self, slot: u32, id: RuleId) {
+        let mut span = self.span(slot);
         let Err(pos) = self.rule_slab[span.range()].binary_search(&id) else {
             return; // already present (defensive; descent visits once)
         };
-        if span.len == self.node_rule_cap[node] {
+        if span.len == *self.span_mut(slot).1 {
             self.dead_slots += span.len as usize;
             let (moved, cap) = self.copy_span(span);
-            self.nodes[node].rules = moved;
-            self.node_rule_cap[node] = cap;
+            span = moved;
+            *self.span_mut(slot).1 = cap;
         }
-        let (start, len) = (self.nodes[node].rules.off as usize, span.len as usize);
+        let (start, len) = (span.off as usize, span.len as usize);
         self.rule_slab
             .copy_within(start + pos..start + len, start + pos + 1);
         self.rule_slab[start + pos] = id;
-        self.nodes[node].rules.len += 1;
+        span.len += 1;
+        *self.span_mut(slot).0 = span;
     }
 
-    /// Removes a rule id from a node's span; returns whether it was
-    /// present.  The vacated slot becomes slack.
-    fn remove_rule(&mut self, node: usize, id: RuleId) -> bool {
-        let span = self.nodes[node].rules;
+    /// Removes a rule id from the span of the node `slot` names; returns
+    /// whether it was present.  The vacated slot becomes slack.
+    fn remove_rule(&mut self, slot: u32, id: RuleId) -> bool {
+        let span = self.span(slot);
         let (start, len) = (span.off as usize, span.len as usize);
         let Ok(pos) = self.rule_slab[span.range()].binary_search(&id) else {
             return false;
@@ -1119,7 +1255,7 @@ impl FlatTree {
         self.rule_slab
             .copy_within(start + pos + 1..start + len, start + pos);
         self.rule_slab[start + len - 1] = NO_MATCH;
-        self.nodes[node].rules.len -= 1;
+        self.span_mut(slot).0.len -= 1;
         true
     }
 
@@ -1136,41 +1272,46 @@ impl FlatTree {
     }
 
     /// Recursive insert descent (see [`FlatTree::insert`]).
-    fn insert_at(&mut self, node: usize, clip: [FieldRange; FIELD_COUNT], id: RuleId) {
-        if self.nodes[node].cut_count == 0 || self.escapes_cut_region(node, &clip) {
-            self.add_rule(node, id);
-            return;
-        }
-        self.for_each_intersecting_child(node, clip, &mut |flat, slot, child_clip| {
-            let mut child = flat.children[slot];
-            if flat.refs.as_ref().expect("refs built")[child as usize] > 1 {
-                let clone = flat.clone_node(child);
-                flat.children[slot] = clone;
-                child = clone;
+    fn insert_at(&mut self, slot: u32, clip: [FieldRange; FIELD_COUNT], id: RuleId) {
+        let node = match Slot::of(slot) {
+            Slot::Internal(n) if !self.escapes_cut_region(n, &clip) => n,
+            _ => {
+                self.add_rule(slot, id);
+                return;
             }
-            flat.insert_at(child as usize, child_clip, id);
+        };
+        self.for_each_intersecting_child(node, clip, &mut |flat, i, child_clip| {
+            let mut child = flat.children[i];
+            if *flat.refs.as_mut().expect("refs built").of(child) > 1 {
+                child = flat.clone_node(child);
+                flat.children[i] = child;
+            }
+            flat.insert_at(child, child_clip, id);
         });
     }
 
     /// Recursive delete descent: a hit in an internal node's stored span
     /// prunes the subtree below it.
-    fn delete_at(&mut self, node: usize, ranges: &[FieldRange; FIELD_COUNT], id: RuleId) {
-        if self.nodes[node].cut_count == 0 || self.escapes_cut_region(node, ranges) {
-            self.remove_rule(node, id);
+    fn delete_at(&mut self, slot: u32, ranges: &[FieldRange; FIELD_COUNT], id: RuleId) {
+        let node = match Slot::of(slot) {
+            Slot::Internal(n) if !self.escapes_cut_region(n, ranges) => n,
+            _ => {
+                self.remove_rule(slot, id);
+                return;
+            }
+        };
+        if self.remove_rule(slot, id) {
             return;
         }
-        if self.remove_rule(node, id) {
-            return;
-        }
-        self.for_each_intersecting_child(node, *ranges, &mut |flat, slot, child_clip| {
-            flat.delete_at(flat.children[slot] as usize, &child_clip, id);
+        self.for_each_intersecting_child(node, *ranges, &mut |flat, i, child_clip| {
+            flat.delete_at(flat.children[i], &child_clip, id);
         });
     }
 
     /// Enumerates the mixed-radix child indices whose sub-regions
     /// intersect `clip` (caller has verified `clip` does not escape the
-    /// cut region), invoking `visit(self, child_slot, clipped_ranges)` for
-    /// each.
+    /// cut region), invoking `visit(self, child_slab_index, clipped_ranges)`
+    /// for each.
     fn for_each_intersecting_child(
         &mut self,
         node: usize,
@@ -1190,8 +1331,7 @@ impl FlatTree {
         visit: &mut impl FnMut(&mut FlatTree, usize, [FieldRange; FIELD_COUNT]),
     ) {
         if k == rec.cut_count {
-            let slot = rec.child_base as usize + idx as usize;
-            visit(self, slot, clip);
+            visit(self, rec.child_base as usize + idx as usize, clip);
             return;
         }
         let cut = *self.cut_at(rec, k);
@@ -1219,40 +1359,49 @@ impl FlatTree {
     /// sequential pass, no tree rebuild.  Only live spans are carried over
     /// (the dead slots moved spans left behind are dropped), every span is
     /// re-provisioned with fresh slack for future in-place inserts, and
-    /// records left unreferenced by un-sharing clones are dropped.
+    /// records and leaves no slot names any more are dropped.
     /// Classification results are unchanged.
     pub fn reflatten(&mut self) {
-        // Pass 1: discover the reachable records breadth-first and count
-        // what they carry over (each span with its re-provisioned slack),
-        // so every slab is allocated once, at its final size.
-        let mut map = vec![u32::MAX; self.nodes.len()];
-        let mut order: Vec<u32> = vec![0];
-        map[0] = 0;
+        // Pass 1: discover the reachable records and leaves breadth-first,
+        // renumbering each table in discovery order, and count what they
+        // carry over (each span with its re-provisioned slack), so every
+        // table and slab is allocated once, at its final size.
+        let mut map = PerSlot::new(self, u32::MAX);
+        let mut order: Vec<u32> = Vec::with_capacity(self.node_count());
+        let mut counts = [0usize; 2];
+        let mut discover = |slot: u32, order: &mut Vec<u32>| {
+            if place(map.of(slot), Slot::of(slot).is_leaf(), &mut counts) {
+                order.push(slot);
+            }
+        };
+        discover(self.root, &mut order);
         let (mut cut_slots, mut child_slots, mut rule_slots) = (0usize, 0usize, 0usize);
         let mut head = 0usize;
         while head < order.len() {
-            let old = order[head] as usize;
+            let old = order[head];
             head += 1;
-            let rec = self.nodes[old];
-            cut_slots += rec.cut_count.saturating_sub(1) as usize;
-            rule_slots += (rec.rules.len + span_slack(rec.rules.len)) as usize;
-            if rec.cut_count > 0 {
+            let len = self.span(old).len;
+            rule_slots += (len + span_slack(len)) as usize;
+            if let Slot::Internal(n) = Slot::of(old) {
+                let rec = self.nodes[n];
+                cut_slots += (rec.cut_count - 1) as usize;
                 let base = rec.child_base as usize;
-                let count = self.child_count(old);
+                let count = self.child_count(n);
                 child_slots += count;
                 for &child in &self.children[base..base + count] {
-                    if map[child as usize] == u32::MAX {
-                        map[child as usize] = order.len() as u32;
-                        order.push(child);
-                    }
+                    discover(child, &mut order);
                 }
             }
         }
 
+        let [internal, leaves] = counts;
         let mut new = FlatTree {
             spec: self.spec,
-            nodes: Vec::with_capacity(order.len()),
-            node_rule_cap: Vec::with_capacity(order.len()),
+            root: *map.of(self.root),
+            nodes: Vec::with_capacity(internal),
+            node_rule_cap: Vec::with_capacity(internal),
+            leaves: Vec::with_capacity(leaves),
+            leaf_rule_cap: Vec::with_capacity(leaves),
             cuts: Vec::with_capacity(cut_slots),
             children: Vec::with_capacity(child_slots),
             rule_slab: Vec::with_capacity(rule_slots),
@@ -1266,41 +1415,42 @@ impl FlatTree {
             },
         };
 
-        // Pass 2: emit the records in discovery order.
+        // Pass 2: emit the entries in discovery order.
         for &old in &order {
-            let old_rec = self.nodes[old as usize];
-            let mut rec = old_rec;
-
-            // Carry the slab cut records over compactly (the inline first
-            // cut travels in the record copy).
-            let extra = old_rec.cut_count.saturating_sub(1) as usize;
-            let rest = old_rec.rest_off as usize;
-            rec.rest_off = new.cuts.len() as u32;
-            new.cuts.extend_from_slice(&self.cuts[rest..rest + extra]);
-
-            if old_rec.cut_count > 0 {
-                let base = old_rec.child_base as usize;
-                let count = self.child_count(old as usize);
-                rec.child_base = new.children.len() as u32;
-                new.children.extend(
-                    self.children[base..base + count]
-                        .iter()
-                        .map(|&child| map[child as usize]),
-                );
-            } else {
-                rec.child_base = 0;
-            }
-
-            let len = old_rec.rules.len;
+            let old_span = self.span(old);
+            let len = old_span.len;
             let cap = len + span_slack(len);
-            rec.rules = Span {
+            let span = Span {
                 off: new.rule_slab.len() as u32,
                 len,
             };
             new.rule_slab
-                .extend_from_slice(&self.rule_slab[old_rec.rules.range()]);
+                .extend_from_slice(&self.rule_slab[old_span.range()]);
             new.rule_slab
                 .extend(std::iter::repeat_n(NO_MATCH, (cap - len) as usize));
+            let Slot::Internal(n) = Slot::of(old) else {
+                new.leaves.push(span);
+                new.leaf_rule_cap.push(cap);
+                continue;
+            };
+
+            // Carry the slab cut records over compactly (the inline first
+            // cut travels in the record copy).
+            let mut rec = self.nodes[n];
+            let rest = rec.rest_off as usize;
+            rec.rest_off = new.cuts.len() as u32;
+            new.cuts
+                .extend_from_slice(&self.cuts[rest..rest + (rec.cut_count - 1) as usize]);
+
+            let base = rec.child_base as usize;
+            let count = self.child_count(n);
+            rec.child_base = new.children.len() as u32;
+            new.children.extend(
+                self.children[base..base + count]
+                    .iter()
+                    .map(|&child| *map.of(child)),
+            );
+            rec.rules = span;
             new.nodes.push(rec);
             new.node_rule_cap.push(cap);
         }
@@ -1594,6 +1744,7 @@ mod tests {
         // only shrink relative to the node vector (unreachable nodes drop).
         assert!(flat.flat_tree().node_count() <= tree_nodes);
         assert!(flat.flat_tree().node_count() >= 2);
+        assert_eq!(flat.flat_tree().root, 0, "the root is internal record 0");
     }
 
     #[test]
@@ -1601,6 +1752,10 @@ mod tests {
         let (hc, flat) = toy_flat();
         let stats = flat.arena_stats();
         assert_eq!(stats.nodes, flat.flat_tree().node_count());
+        assert_eq!(
+            stats.nodes,
+            flat.flat_tree().nodes.len() + flat.flat_tree().leaves.len()
+        );
         assert!(stats.cut_records >= 1);
         assert!(stats.child_slots >= 2);
         assert!(stats.arena_bytes > 0);
@@ -1630,7 +1785,7 @@ mod tests {
     }
 
     /// Sweeps a packet grid comparing the arena against linear search over
-    /// its live rules (per packet and batched).
+    /// its live rules (per packet, and batched at every lane width).
     fn assert_matches_live_linear(flat: &FlatTree) {
         let live = flat.live_rules();
         let mut pkts = Vec::new();
@@ -1651,6 +1806,119 @@ mod tests {
             flat.classify_batch(chunk, &mut out);
         }
         assert_eq!(out, expected, "batched");
+        for lanes in LaneWidth::ALL {
+            out.clear();
+            flat.classify_batch_lanes(&pkts, &mut out, lanes);
+            assert_eq!(out, expected, "{lanes:?}");
+        }
+    }
+
+    /// Asserts that the root and every child slot decode to an in-range
+    /// internal record or leaf, and returns which of them the root reaches
+    /// (1 = reached).
+    fn assert_slots_in_range(flat: &FlatTree) -> PerSlot {
+        assert_eq!(flat.nodes.len(), flat.node_rule_cap.len());
+        assert_eq!(flat.leaves.len(), flat.leaf_rule_cap.len());
+        let in_range = |slot: u32| match Slot::of(slot) {
+            Slot::Internal(n) => n < flat.nodes.len(),
+            Slot::Leaf(l) => l < flat.leaves.len(),
+        };
+        assert!(in_range(flat.root), "root {:#x}", flat.root);
+        for (i, &slot) in flat.children.iter().enumerate() {
+            assert!(in_range(slot), "child slot {i} holds {slot:#x}");
+        }
+        let mut seen = PerSlot::new(flat, 0);
+        let mut stack = vec![flat.root];
+        while let Some(slot) = stack.pop() {
+            let mark = seen.of(slot);
+            if *mark == 0 {
+                *mark = 1;
+                if let Slot::Internal(n) = Slot::of(slot) {
+                    let base = flat.nodes[n].child_base as usize;
+                    stack.extend(&flat.children[base..base + flat.child_count(n)]);
+                }
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn every_slot_decodes_in_range_and_reflatten_keeps_only_reachable_entries() {
+        use pclass_classbench::{ClassBenchGenerator, SeedStyle};
+        let (_, toy) = toy_flat();
+        let mut toy = toy.flat_tree().clone();
+        let spec = *toy.spec();
+        for id in [20u32, 21] {
+            toy.insert(&Rule::wildcard(id, &spec)).unwrap();
+        }
+        // A churned 2 k acl arena: every tenth rule replaced by a fresh
+        // one, so shared leaves are un-shared and full spans move.
+        let rs = ClassBenchGenerator::new(SeedStyle::Acl, 20080414).generate(2_000);
+        let fresh = ClassBenchGenerator::new(SeedStyle::Acl, 7).generate(200);
+        let mut acl = FlatTree::from_tree(
+            HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults()).tree(),
+        );
+        let pristine_leaves = acl.leaves.len();
+        for (i, rule) in fresh.rules().iter().enumerate() {
+            acl.delete(i as u32 * 10).unwrap();
+            acl.insert(&Rule::new(2_000 + i as u32, rule.ranges))
+                .unwrap();
+        }
+        assert!(acl.leaves.len() > pristine_leaves, "no leaf was un-shared");
+        for (what, mut flat) in [("toy", toy), ("acl 2k", acl)] {
+            assert!(flat.dirty_ratio() > 0.0, "{what}: no span moved");
+            assert_slots_in_range(&flat);
+            flat.reflatten();
+            let seen = assert_slots_in_range(&flat);
+            assert!(seen.internal.iter().all(|&s| s == 1), "{what}: record");
+            assert!(seen.leaves.iter().all(|&s| s == 1), "{what}: leaf");
+        }
+    }
+
+    #[test]
+    fn a_lone_leaf_root_takes_updates_and_reflattens() {
+        let rs = toy::table1_ruleset();
+        let spec = *rs.spec();
+        // binth at the ruleset's size: the whole tree is one leaf.
+        let hc = HiCutsClassifier::build(
+            &rs,
+            &HiCutsConfig {
+                binth: rs.len(),
+                spfac: 2.0,
+            },
+        );
+        let mut flat = FlatTree::from_tree(hc.tree());
+        assert_eq!(flat.root, LEAF_TAG);
+        assert_eq!((flat.nodes.len(), flat.leaves.len()), (0, 1));
+        assert_eq!(flat.worst_case_accesses(), 1 + rs.len() as u64);
+        assert_matches_live_linear(&flat);
+        // Narrow rules into the root until its span leaves its first home.
+        let first = flat.leaves[0];
+        let mut id = 20u32;
+        while flat.leaves[0].off == first.off {
+            let mut rule = Rule::wildcard(id, &spec);
+            rule.ranges[0] = FieldRange::new(id * 5, id * 5 + 30);
+            flat.insert(&rule).unwrap();
+            id += 1;
+        }
+        assert!(flat.dirty_ratio() > 0.0);
+        assert_eq!(
+            (flat.root, flat.nodes.len(), flat.leaves.len()),
+            (LEAF_TAG, 0, 1)
+        );
+        assert_matches_live_linear(&flat);
+        for id in [0u32, 7, 20] {
+            flat.delete(id).unwrap();
+        }
+        assert_matches_live_linear(&flat);
+        flat.reflatten();
+        assert_eq!(
+            (flat.root, flat.nodes.len(), flat.leaves.len()),
+            (LEAF_TAG, 0, 1)
+        );
+        assert_eq!(flat.dirty_ratio(), 0.0);
+        assert_eq!(flat.live_rule_count(), rs.len() + (id - 20) as usize - 3);
+        assert_matches_live_linear(&flat);
     }
 
     #[test]
@@ -1741,11 +2009,16 @@ mod tests {
         flat.insert(&old).unwrap();
         assert!(hits(&flat, &old_region, LaneWidth::Scalar) > 0);
         flat.delete(3).unwrap();
-        // The delete took the id out of every span a lookup reads and
-        // retired its table line, so the line is free to hold another rule.
+        // The delete took the id out of every span a lookup reads — the
+        // internal records' stored spans and every leaf's — and retired its
+        // table line, so the line is free to hold another rule.
         for (node, rec) in flat.nodes.iter().enumerate() {
             let ids = &flat.rule_slab[rec.rules.range()];
             assert!(!ids.contains(&3), "node {node} still lists the deleted id");
+        }
+        for (leaf, span) in flat.leaves.iter().enumerate() {
+            let ids = &flat.rule_slab[span.range()];
+            assert!(!ids.contains(&3), "leaf {leaf} still lists the deleted id");
         }
         assert!(!flat.rule_table[3].is_live());
         flat.insert(&new).unwrap();
@@ -1773,6 +2046,12 @@ mod tests {
                 flat.node_rule_cap.capacity(),
                 flat.node_rule_cap.len(),
                 "{what}: span capacities"
+            );
+            assert_eq!(flat.leaves.capacity(), flat.leaves.len(), "{what}: leaves");
+            assert_eq!(
+                flat.leaf_rule_cap.capacity(),
+                flat.leaf_rule_cap.len(),
+                "{what}: leaf span capacities"
             );
             assert_eq!(flat.cuts.capacity(), flat.cuts.len(), "{what}: cuts");
             assert_eq!(
@@ -1931,6 +2210,7 @@ mod tests {
         let hc = HiCutsClassifier::build(&empty, &HiCutsConfig::paper_defaults());
         let flat = hc.flatten();
         assert_eq!(flat.flat_tree().node_count(), 1);
+        assert_eq!(flat.flat_tree().root, LEAF_TAG, "the root is leaf 0");
         let pkt = PacketHeader::from_fields([1, 2, 3, 4, 5]);
         assert_eq!(flat.classify(&pkt), MatchResult::NoMatch);
         let mut out = Vec::new();

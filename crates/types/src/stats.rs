@@ -19,16 +19,17 @@ use std::collections::HashSet;
 /// pointer trees report under, these byte counts are the *actual* in-memory
 /// sizes of the arena arrays.
 ///
-/// The counts cover everything a lookup can touch — node records, slabs
-/// and the rule table — which is also every copy of a rule the arena
-/// holds: a node's span lists rule ids, and each rule's image is stored
+/// The counts cover everything a lookup can touch — internal-node records,
+/// leaf spans, slabs and the rule table — which is also every copy of a
+/// rule the arena holds: a node's span lists rule ids, and each rule's
+/// image is stored
 /// once, in the table line of its id (the table doubles as the record of
 /// which ids are live, so the write path keeps no second copy).  Only the
 /// lazily built per-node reference counts (4 bytes per node, built by the
 /// first update) are not counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ArenaStats {
-    /// Number of node records.
+    /// Number of nodes: internal-node records plus leaf spans.
     pub nodes: usize,
     /// Number of cut-dimension records: the first cut of every internal
     /// node (inline in its record) plus the records in the shared cut slab.
@@ -39,8 +40,9 @@ pub struct ArenaStats {
     /// span slack, and the dead slots moved spans left behind until the
     /// next re-flatten.
     pub rule_refs: usize,
-    /// Bytes of the tree structure (node records + cut slab + child slab),
-    /// excluding the rule slab and the rule table.
+    /// Bytes of the tree structure (internal-node records + leaf spans,
+    /// each with its span capacity, + cut slab + child slab), excluding
+    /// the rule slab and the rule table.
     pub arena_bytes: usize,
     /// Structure bytes plus the id slab (4 bytes a slot) plus the rule
     /// table (one 64-byte line per id up to the highest live one) —

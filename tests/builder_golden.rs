@@ -85,8 +85,11 @@ fn software_hicuts_counts_are_pinned() {
             cut_records: 95,
             child_slots: 1640,
             rule_refs: 5136,
-            arena_bytes: 87004,
-            total_bytes: 171548,
+            // 95 internal x (64 B record + 4 B capacity) + 1,088 leaves x
+            // (8 B span + 4 B capacity) + 1,640 child slots x 4 B.
+            arena_bytes: 26076,
+            // + 5,136 ids x 4 B + 1,000 table lines x 64 B.
+            total_bytes: 110620,
         }
     );
     assert_lookup_stats(
@@ -154,8 +157,12 @@ fn software_hypercuts_counts_are_pinned() {
             cut_records: 78,
             child_slots: 700,
             rule_refs: 2189,
-            arena_bytes: 43096,
-            total_bytes: 115852,
+            // 43 internal x 68 B + 529 leaves x 12 B + 35 slab cut records
+            // x 40 B (78 cut records, 43 of them inline) + 700 child slots
+            // x 4 B.
+            arena_bytes: 13472,
+            // + 2,189 ids x 4 B + 1,000 table lines x 64 B.
+            total_bytes: 86228,
         }
     );
     assert_lookup_stats(
