@@ -2,9 +2,10 @@
 //! batched level-synchronous traversal.
 //!
 //! The pointer trees built by [`crate::hicuts`] and [`crate::hypercuts`]
-//! classify one packet at a time by chasing [`NodeId`] indirections through
-//! an enum-of-`Vec`s [`DecisionTree`]: every step loads a large [`Node`]
-//! (a 40-byte region, a depth, and a `NodeKind` whose `Vec` payloads live in
+//! classify one packet at a time by chasing
+//! [`NodeId`](crate::dtree::NodeId) indirections through an
+//! enum-of-`Vec`s [`DecisionTree`]: every step loads a large [`Node`] (a
+//! 40-byte region, a depth, and a `NodeKind` whose `Vec` payloads live in
 //! separate heap allocations), so a traversal is a chain of dependent cache
 //! misses — exactly the memory-latency wall the HiCuts and HyperCuts papers
 //! identify as the cost of decision-tree classification.
@@ -38,12 +39,14 @@
 //!   slab, drops it there if it cannot beat the best match so far, and
 //!   only otherwise loads the rule's line.
 //!
-//! Nodes are renumbered in breadth-first discovery order during
-//! [`FlatTree::from_tree`] (internal records and leaf spans each in their
-//! own table), so the entries of one tree level are contiguous in memory.  [`FlatTree::classify_batch`] exploits that: it advances a
-//! whole batch of packets one level at a time (a per-batch worklist), so the
-//! node records of the hot top levels are touched by every packet while they
-//! are still in cache — the tree analogue of RFC's phase-major batched loop.
+//! Nodes are renumbered in breadth-first discovery order by the one layout
+//! pass that both [`FlatTree::from_tree`] and [`FlatTree::reflatten`] run
+//! (internal records and leaf spans each in their own table), so the
+//! entries of one tree level are contiguous in memory.
+//! [`FlatTree::classify_batch`] exploits that: it advances a whole batch of
+//! packets one level at a time (a per-batch worklist), so the node records
+//! of the hot top levels are touched by every packet while they are still
+//! in cache — the tree analogue of RFC's phase-major batched loop.
 //!
 //! The flat traversal is decision-for-decision identical to
 //! [`DecisionTree::classify`]; the property tests in
@@ -84,11 +87,14 @@
 //!   larger than `PREFETCH_MIN_BYTES`; a cache-resident arena gains
 //!   nothing from them.
 //!
-//! The scalar walk remains as [`FlatTree::classify`] (the per-packet path
-//! and the differential-test oracle) and serves worklist tails shorter
-//! than a lane; `tests/vector_walk.rs` property-tests the lane walk
-//! against it packet-for-packet across rulesets, lane widths, odd tail
-//! sizes and post-churn arenas whose spans have moved.
+//! There is one batch walk: [`LaneWidth::Scalar`] is a lane of one, and so
+//! is each step of a worklist tail shorter than a lane.  The per-packet
+//! walk is [`FlatTree::classify`] (the stats path, with the scalar
+//! early-exit scan), and it is the differential-test oracle:
+//! `tests/vector_walk.rs` property-tests every lane width against it
+//! packet-for-packet across rulesets, odd tail sizes and post-churn arenas
+//! whose spans have moved, and checks it in turn against linear search
+//! over the live rules.
 //!
 //! A second measured negative result, for the record: building with
 //! `-C target-cpu=native` (AVX2/AVX-512 codegen on the reference host)
@@ -123,7 +129,7 @@
 //! every span with fresh slack.
 
 use crate::counters::LookupStats;
-use crate::dtree::{CutTreeClassifier, DecisionTree, Node, NodeId, NodeKind, RosterPolicy};
+use crate::dtree::{CutTreeClassifier, DecisionTree, Node, NodeKind, RosterPolicy};
 use crate::update::UpdateError;
 use crate::Classifier;
 use pclass_types::{
@@ -141,9 +147,10 @@ const NO_MATCH: u32 = u32::MAX;
 /// Number of packets one vectorised worklist lane advances together (the
 /// `N` of the hand-unrolled `u32xN` arrays in the lane walk).
 ///
-/// [`LaneWidth::Scalar`] is the per-packet fallback — the oracle the
-/// property tests compare the vector widths against, and the tail path for
-/// worklist levels shorter than a lane.
+/// [`LaneWidth::Scalar`] is a lane of one: the same lane walk, one packet
+/// per step (the walk's tails shorter than a lane take that step too).
+/// The property tests hold every width to per-packet
+/// [`FlatTree::classify`].
 ///
 /// [`FlatTree::classify_batch`] picks the width itself, from the arena
 /// size, by what the benchmark's `algos.flat.lanes_{x4,x16}.ns_per_pkt`
@@ -159,7 +166,7 @@ const NO_MATCH: u32 = u32::MAX;
 /// vs 506 ns) when the same 64,000 rules were served from a 403 MiB image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneWidth {
-    /// Per-packet worklist walk (lane width 1).
+    /// Lanes of 1 packet.
     Scalar,
     /// Lanes of 4 packets — serves arenas past `PREFETCH_MIN_BYTES`.
     X4,
@@ -206,7 +213,7 @@ const LEAF_TAG: u32 = 1 << 31;
 
 /// Most entries the internal-record table or the leaf table may hold.
 /// Every index then stays below [`LEAF_TAG`], and no slot equals
-/// `u32::MAX`, the flatten passes' "not placed yet" marker.
+/// `u32::MAX`, the layout pass's "not placed yet" marker.
 const MAX_TABLE_LEN: usize = (LEAF_TAG - 1) as usize;
 
 /// A child slot, decoded.
@@ -524,8 +531,8 @@ impl PerSlot {
     }
 }
 
-/// Breadth-first renumbering step of [`FlatTree::from_tree`] and
-/// [`FlatTree::reflatten`]: a node met for the first time (`*new` still
+/// Breadth-first renumbering step of the layout pass
+/// (`FlatTree::layout`): a node met for the first time (`*new` still
 /// `u32::MAX`) gets the next index of its table — `counts` is
 /// `[internal, leaf]` — and `true` is returned so the caller queues it.
 fn place(new: &mut u32, leaf: bool, counts: &mut [usize; 2]) -> bool {
@@ -541,80 +548,48 @@ fn place(new: &mut u32, leaf: bool, counts: &mut [usize; 2]) -> bool {
 impl FlatTree {
     /// Flattens a built pointer tree into the arena layout.
     ///
-    /// Nodes are renumbered in breadth-first discovery order — internal
-    /// nodes into the record table, leaves into the leaf table — so shared
-    /// nodes (merged leaves, the builders' shared empty leaf) keep a single
-    /// entry and the entries of one level stay contiguous.  The rule slab
-    /// is laid out in that same discovery order.
+    /// The tree is first transcribed as it is — every node in node-id
+    /// order, children as tagged slots, cuts as `FlatCut`s — and then
+    /// laid out by the same breadth-first pass [`FlatTree::reflatten`]
+    /// runs, with no span slack: internal nodes are renumbered into the
+    /// record table and leaves into the leaf table in discovery order, so
+    /// shared nodes (merged leaves, the builders' shared empty leaf) keep a
+    /// single entry, unreachable ones drop, and the entries of one level
+    /// stay contiguous.
     pub fn from_tree(tree: &DecisionTree) -> FlatTree {
         let nodes: &[Node] = tree.nodes();
-        // Pass 1: discover the reachable nodes breadth-first, giving each
-        // the next index of its table, and count what they put in each
-        // slab, so every table and slab is allocated once, at its final
-        // size.
-        let mut map = vec![u32::MAX; nodes.len()];
-        let mut order: Vec<NodeId> = Vec::with_capacity(nodes.len());
         let mut counts = [0usize; 2];
-        let mut discover = |id: NodeId, map: &mut [u32], order: &mut Vec<NodeId>| {
-            let leaf = matches!(nodes[id as usize].kind, NodeKind::Leaf { .. });
-            if place(&mut map[id as usize], leaf, &mut counts) {
-                order.push(id);
-            }
-        };
-        discover(tree.root(), &mut map, &mut order);
-        let (mut cut_slots, mut child_slots, mut rule_slots) = (0usize, 0usize, 0usize);
-        let mut head = 0usize;
-        while head < order.len() {
-            match &nodes[order[head] as usize].kind {
-                NodeKind::Leaf { rules: ids } => rule_slots += ids.len(),
-                NodeKind::Internal {
-                    cuts,
-                    children,
-                    stored_rules,
-                    ..
-                } => {
-                    cut_slots += cuts.cut_dimensions().len().saturating_sub(1);
-                    child_slots += children.len();
-                    rule_slots += stored_rules.len();
-                    for &child in children {
-                        discover(child, &mut map, &mut order);
-                    }
-                }
-            }
-            head += 1;
-        }
-        assert!(
-            child_slots < u32::MAX as usize
-                && rule_slots < u32::MAX as usize
-                && cut_slots < u32::MAX as usize,
-            "flat arena slab exceeds u32 addressing"
-        );
-
-        let [internal, leaves] = counts;
+        let slots: Vec<u32> = nodes
+            .iter()
+            .map(|node| {
+                let leaf = matches!(node.kind, NodeKind::Leaf { .. });
+                let count = &mut counts[usize::from(leaf)];
+                *count += 1;
+                encode_slot(*count - 1, leaf)
+            })
+            .collect();
         let mut flat = FlatTree {
             spec: *tree.spec(),
-            root: map[tree.root() as usize],
-            nodes: Vec::with_capacity(internal),
-            node_rule_cap: Vec::with_capacity(internal),
-            leaves: Vec::with_capacity(leaves),
-            leaf_rule_cap: Vec::with_capacity(leaves),
-            cuts: Vec::with_capacity(cut_slots),
-            children: Vec::with_capacity(child_slots),
-            rule_slab: Vec::with_capacity(rule_slots),
+            root: slots[tree.root() as usize],
+            nodes: Vec::new(),
+            // The span capacities are the layout pass's to write.
+            node_rule_cap: Vec::new(),
+            leaves: Vec::new(),
+            leaf_rule_cap: Vec::new(),
+            cuts: Vec::new(),
+            children: Vec::new(),
+            rule_slab: Vec::new(),
             dead_slots: 0,
             // Build-time ids equal ruleset positions: every entry is live.
             rule_table: tree.rules().iter().map(PackedRule::new).collect(),
             refs: None,
             update_stats: UpdateStats::default(),
         };
-
-        // Pass 2: emit the entries in discovery order.
-        for &old in &order {
-            match &nodes[old as usize].kind {
+        for node in nodes {
+            match &node.kind {
                 NodeKind::Leaf { rules: ids } => {
                     let span = push_slab(&mut flat.rule_slab, ids);
                     flat.leaves.push(span);
-                    flat.leaf_rule_cap.push(span.len);
                 }
                 NodeKind::Internal {
                     cuts,
@@ -633,19 +608,18 @@ impl FlatTree {
                     flat.cuts.extend(recs);
                     let child_base = flat.children.len() as u32;
                     flat.children
-                        .extend(children.iter().map(|&child| map[child as usize]));
-                    let span = push_slab(&mut flat.rule_slab, stored_rules);
+                        .extend(children.iter().map(|&child| slots[child as usize]));
                     flat.nodes.push(NodeRec {
-                        rules: span,
+                        rules: push_slab(&mut flat.rule_slab, stored_rules),
                         child_base,
                         cut_count: 1 + flat.cuts.len() as u32 - rest_off,
                         rest_off,
                         cut0,
                     });
-                    flat.node_rule_cap.push(span.len);
                 }
             }
         }
+        flat.layout(|_| 0);
         flat
     }
 
@@ -868,11 +842,10 @@ impl FlatTree {
         self.classify_batch_lanes(pkts, out, lanes);
     }
 
-    /// [`FlatTree::classify_batch`] with an explicit lane width —
-    /// [`LaneWidth::Scalar`] serves the batch through the per-packet
-    /// worklist step (the differential-test oracle), the vector widths
-    /// through the hand-unrolled lane walk.  Results are identical for
-    /// every width.
+    /// [`FlatTree::classify_batch`] with an explicit lane width; every
+    /// width, [`LaneWidth::Scalar`] included, runs the same lane walk.
+    /// Results are identical for every width, and to per-packet
+    /// [`FlatTree::classify`].
     pub fn classify_batch_lanes(
         &self,
         pkts: &[PacketHeader],
@@ -887,69 +860,16 @@ impl FlatTree {
         }
         let out = &mut out[base..];
         match lanes {
-            LaneWidth::Scalar => self.walk_scalar(pkts, out),
+            LaneWidth::Scalar => self.walk_lanes::<1>(pkts, out),
             LaneWidth::X4 => self.walk_lanes::<4>(pkts, out),
             LaneWidth::X16 => self.walk_lanes::<16>(pkts, out),
         }
     }
 
-    /// One worklist step of one packet: scan what the node stores, then
-    /// either finish the packet (leaf, or outside the cut region) or
-    /// advance it to its child and keep it on the worklist.  Shared by the
-    /// scalar batch walk and the lane walk's tail.
-    #[inline]
-    fn step_packet(
-        &self,
-        pkts: &[PacketHeader],
-        p: u32,
-        node: &mut [u32],
-        best: &mut [u32],
-        out: &mut [MatchResult],
-        next: &mut Vec<u32>,
-    ) {
-        let pi = p as usize;
-        let pkt = &pkts[pi];
-        let rec = match Slot::of(node[pi]) {
-            Slot::Leaf(l) => {
-                self.scan_slab(self.leaves[l], pkt, &mut best[pi]);
-                out[pi] = decode(best[pi]);
-                return;
-            }
-            Slot::Internal(n) => self.nodes[n],
-        };
-        if rec.rules.len > 0 {
-            self.scan_slab(rec.rules, pkt, &mut best[pi]);
-        }
-        match self.child_index(&rec, pkt) {
-            Some(idx) => {
-                node[pi] = self.children[rec.child_base as usize + idx as usize];
-                next.push(p);
-            }
-            None => out[pi] = decode(best[pi]),
-        }
-    }
-
-    /// The scalar level-synchronous walk (lane width 1): one packet at a
-    /// time through [`FlatTree::step_packet`].
-    fn walk_scalar(&self, pkts: &[PacketHeader], out: &mut [MatchResult]) {
-        let n = pkts.len();
-        let mut node = vec![self.root; n];
-        let mut best = vec![NO_MATCH; n];
-        let mut cur: Vec<u32> = (0..n as u32).collect();
-        let mut next: Vec<u32> = Vec::with_capacity(n);
-        while !cur.is_empty() {
-            for &p in &cur {
-                self.step_packet(pkts, p, &mut node, &mut best, out, &mut next);
-            }
-            std::mem::swap(&mut cur, &mut next);
-            next.clear();
-        }
-    }
-
     /// The vectorised walk: the worklist of every level is served in lanes
     /// of `L` packets (see the module docs).  Full lanes go through
-    /// [`FlatTree::step_lane`]; the sub-lane tail of each level falls back
-    /// to the scalar step.
+    /// [`FlatTree::step_lane`], and the sub-lane tail of each level through
+    /// its lane of one — as does all of [`LaneWidth::Scalar`].
     ///
     /// The worklist is served in trace order.  (Re-sorting each level by
     /// node id was tried for locality and measured *slower* on the large
@@ -963,22 +883,12 @@ impl FlatTree {
         let mut next: Vec<u32> = Vec::with_capacity(n);
         let prefetch = self.prefetch_hint();
         while !cur.is_empty() {
-            let m = cur.len();
-            let mut start = 0usize;
-            while start + L <= m {
-                self.step_lane::<L>(
-                    pkts,
-                    &cur[start..start + L],
-                    &mut node,
-                    &mut best,
-                    out,
-                    &mut next,
-                    prefetch,
-                );
-                start += L;
+            let mut lanes = cur.chunks_exact(L);
+            for lane in &mut lanes {
+                self.step_lane::<L>(pkts, lane, &mut node, &mut best, out, &mut next, prefetch);
             }
-            for &p in &cur[start..m] {
-                self.step_packet(pkts, p, &mut node, &mut best, out, &mut next);
+            for p in lanes.remainder().chunks(1) {
+                self.step_lane::<1>(pkts, p, &mut node, &mut best, out, &mut next, prefetch);
             }
             std::mem::swap(&mut cur, &mut next);
             next.clear();
@@ -1362,10 +1272,19 @@ impl FlatTree {
     /// records and leaves no slot names any more are dropped.
     /// Classification results are unchanged.
     pub fn reflatten(&mut self) {
-        // Pass 1: discover the reachable records and leaves breadth-first,
-        // renumbering each table in discovery order, and count what they
-        // carry over (each span with its re-provisioned slack), so every
-        // table and slab is allocated once, at its final size.
+        self.layout(span_slack);
+        self.update_stats.reflattens += 1;
+    }
+
+    /// The arena's one layout pass, shared by [`FlatTree::from_tree`] (no
+    /// slack) and [`FlatTree::reflatten`] (`span_slack`): lays the records
+    /// and leaves the root reaches out again breadth-first, renumbering
+    /// each table in discovery order, with every span followed by
+    /// `slack(len)` free slots.
+    fn layout(&mut self, slack: fn(u32) -> u32) {
+        // Pass 1: discover the reachable records and leaves, and count what
+        // they carry over, so every table and slab is allocated once, at
+        // its final size.
         let mut map = PerSlot::new(self, u32::MAX);
         let mut order: Vec<u32> = Vec::with_capacity(self.node_count());
         let mut counts = [0usize; 2];
@@ -1381,7 +1300,7 @@ impl FlatTree {
             let old = order[head];
             head += 1;
             let len = self.span(old).len;
-            rule_slots += (len + span_slack(len)) as usize;
+            rule_slots += (len + slack(len)) as usize;
             if let Slot::Internal(n) = Slot::of(old) {
                 let rec = self.nodes[n];
                 cut_slots += (rec.cut_count - 1) as usize;
@@ -1393,6 +1312,19 @@ impl FlatTree {
                 }
             }
         }
+        // The old slabs too: an offset into them at u32::MAX has wrapped.
+        // The new cut and child slabs are subsets of the old ones; only the
+        // rule slab can grow (by its slack).
+        let slabs = [
+            rule_slots,
+            self.rule_slab.len(),
+            self.children.len(),
+            self.cuts.len(),
+        ];
+        assert!(
+            slabs.iter().all(|&len| len < u32::MAX as usize),
+            "flat arena slab exceeds u32 addressing"
+        );
 
         let [internal, leaves] = counts;
         let mut new = FlatTree {
@@ -1409,23 +1341,15 @@ impl FlatTree {
             // Ids do not move: the table is carried over, not copied.
             rule_table: std::mem::take(&mut self.rule_table),
             refs: None,
-            update_stats: UpdateStats {
-                reflattens: self.update_stats.reflattens + 1,
-                ..self.update_stats
-            },
+            update_stats: self.update_stats,
         };
 
         // Pass 2: emit the entries in discovery order.
         for &old in &order {
             let old_span = self.span(old);
             let len = old_span.len;
-            let cap = len + span_slack(len);
-            let span = Span {
-                off: new.rule_slab.len() as u32,
-                len,
-            };
-            new.rule_slab
-                .extend_from_slice(&self.rule_slab[old_span.range()]);
+            let cap = len + slack(len);
+            let span = push_slab(&mut new.rule_slab, &self.rule_slab[old_span.range()]);
             new.rule_slab
                 .extend(std::iter::repeat_n(NO_MATCH, (cap - len) as usize));
             let Slot::Internal(n) = Slot::of(old) else {
@@ -2081,6 +2005,61 @@ mod tests {
             flat.reflatten();
             assert_exact(&flat, "reflatten");
             assert_matches_live_linear(&flat);
+        }
+    }
+
+    #[test]
+    fn a_build_and_a_pristine_reflatten_lay_out_the_same_tree() {
+        use pclass_classbench::{ClassBenchGenerator, SeedStyle};
+        let toy = toy::table1_ruleset();
+        // The benchmark's acl 2 k ruleset (`pclass_bench::acl_ruleset`).
+        let acl = ClassBenchGenerator::new(SeedStyle::Acl, 20080414)
+            .generate(2_191)
+            .truncated(2_000, "acl1_2000");
+        let trees = [
+            HiCutsClassifier::build(&toy, &HiCutsConfig::figure1())
+                .tree()
+                .clone(),
+            HyperCutsClassifier::build(&toy, &HyperCutsConfig::paper_defaults())
+                .tree()
+                .clone(),
+            HiCutsClassifier::build(&acl, &HiCutsConfig::paper_defaults())
+                .tree()
+                .clone(),
+            HyperCutsClassifier::build(&acl, &HyperCutsConfig::paper_defaults())
+                .tree()
+                .clone(),
+        ];
+        for (t, tree) in trees.iter().enumerate() {
+            let built = FlatTree::from_tree(tree);
+            let mut re = built.clone();
+            re.reflatten();
+            assert_eq!(built.update_stats().reflattens, 0, "tree {t}");
+            assert_eq!(re.update_stats().reflattens, 1, "tree {t}");
+            assert_eq!(built.root, re.root, "tree {t}");
+            assert_eq!(built.children, re.children, "tree {t}");
+            assert_eq!(built.cuts, re.cuts, "tree {t}");
+            assert_eq!(
+                (built.nodes.len(), built.leaves.len()),
+                (re.nodes.len(), re.leaves.len()),
+                "tree {t}"
+            );
+            let ids = |flat: &FlatTree, span: Span| flat.rule_slab[span.range()].to_vec();
+            for (a, b) in built.nodes.iter().zip(&re.nodes) {
+                let moved = NodeRec {
+                    rules: Span {
+                        off: a.rules.off,
+                        ..b.rules
+                    },
+                    ..*b
+                };
+                assert_eq!(*a, moved, "tree {t}");
+                assert_eq!(ids(&built, a.rules), ids(&re, b.rules), "tree {t}");
+            }
+            for (&a, &b) in built.leaves.iter().zip(&re.leaves) {
+                assert_eq!(a.len, b.len, "tree {t}");
+                assert_eq!(ids(&built, a), ids(&re, b), "tree {t}");
+            }
         }
     }
 

@@ -1,11 +1,13 @@
 //! Property-based equivalence of the vectorised lane walk: at every
-//! [`LaneWidth`] the batched flat-arena walk must classify packet-for-packet
-//! like the scalar per-packet walk ([`LaneWidth::Scalar`] — the differential
-//! oracle) — across random rulesets and builder configurations, batch sizes
-//! that leave odd sub-lane tails, and post-churn arenas driven without a
-//! re-flatten, so full spans have moved to the slab end and left dead
-//! slots behind.  The width [`FlatTree::classify_batch`] picks for itself
-//! is swept too, on arenas either side of its 1 MiB switch.
+//! [`LaneWidth`] — [`LaneWidth::Scalar`] is a lane of one — the batched
+//! flat-arena walk must classify packet-for-packet like per-packet
+//! [`FlatTree::classify`] (the differential oracle, itself checked against
+//! linear search over the live rules) — across random rulesets and builder
+//! configurations, batch sizes that leave odd sub-lane tails, and
+//! post-churn arenas driven without a re-flatten, so full spans have moved
+//! to the slab end and left dead slots behind.  The width
+//! [`FlatTree::classify_batch`] picks for itself is swept too, on arenas
+//! either side of its 1 MiB switch.
 
 use packet_classifier::prelude::*;
 use pclass_algos::hicuts::HiCutsConfig;
@@ -19,8 +21,8 @@ use proptest::prelude::*;
 const BATCHES: [usize; 6] = [1, 3, 7, 13, 21, usize::MAX];
 
 /// The core property: every lane width — and the one `classify_batch`
-/// picks (`None`) — agrees with the scalar walk over `headers`, per batch
-/// size, including the empty batch.
+/// picks (`None`) — agrees with per-packet `classify` over `headers`, per
+/// batch size, including the empty batch.
 fn assert_lanes_match_scalar(name: &str, flat: &FlatTree, headers: &[PacketHeader]) {
     let scalar: Vec<MatchResult> = headers.iter().map(|h| flat.classify(h, None)).collect();
     let serve = |chunk: &[PacketHeader], out: &mut Vec<MatchResult>, lanes| match lanes {
