@@ -14,14 +14,48 @@
 //! leaves at an 8-byte span plus a 4-byte capacity (12 B); each child slot
 //! is 4 B.  That is `arena_bytes`.  `total_bytes` adds 4 B per rule id in
 //! the slab and one 64-byte table line per rule.
+//!
+//! The lookup columns are what the `sim_*` metrics price: the
+//! [`LookupStats`] of the per-packet stats walk summed over a fixed trace,
+//! and the most memory accesses one packet of it took.  A change to how the
+//! arena *walks* must leave them bit-identical.
 
 use packet_classifier::prelude::*;
+use pclass_algos::counters::{LookupStats, OpCounters};
 use pclass_algos::hicuts::HiCutsConfig;
 use pclass_types::ArenaStats;
 
+fn benchmark_ruleset(rules: usize) -> RuleSet {
+    ClassBenchGenerator::new(SeedStyle::Acl, 20080414).generate(rules)
+}
+
 fn benchmark_arena(rules: usize) -> FlatTreeClassifier {
-    let rs = ClassBenchGenerator::new(SeedStyle::Acl, 20080414).generate(rules);
-    HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults()).flatten()
+    HiCutsClassifier::build(&benchmark_ruleset(rules), &HiCutsConfig::paper_defaults()).flatten()
+}
+
+/// The summed [`LookupStats`] of 4,096 packets aimed at the arena's
+/// ruleset, and the most memory accesses one of them took.
+fn trace_stats(arena: &FlatTreeClassifier, rules: usize) -> (LookupStats, u64) {
+    let trace = TraceGenerator::new(&benchmark_ruleset(rules), 31).generate(4_096);
+    let mut total = LookupStats::new();
+    let mut worst = 0;
+    for entry in trace.entries() {
+        let mut stats = LookupStats::new();
+        arena.classify_with_stats(&entry.header, &mut stats);
+        worst = worst.max(stats.memory_accesses);
+        total.merge(&stats);
+    }
+    (total, worst)
+}
+
+/// The lookup columns of [`trace_stats`] that the pins compare.
+fn lookup_columns(stats: &LookupStats) -> (u64, u64, u64, OpCounters) {
+    (
+        stats.memory_accesses,
+        stats.rules_compared,
+        stats.nodes_visited,
+        stats.ops,
+    )
 }
 
 #[test]
@@ -42,6 +76,25 @@ fn benchmark_arenas_are_pinned_at_2k_and_10k() {
     );
     assert_eq!(arena.memory_bytes(), arena.arena_stats().total_bytes);
     assert_eq!(arena.worst_case_memory_accesses(), Some(19));
+    let (total, worst) = trace_stats(&arena, 2_000);
+    assert_eq!(
+        lookup_columns(&total),
+        (
+            // 8,240 internal + 4,096 leaf visits + 14,024 rules compared.
+            26_360,
+            14_024,
+            8_240,
+            OpCounters {
+                loads: 103_032,
+                stores: 0,
+                alu: 214_304,
+                branches: 82_456,
+                muls: 8_240,
+                divs: 0,
+            }
+        )
+    );
+    assert_eq!(worst, 18);
 
     let arena = benchmark_arena(10_000);
     assert_eq!(
@@ -59,6 +112,25 @@ fn benchmark_arenas_are_pinned_at_2k_and_10k() {
     );
     assert_eq!(arena.memory_bytes(), arena.arena_stats().total_bytes);
     assert_eq!(arena.worst_case_memory_accesses(), Some(22));
+    let (total, worst) = trace_stats(&arena, 10_000);
+    assert_eq!(
+        lookup_columns(&total),
+        (
+            // 10,695 internal + 4,096 leaf visits + 20,948 rules compared.
+            35_739,
+            20_948,
+            10_695,
+            OpCounters {
+                loads: 145_017,
+                stores: 0,
+                alu: 300_729,
+                branches: 119_531,
+                muls: 10_695,
+                divs: 0,
+            }
+        )
+    );
+    assert_eq!(worst, 22);
 }
 
 /// The cell the arena's layout is judged on (`struct_mib` on
