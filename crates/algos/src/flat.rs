@@ -48,11 +48,6 @@
 //! of the hot top levels are touched by every packet while they are still
 //! in cache — the tree analogue of RFC's phase-major batched loop.
 //!
-//! The flat traversal is decision-for-decision identical to
-//! [`DecisionTree::classify`]; the property tests in
-//! `tests/flat_equivalence.rs` enforce this packet-for-packet across random
-//! rulesets, builder configurations and batch sizes.
-//!
 //! # Vectorised lane walk
 //!
 //! [`FlatTree::classify_batch`] does not merely iterate the worklist packet
@@ -75,8 +70,8 @@
 //! * leaf and stored-rule scans compare the rule images **branch
 //!   free** in blocks of `SCAN_BLOCK`: all five range pairs of a block
 //!   are tested with non-short-circuiting compares into a bitmask and the
-//!   first match is taken from the mask, preserving the scalar early-exit
-//!   semantics (ids are ascending, so the first match is the best one);
+//!   first match is taken from the mask, preserving the pointer tree's
+//!   early-exit semantics (ids ascend, so the first match is the best one);
 //! * on advancing a packet, the walk issues a **portable read-ahead
 //!   touch** (the crate forbids `unsafe`, so a `std::hint::black_box`
 //!   read stands in for `_mm_prefetch`) of one word of the child's record
@@ -87,14 +82,16 @@
 //!   larger than `PREFETCH_MIN_BYTES`; a cache-resident arena gains
 //!   nothing from them.
 //!
-//! There is one batch walk: [`LaneWidth::Scalar`] is a lane of one, and so
-//! is each step of a worklist tail shorter than a lane.  The per-packet
-//! walk is [`FlatTree::classify`] (the stats path, with the scalar
-//! early-exit scan), and it is the differential-test oracle:
-//! `tests/vector_walk.rs` property-tests every lane width against it
-//! packet-for-packet across rulesets, odd tail sizes and post-churn arenas
-//! whose spans have moved, and checks it in turn against linear search
-//! over the live rules.
+//! There is one walk: [`LaneWidth::Scalar`] is a lane of one, and so are
+//! each step of a worklist tail shorter than a lane and per-packet
+//! [`FlatTree::classify`], which counts its [`LookupStats`] on that walk
+//! through a probe the serving lanes compile away.  Its oracles are linear
+//! search and the pointer tree: `tests/vector_walk.rs` holds every lane
+//! width to linear search over the live rules across rulesets, odd tail
+//! sizes and post-churn arenas whose spans have moved, and
+//! `tests/flat_equivalence.rs` holds decisions and stats to
+//! [`DecisionTree::classify`] packet-for-packet across random rulesets,
+//! builder configurations and batch sizes.
 //!
 //! A second measured negative result, for the record: building with
 //! `-C target-cpu=native` (AVX2/AVX-512 codegen on the reference host)
@@ -148,9 +145,9 @@ const NO_MATCH: u32 = u32::MAX;
 /// `N` of the hand-unrolled `u32xN` arrays in the lane walk).
 ///
 /// [`LaneWidth::Scalar`] is a lane of one: the same lane walk, one packet
-/// per step (the walk's tails shorter than a lane take that step too).
-/// The property tests hold every width to per-packet
-/// [`FlatTree::classify`].
+/// per step, which the walk's short tails and per-packet
+/// [`FlatTree::classify`] take too.  The property tests hold every width
+/// to linear search.
 ///
 /// [`FlatTree::classify_batch`] picks the width itself, from the arena
 /// size, by what the benchmark's `algos.flat.lanes_{x4,x16}.ns_per_pkt`
@@ -756,29 +753,6 @@ impl FlatTree {
         Some(idx)
     }
 
-    /// Linear scan of a rule-slab span, updating the best (lowest id) match
-    /// in `best` (`NO_MATCH` = none yet) and returning the number of rules
-    /// compared (for operation accounting).  Mirrors the early-exit logic of
-    /// the pointer tree's scan: slab lists are in ascending id order, so the
-    /// first hit wins within a list and ids at or above the current best
-    /// cannot improve it — those are dropped on the slab word, before the
-    /// rule's table line is touched.
-    #[inline]
-    fn scan_slab(&self, span: Span, pkt: &PacketHeader, best: &mut u32) -> u64 {
-        let mut compared = 0u64;
-        for &id in &self.rule_slab[span.range()] {
-            compared += 1;
-            if id >= *best {
-                break;
-            }
-            if self.rule_table[id as usize].matches(&pkt.fields) {
-                *best = id;
-                break;
-            }
-        }
-        compared
-    }
-
     /// Whether the arena outgrows [`PREFETCH_MIN_BYTES`]: past it the lane
     /// walk issues read-ahead touches (a cache-resident arena cannot miss)
     /// and [`FlatTree::classify_batch`] narrows its lanes.
@@ -789,38 +763,27 @@ impl FlatTree {
 
     /// Classifies one packet by walking the arena, optionally recording the
     /// performed work into `stats` with the same accounting as
-    /// [`DecisionTree::classify`].
-    pub fn classify(&self, pkt: &PacketHeader, mut stats: Option<&mut LookupStats>) -> MatchResult {
-        let mut best = NO_MATCH;
-        let mut slot = self.root;
-        loop {
-            if let Some(s) = stats.as_deref_mut() {
-                s.count_node();
-            }
-            // What the node stores — a leaf's rules, an internal node's
-            // pushed-up rules — is scanned either way.
-            let compared = self.scan_slab(self.span(slot), pkt, &mut best);
-            if let Some(s) = stats.as_deref_mut() {
-                s.count_scan(compared);
-            }
-            let Slot::Internal(node) = Slot::of(slot) else {
-                break;
-            };
-            let rec = self.nodes[node];
-            if let Some(s) = stats.as_deref_mut() {
-                s.nodes_visited += 1;
-            }
-            match self.child_index(&rec, pkt) {
-                Some(idx) => {
-                    if let Some(s) = stats.as_deref_mut() {
-                        s.count_child_select(u64::from(rec.cut_count));
-                    }
-                    slot = self.children[rec.child_base as usize + idx as usize];
-                }
-                None => break,
-            }
+    /// [`DecisionTree::classify`].  The walk is a lane of one through the
+    /// step every [`LaneWidth`] of [`FlatTree::classify_batch`] runs.
+    pub fn classify(&self, pkt: &PacketHeader, stats: Option<&mut LookupStats>) -> MatchResult {
+        match stats {
+            Some(stats) => self.walk_one(pkt, stats),
+            None => self.walk_one(pkt, &mut ()),
         }
-        decode(best)
+    }
+
+    /// One packet stepped through [`FlatTree::step_lane`] until it retires,
+    /// with no read-ahead: its next step reads the child at once.
+    fn walk_one(&self, pkt: &PacketHeader, probe: &mut impl Probe) -> MatchResult {
+        let pkts = std::slice::from_ref(pkt);
+        let (node, best) = (&mut [self.root], &mut [NO_MATCH]);
+        let out = &mut [MatchResult::NoMatch];
+        let mut live = true;
+        while std::mem::take(&mut live) {
+            let advance = &mut |_| live = true;
+            self.step_lane::<1>(pkts, &[0], node, best, out, advance, false, probe);
+        }
+        out[0]
     }
 
     /// Classifies a batch of packets level-synchronously, appending one
@@ -855,9 +818,6 @@ impl FlatTree {
         let n = pkts.len();
         let base = out.len();
         out.resize(base + n, MatchResult::NoMatch);
-        if n == 0 {
-            return;
-        }
         let out = &mut out[base..];
         match lanes {
             LaneWidth::Scalar => self.walk_lanes::<1>(pkts, out),
@@ -877,18 +837,19 @@ impl FlatTree {
     /// more than the extra row-buffer hits saved.)
     fn walk_lanes<const L: usize>(&self, pkts: &[PacketHeader], out: &mut [MatchResult]) {
         let n = pkts.len();
-        let mut node = vec![self.root; n];
-        let mut best = vec![NO_MATCH; n];
+        let node = &mut vec![self.root; n];
+        let best = &mut vec![NO_MATCH; n];
         let mut cur: Vec<u32> = (0..n as u32).collect();
         let mut next: Vec<u32> = Vec::with_capacity(n);
         let prefetch = self.prefetch_hint();
         while !cur.is_empty() {
             let mut lanes = cur.chunks_exact(L);
+            let mut advance = |p| next.push(p);
             for lane in &mut lanes {
-                self.step_lane::<L>(pkts, lane, &mut node, &mut best, out, &mut next, prefetch);
+                self.step_lane::<L>(pkts, lane, node, best, out, &mut advance, prefetch, &mut ());
             }
             for p in lanes.remainder().chunks(1) {
-                self.step_lane::<1>(pkts, p, &mut node, &mut best, out, &mut next, prefetch);
+                self.step_lane::<1>(pkts, p, node, best, out, &mut advance, prefetch, &mut ());
             }
             std::mem::swap(&mut cur, &mut next);
             next.clear();
@@ -903,6 +864,7 @@ impl FlatTree {
     /// (fixed-size arrays, the division-free magics of [`FlatCut`]), then
     /// scan/advance each lane — touching the next level's record or span as
     /// soon as the child is known, a full level of work ahead of its use.
+    /// A packet that descends goes to `advance`, one that retires to `out`.
     #[allow(clippy::too_many_arguments)] // hot-path state is deliberately SoA
     #[inline]
     fn step_lane<const L: usize>(
@@ -912,8 +874,9 @@ impl FlatTree {
         node: &mut [u32],
         best: &mut [u32],
         out: &mut [MatchResult],
-        next: &mut Vec<u32>,
+        advance: &mut impl FnMut(u32),
         prefetch: bool,
+        probe: &mut impl Probe,
     ) {
         // Stage 1: gather one word of what each lane's slot names (a record
         // is one aligned line and a span never straddles one, so this
@@ -941,6 +904,7 @@ impl FlatTree {
                 Slot::Leaf(l) => {
                     let ids = &self.rule_slab[self.leaves[l].range()];
                     scan_rules_blocks(ids, &self.rule_table, fields, &mut best[pi]);
+                    probe.node(ids, best[pi]);
                     out[pi] = decode(best[pi]);
                     continue;
                 }
@@ -949,8 +913,13 @@ impl FlatTree {
             if rec.rules.len > 0 {
                 let ids = &self.rule_slab[rec.rules.range()];
                 scan_rules_blocks(ids, &self.rule_table, fields, &mut best[pi]);
+                probe.node(ids, best[pi]);
+            } else {
+                probe.node(&[], best[pi]);
             }
-            match self.child_index(&rec, &pkts[pi]) {
+            let idx = self.child_index(&rec, &pkts[pi]);
+            probe.descend(idx.map(|_| rec.cut_count));
+            match idx {
                 Some(idx) => {
                     let child = self.children[rec.child_base as usize + idx as usize];
                     node[pi] = child;
@@ -960,7 +929,7 @@ impl FlatTree {
                         // of its use so the next gather finds it in cache.
                         std::hint::black_box(self.first_word(child));
                     }
-                    next.push(lane[i]);
+                    advance(lane[i]);
                 }
                 None => out[pi] = decode(best[pi]),
             }
@@ -1388,14 +1357,44 @@ fn span_slack(len: u32) -> u32 {
     (len / 4).max(2)
 }
 
+/// What the walk reports as it goes.  Serving passes `()`, whose empty
+/// methods compile away; the stats path passes [`LookupStats`].
+trait Probe {
+    /// A node's rule span `ids` was scanned, leaving `best` the best match.
+    fn node(&mut self, ids: &[RuleId], best: u32);
+    /// An internal node was decided: `Some(cut count)` descends, `None` is outside its cuts.
+    fn descend(&mut self, cuts: Option<u32>);
+}
+
+impl Probe for () {
+    fn node(&mut self, _: &[RuleId], _: u32) {}
+    fn descend(&mut self, _: Option<u32>) {}
+}
+
+/// The accounting [`DecisionTree::classify`] charges, node for node.
+impl Probe for LookupStats {
+    fn node(&mut self, ids: &[RuleId], best: u32) {
+        self.count_node();
+        // The pointer tree's scan stops at a match or at an id that cannot
+        // beat the best; ids ascend uniquely, so the best after it says where.
+        self.count_scan((ids.partition_point(|&id| id < best) + 1).min(ids.len()) as u64);
+    }
+
+    fn descend(&mut self, cuts: Option<u32>) {
+        self.nodes_visited += 1;
+        if let Some(cuts) = cuts {
+            self.count_child_select(u64::from(cuts));
+        }
+    }
+}
+
 /// Branch-free block scan of an ascending-id rule list, updating `best`
-/// (`NO_MATCH` = none yet) exactly like the scalar early-exit scan: within
-/// each [`SCAN_BLOCK`]-id block every rule's image is compared without
-/// short-circuiting (a bitmask of matches), then the first set bit — the
-/// lowest matching id, because lists are id-sorted — resolves the block.
-/// Blocks whose first id cannot improve `best` end the scan on the slab
-/// word, before any of their table lines is touched, preserving the scalar
-/// semantics rule for rule.
+/// (`NO_MATCH` = none yet) to what the pointer tree's early-exit scan
+/// finds: within each [`SCAN_BLOCK`]-id block every rule's image is
+/// compared without short-circuiting (a bitmask of matches), then the
+/// first set bit — the lowest matching id — resolves the block.  Blocks
+/// whose first id cannot improve `best` end the scan on the slab word,
+/// before any of their table lines is touched.
 #[inline]
 fn scan_rules_blocks(
     ids: &[RuleId],

@@ -2,10 +2,12 @@
 //! and HyperCuts, the flattened [`FlatTreeClassifier`] must classify every
 //! packet exactly like the pointer tree it was built from — per packet and
 //! through `classify_batch` at any batch size (including 0, 1 and odd
-//! sizes that leave a partial tail) — across random rulesets and builder
+//! sizes that leave a partial tail) — and count the same [`LookupStats`]
+//! for it, field for field, across random rulesets and builder
 //! configurations (`binth`, `spfac`, the HyperCuts heuristics).
 
 use packet_classifier::prelude::*;
+use pclass_algos::counters::LookupStats;
 use pclass_algos::hicuts::HiCutsConfig;
 use pclass_algos::hypercuts::HyperCutsConfig;
 use proptest::prelude::*;
@@ -59,6 +61,15 @@ proptest! {
             let per_packet: Vec<MatchResult> =
                 headers.iter().map(|h| flat.classify(h)).collect();
             prop_assert_eq!(&per_packet, &expected, "{} per-packet", flat.name());
+
+            // The work each lookup counts is the pointer tree's, field for
+            // field: what the SA-1100 pricing of the `sim_*` metrics reads.
+            for h in &headers {
+                let (mut want, mut got) = (LookupStats::new(), LookupStats::new());
+                tree.classify_with_stats(h, &mut want);
+                flat.classify_with_stats(h, &mut got);
+                prop_assert_eq!(got, want, "{} stats on {:?}", flat.name(), h);
+            }
 
             // Batched equivalence at 0 / 1 / odd / full batch sizes.
             for batch in [0usize, 1, 3, 7, headers.len().max(1)] {

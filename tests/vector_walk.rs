@@ -1,9 +1,9 @@
 //! Property-based equivalence of the vectorised lane walk: at every
-//! [`LaneWidth`] — [`LaneWidth::Scalar`] is a lane of one — the batched
-//! flat-arena walk must classify packet-for-packet like per-packet
-//! [`FlatTree::classify`] (the differential oracle, itself checked against
-//! linear search over the live rules) — across random rulesets and builder
-//! configurations, batch sizes that leave odd sub-lane tails, and
+//! [`LaneWidth`] — [`LaneWidth::Scalar`] is a lane of one, and so is
+//! per-packet [`FlatTree::classify`] — the flat-arena walk must classify
+//! packet-for-packet like linear search over the arena's live rules, an
+//! oracle that shares no code with the walk — across random rulesets and
+//! builder configurations, batch sizes that leave odd sub-lane tails, and
 //! post-churn arenas driven without a re-flatten, so full spans have moved
 //! to the slab end and left dead slots behind.  The width
 //! [`FlatTree::classify_batch`] picks for itself is swept too, on arenas
@@ -20,11 +20,17 @@ use proptest::prelude::*;
 /// trace in one batch.
 const BATCHES: [usize; 6] = [1, 3, 7, 13, 21, usize::MAX];
 
-/// The core property: every lane width — and the one `classify_batch`
-/// picks (`None`) — agrees with per-packet `classify` over `headers`, per
-/// batch size, including the empty batch.
-fn assert_lanes_match_scalar(name: &str, flat: &FlatTree, headers: &[PacketHeader]) {
-    let scalar: Vec<MatchResult> = headers.iter().map(|h| flat.classify(h, None)).collect();
+/// The core property: per-packet `classify`, every lane width and the one
+/// `classify_batch` picks (`None`) agree with linear search over the live
+/// rules on `headers`, per batch size, including the empty batch.
+fn assert_lanes_match_linear_search(name: &str, flat: &FlatTree, headers: &[PacketHeader]) {
+    let live = flat.live_rules();
+    let linear: Vec<MatchResult> = headers
+        .iter()
+        .map(|h| pclass_algos::update::classify_live_linear(&live, h))
+        .collect();
+    let per_packet: Vec<MatchResult> = headers.iter().map(|h| flat.classify(h, None)).collect();
+    prop_assert_eq!(&per_packet, &linear, "{} per-packet walk", name);
     let serve = |chunk: &[PacketHeader], out: &mut Vec<MatchResult>, lanes| match lanes {
         Some(lanes) => flat.classify_batch_lanes(chunk, out, lanes),
         None => flat.classify_batch(chunk, out),
@@ -41,8 +47,8 @@ fn assert_lanes_match_scalar(name: &str, flat: &FlatTree, headers: &[PacketHeade
             }
             prop_assert_eq!(
                 &out,
-                &scalar,
-                "{} {:?} batch {} disagrees with scalar walk",
+                &linear,
+                "{} {:?} batch {} disagrees with linear search",
                 name,
                 lanes,
                 batch
@@ -101,7 +107,7 @@ fn apply_script(flat: &mut FlatTree, script: &[(bool, u8)], fresh_pool: &[Rule],
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
-    fn every_lane_width_matches_the_scalar_walk(
+    fn every_lane_width_matches_linear_search(
         seed in 0u64..1_000_000,
         rules in 1usize..140,
         packets in 0usize..260,
@@ -124,15 +130,15 @@ proptest! {
                 push_common_rules: push_common,
             },
         );
-        assert_lanes_match_scalar("hicuts-flat", hicuts.flatten().flat_tree(), &headers);
-        assert_lanes_match_scalar("hypercuts-flat", hypercuts.flatten().flat_tree(), &headers);
+        assert_lanes_match_linear_search("hicuts-flat", hicuts.flatten().flat_tree(), &headers);
+        assert_lanes_match_linear_search("hypercuts-flat", hypercuts.flatten().flat_tree(), &headers);
     }
 
     /// Post-churn arenas: random insert/delete scripts with no re-flatten,
     /// so the lane walk reads moved spans (and steps over the dead slots
-    /// they left) exactly like the scalar walk does.
+    /// they left) and still answers like linear search over the live set.
     #[test]
-    fn lane_walk_matches_scalar_on_post_churn_arenas_with_moved_spans(
+    fn lane_walk_matches_linear_search_on_post_churn_arenas_with_moved_spans(
         seed in 0u64..1_000_000,
         rules in 1usize..110,
         packets in 1usize..200,
@@ -178,19 +184,7 @@ proptest! {
             let next_id = (rs.len() + fresh_pool.len()) as u32;
             apply_script(&mut flat, &script, &fresh_pool, next_id);
             prop_assert!(flat.dirty_ratio() > 0.0, "{} arena is not dirty", name);
-            // The scalar oracle itself is checked against linear search
-            // over the live set, so the chain is closed end to end.
-            let live = flat.live_rules();
-            for h in &headers {
-                let want = pclass_algos::update::classify_live_linear(&live, h);
-                prop_assert_eq!(
-                    flat.classify(h, None),
-                    want,
-                    "{} scalar walk vs live linear",
-                    name
-                );
-            }
-            assert_lanes_match_scalar(name, &flat, &headers);
+            assert_lanes_match_linear_search(name, &flat, &headers);
         }
     }
 }
@@ -222,6 +216,6 @@ fn churned_acl_arenas_with_moved_spans_are_lane_exact() {
             "churn without a re-flatten must leave dead slots behind"
         );
         assert_eq!(flat.arena_stats().total_bytes > 1 << 20, past_1_mib);
-        assert_lanes_match_scalar(rs.name(), &flat, &headers);
+        assert_lanes_match_linear_search(rs.name(), &flat, &headers);
     }
 }
