@@ -728,6 +728,58 @@ mod tests {
         assert_eq!(batched, sequential);
     }
 
+    /// FNV-1a over every table's class count and entries, phase by phase.
+    fn table_fingerprint(rfc: &RfcClassifier) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for t in [
+            &rfc.src_hi,
+            &rfc.src_lo,
+            &rfc.dst_hi,
+            &rfc.dst_lo,
+            &rfc.src_port,
+            &rfc.dst_port,
+            &rfc.proto,
+            &rfc.src_addr,
+            &rfc.dst_addr,
+            &rfc.ports,
+            &rfc.addrs,
+            &rfc.ports_proto,
+            &rfc.final_table,
+        ] {
+            eat(t.classes as u64);
+            eat(t.entries.len() as u64);
+            t.entries.iter().for_each(|&e| eat(u64::from(e)));
+        }
+        hash
+    }
+
+    /// Every RFC table, entry for entry, on one ClassBench set of each
+    /// style: a change to how the tables are built must leave them
+    /// bit-identical (class ids numbered in first-seen order included).
+    #[test]
+    fn tables_are_pinned_on_classbench_sets() {
+        use pclass_classbench::{ClassBenchGenerator, SeedStyle};
+        let pins = [
+            (SeedStyle::Acl, 489_807, 0xd93e_82d6_57d8_8256),
+            (SeedStyle::Fw, 2_501_156, 0x308e_df3f_0fef_0d9b),
+            (SeedStyle::Ipc, 670_928, 0x0305_4641_967c_f48b),
+        ];
+        for (style, entries, fingerprint) in pins {
+            let rs = ClassBenchGenerator::new(style, 20080414).generate(300);
+            let rfc = RfcClassifier::build(&rs).unwrap();
+            assert_eq!(
+                (rfc.table_entries(), table_fingerprint(&rfc)),
+                (entries, fingerprint),
+                "{style:?}"
+            );
+        }
+    }
+
     #[test]
     fn memory_limit_is_enforced() {
         let rs = five_tuple_set();
