@@ -90,15 +90,6 @@ pub struct LookupStats {
     /// Structure memory words/entries read — the "memory accesses" of
     /// Tables 4 and 8.
     pub memory_accesses: u64,
-    /// Lookups answered by a hot-flow cache in front of the classifier
-    /// (always 0 for uncached classifiers).
-    pub cache_hits: u64,
-    /// Lookups that probed a hot-flow cache and fell through to the backing
-    /// classifier (always 0 for uncached classifiers).
-    pub cache_misses: u64,
-    /// Cache fills that displaced a live entry (always 0 for uncached
-    /// classifiers).
-    pub cache_evictions: u64,
 }
 
 impl LookupStats {
@@ -148,9 +139,6 @@ impl LookupStats {
         self.nodes_visited += other.nodes_visited;
         self.rules_compared += other.rules_compared;
         self.memory_accesses += other.memory_accesses;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
     }
 }
 
@@ -224,18 +212,6 @@ mod tests {
         assert_eq!(a.nodes_visited, 5);
         assert_eq!(a.rules_compared, 7);
         assert_eq!(a.memory_accesses, 4);
-    }
-
-    #[test]
-    fn lookup_stats_merge_cache_counters() {
-        let mut a = LookupStats::new();
-        a.cache_hits = 5;
-        a.cache_misses = 2;
-        let mut b = LookupStats::new();
-        b.cache_hits = 1;
-        b.cache_evictions = 3;
-        a.merge(&b);
-        assert_eq!((a.cache_hits, a.cache_misses, a.cache_evictions), (6, 2, 3));
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! a fill sweeps the set's clock hand, clearing reference bits until it
 //! finds an unreferenced victim — stale-generation entries are reclaimed
 //! first.  Hit/miss/eviction/bypass counters feed
-//! [`pclass_types::CacheStats`] and the `cache_*` fields of
-//! [`LookupStats`].
+//! [`pclass_types::CacheStats`], their one home; [`LookupStats`] carries
+//! only the probe's loads and the fill's stores.
 //!
 //! A cache is never a lasting loss.  [`HotCache::serve_batch`] keeps books
 //! on itself: each sub-batch it probes is timed as a whole and across its
@@ -730,14 +730,12 @@ impl<C: Classifier> Classifier for CachedClassifier<C> {
         stats.ops.loads += probe_loads;
         stats.memory_accesses += probe_loads;
         if let Some(result) = self.cache.probe(pkt, self.generation) {
-            stats.cache_hits += 1;
             return result;
         }
-        stats.cache_misses += 1;
         let result = self.inner.classify_with_stats(pkt, stats);
         if probe_loads > 0 {
             stats.ops.stores += 8; // one slot rewrite
-            stats.cache_evictions += u64::from(self.cache.fill(pkt, self.generation, result));
+            self.cache.fill(pkt, self.generation, result);
         }
         result
     }
@@ -1077,7 +1075,8 @@ mod tests {
         assert!(cached.memory_bytes() > plain.memory_bytes());
         let mut lookup = LookupStats::new();
         cached.classify_with_stats(&trace[0], &mut lookup);
-        assert_eq!(lookup.cache_hits + lookup.cache_misses, 1);
+        let delta = cached.cache().stats().delta_since(&stats);
+        assert_eq!(delta.hits + delta.misses, 1);
         // The layout report passes through: the cache adds no arena.
         assert_eq!(cached.arena_stats(), None);
         let flat = CachedClassifier::new(updatable(&rs), HotCacheConfig::new(64, 4));
@@ -1088,7 +1087,7 @@ mod tests {
     #[test]
     fn zero_capacity_wrapper_charges_only_the_inner_lookup() {
         // No slots: no set to probe and no entry to fill, so the per-lookup
-        // work is the inner classifier's plus one counted miss.
+        // work is the inner classifier's, and the cache counts one miss.
         use pclass_classbench::{ClassBenchGenerator, SeedStyle, TraceGenerator};
         let rs = ClassBenchGenerator::new(SeedStyle::Acl, 5).generate(50);
         let trace = TraceGenerator::new(&rs, 6).generate(200);
@@ -1097,9 +1096,15 @@ mod tests {
         for pkt in trace.headers() {
             let (mut want, mut got) = (LookupStats::new(), LookupStats::new());
             let result = inner.classify_with_stats(pkt, &mut want);
+            let before = cached.cache().stats();
             assert_eq!(cached.classify_with_stats(pkt, &mut got), result);
-            want.cache_misses = 1;
             assert_eq!(got, want, "{pkt}");
+            let delta = cached.cache().stats().delta_since(&before);
+            let one_miss = CacheStats {
+                misses: 1,
+                ..CacheStats::default()
+            };
+            assert_eq!(delta, one_miss, "{pkt}");
         }
         assert_eq!(
             cached.worst_case_memory_accesses(),

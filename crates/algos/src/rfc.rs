@@ -13,21 +13,32 @@
 //!    tables until a single id remains; that id directly yields the
 //!    highest-priority matching rule.
 //!
+//! Each step has one implementation.  One table builder makes the seven
+//! phase-0 tables: rule endpoints cut a chunk's values into runs, one key
+//! per run, keys numbered in first-seen order.  One cross product makes the
+//! six later tables from every pair of classes, each entry a join of the
+//! pair's keys: a class id in phases 1 and 2, the first common rule in the
+//! last.  One phase-major tile walk does every lookup: `classify_batch`
+//! runs it 64 packets at a time and per-packet `classify` is a tile of one.
+//!
 //! Splitting a 32-bit address into two independent 16-bit chunks is only
 //! exact when the high and low halves constrain a rule independently.  That
 //! is true for prefixes but not for arbitrary address ranges that span
-//! several high-half values, so this implementation tracks a small per-rule
-//! *state* (outside / interior / low-edge / high-edge / single-column) for
-//! the high chunk and resolves it exactly when the two halves are combined in
-//! phase 1 (the private `HiState` machinery).  The result is an exact
-//! classifier for every
-//! ruleset the workspace generators produce, verified against linear search
-//! by the integration tests.
+//! several high-half values, so the high chunk is keyed, per rule, by a
+//! `HiState` (outside / interior / low-edge / high-edge / single-column)
+//! that phase 1 resolves exactly against the low half.  It is the minimal
+//! exact key for an arbitrary range: any two of the five states admit
+//! different low halves for some range, while a finer key (say, a pair of
+//! `Ordering`s against the endpoints) would split values no low half tells
+//! apart, such as below and above the range, and so make more classes and
+//! larger tables.  The result is exact for every ruleset the workspace
+//! generators produce, verified against linear search by the tests.
 
 use crate::counters::LookupStats;
 use crate::Classifier;
-use pclass_types::{Dimension, MatchResult, PacketHeader, RuleSet};
+use pclass_types::{Dimension, FieldRange, MatchResult, PacketHeader, Rule, RuleSet};
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Configuration of the RFC preprocessor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,57 +101,91 @@ enum HiState {
     SingleColumn,
 }
 
+impl HiState {
+    /// The state of high half `h` against `range`.
+    fn of(h: u32, range: FieldRange) -> HiState {
+        let (lo, hi) = (range.lo >> 16, range.hi >> 16);
+        if h < lo || h > hi {
+            HiState::Outside
+        } else if lo == hi {
+            HiState::SingleColumn
+        } else if h == lo {
+            HiState::LowEdge
+        } else if h == hi {
+            HiState::HighEdge
+        } else {
+            HiState::Interior
+        }
+    }
+
+    /// Whether a low half whose flags are `(>= lo & 0xFFFF, <= hi & 0xFFFF)`
+    /// completes an address inside the range.
+    fn admits(self, (ge_lo, le_hi): (bool, bool)) -> bool {
+        match self {
+            HiState::Outside => false,
+            HiState::Interior => true,
+            HiState::LowEdge => ge_lo,
+            HiState::HighEdge => le_hi,
+            HiState::SingleColumn => ge_lo && le_hi,
+        }
+    }
+}
+
 /// A dense rule bitmap.
 type Bitmap = Vec<u64>;
 
-fn bitmap_new(bits: usize) -> Bitmap {
-    vec![0u64; bits.div_ceil(64)]
-}
-
-fn bitmap_set(b: &mut Bitmap, i: usize) {
-    b[i / 64] |= 1u64 << (i % 64);
+/// The bitmap of the rules `i < n` for which `hit(i)` holds.  It is sized
+/// once and only the set bits are written, because phase 1 builds one per
+/// table entry.
+fn bitmap(n: usize, hit: impl Fn(usize) -> bool) -> Bitmap {
+    let mut bm = vec![0u64; n.div_ceil(64)];
+    for i in (0..n).filter(|&i| hit(i)) {
+        bm[i / 64] |= 1 << (i % 64);
+    }
+    bm
 }
 
 fn bitmap_and(a: &Bitmap, b: &Bitmap) -> Bitmap {
-    a.iter().zip(b.iter()).map(|(x, y)| x & y).collect()
+    a.iter().zip(b).map(|(x, y)| x & y).collect()
 }
 
-fn bitmap_first(b: &Bitmap) -> Option<usize> {
-    for (w, &word) in b.iter().enumerate() {
-        if word != 0 {
-            return Some(w * 64 + word.trailing_zeros() as usize);
+/// The first rule set in both bitmaps as its index + 1, or 0 for none.
+fn first_common(a: &Bitmap, b: &Bitmap) -> u32 {
+    for (w, (x, y)) in a.iter().zip(b).enumerate() {
+        if x & y != 0 {
+            return w as u32 * 64 + (x & y).trailing_zeros() + 1;
         }
     }
-    None
+    0
 }
 
-/// Assigns consecutive class ids to distinct keys.
-struct Classer<K> {
-    map: HashMap<K, u32>,
+/// Numbers distinct keys 0, 1, 2, … in first-seen order, and records each
+/// key once, in id order, for the next phase's cross product.
+struct Classes<K> {
+    ids: HashMap<K, u32>,
+    keys: Vec<K>,
 }
 
-impl<K: std::hash::Hash + Eq + Clone> Classer<K> {
+impl<K: Hash + Eq + Clone> Classes<K> {
     fn new() -> Self {
-        Classer {
-            map: HashMap::new(),
+        Classes {
+            ids: HashMap::new(),
+            keys: Vec::new(),
         }
     }
-    fn id_of(&mut self, key: &K) -> u32 {
-        if let Some(&id) = self.map.get(key) {
-            return id;
-        }
-        let id = self.map.len() as u32;
-        self.map.insert(key.clone(), id);
-        id
+
+    fn id(&mut self, key: K) -> u32 {
+        let next = self.keys.len() as u32;
+        *self.ids.entry(key).or_insert_with_key(|key| {
+            self.keys.push(key.clone());
+            next
+        })
     }
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-    /// Keys ordered by their assigned id.
-    fn keys_in_order(&self) -> Vec<K> {
-        let mut pairs: Vec<(&K, &u32)> = self.map.iter().collect();
-        pairs.sort_by_key(|(_, &id)| id);
-        pairs.into_iter().map(|(k, _)| k.clone()).collect()
+
+    /// The table of `entries` over these classes, and its keys in id order.
+    fn into_table(self, entries: Vec<u32>) -> (PhaseTable, Vec<K>) {
+        let classes = self.keys.len();
+        (PhaseTable { entries, classes }, self.keys)
     }
 }
 
@@ -153,12 +198,81 @@ struct PhaseTable {
 }
 
 impl PhaseTable {
-    fn lookup(&self, idx: usize) -> u32 {
-        self.entries[idx]
+    /// The entry of a cross-product table for class `a` of its left operand
+    /// and class `b` of its right operand, the table `right`.
+    fn pair(&self, a: u32, b: u32, right: &PhaseTable) -> u32 {
+        self.entries[a as usize * right.classes + b as usize]
     }
-    fn entry_count(&self) -> usize {
-        self.entries.len()
+}
+
+/// The one phase-0 builder: the table over chunk values `0..size`.  A rule
+/// whose range spans `(lo, hi)` in chunk values can change a value's key
+/// only at `lo`, `lo + 1`, `hi` and `hi + 1`, so those cuts split the values
+/// into runs; `key` is computed once per run and every value in the run
+/// gets the run's class id.
+fn chunk_table<K: Hash + Eq + Clone>(
+    size: u32,
+    spans: Vec<(u32, u32)>,
+    key: impl Fn(u32) -> K,
+) -> (PhaseTable, Vec<K>) {
+    let mut cuts = vec![0, size];
+    for (lo, hi) in spans {
+        cuts.extend([lo, lo + 1, hi, hi + 1]);
     }
+    cuts.retain(|&c| c <= size);
+    cuts.sort_unstable();
+    cuts.dedup();
+    let mut classes = Classes::new();
+    let mut entries = Vec::with_capacity(size as usize);
+    for run in cuts.windows(2) {
+        let id = classes.id(key(run[0]));
+        entries.resize(run[1] as usize, id);
+    }
+    classes.into_table(entries)
+}
+
+/// The one cross product: `join` of every (a, b) pair, a-major, which is
+/// the layout [`PhaseTable::pair`] reads.  Refuses before allocating a table
+/// over `limit` entries.
+fn cross<A, B>(
+    a: &[A],
+    b: &[B],
+    limit: usize,
+    mut join: impl FnMut(&A, &B) -> u32,
+) -> Result<Vec<u32>, RfcError> {
+    let required = a.len() * b.len();
+    if required > limit {
+        return Err(RfcError::MemoryLimit { required });
+    }
+    let mut entries = Vec::with_capacity(required);
+    for x in a {
+        entries.extend(b.iter().map(|y| join(x, y)));
+    }
+    Ok(entries)
+}
+
+/// A phase-1 or phase-2 table: the cross product of two phases' classes,
+/// with each pair's joined key numbered as a class of its own.
+fn combine<A, B, K: Hash + Eq + Clone>(
+    a: &[A],
+    b: &[B],
+    limit: usize,
+    join: impl Fn(&A, &B) -> K,
+) -> Result<(PhaseTable, Vec<K>), RfcError> {
+    let mut classes = Classes::new();
+    let entries = cross(a, b, limit, |x, y| classes.id(join(x, y)))?;
+    Ok(classes.into_table(entries))
+}
+
+/// Each rule's `state` for its range in field `dim`.
+fn per_rule<S>(rules: &[Rule], dim: Dimension, state: impl Fn(FieldRange) -> S) -> Vec<S> {
+    rules.iter().map(|r| state(r.range(dim))).collect()
+}
+
+/// The result an entry of the final table names: rule id + 1, 0 = no match.
+fn matched(id: u32) -> MatchResult {
+    id.checked_sub(1)
+        .map_or(MatchResult::NoMatch, MatchResult::Matched)
 }
 
 /// The RFC classifier.
@@ -192,235 +306,43 @@ impl RfcClassifier {
 
     /// Preprocesses a ruleset into RFC tables.
     pub fn build_with(ruleset: &RuleSet, config: &RfcConfig) -> Result<RfcClassifier, RfcError> {
-        let n = ruleset.len();
-        let rules = ruleset.rules();
+        let (n, rules, limit) = (ruleset.len(), ruleset.rules(), config.max_table_entries);
+        let spans = |dim, part: fn(u32) -> u32| per_rule(rules, dim, |r| (part(r.lo), part(r.hi)));
 
-        // ---- Phase 0: address high halves (state vectors) ----------------
-        let addr_hi = |dim: Dimension| -> (PhaseTable, Vec<Vec<HiState>>) {
-            let mut classer: Classer<Vec<HiState>> = Classer::new();
-            let mut entries = Vec::with_capacity(1 << 16);
-            // Boundary-compression: rule endpoints partition the 65536 values
-            // into runs with identical state vectors; we still emit a full
-            // direct-indexed table but only recompute the vector at
-            // boundaries.
-            let mut boundaries = vec![0u32, 1 << 16];
-            for r in rules {
-                let range = r.range(dim);
-                let (lo_hi, hi_hi) = (range.lo >> 16, range.hi >> 16);
-                boundaries.push(lo_hi);
-                boundaries.push(lo_hi + 1);
-                boundaries.push(hi_hi);
-                boundaries.push(hi_hi + 1);
-            }
-            boundaries.retain(|&b| b <= 1 << 16);
-            boundaries.sort_unstable();
-            boundaries.dedup();
-            for w in boundaries.windows(2) {
-                let (start, end) = (w[0], w[1]);
-                if start >= end {
-                    continue;
-                }
-                let v = start;
-                let states: Vec<HiState> = rules
-                    .iter()
-                    .map(|r| {
-                        let range = r.range(dim);
-                        let (lo_hi, hi_hi) = (range.lo >> 16, range.hi >> 16);
-                        if v < lo_hi || v > hi_hi {
-                            HiState::Outside
-                        } else if lo_hi == hi_hi {
-                            HiState::SingleColumn
-                        } else if v == lo_hi {
-                            HiState::LowEdge
-                        } else if v == hi_hi {
-                            HiState::HighEdge
-                        } else {
-                            HiState::Interior
-                        }
-                    })
-                    .collect();
-                let id = classer.id_of(&states);
-                for _ in start..end {
-                    entries.push(id);
-                }
-            }
-            debug_assert_eq!(entries.len(), 1 << 16);
-            let classes = classer.len();
-            (PhaseTable { entries, classes }, classer.keys_in_order())
+        // Phases 0 and 1 of an address.  The high half is keyed by each
+        // rule's `HiState`, the low half by whether it clears each rule's
+        // low-half endpoints, and an address matches a rule when its high
+        // half's state admits its low half's flags.
+        let address = |dim: Dimension| {
+            let (hi, hi_keys) = chunk_table(1 << 16, spans(dim, |v| v >> 16), |h| {
+                per_rule(rules, dim, |r| HiState::of(h, r))
+            });
+            let (lo, lo_keys) = chunk_table(1 << 16, spans(dim, |v| v & 0xFFFF), |l| {
+                per_rule(rules, dim, |r| (l >= r.lo & 0xFFFF, l <= r.hi & 0xFFFF))
+            });
+            let join =
+                |hs: &Vec<HiState>, ls: &Vec<(bool, bool)>| bitmap(n, |i| hs[i].admits(ls[i]));
+            combine(&hi_keys, &lo_keys, limit, join).map(|(addr, keys)| (hi, lo, addr, keys))
         };
-
-        // ---- Phase 0: address low halves (pairs of booleans) -------------
-        let addr_lo = |dim: Dimension| -> (PhaseTable, Vec<Vec<(bool, bool)>>) {
-            let mut classer: Classer<Vec<(bool, bool)>> = Classer::new();
-            let mut entries = Vec::with_capacity(1 << 16);
-            let mut boundaries = vec![0u32, 1 << 16];
-            for r in rules {
-                let range = r.range(dim);
-                boundaries.push(range.lo & 0xFFFF);
-                boundaries.push((range.lo & 0xFFFF) + 1);
-                boundaries.push(range.hi & 0xFFFF);
-                boundaries.push((range.hi & 0xFFFF) + 1);
-            }
-            boundaries.retain(|&b| b <= 1 << 16);
-            boundaries.sort_unstable();
-            boundaries.dedup();
-            for w in boundaries.windows(2) {
-                let (start, end) = (w[0], w[1]);
-                if start >= end {
-                    continue;
-                }
-                let v = start;
-                let flags: Vec<(bool, bool)> = rules
-                    .iter()
-                    .map(|r| {
-                        let range = r.range(dim);
-                        (v >= (range.lo & 0xFFFF), v <= (range.hi & 0xFFFF))
-                    })
-                    .collect();
-                let id = classer.id_of(&flags);
-                for _ in start..end {
-                    entries.push(id);
-                }
-            }
-            debug_assert_eq!(entries.len(), 1 << 16);
-            let classes = classer.len();
-            (PhaseTable { entries, classes }, classer.keys_in_order())
+        // Ports and protocol are keyed by the rules whose range holds them.
+        let whole = |dim: Dimension, bits: u32| {
+            chunk_table(1 << bits, spans(dim, |v| v), |v| {
+                bitmap(n, |i| rules[i].range(dim).contains(v))
+            })
         };
-
-        // ---- Phase 0: whole-chunk fields (rule bitmaps) -------------------
-        let whole_chunk = |dim: Dimension, bits: u32| -> (PhaseTable, Vec<Bitmap>) {
-            let size = 1usize << bits;
-            let mut classer: Classer<Bitmap> = Classer::new();
-            let mut entries = Vec::with_capacity(size);
-            let mut boundaries = vec![0u32, size as u32];
-            for r in rules {
-                let range = r.range(dim);
-                boundaries.push(range.lo);
-                boundaries.push(range.lo + 1);
-                boundaries.push(range.hi);
-                boundaries.push(range.hi + 1);
-            }
-            boundaries.retain(|&b| b <= size as u32);
-            boundaries.sort_unstable();
-            boundaries.dedup();
-            for w in boundaries.windows(2) {
-                let (start, end) = (w[0], w[1]);
-                if start >= end {
-                    continue;
-                }
-                let v = start;
-                let mut bm = bitmap_new(n);
-                for (i, r) in rules.iter().enumerate() {
-                    if r.range(dim).contains(v) {
-                        bitmap_set(&mut bm, i);
-                    }
-                }
-                let id = classer.id_of(&bm);
-                for _ in start..end {
-                    entries.push(id);
-                }
-            }
-            debug_assert_eq!(entries.len(), size);
-            let classes = classer.len();
-            (PhaseTable { entries, classes }, classer.keys_in_order())
-        };
-
-        let (src_hi, src_hi_states) = addr_hi(Dimension::SrcIp);
-        let (src_lo, src_lo_flags) = addr_lo(Dimension::SrcIp);
-        let (dst_hi, dst_hi_states) = addr_hi(Dimension::DstIp);
-        let (dst_lo, dst_lo_flags) = addr_lo(Dimension::DstIp);
-        let (src_port, src_port_bms) = whole_chunk(Dimension::SrcPort, 16);
-        let (dst_port, dst_port_bms) = whole_chunk(Dimension::DstPort, 16);
-        let (proto, proto_bms) = whole_chunk(Dimension::Protocol, 8);
-
-        let check = |required: usize| -> Result<(), RfcError> {
-            if required > config.max_table_entries {
-                Err(RfcError::MemoryLimit { required })
-            } else {
-                Ok(())
-            }
-        };
-
-        // ---- Phase 1: combine address halves exactly ----------------------
-        let combine_addr = |hi: &PhaseTable,
-                            hi_states: &[Vec<HiState>],
-                            lo: &PhaseTable,
-                            lo_flags: &[Vec<(bool, bool)>]|
-         -> Result<(PhaseTable, Vec<Bitmap>), RfcError> {
-            let required = hi.classes * lo.classes;
-            check(required)?;
-            let mut classer: Classer<Bitmap> = Classer::new();
-            let mut entries = Vec::with_capacity(required);
-            for hs in hi_states {
-                for lf in lo_flags {
-                    let mut bm = bitmap_new(n);
-                    for i in 0..n {
-                        let (ge_lo, le_hi) = lf[i];
-                        let hit = match hs[i] {
-                            HiState::Outside => false,
-                            HiState::Interior => true,
-                            HiState::LowEdge => ge_lo,
-                            HiState::HighEdge => le_hi,
-                            HiState::SingleColumn => ge_lo && le_hi,
-                        };
-                        if hit {
-                            bitmap_set(&mut bm, i);
-                        }
-                    }
-                    entries.push(classer.id_of(&bm));
-                }
-            }
-            let classes = classer.len();
-            Ok((PhaseTable { entries, classes }, classer.keys_in_order()))
-        };
-
-        // ---- Generic bitmap cross-product ---------------------------------
-        let combine_bitmaps = |a: &PhaseTable,
-                               a_bms: &[Bitmap],
-                               b: &PhaseTable,
-                               b_bms: &[Bitmap]|
-         -> Result<(PhaseTable, Vec<Bitmap>), RfcError> {
-            let required = a.classes * b.classes;
-            check(required)?;
-            let mut classer: Classer<Bitmap> = Classer::new();
-            let mut entries = Vec::with_capacity(required);
-            for abm in a_bms {
-                for bbm in b_bms {
-                    let bm = bitmap_and(abm, bbm);
-                    entries.push(classer.id_of(&bm));
-                }
-            }
-            let classes = classer.len();
-            Ok((PhaseTable { entries, classes }, classer.keys_in_order()))
-        };
-
-        let (src_addr, src_addr_bms) =
-            combine_addr(&src_hi, &src_hi_states, &src_lo, &src_lo_flags)?;
-        let (dst_addr, dst_addr_bms) =
-            combine_addr(&dst_hi, &dst_hi_states, &dst_lo, &dst_lo_flags)?;
-        let (ports, ports_bms) =
-            combine_bitmaps(&src_port, &src_port_bms, &dst_port, &dst_port_bms)?;
-        let (addrs, addrs_bms) =
-            combine_bitmaps(&src_addr, &src_addr_bms, &dst_addr, &dst_addr_bms)?;
-        let (ports_proto, ports_proto_bms) =
-            combine_bitmaps(&ports, &ports_bms, &proto, &proto_bms)?;
-
-        // ---- Phase 3: final table stores rule id + 1 -----------------------
-        let required = addrs.classes * ports_proto.classes;
-        check(required)?;
-        let mut final_entries = Vec::with_capacity(required);
-        for abm in &addrs_bms {
-            for pbm in &ports_proto_bms {
-                let bm = bitmap_and(abm, pbm);
-                final_entries.push(match bitmap_first(&bm) {
-                    Some(i) => i as u32 + 1,
-                    None => 0,
-                });
-            }
-        }
+        let (src_hi, src_lo, src_addr, src_addr_keys) = address(Dimension::SrcIp)?;
+        let (dst_hi, dst_lo, dst_addr, dst_addr_keys) = address(Dimension::DstIp)?;
+        let (src_port, src_port_keys) = whole(Dimension::SrcPort, 16);
+        let (dst_port, dst_port_keys) = whole(Dimension::DstPort, 16);
+        let (proto, proto_keys) = whole(Dimension::Protocol, 8);
+        let (ports, ports_keys) = combine(&src_port_keys, &dst_port_keys, limit, bitmap_and)?;
+        // Phase 2.
+        let (addrs, addrs_keys) = combine(&src_addr_keys, &dst_addr_keys, limit, bitmap_and)?;
+        let (ports_proto, ports_proto_keys) = combine(&ports_keys, &proto_keys, limit, bitmap_and)?;
+        // Phase 3: the first rule both sides match.
         let final_table = PhaseTable {
+            entries: cross(&addrs_keys, &ports_proto_keys, limit, first_common)?,
             classes: 0,
-            entries: final_entries,
         };
 
         Ok(RfcClassifier {
@@ -465,41 +387,47 @@ impl RfcClassifier {
             &self.final_table,
         ]
         .iter()
-        .map(|t| t.entry_count())
+        .map(|t| t.entries.len())
         .sum()
     }
 
-    #[inline]
-    fn lookup_ids(&self, pkt: &PacketHeader) -> u32 {
-        let src = pkt.src_ip();
-        let dst = pkt.dst_ip();
-        let a = self.src_hi.lookup((src >> 16) as usize);
-        let b = self.src_lo.lookup((src & 0xFFFF) as usize);
-        let c = self.dst_hi.lookup((dst >> 16) as usize);
-        let d = self.dst_lo.lookup((dst & 0xFFFF) as usize);
-        let e = self.src_port.lookup(pkt.src_port() as usize);
-        let f = self.dst_port.lookup(pkt.dst_port() as usize);
-        let g = self.proto.lookup(pkt.protocol() as usize);
-
-        let sa = self
-            .src_addr
-            .lookup(a as usize * self.src_lo.classes + b as usize);
-        let da = self
-            .dst_addr
-            .lookup(c as usize * self.dst_lo.classes + d as usize);
-        let pp = self
-            .ports
-            .lookup(e as usize * self.dst_port.classes + f as usize);
-
-        let ad = self
-            .addrs
-            .lookup(sa as usize * self.dst_addr.classes + da as usize);
-        let pg = self
-            .ports_proto
-            .lookup(pp as usize * self.proto.classes + g as usize);
-
-        self.final_table
-            .lookup(ad as usize * self.ports_proto.classes + pg as usize)
+    /// The one lookup: a phase-major walk over a tile of at most `W`
+    /// packets, writing each one's rule id + 1 (0 = no match) to
+    /// `ids[..tile.len()]`.  Each phase reads its tables for the whole tile
+    /// before the next phase starts, so with large rulesets one table's
+    /// working set is reused across the tile instead of being evicted 13
+    /// tables later.
+    #[inline(always)]
+    fn walk<const W: usize>(&self, tile: &[PacketHeader], ids: &mut [u32; W]) {
+        let (mut sa, mut da, mut pp) = ([0u32; W], [0u32; W], [0u32; W]);
+        // Phases 0 and 1, one address or port pair at a time.
+        for (i, p) in tile.iter().enumerate() {
+            let hi = self.src_hi.entries[(p.src_ip() >> 16) as usize];
+            let lo = self.src_lo.entries[(p.src_ip() & 0xFFFF) as usize];
+            sa[i] = self.src_addr.pair(hi, lo, &self.src_lo);
+        }
+        for (i, p) in tile.iter().enumerate() {
+            let hi = self.dst_hi.entries[(p.dst_ip() >> 16) as usize];
+            let lo = self.dst_lo.entries[(p.dst_ip() & 0xFFFF) as usize];
+            da[i] = self.dst_addr.pair(hi, lo, &self.dst_lo);
+        }
+        for (i, p) in tile.iter().enumerate() {
+            let sp = self.src_port.entries[usize::from(p.src_port())];
+            let dp = self.dst_port.entries[usize::from(p.dst_port())];
+            pp[i] = self.ports.pair(sp, dp, &self.dst_port);
+        }
+        // Phase 2: addresses (into `ids`), then ports x protocol.
+        for i in 0..tile.len() {
+            ids[i] = self.addrs.pair(sa[i], da[i], &self.dst_addr);
+        }
+        for (i, p) in tile.iter().enumerate() {
+            let g = self.proto.entries[usize::from(p.protocol())];
+            pp[i] = self.ports_proto.pair(pp[i], g, &self.proto);
+        }
+        // Phase 3: the final table.
+        for i in 0..tile.len() {
+            ids[i] = self.final_table.pair(ids[i], pp[i], &self.ports_proto);
+        }
     }
 }
 
@@ -509,78 +437,22 @@ impl Classifier for RfcClassifier {
     }
 
     fn classify(&self, pkt: &PacketHeader) -> MatchResult {
-        match self.lookup_ids(pkt) {
-            0 => MatchResult::NoMatch,
-            id => MatchResult::Matched(id - 1),
-        }
+        let mut id = [0];
+        self.walk(std::slice::from_ref(pkt), &mut id);
+        matched(id[0])
     }
 
-    /// Phase-major batched lookup.
-    ///
-    /// The per-packet path touches all 13 tables for one packet before
-    /// moving to the next, so with large rulesets every phase-1/2 access is
-    /// a likely cache miss.  Here the batch is processed in tiles and each
-    /// phase runs over the whole tile before the next phase starts, so one
-    /// table's working set is reused across the tile instead of being
-    /// evicted 13 tables later.
+    /// The phase-major walk, one tile at a time.
     fn classify_batch(&self, pkts: &[PacketHeader], out: &mut Vec<MatchResult>) {
         /// Tile width: large enough to amortise table reuse, small enough
         /// that the per-tile id arrays live comfortably in L1.
         const TILE: usize = 64;
 
         out.reserve(pkts.len());
-        let mut sa = [0u32; TILE];
-        let mut da = [0u32; TILE];
-        let mut pp = [0u32; TILE];
-        let mut scratch = [0u32; TILE];
+        let mut ids = [0; TILE];
         for tile in pkts.chunks(TILE) {
-            let n = tile.len();
-            // Phase 0 + phase 1, one address/port pair at a time.
-            for (i, pkt) in tile.iter().enumerate() {
-                let src = pkt.src_ip();
-                let hi = self.src_hi.lookup((src >> 16) as usize);
-                let lo = self.src_lo.lookup((src & 0xFFFF) as usize);
-                sa[i] = self
-                    .src_addr
-                    .lookup(hi as usize * self.src_lo.classes + lo as usize);
-            }
-            for (i, pkt) in tile.iter().enumerate() {
-                let dst = pkt.dst_ip();
-                let hi = self.dst_hi.lookup((dst >> 16) as usize);
-                let lo = self.dst_lo.lookup((dst & 0xFFFF) as usize);
-                da[i] = self
-                    .dst_addr
-                    .lookup(hi as usize * self.dst_lo.classes + lo as usize);
-            }
-            for (i, pkt) in tile.iter().enumerate() {
-                let sp = self.src_port.lookup(pkt.src_port() as usize);
-                let dp = self.dst_port.lookup(pkt.dst_port() as usize);
-                pp[i] = self
-                    .ports
-                    .lookup(sp as usize * self.dst_port.classes + dp as usize);
-            }
-            // Phase 2: addresses, then ports x protocol.
-            for i in 0..n {
-                scratch[i] = self
-                    .addrs
-                    .lookup(sa[i] as usize * self.dst_addr.classes + da[i] as usize);
-            }
-            for (i, pkt) in tile.iter().enumerate() {
-                let g = self.proto.lookup(pkt.protocol() as usize);
-                pp[i] = self
-                    .ports_proto
-                    .lookup(pp[i] as usize * self.proto.classes + g as usize);
-            }
-            // Phase 3: final table.
-            for i in 0..n {
-                let id = self
-                    .final_table
-                    .lookup(scratch[i] as usize * self.ports_proto.classes + pp[i] as usize);
-                out.push(match id {
-                    0 => MatchResult::NoMatch,
-                    id => MatchResult::Matched(id - 1),
-                });
-            }
+            self.walk(tile, &mut ids);
+            out.extend(ids[..tile.len()].iter().map(|&id| matched(id)));
         }
     }
 
@@ -706,11 +578,13 @@ mod tests {
         assert_eq!(stats.memory_accesses, 13);
     }
 
+    /// Batch and per-packet lookup run the same walk, so each is checked
+    /// against linear search instead of the other.
     #[test]
-    fn batched_lookup_matches_per_packet() {
+    fn batched_and_per_packet_lookup_match_linear_search() {
         let rs = five_tuple_set();
         let rfc = RfcClassifier::build(&rs).unwrap();
-        // More packets than one tile, including tile-boundary stragglers.
+        // Up to more packets than one tile, including tile-boundary stragglers.
         let pkts: Vec<PacketHeader> = (0u32..150)
             .map(|i| {
                 PacketHeader::five_tuple(
@@ -722,10 +596,18 @@ mod tests {
                 )
             })
             .collect();
-        let mut batched = Vec::new();
-        rfc.classify_batch(&pkts, &mut batched);
-        let sequential: Vec<MatchResult> = pkts.iter().map(|p| rfc.classify(p)).collect();
-        assert_eq!(batched, sequential);
+        let linear: Vec<MatchResult> = pkts.iter().map(|p| rs.classify_linear(p)).collect();
+        for (p, want) in pkts.iter().zip(&linear) {
+            assert_eq!(rfc.classify(p), *want, "packet {p}");
+        }
+        // Every batch is appended after the results already in `out`.
+        let mut out = Vec::new();
+        let mut want = Vec::new();
+        for n in [0, 1, 63, 64, 65, 150] {
+            rfc.classify_batch(&pkts[..n], &mut out);
+            want.extend_from_slice(&linear[..n]);
+            assert_eq!(out, want, "batch of {n}");
+        }
     }
 
     /// FNV-1a over every table's class count and entries, phase by phase.

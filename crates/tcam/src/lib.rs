@@ -251,28 +251,10 @@ fn expand_rule(rule: &Rule, ruleset: &RuleSet) -> Result<Vec<TcamEntry>, TcamErr
     let (src_v, src_m) = ip(Dimension::SrcIp)?;
     let (dst_v, dst_m) = ip(Dimension::DstIp)?;
 
-    let port_prefixes = |dim: Dimension| -> Vec<(u32, u32)> {
-        let width = ruleset.spec().width(dim);
-        Prefix::expand_range(rule.range(dim), width)
-            .into_iter()
-            .map(|p| {
-                let mask = mask_of(p.length, width);
-                (p.value & mask, mask)
-            })
-            .collect()
-    };
-    let sports = port_prefixes(Dimension::SrcPort);
-    let dports = port_prefixes(Dimension::DstPort);
-
-    let proto_range = rule.range(Dimension::Protocol);
-    let proto_width = ruleset.spec().width(Dimension::Protocol);
-    let protos: Vec<(u32, u32)> = Prefix::expand_range(proto_range, proto_width)
-        .into_iter()
-        .map(|p| {
-            let mask = mask_of(p.length, proto_width);
-            (p.value & mask, mask)
-        })
-        .collect();
+    let ternary = |dim: Dimension| range_to_ternary(rule.range(dim), ruleset.spec().width(dim));
+    let sports = ternary(Dimension::SrcPort);
+    let dports = ternary(Dimension::DstPort);
+    let protos = ternary(Dimension::Protocol);
 
     let mut out = Vec::with_capacity(sports.len() * dports.len() * protos.len());
     for &(sp_v, sp_m) in &sports {
@@ -307,8 +289,8 @@ fn mask_of(length: u8, width: u8) -> u32 {
     }
 }
 
-/// Expands a full range into `(value, mask)` ternary pairs directly
-/// (convenience wrapper used by the storage-efficiency analysis and tests).
+/// Expands a full range into `(value, mask)` ternary pairs: the port and
+/// protocol fields of every programmed rule.
 pub fn range_to_ternary(range: FieldRange, width: u8) -> Vec<(u32, u32)> {
     Prefix::expand_range(range, width)
         .into_iter()

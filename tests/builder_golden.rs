@@ -108,9 +108,6 @@ fn software_hicuts_counts_are_pinned() {
             nodes_visited: 3908,
             rules_compared: 5546,
             memory_accesses: 11454,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_evictions: 0,
         },
     );
 }
@@ -181,9 +178,6 @@ fn software_hypercuts_counts_are_pinned() {
             nodes_visited: 3663,
             rules_compared: 11263,
             memory_accesses: 16926,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_evictions: 0,
         },
     );
 }
