@@ -134,9 +134,9 @@ impl HiState {
 /// A dense rule bitmap.
 type Bitmap = Vec<u64>;
 
-/// The bitmap of the rules `i < n` for which `hit(i)` holds.  Phase 1
-/// builds one per table entry, so it is sized once and a plain loop sets
-/// only the true bits (a `filter` iterator here made phase 1 ~25 % slower).
+/// The rules `i < n` for which `hit(i)` holds.  Phase 1 builds one per
+/// table entry: a plain loop sets only the true bits (a `filter` iterator
+/// built acl 2,000 ~25 % slower on x86-64).
 fn bitmap(n: usize, hit: impl Fn(usize) -> bool) -> Bitmap {
     let mut bm = vec![0u64; n.div_ceil(64)];
     for i in 0..n {
