@@ -70,7 +70,7 @@ pub use hicuts::{HiCutsClassifier, HiCutsConfig};
 pub use hotcache::{CachedClassifier, HotCache, HotCacheConfig};
 pub use hypercuts::{HyperCutsClassifier, HyperCutsConfig};
 pub use linear::LinearClassifier;
-pub use rfc::{RfcClassifier, RfcConfig, RfcError};
+pub use rfc::{RfcClassifier, RfcError};
 pub use update::{RuleUpdate, UpdatableClassifier, UpdateError};
 
 use pclass_types::{MatchResult, PacketHeader};

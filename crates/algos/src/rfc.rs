@@ -40,27 +40,16 @@ use pclass_types::{Dimension, FieldRange, MatchResult, PacketHeader, Rule, RuleS
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// Configuration of the RFC preprocessor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RfcConfig {
-    /// Upper bound on the total number of cross-product table entries.  RFC
-    /// memory grows quickly with rule count; the preprocessor aborts with
-    /// [`RfcError::MemoryLimit`] instead of exhausting the host.
-    pub max_table_entries: usize,
-}
-
-impl Default for RfcConfig {
-    fn default() -> Self {
-        RfcConfig {
-            max_table_entries: 64 << 20, // 64 Mi entries ≈ 256 MB of u32 ids
-        }
-    }
-}
+/// Ceiling on the entries of any one cross-product table: 64 Mi entries,
+/// about 256 MB of `u32` ids.  RFC memory grows quickly with rule count, so
+/// the preprocessor aborts with [`RfcError::MemoryLimit`] instead of
+/// exhausting the host.
+const MAX_TABLE_ENTRIES: usize = 64 << 20;
 
 /// Errors from RFC preprocessing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RfcError {
-    /// The cross-product tables would exceed [`RfcConfig::max_table_entries`].
+    /// A cross-product table would exceed the ceiling of 64 Mi entries.
     MemoryLimit {
         /// Number of entries the offending table would need.
         required: usize,
@@ -73,7 +62,8 @@ impl std::fmt::Display for RfcError {
             RfcError::MemoryLimit { required } => {
                 write!(
                     f,
-                    "RFC cross-product table needs {required} entries, over the configured limit"
+                    "RFC cross-product table needs {required} entries, over the \
+                     {MAX_TABLE_ENTRIES}-entry (64 Mi) ceiling"
                 )
             }
         }
@@ -301,14 +291,15 @@ pub struct RfcClassifier {
 }
 
 impl RfcClassifier {
-    /// Preprocesses a ruleset into RFC tables with default limits.
+    /// Preprocesses a ruleset into RFC tables.
     pub fn build(ruleset: &RuleSet) -> Result<RfcClassifier, RfcError> {
-        RfcClassifier::build_with(ruleset, &RfcConfig::default())
+        RfcClassifier::build_within(ruleset, MAX_TABLE_ENTRIES)
     }
 
-    /// Preprocesses a ruleset into RFC tables.
-    pub fn build_with(ruleset: &RuleSet, config: &RfcConfig) -> Result<RfcClassifier, RfcError> {
-        let (n, rules, limit) = (ruleset.len(), ruleset.rules(), config.max_table_entries);
+    /// [`RfcClassifier::build`] with no cross-product table over `limit`
+    /// entries.
+    fn build_within(ruleset: &RuleSet, limit: usize) -> Result<RfcClassifier, RfcError> {
+        let (n, rules) = (ruleset.len(), ruleset.rules());
         let spans = |dim, part: fn(u32) -> u32| per_rule(rules, dim, |r| (part(r.lo), part(r.hi)));
 
         // Phases 0 and 1 of an address.  The high half is keyed by each
@@ -666,11 +657,11 @@ mod tests {
     #[test]
     fn memory_limit_is_enforced() {
         let rs = five_tuple_set();
-        let config = RfcConfig {
-            max_table_entries: 10,
-        };
-        match RfcClassifier::build_with(&rs, &config) {
-            Err(RfcError::MemoryLimit { required }) => assert!(required > 10),
+        match RfcClassifier::build_within(&rs, 10) {
+            Err(err @ RfcError::MemoryLimit { required }) => {
+                assert!(required > 10);
+                assert!(err.to_string().ends_with("67108864-entry (64 Mi) ceiling"));
+            }
             other => panic!("expected memory-limit error, got {other:?}"),
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::ports;
 use crate::prefix_pool::PrefixPool;
-use crate::style::{SeedStyle, StyleParameters};
+use crate::style::SeedStyle;
 use pclass_types::{Dimension, DimensionSpec, FieldRange, Rule, RuleSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,36 +22,13 @@ use std::collections::HashSet;
 #[derive(Debug, Clone)]
 pub struct ClassBenchGenerator {
     style: SeedStyle,
-    params: StyleParameters,
     seed: u64,
 }
 
 impl ClassBenchGenerator {
     /// Creates a generator for a built-in seed style.
     pub fn new(style: SeedStyle, seed: u64) -> ClassBenchGenerator {
-        ClassBenchGenerator {
-            style,
-            params: style.parameters(),
-            seed,
-        }
-    }
-
-    /// Creates a generator with custom structural parameters (used by the
-    /// ablation benches).
-    ///
-    /// # Panics
-    /// Panics if the parameters fail [`StyleParameters::validate`].
-    pub fn with_parameters(
-        style: SeedStyle,
-        params: StyleParameters,
-        seed: u64,
-    ) -> ClassBenchGenerator {
-        params.validate().expect("invalid style parameters");
-        ClassBenchGenerator {
-            style,
-            params,
-            seed,
-        }
+        ClassBenchGenerator { style, seed }
     }
 
     /// The style this generator mimics.
@@ -69,7 +46,7 @@ impl ClassBenchGenerator {
     /// Generates a ruleset with an explicit name.
     pub fn generate_named(&self, count: usize, name: impl Into<String>) -> RuleSet {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x9E37_79B9_7F4A_7C15);
-        let p = &self.params;
+        let p = self.style.parameters();
 
         let pool_size = ((count as f64 * p.prefix_pool_fraction).ceil() as usize).max(4);
         let src_pool = PrefixPool::generate(&mut rng, pool_size, p.src_prefix_len_range);
@@ -107,7 +84,7 @@ impl ClassBenchGenerator {
         src_pool: &PrefixPool,
         dst_pool: &PrefixPool,
     ) -> [FieldRange; 5] {
-        let p = &self.params;
+        let p = self.style.parameters();
 
         let src_ip = if rng.gen_bool(p.src_wildcard_prob) {
             FieldRange::full(32)
@@ -260,23 +237,5 @@ mod tests {
                 assert!(r.range(d).hi <= spec.max_value(d));
             }
         }
-    }
-
-    #[test]
-    fn custom_parameters_are_respected() {
-        let mut params = SeedStyle::Acl.parameters();
-        params.proto_any_prob = 1.0;
-        let gen = ClassBenchGenerator::with_parameters(SeedStyle::Acl, params, 1);
-        let rs = gen.generate(100);
-        let stats = rs.stats();
-        assert_eq!(stats.wildcards[Dimension::Protocol.index()], 100);
-    }
-
-    #[test]
-    #[should_panic]
-    fn invalid_custom_parameters_panic() {
-        let mut params = SeedStyle::Acl.parameters();
-        params.proto_any_prob = 2.0;
-        ClassBenchGenerator::with_parameters(SeedStyle::Acl, params, 1);
     }
 }

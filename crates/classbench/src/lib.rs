@@ -52,7 +52,7 @@ pub mod style;
 pub mod trace_gen;
 
 pub use generator::ClassBenchGenerator;
-pub use style::{SeedStyle, StyleParameters};
+pub use style::SeedStyle;
 pub use trace_gen::TraceGenerator;
 
 /// The ruleset sizes used by Tables 2, 3, 6, 7 and 8 of the paper

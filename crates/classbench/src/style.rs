@@ -27,7 +27,7 @@ impl SeedStyle {
     }
 
     /// The structural parameters of this style.
-    pub fn parameters(self) -> StyleParameters {
+    pub(crate) fn parameters(self) -> StyleParameters {
         match self {
             SeedStyle::Acl => StyleParameters {
                 src_wildcard_prob: 0.06,
@@ -75,14 +75,14 @@ impl std::fmt::Display for SeedStyle {
     }
 }
 
-/// Tunable structural knobs of a synthetic seed style.
+/// The structural parameters of a synthetic seed style.
 ///
 /// The values in [`SeedStyle::parameters`] were chosen so that the generated
 /// sets show the qualitative behaviour the paper reports for the real
 /// ClassBench sets: ACL sets stay compact and shallow, FW sets replicate
 /// rules heavily (large memory, deeper trees), IPC sets sit in between.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StyleParameters {
+pub(crate) struct StyleParameters {
     /// Probability that a rule's source address is a full wildcard.
     pub src_wildcard_prob: f64,
     /// Probability that a rule's destination address is a full wildcard.
@@ -109,48 +109,42 @@ pub struct StyleParameters {
     pub arbitrary_range_prob: f64,
 }
 
-impl StyleParameters {
-    /// Sanity-checks that all probabilities are within [0, 1] and prefix
-    /// length bounds are ordered.  Used by tests and by custom styles.
-    pub fn validate(&self) -> Result<(), String> {
-        let probs = [
-            ("src_wildcard_prob", self.src_wildcard_prob),
-            ("dst_wildcard_prob", self.dst_wildcard_prob),
-            ("prefix_pool_fraction", self.prefix_pool_fraction),
-            ("src_port_any_prob", self.src_port_any_prob),
-            ("dst_port_exact_prob", self.dst_port_exact_prob),
-            ("dst_port_any_prob", self.dst_port_any_prob),
-            ("proto_any_prob", self.proto_any_prob),
-            ("arbitrary_range_prob", self.arbitrary_range_prob),
-        ];
-        for (name, p) in probs {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("{name} = {p} is not a probability"));
-            }
-        }
-        for (name, (lo, hi)) in [
-            ("src_prefix_len_range", self.src_prefix_len_range),
-            ("dst_prefix_len_range", self.dst_prefix_len_range),
-        ] {
-            if lo > hi || hi > 32 {
-                return Err(format!("{name} = ({lo}, {hi}) is invalid"));
-            }
-        }
-        if self.dst_port_exact_prob + self.dst_port_any_prob > 1.0 {
-            return Err("dst port probabilities exceed 1".to_string());
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every probability is within [0, 1], the prefix length bounds are
+    /// ordered and within 32 bits, and the destination-port probabilities
+    /// leave room for the ephemeral and arbitrary ranges.
     #[test]
     fn builtin_styles_are_valid() {
         for style in SeedStyle::ALL {
-            style.parameters().validate().unwrap();
+            let p = style.parameters();
+            for prob in [
+                p.src_wildcard_prob,
+                p.dst_wildcard_prob,
+                p.prefix_pool_fraction,
+                p.src_port_any_prob,
+                p.dst_port_exact_prob,
+                p.dst_port_any_prob,
+                p.proto_any_prob,
+                p.arbitrary_range_prob,
+            ] {
+                assert!(
+                    (0.0..=1.0).contains(&prob),
+                    "{style:?}: {prob} is not a probability"
+                );
+            }
+            for (lo, hi) in [p.src_prefix_len_range, p.dst_prefix_len_range] {
+                assert!(
+                    lo <= hi && hi <= 32,
+                    "{style:?}: prefix lengths ({lo}, {hi})"
+                );
+            }
+            assert!(
+                p.dst_port_exact_prob + p.dst_port_any_prob <= 1.0,
+                "{style:?}"
+            );
         }
     }
 
@@ -168,19 +162,5 @@ mod tests {
         let fw = SeedStyle::Fw.parameters();
         assert!(fw.dst_wildcard_prob > acl.dst_wildcard_prob);
         assert!(fw.proto_any_prob > acl.proto_any_prob);
-    }
-
-    #[test]
-    fn validate_catches_bad_parameters() {
-        let mut p = SeedStyle::Acl.parameters();
-        p.src_wildcard_prob = 1.5;
-        assert!(p.validate().is_err());
-        let mut p = SeedStyle::Acl.parameters();
-        p.src_prefix_len_range = (20, 10);
-        assert!(p.validate().is_err());
-        let mut p = SeedStyle::Acl.parameters();
-        p.dst_port_exact_prob = 0.9;
-        p.dst_port_any_prob = 0.3;
-        assert!(p.validate().is_err());
     }
 }

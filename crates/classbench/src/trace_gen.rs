@@ -1,8 +1,18 @@
 //! ClassBench-style packet trace generation.
+//!
+//! Three properties of a trace are set per generator: the fraction of
+//! background packets, the longest burst, and whether rule popularity
+//! follows a Zipf law.  The default power skew's exponent is a constant,
+//! 1.5: every trace that does not ask for Zipf is drawn with it.
 
 use pclass_types::{Dimension, FieldRange, PacketHeader, Rule, RuleSet, Trace, TraceEntry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Pareto-style skew exponent of the default rule popularity: a directed
+/// packet picks rule `floor(u^POWER_SKEW * n)` for `u` uniform in [0, 1), so
+/// larger means more skewed towards the high-priority rules.
+const POWER_SKEW: f64 = 1.5;
 
 /// Generates packet traces aimed at a ruleset, the way the ClassBench
 /// `trace_generator` does: each packet is sampled from inside some rule's
@@ -28,8 +38,6 @@ pub struct TraceGenerator<'a> {
     random_fraction: f64,
     /// Maximum burst length (identical consecutive headers).
     max_burst: usize,
-    /// Pareto-style skew exponent for rule popularity (larger = more skewed).
-    skew: f64,
     /// When set, rule popularity follows a Zipf law with this exponent
     /// (rank `k` drawn with probability proportional to `1 / k^exponent`)
     /// instead of the power skew.
@@ -45,7 +53,6 @@ impl<'a> TraceGenerator<'a> {
             seed,
             random_fraction: 0.10,
             max_burst: 4,
-            skew: 1.5,
             zipf_exponent: None,
         }
     }
@@ -61,13 +68,6 @@ impl<'a> TraceGenerator<'a> {
     pub fn max_burst(mut self, b: usize) -> Self {
         assert!(b >= 1, "burst length must be at least 1");
         self.max_burst = b;
-        self
-    }
-
-    /// Sets the rule-popularity skew exponent.
-    pub fn skew(mut self, s: f64) -> Self {
-        assert!(s >= 0.0, "skew must be non-negative");
-        self.skew = s;
         self
     }
 
@@ -136,7 +136,7 @@ impl<'a> TraceGenerator<'a> {
                     cdf.partition_point(|&w| w <= u)
                 } else {
                     let u: f64 = rng.gen_range(0.0..1.0);
-                    (u.powf(self.skew) * n_rules as f64) as usize
+                    (u.powf(POWER_SKEW) * n_rules as f64) as usize
                 };
                 let rule = &self.ruleset.rules()[idx.min(n_rules - 1)];
                 TraceEntry {

@@ -78,75 +78,46 @@ impl SpeedMode {
 }
 
 /// Configuration of the modified builders.
+///
+/// Only the algorithm and the leaf packing are chosen per build; the paper
+/// fixes everything else for its evaluation, so this module holds those as
+/// constants: `spfac = 4`, cuts from 32 to 256 per node (one memory word),
+/// and `binth` = 30 rules — one full memory word — because a leaf of up to
+/// 30 rules is searched by the comparator array in a single clock cycle,
+/// so there is no latency benefit in splitting below that and every
+/// avoided internal node saves a whole 600-byte word.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BuildConfig {
     /// Which algorithm chooses the cuts.
     pub algorithm: CutAlgorithm,
-    /// Maximum number of rules a leaf should hold (leaves may exceed this
-    /// when the 8-bit cutting budget cannot separate the rules).
-    pub binth: usize,
-    /// Space factor: Eq. 3 uses it as a multiplier, Eq. 4 as the exponent
-    /// offset (`np <= 2^(4+spfac)`), so the paper restricts it to 1–4.
-    pub spfac: u32,
     /// Leaf packing mode.
     pub speed: SpeedMode,
-    /// Number of cuts every internal node starts with.
-    pub start_cuts: u32,
-    /// Cap on the number of cuts of one node.
-    pub max_cuts: u32,
 }
 
 impl BuildConfig {
-    /// The configuration used for the paper's evaluation tables:
-    /// `spfac = 4`, `speed = 1`, cuts from 32 to 256.
-    ///
-    /// `binth` is set to 30 — one full memory word — because a leaf of up to
-    /// 30 rules is searched by the comparator array in a single clock cycle,
-    /// so there is no latency benefit in splitting below that and every
-    /// avoided internal node saves a whole 600-byte word.
+    /// The configuration used for the paper's evaluation tables: `speed = 1`.
     pub fn paper_defaults(algorithm: CutAlgorithm) -> BuildConfig {
         BuildConfig {
             algorithm,
-            binth: crate::RULES_PER_WORD,
-            spfac: 4,
             speed: SpeedMode::Throughput,
-            start_cuts: 32,
-            max_cuts: crate::MAX_CUTS,
         }
-    }
-
-    /// Validates the configuration.
-    pub fn validate(&self) -> Result<(), BuildError> {
-        if self.binth == 0 {
-            return Err(BuildError::InvalidConfig("binth must be at least 1".into()));
-        }
-        if !(1..=4).contains(&self.spfac) {
-            return Err(BuildError::InvalidConfig("spfac must be 1..=4".into()));
-        }
-        if !self.start_cuts.is_power_of_two() || !self.max_cuts.is_power_of_two() {
-            return Err(BuildError::InvalidConfig(
-                "cut counts must be powers of two".into(),
-            ));
-        }
-        if self.start_cuts < 2 || self.start_cuts > self.max_cuts {
-            return Err(BuildError::InvalidConfig(
-                "start_cuts must be between 2 and max_cuts".into(),
-            ));
-        }
-        if self.max_cuts > crate::MAX_CUTS {
-            return Err(BuildError::InvalidConfig(format!(
-                "max_cuts may not exceed {} (one memory word per node)",
-                crate::MAX_CUTS
-            )));
-        }
-        Ok(())
     }
 }
+
+/// Space factor: Eq. 3 uses it as a multiplier, Eq. 4 as the exponent
+/// offset (`np <= 2^(4+spfac)`).
+const SPFAC: u32 = 4;
+/// Number of cuts every internal node starts with.
+const START_CUTS: u32 = 32;
+/// [`START_CUTS`] as bits of cutting.
+const START_BITS: u8 = START_CUTS.trailing_zeros() as u8;
+/// [`crate::MAX_CUTS`] as bits of cutting.
+const MAX_BITS: u8 = crate::MAX_CUTS.trailing_zeros() as u8;
 
 /// Errors raised while building a hardware search structure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
-    /// The configuration is inconsistent.
+    /// The requested word capacity is not one the accelerator can address.
     InvalidConfig(String),
     /// The ruleset does not use the 32/32/16/16/8-bit 5-tuple geometry the
     /// hardware rule format encodes.
@@ -218,12 +189,11 @@ pub(crate) fn build_tree_within(
     config: &BuildConfig,
     word_capacity: usize,
 ) -> Result<(DecisionTree, BuildStats), BuildError> {
-    config.validate()?;
     if *ruleset.spec() != DimensionSpec::FIVE_TUPLE {
         return Err(BuildError::UnsupportedGeometry);
     }
     let policy = HwPolicy {
-        config: *config,
+        algorithm: config.algorithm,
         word_capacity,
     };
     let (mut tree, mut stats) = TreeBuilder::build(ruleset, &policy);
@@ -238,7 +208,7 @@ pub(crate) fn build_tree_within(
     }
 
     // The accelerator preloads the root into register A, so it must be an
-    // internal node: wrap a lone leaf in a trivial `start_cuts`-way node
+    // internal node: wrap a lone leaf in a trivial `START_CUTS`-way node
     // whose children all point at it.
     if tree.nodes()[root].is_leaf() {
         let mut nodes = tree.nodes().to_vec();
@@ -249,8 +219,8 @@ pub(crate) fn build_tree_within(
             region,
             depth: 0,
             kind: NodeKind::Internal {
-                cuts: CutSpec::single(Dimension::SrcIp, config.start_cuts),
-                children: vec![root as NodeId; config.start_cuts as usize],
+                cuts: CutSpec::single(Dimension::SrcIp, START_CUTS),
+                children: vec![root as NodeId; START_CUTS as usize],
                 stored_rules: Vec::new(),
                 cut_region: region,
             },
@@ -273,7 +243,7 @@ pub(crate) fn consumed_bits(region: &[FieldRange; FIELD_COUNT]) -> [u8; FIELD_CO
 /// The modified algorithms as a cut policy of the shared [`TreeBuilder`].
 #[derive(Clone, Copy)]
 struct HwPolicy {
-    config: BuildConfig,
+    algorithm: CutAlgorithm,
     /// Words of the accelerator the tree must fit; every internal node
     /// takes one.
     word_capacity: usize,
@@ -284,7 +254,7 @@ impl CutPolicy for HwPolicy {
     const LEAF_RULE_STORES: u64 = 5; // 160-bit rule images
 
     fn binth(&self) -> usize {
-        self.config.binth
+        crate::RULES_PER_WORD
     }
 
     fn plan(
@@ -305,7 +275,7 @@ impl CutPolicy for HwPolicy {
         if avail.iter().all(|&a| a == 0) {
             return None;
         }
-        let cut_bits = match self.config.algorithm {
+        let cut_bits = match self.algorithm {
             CutAlgorithm::HiCuts => self.choose_hicuts(kit, rules, region, &avail),
             CutAlgorithm::HyperCuts => self.choose_hypercuts(kit, rules, region, &avail),
         };
@@ -353,9 +323,9 @@ impl CutPolicy for HwPolicy {
 }
 
 impl HwPolicy {
-    /// Modified HiCuts: pick one dimension, cuts from `start_cuts` doubling
-    /// under Eq. 3 up to `max_cuts`, choose the dimension that minimises the
-    /// worst child occupancy.
+    /// Modified HiCuts: pick one dimension, cuts from [`START_CUTS`]
+    /// doubling under Eq. 3 up to [`crate::MAX_CUTS`], choose the dimension
+    /// that minimises the worst child occupancy.
     fn choose_hicuts(
         &self,
         kit: &mut TreeBuilder<'_>,
@@ -364,14 +334,14 @@ impl HwPolicy {
         avail: &[u8; FIELD_COUNT],
     ) -> [u8; FIELD_COUNT] {
         let n = rules.len() as f64;
-        let budget = f64::from(self.config.spfac) * n;
+        let budget = f64::from(SPFAC) * n;
         let mut best: Option<(Dimension, u8, usize)> = None; // (dim, bits, max_child)
         for d in Dimension::ALL {
-            let max_bits = avail[d.index()].min(self.config.max_cuts.trailing_zeros() as u8);
+            let max_bits = avail[d.index()].min(MAX_BITS);
             if max_bits == 0 {
                 continue;
             }
-            let start_bits = (self.config.start_cuts.trailing_zeros() as u8).min(max_bits);
+            let start_bits = START_BITS.min(max_bits);
             // Doubling loop of Eq. 3: keep doubling while the space measure
             // stays within spfac * N and np < 129 (i.e. bits < 8).
             let mut bits = start_bits;
@@ -382,7 +352,7 @@ impl HwPolicy {
                 let candidate = bits + 1;
                 let np = 1u64 << candidate;
                 let (_, total) = histogram(kit, rules, region, d, candidate);
-                if total as f64 + np as f64 <= budget && np <= u64::from(self.config.max_cuts) {
+                if total as f64 + np as f64 <= budget {
                     bits = candidate;
                 } else {
                     break;
@@ -424,8 +394,7 @@ impl HwPolicy {
             return [0u8; FIELD_COUNT];
         }
 
-        let cap_bits = (4 + self.config.spfac).min(self.config.max_cuts.trailing_zeros()) as u8;
-        let floor_bits = (self.config.start_cuts.trailing_zeros() as u8).min(cap_bits);
+        let cap_bits = (4 + SPFAC as u8).min(MAX_BITS);
 
         // Fraction of the node's rules that span the whole region along each
         // candidate dimension.  Cutting such a dimension replicates those
@@ -481,10 +450,10 @@ impl HwPolicy {
             match best {
                 // Below the 32-cut floor we keep adding bits even without
                 // improvement (the modified algorithm always performs at
-                // least start_cuts cuts when it cuts at all), as long as the
+                // least START_CUTS cuts when it cuts at all), as long as the
                 // chosen dimension is not replication-dominated.
                 Some((d, scored, max_child))
-                    if (max_child < current_max || total_bits < floor_bits)
+                    if (max_child < current_max || total_bits < START_BITS)
                         && scored < rules.len() * 2 =>
                 {
                     cut_bits[d.index()] += 1;
@@ -583,23 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn config_validation() {
-        let mut cfg = BuildConfig::paper_defaults(CutAlgorithm::HiCuts);
-        assert!(cfg.validate().is_ok());
-        cfg.spfac = 5;
-        assert!(cfg.validate().is_err());
-        let mut cfg = BuildConfig::paper_defaults(CutAlgorithm::HiCuts);
-        cfg.start_cuts = 48;
-        assert!(cfg.validate().is_err());
-        let mut cfg = BuildConfig::paper_defaults(CutAlgorithm::HiCuts);
-        cfg.max_cuts = 512;
-        assert!(cfg.validate().is_err());
-        let mut cfg = BuildConfig::paper_defaults(CutAlgorithm::HiCuts);
-        cfg.binth = 0;
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
     fn rejects_toy_geometry() {
         let toy = pclass_types::toy::table1_ruleset();
         let err = build_tree(&toy, &BuildConfig::paper_defaults(CutAlgorithm::HiCuts)).unwrap_err();
@@ -690,19 +642,6 @@ mod tests {
             .iter()
             .any(|(_, cut_bits, _)| cut_bits.iter().filter(|&&b| b > 0).count() > 1);
         assert!(multi, "expected at least one multi-dimensional cut");
-    }
-
-    #[test]
-    fn smaller_binth_means_more_leaves() {
-        let rs = acl(600);
-        let mut small = BuildConfig::paper_defaults(CutAlgorithm::HiCuts);
-        small.binth = 4;
-        let mut large = BuildConfig::paper_defaults(CutAlgorithm::HiCuts);
-        large.binth = 30;
-        let t_small = build_tree(&rs, &small).unwrap().0.stats();
-        let t_large = build_tree(&rs, &large).unwrap().0.stats();
-        assert!(t_small.leaf_nodes >= t_large.leaf_nodes);
-        assert!(t_large.max_leaf_rules <= 30 || t_small.max_leaf_rules <= t_large.max_leaf_rules);
     }
 
     #[test]

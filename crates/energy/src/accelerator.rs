@@ -26,11 +26,6 @@ impl AcceleratorEnergyModel {
         }
     }
 
-    /// Model over an arbitrary device description.
-    pub fn with_device(device: DeviceModel) -> AcceleratorEnergyModel {
-        AcceleratorEnergyModel { device }
-    }
-
     /// The device description.
     pub fn device(&self) -> &DeviceModel {
         &self.device
@@ -128,12 +123,5 @@ mod tests {
         assert!(model.packets_per_second(&report) > 0.0);
         let empty = fake_report(0, 1);
         assert_eq!(model.energy_per_packet_j(&empty), 0.0);
-    }
-
-    #[test]
-    fn custom_device_is_used() {
-        let device = DeviceModel::asic_65nm();
-        let model = AcceleratorEnergyModel::with_device(device.clone());
-        assert_eq!(model.device(), &device);
     }
 }

@@ -57,5 +57,5 @@ pub mod tcam_datasheet;
 
 pub use accelerator::AcceleratorEnergyModel;
 pub use device::{normalize_power, DeviceModel, TechnologyNode};
-pub use sa1100::{CycleCosts, Sa1100Model};
+pub use sa1100::Sa1100Model;
 pub use tcam_datasheet::{SramPart, TcamPart};

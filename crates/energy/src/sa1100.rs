@@ -13,51 +13,33 @@
 //! dominate on this core: a packet-classification working set misses the
 //! 8 KB data cache most of the time, so loads carry a large average memory
 //! penalty; SWP-style multiplies take a few cycles; divisions are library
-//! calls.  The absolute joule figures therefore differ from the authors'
-//! exact setup, but both the original and the modified algorithms are
-//! charged by the same tariff, so the ratios the paper reports (the ×11.84
-//! build-energy saving in Table 3, the ×7,773 lookup-energy saving in §5.3)
-//! are reproduced in shape.
+//! calls.  The tariff is one fixed set of constants.  The absolute joule
+//! figures therefore differ from the authors' exact setup, but both the
+//! original and the modified algorithms are charged by the same tariff, so
+//! the ratios the paper reports (the ×11.84 build-energy saving in Table 3,
+//! the ×7,773 lookup-energy saving in §5.3) are reproduced in shape.
 
 use crate::device::DeviceModel;
 use pclass_algos::counters::{BuildStats, LookupStats, OpCounters};
 
-/// Cycle cost of each operation class on the SA-1100.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CycleCosts {
-    /// Average cycles per word load (includes the expected cache-miss
-    /// penalty of a pointer-chasing workload).
-    pub load: f64,
-    /// Average cycles per word store.
-    pub store: f64,
-    /// Cycles per ALU operation.
-    pub alu: f64,
-    /// Average cycles per branch (includes misprediction refill).
-    pub branch: f64,
-    /// Cycles per multiply.
-    pub mul: f64,
-    /// Cycles per divide (software routine on ARMv4).
-    pub div: f64,
-}
-
-impl Default for CycleCosts {
-    fn default() -> Self {
-        CycleCosts {
-            load: 12.0,
-            store: 6.0,
-            alu: 1.0,
-            branch: 2.5,
-            mul: 3.0,
-            div: 22.0,
-        }
-    }
-}
+/// Average cycles per word load (includes the expected cache-miss penalty
+/// of a pointer-chasing workload).
+const LOAD_CYCLES: f64 = 12.0;
+/// Average cycles per word store.
+const STORE_CYCLES: f64 = 6.0;
+/// Cycles per ALU operation.
+const ALU_CYCLES: f64 = 1.0;
+/// Average cycles per branch (includes misprediction refill).
+const BRANCH_CYCLES: f64 = 2.5;
+/// Cycles per multiply.
+const MUL_CYCLES: f64 = 3.0;
+/// Cycles per divide (software routine on ARMv4).
+const DIV_CYCLES: f64 = 22.0;
 
 /// The StrongARM SA-1100 energy model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sa1100Model {
     device: DeviceModel,
-    costs: CycleCosts,
 }
 
 impl Default for Sa1100Model {
@@ -67,19 +49,10 @@ impl Default for Sa1100Model {
 }
 
 impl Sa1100Model {
-    /// Model with the default cycle tariff and the Table 5 device figures.
+    /// Model with the module's cycle tariff and the Table 5 device figures.
     pub fn new() -> Sa1100Model {
         Sa1100Model {
             device: DeviceModel::strongarm_sa1100(),
-            costs: CycleCosts::default(),
-        }
-    }
-
-    /// Model with a custom cycle tariff (used by sensitivity tests).
-    pub fn with_costs(costs: CycleCosts) -> Sa1100Model {
-        Sa1100Model {
-            device: DeviceModel::strongarm_sa1100(),
-            costs,
         }
     }
 
@@ -88,19 +61,14 @@ impl Sa1100Model {
         &self.device
     }
 
-    /// The cycle tariff in use.
-    pub fn costs(&self) -> &CycleCosts {
-        &self.costs
-    }
-
     /// Estimated cycles for a set of operation counters.
     pub fn cycles(&self, ops: &OpCounters) -> f64 {
-        ops.loads as f64 * self.costs.load
-            + ops.stores as f64 * self.costs.store
-            + ops.alu as f64 * self.costs.alu
-            + ops.branches as f64 * self.costs.branch
-            + ops.muls as f64 * self.costs.mul
-            + ops.divs as f64 * self.costs.div
+        ops.loads as f64 * LOAD_CYCLES
+            + ops.stores as f64 * STORE_CYCLES
+            + ops.alu as f64 * ALU_CYCLES
+            + ops.branches as f64 * BRANCH_CYCLES
+            + ops.muls as f64 * MUL_CYCLES
+            + ops.divs as f64 * DIV_CYCLES
     }
 
     /// Wall-clock seconds for a set of operation counters at 200 MHz.
@@ -204,19 +172,5 @@ mod tests {
         let pps = model.packets_per_second(&lookup);
         assert!(pps > 10_000.0 && pps < 300_000.0, "pps {pps}");
         assert_eq!(model.packets_per_second(&OpCounters::zero()), 0.0);
-    }
-
-    #[test]
-    fn custom_costs_are_respected() {
-        let costs = CycleCosts {
-            load: 1.0,
-            ..CycleCosts::default()
-        };
-        let cheap = Sa1100Model::with_costs(costs);
-        let expensive = Sa1100Model::new();
-        let o = ops(1000, 0);
-        assert!(cheap.cycles(&o) < expensive.cycles(&o));
-        assert_eq!(cheap.costs().load, 1.0);
-        assert_eq!(cheap.device().name, "StrongARM SA-1100");
     }
 }

@@ -202,7 +202,9 @@ impl RuleSet {
             .expect("truncating a valid ruleset keeps it valid")
     }
 
-    /// Structural statistics used by generators, heuristics and reports.
+    /// Structural statistics of the ruleset (wildcards, distinct ranges and
+    /// mean relative width per dimension).  The generator tests read them
+    /// to check that each seed style has the shape it claims.
     pub fn stats(&self) -> RuleSetStats {
         RuleSetStats::compute(self)
     }
