@@ -536,34 +536,49 @@ pub mod json {
             Ok(code)
         }
 
+        /// One number token of the RFC 8259 grammar: an optional `-`, then
+        /// `0` or a non-zero digit followed by digits, then an optional
+        /// `.` and digits, then an optional exponent (`e`/`E`, an optional
+        /// sign, digits).  `f64::from_str` alone would also take `1.`,
+        /// `01` and `1.e5`.
         fn number(&mut self) -> Result<Value, ParseError> {
             let start = self.pos;
             if self.peek() == Some(b'-') {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
+            if self.peek() == Some(b'0') {
                 self.pos += 1;
+            } else {
+                self.digits()?;
             }
             if self.peek() == Some(b'.') {
                 self.pos += 1;
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
+                self.digits()?;
             }
             if matches!(self.peek(), Some(b'e' | b'E')) {
                 self.pos += 1;
                 if matches!(self.peek(), Some(b'+' | b'-')) {
                     self.pos += 1;
                 }
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
+                self.digits()?;
             }
             let text =
                 std::str::from_utf8(&self.bytes[start..self.pos]).expect("number token is ASCII");
             text.parse::<f64>()
                 .map(Value::Number)
                 .map_err(|_| self.error("invalid number"))
+        }
+
+        /// Consumes one or more ASCII digits.
+        fn digits(&mut self) -> Result<(), ParseError> {
+            let start = self.pos;
+            while matches!(self.peek(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+            }
+            if self.pos == start {
+                return Err(self.error("expected a digit"));
+            }
+            Ok(())
         }
     }
 
@@ -786,12 +801,42 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_documents() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "\"unterminated"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "tru",
+            "1 2",
+            "\"unterminated",
+            "1.",
+            "01",
+            "-01",
+            "1.e5",
+            "[1.]",
+        ] {
             assert!(json::parse(bad).is_err(), "accepted {bad:?}");
         }
         let err = json::parse("[1, oops]").unwrap_err();
         assert!(err.offset > 0);
         assert!(err.to_string().contains("JSON parse error"));
+    }
+
+    /// A truncated result file is an error, never a smaller document: every
+    /// proper prefix of a benchmark-result-shaped document is rejected.
+    #[test]
+    fn parse_rejects_every_proper_prefix_of_a_result_document() {
+        let doc = r#"{"schema":6,"workload":"acl2k_uniform","ok":true,"wrong":0,
+            "metrics":{"setup_s":0.0123,"mpps":17.56,"sim_nj_per_pkt":1.5e-3,"delta":-0.25},
+            "runs":[{"mpps":17.2,"burst_us_p50":[3.5,4.0]},{"mpps":1E2}],"note":null}"#;
+        assert!(json::parse(doc).is_ok());
+        for end in 0..doc.len() {
+            assert!(
+                json::parse(&doc[..end]).is_err(),
+                "accepted {:?}",
+                &doc[..end]
+            );
+        }
     }
 
     #[test]
