@@ -512,28 +512,21 @@ mod tests {
     #[test]
     fn capacity_is_enforced() {
         let rs = acl(2000);
-        let err = HardwareProgram::build_with_capacity(
-            &rs,
-            &BuildConfig::paper_defaults(CutAlgorithm::HiCuts),
-            4,
-        )
-        .unwrap_err();
+        let config = BuildConfig::paper_defaults(CutAlgorithm::HiCuts);
+        let err = HardwareProgram::build_with_capacity(&rs, &config, 4).unwrap_err();
         assert!(matches!(
             err,
             BuildError::CapacityExceeded { capacity: 4, .. }
         ));
-        assert!(HardwareProgram::build_with_capacity(
-            &rs,
-            &BuildConfig::paper_defaults(CutAlgorithm::HiCuts),
-            0
-        )
-        .is_err());
-        assert!(HardwareProgram::build_with_capacity(
-            &rs,
-            &BuildConfig::paper_defaults(CutAlgorithm::HiCuts),
-            9999
-        )
-        .is_err());
+        // The 12-bit child-entry address field addresses 4096 words: the
+        // word-capacity check is the one `InvalidConfig` still guards.
+        for capacity in [0, 4097] {
+            assert!(matches!(
+                HardwareProgram::build_with_capacity(&rs, &config, capacity),
+                Err(BuildError::InvalidConfig(_))
+            ));
+        }
+        assert!(HardwareProgram::build_with_capacity(&rs, &config, 4096).is_ok());
     }
 
     #[test]
