@@ -44,16 +44,6 @@ impl OpCounters {
             divs: 0,
         }
     }
-
-    /// Total number of counted operations of any kind.
-    pub fn total_ops(&self) -> u64 {
-        self.loads + self.stores + self.alu + self.branches + self.muls + self.divs
-    }
-
-    /// Total number of memory accesses (loads + stores).
-    pub fn memory_accesses(&self) -> u64 {
-        self.loads + self.stores
-    }
 }
 
 impl Add for OpCounters {
@@ -193,8 +183,6 @@ mod tests {
         let c = a + b;
         assert_eq!(c.loads, 11);
         assert_eq!(c.divs, 66);
-        assert_eq!(c.total_ops(), 11 + 22 + 33 + 44 + 55 + 66);
-        assert_eq!(c.memory_accesses(), 11 + 22);
         let mut d = a;
         d += b;
         assert_eq!(d, c);
@@ -217,7 +205,6 @@ mod tests {
     #[test]
     fn zero_is_default() {
         assert_eq!(OpCounters::zero(), OpCounters::default());
-        assert_eq!(OpCounters::zero().total_ops(), 0);
         assert_eq!(BuildStats::new(), BuildStats::default());
     }
 }

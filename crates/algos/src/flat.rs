@@ -952,11 +952,6 @@ impl FlatTree {
             .collect()
     }
 
-    /// Number of live rules.
-    pub fn live_rule_count(&self) -> usize {
-        self.rule_table.iter().filter(|img| img.is_live()).count()
-    }
-
     /// Update-activity counters since the build.
     pub fn update_stats(&self) -> UpdateStats {
         self.update_stats
@@ -1840,7 +1835,7 @@ mod tests {
             (LEAF_TAG, 0, 1)
         );
         assert_eq!(flat.dirty_ratio(), 0.0);
-        assert_eq!(flat.live_rule_count(), rs.len() + (id - 20) as usize - 3);
+        assert_eq!(flat.live_rules().len(), rs.len() + (id - 20) as usize - 3);
         assert_matches_live_linear(&flat);
     }
 
@@ -1849,10 +1844,10 @@ mod tests {
         let rs = toy::table1_ruleset();
         let (_, flatc) = toy_flat();
         let mut flat = flatc.flat_tree().clone();
-        assert_eq!(flat.live_rule_count(), 10);
+        assert_eq!(flat.live_rules().len(), 10);
         assert_eq!(flat.dirty_ratio(), 0.0);
         flat.delete(5).unwrap();
-        assert_eq!(flat.live_rule_count(), 9);
+        assert_eq!(flat.live_rules().len(), 9);
         assert_matches_live_linear(&flat);
         assert_eq!(flat.delete(5), Err(UpdateError::UnknownRuleId(5)));
         // Re-inserting fills the slack the delete left behind: no span moves.
@@ -1886,7 +1881,7 @@ mod tests {
         let after = flat.update_stats();
         assert_eq!(after.reflattens, before.reflattens + 1);
         assert_eq!(flat.dirty_ratio(), 0.0);
-        assert_eq!(flat.live_rule_count(), 13);
+        assert_eq!(flat.live_rules().len(), 13);
         assert_matches_live_linear(&flat);
         // Post-reflatten spans carry slack: the next insert is in place.
         let compact = flat.arena_stats().rule_refs;
@@ -2141,7 +2136,7 @@ mod tests {
         ));
         // A rejected insert leaves the structure as it was.
         assert_eq!((flat.live_rules(), flat.arena_stats()), accepted);
-        assert_eq!(flat.live_rule_count(), 11);
+        assert_eq!(flat.live_rules().len(), 11);
         assert_matches_live_linear(&flat);
     }
 

@@ -287,7 +287,6 @@ pub struct RfcClassifier {
     ports_proto: PhaseTable, // (ports, proto)
     // Phase 3: the final table stores the matched rule id + 1 (0 = no match).
     final_table: PhaseTable,
-    rule_count: usize,
 }
 
 impl RfcClassifier {
@@ -351,13 +350,7 @@ impl RfcClassifier {
             addrs,
             ports_proto,
             final_table,
-            rule_count: n,
         })
-    }
-
-    /// Number of rules the classifier was built for.
-    pub fn rule_count(&self) -> usize {
-        self.rule_count
     }
 
     /// Total number of table entries across all phases (each entry is one
@@ -561,7 +554,6 @@ mod tests {
         let rs = five_tuple_set();
         let rfc = RfcClassifier::build(&rs).unwrap();
         assert_eq!(rfc.name(), "rfc");
-        assert_eq!(rfc.rule_count(), 5);
         assert_eq!(rfc.worst_case_memory_accesses(), Some(13));
         assert!(rfc.memory_bytes() > 7 * (1 << 16)); // at least the phase-0 tables
         let mut stats = LookupStats::new();

@@ -1,9 +1,9 @@
 //! Seed styles and their structural parameters.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The three ClassBench seed families used in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SeedStyle {
     /// Access-control-list style (`acl1`): specific prefixes, exact services.
     Acl,
@@ -81,7 +81,7 @@ impl std::fmt::Display for SeedStyle {
 /// sets show the qualitative behaviour the paper reports for the real
 /// ClassBench sets: ACL sets stay compact and shallow, FW sets replicate
 /// rules heavily (large memory, deeper trees), IPC sets sit in between.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub(crate) struct StyleParameters {
     /// Probability that a rule's source address is a full wildcard.
     pub src_wildcard_prob: f64,

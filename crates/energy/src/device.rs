@@ -120,16 +120,6 @@ impl DeviceModel {
     pub fn normalized_energy_j(&self, cycles: u64) -> f64 {
         self.normalized_power_w() * cycles as f64 / self.frequency_hz
     }
-
-    /// Energy of running for `cycles` clock cycles using the raw power.
-    pub fn raw_energy_j(&self, cycles: u64) -> f64 {
-        self.power_w * cycles as f64 / self.frequency_hz
-    }
-
-    /// Seconds taken by `cycles` clock cycles.
-    pub fn seconds(&self, cycles: u64) -> f64 {
-        cycles as f64 / self.frequency_hz
-    }
 }
 
 #[cfg(test)]
@@ -168,13 +158,6 @@ mod tests {
         let fpga = DeviceModel::fpga_virtex5();
         let e = fpga.normalized_energy_j(1);
         assert!(e > 1e-8 && e < 5e-8, "fpga energy {e}");
-    }
-
-    #[test]
-    fn seconds_and_raw_energy() {
-        let asic = DeviceModel::asic_65nm();
-        assert!((asic.seconds(226_000_000) - 1.0).abs() < 1e-9);
-        assert!((asic.raw_energy_j(226_000_000) - 0.019_79).abs() < 1e-6);
     }
 
     #[test]

@@ -82,11 +82,6 @@ impl Sa1100Model {
         self.device.normalized_power_w() * self.seconds(ops)
     }
 
-    /// Energy in joules using the raw device power.
-    pub fn raw_energy_j(&self, ops: &OpCounters) -> f64 {
-        self.device.power_w * self.seconds(ops)
-    }
-
     /// Energy to execute one classification whose work is described by
     /// `stats` (normalised power).
     pub fn lookup_energy_j(&self, stats: &LookupStats) -> f64 {
@@ -147,7 +142,7 @@ mod tests {
         let ten = model.normalized_energy_j(&ops(1000, 2000));
         assert!((ten / one - 10.0).abs() < 1e-9);
         assert!(
-            model.raw_energy_j(&ops(100, 200)) > one,
+            model.device().power_w > model.device().normalized_power_w(),
             "raw power exceeds normalised power"
         );
     }

@@ -1,6 +1,6 @@
 //! Packet-header dimensions and per-dimension bit widths.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of header fields (dimensions) used for classification.
 pub const FIELD_COUNT: usize = 5;
@@ -10,7 +10,7 @@ pub const FIELD_COUNT: usize = 5;
 /// The ordering matches the field order used throughout the paper and the
 /// ClassBench filter format: source address, destination address, source
 /// port, destination port, protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 #[repr(usize)]
 pub enum Dimension {
     /// Source IPv4 address (32 bits).
@@ -41,12 +41,6 @@ impl Dimension {
         self as usize
     }
 
-    /// Dimension from its field index. Panics if `idx >= 5`.
-    #[inline]
-    pub fn from_index(idx: usize) -> Dimension {
-        Dimension::ALL[idx]
-    }
-
     /// Short human-readable name used by dump/debug output.
     pub const fn name(self) -> &'static str {
         match self {
@@ -72,7 +66,7 @@ impl std::fmt::Display for Dimension {
 /// 8-bit fields ([`DimensionSpec::TOY`]).  All algorithms take the widths
 /// from the ruleset rather than hard-coding them so that both geometries (and
 /// any test geometry) are exercised by the same code paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct DimensionSpec {
     /// Bit width of each dimension in field order.
     pub bits: [u8; FIELD_COUNT],
@@ -121,11 +115,6 @@ impl DimensionSpec {
         }
     }
 
-    /// Total number of header bits across all dimensions.
-    pub fn total_bits(&self) -> u32 {
-        self.bits.iter().map(|&b| b as u32).sum()
-    }
-
     /// The 8 most significant bits of a value in dimension `dim`.
     ///
     /// The hardware accelerator's cut-selection logic operates on the 8 MSBs
@@ -156,7 +145,6 @@ mod tests {
     fn dimension_roundtrip() {
         for (i, d) in Dimension::ALL.iter().enumerate() {
             assert_eq!(d.index(), i);
-            assert_eq!(Dimension::from_index(i), *d);
         }
     }
 
@@ -176,13 +164,12 @@ mod tests {
         assert_eq!(s.width(Dimension::SrcPort), 16);
         assert_eq!(s.width(Dimension::DstPort), 16);
         assert_eq!(s.width(Dimension::Protocol), 8);
-        assert_eq!(s.total_bits(), 104);
     }
 
     #[test]
     fn toy_widths() {
         let s = DimensionSpec::TOY;
-        assert_eq!(s.total_bits(), 40);
+        assert_eq!(s.bits, [8; FIELD_COUNT]);
         for d in Dimension::ALL {
             assert_eq!(s.max_value(d), 255);
         }

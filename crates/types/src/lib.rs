@@ -60,7 +60,7 @@ pub use dimension::{Dimension, DimensionSpec, FIELD_COUNT};
 pub use packet::PacketHeader;
 pub use prefix::Prefix;
 pub use range::FieldRange;
-pub use rule::{Protocol, Rule, RuleBuilder, RuleId};
+pub use rule::{Rule, RuleBuilder, RuleId};
 pub use ruleset::{MatchResult, RuleSet, RuleSetError};
 pub use stats::{
     distinct_range_counts, ArenaStats, CacheStats, FairnessSummary, LatencyPercentiles,

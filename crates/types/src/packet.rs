@@ -1,7 +1,7 @@
 //! Packet headers — points in the 5-dimensional classification space.
 
 use crate::dimension::{Dimension, DimensionSpec, FIELD_COUNT};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A packet header reduced to the five classification fields.
 ///
@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// (src IP, dst IP, src port, dst port, protocol).  For the real 5-tuple
 /// geometry the port and protocol values simply occupy the low bits of their
 /// word.  Use the convenience constructors for readable call sites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct PacketHeader {
     /// Field values in dimension order.
     pub fields: [u32; FIELD_COUNT],
@@ -88,13 +88,6 @@ impl PacketHeader {
         }
         out
     }
-
-    /// `true` if every field value fits inside the given dimension widths.
-    pub fn fits(&self, spec: &DimensionSpec) -> bool {
-        Dimension::ALL
-            .iter()
-            .all(|&d| self.fields[d.index()] <= spec.max_value(d))
-    }
 }
 
 impl std::fmt::Display for PacketHeader {
@@ -145,13 +138,6 @@ mod tests {
         assert_eq!(msb[2], 0x1F);
         assert_eq!(msb[3], 0x00);
         assert_eq!(msb[4], 17);
-    }
-
-    #[test]
-    fn fits_checks_widths() {
-        let spec = DimensionSpec::TOY;
-        assert!(PacketHeader::from_fields([1, 2, 3, 4, 5]).fits(&spec));
-        assert!(!PacketHeader::from_fields([256, 2, 3, 4, 5]).fits(&spec));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! IPv4-style prefixes and prefix/range conversions.
 
 use crate::range::FieldRange;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A value/length prefix over a field of up to 32 bits, e.g. `192.168.0.0/16`.
 ///
@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// how the hardware rule encoding of the paper stores them (32-bit address
 /// plus a mask length, compressed to 3 bits for lengths 0–27 by folding the
 /// encoded length into the low address bits — see `pclass-core::encode`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Prefix {
     /// Prefix value, aligned to the most significant bits of the field.
     pub value: u32,
@@ -44,11 +44,6 @@ impl Prefix {
         Prefix::new(value, length, 32)
     }
 
-    /// The wildcard prefix (`0.0.0.0/0` for IPv4-width fields).
-    pub fn wildcard(width: u8) -> Prefix {
-        Prefix::new(0, 0, width)
-    }
-
     /// Network mask for a prefix of `length` bits over a `width`-bit field.
     fn mask(length: u8, width: u8) -> u32 {
         if length == 0 {
@@ -62,18 +57,6 @@ impl Prefix {
             // Right-align to the actual field width.
             ones >> (32 - width)
         }
-    }
-
-    /// `true` if the prefix matches every value (length 0).
-    #[inline]
-    pub fn is_wildcard(&self) -> bool {
-        self.length == 0
-    }
-
-    /// `true` if the prefix identifies a single host (length == width).
-    #[inline]
-    pub fn is_host(&self) -> bool {
-        self.length == self.width
     }
 
     /// `true` if `v` falls inside the prefix.
@@ -182,8 +165,7 @@ mod tests {
 
     #[test]
     fn wildcard_covers_everything() {
-        let p = Prefix::wildcard(32);
-        assert!(p.is_wildcard());
+        let p = Prefix::ipv4(0, 0);
         assert_eq!(p.to_range(), FieldRange::full(32));
         assert!(p.contains(0));
         assert!(p.contains(u32::MAX));
@@ -192,7 +174,6 @@ mod tests {
     #[test]
     fn host_prefix_is_exact() {
         let p = Prefix::ipv4(0xC0A8_0001, 32);
-        assert!(p.is_host());
         assert_eq!(p.to_range(), FieldRange::exact(0xC0A8_0001));
         assert!(p.contains(0xC0A8_0001));
         assert!(!p.contains(0xC0A8_0002));
@@ -248,14 +229,14 @@ mod tests {
     fn expand_full_range_is_single_wildcard() {
         let prefixes = Prefix::expand_range(FieldRange::full(16), 16);
         assert_eq!(prefixes.len(), 1);
-        assert!(prefixes[0].is_wildcard());
+        assert_eq!(prefixes[0].length, 0);
     }
 
     #[test]
     fn expand_exact_value() {
         let prefixes = Prefix::expand_range(FieldRange::exact(80), 16);
         assert_eq!(prefixes.len(), 1);
-        assert!(prefixes[0].is_host());
+        assert_eq!(prefixes[0].length, 16);
         assert_eq!(prefixes[0].value, 80);
     }
 
@@ -263,7 +244,7 @@ mod tests {
     fn expand_full_u32_range() {
         let prefixes = Prefix::expand_range(FieldRange::full(32), 32);
         assert_eq!(prefixes.len(), 1);
-        assert!(prefixes[0].is_wildcard());
+        assert_eq!(prefixes[0].length, 0);
     }
 
     proptest! {

@@ -1,6 +1,6 @@
 //! Inclusive integer ranges over a single classification dimension.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An inclusive range `[lo, hi]` of header-field values in one dimension.
 ///
@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// dimension of a node's covered region into equal-width sub-ranges.
 ///
 /// Invariant: `lo <= hi` (enforced by [`FieldRange::new`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct FieldRange {
     /// Smallest value contained in the range.
     pub lo: u32,

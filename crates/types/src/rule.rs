@@ -4,7 +4,7 @@ use crate::dimension::{Dimension, DimensionSpec, FIELD_COUNT};
 use crate::packet::PacketHeader;
 use crate::prefix::Prefix;
 use crate::range::FieldRange;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of a rule inside a ruleset.
 ///
@@ -12,43 +12,11 @@ use serde::{Deserialize, Serialize};
 /// ordering of ClassBench filter files and Table 1 of the paper (R0 … R9).
 pub type RuleId = u32;
 
-/// Protocol field specification of a rule: either an exact protocol number or
-/// a wildcard, matching the 8-bit value + 1-bit mask layout the hardware
-/// encoding of the paper uses (9 bits in total).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Protocol {
-    /// Match any protocol.
-    Any,
-    /// Match exactly this protocol number.
-    Exact(u8),
-}
-
-impl Protocol {
-    /// The range over the 8-bit protocol dimension this specification covers.
-    pub fn to_range(self) -> FieldRange {
-        match self {
-            Protocol::Any => FieldRange::full(8),
-            Protocol::Exact(p) => FieldRange::exact(u32::from(p)),
-        }
-    }
-
-    /// Recovers a protocol specification from a range if it is expressible.
-    pub fn from_range(range: FieldRange) -> Option<Protocol> {
-        if range == FieldRange::full(8) {
-            Some(Protocol::Any)
-        } else if range.is_exact() && range.lo <= 255 {
-            Some(Protocol::Exact(range.lo as u8))
-        } else {
-            None
-        }
-    }
-}
-
 /// A classification rule: one inclusive range per dimension plus an id.
 ///
 /// Rules are pure data; matching semantics live here, priority resolution in
 /// [`crate::ruleset::RuleSet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Rule {
     /// Identifier / priority of the rule within its ruleset.
     pub id: RuleId,
@@ -105,39 +73,6 @@ impl Rule {
     /// geometry.
     pub fn is_wildcard_in(&self, dim: Dimension, spec: &DimensionSpec) -> bool {
         self.range(dim) == FieldRange::full(spec.width(dim))
-    }
-
-    /// Number of dimensions in which the rule is a full wildcard.
-    pub fn wildcard_count(&self, spec: &DimensionSpec) -> usize {
-        Dimension::ALL
-            .iter()
-            .filter(|&&d| self.is_wildcard_in(d, spec))
-            .count()
-    }
-
-    /// `true` if this rule's region is entirely contained in `other`'s region
-    /// (i.e. `other` shadows this rule whenever `other` has higher priority).
-    pub fn covered_by(&self, other: &Rule) -> bool {
-        self.ranges
-            .iter()
-            .zip(other.ranges.iter())
-            .all(|(a, b)| b.covers(a))
-    }
-
-    /// Source IP range expressed as a prefix, when it is one.
-    pub fn src_prefix(&self) -> Option<Prefix> {
-        Prefix::from_range(self.range(Dimension::SrcIp), 32)
-    }
-
-    /// Destination IP range expressed as a prefix, when it is one.
-    pub fn dst_prefix(&self) -> Option<Prefix> {
-        Prefix::from_range(self.range(Dimension::DstIp), 32)
-    }
-
-    /// Protocol specification, when the protocol range is an exact value or
-    /// the full 8-bit wildcard.
-    pub fn protocol(&self) -> Option<Protocol> {
-        Protocol::from_range(self.range(Dimension::Protocol))
     }
 }
 
@@ -273,7 +208,9 @@ mod tests {
     fn builder_defaults_to_wildcards() {
         let r = RuleBuilder::new(0).build();
         assert_eq!(r, Rule::wildcard(0, &DimensionSpec::FIVE_TUPLE));
-        assert_eq!(r.wildcard_count(&DimensionSpec::FIVE_TUPLE), 5);
+        assert!(Dimension::ALL
+            .iter()
+            .all(|&d| r.is_wildcard_in(d, &DimensionSpec::FIVE_TUPLE)));
     }
 
     #[test]
@@ -308,19 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_and_protocol_recovery() {
-        let r = sample_rule();
-        assert_eq!(r.src_prefix(), Some(Prefix::ipv4(0x0A00_0000, 8)));
-        assert_eq!(r.dst_prefix(), Some(Prefix::ipv4(0xC0A8_0100, 24)));
-        assert_eq!(r.protocol(), Some(Protocol::Exact(6)));
-        let any = RuleBuilder::new(0).build();
-        assert_eq!(any.protocol(), Some(Protocol::Any));
-        // A rule with a non-prefix IP range reports None.
-        let odd = RuleBuilder::new(1).src_ip_range(1, 5).build();
-        assert_eq!(odd.src_prefix(), None);
-    }
-
-    #[test]
     fn intersects_region() {
         let r = sample_rule();
         let mut region = [
@@ -333,24 +257,6 @@ mod tests {
         assert!(r.intersects_region(&region));
         region[3] = FieldRange::new(81, 90);
         assert!(!r.intersects_region(&region));
-    }
-
-    #[test]
-    fn covered_by() {
-        let broad = RuleBuilder::new(0).src_prefix(0x0A00_0000, 8).build();
-        let narrow = RuleBuilder::new(1)
-            .src_prefix(0x0A01_0000, 16)
-            .dst_port(53)
-            .build();
-        assert!(narrow.covered_by(&broad));
-        assert!(!broad.covered_by(&narrow));
-    }
-
-    #[test]
-    fn protocol_range_conversions() {
-        assert_eq!(Protocol::Any.to_range(), FieldRange::full(8));
-        assert_eq!(Protocol::Exact(17).to_range(), FieldRange::exact(17));
-        assert_eq!(Protocol::from_range(FieldRange::new(0, 100)), None);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::dimension::{Dimension, FIELD_COUNT};
 use crate::range::FieldRange;
 use crate::rule::{Rule, RuleId};
 use crate::ruleset::RuleSet;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashSet;
 
 /// Footprint of a flattened (arena) search structure.
@@ -27,7 +27,7 @@ use std::collections::HashSet;
 /// which ids are live, so the write path keeps no second copy).  Only the
 /// lazily built per-node reference counts (4 bytes per node, built by the
 /// first update) are not counted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ArenaStats {
     /// Number of nodes: internal-node records plus leaf spans.
     pub nodes: usize,
@@ -57,7 +57,7 @@ pub struct ArenaStats {
 /// `pclass_algos::flat::FlatTree`, the one structure that takes rule
 /// updates; it lives here, next to [`ArenaStats`], so every crate that serializes
 /// measurements shares one definition.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct UpdateStats {
     /// Rules inserted since the structure was built.
     pub inserts: u64,
@@ -78,7 +78,7 @@ pub struct UpdateStats {
 /// The multi-tenant router records per-tenant batch-service latencies in
 /// it.  It lives here, next to [`UpdateStats`], so every crate that
 /// serializes measurements shares one definition — and one rank formula.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct LatencyPercentiles {
     /// Median (50th-percentile) sample, nanoseconds.
     pub p50_ns: u64,
@@ -122,7 +122,7 @@ impl LatencyPercentiles {
 /// packet count.  A packet the cache stepped aside for (it measured that
 /// probing did not pay) is a miss too, and is also counted in `bypassed`:
 /// `bypassed <= misses`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Probes answered from the cache.
     pub hits: u64,
@@ -177,7 +177,7 @@ impl CacheStats {
 /// Produced by `pclass_engine::TenantRouter` at admission time; it lives
 /// here, next to [`ArenaStats`], so every crate that serializes
 /// measurements shares one definition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MemoryReport {
     /// Bytes of the tenant's classifier as admitted ([`crate::RuleSet`] +
     /// search structure, via `Classifier::memory_bytes`) — what admission
@@ -197,7 +197,7 @@ pub struct MemoryReport {
 /// Cross-tenant fairness summary of one multi-tenant serving run,
 /// computed over the per-tenant service rates (Mpps of busy time) and,
 /// for the weighted index, over the weight-normalised service shares.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FairnessSummary {
     /// Jain's fairness index `(Σx)² / (n·Σx²)` over the per-tenant rates:
     /// 1.0 when every tenant is served at the same rate, approaching `1/n`
@@ -263,7 +263,7 @@ impl FairnessSummary {
 }
 
 /// Summary statistics of a ruleset's structure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RuleSetStats {
     /// Number of rules.
     pub rules: usize,

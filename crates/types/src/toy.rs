@@ -45,9 +45,6 @@ pub fn table1_ruleset() -> RuleSet {
     RuleSet::new("table1", DimensionSpec::TOY, rules).expect("Table 1 data is valid")
 }
 
-/// The binth value used for Figures 1 and 3 of the paper.
-pub const TABLE1_BINTH: usize = 3;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,13 +3,13 @@
 use crate::packet::PacketHeader;
 use crate::rule::RuleId;
 use crate::ruleset::{MatchResult, RuleSet};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One packet of a trace, optionally annotated with the rule the trace
 /// generator aimed the packet at (ground truth for tests; classifiers are
 /// still checked against linear search because a packet aimed at rule *k*
 /// may be captured by a higher-priority overlapping rule).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TraceEntry {
     /// The packet header.
     pub header: PacketHeader,
@@ -29,7 +29,7 @@ impl TraceEntry {
 
 /// A packet trace: the workload replayed against every classifier in the
 /// throughput and energy experiments (Tables 6 and 7 of the paper).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Trace {
     name: String,
     entries: Vec<TraceEntry>,

@@ -1,28 +1,28 @@
 //! Offline API-surface shim for `serde`, with a working JSON backend.
 //!
-//! Provides the `Serialize` / `Deserialize` names in both the trait and
-//! macro namespaces so `use serde::{Deserialize, Serialize};` plus
-//! `#[derive(Serialize, Deserialize)]` compile unchanged.  Unlike the
-//! original marker-only shim, `Serialize` is now functional: the derive in
-//! `serde_derive` generates real implementations that stream a value into
-//! the [`json::JsonWriter`], and [`json::to_string`] renders any
-//! serializable value as a JSON document (the repository benchmark,
+//! Provides the `Serialize` name in both the trait and macro namespaces so
+//! `use serde::Serialize;` plus `#[derive(Serialize)]` compile unchanged.
+//! The derive in `serde_derive` generates real implementations that stream
+//! a value into the [`json::JsonWriter`], and [`json::to_string`] renders
+//! any serializable value as a JSON document (the repository benchmark,
 //! `benchmark/`, drives the writer directly to emit its result objects).
+//! There is no `Deserialize`: nothing reads a document back into a typed
+//! value.
 //!
 //! Divergence from upstream worth knowing about when this shim is ever
 //! replaced by the registry crates: upstream's `Serialize::serialize` is
 //! generic over a `Serializer`; here it is monomorphic over the JSON writer
 //! (the only backend the workspace needs), and `json::to_string` plays the
 //! role of `serde_json::to_string` but returns `String` directly instead of
-//! a `Result`.  `Deserialize` remains a marker trait; document parsing goes
-//! through [`json::parse`], which returns a dynamically-typed
-//! [`json::Value`] tree (the shim's stand-in for `serde_json::Value`) —
-//! that is what `benchmark --compare` uses to read two result files back.
+//! a `Result`.  Document parsing goes through [`json::parse`], which
+//! returns a dynamically-typed [`json::Value`] tree (the shim's stand-in for
+//! `serde_json::Value`) — that is what `benchmark --compare` uses to read
+//! two result files back.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 /// A value that can be written as JSON.
 ///
@@ -32,9 +32,6 @@ pub trait Serialize {
     /// Streams `self` into the JSON writer as one complete value.
     fn serialize(&self, writer: &mut json::JsonWriter);
 }
-
-/// Marker stand-in for `serde::Deserialize`.
-pub trait Deserialize<'de>: Sized {}
 
 /// Minimal JSON emission — the shim's stand-in for `serde_json`.
 pub mod json {
@@ -488,6 +485,10 @@ pub mod json {
                             _ => return Err(self.error("unknown escape character")),
                         }
                     }
+                    // RFC 8259 §7: U+0000 through U+001F must be escaped.
+                    Some(0x00..=0x1F) => {
+                        return Err(self.error("unescaped control character in string"))
+                    }
                     Some(_) => {
                         // Consume one UTF-8 scalar.  The input came in as a
                         // &str and escapes/quotes are ASCII, so `pos` is
@@ -814,6 +815,12 @@ mod tests {
             "-01",
             "1.e5",
             "[1.]",
+            "\"a\u{1}b\"",
+            "\"\u{0}\"",
+            "{\"k\u{1f}\":1}",
+            "\"a\tb\"",
+            "\"a\nb\"",
+            "\"a\rb\"",
         ] {
             assert!(json::parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -822,13 +829,17 @@ mod tests {
         assert!(err.to_string().contains("JSON parse error"));
     }
 
+    /// A benchmark-result-shaped document: nested objects and arrays,
+    /// strings, every number form, literals and whitespace between tokens.
+    const RESULT_DOC: &str = r#"{"schema":6,"workload":"acl2k_uniform","ok":true,"wrong":0,
+            "metrics":{"setup_s":0.0123,"mpps":17.56,"sim_nj_per_pkt":1.5e-3,"delta":-0.25},
+            "runs":[{"mpps":17.2,"burst_us_p50":[3.5,4.0]},{"mpps":1E2}],"note":null}"#;
+
     /// A truncated result file is an error, never a smaller document: every
     /// proper prefix of a benchmark-result-shaped document is rejected.
     #[test]
     fn parse_rejects_every_proper_prefix_of_a_result_document() {
-        let doc = r#"{"schema":6,"workload":"acl2k_uniform","ok":true,"wrong":0,
-            "metrics":{"setup_s":0.0123,"mpps":17.56,"sim_nj_per_pkt":1.5e-3,"delta":-0.25},
-            "runs":[{"mpps":17.2,"burst_us_p50":[3.5,4.0]},{"mpps":1E2}],"note":null}"#;
+        let doc = RESULT_DOC;
         assert!(json::parse(doc).is_ok());
         for end in 0..doc.len() {
             assert!(
@@ -837,6 +848,52 @@ mod tests {
                 &doc[..end]
             );
         }
+    }
+
+    /// A control character is never legal raw inside a string (RFC 8259
+    /// §7), and outside one only `\t`, `\n` and `\r` are (as whitespace).
+    /// Every other control byte, inserted at or substituted for any byte of
+    /// a result-shaped document, is rejected; so is a raw `\t`, `\n` or
+    /// `\r` inserted into or substituted inside any of its strings.
+    #[test]
+    fn parse_rejects_raw_control_characters_in_a_result_document() {
+        let doc = RESULT_DOC.as_bytes();
+        let parse = |bytes: &[u8]| json::parse(std::str::from_utf8(bytes).unwrap());
+        let never_raw = (0x00u8..=0x1F).filter(|b| !matches!(b, b'\t' | b'\n' | b'\r'));
+        for b in never_raw {
+            for i in 0..=doc.len() {
+                let inserted = [&doc[..i], &[b], &doc[i..]].concat();
+                assert!(
+                    parse(&inserted).is_err(),
+                    "accepted {b:#04x} inserted at {i}"
+                );
+                if i < doc.len() {
+                    let mut substituted = doc.to_vec();
+                    substituted[i] = b;
+                    assert!(parse(&substituted).is_err(), "accepted {b:#04x} at {i}");
+                }
+            }
+        }
+        // Byte i lies in a string body when an odd number of quotes precede
+        // it (the document has no escaped quotes).
+        let in_string = |i: usize| doc[..i].iter().filter(|&&c| c == b'"').count() % 2 == 1;
+        let mut string_positions = 0;
+        for i in (0..=doc.len()).filter(|&i| in_string(i)) {
+            string_positions += 1;
+            for b in [b'\t', b'\n', b'\r'] {
+                let inserted = [&doc[..i], &[b], &doc[i..]].concat();
+                assert!(
+                    parse(&inserted).is_err(),
+                    "accepted {b:#04x} inserted at {i}"
+                );
+                if doc[i] != b'"' {
+                    let mut substituted = doc.to_vec();
+                    substituted[i] = b;
+                    assert!(parse(&substituted).is_err(), "accepted {b:#04x} at {i}");
+                }
+            }
+        }
+        assert!(string_positions > 50, "{string_positions} string positions");
     }
 
     #[test]

@@ -13,9 +13,6 @@
 //! Unit variants serialize as their name (`"Acl"`); newtype variants use
 //! serde's externally-tagged form (`{"Matched":7}`), so the output matches
 //! what upstream serde_json would produce for the same types.
-//!
-//! `#[derive(Deserialize)]` remains a no-op: the shim's `Deserialize` is a
-//! marker trait and nothing in the workspace parses serialized data.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -58,12 +55,6 @@ pub fn derive_serialize(item: TokenStream) -> TokenStream {
                 .unwrap()
         }
     }
-}
-
-/// No-op stand-in for `#[derive(Deserialize)]`.
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(_item: TokenStream) -> TokenStream {
-    TokenStream::new()
 }
 
 fn emit_impl(name: &str, body: &str) -> TokenStream {

@@ -526,7 +526,6 @@ fn live_rules_follow_a_model_set_with_holes_in_the_id_range() {
     let check = |c: &FlatTreeClassifier, model: &BTreeMap<RuleId, Rule>, step: usize| {
         let want: Vec<Rule> = model.values().copied().collect();
         assert_eq!(c.live_rules(), want, "step {step}");
-        assert_eq!(c.flat_tree().live_rule_count(), want.len(), "step {step}");
     };
     let occupied_end = |model: &BTreeMap<RuleId, Rule>| {
         model
