@@ -1,0 +1,78 @@
+#!/usr/bin/env bash
+# Structural guards: the tests that pin what the product computes are part of
+# the suite, and retired names and paths do not come back.  CI runs this after
+# `cargo test`; run it from anywhere in the repository the same way:
+#
+#     .github/structure-guards.sh
+#
+# `cargo test -q` prints dots, not names.  The three tests that hold the
+# accelerator simulator still (its pinned counts, the decoded-image walk
+# against the bit-level reference, and the image against the tree it was
+# encoded from) and the one that pins the benchmark's 2 k / 10 k arenas (their
+# shape, their size and the LookupStats the sim_* metrics price) must be part
+# of the suite: list them by name, red if any is gone.  So must the two that
+# hold the arena's tagged child slots to their tables (every slot decodes in
+# range, and a lone-leaf root takes updates and re-flattens).
+#
+# `set -e` ignores a `!`-inverted status, so every negated grep ends in
+# `|| exit 1`.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+if [ -z "${RUNNER_TEMP:-}" ]; then
+  RUNNER_TEMP="$(mktemp -d)"
+  trap 'rm -rf "$RUNNER_TEMP"' EXIT
+fi
+
+cargo test --locked -q --workspace -- --list > "$RUNNER_TEMP/tests.list"
+grep -F "simulated_counts_are_pinned: test" "$RUNNER_TEMP/tests.list"
+grep -F "prop_mirror_walk_equals_the_bit_level_walk: test" "$RUNNER_TEMP/tests.list"
+grep -F "image_tree_and_linear_search_agree: test" "$RUNNER_TEMP/tests.list"
+grep -F "benchmark_arenas_are_pinned_at_2k_and_10k: test" "$RUNNER_TEMP/tests.list"
+grep -F "every_slot_decodes_in_range_and_reflatten_keeps_only_reachable_entries: test" "$RUNNER_TEMP/tests.list"
+grep -F "a_lone_leaf_root_takes_updates_and_reflattens: test" "$RUNNER_TEMP/tests.list"
+grep -F "a_build_and_a_pristine_reflatten_lay_out_the_same_tree: test" "$RUNNER_TEMP/tests.list"
+# One walk in the flat arena: LaneWidth::Scalar and per-packet
+# classify (the stats path) are lanes of one through step_lane.
+# Its oracles are linear search (every lane width) and the pointer
+# tree (decisions and LookupStats, packet for packet).
+grep -F "every_lane_width_matches_linear_search: test" "$RUNNER_TEMP/tests.list"
+grep -F "flat_tree_is_packet_for_packet_identical: test" "$RUNNER_TEMP/tests.list"
+! grep -nE "fn (walk_scalar|step_packet|scan_slab)\b" crates/algos/src/flat.rs || exit 1
+test "$(grep -cE 'fn step_lane\b' crates/algos/src/flat.rs)" -eq 1
+# One recursive tree builder, for software and hardware alike.
+test "$(grep -rn 'fn build_node' crates --include=*.rs | wc -l)" -eq 1
+# RFC is built and served by one path each: one phase-0 table
+# builder, one cross product and one tile walk (per-packet
+# classify is a tile of one).  Its 13 tables are pinned bit for
+# bit on acl, fw and ipc sets of 300 rules.
+grep -F "tables_are_pinned_on_classbench_sets: test" "$RUNNER_TEMP/tests.list"
+! grep -nE '\b(lookup_ids|addr_hi|addr_lo|whole_chunk|combine_addr|combine_bitmaps|Classer)\b' crates/algos/src/rfc.rs || exit 1
+# One cache integration, pclass_algos::CachedClassifier: an Engine
+# worker, a cached live cell and a cached tenant are each built
+# over one, and the engine crate names no cache of its own (-w
+# lets HotCacheConfig pass; doc comments count).
+grep -F "cached_router_serves_identically_and_isolates_churn: test" "$RUNNER_TEMP/tests.list"
+grep -F "cached_live_engine_matches_truth_and_warm_passes_hit: test" "$RUNNER_TEMP/tests.list"
+! grep -rnw "HotCache\|serve_batch\|snapshot_tagged\|free_caches\|cache_share" crates/engine/src || exit 1
+# The cache judges itself: it steps aside while probing does not
+# pay and re-engages when it does, with no knob — HotCacheConfig
+# keeps exactly its two fields.
+grep -F "a_cache_that_never_hits_steps_aside_after_warm_up: test" "$RUNNER_TEMP/tests.list"
+grep -F "a_cache_that_saves_slow_walks_never_steps_aside: test" "$RUNNER_TEMP/tests.list"
+grep -F "hotter_traffic_re_engages_a_bypassed_cache: test" "$RUNNER_TEMP/tests.list"
+grep -F "a_new_generation_refills_before_it_is_judged: test" "$RUNNER_TEMP/tests.list"
+grep -F "serve_batch_counts_its_evictions: test" "$RUNNER_TEMP/tests.list"
+grep -F "a_cached_live_engine_crosses_a_bypass_flip_between_publishes: test" "$RUNNER_TEMP/tests.list"
+test "$(sed -n '/^pub struct HotCacheConfig {/,/^}/p' crates/algos/src/hotcache.rs | grep -c '^    pub ')" -eq 2
+# Constants, not knobs: the paper fixes binth, spfac and the cut
+# range, so BuildConfig keeps only the algorithm and the leaf
+# packing, and no setter of the RFC ceiling, the generator styles,
+# the power skew or the energy tariffs comes back.
+test "$(sed -n '/^pub struct BuildConfig {/,/^}/p' crates/core/src/builder.rs | grep -c '^    pub ')" -eq 2
+! grep -rnE '\b(RfcConfig|build_with|with_parameters|with_costs|with_device|CycleCosts)\b|fn (skew|validate)\b' crates/algos/src crates/core/src crates/classbench/src crates/energy/src || exit 1
+# Public API that only tests called is gone: the ClassBench text format,
+# `Protocol`, the dead helpers of pclass-types/-algos/-energy, and the no-op
+# `Deserialize` marker (trait, derive macro and every derive site).
+! grep -rnE '\b(parse_classbench|to_classbench_text|matching_rules|covered_by|wildcard_count|live_rule_count|total_ops|raw_energy_j)\b|enum Protocol\b|Deserialize' crates src || exit 1
+! grep -n 'proc_macro_derive(Deserialize)' shims/serde_derive/src/lib.rs || exit 1
+echo "structure guards: ok"
