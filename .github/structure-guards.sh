@@ -31,6 +31,13 @@ grep -F "benchmark_arenas_are_pinned_at_2k_and_10k: test" "$RUNNER_TEMP/tests.li
 grep -F "every_slot_decodes_in_range_and_reflatten_keeps_only_reachable_entries: test" "$RUNNER_TEMP/tests.list"
 grep -F "a_lone_leaf_root_takes_updates_and_reflattens: test" "$RUNNER_TEMP/tests.list"
 grep -F "a_build_and_a_pristine_reflatten_lay_out_the_same_tree: test" "$RUNNER_TEMP/tests.list"
+# What the cut-tree builders produce is pinned: every accelerator image
+# reproduce and the simulator tests build, the Table 4 layouts, and the
+# software trees' counts, lookups and Figure 1/3 dumps.
+grep -F "hardware_images_are_pinned: test" "$RUNNER_TEMP/tests.list"
+grep -F "table4_layouts_are_pinned: test" "$RUNNER_TEMP/tests.list"
+grep -F "software_trees_are_pinned: test" "$RUNNER_TEMP/tests.list"
+grep -F "figure_dumps_are_pinned: test" "$RUNNER_TEMP/tests.list"
 # One walk in the flat arena: LaneWidth::Scalar and per-packet
 # classify (the stats path) are lanes of one through step_lane.
 # Its oracles are linear search (every lane width) and the pointer

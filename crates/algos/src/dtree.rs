@@ -842,6 +842,18 @@ impl<C: RosterPolicy> CutTreeClassifier<C> {
         &self.tree
     }
 
+    /// Aggregate statistics of the built tree (node counts, depth,
+    /// worst-case accesses).
+    pub fn stats(&self) -> TreeStats {
+        self.tree.stats()
+    }
+
+    /// The built tree as an indented text dump (Figures 1 and 3 of the
+    /// paper on the Table 1 ruleset).
+    pub fn dump(&self) -> String {
+        self.tree.dump()
+    }
+
     /// The builder configuration.
     pub fn config(&self) -> &C {
         &self.config
