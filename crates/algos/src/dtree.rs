@@ -1,16 +1,18 @@
-//! Shared decision-tree representation for the software HiCuts and HyperCuts
-//! classifiers.
+//! The cut-tree builder shared by the software HiCuts and HyperCuts
+//! classifiers and the hardware-oriented variants in `pclass-core`.
 //!
 //! Both algorithms produce the same kind of structure — a tree whose internal
 //! nodes cut the covered region into equal-width children along one or more
-//! dimensions and whose leaves hold at most `binth` rules — so the tree
-//! container, the lookup procedure, the memory model and the statistics are
-//! implemented once here.  The two builders differ only in how they choose
-//! the dimensions and the number of cuts; those policies live in
-//! [`crate::hicuts`] and [`crate::hypercuts`].
+//! dimensions and whose leaves hold at most `binth` rules — so the builder,
+//! the memory model and the statistics are implemented once.  The builder
+//! emits straight into the flat arena ([`crate::flat::FlatTree`]), which is
+//! the one representation every tree takes: the software classifiers walk
+//! it, and the hardware encoder serialises it.  The algorithms differ only
+//! in how they choose the dimensions and the number of cuts; those
+//! policies live in [`crate::hicuts`] and [`crate::hypercuts`].
 //!
 //! Everything a cut-tree *builder* needs besides its selection policy is
-//! here too, written once for the original algorithms and for the
+//! here, written once for the original algorithms and for the
 //! hardware-oriented variants in `pclass-core`:
 //!
 //! * [`rules_intersecting`], [`cut_histogram`] and [`max_child_occupancy`] —
@@ -27,14 +29,11 @@
 //!   [`crate::hypercuts::HyperCutsClassifier`] are.
 
 use crate::counters::{BuildStats, LookupStats};
+use crate::flat::{FlatTree, FlatTreeClassifier};
 use crate::Classifier;
 use pclass_types::{
-    Dimension, DimensionSpec, FieldRange, MatchResult, PacketHeader, Rule, RuleId, RuleSet,
-    FIELD_COUNT,
+    Dimension, FieldRange, MatchResult, PacketHeader, Rule, RuleId, RuleSet, FIELD_COUNT,
 };
-
-/// Index of a node inside a [`DecisionTree`].
-pub type NodeId = u32;
 
 /// A cut specification at an internal node: how many equal-width children
 /// each dimension is divided into (1 = not cut).  The child array is indexed
@@ -75,32 +74,6 @@ impl CutSpec {
             .collect()
     }
 
-    /// Mixed-radix child index for a packet, relative to `region`.
-    ///
-    /// Returns `None` when the packet lies outside the region in a cut
-    /// dimension (possible only when region compaction shrank the region) —
-    /// in that case no rule stored below this node can match.
-    pub fn child_index(
-        &self,
-        region: &[FieldRange; FIELD_COUNT],
-        pkt: &PacketHeader,
-    ) -> Option<u64> {
-        let mut idx: u64 = 0;
-        for d in Dimension::ALL {
-            let parts = self.parts[d.index()];
-            if parts <= 1 {
-                continue;
-            }
-            let r = region[d.index()];
-            let v = pkt.fields[d.index()];
-            if !r.contains(v) {
-                return None;
-            }
-            idx = idx * u64::from(parts) + u64::from(r.index_of(parts, v));
-        }
-        Some(idx)
-    }
-
     /// Region of the `i`-th child (mixed-radix decomposition of `i`).
     pub fn child_region(
         &self,
@@ -119,49 +92,6 @@ impl CutSpec {
             out[d.index()] = region[d.index()].split_child(parts, digit);
         }
         out
-    }
-}
-
-/// Kind-specific payload of a tree node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NodeKind {
-    /// An internal node that cuts its region.
-    Internal {
-        /// How the region is cut.
-        cuts: CutSpec,
-        /// Children in mixed-radix cut order; always `cuts.child_count()`
-        /// entries, possibly referring to shared/merged nodes.
-        children: Vec<NodeId>,
-        /// Rules common to every child that were pushed up to this node
-        /// (HyperCuts heuristic); searched linearly during traversal.
-        stored_rules: Vec<RuleId>,
-        /// The (possibly compacted) region the cuts apply to.  Equal to the
-        /// node's covered region unless the HyperCuts region-compaction
-        /// heuristic shrank it.
-        cut_region: [FieldRange; FIELD_COUNT],
-    },
-    /// A leaf holding at most `binth` rules (in priority order).
-    Leaf {
-        /// Rule ids stored in this leaf, ascending (priority order).
-        rules: Vec<RuleId>,
-    },
-}
-
-/// One node of the decision tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Node {
-    /// The region of header space this node covers.
-    pub region: [FieldRange; FIELD_COUNT],
-    /// Depth of the node (root = 0).
-    pub depth: u32,
-    /// Payload.
-    pub kind: NodeKind,
-}
-
-impl Node {
-    /// `true` if the node is a leaf.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self.kind, NodeKind::Leaf { .. })
     }
 }
 
@@ -197,7 +127,7 @@ impl MemoryModel {
     pub const RULE_BYTES: usize = 18;
 }
 
-/// Aggregate statistics of a built tree.
+/// Aggregate statistics of a built tree (see [`CutTreeClassifier::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreeStats {
     /// Number of internal nodes.
@@ -214,256 +144,6 @@ pub struct TreeStats {
     /// path (including the root) plus one access per rule of the largest leaf
     /// on that path plus any pushed-up rules checked along the way.
     pub worst_case_accesses: u64,
-}
-
-/// A decision tree over a ruleset, produced by a HiCuts- or HyperCuts-style
-/// builder.
-///
-/// The tree is an immutable build product — what a builder emits and
-/// [`crate::flat::FlatTree::from_tree`] or the hardware encoder consumes.
-/// Rule updates are owned by the flat arena alone (see [`crate::update`]).
-#[derive(Debug, Clone)]
-pub struct DecisionTree {
-    spec: DimensionSpec,
-    rules: Vec<Rule>,
-    nodes: Vec<Node>,
-    root: NodeId,
-}
-
-impl DecisionTree {
-    /// Assembles a tree from parts.  `nodes[root]` must exist and every
-    /// child index must be in bounds (checked in debug builds).
-    pub fn new(ruleset: &RuleSet, nodes: Vec<Node>, root: NodeId) -> DecisionTree {
-        debug_assert!((root as usize) < nodes.len());
-        DecisionTree {
-            spec: *ruleset.spec(),
-            rules: ruleset.rules().to_vec(),
-            nodes,
-            root,
-        }
-    }
-
-    /// The tree's nodes (for encoders and diagnostics).
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
-    }
-
-    /// Root node id.
-    pub fn root(&self) -> NodeId {
-        self.root
-    }
-
-    /// The geometry of the ruleset the tree was built over.
-    pub fn spec(&self) -> &DimensionSpec {
-        &self.spec
-    }
-
-    /// The rules the tree classifies against (copied from the ruleset at
-    /// build time so the tree is self-contained), indexed by id.
-    pub fn rules(&self) -> &[Rule] {
-        &self.rules
-    }
-
-    /// Classifies a packet, optionally recording work into `stats`.
-    pub fn classify(&self, pkt: &PacketHeader, mut stats: Option<&mut LookupStats>) -> MatchResult {
-        let mut best: Option<RuleId> = None;
-        let mut node_id = self.root;
-        loop {
-            let node = &self.nodes[node_id as usize];
-            if let Some(s) = stats.as_deref_mut() {
-                s.count_node();
-            }
-            match &node.kind {
-                NodeKind::Leaf { rules } => {
-                    self.scan_rules(rules, pkt, &mut best, stats.as_deref_mut());
-                    break;
-                }
-                NodeKind::Internal {
-                    cuts,
-                    children,
-                    stored_rules,
-                    cut_region,
-                } => {
-                    if let Some(s) = stats.as_deref_mut() {
-                        s.nodes_visited += 1;
-                    }
-                    if !stored_rules.is_empty() {
-                        self.scan_rules(stored_rules, pkt, &mut best, stats.as_deref_mut());
-                    }
-                    match cuts.child_index(cut_region, pkt) {
-                        Some(idx) => {
-                            if let Some(s) = stats.as_deref_mut() {
-                                s.count_child_select(cuts.cut_dimensions().len() as u64);
-                            }
-                            node_id = children[idx as usize];
-                        }
-                        None => break, // outside the compacted region: nothing below can match
-                    }
-                }
-            }
-        }
-        match best {
-            Some(id) => MatchResult::Matched(id),
-            None => MatchResult::NoMatch,
-        }
-    }
-
-    /// Linear scan of a rule-id list, updating the best (lowest id) match.
-    fn scan_rules(
-        &self,
-        ids: &[RuleId],
-        pkt: &PacketHeader,
-        best: &mut Option<RuleId>,
-        stats: Option<&mut LookupStats>,
-    ) {
-        let mut compared = 0u64;
-        for &id in ids {
-            compared += 1;
-            // Rules are stored in ascending id order, so the first hit in a
-            // list is the best within that list; still guard against an
-            // earlier stored-rule hit from a shallower node.
-            if best.is_none_or(|b| id < b) && self.rules[id as usize].matches(pkt) {
-                *best = Some(best.map_or(id, |b| b.min(id)));
-                break;
-            }
-            // Once the ids exceed the current best there is no point
-            // continuing: everything later has lower priority.
-            if let Some(b) = *best {
-                if id >= b {
-                    break;
-                }
-            }
-        }
-        if let Some(s) = stats {
-            s.count_scan(compared);
-        }
-    }
-
-    /// Memory footprint of the structure plus the stored ruleset under the
-    /// software [`MemoryModel`].
-    pub fn memory_bytes(&self) -> usize {
-        let mut bytes = self.rules.len() * MemoryModel::RULE_BYTES;
-        for node in &self.nodes {
-            match &node.kind {
-                NodeKind::Internal {
-                    children,
-                    stored_rules,
-                    ..
-                } => {
-                    bytes += MemoryModel::INTERNAL_HEADER_BYTES
-                        + children.len() * MemoryModel::CHILD_POINTER_BYTES
-                        + stored_rules.len() * MemoryModel::RULE_POINTER_BYTES;
-                }
-                NodeKind::Leaf { rules } => {
-                    bytes += MemoryModel::LEAF_HEADER_BYTES
-                        + rules.len() * MemoryModel::RULE_POINTER_BYTES;
-                }
-            }
-        }
-        bytes
-    }
-
-    /// Aggregate statistics (node counts, depth, worst-case accesses).
-    pub fn stats(&self) -> TreeStats {
-        let mut internal = 0usize;
-        let mut leaves = 0usize;
-        let mut refs = 0usize;
-        let mut max_depth = 0u32;
-        let mut max_leaf_rules = 0usize;
-        for node in &self.nodes {
-            max_depth = max_depth.max(node.depth);
-            match &node.kind {
-                NodeKind::Internal { stored_rules, .. } => {
-                    internal += 1;
-                    refs += stored_rules.len();
-                }
-                NodeKind::Leaf { rules } => {
-                    leaves += 1;
-                    refs += rules.len();
-                    max_leaf_rules = max_leaf_rules.max(rules.len());
-                }
-            }
-        }
-        TreeStats {
-            internal_nodes: internal,
-            leaf_nodes: leaves,
-            stored_rule_refs: refs,
-            max_depth,
-            max_leaf_rules,
-            worst_case_accesses: self.worst_case_accesses(self.root, 0),
-        }
-    }
-
-    /// Worst-case memory accesses from `node_id` to any leaf below it.
-    fn worst_case_accesses(&self, node_id: NodeId, mut pushed: u64) -> u64 {
-        let node = &self.nodes[node_id as usize];
-        match &node.kind {
-            NodeKind::Leaf { rules } => 1 + pushed + rules.len() as u64,
-            NodeKind::Internal {
-                children,
-                stored_rules,
-                ..
-            } => {
-                pushed += stored_rules.len() as u64;
-                let mut worst = 0u64;
-                let mut seen: Vec<NodeId> = Vec::new();
-                for &c in children {
-                    if seen.contains(&c) {
-                        continue;
-                    }
-                    seen.push(c);
-                    worst = worst.max(self.worst_case_accesses(c, pushed));
-                }
-                1 + worst
-            }
-        }
-    }
-
-    /// Renders the tree as an indented text dump (used by the quickstart
-    /// example to reproduce Figures 1 and 3 of the paper).
-    pub fn dump(&self) -> String {
-        let mut out = String::new();
-        self.dump_node(self.root, 0, &mut out);
-        out
-    }
-
-    fn dump_node(&self, node_id: NodeId, indent: usize, out: &mut String) {
-        use std::fmt::Write as _;
-        let node = &self.nodes[node_id as usize];
-        let pad = "  ".repeat(indent);
-        match &node.kind {
-            NodeKind::Leaf { rules } => {
-                let names: Vec<String> = rules.iter().map(|r| format!("R{r}")).collect();
-                let _ = writeln!(out, "{pad}leaf [{}]", names.join(" "));
-            }
-            NodeKind::Internal {
-                cuts,
-                children,
-                stored_rules,
-                ..
-            } => {
-                let desc: Vec<String> = cuts
-                    .cut_dimensions()
-                    .iter()
-                    .map(|d| format!("{} x{}", d.name(), cuts.parts[d.index()]))
-                    .collect();
-                let stored = if stored_rules.is_empty() {
-                    String::new()
-                } else {
-                    format!(" stored={:?}", stored_rules)
-                };
-                let _ = writeln!(out, "{pad}node cut[{}]{stored}", desc.join(", "));
-                let mut seen: Vec<NodeId> = Vec::new();
-                for &c in children {
-                    if seen.contains(&c) {
-                        continue;
-                    }
-                    seen.push(c);
-                    self.dump_node(c, indent + 1, out);
-                }
-            }
-        }
-    }
 }
 
 /// Returns the ids of `candidates` whose rules intersect `region`
@@ -664,7 +344,7 @@ mod build {
 
     /// What [`CutTreeClassifier`] needs of a policy beyond its cuts.
     pub trait RosterPolicy: CutPolicy {
-        /// Roster name of the pointer-tree classifier.
+        /// Name of the built classifier ([`Classifier::name`]).
         const NAME: &'static str;
         /// Roster name of its flat-arena form.
         const FLAT_NAME: &'static str;
@@ -679,48 +359,48 @@ mod build {
         pub rules: &'a [Rule],
         /// Work charged so far.
         pub stats: BuildStats,
-        nodes: Vec<Node>,
-        empty_leaf: Option<NodeId>,
+        arena: FlatTree,
+        empty_leaf: Option<u32>,
         leaf_rule_stores: u64,
     }
 
     impl<'a> TreeBuilder<'a> {
-        /// Builds the tree of `ruleset` under `policy`.
-        pub fn build<P: CutPolicy>(ruleset: &'a RuleSet, policy: &P) -> (DecisionTree, BuildStats) {
+        /// Builds the tree of `ruleset` under `policy` into an arena in
+        /// build order: records and leaves are numbered as the builder makes
+        /// them, the root first, and no rule span has slack.
+        pub fn build<P: CutPolicy>(ruleset: &'a RuleSet, policy: &P) -> (FlatTree, BuildStats) {
             let mut kit = TreeBuilder {
                 rules: ruleset.rules(),
                 stats: BuildStats::new(),
-                nodes: Vec::new(),
+                arena: FlatTree::for_build(ruleset),
                 empty_leaf: None,
                 leaf_rule_stores: P::LEAF_RULE_STORES,
             };
             let all_rules: Vec<RuleId> = (0..ruleset.len() as RuleId).collect();
-            let root = kit.build_node(policy, ruleset.full_region(), all_rules, 0);
-            (DecisionTree::new(ruleset, kit.nodes, root), kit.stats)
+            kit.build_node(policy, ruleset.full_region(), all_rules, 0);
+            (kit.arena, kit.stats)
         }
 
+        /// Builds the node covering `region` at `depth`, and returns its
+        /// slot in the arena.
         fn build_node<P: CutPolicy>(
             &mut self,
             policy: &P,
             region: [FieldRange; FIELD_COUNT],
             rules: Vec<RuleId>,
             depth: u32,
-        ) -> NodeId {
+        ) -> u32 {
             self.stats.max_depth = self.stats.max_depth.max(depth);
             if rules.len() <= policy.binth() || depth >= MAX_DEPTH {
-                return self.make_leaf(region, rules, depth);
+                return self.make_leaf(&rules);
             }
             let Some((cuts, cut_region)) = policy.plan(self, &region, &rules) else {
-                return self.make_leaf(region, rules, depth);
+                return self.make_leaf(&rules);
             };
 
-            // Reserve the node slot before the children so the root keeps id 0.
-            let node_id = self.nodes.len() as NodeId;
-            self.nodes.push(Node {
-                region,
-                depth,
-                kind: NodeKind::Leaf { rules: vec![] },
-            });
+            // Reserve the record before the children so the root keeps
+            // record 0.
+            let slot = self.arena.reserve_internal();
             self.stats.internal_nodes += 1;
             self.stats.ops.stores += P::HEADER_STORES;
 
@@ -737,11 +417,11 @@ mod build {
             // region.  Sharing an internal subtree between two different
             // regions would route packets from the second region through
             // cuts computed for the first, so that is the policy's call.
-            let mut children: Vec<NodeId> = Vec::with_capacity(child_count as usize);
-            let mut merged: Vec<(Vec<RuleId>, NodeId)> = Vec::new();
+            let mut children: Vec<u32> = Vec::with_capacity(child_count as usize);
+            let mut merged: Vec<(Vec<RuleId>, u32)> = Vec::new();
             for (i, list) in child_rules.into_iter().enumerate() {
                 if list.is_empty() {
-                    children.push(self.empty_leaf(depth + 1));
+                    children.push(self.empty_leaf());
                     continue;
                 }
                 let child_region = cuts.child_region(&cut_region, i as u64);
@@ -758,40 +438,25 @@ mod build {
                 }
             }
 
-            self.nodes[node_id as usize].kind = NodeKind::Internal {
-                cuts,
-                children,
-                stored_rules,
-                cut_region,
-            };
-            node_id
+            self.arena
+                .patch_internal(slot, &cuts, &cut_region, &children, &stored_rules);
+            slot
         }
 
-        fn make_leaf(
-            &mut self,
-            region: [FieldRange; FIELD_COUNT],
-            rules: Vec<RuleId>,
-            depth: u32,
-        ) -> NodeId {
-            let id = self.nodes.len() as NodeId;
+        fn make_leaf(&mut self, rules: &[RuleId]) -> u32 {
             self.stats.leaf_nodes += 1;
             self.stats.stored_rule_refs += rules.len() as u64;
             self.stats.ops.stores += 2 + rules.len() as u64 * self.leaf_rule_stores;
-            self.nodes.push(Node {
-                region,
-                depth,
-                kind: NodeKind::Leaf { rules },
-            });
-            id
+            self.arena.push_leaf(rules)
         }
 
-        fn empty_leaf(&mut self, depth: u32) -> NodeId {
-            if let Some(id) = self.empty_leaf {
-                return id;
+        fn empty_leaf(&mut self) -> u32 {
+            if let Some(slot) = self.empty_leaf {
+                return slot;
             }
-            let id = self.make_leaf([FieldRange::exact(0); FIELD_COUNT], vec![], depth);
-            self.empty_leaf = Some(id);
-            id
+            let slot = self.make_leaf(&[]);
+            self.empty_leaf = Some(slot);
+            slot
         }
 
         /// The rules of one child: [`rules_intersecting`], charged one
@@ -811,15 +476,20 @@ mod build {
     }
 }
 
-/// A packet classifier backed by a [`DecisionTree`] built under one of the
-/// original algorithms' cut policies — the one shell behind
+/// A packet classifier over a tree built under one of the original
+/// algorithms' cut policies — the one shell behind
 /// [`crate::hicuts::HiCutsClassifier`] (`C` =
 /// [`HiCutsConfig`](crate::hicuts::HiCutsConfig)) and
 /// [`crate::hypercuts::HyperCutsClassifier`] (`C` =
 /// [`HyperCutsConfig`](crate::hypercuts::HyperCutsConfig)).
+///
+/// It holds the built arena laid out breadth first — byte for byte what
+/// [`CutTreeClassifier::flatten`] serves — and walks it; what sets it apart
+/// is the software [`MemoryModel`] it reports its size under (Table 2) and
+/// the [`BuildStats`] of its build (Table 3).
 #[derive(Debug, Clone)]
 pub struct CutTreeClassifier<C> {
-    tree: DecisionTree,
+    flat: FlatTree,
     config: C,
     build_stats: BuildStats,
 }
@@ -829,29 +499,25 @@ impl<C: RosterPolicy> CutTreeClassifier<C> {
     pub fn build(ruleset: &RuleSet, config: &C) -> CutTreeClassifier<C> {
         assert!(config.binth() >= 1, "binth must be at least 1");
         assert!(config.spfac() > 0.0, "spfac must be positive");
-        let (tree, build_stats) = TreeBuilder::build(ruleset, config);
+        let (mut flat, build_stats) = TreeBuilder::build(ruleset, config);
+        flat.layout(|_| 0);
         CutTreeClassifier {
-            tree,
+            flat,
             config: *config,
             build_stats,
         }
     }
 
-    /// The decision tree (for dumps, encoders and diagnostics).
-    pub fn tree(&self) -> &DecisionTree {
-        &self.tree
-    }
-
     /// Aggregate statistics of the built tree (node counts, depth,
     /// worst-case accesses).
     pub fn stats(&self) -> TreeStats {
-        self.tree.stats()
+        self.flat.tree_stats()
     }
 
     /// The built tree as an indented text dump (Figures 1 and 3 of the
     /// paper on the Table 1 ruleset).
     pub fn dump(&self) -> String {
-        self.tree.dump()
+        self.flat.dump()
     }
 
     /// The builder configuration.
@@ -864,6 +530,13 @@ impl<C: RosterPolicy> CutTreeClassifier<C> {
     pub fn build_stats(&self) -> &BuildStats {
         &self.build_stats
     }
+
+    /// A serving classifier over a copy of the arena (roster name
+    /// `hicuts-flat` / `hypercuts-flat`): the same walk, measured by its
+    /// actual bytes, and open to rule updates.
+    pub fn flatten(&self) -> FlatTreeClassifier {
+        FlatTreeClassifier::new(C::FLAT_NAME, self.flat.clone())
+    }
 }
 
 impl<C: RosterPolicy> Classifier for CutTreeClassifier<C> {
@@ -872,62 +545,64 @@ impl<C: RosterPolicy> Classifier for CutTreeClassifier<C> {
     }
 
     fn classify(&self, pkt: &PacketHeader) -> MatchResult {
-        self.tree.classify(pkt, None)
+        self.flat.classify(pkt, None)
     }
 
     fn classify_with_stats(&self, pkt: &PacketHeader, stats: &mut LookupStats) -> MatchResult {
-        self.tree.classify(pkt, Some(stats))
+        self.flat.classify(pkt, Some(stats))
     }
 
     fn memory_bytes(&self) -> usize {
-        self.tree.memory_bytes()
+        self.flat.model_bytes()
     }
 
     fn worst_case_memory_accesses(&self) -> Option<u64> {
-        Some(self.tree.stats().worst_case_accesses)
+        Some(self.flat.worst_case_accesses())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pclass_types::toy;
+    use pclass_types::{toy, DimensionSpec};
+
+    /// A one-node tree over `rs` as a built classifier lays it out: the
+    /// root cuts `region` by `cuts`, and its `i`-th child is a leaf holding
+    /// `leaf_rules(i)`.
+    fn one_node_tree(
+        rs: &RuleSet,
+        cuts: &CutSpec,
+        region: [FieldRange; FIELD_COUNT],
+        leaf_rules: impl Fn(u64) -> Vec<RuleId>,
+    ) -> FlatTree {
+        let mut flat = FlatTree::for_build(rs);
+        let root = flat.reserve_internal();
+        let children: Vec<u32> = (0..cuts.child_count())
+            .map(|i| flat.push_leaf(&leaf_rules(i)))
+            .collect();
+        flat.patch_internal(root, cuts, &region, &children, &[]);
+        flat.layout(|_| 0);
+        flat
+    }
 
     /// Hand-builds a tiny tree over the Table 1 ruleset:
     /// root cuts field 0 into 4, children are leaves.
-    fn tiny_tree() -> DecisionTree {
+    fn tiny_tree() -> FlatTree {
         let rs = toy::table1_ruleset();
         let region = rs.full_region();
         let cuts = CutSpec::single(Dimension::SrcIp, 4);
         let rules: Vec<RuleId> = (0..rs.len() as u32).collect();
-        let mut nodes = vec![Node {
-            region,
-            depth: 0,
-            kind: NodeKind::Leaf { rules: vec![] }, // placeholder, replaced below
-        }];
-        let mut children = Vec::new();
-        for i in 0..4u64 {
-            let child_region = cuts.child_region(&region, i);
-            let child_rules = rules_intersecting(rs.rules(), &rules, &child_region);
-            let id = nodes.len() as NodeId;
-            nodes.push(Node {
-                region: child_region,
-                depth: 1,
-                kind: NodeKind::Leaf { rules: child_rules },
-            });
-            children.push(id);
-        }
-        nodes[0] = Node {
-            region,
-            depth: 0,
-            kind: NodeKind::Internal {
-                cuts,
-                children,
-                stored_rules: vec![],
-                cut_region: region,
-            },
-        };
-        DecisionTree::new(&rs, nodes, 0)
+        one_node_tree(&rs, &cuts, region, |i| {
+            rules_intersecting(rs.rules(), &rules, &cuts.child_region(&region, i))
+        })
+    }
+
+    /// `n` wildcard rules over the toy geometry, for trees whose `i`-th
+    /// leaf holds rule `i` alone: a packet's decision names its leaf.
+    fn wildcards(n: u32) -> RuleSet {
+        let spec = DimensionSpec::TOY;
+        let rules = (0..n).map(|i| Rule::wildcard(i, &spec)).collect();
+        RuleSet::new("wildcards", spec, rules).unwrap()
     }
 
     #[test]
@@ -965,16 +640,19 @@ mod tests {
 
     #[test]
     fn child_index_matches_region() {
-        let rs = toy::table1_ruleset();
+        let rs = wildcards(8);
         let region = rs.full_region();
         let mut cuts = CutSpec::unit();
         cuts.parts[0] = 4;
         cuts.parts[4] = 2;
+        let tree = one_node_tree(&rs, &cuts, region, |i| vec![i as RuleId]);
         for f0 in [0u32, 63, 64, 200, 255] {
             for f4 in [0u32, 127, 128, 255] {
                 let pkt = PacketHeader::from_fields([f0, 0, 0, 0, f4]);
-                let idx = cuts.child_index(&region, &pkt).unwrap();
-                let child = cuts.child_region(&region, idx);
+                let MatchResult::Matched(idx) = tree.classify(&pkt, None) else {
+                    panic!("{pkt:?} reached no leaf");
+                };
+                let child = cuts.child_region(&region, u64::from(idx));
                 assert!(child[0].contains(f0) && child[4].contains(f4));
             }
         }
@@ -982,11 +660,17 @@ mod tests {
 
     #[test]
     fn child_index_outside_compacted_region_is_none() {
+        let rs = wildcards(2);
         let cuts = CutSpec::single(Dimension::SrcIp, 2);
-        let mut region = toy::table1_ruleset().full_region();
+        let mut region = rs.full_region();
         region[0] = FieldRange::new(100, 200);
+        let tree = one_node_tree(&rs, &cuts, region, |i| vec![i as RuleId]);
+        // Outside the compacted region the walk stops at the root, which
+        // stores nothing: no leaf is reached.
         let pkt = PacketHeader::from_fields([50, 0, 0, 0, 0]);
-        assert_eq!(cuts.child_index(&region, &pkt), None);
+        assert_eq!(tree.classify(&pkt, None), MatchResult::NoMatch);
+        let pkt = PacketHeader::from_fields([150, 0, 0, 0, 0]);
+        assert_eq!(tree.classify(&pkt, None), MatchResult::Matched(0));
     }
 
     #[test]
@@ -1009,13 +693,13 @@ mod tests {
     #[test]
     fn stats_and_memory_are_sane() {
         let tree = tiny_tree();
-        let stats = tree.stats();
+        let stats = tree.tree_stats();
         assert_eq!(stats.internal_nodes, 1);
         assert_eq!(stats.leaf_nodes, 4);
         assert_eq!(stats.max_depth, 1);
         assert!(stats.max_leaf_rules >= 3);
         assert!(stats.worst_case_accesses >= 2);
-        let bytes = tree.memory_bytes();
+        let bytes = tree.model_bytes();
         // 10 rules * 18 + 1 internal (16 + 4*4) + leaves.
         assert!(bytes > 10 * MemoryModel::RULE_BYTES);
         assert!(bytes < 1_000);

@@ -1,16 +1,15 @@
 //! Cache-compact flat arena representation of a decision tree, with a
-//! batched level-synchronous traversal.
+//! batched level-synchronous traversal — the one form every HiCuts and
+//! HyperCuts tree in the workspace takes.
 //!
-//! The pointer trees built by [`crate::hicuts`] and [`crate::hypercuts`]
-//! classify one packet at a time by chasing
-//! [`NodeId`](crate::dtree::NodeId) indirections through an
-//! enum-of-`Vec`s [`DecisionTree`]: every step loads a large [`Node`] (a
-//! 40-byte region, a depth, and a `NodeKind` whose `Vec` payloads live in
-//! separate heap allocations), so a traversal is a chain of dependent cache
-//! misses — exactly the memory-latency wall the HiCuts and HyperCuts papers
-//! identify as the cost of decision-tree classification.
-//!
-//! [`FlatTree`] re-packs a built tree into a handful of dense arrays:
+//! The cut-tree builder ([`crate::dtree::TreeBuilder`]) emits its nodes
+//! straight into a [`FlatTree`]: an internal node reserves its record before
+//! its children are built, so the root is record 0, and a leaf takes the
+//! next leaf index when it is made.  That *build-order* arena is what the
+//! hardware encoder in `pclass-core` serialises (through
+//! [`FlatTree::node`]).  The software classifiers lay it out once more, by
+//! the same breadth-first pass [`FlatTree::reflatten`] runs, and walk only
+//! that.  A tree is a handful of dense arrays:
 //!
 //! * one **64-byte, cache-line-aligned record per internal node**
 //!   (`NodeRec`): the stored-rule span, the child-base index, the cut
@@ -22,8 +21,9 @@
 //! * one shared **cut slab** of `(dimension, parts, lo, hi, magics)`
 //!   records for cuts past each node's first (HyperCuts' extra
 //!   dimensions; empty for HiCuts trees), in dimension order so the
-//!   mixed-radix child index of
-//!   [`CutSpec::child_index`](crate::dtree::CutSpec::child_index) is reproduced exactly;
+//!   mixed-radix child index (first cut dimension most significant) of
+//!   [`CutSpec::child_region`](crate::dtree::CutSpec::child_region) is
+//!   reproduced exactly;
 //! * one shared **child slab** holding every child pointer array
 //!   back-to-back, addressed by `(child_base + index)`; a child slot is a
 //!   tagged `u32` — an internal-record index, or, with the high bit set, a
@@ -39,8 +39,7 @@
 //!   slab, drops it there if it cannot beat the best match so far, and
 //!   only otherwise loads the rule's line.
 //!
-//! Nodes are renumbered in breadth-first discovery order by the one layout
-//! pass that both [`FlatTree::from_tree`] and [`FlatTree::reflatten`] run
+//! The layout pass renumbers nodes in breadth-first discovery order
 //! (internal records and leaf spans each in their own table), so the
 //! entries of one tree level are contiguous in memory.
 //! [`FlatTree::classify_batch`] exploits that: it advances a whole batch of
@@ -70,8 +69,8 @@
 //! * leaf and stored-rule scans compare the rule images **branch
 //!   free** in blocks of `SCAN_BLOCK`: all five range pairs of a block
 //!   are tested with non-short-circuiting compares into a bitmask and the
-//!   first match is taken from the mask, preserving the pointer tree's
-//!   early-exit semantics (ids ascend, so the first match is the best one);
+//!   first match is taken from the mask, preserving an early-exit scan's
+//!   semantics (ids ascend, so the first match is the best one);
 //! * on advancing a packet, the walk issues a **portable read-ahead
 //!   touch** (the crate forbids `unsafe`, so a `std::hint::black_box`
 //!   read stands in for `_mm_prefetch`) of one word of the child's record
@@ -85,13 +84,13 @@
 //! There is one walk: [`LaneWidth::Scalar`] is a lane of one, and so are
 //! each step of a worklist tail shorter than a lane and per-packet
 //! [`FlatTree::classify`], which counts its [`LookupStats`] on that walk
-//! through a probe the serving lanes compile away.  Its oracles are linear
-//! search and the pointer tree: `tests/vector_walk.rs` holds every lane
-//! width to linear search over the live rules across rulesets, odd tail
-//! sizes and post-churn arenas whose spans have moved, and
-//! `tests/flat_equivalence.rs` holds decisions and stats to
-//! [`DecisionTree::classify`] packet-for-packet across random rulesets,
-//! builder configurations and batch sizes.
+//! through a probe the serving lanes compile away.  Its oracle is linear
+//! search: `tests/vector_walk.rs` holds every lane width to it over the
+//! live rules across rulesets, odd tail sizes and post-churn arenas whose
+//! spans have moved; `tests/flat_equivalence.rs` holds both flat builders,
+//! at every lane width and behind hot caches, to it on *every* header of
+//! narrow header spaces, and `tests/build_pins.rs` pins the stats path's
+//! counts packet for packet.
 //!
 //! A second measured negative result, for the record: building with
 //! `-C target-cpu=native` (AVX2/AVX-512 codegen on the reference host)
@@ -104,8 +103,8 @@
 //!
 //! # Incremental updates
 //!
-//! The arena is the one structure that takes rule updates — the pointer
-//! tree is an immutable build product — and it is *patchable in place*
+//! The arena is the one structure that takes rule updates, and it is
+//! *patchable in place*
 //! ([`FlatTree::insert`] / [`FlatTree::delete`]): an update descends only
 //! the subtrees the rule's ranges intersect (un-sharing merged leaves on
 //! the way down — reference counts cover leaves and internal records
@@ -126,12 +125,12 @@
 //! every span with fresh slack.
 
 use crate::counters::LookupStats;
-use crate::dtree::{CutTreeClassifier, DecisionTree, Node, NodeKind, RosterPolicy};
+use crate::dtree::{CutSpec, MemoryModel, TreeStats};
 use crate::update::UpdateError;
 use crate::Classifier;
 use pclass_types::{
-    ArenaStats, DimensionSpec, FieldRange, MatchResult, PacketHeader, Rule, RuleId, UpdateStats,
-    FIELD_COUNT,
+    ArenaStats, Dimension, DimensionSpec, FieldRange, MatchResult, PacketHeader, Rule, RuleId,
+    RuleSet, UpdateStats, FIELD_COUNT,
 };
 
 /// Sentinel for "no match found yet" in the batched traversal, and the
@@ -189,7 +188,7 @@ const PREFETCH_MIN_BYTES: usize = 1 << 20;
 
 /// A `(offset, len)` span into one of the shared slabs.  Aligned to its
 /// 8 bytes, so a leaf-table entry never straddles a cache line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 #[repr(align(8))]
 struct Span {
     off: u32,
@@ -205,7 +204,8 @@ impl Span {
 
 /// The high bit of a child slot (and of [`FlatTree`]'s root slot): set, the
 /// rest of the slot indexes the leaf table; clear, the slot indexes the
-/// internal records.
+/// internal records.  [`FlatTree::node`] documents it as part of its
+/// contract.
 const LEAF_TAG: u32 = 1 << 31;
 
 /// Most entries the internal-record table or the leaf table may hold.
@@ -255,20 +255,20 @@ fn encode_slot(i: usize, leaf: bool) -> u32 {
 /// the (possibly compacted) region `[lo, hi]` along dimension `dim`.
 ///
 /// Records of one node are stored consecutively in dimension order, so
-/// folding them most-significant-first reproduces the mixed-radix child
-/// index of the pointer tree.
+/// folding them most-significant-first gives the mixed-radix child index
+/// of [`CutSpec::child_region`](crate::dtree::CutSpec::child_region).
 ///
 /// The partition parameters of [`FieldRange::index_of`] (`base` child
 /// width, `rem` leading children one wider, `wide_span = rem * (base+1)`)
 /// depend only on the region and `parts`, so they are precomputed at
-/// flatten time.  The one division the lookup formula still needs is
+/// build time.  The one division the lookup formula still needs is
 /// replaced by a multiply-shift *magic*: for a 32-bit divisor `d`,
 /// `m = ceil(2^64 / d)` makes `(offset * m) >> 64` an **exact** quotient
 /// for every 32-bit `offset` (Granlund–Montgomery; the 32/64-bit bound is
 /// Lemire & Kaser's), so the per-packet child selection is two multiplies
 /// — no division at all, the same division-removal idea the paper applies
 /// in its hardware-oriented cut algorithms, taken one step further.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct FlatCut {
     dim: u32,
     parts: u32,
@@ -374,7 +374,7 @@ impl FlatCut {
 /// of the leaf table that a tagged child slot names directly.  A record
 /// per leaf would wrap that span in 56 bytes of padding, and at 64,000 acl
 /// rules three nodes in four are leaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 #[repr(align(64))]
 struct NodeRec {
     /// Span into `rule_slab` of the pushed-up stored rules (empty unless
@@ -453,19 +453,17 @@ impl PackedRule {
     }
 }
 
-/// A decision tree flattened into contiguous arrays (see the module docs
-/// for the layout).  Built from a [`DecisionTree`] with
-/// [`FlatTree::from_tree`]; the root is the first entry of its table —
-/// internal record 0, or leaf 0 when the whole tree is one leaf.  The
-/// arena is self-contained: classification touches only these dense
-/// arrays.
+/// A decision tree as contiguous arrays (see the module docs for the
+/// layout), emitted by [`crate::dtree::TreeBuilder`].  The root is the
+/// first entry of its table — internal record 0, or leaf 0 when the whole
+/// tree is one leaf — in build order, after a layout pass and after any
+/// update.  The arena is self-contained: classification touches only these
+/// dense arrays.
 #[derive(Debug, Clone)]
 pub struct FlatTree {
     /// The geometry the tree classifies over (needed to validate inserted
     /// rules and to rebuild a ruleset from the live set).
     spec: DimensionSpec,
-    /// The root's slot (see [`LEAF_TAG`]).
-    root: u32,
     /// One cache-line record per internal node (see [`NodeRec`]).
     nodes: Vec<NodeRec>,
     /// Per-internal-node capacity of the rule span: slots `len..cap` are
@@ -542,34 +540,28 @@ fn place(new: &mut u32, leaf: bool, counts: &mut [usize; 2]) -> bool {
     true
 }
 
+/// A read-only view of one node of a [`FlatTree`] (see [`FlatTree::node`]):
+/// what the hardware encoder in `pclass-core` serialises.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeView<'a> {
+    /// Per dimension, `Some((parts, range))` when the node cuts `range`
+    /// into `parts` equal children along that dimension; all `None` for a
+    /// leaf.
+    pub cuts: [Option<(u32, FieldRange)>; FIELD_COUNT],
+    /// The child slots in mixed-radix order, the first cut dimension most
+    /// significant (empty for a leaf).
+    pub children: &'a [u32],
+    /// A leaf's rules, or the rules an internal node stores, ascending.
+    pub rules: &'a [RuleId],
+}
+
 impl FlatTree {
-    /// Flattens a built pointer tree into the arena layout.
-    ///
-    /// The tree is first transcribed as it is — every node in node-id
-    /// order, children as tagged slots, cuts as `FlatCut`s — and then
-    /// laid out by the same breadth-first pass [`FlatTree::reflatten`]
-    /// runs, with no span slack: internal nodes are renumbered into the
-    /// record table and leaves into the leaf table in discovery order, so
-    /// shared nodes (merged leaves, the builders' shared empty leaf) keep a
-    /// single entry, unreachable ones drop, and the entries of one level
-    /// stay contiguous.
-    pub fn from_tree(tree: &DecisionTree) -> FlatTree {
-        let nodes: &[Node] = tree.nodes();
-        let mut counts = [0usize; 2];
-        let slots: Vec<u32> = nodes
-            .iter()
-            .map(|node| {
-                let leaf = matches!(node.kind, NodeKind::Leaf { .. });
-                let count = &mut counts[usize::from(leaf)];
-                *count += 1;
-                encode_slot(*count - 1, leaf)
-            })
-            .collect();
-        let mut flat = FlatTree {
-            spec: *tree.spec(),
-            root: slots[tree.root() as usize],
+    /// An arena over `ruleset`'s rules with no node yet, for
+    /// [`crate::dtree::TreeBuilder`] to emit into, root first.
+    pub(crate) fn for_build(ruleset: &RuleSet) -> FlatTree {
+        FlatTree {
+            spec: *ruleset.spec(),
             nodes: Vec::new(),
-            // The span capacities are the layout pass's to write.
             node_rule_cap: Vec::new(),
             leaves: Vec::new(),
             leaf_rule_cap: Vec::new(),
@@ -578,46 +570,104 @@ impl FlatTree {
             rule_slab: Vec::new(),
             dead_slots: 0,
             // Build-time ids equal ruleset positions: every entry is live.
-            rule_table: tree.rules().iter().map(PackedRule::new).collect(),
+            rule_table: ruleset.rules().iter().map(PackedRule::new).collect(),
             refs: None,
             update_stats: UpdateStats::default(),
+        }
+    }
+
+    /// Reserves the next internal record for a node whose children are not
+    /// built yet, and returns its slot; [`FlatTree::patch_internal`] writes
+    /// it once they are.
+    pub(crate) fn reserve_internal(&mut self) -> u32 {
+        self.nodes.push(NodeRec::default());
+        self.node_rule_cap.push(0);
+        encode_slot(self.nodes.len() - 1, false)
+    }
+
+    /// Appends a leaf holding `ids` (ascending) and returns its slot.
+    pub(crate) fn push_leaf(&mut self, ids: &[RuleId]) -> u32 {
+        let span = push_slab(&mut self.rule_slab, ids);
+        self.leaves.push(span);
+        self.leaf_rule_cap.push(span.len);
+        encode_slot(self.leaves.len() - 1, true)
+    }
+
+    /// Writes the reserved record `slot`: `cuts` applied to `cut_region`,
+    /// the child slots in mixed-radix order, and the rules stored at the
+    /// node.
+    pub(crate) fn patch_internal(
+        &mut self,
+        slot: u32,
+        cuts: &CutSpec,
+        cut_region: &[FieldRange; FIELD_COUNT],
+        children: &[u32],
+        stored: &[RuleId],
+    ) {
+        debug_assert_eq!(children.len() as u64, cuts.child_count());
+        let Slot::Internal(n) = Slot::of(slot) else {
+            panic!("slot {slot:#x} names a leaf, not a reserved record");
         };
-        for node in nodes {
-            match &node.kind {
-                NodeKind::Leaf { rules: ids } => {
-                    let span = push_slab(&mut flat.rule_slab, ids);
-                    flat.leaves.push(span);
+        let mut recs = cuts.cut_dimensions().into_iter().map(|d| {
+            let i = d.index();
+            FlatCut::new(i, cuts.parts[i], cut_region[i])
+        });
+        let cut0 = recs
+            .next()
+            .expect("an internal node cuts at least one dimension");
+        let rest_off = self.cuts.len() as u32;
+        self.cuts.extend(recs);
+        let child_base = self.children.len() as u32;
+        self.children.extend_from_slice(children);
+        let rules = push_slab(&mut self.rule_slab, stored);
+        self.nodes[n] = NodeRec {
+            rules,
+            child_base,
+            cut_count: 1 + self.cuts.len() as u32 - rest_off,
+            rest_off,
+            cut0,
+        };
+        self.node_rule_cap[n] = rules.len;
+    }
+
+    /// The root's slot: internal record 0, or leaf 0 when the tree has no
+    /// internal node (see [`FlatTree`]).
+    #[inline]
+    fn root(&self) -> u32 {
+        if self.nodes.is_empty() {
+            LEAF_TAG
+        } else {
+            0
+        }
+    }
+
+    /// The node `slot` names, or `None` past the end of its table.  Slots
+    /// are the arena's own node names: internal record `i` is slot `i`, and
+    /// leaf `i` is slot `i | 1 << 31`; the root is record 0, or leaf 0 when
+    /// the tree has no internal node.  Records and leaves are numbered in
+    /// the order the builder made them, or, once laid out, breadth first.
+    pub fn node(&self, slot: u32) -> Option<NodeView<'_>> {
+        match Slot::of(slot) {
+            Slot::Leaf(l) => Some(NodeView {
+                cuts: [None; FIELD_COUNT],
+                children: &[],
+                rules: &self.rule_slab[self.leaves.get(l)?.range()],
+            }),
+            Slot::Internal(n) => {
+                let rec = self.nodes.get(n)?;
+                let mut cuts = [None; FIELD_COUNT];
+                for k in 0..rec.cut_count {
+                    let cut = self.cut_at(rec, k);
+                    cuts[cut.dim as usize] = Some((cut.parts, FieldRange::new(cut.lo, cut.hi)));
                 }
-                NodeKind::Internal {
+                let base = rec.child_base as usize;
+                Some(NodeView {
                     cuts,
-                    children,
-                    stored_rules,
-                    cut_region,
-                } => {
-                    let mut recs = cuts.cut_dimensions().into_iter().map(|d| {
-                        let i = d.index();
-                        FlatCut::new(i, cuts.parts[i], cut_region[i])
-                    });
-                    let cut0 = recs
-                        .next()
-                        .expect("an internal node cuts at least one dimension");
-                    let rest_off = flat.cuts.len() as u32;
-                    flat.cuts.extend(recs);
-                    let child_base = flat.children.len() as u32;
-                    flat.children
-                        .extend(children.iter().map(|&child| slots[child as usize]));
-                    flat.nodes.push(NodeRec {
-                        rules: push_slab(&mut flat.rule_slab, stored_rules),
-                        child_base,
-                        cut_count: 1 + flat.cuts.len() as u32 - rest_off,
-                        rest_off,
-                        cut0,
-                    });
-                }
+                    children: &self.children[base..base + self.child_count(n)],
+                    rules: &self.rule_slab[rec.rules.range()],
+                })
             }
         }
-        flat.layout(|_| 0);
-        flat
     }
 
     /// Number of nodes in the arena: internal records plus leaves.
@@ -709,18 +759,32 @@ impl FlatTree {
 
     /// Worst-case memory accesses of a lookup in the arena *as it is now*:
     /// along the most expensive root-to-leaf path, one access per node plus
-    /// one per rule the node stores — the bound [`DecisionTree::stats`]
-    /// computes for the pointer tree.
-    fn worst_case_accesses(&self) -> u64 {
-        // Per internal node, the worst cost from it down; 0 = not computed
-        // yet (a real cost is at least 1), so a shared node is visited once.
-        let mut memo = vec![0u64; self.nodes.len()];
-        self.worst_case_from(self.root, &mut memo)
+    /// one per rule the node stores.
+    pub(crate) fn worst_case_accesses(&self) -> u64 {
+        self.fold_up(
+            |leaf| 1 + u64::from(leaf.len),
+            |rec, below| 1 + u64::from(rec.rules.len) + below,
+        )
     }
 
-    fn worst_case_from(&self, slot: u32, memo: &mut [u64]) -> u64 {
+    /// Folds the tree from the leaves up to the root: `leaf` values a leaf's
+    /// span, and `internal` a record given the largest value among its
+    /// children.  `internal` must return at least 1: 0 marks a record not
+    /// folded yet, so a shared node is folded once.
+    fn fold_up(&self, leaf: impl Fn(Span) -> u64, internal: impl Fn(&NodeRec, u64) -> u64) -> u64 {
+        let mut memo = vec![0u64; self.nodes.len()];
+        self.fold_from(self.root(), &leaf, &internal, &mut memo)
+    }
+
+    fn fold_from(
+        &self,
+        slot: u32,
+        leaf: &impl Fn(Span) -> u64,
+        internal: &impl Fn(&NodeRec, u64) -> u64,
+        memo: &mut [u64],
+    ) -> u64 {
         let node = match Slot::of(slot) {
-            Slot::Leaf(l) => return 1 + u64::from(self.leaves[l].len),
+            Slot::Leaf(l) => return leaf(self.leaves[l]),
             Slot::Internal(n) => n,
         };
         if memo[node] == 0 {
@@ -728,17 +792,101 @@ impl FlatTree {
             let base = rec.child_base as usize;
             let mut below = 0;
             for i in base..base + self.child_count(node) {
-                below = below.max(self.worst_case_from(self.children[i], memo));
+                below = below.max(self.fold_from(self.children[i], leaf, internal, memo));
             }
-            memo[node] = 1 + u64::from(rec.rules.len) + below;
+            memo[node] = internal(&rec, below);
         }
         memo[node]
     }
 
+    /// The tree's shape: node counts, stored rule references, depth, the
+    /// largest leaf and the worst-case access bound.
+    pub(crate) fn tree_stats(&self) -> TreeStats {
+        TreeStats {
+            internal_nodes: self.nodes.len(),
+            leaf_nodes: self.leaves.len(),
+            stored_rule_refs: self.stored_rule_refs(),
+            max_depth: self.fold_up(|_| 0, |_, below| 1 + below) as u32,
+            max_leaf_rules: self
+                .leaves
+                .iter()
+                .map(|s| s.len as usize)
+                .max()
+                .unwrap_or(0),
+            worst_case_accesses: self.worst_case_accesses(),
+        }
+    }
+
+    /// Rule references in leaves and internal nodes' stored lists.
+    fn stored_rule_refs(&self) -> usize {
+        let spans = self
+            .nodes
+            .iter()
+            .map(|rec| rec.rules)
+            .chain(self.leaves.iter().copied());
+        spans.map(|span| span.len as usize).sum()
+    }
+
+    /// Bytes of the tree and its ruleset under the software
+    /// [`MemoryModel`] (Table 2's software column), not the arena's own.
+    pub(crate) fn model_bytes(&self) -> usize {
+        self.rule_table.len() * MemoryModel::RULE_BYTES
+            + self.nodes.len() * MemoryModel::INTERNAL_HEADER_BYTES
+            + self.children.len() * MemoryModel::CHILD_POINTER_BYTES
+            + self.leaves.len() * MemoryModel::LEAF_HEADER_BYTES
+            + self.stored_rule_refs() * MemoryModel::RULE_POINTER_BYTES
+    }
+
+    /// The tree as an indented text dump, a sibling shared by several child
+    /// slots printed once (Figures 1 and 3 of the paper on the Table 1
+    /// ruleset).
+    pub(crate) fn dump(&self) -> String {
+        let mut out = String::new();
+        self.dump_node(self.root(), 0, &mut out);
+        out
+    }
+
+    fn dump_node(&self, slot: u32, indent: usize, out: &mut String) {
+        use std::fmt::Write as _;
+        let pad = "  ".repeat(indent);
+        let n = match Slot::of(slot) {
+            Slot::Leaf(l) => {
+                let ids = &self.rule_slab[self.leaves[l].range()];
+                let names: Vec<String> = ids.iter().map(|r| format!("R{r}")).collect();
+                let _ = writeln!(out, "{pad}leaf [{}]", names.join(" "));
+                return;
+            }
+            Slot::Internal(n) => n,
+        };
+        let rec = self.nodes[n];
+        let desc: Vec<String> = (0..rec.cut_count)
+            .map(|k| {
+                let cut = self.cut_at(&rec, k);
+                format!("{} x{}", Dimension::ALL[cut.dim as usize].name(), cut.parts)
+            })
+            .collect();
+        let stored = &self.rule_slab[rec.rules.range()];
+        let stored = if stored.is_empty() {
+            String::new()
+        } else {
+            format!(" stored={stored:?}")
+        };
+        let _ = writeln!(out, "{pad}node cut[{}]{stored}", desc.join(", "));
+        let base = rec.child_base as usize;
+        let mut seen: Vec<u32> = Vec::new();
+        for &child in &self.children[base..base + self.child_count(n)] {
+            if !seen.contains(&child) {
+                seen.push(child);
+                self.dump_node(child, indent + 1, out);
+            }
+        }
+    }
+
     /// Mixed-radix child index of `pkt` under an internal node's cut
     /// records (first inline, rest from the slab), or `None` when the
-    /// packet lies outside the (compacted) cut region — the flat mirror of
-    /// [`CutSpec::child_index`](crate::dtree::CutSpec::child_index).
+    /// packet lies outside the (compacted) cut region: the index
+    /// [`CutSpec::child_region`](crate::dtree::CutSpec::child_region)
+    /// decomposes.
     #[inline]
     fn child_index(&self, rec: &NodeRec, pkt: &PacketHeader) -> Option<u64> {
         let mut idx: u64 = 0;
@@ -762,9 +910,9 @@ impl FlatTree {
     }
 
     /// Classifies one packet by walking the arena, optionally recording the
-    /// performed work into `stats` with the same accounting as
-    /// [`DecisionTree::classify`].  The walk is a lane of one through the
-    /// step every [`LaneWidth`] of [`FlatTree::classify_batch`] runs.
+    /// performed work into `stats` (the SA-1100 accounting of a tree walk;
+    /// see [`LookupStats::count_node`]).  The walk is a lane of one through
+    /// the step every [`LaneWidth`] of [`FlatTree::classify_batch`] runs.
     pub fn classify(&self, pkt: &PacketHeader, stats: Option<&mut LookupStats>) -> MatchResult {
         match stats {
             Some(stats) => self.walk_one(pkt, stats),
@@ -776,7 +924,7 @@ impl FlatTree {
     /// with no read-ahead: its next step reads the child at once.
     fn walk_one(&self, pkt: &PacketHeader, probe: &mut impl Probe) -> MatchResult {
         let pkts = std::slice::from_ref(pkt);
-        let (node, best) = (&mut [self.root], &mut [NO_MATCH]);
+        let (node, best) = (&mut [self.root()], &mut [NO_MATCH]);
         let out = &mut [MatchResult::NoMatch];
         let mut live = true;
         while std::mem::take(&mut live) {
@@ -837,7 +985,7 @@ impl FlatTree {
     /// more than the extra row-buffer hits saved.)
     fn walk_lanes<const L: usize>(&self, pkts: &[PacketHeader], out: &mut [MatchResult]) {
         let n = pkts.len();
-        let node = &mut vec![self.root; n];
+        let node = &mut vec![self.root(); n];
         let best = &mut vec![NO_MATCH; n];
         let mut cur: Vec<u32> = (0..n as u32).collect();
         let mut next: Vec<u32> = Vec::with_capacity(n);
@@ -997,7 +1145,7 @@ impl FlatTree {
             self.rule_table.resize(slot + 1, PackedRule::DEAD);
         }
         self.rule_table[slot] = PackedRule::new(rule);
-        self.insert_at(self.root, rule.ranges, rule.id);
+        self.insert_at(self.root(), rule.ranges, rule.id);
         self.update_stats.inserts += 1;
         Ok(())
     }
@@ -1010,7 +1158,7 @@ impl FlatTree {
             return Err(UpdateError::UnknownRuleId(id));
         };
         let ranges = img.ranges();
-        self.delete_at(self.root, &ranges, id);
+        self.delete_at(self.root(), &ranges, id);
         self.rule_table[id as usize] = PackedRule::DEAD;
         // Keep the table's last line live: its length is the end of the
         // occupied id range the next insert is validated against.
@@ -1028,7 +1176,7 @@ impl FlatTree {
             return;
         }
         let mut refs = PerSlot::new(self, 0);
-        *refs.of(self.root) += 1;
+        *refs.of(self.root()) += 1;
         for &c in &self.children {
             *refs.of(c) += 1;
         }
@@ -1240,12 +1388,14 @@ impl FlatTree {
         self.update_stats.reflattens += 1;
     }
 
-    /// The arena's one layout pass, shared by [`FlatTree::from_tree`] (no
-    /// slack) and [`FlatTree::reflatten`] (`span_slack`): lays the records
-    /// and leaves the root reaches out again breadth-first, renumbering
-    /// each table in discovery order, with every span followed by
-    /// `slack(len)` free slots.
-    fn layout(&mut self, slack: fn(u32) -> u32) {
+    /// The arena's one layout pass, shared by the software classifiers'
+    /// build (no slack, over the build-order arena) and
+    /// [`FlatTree::reflatten`] (`span_slack`): lays the records and leaves
+    /// the root reaches out again breadth-first, renumbering each table in
+    /// discovery order, so shared nodes (merged leaves, the builders' shared
+    /// empty leaf) keep a single entry and the entries of one level stay
+    /// contiguous, with every span followed by `slack(len)` free slots.
+    pub(crate) fn layout(&mut self, slack: fn(u32) -> u32) {
         // Pass 1: discover the reachable records and leaves, and count what
         // they carry over, so every table and slab is allocated once, at
         // its final size.
@@ -1257,7 +1407,7 @@ impl FlatTree {
                 order.push(slot);
             }
         };
-        discover(self.root, &mut order);
+        discover(self.root(), &mut order);
         let (mut cut_slots, mut child_slots, mut rule_slots) = (0usize, 0usize, 0usize);
         let mut head = 0usize;
         while head < order.len() {
@@ -1293,7 +1443,6 @@ impl FlatTree {
         let [internal, leaves] = counts;
         let mut new = FlatTree {
             spec: self.spec,
-            root: *map.of(self.root),
             nodes: Vec::with_capacity(internal),
             node_rule_cap: Vec::with_capacity(internal),
             leaves: Vec::with_capacity(leaves),
@@ -1366,12 +1515,13 @@ impl Probe for () {
     fn descend(&mut self, _: Option<u32>) {}
 }
 
-/// The accounting [`DecisionTree::classify`] charges, node for node.
+/// The SA-1100 accounting of a tree walk, node for node: an early-exit
+/// scan of each node's rules, then the child selection.
 impl Probe for LookupStats {
     fn node(&mut self, ids: &[RuleId], best: u32) {
         self.count_node();
-        // The pointer tree's scan stops at a match or at an id that cannot
-        // beat the best; ids ascend uniquely, so the best after it says where.
+        // An early-exit scan stops at a match or at an id that cannot beat
+        // the best; ids ascend uniquely, so the best after it says where.
         self.count_scan((ids.partition_point(|&id| id < best) + 1).min(ids.len()) as u64);
     }
 
@@ -1384,8 +1534,7 @@ impl Probe for LookupStats {
 }
 
 /// Branch-free block scan of an ascending-id rule list, updating `best`
-/// (`NO_MATCH` = none yet) to what the pointer tree's early-exit scan
-/// finds: within each [`SCAN_BLOCK`]-id block every rule's image is
+/// (`NO_MATCH` = none yet) to what an early-exit scan finds: within each [`SCAN_BLOCK`]-id block every rule's image is
 /// compared without short-circuiting (a bitmask of matches), then the
 /// first set bit — the lowest matching id — resolves the block.  Blocks
 /// whose first id cannot improve `best` end the scan on the slab word,
@@ -1436,8 +1585,9 @@ fn push_slab(slab: &mut Vec<RuleId>, ids: &[RuleId]) -> Span {
 
 /// A [`Classifier`] serving a [`FlatTree`] arena.
 ///
-/// Obtained from a built pointer-tree classifier via
-/// [`CutTreeClassifier::flatten`]; the serving roster registers these as
+/// Obtained from a built cut-tree classifier via
+/// [`CutTreeClassifier::flatten`](crate::dtree::CutTreeClassifier::flatten),
+/// which hands it a copy of its arena; the serving roster registers these as
 /// `hicuts-flat` / `hypercuts-flat`, so the engine and the equivalence
 /// tests pick the flat variants up with no extra glue.
 #[derive(Debug, Clone)]
@@ -1521,7 +1671,7 @@ impl Classifier for FlatTreeClassifier {
     fn memory_bytes(&self) -> usize {
         // The arena is measured by its actual in-memory bytes (that is the
         // point of the layout), not by the idealised 32-bit software model
-        // the pointer trees report under.
+        // `hicuts` and `hypercuts` report under.
         self.flat.total_bytes()
     }
 
@@ -1534,17 +1684,10 @@ impl Classifier for FlatTreeClassifier {
     }
 }
 
-impl<C: RosterPolicy> CutTreeClassifier<C> {
-    /// Flattens the built tree into a cache-compact arena classifier
-    /// (roster name `hicuts-flat` / `hypercuts-flat`).
-    pub fn flatten(&self) -> FlatTreeClassifier {
-        FlatTreeClassifier::new(C::FLAT_NAME, FlatTree::from_tree(self.tree()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dtree::{CutPolicy, TreeBuilder};
     use crate::hicuts::{HiCutsClassifier, HiCutsConfig};
     use crate::hypercuts::{HyperCutsClassifier, HyperCutsConfig};
     use pclass_types::toy;
@@ -1554,6 +1697,14 @@ mod tests {
         let hc = HiCutsClassifier::build(&rs, &HiCutsConfig::figure1());
         let flat = hc.flatten();
         (hc, flat)
+    }
+
+    /// The arena a built classifier holds: `rs` built under `policy`, then
+    /// laid out with no slack.
+    fn laid_out(rs: &RuleSet, policy: &impl CutPolicy) -> FlatTree {
+        let (mut flat, _) = TreeBuilder::build(rs, policy);
+        flat.layout(|_| 0);
+        flat
     }
 
     #[test]
@@ -1616,12 +1767,13 @@ mod tests {
     }
 
     #[test]
-    fn flat_agrees_with_pointer_tree_per_packet() {
-        let (hc, flat) = toy_flat();
+    fn flat_agrees_with_linear_search_per_packet() {
+        let rs = toy::table1_ruleset();
+        let (_, flat) = toy_flat();
         for f0 in (0..=255u32).step_by(3) {
             for f4 in (0..=255u32).step_by(5) {
                 let pkt = PacketHeader::from_fields([f0, 80, 40, 180, f4]);
-                assert_eq!(flat.classify(&pkt), hc.classify(&pkt), "pkt {pkt:?}");
+                assert_eq!(flat.classify(&pkt), rs.classify_linear(&pkt), "pkt {pkt:?}");
             }
         }
     }
@@ -1657,12 +1809,13 @@ mod tests {
     #[test]
     fn root_is_record_zero_and_shared_leaves_are_deduplicated() {
         let (hc, flat) = toy_flat();
-        let tree_nodes = hc.tree().nodes().len();
-        // BFS renumbering visits each node at most once, so the arena can
-        // only shrink relative to the node vector (unreachable nodes drop).
-        assert!(flat.flat_tree().node_count() <= tree_nodes);
+        let built = hc.build_stats();
+        // BFS renumbering visits each node once: every node the builder
+        // made, shared or not, keeps exactly one entry.
+        let nodes = built.internal_nodes + built.leaf_nodes;
+        assert_eq!(flat.flat_tree().node_count() as u64, nodes);
         assert!(flat.flat_tree().node_count() >= 2);
-        assert_eq!(flat.flat_tree().root, 0, "the root is internal record 0");
+        assert_eq!(flat.flat_tree().root(), 0, "the root is internal record 0");
     }
 
     #[test]
@@ -1681,25 +1834,33 @@ mod tests {
         assert_eq!(flat.memory_bytes(), stats.total_bytes);
         assert_eq!(
             flat.worst_case_memory_accesses(),
-            Some(hc.tree().stats().worst_case_accesses)
+            Some(hc.stats().worst_case_accesses)
         );
         assert_eq!(flat.name(), "hicuts-flat");
     }
 
     #[test]
-    fn lookup_stats_match_pointer_tree_accounting() {
-        let (hc, flat) = toy_flat();
+    fn lookup_stats_follow_the_per_node_accounting() {
+        let (_, flat) = toy_flat();
+        // Figure 1's walk: the root (src_ip x4) and its protocol x2 child,
+        // each a node load and a one-dimension child selection, then the
+        // leaf [R0 R2 R5], a node load and an early-exit scan that stops
+        // at its match, R5, after three rules.
         let pkt = PacketHeader::from_fields([145, 100, 10, 10, 200]);
-        let mut a = LookupStats::new();
-        let mut b = LookupStats::new();
+        let mut stats = LookupStats::new();
         assert_eq!(
-            hc.classify_with_stats(&pkt, &mut a),
-            flat.classify_with_stats(&pkt, &mut b)
+            flat.classify_with_stats(&pkt, &mut stats),
+            MatchResult::Matched(5)
         );
-        assert_eq!(a.nodes_visited, b.nodes_visited);
-        assert_eq!(a.rules_compared, b.rules_compared);
-        assert_eq!(a.memory_accesses, b.memory_accesses);
-        assert_eq!(a.ops, b.ops);
+        let mut want = LookupStats::new();
+        for _ in 0..2 {
+            want.count_node();
+            want.nodes_visited += 1;
+            want.count_child_select(1);
+        }
+        want.count_node();
+        want.count_scan(3);
+        assert_eq!(stats, want);
     }
 
     /// Sweeps a packet grid comparing the arena against linear search over
@@ -1741,12 +1902,12 @@ mod tests {
             Slot::Internal(n) => n < flat.nodes.len(),
             Slot::Leaf(l) => l < flat.leaves.len(),
         };
-        assert!(in_range(flat.root), "root {:#x}", flat.root);
+        assert!(in_range(flat.root()), "root {:#x}", flat.root());
         for (i, &slot) in flat.children.iter().enumerate() {
             assert!(in_range(slot), "child slot {i} holds {slot:#x}");
         }
         let mut seen = PerSlot::new(flat, 0);
-        let mut stack = vec![flat.root];
+        let mut stack = vec![flat.root()];
         while let Some(slot) = stack.pop() {
             let mark = seen.of(slot);
             if *mark == 0 {
@@ -1773,9 +1934,7 @@ mod tests {
         // one, so shared leaves are un-shared and full spans move.
         let rs = ClassBenchGenerator::new(SeedStyle::Acl, 20080414).generate(2_000);
         let fresh = ClassBenchGenerator::new(SeedStyle::Acl, 7).generate(200);
-        let mut acl = FlatTree::from_tree(
-            HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults()).tree(),
-        );
+        let mut acl = laid_out(&rs, &HiCutsConfig::paper_defaults());
         let pristine_leaves = acl.leaves.len();
         for (i, rule) in fresh.rules().iter().enumerate() {
             acl.delete(i as u32 * 10).unwrap();
@@ -1805,8 +1964,8 @@ mod tests {
                 spfac: 2.0,
             },
         );
-        let mut flat = FlatTree::from_tree(hc.tree());
-        assert_eq!(flat.root, LEAF_TAG);
+        let mut flat = hc.flatten().flat_tree().clone();
+        assert_eq!(flat.root(), LEAF_TAG);
         assert_eq!((flat.nodes.len(), flat.leaves.len()), (0, 1));
         assert_eq!(flat.worst_case_accesses(), 1 + rs.len() as u64);
         assert_matches_live_linear(&flat);
@@ -1821,7 +1980,7 @@ mod tests {
         }
         assert!(flat.dirty_ratio() > 0.0);
         assert_eq!(
-            (flat.root, flat.nodes.len(), flat.leaves.len()),
+            (flat.root(), flat.nodes.len(), flat.leaves.len()),
             (LEAF_TAG, 0, 1)
         );
         assert_matches_live_linear(&flat);
@@ -1831,7 +1990,7 @@ mod tests {
         assert_matches_live_linear(&flat);
         flat.reflatten();
         assert_eq!(
-            (flat.root, flat.nodes.len(), flat.leaves.len()),
+            (flat.root(), flat.nodes.len(), flat.leaves.len()),
             (LEAF_TAG, 0, 1)
         );
         assert_eq!(flat.dirty_ratio(), 0.0);
@@ -1985,11 +2144,12 @@ mod tests {
         }
         let rs = toy::table1_ruleset();
         let spec = *rs.spec();
-        let hicuts = HiCutsClassifier::build(&rs, &HiCutsConfig::figure1());
-        let hypercuts = HyperCutsClassifier::build(&rs, &HyperCutsConfig::paper_defaults());
-        for tree in [hicuts.tree(), hypercuts.tree()] {
-            let mut flat = FlatTree::from_tree(tree);
-            assert_exact(&flat, "from_tree");
+        let built = [
+            laid_out(&rs, &HiCutsConfig::figure1()),
+            laid_out(&rs, &HyperCutsConfig::paper_defaults()),
+        ];
+        for mut flat in built {
+            assert_exact(&flat, "build");
             // Un-sharing clones, moved spans and dead slots: the re-flatten
             // must size for what is reachable now, slack included.
             for id in [20u32, 21, 22] {
@@ -2011,26 +2171,17 @@ mod tests {
             .generate(2_191)
             .truncated(2_000, "acl1_2000");
         let trees = [
-            HiCutsClassifier::build(&toy, &HiCutsConfig::figure1())
-                .tree()
-                .clone(),
-            HyperCutsClassifier::build(&toy, &HyperCutsConfig::paper_defaults())
-                .tree()
-                .clone(),
-            HiCutsClassifier::build(&acl, &HiCutsConfig::paper_defaults())
-                .tree()
-                .clone(),
-            HyperCutsClassifier::build(&acl, &HyperCutsConfig::paper_defaults())
-                .tree()
-                .clone(),
+            laid_out(&toy, &HiCutsConfig::figure1()),
+            laid_out(&toy, &HyperCutsConfig::paper_defaults()),
+            laid_out(&acl, &HiCutsConfig::paper_defaults()),
+            laid_out(&acl, &HyperCutsConfig::paper_defaults()),
         ];
-        for (t, tree) in trees.iter().enumerate() {
-            let built = FlatTree::from_tree(tree);
+        for (t, built) in trees.into_iter().enumerate() {
             let mut re = built.clone();
             re.reflatten();
             assert_eq!(built.update_stats().reflattens, 0, "tree {t}");
             assert_eq!(re.update_stats().reflattens, 1, "tree {t}");
-            assert_eq!(built.root, re.root, "tree {t}");
+            assert_eq!(built.root(), re.root(), "tree {t}");
             assert_eq!(built.children, re.children, "tree {t}");
             assert_eq!(built.cuts, re.cuts, "tree {t}");
             assert_eq!(
@@ -2164,7 +2315,7 @@ mod tests {
                 push_common_rules: true,
             },
         );
-        let mut flat = FlatTree::from_tree(hc.tree());
+        let mut flat = hc.flatten().flat_tree().clone();
         // A wildcard rule reaches far outside the compacted box: packets
         // out there must still match it after the insert.
         flat.insert(&Rule::wildcard(9, &spec)).unwrap();
@@ -2183,7 +2334,7 @@ mod tests {
         let hc = HiCutsClassifier::build(&empty, &HiCutsConfig::paper_defaults());
         let flat = hc.flatten();
         assert_eq!(flat.flat_tree().node_count(), 1);
-        assert_eq!(flat.flat_tree().root, LEAF_TAG, "the root is leaf 0");
+        assert_eq!(flat.flat_tree().root(), LEAF_TAG, "the root is leaf 0");
         let pkt = PacketHeader::from_fields([1, 2, 3, 4, 5]);
         assert_eq!(flat.classify(&pkt), MatchResult::NoMatch);
         let mut out = Vec::new();

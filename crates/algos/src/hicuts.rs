@@ -191,10 +191,10 @@ mod tests {
         // Figure 1 of the paper: with binth = 3 the root of the Table 1 tree
         // is cut along Field 0 and the tree stays very shallow.
         let hc = toy_classifier(3, 2.0);
-        let stats = hc.tree().stats();
+        let stats = hc.stats();
         assert!(stats.max_depth <= 3, "tree too deep: {stats:?}");
         assert!(stats.max_leaf_rules <= 3, "leaf exceeds binth: {stats:?}");
-        let dump = hc.tree().dump();
+        let dump = hc.dump();
         assert!(
             dump.starts_with("node cut[src_ip"),
             "root cut is not field 0: {dump}"
@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn respects_binth_when_cutting_helps() {
         let hc = toy_classifier(3, 4.0);
-        assert!(hc.tree().stats().max_leaf_rules <= 3);
+        assert!(hc.stats().max_leaf_rules <= 3);
         let hc = toy_classifier(1, 8.0);
         // With binth = 1 some leaves may legitimately hold more than one rule
         // when rules overlap exactly; the tree must still classify correctly.
@@ -252,7 +252,7 @@ mod tests {
     fn single_rule_ruleset_is_one_leaf() {
         let rs = toy::table1_ruleset().truncated(1, "one");
         let hc = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
-        let stats = hc.tree().stats();
+        let stats = hc.stats();
         assert_eq!(stats.internal_nodes, 0);
         assert_eq!(stats.leaf_nodes, 1);
         let pkt = PacketHeader::from_fields([130, 15, 40, 180, 130]);

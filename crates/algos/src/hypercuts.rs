@@ -318,12 +318,12 @@ mod tests {
         // Figure 3: the root is split in 4 by cutting Field 0 and Field 4
         // simultaneously and no child exceeds binth = 3.
         let hc = toy_classifier(HyperCutsConfig::figure3());
-        let stats = hc.tree().stats();
+        let stats = hc.stats();
         assert!(stats.max_depth <= 2, "deeper than the figure: {stats:?}");
         assert!(stats.max_leaf_rules <= 3);
         // The root must cut more than one dimension at once (that is the
         // defining feature of HyperCuts on this example).
-        let dump = hc.tree().dump();
+        let dump = hc.dump();
         let first_line = dump.lines().next().unwrap();
         assert!(
             first_line.matches(" x").count() >= 2,
@@ -337,7 +337,7 @@ mod tests {
         let rs = toy::table1_ruleset();
         let hyper = HyperCutsClassifier::build(&rs, &HyperCutsConfig::figure3());
         let hi = HiCutsClassifier::build(&rs, &HiCutsConfig::figure1());
-        assert!(hyper.tree().stats().max_depth <= hi.tree().stats().max_depth);
+        assert!(hyper.stats().max_depth <= hi.stats().max_depth);
     }
 
     #[test]
@@ -361,7 +361,7 @@ mod tests {
                 push_common_rules: false,
             },
         );
-        assert!(with.tree().stats().stored_rule_refs <= without.tree().stats().stored_rule_refs);
+        assert!(with.stats().stored_rule_refs <= without.stats().stored_rule_refs);
     }
 
     #[test]
@@ -394,7 +394,7 @@ mod tests {
 
         let one = toy::table1_ruleset().truncated(1, "one");
         let hc = HyperCutsClassifier::build(&one, &HyperCutsConfig::paper_defaults());
-        let stats = hc.tree().stats();
+        let stats = hc.stats();
         assert_eq!(stats.internal_nodes, 0);
         assert_eq!(stats.leaf_nodes, 1);
     }

@@ -89,8 +89,8 @@ fn decision_trees_respect_memory_and_depth_trends() {
     let fw = ClassBenchGenerator::new(SeedStyle::Fw, 7).generate(500);
     let acl_tree = HiCutsClassifier::build(&acl, &HiCutsConfig::paper_defaults());
     let fw_tree = HiCutsClassifier::build(&fw, &HiCutsConfig::paper_defaults());
-    let acl_refs = acl_tree.tree().stats().stored_rule_refs;
-    let fw_refs = fw_tree.tree().stats().stored_rule_refs;
+    let acl_refs = acl_tree.stats().stored_rule_refs;
+    let fw_refs = fw_tree.stats().stored_rule_refs;
     assert!(
         fw_refs > acl_refs,
         "expected fw replication ({fw_refs}) to exceed acl ({acl_refs})"

@@ -78,10 +78,10 @@ fn figures() {
     println!("== Figures 1-3: decision trees for the Table 1 ruleset (binth 3) ==");
     let rs = toy::table1_ruleset();
     let hicuts = pclass_algos::HiCutsClassifier::build(&rs, &pclass_algos::HiCutsConfig::figure1());
-    println!("-- Figure 1 (HiCuts) --\n{}", hicuts.tree().dump());
+    println!("-- Figure 1 (HiCuts) --\n{}", hicuts.dump());
     let hyper =
         pclass_algos::HyperCutsClassifier::build(&rs, &pclass_algos::HyperCutsConfig::figure3());
-    println!("-- Figure 3 (HyperCuts) --\n{}", hyper.tree().dump());
+    println!("-- Figure 3 (HyperCuts) --\n{}", hyper.dump());
 }
 
 /// Table 2: memory for the search structure + ruleset, software vs hardware.

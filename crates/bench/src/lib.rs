@@ -27,9 +27,9 @@
 //! let rs = acl_ruleset(150);
 //! let roster = serving_roster(&rs);
 //! let names: Vec<&str> = roster.classifiers.iter().map(|(n, _)| *n).collect();
-//! assert_eq!(names[..3], ["linear", "hicuts", "hicuts-flat"]);
+//! assert_eq!(names[..3], ["linear", "hicuts-flat", "hypercuts-flat"]);
 //! // Classifiers that cannot be built are explicit skips, never silent gaps.
-//! assert_eq!(roster.classifiers.len() + roster.skipped.len(), 9);
+//! assert_eq!(roster.classifiers.len() + roster.skipped.len(), 7);
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -193,8 +193,10 @@ pub struct RosterSkip {
 /// cannot.
 pub struct ClassifierRoster {
     /// `(name, classifier)` pairs, in the fixed roster order: linear,
-    /// hicuts, hicuts-flat, hypercuts, hypercuts-flat, rfc, tcam,
-    /// hw-hicuts, hw-hypercuts.  Each name matches [`Classifier::name`].
+    /// hicuts-flat, hypercuts-flat, rfc, tcam, hw-hicuts, hw-hypercuts.
+    /// Each name matches [`Classifier::name`].  The built `hicuts` and
+    /// `hypercuts` classifiers are not entries: they walk the same arena
+    /// their `-flat` forms serve.
     pub classifiers: Vec<(&'static str, SharedClassifier)>,
     /// Classifiers whose build failed on this ruleset.
     pub skipped: Vec<RosterSkip>,
@@ -215,21 +217,21 @@ fn shared<C: Classifier + Send + Sync + 'static>(
 /// equivalence tests and the `serving_throughput` example use it.  A build
 /// failure becomes an explicit [`RosterSkip`], never a silent gap.
 pub fn serving_roster(ruleset: &RuleSet) -> ClassifierRoster {
-    // Each flat arena is a deep re-packing of its pointer tree, so the tree
-    // is built once and shared by the pointer entry and its flat sibling.
-    let hicuts = Arc::new(software_hicuts(ruleset));
-    let hypercuts = Arc::new(software_hypercuts(ruleset));
     let hw =
         |algorithm| shared(hardware_program(ruleset, algorithm).map(AcceleratorClassifier::new));
-    let entries: [(&'static str, Result<SharedClassifier, String>); 9] = [
+    let entries: [(&'static str, Result<SharedClassifier, String>); 7] = [
         (
             "linear",
             Ok(Arc::new(LinearClassifier::new(ruleset.clone()))),
         ),
-        ("hicuts", Ok(Arc::clone(&hicuts) as SharedClassifier)),
-        ("hicuts-flat", Ok(Arc::new(hicuts.flatten()))),
-        ("hypercuts", Ok(Arc::clone(&hypercuts) as SharedClassifier)),
-        ("hypercuts-flat", Ok(Arc::new(hypercuts.flatten()))),
+        (
+            "hicuts-flat",
+            Ok(Arc::new(software_hicuts(ruleset).flatten())),
+        ),
+        (
+            "hypercuts-flat",
+            Ok(Arc::new(software_hypercuts(ruleset).flatten())),
+        ),
         ("rfc", shared(RfcClassifier::build(ruleset))),
         ("tcam", shared(TcamClassifier::program(ruleset))),
         ("hw-hicuts", hw(CutAlgorithm::HiCuts)),
@@ -285,9 +287,7 @@ mod tests {
             names,
             [
                 "linear",
-                "hicuts",
                 "hicuts-flat",
-                "hypercuts",
                 "hypercuts-flat",
                 "rfc",
                 "tcam",

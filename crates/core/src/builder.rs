@@ -23,15 +23,13 @@
 //! * Leaves store the actual rules (not pointers); a leaf may span several
 //!   memory words when it holds more than 30 rules.
 //!
-//! [`build_tree`] returns a [`DecisionTree`] — the same kind the software
-//! classifiers walk — that [`crate::program::HardwareProgram`] serialises
-//! into memory words.
+//! [`build_tree`] returns the flat arena [`TreeBuilder`] emits — the same
+//! kind the software classifiers walk — in build order, which
+//! [`crate::program::HardwareProgram`] serialises into memory words.
 
 use pclass_algos::counters::BuildStats;
-use pclass_algos::dtree::{
-    cut_histogram, max_child_occupancy, CutPolicy, CutSpec, DecisionTree, Node, NodeId, NodeKind,
-    TreeBuilder,
-};
+use pclass_algos::dtree::{cut_histogram, max_child_occupancy, CutPolicy, CutSpec, TreeBuilder};
+use pclass_algos::flat::{FlatTree, NodeView};
 use pclass_types::{
     distinct_range_counts, Dimension, DimensionSpec, FieldRange, RuleId, RuleSet, FIELD_COUNT,
 };
@@ -170,14 +168,16 @@ impl From<crate::encode::EncodeError> for BuildError {
 /// on its size (the Table 4 harness plans layouts the accelerator could not
 /// load).
 ///
-/// The tree is what [`TreeBuilder`] emits under the configured policy, with
-/// the two things the memory image defines differently put right: the root
-/// is always an internal node, and the kit's shared empty leaf — a null
-/// child entry in the image, not a node — is not counted or charged.
+/// The tree is the arena [`TreeBuilder`] emits under the configured policy,
+/// in build order.  Its [`BuildStats`] count what the memory image holds,
+/// which differs in two things: the root is always an internal node (the
+/// encoder wraps a lone leaf, see [`internal_node`]), and the kit's shared
+/// empty leaf — a null child entry in the image, not a node — is not
+/// counted or charged.
 pub fn build_tree(
     ruleset: &RuleSet,
     config: &BuildConfig,
-) -> Result<(DecisionTree, BuildStats), BuildError> {
+) -> Result<(FlatTree, BuildStats), BuildError> {
     build_tree_within(ruleset, config, usize::MAX)
 }
 
@@ -188,7 +188,7 @@ pub(crate) fn build_tree_within(
     ruleset: &RuleSet,
     config: &BuildConfig,
     word_capacity: usize,
-) -> Result<(DecisionTree, BuildStats), BuildError> {
+) -> Result<(FlatTree, BuildStats), BuildError> {
     if *ruleset.spec() != DimensionSpec::FIVE_TUPLE {
         return Err(BuildError::UnsupportedGeometry);
     }
@@ -196,48 +196,62 @@ pub(crate) fn build_tree_within(
         algorithm: config.algorithm,
         word_capacity,
     };
-    let (mut tree, mut stats) = TreeBuilder::build(ruleset, &policy);
-
-    let root = tree.root() as usize;
-    let shared_empty_leaf = tree.nodes().iter().enumerate().any(|(i, node)| {
-        i != root && matches!(&node.kind, NodeKind::Leaf { rules } if rules.is_empty())
-    });
-    if shared_empty_leaf {
+    let (tree, mut stats) = TreeBuilder::build(ruleset, &policy);
+    if tree.node(0).is_none() {
+        // A lone leaf: the image wraps it in one internal node.
+        stats.internal_nodes += 1;
+    } else if leaves(&tree).any(|leaf| leaf.rules.is_empty()) {
+        // Below an internal root, only the shared empty leaf is empty.
         stats.leaf_nodes -= 1;
         stats.ops.stores -= 2;
-    }
-
-    // The accelerator preloads the root into register A, so it must be an
-    // internal node: wrap a lone leaf in a trivial `START_CUTS`-way node
-    // whose children all point at it.
-    if tree.nodes()[root].is_leaf() {
-        let mut nodes = tree.nodes().to_vec();
-        let region = nodes[root].region;
-        nodes[root].depth = 1;
-        let wrapper = nodes.len() as NodeId;
-        nodes.push(Node {
-            region,
-            depth: 0,
-            kind: NodeKind::Internal {
-                cuts: CutSpec::single(Dimension::SrcIp, START_CUTS),
-                children: vec![root as NodeId; START_CUTS as usize],
-                stored_rules: Vec::new(),
-                cut_region: region,
-            },
-        });
-        stats.internal_nodes += 1;
-        tree = DecisionTree::new(ruleset, nodes, wrapper);
     }
     Ok((tree, stats))
 }
 
-/// Bits of the 8 MSBs of each dimension already cut away on the path to a
-/// node covering `region` of the 5-tuple space.  Cuts are power-of-two
-/// aligned, so the region's size says how many.
-pub(crate) fn consumed_bits(region: &[FieldRange; FIELD_COUNT]) -> [u8; FIELD_COUNT] {
-    Dimension::ALL.map(|d| {
-        DimensionSpec::FIVE_TUPLE.width(d) - region[d.index()].len().trailing_zeros() as u8
-    })
+/// The leaf bit of [`FlatTree::node`]'s slots: leaf `i` is slot `i | LEAF`,
+/// internal record `i` is slot `i`.
+pub(crate) const LEAF: u32 = 1 << 31;
+
+/// The tree's leaves, in leaf-table order (build order, for a tree
+/// [`build_tree`] returns).
+pub(crate) fn leaves(tree: &FlatTree) -> impl Iterator<Item = NodeView<'_>> {
+    (0..).map_while(move |l| tree.node(LEAF | l))
+}
+
+/// Internal node `i` of the image, in word order: the tree's record `i`
+/// (the root is record 0, the rest follow in build order).  The
+/// accelerator preloads the root into register A, so it must be an
+/// internal node: when the whole tree is one leaf, the image's one
+/// internal node is a trivial [`START_CUTS`]-way cut of the source address
+/// whose children all name that leaf.
+pub(crate) fn internal_node(tree: &FlatTree, i: u32) -> Option<NodeView<'_>> {
+    static WRAPPED: [u32; START_CUTS as usize] = [LEAF; START_CUTS as usize];
+    match tree.node(i) {
+        None if i == 0 => {
+            let mut cuts = [None; FIELD_COUNT];
+            let src = Dimension::SrcIp;
+            let whole = FieldRange::new(0, DimensionSpec::FIVE_TUPLE.max_value(src));
+            cuts[src.index()] = Some((START_CUTS, whole));
+            Some(NodeView {
+                cuts,
+                children: &WRAPPED,
+                rules: &[],
+            })
+        }
+        view => view,
+    }
+}
+
+/// Bits of the 8 MSBs of dimension `d` already cut away on the path to a
+/// node covering `range` of it.  Cuts are power-of-two aligned, so the
+/// range's size says how many.
+pub(crate) fn consumed(d: Dimension, range: FieldRange) -> u8 {
+    DimensionSpec::FIVE_TUPLE.width(d) - range.len().trailing_zeros() as u8
+}
+
+/// [`consumed`] for every dimension of a node covering `region`.
+fn consumed_bits(region: &[FieldRange; FIELD_COUNT]) -> [u8; FIELD_COUNT] {
+    Dimension::ALL.map(|d| consumed(d, region[d.index()]))
 }
 
 /// The modified algorithms as a cut policy of the shared [`TreeBuilder`].
@@ -518,37 +532,33 @@ fn cut_parts(cut_bits: &[u8; FIELD_COUNT]) -> CutSpec {
     }
 }
 
-/// The inverse of [`cut_parts`]: bits cut per dimension by one of this
-/// module's (power-of-two) cut specifications.
-pub(crate) fn cut_bits(cuts: &CutSpec) -> [u8; FIELD_COUNT] {
-    cuts.parts.map(|p| p.trailing_zeros() as u8)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::HardwareProgram;
     use pclass_classbench::{ClassBenchGenerator, SeedStyle};
 
     fn acl(n: usize) -> RuleSet {
         ClassBenchGenerator::new(SeedStyle::Acl, 42).generate(n)
     }
 
-    fn tree_of(rs: &RuleSet, algorithm: CutAlgorithm) -> (DecisionTree, BuildStats) {
+    fn tree_of(rs: &RuleSet, algorithm: CutAlgorithm) -> (FlatTree, BuildStats) {
         build_tree(rs, &BuildConfig::paper_defaults(algorithm)).unwrap()
     }
 
-    /// `(node, cut bits per dimension, children)` of every internal node.
-    fn internal_nodes(tree: &DecisionTree) -> Vec<(&Node, [u8; FIELD_COUNT], &[NodeId])> {
-        tree.nodes()
-            .iter()
-            .filter_map(|node| match &node.kind {
-                NodeKind::Internal { cuts, children, .. } => {
-                    assert!(cuts.parts.iter().all(|p| p.is_power_of_two()));
-                    Some((node, cut_bits(cuts), children.as_slice()))
-                }
-                NodeKind::Leaf { .. } => None,
+    /// The image's internal nodes, in word order.
+    fn internal_nodes(tree: &FlatTree) -> Vec<NodeView<'_>> {
+        (0..).map_while(|i| internal_node(tree, i)).collect()
+    }
+
+    /// Bits cut per dimension by an internal node (power-of-two parts).
+    fn cut_bits(node: &NodeView) -> [u8; FIELD_COUNT] {
+        node.cuts.map(|cut| {
+            cut.map_or(0, |(parts, _)| {
+                assert!(parts.is_power_of_two());
+                parts.trailing_zeros() as u8
             })
-            .collect()
+        })
     }
 
     #[test]
@@ -565,13 +575,13 @@ mod tests {
         let rs = acl(5);
         for algo in [CutAlgorithm::HiCuts, CutAlgorithm::HyperCuts] {
             let (tree, build) = tree_of(&rs, algo);
-            let root = &tree.nodes()[tree.root() as usize];
-            let NodeKind::Internal { children, .. } = &root.kind else {
-                panic!("{algo:?}: leaf root");
+            let [root] = internal_nodes(&tree)[..] else {
+                panic!("{algo:?}: not one internal node");
             };
-            assert_eq!(children.len(), 32);
-            assert!(children.iter().all(|&c| c == children[0]));
-            assert_eq!(tree.nodes()[children[0] as usize].depth, 1);
+            assert_eq!(root.children.len(), 32);
+            assert!(root.children.iter().all(|&c| c == root.children[0]));
+            let layout = HardwareProgram::plan_layout(&tree, SpeedMode::Throughput);
+            assert_eq!(layout.tree_depth, 1);
             assert_eq!((build.internal_nodes, build.leaf_nodes), (1, 1));
         }
     }
@@ -581,10 +591,11 @@ mod tests {
         let rs = acl(800);
         for algo in [CutAlgorithm::HiCuts, CutAlgorithm::HyperCuts] {
             let (tree, _) = tree_of(&rs, algo);
-            for (_, cut_bits, children) in internal_nodes(&tree) {
+            for node in internal_nodes(&tree) {
+                let cut_bits = cut_bits(&node);
                 let total: u32 = cut_bits.iter().map(|&b| u32::from(b)).sum();
                 assert!(total <= 8, "more than 256 cuts: {cut_bits:?}");
-                assert_eq!(children.len(), 1usize << total);
+                assert_eq!(node.children.len(), 1usize << total);
             }
         }
     }
@@ -593,10 +604,13 @@ mod tests {
     fn cut_depth_never_exceeds_eight_bits_per_dimension() {
         let rs = acl(800);
         let (tree, _) = tree_of(&rs, CutAlgorithm::HyperCuts);
-        for (node, cut_bits, _) in internal_nodes(&tree) {
-            let consumed = consumed_bits(&node.region);
-            for d in 0..FIELD_COUNT {
-                assert!(consumed[d] + cut_bits[d] <= 8, "dimension {d} over-cut");
+        for node in internal_nodes(&tree) {
+            let cut_bits = cut_bits(&node);
+            for d in Dimension::ALL {
+                if let Some((_, range)) = node.cuts[d.index()] {
+                    let total = consumed(d, range) + cut_bits[d.index()];
+                    assert!(total <= 8, "dimension {d:?} over-cut");
+                }
             }
         }
     }
@@ -606,14 +620,12 @@ mod tests {
         let rs = acl(500);
         let (tree, _) = tree_of(&rs, CutAlgorithm::HiCuts);
         let mut seen = vec![false; rs.len()];
-        for node in tree.nodes() {
-            if let NodeKind::Leaf { rules } = &node.kind {
-                for &r in rules {
-                    seen[r as usize] = true;
-                }
-                // Leaf rule lists are sorted by priority.
-                assert!(rules.windows(2).all(|w| w[0] < w[1]));
+        for leaf in leaves(&tree) {
+            for &r in leaf.rules {
+                seen[r as usize] = true;
             }
+            // Leaf rule lists are sorted by priority.
+            assert!(leaf.rules.windows(2).all(|w| w[0] < w[1]));
         }
         assert!(
             seen.iter().all(|&s| s),
@@ -625,8 +637,8 @@ mod tests {
     fn hicuts_cuts_single_dimension_per_node() {
         let rs = acl(400);
         let (tree, _) = tree_of(&rs, CutAlgorithm::HiCuts);
-        for (_, cut_bits, _) in internal_nodes(&tree) {
-            let cut_dims = cut_bits.iter().filter(|&&b| b > 0).count();
+        for node in internal_nodes(&tree) {
+            let cut_dims = cut_bits(&node).iter().filter(|&&b| b > 0).count();
             assert_eq!(
                 cut_dims, 1,
                 "modified HiCuts must cut exactly one dimension"
@@ -640,7 +652,7 @@ mod tests {
         let (tree, _) = tree_of(&rs, CutAlgorithm::HyperCuts);
         let multi = internal_nodes(&tree)
             .iter()
-            .any(|(_, cut_bits, _)| cut_bits.iter().filter(|&&b| b > 0).count() > 1);
+            .any(|node| cut_bits(node).iter().filter(|&&b| b > 0).count() > 1);
         assert!(multi, "expected at least one multi-dimensional cut");
     }
 
@@ -692,20 +704,18 @@ mod tests {
         // entry of the image: the build counters leave it out.
         let rs = acl(300);
         let (tree, build) = tree_of(&rs, CutAlgorithm::HyperCuts);
-        let stats = tree.stats();
-        let empty_leaves = tree
-            .nodes()
-            .iter()
-            .filter(|n| matches!(&n.kind, NodeKind::Leaf { rules } if rules.is_empty()))
-            .count();
+        let internal = internal_nodes(&tree);
+        let leaves: Vec<NodeView> = leaves(&tree).collect();
+        let empty_leaves = leaves.iter().filter(|leaf| leaf.rules.is_empty()).count();
         assert!(empty_leaves <= 1);
-        assert_eq!(stats.internal_nodes + stats.leaf_nodes, tree.nodes().len());
-        assert!(stats.max_depth >= 1);
-        assert!(stats.stored_rule_refs >= rs.len());
-        assert!(stats.max_leaf_rules > 0);
-        assert_eq!(build.internal_nodes as usize, stats.internal_nodes);
-        assert_eq!(build.leaf_nodes as usize, stats.leaf_nodes - empty_leaves);
-        assert_eq!(build.stored_rule_refs as usize, stats.stored_rule_refs);
-        assert_eq!(build.max_depth, stats.max_depth);
+        let refs: usize = internal.iter().chain(&leaves).map(|n| n.rules.len()).sum();
+        assert!(refs >= rs.len());
+        assert!(leaves.iter().any(|leaf| !leaf.rules.is_empty()));
+        assert_eq!(build.internal_nodes as usize, internal.len());
+        assert_eq!(build.leaf_nodes as usize, leaves.len() - empty_leaves);
+        assert_eq!(build.stored_rule_refs as usize, refs);
+        let layout = HardwareProgram::plan_layout(&tree, SpeedMode::Throughput);
+        assert!(layout.tree_depth >= 1);
+        assert_eq!(build.max_depth, layout.tree_depth);
     }
 }

@@ -1,13 +1,16 @@
-//! Serialisation of the modified algorithms' [`DecisionTree`] (see
-//! [`crate::builder::build_tree`]) into 4800-bit memory words — the image
-//! that would be written into the accelerator's block RAMs.
+//! Serialisation of the modified algorithms' tree — the build-order arena
+//! [`crate::builder::build_tree`] returns, read through
+//! [`FlatTree::node`] — into 4800-bit memory words: the image that would be
+//! written into the accelerator's block RAMs.
 //!
 //! The layout follows Section 3 of the paper:
 //!
 //! * every internal node occupies one whole memory word (masks/shifts plus
 //!   up to 256 child entries of 18 bits each);
-//! * all internal nodes are stored first, followed by the leaves, so leaves
-//!   can be packed densely;
+//! * all internal nodes are stored first, in the arena's record order (the
+//!   root first), followed by the leaves in its leaf order, so leaves can
+//!   be packed densely — both orders are the builder's, which is why the
+//!   encoder reads the arena as built and never lays it out;
 //! * leaf rules are 160 bits each, 30 per word; with `speed = 0` leaves are
 //!   packed back to back (a leaf may start at any slot and spill into the
 //!   next word), with `speed = 1` a leaf only starts mid-word when it fits
@@ -28,13 +31,15 @@
 //! selectable child entry (≈0.7 MiB for a 503-word image).
 
 use crate::bits::{zero_word, Word};
-use crate::builder::{build_tree_within, consumed_bits, cut_bits, BuildConfig, BuildError};
+use crate::builder::{
+    build_tree_within, consumed, internal_node, leaves, BuildConfig, BuildError, SpeedMode, LEAF,
+};
 use crate::encode::{write_internal, write_rule, ChildEntry, NodeHeader};
 use crate::mirror::Mirror;
 use crate::{DEFAULT_WORD_CAPACITY, RULES_PER_WORD, WORD_BYTES};
 use pclass_algos::counters::BuildStats;
-use pclass_algos::dtree::{CutSpec, DecisionTree, NodeId, NodeKind};
-use pclass_types::{DimensionSpec, Rule, RuleSet, FIELD_COUNT};
+use pclass_algos::flat::FlatTree;
+use pclass_types::{Dimension, DimensionSpec, FieldRange, Rule, RuleSet, FIELD_COUNT};
 
 /// Placement of one leaf in the packed rule area.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +104,7 @@ impl HardwareProgram {
             ));
         }
         let (tree, build_stats) = build_tree_within(ruleset, config, word_capacity)?;
-        Self::from_tree(&tree, build_stats, config, word_capacity)
+        Self::encode(ruleset, &tree, build_stats, config, word_capacity)
     }
 
     /// Plans the word layout of a tree without emitting the image: how many
@@ -111,19 +116,20 @@ impl HardwareProgram {
     /// observation for the largest fw1 sets): the layout can still be
     /// *planned* and its size reported even though such a structure could
     /// not be loaded into the accelerator unmodified.
-    pub fn plan_layout(tree: &DecisionTree, speed: crate::builder::SpeedMode) -> ProgramStats {
-        let (_, _, stats) = place(tree, speed);
-        stats
+    pub fn plan_layout(tree: &FlatTree, speed: SpeedMode) -> ProgramStats {
+        place(tree, speed).1
     }
 
-    /// Serialises an already-built tree and decodes the emitted image.
-    fn from_tree(
-        tree: &DecisionTree,
+    /// Serialises the tree built for `ruleset` and decodes the emitted
+    /// image.
+    fn encode(
+        ruleset: &RuleSet,
+        tree: &FlatTree,
         build_stats: BuildStats,
         config: &BuildConfig,
         word_capacity: usize,
     ) -> Result<HardwareProgram, BuildError> {
-        let (internal_word, leaf_placement, layout) = place(tree, config.speed);
+        let (leaf_placement, layout) = place(tree, config.speed);
         let internal_words = layout.internal_words;
         let total_words = layout.total_words;
         let leaf_words = layout.leaf_words;
@@ -136,46 +142,43 @@ impl HardwareProgram {
 
         // --- Emit the words ------------------------------------------------
         let mut words = vec![zero_word(); total_words];
-        let mut stored_rules = 0usize;
-        for (idx, node) in tree.nodes().iter().enumerate() {
-            match &node.kind {
-                NodeKind::Internal { cuts, children, .. } => {
-                    let header = node_header(cuts, &consumed_bits(&node.region));
-                    let entries: Vec<ChildEntry> = children
-                        .iter()
-                        .map(|&c| match &tree.nodes()[c as usize].kind {
-                            NodeKind::Internal { .. } => ChildEntry::Internal {
-                                word: internal_word[c as usize].expect("internal node has a word"),
-                            },
-                            NodeKind::Leaf { .. } => match leaf_placement[c as usize] {
-                                Some(p) => ChildEntry::Leaf {
-                                    word: p.word,
-                                    pos: p.pos,
-                                },
-                                None => ChildEntry::Null, // the empty leaf
-                            },
-                        })
-                        .collect();
-                    let w = internal_word[idx].expect("internal node has a word");
-                    write_internal(&mut words[w], &header, &entries)?;
-                }
-                NodeKind::Leaf { rules } => {
-                    let placement = match leaf_placement[idx] {
-                        Some(p) => p,
-                        None => continue,
-                    };
-                    let mut w = placement.word;
-                    let mut p = placement.pos;
-                    for (i, &rule_id) in rules.iter().enumerate() {
-                        let end = i + 1 == rules.len();
-                        write_rule(&mut words[w], p, &tree.rules()[rule_id as usize], end)?;
-                        stored_rules += 1;
-                        p += 1;
-                        if p == RULES_PER_WORD {
-                            p = 0;
-                            w += 1;
-                        }
+        let internal = (0..).map_while(|i| internal_node(tree, i));
+        for (word, node) in words.iter_mut().zip(internal) {
+            let entries: Vec<ChildEntry> = node
+                .children
+                .iter()
+                .map(|&child| {
+                    if child & LEAF == 0 {
+                        return ChildEntry::Internal {
+                            word: child as usize,
+                        };
                     }
+                    match leaf_placement[(child & !LEAF) as usize] {
+                        Some(p) => ChildEntry::Leaf {
+                            word: p.word,
+                            pos: p.pos,
+                        },
+                        None => ChildEntry::Null, // the empty leaf
+                    }
+                })
+                .collect();
+            write_internal(word, &node_header(&node.cuts), &entries)?;
+        }
+        let mut stored_rules = 0usize;
+        for (leaf, placement) in leaves(tree).zip(&leaf_placement) {
+            let Some(placement) = placement else {
+                continue;
+            };
+            let mut w = placement.word;
+            let mut p = placement.pos;
+            for (i, &rule_id) in leaf.rules.iter().enumerate() {
+                let end = i + 1 == leaf.rules.len();
+                write_rule(&mut words[w], p, &ruleset.rules()[rule_id as usize], end)?;
+                stored_rules += 1;
+                p += 1;
+                if p == RULES_PER_WORD {
+                    p = 0;
+                    w += 1;
                 }
             }
         }
@@ -195,8 +198,8 @@ impl HardwareProgram {
             config: *config,
             stats,
             build_stats,
-            rules: tree.rules().to_vec(),
-            spec: *tree.spec(),
+            rules: ruleset.rules().to_vec(),
+            spec: *ruleset.spec(),
             word_capacity,
         })
     }
@@ -274,79 +277,58 @@ impl HardwareProgram {
     }
 }
 
-/// Assigns memory words to internal nodes and packs leaves, returning the
-/// assignments and the resulting layout statistics (shared by
-/// [`HardwareProgram::from_tree`] and [`HardwareProgram::plan_layout`]).
-fn place(
-    tree: &DecisionTree,
-    speed: crate::builder::SpeedMode,
-) -> (Vec<Option<usize>>, Vec<Option<LeafPlacement>>, ProgramStats) {
-    let nodes = tree.nodes();
-    // --- Assign words to internal nodes (the root first, then node order) -
-    let root = tree.root() as usize;
-    let mut internal_word: Vec<Option<usize>> = vec![None; nodes.len()];
-    let mut next_word = 0usize;
-    for idx in std::iter::once(root).chain((0..nodes.len()).filter(|&idx| idx != root)) {
-        if !nodes[idx].is_leaf() {
-            internal_word[idx] = Some(next_word);
-            next_word += 1;
-        }
-    }
-    let internal_words = next_word;
-
-    // --- Pack leaves after the internal nodes -----------------------------
-    let mut leaf_placement: Vec<Option<LeafPlacement>> = vec![None; nodes.len()];
+/// Packs the leaves after the internal nodes — internal node `i` of
+/// [`internal_node`]'s word order takes word `i` — returning each leaf's
+/// placement, in leaf order, and the resulting layout statistics (shared
+/// by [`HardwareProgram::encode`] and [`HardwareProgram::plan_layout`]).
+fn place(tree: &FlatTree, speed: SpeedMode) -> (Vec<Option<LeafPlacement>>, ProgramStats) {
+    let internal_words = (0..).map_while(|i| internal_node(tree, i)).count();
+    let mut leaf_placement = Vec::new();
     let mut word = internal_words;
     let mut pos = 0usize;
     let mut stored_rules = 0usize;
-    for (idx, node) in nodes.iter().enumerate() {
-        let rules = match &node.kind {
-            NodeKind::Leaf { rules } => rules,
-            _ => continue,
-        };
-        if rules.is_empty() {
-            continue; // empty leaves become null child entries
+    for leaf in leaves(tree) {
+        let rules = leaf.rules.len();
+        if rules == 0 {
+            leaf_placement.push(None); // empty leaves become null child entries
+            continue;
         }
-        if speed == crate::builder::SpeedMode::Throughput
-            && pos > 0
-            && rules.len() + pos > RULES_PER_WORD
-        {
+        if speed == SpeedMode::Throughput && pos > 0 && rules + pos > RULES_PER_WORD {
             // Eq. 6: with speed = 1 a leaf may only start mid-word if it fits
             // entirely in the remaining slots of that word.
             word += 1;
             pos = 0;
         }
-        leaf_placement[idx] = Some(LeafPlacement {
-            word,
-            pos,
-            rules: rules.len(),
-        });
-        stored_rules += rules.len();
-        let consumed = pos + rules.len();
+        leaf_placement.push(Some(LeafPlacement { word, pos, rules }));
+        stored_rules += rules;
+        let consumed = pos + rules;
         word += consumed / RULES_PER_WORD;
         pos = consumed % RULES_PER_WORD;
     }
     let total_words = if pos == 0 { word } else { word + 1 };
+    let mut memo = vec![None; internal_words];
+    let (worst_case_cycles, tree_depth) = worst_case(tree, &leaf_placement, 0, &mut memo);
     let stats = ProgramStats {
         internal_words,
         leaf_words: total_words - internal_words,
         total_words,
         memory_bytes: total_words * WORD_BYTES,
         stored_rules,
-        worst_case_cycles: worst_case_cycles(tree, &leaf_placement, tree.root(), 0),
-        tree_depth: nodes.iter().map(|n| n.depth).max().unwrap_or(0),
+        worst_case_cycles,
+        tree_depth,
     };
-    (internal_word, leaf_placement, stats)
+    (leaf_placement, stats)
 }
 
 /// Builds the hardware mask/shift header for a node cutting `cuts` (a power
-/// of two per dimension) with `consumed` bits already cut away above it.
+/// of two of parts per cut dimension); the range each dimension is cut
+/// over says how many of its bits were cut away above the node.
 ///
 /// Dimension `d` contributes the bits `[8 - consumed_d - cut_bits_d,
 /// 8 - consumed_d)` of its 8 MSBs; the shift aligns that contribution to its
 /// mixed-radix position (dimension 0 is the most significant digit).
-fn node_header(cuts: &CutSpec, consumed: &[u8; FIELD_COUNT]) -> NodeHeader {
-    let cut_bits = cut_bits(cuts);
+fn node_header(cuts: &[Option<(u32, FieldRange)>; FIELD_COUNT]) -> NodeHeader {
+    let cut_bits = cuts.map(|cut| cut.map_or(0, |(parts, _)| parts.trailing_zeros() as u8));
     let mut header = NodeHeader::identity();
     // Bits contributed by later dimensions (lower-order digits).
     let mut low_bits_after = [0u8; FIELD_COUNT];
@@ -355,58 +337,61 @@ fn node_header(cuts: &CutSpec, consumed: &[u8; FIELD_COUNT]) -> NodeHeader {
         low_bits_after[d] = acc;
         acc += cut_bits[d];
     }
-    for d in 0..FIELD_COUNT {
-        let bits = cut_bits[d];
-        if bits == 0 {
+    for d in Dimension::ALL {
+        let Some((_, range)) = cuts[d.index()] else {
             continue;
-        }
-        let top = 8 - consumed[d]; // exclusive upper bit position within the MSB byte
+        };
+        let bits = cut_bits[d.index()];
+        let top = 8 - consumed(d, range); // exclusive upper bit position within the MSB byte
         let mask = (((1u16 << bits) - 1) << (top - bits)) as u8;
-        header.masks[d] = mask;
+        header.masks[d.index()] = mask;
         // (value & mask) >> (top - bits) gives the digit; it must then be
         // shifted left by the number of lower-order bits.
-        header.shifts[d] = i16::from(top - bits) as i8 - i16::from(low_bits_after[d]) as i8;
+        header.shifts[d.index()] =
+            i16::from(top - bits) as i8 - i16::from(low_bits_after[d.index()]) as i8;
     }
     header
 }
 
-/// Static worst case: root traversal (1 cycle, from register A) + one cycle
-/// per further internal node + the number of leaf words touched by the
-/// largest leaf along the path (Eqs. 5/7 with the match in the last rule).
-fn worst_case_cycles(
-    tree: &DecisionTree,
+/// The static worst case below the node `slot` names, and its depth: the
+/// root traversal (1 cycle, from register A) plus one cycle per further
+/// internal node plus the leaf words the largest leaf on the path touches
+/// (Eqs. 5/7 with the match in the last rule); the depth is the deepest
+/// leaf's, root = 0.  Each internal node is folded once (`memo`).
+fn worst_case(
+    tree: &FlatTree,
     placement: &[Option<LeafPlacement>],
-    node: NodeId,
-    depth_cycles: u32,
-) -> u32 {
-    match &tree.nodes()[node as usize].kind {
-        NodeKind::Leaf { .. } => {
-            let Some(p) = placement[node as usize] else {
-                return depth_cycles.max(1); // the empty leaf: nothing to load
-            };
-            let words = (p.pos + p.rules).div_ceil(RULES_PER_WORD) - p.pos / RULES_PER_WORD;
-            depth_cycles + words as u32
-        }
-        NodeKind::Internal { children, .. } => {
-            let mut worst = depth_cycles + 1;
-            let mut seen: Vec<NodeId> = Vec::new();
-            for &child in children {
-                if seen.contains(&child) {
-                    continue;
-                }
-                seen.push(child);
-                worst = worst.max(worst_case_cycles(tree, placement, child, depth_cycles + 1));
-            }
-            worst
-        }
+    slot: u32,
+    memo: &mut [Option<(u32, u32)>],
+) -> (u32, u32) {
+    if slot & LEAF != 0 {
+        // The empty leaf has nothing to load.
+        let words = placement[(slot & !LEAF) as usize].map_or(0, |p| {
+            (p.pos + p.rules).div_ceil(RULES_PER_WORD) - p.pos / RULES_PER_WORD
+        });
+        return (words as u32, 0);
     }
+    if let Some(folded) = memo[slot as usize] {
+        return folded;
+    }
+    let node = internal_node(tree, slot).expect("a child slot names a record");
+    let (mut cycles, mut depth) = (0, 0);
+    for &child in node.children {
+        let (c, d) = worst_case(tree, placement, child, memo);
+        cycles = cycles.max(c);
+        depth = depth.max(d);
+    }
+    let folded = (1 + cycles, 1 + depth);
+    memo[slot as usize] = Some(folded);
+    folded
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{CutAlgorithm, SpeedMode};
+    use crate::builder::CutAlgorithm;
     use crate::encode::{read_child, read_header, read_rule};
+    use pclass_algos::dtree::CutSpec;
     use pclass_classbench::{ClassBenchGenerator, SeedStyle};
 
     fn acl(n: usize) -> RuleSet {
@@ -565,10 +550,9 @@ mod tests {
         let cuts = CutSpec {
             parts: [4, 1, 1, 1, 2],
         };
-        let consumed = [0u8; FIELD_COUNT];
-        let header = node_header(&cuts, &consumed);
         let rs = acl(1);
         let region = rs.full_region();
+        let header = node_header(&[Some((4, region[0])), None, None, None, Some((2, region[4]))]);
         let spec = DimensionSpec::FIVE_TUPLE;
         for src in [0u32, 0x3FFF_FFFF, 0x4000_0000, 0x8000_0000, 0xFFFF_FFFF] {
             for proto in [0u32, 127, 128, 255] {
@@ -584,10 +568,10 @@ mod tests {
     #[test]
     fn node_header_respects_consumed_bits() {
         use pclass_types::PacketHeader;
-        // A node one level down: 2 bits of src already consumed, cut 3 more.
-        let cuts = CutSpec::single(pclass_types::Dimension::SrcIp, 8);
-        let consumed = [2u8, 0, 0, 0, 0];
-        let header = node_header(&cuts, &consumed);
+        // A node one level down: 2 bits of src already consumed (a quarter
+        // of the address space), cut 3 more.
+        let quarter = FieldRange::new(0, u32::MAX >> 2);
+        let header = node_header(&[Some((8, quarter)), None, None, None, None]);
         let spec = DimensionSpec::FIVE_TUPLE;
         // Bits 5..3 (counting from bit 7) of the MSB byte select the child.
         let pkt = PacketHeader::from_fields([0b0011_1000 << 24, 0, 0, 0, 0]);

@@ -28,11 +28,11 @@ fn main() {
 
     let hicuts = HiCutsClassifier::build(&table1, &HiCutsConfig::figure1());
     println!("\n== Figure 1: HiCuts decision tree (binth 3) ==");
-    print!("{}", hicuts.tree().dump());
+    print!("{}", hicuts.dump());
 
     let hypercuts = HyperCutsClassifier::build(&table1, &HyperCutsConfig::figure3());
     println!("== Figure 3: HyperCuts decision tree (binth 3) ==");
-    print!("{}", hypercuts.tree().dump());
+    print!("{}", hypercuts.dump());
 
     // ------------------------------------------------------------------
     // 2. A realistic ACL ruleset through the hardware accelerator.

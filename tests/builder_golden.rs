@@ -67,7 +67,7 @@ fn software_hicuts_counts_are_pinned() {
     );
     assert_eq!(hc.memory_bytes(), 55328);
     assert_eq!(
-        hc.tree().stats(),
+        hc.stats(),
         TreeStats {
             internal_nodes: 95,
             leaf_nodes: 1088,
@@ -136,7 +136,7 @@ fn software_hypercuts_counts_are_pinned() {
     );
     assert_eq!(hc.memory_bytes(), 34476);
     assert_eq!(
-        hc.tree().stats(),
+        hc.stats(),
         TreeStats {
             internal_nodes: 43,
             leaf_nodes: 529,
