@@ -40,10 +40,24 @@ grep -F "software_trees_are_pinned: test" "$RUNNER_TEMP/tests.list"
 grep -F "figure_dumps_are_pinned: test" "$RUNNER_TEMP/tests.list"
 # One walk in the flat arena: LaneWidth::Scalar and per-packet
 # classify (the stats path) are lanes of one through step_lane.
-# Its oracles are linear search (every lane width) and the pointer
-# tree (decisions and LookupStats, packet for packet).
+# Its oracle is linear search: every lane width, and every header of
+# narrow header spaces (both flat builders at every lane width, behind
+# hot caches, RFC, and an update script across a re-flatten); the
+# benchmark's whole acl 64 k trace in release; the stats path's counts
+# are pinned packet for packet (tests/build_pins.rs).
 grep -F "every_lane_width_matches_linear_search: test" "$RUNNER_TEMP/tests.list"
 grep -F "flat_tree_is_packet_for_packet_identical: test" "$RUNNER_TEMP/tests.list"
+grep -F "every_2_bit_header_is_classified_exactly: test" "$RUNNER_TEMP/tests.list"
+grep -F "every_3_bit_header_is_classified_exactly_on_large_rulesets: test" "$RUNNER_TEMP/tests.list"
+grep -F "every_3_bit_header_is_classified_exactly_on_small_and_degenerate_rulesets: test" "$RUNNER_TEMP/tests.list"
+grep -F "an_update_script_across_a_reflatten_is_exact_on_every_header: test" "$RUNNER_TEMP/tests.list"
+grep -F "acl64k_serves_a_whole_uniform_trace_as_linear_search_does: test" "$RUNNER_TEMP/tests.list"
+grep -F "flat_agrees_with_linear_search_per_packet: test" "$RUNNER_TEMP/tests.list"
+grep -F "lookup_stats_follow_the_per_node_accounting: test" "$RUNNER_TEMP/tests.list"
+# One tree representation: every builder emits into the flat arena,
+# which the software classifiers walk and the encoder serialises; the
+# pointer tree, its node kinds and its transcription do not come back.
+! grep -rnE '\b(DecisionTree|NodeKind|from_tree)\b' crates src examples tests || exit 1
 ! grep -nE "fn (walk_scalar|step_packet|scan_slab)\b" crates/algos/src/flat.rs || exit 1
 test "$(grep -cE 'fn step_lane\b' crates/algos/src/flat.rs)" -eq 1
 # One recursive tree builder, for software and hardware alike.
@@ -68,6 +82,7 @@ grep -F "a_cache_that_never_hits_steps_aside_after_warm_up: test" "$RUNNER_TEMP/
 grep -F "a_cache_that_saves_slow_walks_never_steps_aside: test" "$RUNNER_TEMP/tests.list"
 grep -F "hotter_traffic_re_engages_a_bypassed_cache: test" "$RUNNER_TEMP/tests.list"
 grep -F "a_new_generation_refills_before_it_is_judged: test" "$RUNNER_TEMP/tests.list"
+grep -F "the_verdict_is_the_median_not_the_upper_middle: test" "$RUNNER_TEMP/tests.list"
 grep -F "serve_batch_counts_its_evictions: test" "$RUNNER_TEMP/tests.list"
 grep -F "a_cached_live_engine_crosses_a_bypass_flip_between_publishes: test" "$RUNNER_TEMP/tests.list"
 test "$(sed -n '/^pub struct HotCacheConfig {/,/^}/p' crates/algos/src/hotcache.rs | grep -c '^    pub ')" -eq 2

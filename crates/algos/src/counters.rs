@@ -93,8 +93,8 @@ impl LookupStats {
     ///
     /// Together with [`LookupStats::count_child_select`] and
     /// [`LookupStats::count_scan`] this is the SA-1100 cost model of a
-    /// decision-tree lookup; the pointer tree and the flat arena both charge
-    /// through these three methods, so they account a walk identically.
+    /// decision-tree lookup: the flat arena's walk charges through these
+    /// three methods, node for node.
     pub fn count_node(&mut self) {
         self.memory_accesses += 1;
         self.ops.loads += 2;

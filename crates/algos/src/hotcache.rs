@@ -1029,6 +1029,35 @@ mod tests {
     }
 
     #[test]
+    fn the_verdict_is_the_median_not_the_upper_middle() {
+        // A walk priced at 1 ns a packet.  Four sub-batches lose 100 ns
+        // (nothing answered, 100 ns of probing); four gain 10 ns (ten
+        // answered, no probing cost).  Sorted, the window's middle pair is
+        // −100 and +10: the median is negative, though the upper middle
+        // value is positive.
+        let ledger = Ledger::new();
+        let ns = Duration::from_nanos;
+        for _ in 0..4 {
+            ledger.settle(0, 1, ns(1), ns(101), 64, || 1_000);
+            ledger.settle(10, 1, ns(1), ns(1), 64, || 1_000);
+        }
+        assert!(
+            ledger.bypassing.load(Ordering::Relaxed),
+            "median −45 ns kept the cache"
+        );
+        // The mirror image — middle pair −10 and +100 — keeps it.
+        let ledger = Ledger::new();
+        for _ in 0..4 {
+            ledger.settle(0, 1, ns(1), ns(11), 64, || 1_000);
+            ledger.settle(100, 1, ns(1), ns(1), 64, || 1_000);
+        }
+        assert!(
+            !ledger.bypassing.load(Ordering::Relaxed),
+            "median +45 ns bypassed"
+        );
+    }
+
+    #[test]
     fn a_new_generation_refills_before_it_is_judged() {
         // A hot set of 16 sub-batches pays under one tag; then a second tag
         // (an update) leaves every entry stale, so the next 16 sub-batches

@@ -18,10 +18,11 @@
 //! * [`rfc::RfcClassifier`] — Recursive Flow Classification, the fastest
 //!   software algorithm in the paper's comparison (§5.2 quotes a ×546
 //!   speed-up of the ASIC over RFC).
-//! * [`flat::FlatTreeClassifier`] — the HiCuts/HyperCuts trees re-packed
-//!   into a cache-compact flat arena ([`flat::FlatTree`]) with a batched
-//!   level-synchronous traversal; built from the pointer trees via
-//!   `flatten()` and served as `hicuts-flat` / `hypercuts-flat`.
+//! * [`flat::FlatTreeClassifier`] — the cache-compact flat arena
+//!   ([`flat::FlatTree`]) every HiCuts/HyperCuts tree is built into, with a
+//!   batched level-synchronous traversal; handed out by a built
+//!   classifier's `flatten()` and served as `hicuts-flat` /
+//!   `hypercuts-flat`.
 //!
 //! The *modified*, hardware-oriented HiCuts/HyperCuts variants live in
 //! `pclass-core`; they share the [`counters`] instrumentation defined here so
@@ -125,8 +126,8 @@ pub trait Classifier {
     }
 
     /// Arena layout statistics when the structure is a flattened arena
-    /// (`flat::FlatTreeClassifier` overrides this); `None` for pointer
-    /// trees and the other structures.  The multi-tenant serving layer
+    /// (`flat::FlatTreeClassifier` overrides this); `None` for the other
+    /// structures.  The multi-tenant serving layer
     /// folds this into its per-tenant memory reports.
     fn arena_stats(&self) -> Option<pclass_types::ArenaStats> {
         None

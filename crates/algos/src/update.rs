@@ -11,10 +11,11 @@
 //!   per-node free-slot slack, moving a full span to the slab end (with
 //!   fresh slack) and re-flattening (amortized) once the dead slots moved
 //!   spans leave behind make up too much of the slab.
-//! * [`crate::dtree::DecisionTree`] — the pointer tree the HiCuts and
-//!   HyperCuts builders emit — is an immutable build product.  A built
-//!   classifier becomes updatable through
-//!   [`flatten`](crate::dtree::CutTreeClassifier::flatten).
+//! * The built HiCuts and HyperCuts classifiers
+//!   ([`crate::dtree::CutTreeClassifier`]) are immutable build products.
+//!   One becomes updatable through
+//!   [`flatten`](crate::dtree::CutTreeClassifier::flatten), which hands out
+//!   a copy of its arena.
 //!
 //! Every insert passes [`validate_insert`] before anything is touched, so
 //! what an update stream may contain is defined in one place.
@@ -154,8 +155,8 @@ impl std::error::Error for UpdateError {}
 /// trait on the snapshot its readers have drained from while they keep
 /// serving the published one.
 ///
-/// The pointer-tree classifiers are immutable build products and do
-/// **not** implement it:
+/// The built `hicuts` and `hypercuts` classifiers are immutable build
+/// products and do **not** implement it (their `flatten` copy does):
 ///
 /// ```compile_fail,E0277
 /// use pclass_algos::{HiCutsClassifier, UpdatableClassifier};

@@ -9,12 +9,14 @@
 //!    start at 32 and are capped at 256, the region-compaction and
 //!    push-common-rules heuristics are removed, and cut boundaries are
 //!    restricted to what the accelerator's 8-bit mask/shift child-selection
-//!    logic can express.  [`builder::build_tree`] returns the same
-//!    `DecisionTree` the software classifiers walk.
+//!    logic can express.  [`builder::build_tree`] returns the flat arena
+//!    the builder emits — the kind the software classifiers walk — in
+//!    build order.
 //! 2. [`encode`] — bit-exact encodings of the 160-bit leaf rule format and
 //!    the internal-node format used inside a 4800-bit memory word.
-//! 3. [`program`] — [`program::HardwareProgram`]: that tree
-//!    serialised into 4800-bit memory words (internal nodes first, then
+//! 3. [`program`] — [`program::HardwareProgram`]: that tree, read
+//!    through `FlatTree::node`, serialised into 4800-bit memory words
+//!    (internal nodes first, then
 //!    leaves, packed according to the *speed* parameter), i.e. exactly what
 //!    would be written into the FPGA block RAMs / ASIC SRAM at configuration
 //!    time.  Building a program also *loads* it: the emitted words are read

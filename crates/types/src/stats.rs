@@ -16,8 +16,8 @@ use std::collections::HashSet;
 /// Produced by `pclass_algos::flat::FlatTree::arena_stats`; it lives here,
 /// next to [`RuleSetStats`], so every crate that serializes measurements
 /// shares one definition.  Unlike the idealised 32-bit software memory model the
-/// pointer trees report under, these byte counts are the *actual* in-memory
-/// sizes of the arena arrays.
+/// `hicuts` and `hypercuts` classifiers report under, these byte counts are
+/// the *actual* in-memory sizes of the arena arrays.
 ///
 /// The counts cover everything a lookup can touch — internal-node records,
 /// leaf spans, slabs and the rule table — which is also every copy of a
@@ -189,8 +189,7 @@ pub struct MemoryReport {
     /// (`TenantSpec::memory_budget`).
     pub budget_bytes: Option<usize>,
     /// Arena layout statistics when the classifier is a flat decision-tree
-    /// arena (`Classifier::arena_stats`), `None` for pointer trees and
-    /// other structures.
+    /// arena (`Classifier::arena_stats`), `None` for other structures.
     pub arena: Option<ArenaStats>,
 }
 

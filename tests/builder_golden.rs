@@ -1,8 +1,8 @@
 //! Golden pins of everything the four tree builders and the two software
 //! walks *count* on `acl_ruleset(1000)`: the full [`BuildStats`] of the
 //! software HiCuts/HyperCuts builders and of the hardware-oriented modified
-//! ones — four cut policies over one `TreeBuilder` — the pointer-tree and
-//! arena shapes, and the summed
+//! ones — four cut policies over one `TreeBuilder` — the tree and arena
+//! shapes, and the summed
 //! [`LookupStats`] of a 2,000-packet trace.
 //!
 //! These numbers feed Table 2 (memory), Table 3 (build energy) and Table 8

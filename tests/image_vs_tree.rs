@@ -1,13 +1,12 @@
 //! The accelerator's memory image against the decision tree it was encoded
 //! from, and both against linear search.
 //!
-//! The modified HiCuts/HyperCuts builders emit a `DecisionTree` (the same
-//! kind the software classifiers walk) and the encoder serialises it, so
-//! there are two independent readings of one structure: the tree's own
-//! pointer walk and the simulator's walk of the decoded words.  Comparing
-//! all three tells a cut-policy fault (tree ≠ linear search) from an encoder
-//! or mirror fault (image ≠ tree) instead of showing both as one red
-//! accelerator test.
+//! The modified HiCuts/HyperCuts builders emit a flat arena (the kind the
+//! software classifiers walk) and the encoder serialises it, so there are
+//! two independent readings of one structure: the arena's own walk and the
+//! simulator's walk of the decoded words.  Comparing all three tells a
+//! cut-policy fault (tree ≠ linear search) from an encoder or mirror fault
+//! (image ≠ tree) instead of showing both as one red accelerator test.
 
 use pclass_bench::styled_ruleset;
 use pclass_classbench::{SeedStyle, TraceGenerator};

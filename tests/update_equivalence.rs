@@ -572,7 +572,8 @@ fn flat_worst_case_bound_holds_after_updates() {
     let trace = TraceGenerator::new(&rs, 42 ^ 0xD00D).generate(2_000);
     let hc = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
     let hyc = HyperCutsClassifier::build(&rs, &HyperCutsConfig::paper_defaults());
-    // Before any update the arena and the pointer tree agree on the bound.
+    // Before any update the served copy and the built tree agree on the
+    // bound.
     let mut flat = hc.flatten();
     assert_eq!(
         flat.worst_case_memory_accesses(),
