@@ -7,9 +7,9 @@
 //! its children are built, so the root is record 0, and a leaf takes the
 //! next leaf index when it is made.  That *build-order* arena is what the
 //! hardware encoder in `pclass-core` serialises (through
-//! [`FlatTree::node`]).  The software classifiers lay it out once more, by
-//! the same breadth-first pass [`FlatTree::reflatten`] runs, and walk only
-//! that.  A tree is a handful of dense arrays:
+//! [`FlatTree::node`]).  The software classifiers lay it out breadth first,
+//! by the pass [`FlatTree::reflatten`] runs, and walk that.  A tree is a
+//! handful of dense arrays:
 //!
 //! * one **64-byte, cache-line-aligned record per internal node**
 //!   (`NodeRec`): the stored-rule span, the child-base index, the cut

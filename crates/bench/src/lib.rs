@@ -188,8 +188,8 @@ pub struct RosterSkip {
     pub reason: String,
 }
 
-/// The full serving roster for one ruleset: every classifier in the
-/// workspace that can serve it, plus explicit skips for the ones that
+/// The full serving roster for one ruleset: every serving structure in
+/// the workspace that can serve it, plus explicit skips for the ones that
 /// cannot.
 pub struct ClassifierRoster {
     /// `(name, classifier)` pairs, in the fixed roster order: linear,
@@ -210,8 +210,9 @@ fn shared<C: Classifier + Send + Sync + 'static>(
         .map_err(|e| e.to_string())
 }
 
-/// Builds every classifier in the workspace for a ruleset, behind shared
-/// handles the `pclass-engine` serving layer can fan out across workers.
+/// Builds every serving structure in the workspace for a ruleset, behind
+/// shared handles the `pclass-engine` serving layer can fan out across
+/// workers.
 ///
 /// This is the single source of truth for the serving roster — the engine
 /// equivalence tests and the `serving_throughput` example use it.  A build

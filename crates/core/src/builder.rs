@@ -171,7 +171,7 @@ impl From<crate::encode::EncodeError> for BuildError {
 /// The tree is the arena [`TreeBuilder`] emits under the configured policy,
 /// in build order.  Its [`BuildStats`] count what the memory image holds,
 /// which differs in two things: the root is always an internal node (the
-/// encoder wraps a lone leaf, see [`internal_node`]), and the kit's shared
+/// encoder wraps a lone leaf in one), and the kit's shared
 /// empty leaf — a null child entry in the image, not a node — is not
 /// counted or charged.
 pub fn build_tree(
