@@ -28,6 +28,11 @@ grep -F "simulated_counts_are_pinned: test" "$RUNNER_TEMP/tests.list"
 grep -F "prop_mirror_walk_equals_the_bit_level_walk: test" "$RUNNER_TEMP/tests.list"
 grep -F "image_tree_and_linear_search_agree: test" "$RUNNER_TEMP/tests.list"
 grep -F "benchmark_arenas_are_pinned_at_2k_and_10k: test" "$RUNNER_TEMP/tests.list"
+# What a build emits, to the byte: dump, BuildStats, TreeStats, ArenaStats
+# and the served arena, hashed (the 64 k and fw 10 k pins run in release).
+grep -F "benchmark_builds_are_content_pinned_at_2k_and_10k: test" "$RUNNER_TEMP/tests.list"
+grep -F "acl64k_hicuts_build_is_content_pinned: test" "$RUNNER_TEMP/tests.list"
+grep -F "fw10k_hicuts_build_is_content_pinned: test" "$RUNNER_TEMP/tests.list"
 grep -F "every_slot_decodes_in_range_and_reflatten_keeps_only_reachable_entries: test" "$RUNNER_TEMP/tests.list"
 grep -F "a_lone_leaf_root_takes_updates_and_reflattens: test" "$RUNNER_TEMP/tests.list"
 grep -F "a_build_and_a_pristine_reflatten_lay_out_the_same_tree: test" "$RUNNER_TEMP/tests.list"

@@ -19,14 +19,54 @@
 //! [`LookupStats`] of the per-packet stats walk summed over a fixed trace,
 //! and the most memory accesses one packet of it took.  A change to how the
 //! arena *walks* must leave them bit-identical.
+//!
+//! The content pins hold what a build emits to the byte: an FNV-1a hash
+//! over the tree's dump, the `Debug` of its `BuildStats`, `TreeStats` and
+//! `ArenaStats`, and the `Debug` of the arena `flatten()` serves — every
+//! node record, cut record with its division magics, child slot, rule id
+//! and rule image.  A change to how trees are *built* that claims nothing
+//! moved must leave them unedited.
 
 use packet_classifier::prelude::*;
 use pclass_algos::counters::{LookupStats, OpCounters};
+use pclass_algos::dtree::{CutTreeClassifier, RosterPolicy};
 use pclass_algos::hicuts::HiCutsConfig;
+use pclass_algos::hypercuts::HyperCutsConfig;
 use pclass_types::ArenaStats;
+use std::fmt::Write as _;
 
 fn benchmark_ruleset(rules: usize) -> RuleSet {
     ClassBenchGenerator::new(SeedStyle::Acl, 20080414).generate(rules)
+}
+
+/// FNV-1a fed through `fmt::Write`, so a dump or an arena's `Debug` is
+/// hashed as it is formatted and never held whole.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for byte in s.bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// The content pin of a build (see the module docs).
+fn content_pin<C: RosterPolicy>(tree: &CutTreeClassifier<C>) -> u64 {
+    let served = tree.flatten();
+    let mut hash = Fnv1a(0xcbf2_9ce4_8422_2325);
+    write!(
+        hash,
+        "{}{:?}{:?}{:?}{:?}",
+        tree.dump(),
+        tree.build_stats(),
+        tree.stats(),
+        served.arena_stats(),
+        served
+    )
+    .expect("hashing cannot fail");
+    hash.0
 }
 
 fn benchmark_arena(rules: usize) -> FlatTreeClassifier {
@@ -156,4 +196,42 @@ fn acl64k_arena_fits_76_mib() {
         "{} B is more than 76 MiB",
         arena.memory_bytes()
     );
+}
+
+#[test]
+fn benchmark_builds_are_content_pinned_at_2k_and_10k() {
+    let mut got = Vec::new();
+    for rules in [2_000, 10_000] {
+        let rs = benchmark_ruleset(rules);
+        let hicuts = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
+        got.push((rules, "hicuts", content_pin(&hicuts)));
+        let hypercuts = HyperCutsClassifier::build(&rs, &HyperCutsConfig::paper_defaults());
+        got.push((rules, "hypercuts", content_pin(&hypercuts)));
+    }
+    let want = vec![
+        (2_000, "hicuts", 0x23c4_5832_5f8b_7604),
+        (2_000, "hypercuts", 0xc121_6212_44f9_e2b8),
+        (10_000, "hicuts", 0xcd7d_bfbd_f945_9f5e),
+        (10_000, "hypercuts", 0xb302_bfd1_57a3_12bc),
+    ];
+    assert_eq!(got, want);
+}
+
+/// The content pin of the arena `acl64k_uniform` serves.  Release only,
+/// beside [`acl64k_arena_fits_76_mib`].
+#[test]
+#[ignore = "64,000-rule build: run in release, `-- --ignored`"]
+fn acl64k_hicuts_build_is_content_pinned() {
+    let tree = HiCutsClassifier::build(&benchmark_ruleset(64_000), &HiCutsConfig::paper_defaults());
+    assert_eq!(content_pin(&tree), 0xbd48_4e5a_971c_6d70);
+}
+
+/// The content pin of the most replicated build the suite makes: fw
+/// 10,000 under HiCuts, millions of nodes.  Release only.
+#[test]
+#[ignore = "fw 10,000-rule build: run in release, `-- --ignored`"]
+fn fw10k_hicuts_build_is_content_pinned() {
+    let rs = ClassBenchGenerator::new(SeedStyle::Fw, 20080414).generate(10_000);
+    let tree = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
+    assert_eq!(content_pin(&tree), 0x90b9_9fae_4600_4326);
 }
