@@ -67,6 +67,11 @@ grep -F "lookup_stats_follow_the_per_node_accounting: test" "$RUNNER_TEMP/tests.
 test "$(grep -cE 'fn step_lane\b' crates/algos/src/flat.rs)" -eq 1
 # One recursive tree builder, for software and hardware alike.
 test "$(grep -rn 'fn build_node' crates --include=*.rs | wc -l)" -eq 1
+# It builds each node in one pass, with the walk's own child index: above
+# its tests, dtree.rs names neither the dividing FieldRange::index_of nor
+# the per-child filter that is now the distribution's oracle.
+grep -F "one_pass_distribution_matches_rules_intersecting_child_by_child: test" "$RUNNER_TEMP/tests.list"
+! sed '/#\[cfg(test)\]/q' crates/algos/src/dtree.rs | grep -nE '\b(index_of|rules_intersecting)\b' || exit 1
 # RFC is built and served by one path each: one phase-0 table
 # builder, one cross product and one tile walk (per-packet
 # classify is a tile of one).  Its 13 tables are pinned bit for

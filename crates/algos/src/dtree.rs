@@ -15,10 +15,11 @@
 //! here, written once for the original algorithms and for the
 //! hardware-oriented variants in `pclass-core`:
 //!
-//! * [`rules_intersecting`], [`cut_histogram`] and [`max_child_occupancy`] —
-//!   the pure rule-distribution functions.  They count nothing: each builder
-//!   charges its own [`BuildStats`] where it calls them, so what an
-//!   algorithm pays for an evaluation is stated next to its policy.
+//! * [`cut_histogram`] (the Eq. 1 / Eq. 3 doubling rule of the HiCuts
+//!   builders) and [`max_child_occupancy`] (any multi-dimensional cut) —
+//!   the cut evaluations.  They count nothing: each builder charges its own
+//!   [`BuildStats`] where it calls them, so what an algorithm pays for an
+//!   evaluation is stated next to its policy.
 //! * [`TreeBuilder`], the node-emission core — leaves, the shared empty
 //!   leaf, and the distribute → merge identical children → recurse → patch
 //!   step — driven by a [`CutPolicy`].  Four policies exist:
@@ -27,13 +28,27 @@
 //! * [`CutTreeClassifier`] — the classifier shell both
 //!   [`crate::hicuts::HiCutsClassifier`] and
 //!   [`crate::hypercuts::HyperCutsClassifier`] are.
+//!
+//! A node costs O(rules + rule references + children) to emit, not
+//! O(rules × children).  Every child index — in the cut evaluations and in
+//! the distribution — is the walk's own division-free `FlatCut` (see
+//! [`crate::flat`]), built once per cut dimension and count.  The
+//! distribution is one pass: each rule lands in every child of its
+//! child-index box, counted first and then written at offsets into one
+//! buffer per node, and identical children are merged through a hash map
+//! keyed on their lists.  [`BuildStats`] stay the paper's SA-1100 cost model
+//! of the algorithm — a five-field overlap test per child per rule, a
+//! division per child-index lookup of the original algorithms — charged in
+//! closed form, not a count of the work this host does.
 
 use crate::counters::{BuildStats, LookupStats};
-use crate::flat::{FlatTree, FlatTreeClassifier};
+use crate::flat::{FlatCut, FlatTree, FlatTreeClassifier};
 use crate::Classifier;
 use pclass_types::{
     Dimension, FieldRange, MatchResult, PacketHeader, Rule, RuleId, RuleSet, FIELD_COUNT,
 };
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A cut specification at an internal node: how many equal-width children
 /// each dimension is divided into (1 = not cut).  The child array is indexed
@@ -146,49 +161,86 @@ pub struct TreeStats {
     pub worst_case_accesses: u64,
 }
 
-/// Returns the ids of `candidates` whose rules intersect `region`
-/// (in ascending id order).  Shared by every tree builder.
-pub fn rules_intersecting(
-    rules: &[Rule],
-    candidates: &[RuleId],
-    region: &[FieldRange; FIELD_COUNT],
-) -> Vec<RuleId> {
-    candidates
-        .iter()
-        .copied()
-        .filter(|&id| rules[id as usize].intersects_region(region))
-        .collect()
-}
-
-/// For `parts` equal cuts of `r` along `dim`, returns the maximum number of
-/// `candidates` any child would hold and the total number of child rule
-/// references.  Shared by every tree builder.
+/// The Eq. 1 / Eq. 3 doubling rule along `dim`, and the histogram of the
+/// cut it chooses.  Shared by every HiCuts builder, original and modified.
 ///
-/// Uses a difference array, so the cost is O(candidates + parts).  This is
-/// the inner loop of every HiCuts build (original and modified): it stays a
-/// lean 1-D pass of its own instead of a special case of
-/// [`max_child_occupancy`].
+/// Starting from `parts` equal cuts of `r`, the cut count doubles while the
+/// doubled count stays within `max_parts` and the doubled cut's child rule
+/// references plus its child count stay within `budget` (the space measure
+/// `spfac · rules`).  Returns the chosen count, the number of doublings
+/// evaluated (the last one may be the one refused), and the maximum number
+/// of `candidates` any child of the chosen cut would hold.
+///
+/// This is the inner loop of every HiCuts build, so it stays a lean 1-D pass
+/// of its own instead of a special case of [`max_child_occupancy`].  The
+/// candidates' ranges along `dim`, clipped to `r`, are gathered once, and a
+/// range spanning all of `r` is only counted.  Each evaluated doubling is
+/// then a totals-only pass over the rest — Σ(b − a + 1) over each range's
+/// first and last child `a` and `b`, with no per-child state, stopped as
+/// soon as the budget is exceeded — and only the chosen count pays for a
+/// difference array, in the builder's reused scratch: O(candidates) per
+/// evaluation plus O(candidates + parts) once.  Child indices come from the walk's own
+/// division-free `FlatCut`, built once per count.  It counts nothing: each
+/// builder charges its evaluations in closed form where it calls it.
 pub fn cut_histogram(
-    rules: &[Rule],
+    kit: &mut TreeBuilder<'_>,
     candidates: &[RuleId],
     r: FieldRange,
     dim: Dimension,
     parts: u32,
-) -> (usize, u64) {
-    let mut diff = vec![0i64; parts as usize + 1];
-    let mut total: u64 = 0;
+    max_parts: u32,
+    budget: f64,
+) -> (u32, u32, usize) {
+    let d = dim.index();
+    let rules = kit.rules;
+    let spans = &mut kit.spans;
+    spans.clear();
+    // A rule spanning all of `r` lies in every child of every count: it is
+    // counted, not gathered.
+    let mut whole = 0u64;
     for &id in candidates {
-        let rr = rules[id as usize].range(dim);
-        let lo = rr.lo.max(r.lo);
-        let hi = rr.hi.min(r.hi);
-        if lo > hi {
-            continue; // rule does not overlap this dimension slice
+        let range = rules[id as usize].ranges[d];
+        let lo = range.lo.max(r.lo);
+        let hi = range.hi.min(r.hi);
+        if (lo, hi) == (r.lo, r.hi) {
+            whole += 1;
+        } else if lo <= hi {
+            spans.push((lo, hi));
         }
-        let a = r.index_of(parts, lo);
-        let b = r.index_of(parts, hi);
-        diff[a as usize] += 1;
-        diff[b as usize + 1] -= 1;
-        total += u64::from(b - a + 1);
+        // Otherwise the rule misses this slice of the dimension: no child.
+    }
+
+    let mut parts = parts;
+    let mut evaluated = 0;
+    while let Some(doubled) = parts.checked_mul(2).filter(|&p| p <= max_parts) {
+        evaluated += 1;
+        let cut = FlatCut::new(d, doubled, r);
+        let refused = |total: u64| total as f64 + f64::from(doubled) > budget;
+        // The total only grows, so a partial total over the budget already
+        // refuses the doubling.
+        let mut total = whole * u64::from(doubled);
+        for block in spans.chunks(256) {
+            if refused(total) {
+                break;
+            }
+            total += block
+                .iter()
+                .map(|&(lo, hi)| u64::from(cut.sub_index(hi) - cut.sub_index(lo) + 1))
+                .sum::<u64>();
+        }
+        if refused(total) {
+            break;
+        }
+        parts = doubled;
+    }
+
+    let cut = FlatCut::new(d, parts, r);
+    let diff = &mut kit.scratch;
+    diff.clear();
+    diff.resize(parts as usize + 1, 0);
+    for &(lo, hi) in spans.iter() {
+        diff[cut.sub_index(lo) as usize] += 1;
+        diff[cut.sub_index(hi) as usize + 1] -= 1;
     }
     let mut max = 0i64;
     let mut acc = 0i64;
@@ -196,7 +248,8 @@ pub fn cut_histogram(
         acc += v;
         max = max.max(acc);
     }
-    (max as usize, total)
+    let max = max as u64 + whole;
+    (parts, evaluated, max as usize)
 }
 
 /// Maximum number of `candidates` any child would hold when `region` is cut
@@ -205,47 +258,31 @@ pub fn cut_histogram(
 ///
 /// Uses a multi-dimensional difference array (inclusion–exclusion over the
 /// corners of each rule's child-index box) followed by a prefix sum, so the
-/// cost is O(candidates · 2^dims + children · dims) with one allocation —
-/// the grid — per call.
+/// cost is O(candidates · 2^dims + children · dims), with the grid in the
+/// builder's reused scratch and child indices from the walk's division-free
+/// `FlatCut`, built once per cut dimension.  It counts nothing.
 pub fn max_child_occupancy(
-    rules: &[Rule],
+    kit: &mut TreeBuilder<'_>,
     candidates: &[RuleId],
     region: &[FieldRange; FIELD_COUNT],
     parts: &[u32; FIELD_COUNT],
 ) -> usize {
-    // The cut dimensions, most significant first (row-major grid).
-    let mut dims = [0usize; FIELD_COUNT];
-    let mut n = 0;
-    for (d, &p) in parts.iter().enumerate() {
-        if p > 1 {
-            dims[n] = d;
-            n += 1;
-        }
-    }
-    if n == 0 {
+    let Some(grid) = ChildGrid::new(region, parts) else {
         return candidates.len();
-    }
-    let dims = &dims[..n];
-    let mut strides = [1usize; FIELD_COUNT];
-    for k in (0..n - 1).rev() {
-        strides[k] = strides[k + 1] * parts[dims[k + 1]] as usize;
-    }
-    let total = strides[0] * parts[dims[0]] as usize;
-    let mut grid = vec![0i64; total];
+    };
+    let n = grid.dims;
+    let cells = grid.cells();
+    let counts = &mut kit.scratch;
+    counts.clear();
+    counts.resize(cells, 0);
 
-    'rules: for &id in candidates {
-        let rule = &rules[id as usize];
+    for &id in candidates {
+        let rule = &kit.rules[id as usize];
         // Child-index box of the rule in each cut dimension.
         let mut lo_idx = [0u32; FIELD_COUNT];
         let mut hi_idx = [0u32; FIELD_COUNT];
-        for (k, &d) in dims.iter().enumerate() {
-            let lo = rule.ranges[d].lo.max(region[d].lo);
-            let hi = rule.ranges[d].hi.min(region[d].hi);
-            if lo > hi {
-                continue 'rules; // outside the region: in no child
-            }
-            lo_idx[k] = region[d].index_of(parts[d], lo);
-            hi_idx[k] = region[d].index_of(parts[d], hi);
+        if !grid.child_box(rule, &mut lo_idx, &mut hi_idx) {
+            continue; // outside the region: in no child
         }
         // Inclusion–exclusion: add (-1)^popcount at each corner of the box.
         // A corner one past the high edge of the grid is skipped: cells
@@ -258,25 +295,179 @@ pub fn max_child_occupancy(
                 } else {
                     hi_idx[k] as usize + 1
                 };
-                if coord >= parts[dims[k]] as usize {
+                if coord >= grid.cuts[k].parts as usize {
                     continue 'corners;
                 }
-                index += coord * strides[k];
+                index += coord * grid.strides[k];
             }
-            grid[index] += if corner.count_ones() % 2 == 0 { 1 } else { -1 };
+            counts[index] += if corner.count_ones() % 2 == 0 { 1 } else { -1 };
         }
     }
 
-    // Multi-dimensional prefix sum, one axis at a time.
+    // Multi-dimensional prefix sum, one axis at a time: within each block
+    // of `extent` rows along axis `k`, every row but the first adds the one
+    // before it.
     for k in 0..n {
-        let extent = parts[dims[k]] as usize;
-        for cell in 0..total {
-            if (cell / strides[k]) % extent != 0 {
-                grid[cell] += grid[cell - strides[k]];
+        let stride = grid.strides[k];
+        let block = stride * grid.cuts[k].parts as usize;
+        for start in (0..cells).step_by(block) {
+            for cell in start + stride..start + block {
+                counts[cell] += counts[cell - stride];
             }
         }
     }
-    grid.into_iter().max().unwrap_or(0).max(0) as usize
+    counts.iter().copied().max().unwrap_or(0).max(0) as usize
+}
+
+/// The child grid of a cut: the cut dimensions, most significant first,
+/// their walk geometry, and the row-major strides of the child index.
+struct ChildGrid {
+    /// Number of cut dimensions (the leading entries below are live).
+    dims: usize,
+    cuts: [FlatCut; FIELD_COUNT],
+    strides: [usize; FIELD_COUNT],
+}
+
+impl ChildGrid {
+    /// The grid of `parts` over `region`, or `None` when nothing is cut.
+    fn new(region: &[FieldRange; FIELD_COUNT], parts: &[u32; FIELD_COUNT]) -> Option<ChildGrid> {
+        let mut cuts = [FlatCut::default(); FIELD_COUNT];
+        let mut dims = 0;
+        for (d, &p) in parts.iter().enumerate() {
+            if p > 1 {
+                cuts[dims] = FlatCut::new(d, p, region[d]);
+                dims += 1;
+            }
+        }
+        if dims == 0 {
+            return None;
+        }
+        let mut strides = [1usize; FIELD_COUNT];
+        for k in (0..dims - 1).rev() {
+            strides[k] = strides[k + 1] * cuts[k + 1].parts as usize;
+        }
+        Some(ChildGrid {
+            dims,
+            cuts,
+            strides,
+        })
+    }
+
+    /// Number of children.
+    fn cells(&self) -> usize {
+        self.strides[0] * self.cuts[0].parts as usize
+    }
+
+    /// Writes the first and last child index of `rule` along each cut
+    /// dimension; `false` when the rule misses the region in one of them.
+    fn child_box(
+        &self,
+        rule: &Rule,
+        lo_idx: &mut [u32; FIELD_COUNT],
+        hi_idx: &mut [u32; FIELD_COUNT],
+    ) -> bool {
+        for (k, cut) in self.cuts[..self.dims].iter().enumerate() {
+            let range = rule.ranges[cut.dim as usize];
+            let lo = range.lo.max(cut.lo);
+            let hi = range.hi.min(cut.hi);
+            if lo > hi {
+                return false;
+            }
+            lo_idx[k] = cut.sub_index(lo);
+            hi_idx[k] = cut.sub_index(hi);
+        }
+        true
+    }
+
+    /// Calls `f` with the child index of every cell of the box
+    /// `lo_idx..=hi_idx`, ascending.
+    #[inline]
+    fn for_each_cell(
+        &self,
+        lo_idx: &[u32; FIELD_COUNT],
+        hi_idx: &[u32; FIELD_COUNT],
+        mut f: impl FnMut(usize),
+    ) {
+        let last = self.dims - 1;
+        let mut digit = *lo_idx;
+        let mut base: usize = (0..last)
+            .map(|k| lo_idx[k] as usize * self.strides[k])
+            .sum();
+        loop {
+            // The last cut dimension has stride 1.
+            for c in lo_idx[last]..=hi_idx[last] {
+                f(base + c as usize);
+            }
+            // Advance the odometer over the more significant digits.
+            let mut k = last;
+            loop {
+                if k == 0 {
+                    return;
+                }
+                k -= 1;
+                if digit[k] < hi_idx[k] {
+                    digit[k] += 1;
+                    base += self.strides[k];
+                    break;
+                }
+                base -= (digit[k] - lo_idx[k]) as usize * self.strides[k];
+                digit[k] = lo_idx[k];
+            }
+        }
+    }
+}
+
+/// A node's rules distributed over its children: child `i` holds
+/// `ids[offsets[i]..offsets[i + 1]]`, in ascending id order.
+struct ChildLists {
+    ids: Vec<RuleId>,
+    offsets: Vec<u32>,
+}
+
+impl ChildLists {
+    fn get(&self, i: usize) -> &[RuleId] {
+        &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
+/// A multiply–rotate hash over a child's rule list, eight bytes a step: the
+/// key of the identical-child merge.  A hit compares the lists in full, so
+/// a collision costs a comparison, never a wrong merge; a ruleset crafted to
+/// collide costs at most the comparison against every list merged so far,
+/// which is what the merge cost before it was hashed.
+#[derive(Default)]
+struct ListHasher(u64);
+
+impl ListHasher {
+    #[inline]
+    fn mix(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for ListHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(u64::from_le_bytes(
+                word.try_into().expect("an 8-byte chunk"),
+            ));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.mix(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 pub use build::{CutPolicy, RosterPolicy, TreeBuilder};
@@ -316,15 +507,11 @@ mod build {
             rules: &[RuleId],
         ) -> Option<(CutSpec, [FieldRange; FIELD_COUNT])>;
 
-        /// Moves rules out of the distributed child lists into the node's
-        /// own stored list before recursion.  Only HyperCuts' push-common
-        /// heuristic does.
-        fn hoist(
-            &self,
-            _kit: &mut TreeBuilder<'_>,
-            _child_rules: &mut [Vec<RuleId>],
-        ) -> Vec<RuleId> {
-            Vec::new()
+        /// Whether the rules every child would hold move up into the node's
+        /// own stored list before recursion, at one store and one stored
+        /// rule reference each.  Only HyperCuts' push-common heuristic does.
+        fn hoist(&self) -> bool {
+            false
         }
 
         /// Whether sibling children holding the identical over-`binth`
@@ -362,6 +549,14 @@ mod build {
         arena: FlatTree,
         empty_leaf: Option<u32>,
         leaf_rule_stores: u64,
+        /// Reused scratch of [`cut_histogram`]: the clipped rule ranges.
+        pub(super) spans: Vec<(u32, u32)>,
+        /// Reused scratch of [`cut_histogram`]'s difference array and
+        /// [`max_child_occupancy`]'s grid.
+        pub(super) scratch: Vec<i64>,
+        /// Reused scratch of the distribution: each kept rule's id and
+        /// child-index box.
+        boxes: Vec<u32>,
     }
 
     impl<'a> TreeBuilder<'a> {
@@ -369,16 +564,24 @@ mod build {
         /// build order: records and leaves are numbered as the builder makes
         /// them, the root first, and no rule span has slack.
         pub fn build<P: CutPolicy>(ruleset: &'a RuleSet, policy: &P) -> (FlatTree, BuildStats) {
-            let mut kit = TreeBuilder {
+            let mut kit = TreeBuilder::new(ruleset, P::LEAF_RULE_STORES);
+            let all_rules: Vec<RuleId> = (0..ruleset.len() as RuleId).collect();
+            kit.build_node(policy, ruleset.full_region(), &all_rules, 0);
+            (kit.arena, kit.stats)
+        }
+
+        /// A builder over `ruleset` with nothing built or charged yet.
+        pub(super) fn new(ruleset: &'a RuleSet, leaf_rule_stores: u64) -> TreeBuilder<'a> {
+            TreeBuilder {
                 rules: ruleset.rules(),
                 stats: BuildStats::new(),
                 arena: FlatTree::for_build(ruleset),
                 empty_leaf: None,
-                leaf_rule_stores: P::LEAF_RULE_STORES,
-            };
-            let all_rules: Vec<RuleId> = (0..ruleset.len() as RuleId).collect();
-            kit.build_node(policy, ruleset.full_region(), all_rules, 0);
-            (kit.arena, kit.stats)
+                leaf_rule_stores,
+                spans: Vec::new(),
+                scratch: Vec::new(),
+                boxes: Vec::new(),
+            }
         }
 
         /// Builds the node covering `region` at `depth`, and returns its
@@ -387,15 +590,15 @@ mod build {
             &mut self,
             policy: &P,
             region: [FieldRange; FIELD_COUNT],
-            rules: Vec<RuleId>,
+            rules: &[RuleId],
             depth: u32,
         ) -> u32 {
             self.stats.max_depth = self.stats.max_depth.max(depth);
             if rules.len() <= policy.binth() || depth >= MAX_DEPTH {
-                return self.make_leaf(&rules);
+                return self.make_leaf(rules);
             }
-            let Some((cuts, cut_region)) = policy.plan(self, &region, &rules) else {
-                return self.make_leaf(&rules);
+            let Some((cuts, cut_region)) = policy.plan(self, &region, rules) else {
+                return self.make_leaf(rules);
             };
 
             // Reserve the record before the children so the root keeps
@@ -404,11 +607,7 @@ mod build {
             self.stats.internal_nodes += 1;
             self.stats.ops.stores += P::HEADER_STORES;
 
-            let child_count = cuts.child_count();
-            let mut child_rules: Vec<Vec<RuleId>> = (0..child_count)
-                .map(|i| self.distribute(&rules, &cuts.child_region(&cut_region, i)))
-                .collect();
-            let stored_rules = policy.hoist(self, &mut child_rules);
+            let (lists, stored_rules) = self.distribute(rules, &cuts, &cut_region, policy.hoist());
 
             // Merge children that hold identical rule sets — HiCuts' standard
             // storage optimisation, which HyperCuts and the paper keep — and
@@ -416,26 +615,30 @@ mod build {
             // share: a leaf search does not depend on the child's covered
             // region.  Sharing an internal subtree between two different
             // regions would route packets from the second region through
-            // cuts computed for the first, so that is the policy's call.
-            let mut children: Vec<u32> = Vec::with_capacity(child_count as usize);
-            let mut merged: Vec<(Vec<RuleId>, u32)> = Vec::new();
-            for (i, list) in child_rules.into_iter().enumerate() {
+            // cuts computed for the first, so that is the policy's call.  A
+            // list is merged into the first child that held it.
+            let child_count = lists.offsets.len() - 1;
+            let mut children: Vec<u32> = Vec::with_capacity(child_count);
+            let mut merged: HashMap<&[RuleId], u32, BuildHasherDefault<ListHasher>> =
+                HashMap::default();
+            for i in 0..child_count {
+                let list = lists.get(i);
                 if list.is_empty() {
                     children.push(self.empty_leaf());
                     continue;
                 }
-                let child_region = cuts.child_region(&cut_region, i as u64);
-                let shareable = list.len() <= policy.binth()
-                    || policy.shares_subtree(self, &cuts, &cut_region, &list);
-                if !shareable {
-                    children.push(self.build_node(policy, child_region, list, depth + 1));
-                } else if let Some((_, existing)) = merged.iter().find(|(r, _)| *r == list) {
-                    children.push(*existing);
-                } else {
-                    let child_id = self.build_node(policy, child_region, list.clone(), depth + 1);
-                    merged.push((list, child_id));
-                    children.push(child_id);
+                if let Some(&existing) = merged.get(list) {
+                    children.push(existing);
+                    continue;
                 }
+                let shareable = list.len() <= policy.binth()
+                    || policy.shares_subtree(self, &cuts, &cut_region, list);
+                let child_region = cuts.child_region(&cut_region, i as u64);
+                let child = self.build_node(policy, child_region, list, depth + 1);
+                if shareable {
+                    merged.insert(list, child);
+                }
+                children.push(child);
             }
 
             self.arena
@@ -459,19 +662,100 @@ mod build {
             slot
         }
 
-        /// The rules of one child: [`rules_intersecting`], charged one
-        /// five-field overlap test per candidate and a store per kept id.
-        fn distribute(
+        /// Distributes `rules` over the children of `cuts` applied to
+        /// `cut_region` in one pass, and returns the child lists and the
+        /// rules hoisted into the node (ascending).
+        ///
+        /// Each rule that meets the cut region lands in every child of its
+        /// child-index box, in ascending id order; with `hoist`, a rule whose
+        /// box is the whole grid — one every child would hold — goes to the
+        /// node instead.  The boxes are counted first, then the ids are
+        /// written at their children's offsets into one buffer.  Where a
+        /// cut has at least as many parts as its range has values, the
+        /// children past the range's length collapse onto its top value, so
+        /// a rule holding the top lies in every one of them.
+        ///
+        /// Charged as the paper's builder performs it, child by child: one
+        /// five-field overlap test per child per rule and a store per kept
+        /// reference, hoisted ones included, then a store per hoisted rule.
+        pub(super) fn distribute(
             &mut self,
             rules: &[RuleId],
-            region: &[FieldRange; FIELD_COUNT],
-        ) -> Vec<RuleId> {
-            let out = rules_intersecting(self.rules, rules, region);
-            self.stats.ops.loads += rules.len() as u64 * FIELD_COUNT as u64;
-            self.stats.ops.alu += rules.len() as u64 * FIELD_COUNT as u64 * 2;
-            self.stats.ops.branches += rules.len() as u64;
-            self.stats.ops.stores += out.len() as u64;
-            out
+            cuts: &CutSpec,
+            cut_region: &[FieldRange; FIELD_COUNT],
+            hoist: bool,
+        ) -> (ChildLists, Vec<RuleId>) {
+            let grid = ChildGrid::new(cut_region, &cuts.parts)
+                .expect("an internal node cuts at least one dimension");
+            let n = grid.dims;
+            let child_count = grid.cells();
+            let hoist = hoist && child_count > 1;
+            let mut offsets = vec![0u32; child_count + 1];
+            let mut stored = Vec::new();
+            let mut refs: u64 = 0;
+            self.boxes.clear();
+            for &id in rules {
+                // A rule that misses the cut region is in no child.
+                let rule = &self.rules[id as usize];
+                let mut lo_idx = [0u32; FIELD_COUNT];
+                let mut hi_idx = [0u32; FIELD_COUNT];
+                if !rule.intersects_region(cut_region)
+                    || !grid.child_box(rule, &mut lo_idx, &mut hi_idx)
+                {
+                    continue;
+                }
+                let mut cells = 1u64;
+                let mut whole = true;
+                for (k, cut) in grid.cuts[..n].iter().enumerate() {
+                    // Holding the top value, the rule lies in the children
+                    // collapsed onto it as well.
+                    if rule.ranges[cut.dim as usize].hi >= cut.hi {
+                        hi_idx[k] = cut.parts - 1;
+                    }
+                    cells *= u64::from(hi_idx[k] - lo_idx[k] + 1);
+                    whole &= lo_idx[k] == 0 && hi_idx[k] == cut.parts - 1;
+                }
+                refs += cells;
+                if hoist && whole {
+                    stored.push(id);
+                    continue;
+                }
+                self.boxes.push(id);
+                self.boxes.extend_from_slice(&lo_idx[..n]);
+                self.boxes.extend_from_slice(&hi_idx[..n]);
+                grid.for_each_cell(&lo_idx, &hi_idx, |c| offsets[c] += 1);
+            }
+
+            // Counts to start offsets; each then advances past its child's
+            // ids as they are written, ending where the next child starts.
+            let mut start = 0u32;
+            for offset in offsets.iter_mut() {
+                let count = *offset;
+                *offset = start;
+                start += count;
+            }
+            let mut ids = vec![0 as RuleId; start as usize];
+            for record in self.boxes.chunks_exact(1 + 2 * n) {
+                let mut lo_idx = [0u32; FIELD_COUNT];
+                let mut hi_idx = [0u32; FIELD_COUNT];
+                lo_idx[..n].copy_from_slice(&record[1..1 + n]);
+                hi_idx[..n].copy_from_slice(&record[1 + n..]);
+                grid.for_each_cell(&lo_idx, &hi_idx, |c| {
+                    ids[offsets[c] as usize] = record[0];
+                    offsets[c] += 1;
+                });
+            }
+            offsets.copy_within(0..child_count, 1);
+            offsets[0] = 0;
+
+            let (candidates, children) = (rules.len() as u64, child_count as u64);
+            let tests = candidates * children;
+            self.stats.ops.loads += tests * FIELD_COUNT as u64;
+            self.stats.ops.alu += tests * FIELD_COUNT as u64 * 2;
+            self.stats.ops.branches += tests;
+            self.stats.ops.stores += refs + stored.len() as u64;
+            self.stats.stored_rule_refs += stored.len() as u64;
+            (ChildLists { ids, offsets }, stored)
         }
     }
 }
@@ -566,6 +850,21 @@ mod tests {
     use super::*;
     use pclass_types::{toy, DimensionSpec};
 
+    /// The ids of `candidates` whose rules intersect `region`, ascending:
+    /// the definition of a child's rule list, and the oracle of the
+    /// builder's one-pass distribution.
+    fn rules_intersecting(
+        rules: &[Rule],
+        candidates: &[RuleId],
+        region: &[FieldRange; FIELD_COUNT],
+    ) -> Vec<RuleId> {
+        candidates
+            .iter()
+            .copied()
+            .filter(|&id| rules[id as usize].intersects_region(region))
+            .collect()
+    }
+
     /// A one-node tree over `rs` as a built classifier lays it out: the
     /// root cuts `region` by `cuts`, and its `i`-th child is a leaf holding
     /// `leaf_rules(i)`.
@@ -603,6 +902,133 @@ mod tests {
         let spec = DimensionSpec::TOY;
         let rules = (0..n).map(|i| Rule::wildcard(i, &spec)).collect();
         RuleSet::new("wildcards", spec, rules).unwrap()
+    }
+
+    /// SplitMix64: the random inputs of the distribution oracle.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `0..n`.
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A value of a field whose largest value is `max`.
+        fn value(&mut self, max: u32) -> u32 {
+            self.below(u64::from(max) + 1) as u32
+        }
+
+        /// A rule's range: a wildcard, an exact value or a random span.
+        fn range(&mut self, max: u32) -> FieldRange {
+            match self.below(4) {
+                0 => FieldRange::new(0, max),
+                1 => FieldRange::exact(self.value(max)),
+                _ => {
+                    let (a, b) = (self.value(max), self.value(max));
+                    FieldRange::new(a.min(b), a.max(b))
+                }
+            }
+        }
+
+        /// A node's region: a random span, or in one case of two a
+        /// handful of values, where a cut may have more parts than the
+        /// range has values.
+        fn region(&mut self, max: u32) -> FieldRange {
+            if self.below(2) == 0 {
+                return self.range(max);
+            }
+            let lo = self.value(max);
+            let hi = lo.saturating_add(self.below(6) as u32).min(max);
+            FieldRange::new(lo, hi)
+        }
+    }
+
+    #[test]
+    fn one_pass_distribution_matches_rules_intersecting_child_by_child() {
+        let mut rng = SplitMix(0x0000_5eed_0f0a_c1e5);
+        let (mut collapsed, mut missed, mut hoisted) = (0, 0, 0);
+        for case in 0..400 {
+            let spec = if case % 2 == 0 {
+                DimensionSpec::TOY
+            } else {
+                DimensionSpec::FIVE_TUPLE
+            };
+            let n = 1 + rng.below(40) as u32;
+            let rules = (0..n)
+                .map(|id| Rule::new(id, Dimension::ALL.map(|d| rng.range(spec.max_value(d)))))
+                .collect();
+            let rs = RuleSet::new("random", spec, rules).unwrap();
+            // A region not every rule meets, as compaction or a parent's
+            // cut leaves it, cut along one to three dimensions into up to
+            // twice as many parts as a narrow range has values.
+            let region = Dimension::ALL.map(|d| rng.region(spec.max_value(d)));
+            let mut cuts = CutSpec::unit();
+            for _ in 0..1 + rng.below(3) {
+                let d = rng.below(FIELD_COUNT as u64) as usize;
+                let most = region[d].len().saturating_mul(2).min(16);
+                cuts.parts[d] = 2 + rng.below(most - 1) as u32;
+            }
+            let candidates: Vec<RuleId> = (0..n).filter(|_| rng.below(4) != 0).collect();
+            let oracle: Vec<Vec<RuleId>> = (0..cuts.child_count())
+                .map(|i| {
+                    rules_intersecting(rs.rules(), &candidates, &cuts.child_region(&region, i))
+                })
+                .collect();
+            missed += candidates
+                .iter()
+                .filter(|&&id| !rs.rules()[id as usize].intersects_region(&region))
+                .count();
+            collapsed += Dimension::ALL
+                .iter()
+                .filter(|d| u64::from(cuts.parts[d.index()]) > region[d.index()].len())
+                .count();
+            let refs: usize = oracle.iter().map(Vec::len).sum();
+            for hoist in [false, true] {
+                let common: Vec<RuleId> = candidates
+                    .iter()
+                    .copied()
+                    .filter(|id| hoist && oracle.iter().all(|list| list.contains(id)))
+                    .collect();
+                hoisted += common.len();
+                let mut kit = TreeBuilder::new(&rs, 1);
+                let (lists, stored) = kit.distribute(&candidates, &cuts, &region, hoist);
+                assert_eq!(stored, common, "case {case}: hoisted rules");
+                assert_eq!(lists.offsets.len() as u64, cuts.child_count() + 1);
+                for (i, want) in oracle.iter().enumerate() {
+                    let want: Vec<RuleId> = want
+                        .iter()
+                        .copied()
+                        .filter(|id| !common.contains(id))
+                        .collect();
+                    assert_eq!(
+                        lists.get(i),
+                        &want[..],
+                        "case {case}: child {i} of {cuts:?}"
+                    );
+                }
+                // The charge is the child-by-child distribution's.
+                let tests = (candidates.len() as u64) * cuts.child_count();
+                let ops = kit.stats.ops;
+                assert_eq!(ops.loads, tests * FIELD_COUNT as u64);
+                assert_eq!(ops.alu, tests * FIELD_COUNT as u64 * 2);
+                assert_eq!(ops.branches, tests);
+                assert_eq!(ops.stores, (refs + common.len()) as u64);
+                assert_eq!(kit.stats.stored_rule_refs, common.len() as u64);
+            }
+        }
+        // Every trap was exercised.
+        assert!(
+            collapsed > 50 && missed > 100 && hoisted > 20,
+            "{collapsed} {missed} {hoisted}"
+        );
     }
 
     #[test]

@@ -60,7 +60,7 @@
 //! miss at a time — and then finishes each lane over the now-hot lines:
 //!
 //! * the per-cut `index_of` partition arithmetic runs over parameters
-//!   precomputed at flatten time; the one division the lookup formula
+//!   precomputed at build time; the one division the lookup formula
 //!   needs is replaced by a Granlund–Montgomery/Lemire multiply-shift
 //!   *magic* (`FlatCut::new` stores `ceil(2^64 / divisor)`; a 64-bit
 //!   high-multiply then divides exactly for every 32-bit offset), so the
@@ -268,12 +268,18 @@ fn encode_slot(i: usize, leaf: bool) -> u32 {
 /// Lemire & Kaser's), so the per-packet child selection is two multiplies
 /// — no division at all, the same division-removal idea the paper applies
 /// in its hardware-oriented cut algorithms, taken one step further.
+///
+/// The builder ([`crate::dtree`]) locates children with the same record:
+/// its cut evaluations and its rule distribution build one per cut
+/// dimension and count and take a rule's first and last child from
+/// [`FlatCut::sub_index`], so the build and the walk share one child-index
+/// function.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct FlatCut {
-    dim: u32,
-    parts: u32,
-    lo: u32,
-    hi: u32,
+pub(crate) struct FlatCut {
+    pub(crate) dim: u32,
+    pub(crate) parts: u32,
+    pub(crate) lo: u32,
+    pub(crate) hi: u32,
     /// Number of leading children of width `base + 1`.
     rem: u32,
     /// `rem * (base + 1)`: offsets below this fall in a wide child.
@@ -304,7 +310,7 @@ fn mul_hi64(a: u64, b: u64) -> u64 {
 impl FlatCut {
     /// Builds a cut record for `parts` partitions of `[lo, hi]` along
     /// dimension index `dim`.
-    fn new(dim: usize, parts: u32, region: FieldRange) -> FlatCut {
+    pub(crate) fn new(dim: usize, parts: u32, region: FieldRange) -> FlatCut {
         let total = region.len();
         let direct = u64::from(parts) >= total;
         let (base, rem) = if direct {
@@ -336,7 +342,7 @@ impl FlatCut {
     /// free (see the struct docs).  The caller has already checked
     /// `lo <= v <= hi`.
     #[inline]
-    fn sub_index(&self, v: u32) -> u32 {
+    pub(crate) fn sub_index(&self, v: u32) -> u32 {
         let offset = u64::from(v - self.lo);
         if self.m_wide == 0 {
             offset as u32

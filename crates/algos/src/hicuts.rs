@@ -93,8 +93,7 @@ impl CutPolicy for HiCutsConfig {
             if r.len() < 2 {
                 continue;
             }
-            let np = self.choose_np(kit, rules, r, d);
-            let (max_child, _total) = distribution(kit, rules, r, d, np);
+            let (np, max_child) = self.choose_np(kit, rules, r, d);
             if best.is_none_or(|(_, _, best_max)| max_child < best_max) {
                 best = Some((d, np, max_child));
             }
@@ -111,44 +110,37 @@ impl CutPolicy for HiCutsConfig {
 }
 
 impl HiCutsConfig {
-    /// Chooses the number of cuts along `dim` by the Eq. 1 doubling rule.
+    /// Chooses the number of cuts along `dim` by the Eq. 1 doubling rule —
+    /// from 2, doubling while `spfac · rules` covers the doubled cut's child
+    /// rule references plus its child count — and returns it with the most
+    /// rules any of its children holds ([`cut_histogram`]).
+    ///
+    /// Charged as the paper's builder evaluates it: one histogram pass over
+    /// the rules plus one over the histogram for every doubling tried and
+    /// once more for the chosen count, however [`cut_histogram`] computes
+    /// them.
     fn choose_np(
         &self,
         kit: &mut TreeBuilder<'_>,
         rules: &[RuleId],
         r: FieldRange,
         dim: Dimension,
-    ) -> u32 {
-        let n = rules.len() as f64;
-        let budget = self.spfac * n;
+    ) -> (u32, usize) {
+        let budget = self.spfac * rules.len() as f64;
         let max_np = u64::from(MAX_CUTS).min(r.len()) as u32;
-        let mut np = 2u32.min(max_np);
-        loop {
-            let candidate = np.saturating_mul(2);
-            if candidate > max_np {
-                break;
-            }
-            let (_, total) = distribution(kit, rules, r, dim, candidate);
-            if total as f64 + f64::from(candidate) <= budget {
-                np = candidate;
-            } else {
-                break;
-            }
+        let (np, evaluated, max_child) = cut_histogram(kit, rules, r, dim, 2, max_np, budget);
+        for k in 1..=evaluated {
+            charge_histogram(kit, rules.len(), 2 << k);
         }
-        np
+        charge_histogram(kit, rules.len(), np);
+        (np, max_child)
     }
 }
 
-/// [`cut_histogram`] for `np` cuts of `r` along `dim`, charged as one pass
-/// over the rules plus one over the histogram, a handful of ALU ops each.
-fn distribution(
-    kit: &mut TreeBuilder<'_>,
-    rules: &[RuleId],
-    r: FieldRange,
-    dim: Dimension,
-    np: u32,
-) -> (usize, u64) {
-    let n = rules.len() as u64;
+/// One histogram of `n` rules over `np` cuts, charged as one pass over the
+/// rules plus one over the histogram, a handful of ALU ops each.
+fn charge_histogram(kit: &mut TreeBuilder<'_>, n: usize, np: u32) {
+    let n = n as u64;
     kit.stats.cut_evaluations += n;
     kit.stats.ops.loads += n * 2 + u64::from(np);
     kit.stats.ops.alu += n * 6 + u64::from(np) * 2;
@@ -157,7 +149,6 @@ fn distribution(
     // last child is two divisions; the hardware-oriented builder's
     // power-of-two cuts make the same step a shift and pay none.
     kit.stats.ops.divs += n * 2;
-    cut_histogram(kit.rules, rules, r, dim, np)
 }
 
 #[cfg(test)]

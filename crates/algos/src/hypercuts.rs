@@ -27,7 +27,6 @@ use crate::dtree::{
     max_child_occupancy, CutPolicy, CutSpec, CutTreeClassifier, RosterPolicy, TreeBuilder,
 };
 use pclass_types::{distinct_range_counts, Dimension, FieldRange, RuleId, FIELD_COUNT};
-use std::collections::HashSet;
 
 /// Configuration of the original HyperCuts builder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -127,27 +126,10 @@ impl CutPolicy for HyperCutsConfig {
 
     /// Pushes the rules common to *all* children of the node (the heuristic
     /// of the original paper applies to every child, empty ones included)
-    /// up into the node's stored list.
-    fn hoist(&self, kit: &mut TreeBuilder<'_>, child_rules: &mut [Vec<RuleId>]) -> Vec<RuleId> {
-        if !self.push_common_rules || child_rules.len() <= 1 {
-            return Vec::new();
-        }
-        let mut common: HashSet<RuleId> = child_rules[0].iter().copied().collect();
-        for list in child_rules.iter().skip(1) {
-            let set: HashSet<RuleId> = list.iter().copied().collect();
-            common = common.intersection(&set).copied().collect();
-            if common.is_empty() {
-                return Vec::new();
-            }
-        }
-        let mut stored_rules: Vec<RuleId> = common.into_iter().collect();
-        stored_rules.sort_unstable();
-        for list in child_rules.iter_mut() {
-            list.retain(|id| !stored_rules.contains(id));
-        }
-        kit.stats.stored_rule_refs += stored_rules.len() as u64;
-        kit.stats.ops.stores += stored_rules.len() as u64;
-        stored_rules
+    /// up into the node's stored list: the rules whose child-index box is
+    /// the whole child grid.
+    fn hoist(&self) -> bool {
+        self.push_common_rules
     }
 }
 
@@ -253,7 +235,7 @@ fn occupancy(
     // Two divisions per rule per cut dimension (first and last child index),
     // as in the original HiCuts' `distribution`.
     kit.stats.ops.divs += n * dims * 2;
-    max_child_occupancy(kit.rules, rules, region, &cuts.parts)
+    max_child_occupancy(kit, rules, region, &cuts.parts)
 }
 
 #[cfg(test)]

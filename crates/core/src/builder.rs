@@ -347,32 +347,30 @@ impl HwPolicy {
         region: &[FieldRange; FIELD_COUNT],
         avail: &[u8; FIELD_COUNT],
     ) -> [u8; FIELD_COUNT] {
-        let n = rules.len() as f64;
-        let budget = f64::from(SPFAC) * n;
+        let budget = f64::from(SPFAC) * rules.len() as f64;
         let mut best: Option<(Dimension, u8, usize)> = None; // (dim, bits, max_child)
         for d in Dimension::ALL {
             let max_bits = avail[d.index()].min(MAX_BITS);
             if max_bits == 0 {
                 continue;
             }
-            let start_bits = START_BITS.min(max_bits);
             // Doubling loop of Eq. 3: keep doubling while the space measure
             // stays within spfac * N and np < 129 (i.e. bits < 8).
-            let mut bits = start_bits;
-            loop {
-                if bits >= max_bits {
-                    break;
-                }
-                let candidate = bits + 1;
-                let np = 1u64 << candidate;
-                let (_, total) = histogram(kit, rules, region, d, candidate);
-                if total as f64 + np as f64 <= budget {
-                    bits = candidate;
-                } else {
-                    break;
-                }
+            let start_bits = START_BITS.min(max_bits);
+            let (parts, evaluated, max_child) = cut_histogram(
+                kit,
+                rules,
+                region[d.index()],
+                d,
+                1 << start_bits,
+                1 << max_bits,
+                budget,
+            );
+            let bits = parts.trailing_zeros() as u8;
+            for candidate in start_bits + 1..=start_bits + evaluated as u8 {
+                charge_histogram(kit, rules.len(), candidate);
             }
-            let (max_child, _) = histogram(kit, rules, region, d, bits);
+            charge_histogram(kit, rules.len(), bits);
             if best.is_none_or(|(_, _, m)| max_child < m) {
                 best = Some((d, bits, max_child));
             }
@@ -483,23 +481,16 @@ impl HwPolicy {
     }
 }
 
-/// [`cut_histogram`] for `2^bits` cuts of `region[d]`.  The cuts are
-/// power-of-two aligned, so locating a rule's first and last child is a
+/// One [`cut_histogram`] pass of `n` rules over `2^bits` cuts.  The cuts
+/// are power-of-two aligned, so locating a rule's first and last child is a
 /// shift: unlike the original HiCuts, no divisions are charged.
-fn histogram(
-    kit: &mut TreeBuilder<'_>,
-    rules: &[RuleId],
-    region: &[FieldRange; FIELD_COUNT],
-    d: Dimension,
-    bits: u8,
-) -> (usize, u64) {
-    let parts = 1u32 << bits;
-    let n = rules.len() as u64;
+fn charge_histogram(kit: &mut TreeBuilder<'_>, n: usize, bits: u8) {
+    let parts = 1u64 << bits;
+    let n = n as u64;
     kit.stats.cut_evaluations += n;
-    kit.stats.ops.loads += n * 2 + u64::from(parts);
-    kit.stats.ops.alu += n * 6 + u64::from(parts) * 2;
+    kit.stats.ops.loads += n * 2 + parts;
+    kit.stats.ops.alu += n * 6 + parts * 2;
     kit.stats.ops.branches += n * 2;
-    cut_histogram(kit.rules, rules, region[d.index()], d, parts)
 }
 
 /// [`max_child_occupancy`] of a multi-dimensional cut.
@@ -522,7 +513,7 @@ fn occupancy(
     kit.stats.ops.loads += n * 4 + cells;
     kit.stats.ops.alu += n * (8 + (1u64 << dims)) + cells * 2;
     kit.stats.ops.divs += n * dims * 2;
-    max_child_occupancy(kit.rules, rules, region, &cuts.parts)
+    max_child_occupancy(kit, rules, region, &cuts.parts)
 }
 
 /// The cut specification `cut_bits` describes (`2^bits` parts per dimension).
