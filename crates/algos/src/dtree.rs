@@ -179,9 +179,10 @@ pub struct TreeStats {
 /// first and last child `a` and `b`, with no per-child state, stopped as
 /// soon as the budget is exceeded — and only the chosen count pays for a
 /// difference array, in the builder's reused scratch: O(candidates) per
-/// evaluation plus O(candidates + parts) once.  Child indices come from the walk's own
-/// division-free `FlatCut`, built once per count.  It counts nothing: each
-/// builder charges its evaluations in closed form where it calls it.
+/// evaluation plus O(candidates + parts) once.  Child indices come from the
+/// walk's own division-free `FlatCut`, built once per count.  It counts
+/// nothing: each builder charges its evaluations in closed form where it
+/// calls it.
 pub fn cut_histogram(
     kit: &mut TreeBuilder<'_>,
     candidates: &[RuleId],
@@ -305,7 +306,7 @@ pub fn max_child_occupancy(
     }
 
     // Multi-dimensional prefix sum, one axis at a time: within each block
-    // of `extent` rows along axis `k`, every row but the first adds the one
+    // of the axis's `parts` rows, every row but the first adds the one
     // before it.
     for k in 0..n {
         let stride = grid.strides[k];
