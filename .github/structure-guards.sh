@@ -33,6 +33,12 @@ grep -F "benchmark_arenas_are_pinned_at_2k_and_10k: test" "$RUNNER_TEMP/tests.li
 grep -F "benchmark_builds_are_content_pinned_at_2k_and_10k: test" "$RUNNER_TEMP/tests.list"
 grep -F "acl64k_hicuts_build_is_content_pinned: test" "$RUNNER_TEMP/tests.list"
 grep -F "fw10k_hicuts_build_is_content_pinned: test" "$RUNNER_TEMP/tests.list"
+# The same builds blind to node numbering: a pre-order walk of the served
+# arena through FlatTree::node, child slots as first-visit ordinals, plus
+# live rules, ArenaStats, dump, BuildStats and TreeStats, hashed.
+grep -F "benchmark_builds_are_shape_pinned_at_2k_and_10k: test" "$RUNNER_TEMP/tests.list"
+grep -F "acl64k_hicuts_build_is_shape_pinned: test" "$RUNNER_TEMP/tests.list"
+grep -F "fw10k_hicuts_build_is_shape_pinned: test" "$RUNNER_TEMP/tests.list"
 grep -F "every_slot_decodes_in_range_and_reflatten_keeps_only_reachable_entries: test" "$RUNNER_TEMP/tests.list"
 grep -F "a_lone_leaf_root_takes_updates_and_reflattens: test" "$RUNNER_TEMP/tests.list"
 grep -F "a_build_and_a_pristine_reflatten_lay_out_the_same_tree: test" "$RUNNER_TEMP/tests.list"

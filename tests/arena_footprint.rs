@@ -26,13 +26,22 @@
 //! node record, cut record with its division magics, child slot, rule id
 //! and rule image.  A change to how trees are *built* that claims nothing
 //! moved must leave them unedited.
+//!
+//! The shape pins hold the same builds blind to how the arena numbers its
+//! nodes: an FNV-1a hash over the served arena walked in pre-order through
+//! `FlatTree::node` (first visit only, children in slot order), with every
+//! child slot written as its node's first-visit ordinal, then the live
+//! rules, `ArenaStats`, dump, `BuildStats` and `TreeStats`.  A change that
+//! only renumbers the served nodes moves the content pins and leaves these.
 
 use packet_classifier::prelude::*;
 use pclass_algos::counters::{LookupStats, OpCounters};
 use pclass_algos::dtree::{CutTreeClassifier, RosterPolicy};
+use pclass_algos::flat::FlatTree;
 use pclass_algos::hicuts::HiCutsConfig;
 use pclass_algos::hypercuts::HyperCutsConfig;
 use pclass_types::ArenaStats;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 fn benchmark_ruleset(rules: usize) -> RuleSet {
@@ -64,6 +73,47 @@ fn content_pin<C: RosterPolicy>(tree: &CutTreeClassifier<C>) -> u64 {
         tree.stats(),
         served.arena_stats(),
         served
+    )
+    .expect("hashing cannot fail");
+    hash.0
+}
+
+/// Gives each node `slot` reaches its first-visit ordinal in pre-order,
+/// children in slot order, and lists the nodes in that order.
+fn preorder(arena: &FlatTree, slot: u32, ordinal: &mut HashMap<u32, usize>, order: &mut Vec<u32>) {
+    if ordinal.contains_key(&slot) {
+        return;
+    }
+    ordinal.insert(slot, order.len());
+    order.push(slot);
+    let node = arena.node(slot).expect("every slot names a node");
+    for &child in node.children {
+        preorder(arena, child, ordinal, order);
+    }
+}
+
+/// The shape pin of a build (see the module docs).
+fn shape_pin<C: RosterPolicy>(tree: &CutTreeClassifier<C>) -> u64 {
+    let served = tree.flatten();
+    let arena = served.flat_tree();
+    // The root is internal record 0, or leaf 0 when there is none.
+    let root = if arena.node(0).is_some() { 0 } else { 1 << 31 };
+    let (mut ordinal, mut order) = (HashMap::new(), Vec::new());
+    preorder(arena, root, &mut ordinal, &mut order);
+    let mut hash = Fnv1a(0xcbf2_9ce4_8422_2325);
+    for &slot in &order {
+        let node = arena.node(slot).expect("every slot names a node");
+        let children: Vec<usize> = node.children.iter().map(|c| ordinal[c]).collect();
+        write!(hash, "{:?}{children:?}{:?};", node.cuts, node.rules).expect("hashing cannot fail");
+    }
+    write!(
+        hash,
+        "{:?}{:?}{}{:?}{:?}",
+        arena.live_rules(),
+        served.arena_stats(),
+        tree.dump(),
+        tree.build_stats(),
+        tree.stats()
     )
     .expect("hashing cannot fail");
     hash.0
@@ -234,4 +284,40 @@ fn fw10k_hicuts_build_is_content_pinned() {
     let rs = ClassBenchGenerator::new(SeedStyle::Fw, 20080414).generate(10_000);
     let tree = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
     assert_eq!(content_pin(&tree), 0x90b9_9fae_4600_4326);
+}
+
+#[test]
+fn benchmark_builds_are_shape_pinned_at_2k_and_10k() {
+    let mut got = Vec::new();
+    for rules in [2_000, 10_000] {
+        let rs = benchmark_ruleset(rules);
+        let hicuts = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
+        got.push((rules, "hicuts", shape_pin(&hicuts)));
+        let hypercuts = HyperCutsClassifier::build(&rs, &HyperCutsConfig::paper_defaults());
+        got.push((rules, "hypercuts", shape_pin(&hypercuts)));
+    }
+    let want = vec![
+        (2_000, "hicuts", 0xad96_dbe4_e3a2_32ae),
+        (2_000, "hypercuts", 0x586c_6533_6686_6a8e),
+        (10_000, "hicuts", 0x99cb_0b50_a2c4_d973),
+        (10_000, "hypercuts", 0xc7f7_477e_521b_f625),
+    ];
+    assert_eq!(got, want);
+}
+
+/// The shape pin of the arena `acl64k_uniform` serves.  Release only.
+#[test]
+#[ignore = "64,000-rule build: run in release, `-- --ignored`"]
+fn acl64k_hicuts_build_is_shape_pinned() {
+    let tree = HiCutsClassifier::build(&benchmark_ruleset(64_000), &HiCutsConfig::paper_defaults());
+    assert_eq!(shape_pin(&tree), 0xfa23_6911_a975_7cce);
+}
+
+/// The shape pin of the fw 10,000-rule HiCuts build.  Release only.
+#[test]
+#[ignore = "fw 10,000-rule build: run in release, `-- --ignored`"]
+fn fw10k_hicuts_build_is_shape_pinned() {
+    let rs = ClassBenchGenerator::new(SeedStyle::Fw, 20080414).generate(10_000);
+    let tree = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
+    assert_eq!(shape_pin(&tree), 0xe089_c50b_19cd_60f5);
 }
