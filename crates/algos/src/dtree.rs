@@ -562,12 +562,13 @@ mod build {
 
     impl<'a> TreeBuilder<'a> {
         /// Builds the tree of `ruleset` under `policy` into an arena in
-        /// build order: records and leaves are numbered as the builder makes
-        /// them, the root first, and no rule span has slack.
+        /// build order (records and leaves numbered as the builder makes
+        /// them, the root first), with no slack and no spare capacity.
         pub fn build<P: CutPolicy>(ruleset: &'a RuleSet, policy: &P) -> (FlatTree, BuildStats) {
             let mut kit = TreeBuilder::new(ruleset, P::LEAF_RULE_STORES);
             let all_rules: Vec<RuleId> = (0..ruleset.len() as RuleId).collect();
             kit.build_node(policy, ruleset.full_region(), &all_rules, 0);
+            kit.arena.seal();
             (kit.arena, kit.stats)
         }
 
@@ -651,7 +652,7 @@ mod build {
             self.stats.leaf_nodes += 1;
             self.stats.stored_rule_refs += rules.len() as u64;
             self.stats.ops.stores += 2 + rules.len() as u64 * self.leaf_rule_stores;
-            self.arena.push_leaf(rules)
+            self.arena.push_leaf(rules, 0)
         }
 
         fn empty_leaf(&mut self) -> u32 {
@@ -768,10 +769,10 @@ mod build {
 /// [`crate::hypercuts::HyperCutsClassifier`] (`C` =
 /// [`HyperCutsConfig`](crate::hypercuts::HyperCutsConfig)).
 ///
-/// It holds the built arena laid out breadth first — byte for byte what
-/// [`CutTreeClassifier::flatten`] serves — and walks it; what sets it apart
-/// is the software [`MemoryModel`] it reports its size under (Table 2) and
-/// the [`BuildStats`] of its build (Table 3).
+/// It holds the arena [`TreeBuilder::build`] emits, as emitted — byte for
+/// byte what [`CutTreeClassifier::flatten`] serves — and walks it; what sets
+/// it apart is the software [`MemoryModel`] it reports its size under
+/// (Table 2) and the [`BuildStats`] of its build (Table 3).
 #[derive(Debug, Clone)]
 pub struct CutTreeClassifier<C> {
     flat: FlatTree,
@@ -784,8 +785,7 @@ impl<C: RosterPolicy> CutTreeClassifier<C> {
     pub fn build(ruleset: &RuleSet, config: &C) -> CutTreeClassifier<C> {
         assert!(config.binth() >= 1, "binth must be at least 1");
         assert!(config.spfac() > 0.0, "spfac must be positive");
-        let (mut flat, build_stats) = TreeBuilder::build(ruleset, config);
-        flat.layout(|_| 0);
+        let (flat, build_stats) = TreeBuilder::build(ruleset, config);
         CutTreeClassifier {
             flat,
             config: *config,
@@ -866,7 +866,7 @@ mod tests {
             .collect()
     }
 
-    /// A one-node tree over `rs` as a built classifier lays it out: the
+    /// A one-node tree over `rs`, emitted as the builder emits one: the
     /// root cuts `region` by `cuts`, and its `i`-th child is a leaf holding
     /// `leaf_rules(i)`.
     fn one_node_tree(
@@ -878,10 +878,9 @@ mod tests {
         let mut flat = FlatTree::for_build(rs);
         let root = flat.reserve_internal();
         let children: Vec<u32> = (0..cuts.child_count())
-            .map(|i| flat.push_leaf(&leaf_rules(i)))
+            .map(|i| flat.push_leaf(&leaf_rules(i), 0))
             .collect();
         flat.patch_internal(root, cuts, &region, &children, &[]);
-        flat.layout(|_| 0);
         flat
     }
 

@@ -5,11 +5,12 @@
 //! The cut-tree builder ([`crate::dtree::TreeBuilder`]) emits its nodes
 //! straight into a [`FlatTree`]: an internal node reserves its record before
 //! its children are built, so the root is record 0, and a leaf takes the
-//! next leaf index when it is made.  That *build-order* arena is what the
-//! hardware encoder in `pclass-core` serialises (through
-//! [`FlatTree::node`]).  The software classifiers lay it out breadth first,
-//! by the pass [`FlatTree::reflatten`] runs, and walk that.  A tree is a
-//! handful of dense arrays:
+//! next leaf index when it is made.  That *build order* — depth first,
+//! children in slot order, each shared node where it is first reached — is
+//! the arena's one node order: the hardware encoder in `pclass-core`
+//! serialises it (through [`FlatTree::node`]), the software classifiers
+//! walk it as built, and [`FlatTree::reflatten`] re-emits in it.  A tree is
+//! a handful of dense arrays:
 //!
 //! * one **64-byte, cache-line-aligned record per internal node**
 //!   (`NodeRec`): the stored-rule span, the child-base index, the cut
@@ -39,13 +40,18 @@
 //!   slab, drops it there if it cannot beat the best match so far, and
 //!   only otherwise loads the rule's line.
 //!
-//! The layout pass renumbers nodes in breadth-first discovery order
-//! (internal records and leaf spans each in their own table), so the
-//! entries of one tree level are contiguous in memory.
-//! [`FlatTree::classify_batch`] exploits that: it advances a whole batch of
-//! packets one level at a time (a per-batch worklist), so the node records
-//! of the hot top levels are touched by every packet while they are still
-//! in cache — the tree analogue of RFC's phase-major batched loop.
+//! [`FlatTree::classify_batch`] advances a whole batch of packets one level
+//! at a time (a per-batch worklist), so the node records of the hot top
+//! levels are touched by every packet while they are still in cache — the
+//! tree analogue of RFC's phase-major batched loop.  That needs no node
+//! order of its own.  A breadth-first renumbering, which makes each level's
+//! entries contiguous, was measured against the build order (one thread,
+//! 256-packet batches of a 131,072-packet uniform trace, 14 alternating
+//! pairs on acl 2 k, 10 k and 64 k under both builders): the build order
+//! was the faster one in 6 to 9 pairs of 14 on every arena, with every
+//! median inside the other order's quartiles, while the renumbering copy
+//! lifted the peak RSS of an acl 64 k build from 1.4× to 2.2× its arena.
+//! So the arena keeps the order the builder emits.
 //!
 //! # Vectorised lane walk
 //!
@@ -210,7 +216,7 @@ const LEAF_TAG: u32 = 1 << 31;
 
 /// Most entries the internal-record table or the leaf table may hold.
 /// Every index then stays below [`LEAF_TAG`], and no slot equals
-/// `u32::MAX`, the layout pass's "not placed yet" marker.
+/// `u32::MAX`, the re-flatten's "not emitted yet" marker.
 const MAX_TABLE_LEN: usize = (LEAF_TAG - 1) as usize;
 
 /// A child slot, decoded.
@@ -230,10 +236,6 @@ impl Slot {
         } else {
             Slot::Leaf((slot & !LEAF_TAG) as usize)
         }
-    }
-
-    fn is_leaf(self) -> bool {
-        matches!(self, Slot::Leaf(_))
     }
 }
 
@@ -460,11 +462,12 @@ impl PackedRule {
 }
 
 /// A decision tree as contiguous arrays (see the module docs for the
-/// layout), emitted by [`crate::dtree::TreeBuilder`].  The root is the
-/// first entry of its table — internal record 0, or leaf 0 when the whole
-/// tree is one leaf — in build order, after a layout pass and after any
-/// update.  The arena is self-contained: classification touches only these
-/// dense arrays.
+/// layout), emitted by [`crate::dtree::TreeBuilder`].  Its nodes are
+/// numbered one way, the order the builder emits them, which
+/// [`FlatTree::reflatten`] repeats; an update appends the clones it makes.
+/// The root is the first entry of its table — internal record 0, or leaf 0
+/// when the whole tree is one leaf.  The arena is self-contained:
+/// classification touches only these dense arrays.
 #[derive(Debug, Clone)]
 pub struct FlatTree {
     /// The geometry the tree classifies over (needed to validate inserted
@@ -532,20 +535,6 @@ impl PerSlot {
     }
 }
 
-/// Breadth-first renumbering step of the layout pass
-/// (`FlatTree::layout`): a node met for the first time (`*new` still
-/// `u32::MAX`) gets the next index of its table — `counts` is
-/// `[internal, leaf]` — and `true` is returned so the caller queues it.
-fn place(new: &mut u32, leaf: bool, counts: &mut [usize; 2]) -> bool {
-    if *new != u32::MAX {
-        return false;
-    }
-    let count = &mut counts[usize::from(leaf)];
-    *new = encode_slot(*count, leaf);
-    *count += 1;
-    true
-}
-
 /// A read-only view of one node of a [`FlatTree`] (see [`FlatTree::node`]):
 /// what the hardware encoder in `pclass-core` serialises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -565,8 +554,15 @@ impl FlatTree {
     /// An arena over `ruleset`'s rules with no node yet, for
     /// [`crate::dtree::TreeBuilder`] to emit into, root first.
     pub(crate) fn for_build(ruleset: &RuleSet) -> FlatTree {
+        // Build-time ids equal ruleset positions: every entry is live.
+        let table = ruleset.rules().iter().map(PackedRule::new).collect();
+        FlatTree::with_table(*ruleset.spec(), table)
+    }
+
+    /// An arena with no node over the rule table `rule_table`.
+    fn with_table(spec: DimensionSpec, rule_table: Vec<PackedRule>) -> FlatTree {
         FlatTree {
-            spec: *ruleset.spec(),
+            spec,
             nodes: Vec::new(),
             node_rule_cap: Vec::new(),
             leaves: Vec::new(),
@@ -575,8 +571,7 @@ impl FlatTree {
             children: Vec::new(),
             rule_slab: Vec::new(),
             dead_slots: 0,
-            // Build-time ids equal ruleset positions: every entry is live.
-            rule_table: ruleset.rules().iter().map(PackedRule::new).collect(),
+            rule_table,
             refs: None,
             update_stats: UpdateStats::default(),
         }
@@ -591,11 +586,12 @@ impl FlatTree {
         encode_slot(self.nodes.len() - 1, false)
     }
 
-    /// Appends a leaf holding `ids` (ascending) and returns its slot.
-    pub(crate) fn push_leaf(&mut self, ids: &[RuleId]) -> u32 {
-        let span = push_slab(&mut self.rule_slab, ids);
+    /// Appends a leaf holding `ids` (ascending), followed by `slack` free
+    /// slots, and returns its slot.
+    pub(crate) fn push_leaf(&mut self, ids: &[RuleId], slack: u32) -> u32 {
+        let (span, cap) = self.push_span(ids, slack);
         self.leaves.push(span);
-        self.leaf_rule_cap.push(span.len);
+        self.leaf_rule_cap.push(cap);
         encode_slot(self.leaves.len() - 1, true)
     }
 
@@ -611,21 +607,35 @@ impl FlatTree {
         stored: &[RuleId],
     ) {
         debug_assert_eq!(children.len() as u64, cuts.child_count());
-        let Slot::Internal(n) = Slot::of(slot) else {
-            panic!("slot {slot:#x} names a leaf, not a reserved record");
-        };
-        let mut recs = cuts.cut_dimensions().into_iter().map(|d| {
+        let recs = cuts.cut_dimensions().into_iter().map(|d| {
             let i = d.index();
             FlatCut::new(i, cuts.parts[i], cut_region[i])
         });
-        let cut0 = recs
+        self.write_record(slot, recs, children, stored, 0);
+    }
+
+    /// Writes the reserved record `slot`: its cut records (the first
+    /// inline, the rest to the cut slab), its child slots, and its stored
+    /// rules followed by `slack` free slots.
+    fn write_record(
+        &mut self,
+        slot: u32,
+        mut cuts: impl Iterator<Item = FlatCut>,
+        children: &[u32],
+        stored: &[RuleId],
+        slack: u32,
+    ) {
+        let Slot::Internal(n) = Slot::of(slot) else {
+            panic!("slot {slot:#x} names a leaf, not a reserved record");
+        };
+        let cut0 = cuts
             .next()
             .expect("an internal node cuts at least one dimension");
         let rest_off = self.cuts.len() as u32;
-        self.cuts.extend(recs);
+        self.cuts.extend(cuts);
         let child_base = self.children.len() as u32;
         self.children.extend_from_slice(children);
-        let rules = push_slab(&mut self.rule_slab, stored);
+        let (rules, cap) = self.push_span(stored, slack);
         self.nodes[n] = NodeRec {
             rules,
             child_base,
@@ -633,7 +643,44 @@ impl FlatTree {
             rest_off,
             cut0,
         };
-        self.node_rule_cap[n] = rules.len;
+        self.node_rule_cap[n] = cap;
+    }
+
+    /// Appends `ids` and `slack` free slots to the rule slab, and returns
+    /// the span covering the ids and its capacity.
+    fn push_span(&mut self, ids: &[RuleId], slack: u32) -> (Span, u32) {
+        let off = self.rule_slab.len() as u32;
+        self.rule_slab.extend_from_slice(ids);
+        self.rule_slab
+            .extend(std::iter::repeat_n(NO_MATCH, slack as usize));
+        let len = ids.len() as u32;
+        (Span { off, len }, len + slack)
+    }
+
+    /// Ends an emission, whose tables and slabs grew push by push: checks
+    /// their addressing and drops their spare capacity, so the arena holds
+    /// no more memory than [`FlatTree::arena_stats`] counts.  The records go
+    /// last: a line-aligned vector shrinks by a copy, which the others'
+    /// released capacity makes room for.
+    pub(crate) fn seal(&mut self) {
+        self.assert_addressable();
+        self.rule_slab.shrink_to_fit();
+        self.children.shrink_to_fit();
+        self.cuts.shrink_to_fit();
+        self.leaves.shrink_to_fit();
+        self.leaf_rule_cap.shrink_to_fit();
+        self.node_rule_cap.shrink_to_fit();
+        self.nodes.shrink_to_fit();
+    }
+
+    /// Panics unless every slab stays within `u32` addressing: an offset
+    /// into a longer one has wrapped.
+    fn assert_addressable(&self) {
+        let slabs = [self.rule_slab.len(), self.children.len(), self.cuts.len()];
+        assert!(
+            slabs.iter().all(|&len| len < u32::MAX as usize),
+            "flat arena slab exceeds u32 addressing"
+        );
     }
 
     /// The root's slot: internal record 0, or leaf 0 when the tree has no
@@ -651,7 +698,7 @@ impl FlatTree {
     /// are the arena's own node names: internal record `i` is slot `i`, and
     /// leaf `i` is slot `i | 1 << 31`; the root is record 0, or leaf 0 when
     /// the tree has no internal node.  Records and leaves are numbered in
-    /// the order the builder made them, or, once laid out, breadth first.
+    /// the order the builder made them (see [`FlatTree`]).
     pub fn node(&self, slot: u32) -> Option<NodeView<'_>> {
         match Slot::of(slot) {
             Slot::Leaf(l) => Some(NodeView {
@@ -945,18 +992,21 @@ impl FlatTree {
     /// probes measure fastest for the arena's size (see its docs).
     ///
     /// All packets advance through tree level *k* before any packet touches
-    /// level *k + 1*; combined with the breadth-first record order this
-    /// keeps the hot node records of the shallow levels in cache across the
-    /// whole batch.  Results are exactly what per-packet
+    /// level *k + 1*, which keeps the hot node records of the shallow levels
+    /// in cache across the whole batch.  Results are exactly what per-packet
     /// [`FlatTree::classify`] calls would produce; see the module docs for
     /// the vectorised lane walk this dispatches to.
     pub fn classify_batch(&self, pkts: &[PacketHeader], out: &mut Vec<MatchResult>) {
-        let lanes = if self.prefetch_hint() {
+        self.classify_batch_lanes(pkts, out, self.lane_width());
+    }
+
+    /// The lane width [`FlatTree::classify_batch`] serves the arena at.
+    fn lane_width(&self) -> LaneWidth {
+        if self.prefetch_hint() {
             LaneWidth::X4
         } else {
             LaneWidth::X16
-        };
-        self.classify_batch_lanes(pkts, out, lanes);
+        }
     }
 
     /// [`FlatTree::classify_batch`] with an explicit lane width; every
@@ -1389,115 +1439,50 @@ impl FlatTree {
     /// re-provisioned with fresh slack for future in-place inserts, and
     /// records and leaves no slot names any more are dropped.
     /// Classification results are unchanged.
+    ///
+    /// The nodes are re-emitted in the builder's own order, through its own
+    /// emission calls: depth first from the root, children in slot order,
+    /// a shared node where it is first reached, and a record's cuts, child
+    /// slots and stored rules written once its subtree is.  Re-flattening
+    /// a pristine build therefore renumbers nothing; it only adds slack.
     pub fn reflatten(&mut self) {
-        self.layout(span_slack);
-        self.update_stats.reflattens += 1;
+        self.assert_addressable();
+        // Ids do not move: the table is carried over, not copied.
+        let mut new = FlatTree::with_table(self.spec, std::mem::take(&mut self.rule_table));
+        new.update_stats = self.update_stats;
+        new.update_stats.reflattens += 1;
+        let mut map = PerSlot::new(self, u32::MAX);
+        self.re_emit(self.root(), &mut new, &mut map);
+        new.seal();
+        *self = new;
     }
 
-    /// The arena's one layout pass, shared by the software classifiers'
-    /// build (no slack, over the build-order arena) and
-    /// [`FlatTree::reflatten`] (`span_slack`): lays the records and leaves
-    /// the root reaches out again breadth-first, renumbering each table in
-    /// discovery order, so shared nodes (merged leaves, the builders' shared
-    /// empty leaf) keep a single entry and the entries of one level stay
-    /// contiguous, with every span followed by `slack(len)` free slots.
-    pub(crate) fn layout(&mut self, slack: fn(u32) -> u32) {
-        // Pass 1: discover the reachable records and leaves, and count what
-        // they carry over, so every table and slab is allocated once, at
-        // its final size.
-        let mut map = PerSlot::new(self, u32::MAX);
-        let mut order: Vec<u32> = Vec::with_capacity(self.node_count());
-        let mut counts = [0usize; 2];
-        let mut discover = |slot: u32, order: &mut Vec<u32>| {
-            if place(map.of(slot), Slot::of(slot).is_leaf(), &mut counts) {
-                order.push(slot);
-            }
-        };
-        discover(self.root(), &mut order);
-        let (mut cut_slots, mut child_slots, mut rule_slots) = (0usize, 0usize, 0usize);
-        let mut head = 0usize;
-        while head < order.len() {
-            let old = order[head];
-            head += 1;
-            let len = self.span(old).len;
-            rule_slots += (len + slack(len)) as usize;
-            if let Slot::Internal(n) = Slot::of(old) {
-                let rec = self.nodes[n];
-                cut_slots += (rec.cut_count - 1) as usize;
-                let base = rec.child_base as usize;
-                let count = self.child_count(n);
-                child_slots += count;
-                for &child in &self.children[base..base + count] {
-                    discover(child, &mut order);
-                }
-            }
+    /// Emits the node `old` names into `new`, its subtree first, unless it
+    /// has been (`map` holds each emitted node's new slot), and returns its
+    /// slot there.
+    fn re_emit(&self, old: u32, new: &mut FlatTree, map: &mut PerSlot) -> u32 {
+        if *map.of(old) != u32::MAX {
+            return *map.of(old);
         }
-        // The old slabs too: an offset into them at u32::MAX has wrapped.
-        // The new cut and child slabs are subsets of the old ones; only the
-        // rule slab can grow (by its slack).
-        let slabs = [
-            rule_slots,
-            self.rule_slab.len(),
-            self.children.len(),
-            self.cuts.len(),
-        ];
-        assert!(
-            slabs.iter().all(|&len| len < u32::MAX as usize),
-            "flat arena slab exceeds u32 addressing"
-        );
-
-        let [internal, leaves] = counts;
-        let mut new = FlatTree {
-            spec: self.spec,
-            nodes: Vec::with_capacity(internal),
-            node_rule_cap: Vec::with_capacity(internal),
-            leaves: Vec::with_capacity(leaves),
-            leaf_rule_cap: Vec::with_capacity(leaves),
-            cuts: Vec::with_capacity(cut_slots),
-            children: Vec::with_capacity(child_slots),
-            rule_slab: Vec::with_capacity(rule_slots),
-            dead_slots: 0,
-            // Ids do not move: the table is carried over, not copied.
-            rule_table: std::mem::take(&mut self.rule_table),
-            refs: None,
-            update_stats: self.update_stats,
+        let ids = &self.rule_slab[self.span(old).range()];
+        let slack = span_slack(ids.len() as u32);
+        let Slot::Internal(n) = Slot::of(old) else {
+            let slot = new.push_leaf(ids, slack);
+            *map.of(old) = slot;
+            return slot;
         };
-
-        // Pass 2: emit the entries in discovery order.
-        for &old in &order {
-            let old_span = self.span(old);
-            let len = old_span.len;
-            let cap = len + slack(len);
-            let span = push_slab(&mut new.rule_slab, &self.rule_slab[old_span.range()]);
-            new.rule_slab
-                .extend(std::iter::repeat_n(NO_MATCH, (cap - len) as usize));
-            let Slot::Internal(n) = Slot::of(old) else {
-                new.leaves.push(span);
-                new.leaf_rule_cap.push(cap);
-                continue;
-            };
-
-            // Carry the slab cut records over compactly (the inline first
-            // cut travels in the record copy).
-            let mut rec = self.nodes[n];
-            let rest = rec.rest_off as usize;
-            rec.rest_off = new.cuts.len() as u32;
-            new.cuts
-                .extend_from_slice(&self.cuts[rest..rest + (rec.cut_count - 1) as usize]);
-
-            let base = rec.child_base as usize;
-            let count = self.child_count(n);
-            rec.child_base = new.children.len() as u32;
-            new.children.extend(
-                self.children[base..base + count]
-                    .iter()
-                    .map(|&child| *map.of(child)),
-            );
-            rec.rules = span;
-            new.nodes.push(rec);
-            new.node_rule_cap.push(cap);
-        }
-        *self = new;
+        let slot = new.reserve_internal();
+        *map.of(old) = slot;
+        let rec = self.nodes[n];
+        let base = rec.child_base as usize;
+        let children: Vec<u32> = self.children[base..base + self.child_count(n)]
+            .iter()
+            .map(|&child| self.re_emit(child, new, map))
+            .collect();
+        let rest = rec.rest_off as usize..(rec.rest_off + rec.cut_count - 1) as usize;
+        let cuts = std::iter::once(rec.cut0).chain(self.cuts[rest].iter().copied());
+        new.write_record(slot, cuts, &children, ids, slack);
+        slot
     }
 }
 
@@ -1576,16 +1561,6 @@ fn decode(best: u32) -> MatchResult {
         MatchResult::NoMatch
     } else {
         MatchResult::Matched(best)
-    }
-}
-
-/// Appends `ids` to `slab` and returns the span covering them.
-fn push_slab(slab: &mut Vec<RuleId>, ids: &[RuleId]) -> Span {
-    let off = slab.len() as u32;
-    slab.extend_from_slice(ids);
-    Span {
-        off,
-        len: ids.len() as u32,
     }
 }
 
@@ -1693,7 +1668,7 @@ impl Classifier for FlatTreeClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dtree::{CutPolicy, TreeBuilder};
+    use crate::dtree::{CutTreeClassifier, RosterPolicy, TreeBuilder};
     use crate::hicuts::{HiCutsClassifier, HiCutsConfig};
     use crate::hypercuts::{HyperCutsClassifier, HyperCutsConfig};
     use pclass_types::toy;
@@ -1703,14 +1678,6 @@ mod tests {
         let hc = HiCutsClassifier::build(&rs, &HiCutsConfig::figure1());
         let flat = hc.flatten();
         (hc, flat)
-    }
-
-    /// The arena a built classifier holds: `rs` built under `policy`, then
-    /// laid out with no slack.
-    fn laid_out(rs: &RuleSet, policy: &impl CutPolicy) -> FlatTree {
-        let (mut flat, _) = TreeBuilder::build(rs, policy);
-        flat.layout(|_| 0);
-        flat
     }
 
     #[test]
@@ -1816,8 +1783,8 @@ mod tests {
     fn root_is_record_zero_and_shared_leaves_are_deduplicated() {
         let (hc, flat) = toy_flat();
         let built = hc.build_stats();
-        // BFS renumbering visits each node once: every node the builder
-        // made, shared or not, keeps exactly one entry.
+        // The builder emits each node once: every node it made, shared or
+        // not, has exactly one entry.
         let nodes = built.internal_nodes + built.leaf_nodes;
         assert_eq!(flat.flat_tree().node_count() as u64, nodes);
         assert!(flat.flat_tree().node_count() >= 2);
@@ -1940,7 +1907,7 @@ mod tests {
         // one, so shared leaves are un-shared and full spans move.
         let rs = ClassBenchGenerator::new(SeedStyle::Acl, 20080414).generate(2_000);
         let fresh = ClassBenchGenerator::new(SeedStyle::Acl, 7).generate(200);
-        let mut acl = laid_out(&rs, &HiCutsConfig::paper_defaults());
+        let (mut acl, _) = TreeBuilder::build(&rs, &HiCutsConfig::paper_defaults());
         let pristine_leaves = acl.leaves.len();
         for (i, rule) in fresh.rules().iter().enumerate() {
             acl.delete(i as u32 * 10).unwrap();
@@ -2151,8 +2118,8 @@ mod tests {
         let rs = toy::table1_ruleset();
         let spec = *rs.spec();
         let built = [
-            laid_out(&rs, &HiCutsConfig::figure1()),
-            laid_out(&rs, &HyperCutsConfig::paper_defaults()),
+            TreeBuilder::build(&rs, &HiCutsConfig::figure1()).0,
+            TreeBuilder::build(&rs, &HyperCutsConfig::paper_defaults()).0,
         ];
         for mut flat in built {
             assert_exact(&flat, "build");
@@ -2168,49 +2135,111 @@ mod tests {
         }
     }
 
+    /// `flat` with its slack squeezed out: every span moved down, in slab
+    /// order, to close the gaps, and its capacity cut to its length.
+    fn without_slack(flat: &FlatTree) -> FlatTree {
+        let mut out = flat.clone();
+        let internal = (0..flat.nodes.len()).map(|n| encode_slot(n, false));
+        let leaves = (0..flat.leaves.len()).map(|l| encode_slot(l, true));
+        let mut slots: Vec<(u32, u32)> = internal
+            .chain(leaves)
+            .map(|slot| (flat.span(slot).off, slot))
+            .collect();
+        slots.sort_unstable();
+        out.rule_slab.clear();
+        for (_, slot) in slots {
+            let (span, cap) = out.push_span(&flat.rule_slab[flat.span(slot).range()], 0);
+            let (to, to_cap) = out.span_mut(slot);
+            (*to, *to_cap) = (span, cap);
+        }
+        out
+    }
+
+    /// `rs` built under `policy`: the pristine re-flatten of the arena
+    /// re-emits it node for node, and the classifier serves it as built.
+    fn assert_one_order<P: RosterPolicy>(what: &str, rs: &RuleSet, policy: &P) {
+        let (built, _) = TreeBuilder::build(rs, policy);
+        let served = CutTreeClassifier::build(rs, policy).flatten();
+        assert_eq!(
+            format!("{:?}", served.flat_tree()),
+            format!("{built:?}"),
+            "{what}: flatten() serves the built arena"
+        );
+        let mut re = built.clone();
+        re.reflatten();
+        assert_eq!(re.update_stats().reflattens, 1, "{what}");
+        // Every span gets its slack, and the slab holds nothing else.
+        let caps = re
+            .node_rule_cap
+            .iter()
+            .zip(re.nodes.iter().map(|rec| rec.rules));
+        let caps = caps.chain(re.leaf_rule_cap.iter().zip(re.leaves.iter().copied()));
+        let mut slots = 0;
+        for (&cap, span) in caps {
+            assert_eq!(cap, span.len + span_slack(span.len), "{what}");
+            slots += cap as usize;
+        }
+        assert_eq!(re.rule_slab.len(), slots, "{what}");
+        // Without it, the re-flatten is the build, byte for byte.
+        let mut squeezed = without_slack(&re);
+        squeezed.update_stats = built.update_stats();
+        assert_eq!(
+            format!("{squeezed:?}"),
+            format!("{built:?}"),
+            "{what}: a pristine re-flatten renumbers nothing"
+        );
+    }
+
     #[test]
     fn a_build_and_a_pristine_reflatten_lay_out_the_same_tree() {
         use pclass_classbench::{ClassBenchGenerator, SeedStyle};
         let toy = toy::table1_ruleset();
-        // The benchmark's acl 2 k ruleset (`pclass_bench::acl_ruleset`).
+        assert_one_order("toy hicuts", &toy, &HiCutsConfig::figure1());
+        assert_one_order("toy hypercuts", &toy, &HyperCutsConfig::paper_defaults());
+        // The benchmark's acl 2 k ruleset (`pclass_bench::acl_ruleset`) and
+        // its 10 k one, and fw and ipc sets of 2,000.
         let acl = ClassBenchGenerator::new(SeedStyle::Acl, 20080414)
             .generate(2_191)
             .truncated(2_000, "acl1_2000");
-        let trees = [
-            laid_out(&toy, &HiCutsConfig::figure1()),
-            laid_out(&toy, &HyperCutsConfig::paper_defaults()),
-            laid_out(&acl, &HiCutsConfig::paper_defaults()),
-            laid_out(&acl, &HyperCutsConfig::paper_defaults()),
+        let sets = [
+            ("acl 2k", acl),
+            (
+                "fw 2k",
+                ClassBenchGenerator::new(SeedStyle::Fw, 20080414).generate(2_000),
+            ),
+            (
+                "ipc 2k",
+                ClassBenchGenerator::new(SeedStyle::Ipc, 20080414).generate(2_000),
+            ),
+            (
+                "acl 10k",
+                ClassBenchGenerator::new(SeedStyle::Acl, 20080414).generate(10_000),
+            ),
         ];
-        for (t, built) in trees.into_iter().enumerate() {
-            let mut re = built.clone();
-            re.reflatten();
-            assert_eq!(built.update_stats().reflattens, 0, "tree {t}");
-            assert_eq!(re.update_stats().reflattens, 1, "tree {t}");
-            assert_eq!(built.root(), re.root(), "tree {t}");
-            assert_eq!(built.children, re.children, "tree {t}");
-            assert_eq!(built.cuts, re.cuts, "tree {t}");
+        for (what, rs) in &sets {
+            assert_one_order(what, rs, &HiCutsConfig::paper_defaults());
+            assert_one_order(what, rs, &HyperCutsConfig::paper_defaults());
+        }
+    }
+
+    #[test]
+    fn the_benchmark_arenas_take_the_lane_width_their_size_calls_for() {
+        use pclass_classbench::{ClassBenchGenerator, SeedStyle};
+        // The benchmark's acl 2 k and 10 k arenas (`tests/arena_footprint.rs`
+        // pins their bytes): one each side of PREFETCH_MIN_BYTES.
+        let cases = [
+            (2_000, 223_092, false, LaneWidth::X16),
+            (10_000, 1_611_980, true, LaneWidth::X4),
+        ];
+        for (rules, bytes, prefetch, lanes) in cases {
+            let rs = ClassBenchGenerator::new(SeedStyle::Acl, 20080414).generate(rules);
+            let (flat, _) = TreeBuilder::build(&rs, &HiCutsConfig::paper_defaults());
+            assert_eq!(flat.total_bytes(), bytes, "{rules} rules");
             assert_eq!(
-                (built.nodes.len(), built.leaves.len()),
-                (re.nodes.len(), re.leaves.len()),
-                "tree {t}"
+                (flat.prefetch_hint(), flat.lane_width()),
+                (prefetch, lanes),
+                "{rules} rules"
             );
-            let ids = |flat: &FlatTree, span: Span| flat.rule_slab[span.range()].to_vec();
-            for (a, b) in built.nodes.iter().zip(&re.nodes) {
-                let moved = NodeRec {
-                    rules: Span {
-                        off: a.rules.off,
-                        ..b.rules
-                    },
-                    ..*b
-                };
-                assert_eq!(*a, moved, "tree {t}");
-                assert_eq!(ids(&built, a.rules), ids(&re, b.rules), "tree {t}");
-            }
-            for (&a, &b) in built.leaves.iter().zip(&re.leaves) {
-                assert_eq!(a.len, b.len, "tree {t}");
-                assert_eq!(ids(&built, a), ids(&re, b), "tree {t}");
-            }
         }
     }
 
