@@ -41,7 +41,17 @@ grep -F "acl64k_hicuts_build_is_shape_pinned: test" "$RUNNER_TEMP/tests.list"
 grep -F "fw10k_hicuts_build_is_shape_pinned: test" "$RUNNER_TEMP/tests.list"
 grep -F "every_slot_decodes_in_range_and_reflatten_keeps_only_reachable_entries: test" "$RUNNER_TEMP/tests.list"
 grep -F "a_lone_leaf_root_takes_updates_and_reflattens: test" "$RUNNER_TEMP/tests.list"
+# One node order: the software classifiers serve the arena the builder
+# emits, and reflatten re-emits it in the builder's own pre-order, so a
+# pristine re-flatten is the build byte for byte, slack aside.  No
+# breadth-first layout pass comes back, and the software build lays
+# nothing out.
 grep -F "a_build_and_a_pristine_reflatten_lay_out_the_same_tree: test" "$RUNNER_TEMP/tests.list"
+! grep -nE 'fn (place|layout)\b' crates/algos/src/flat.rs || exit 1
+! sed '/#\[cfg(test)\]/q' crates/algos/src/dtree.rs | grep -nE '(\.layout|reflatten)\(' || exit 1
+# The lane width and read-ahead the arena size calls for are pinned on the
+# benchmark's acl 2 k and 10 k arenas, one each side of PREFETCH_MIN_BYTES.
+grep -F "the_benchmark_arenas_take_the_lane_width_their_size_calls_for: test" "$RUNNER_TEMP/tests.list"
 # What the cut-tree builders produce is pinned: every accelerator image
 # reproduce and the simulator tests build, the Table 4 layouts, and the
 # software trees' counts, lookups and Figure 1/3 dumps.

@@ -1433,8 +1433,8 @@ impl FlatTree {
         }
     }
 
-    /// Rebuilds the slabs compactly from the live node graph — one
-    /// sequential pass, no tree rebuild.  Only live spans are carried over
+    /// Rebuilds the slabs compactly from the live node graph — one pass,
+    /// no tree rebuild.  Only live spans are carried over
     /// (the dead slots moved spans left behind are dropped), every span is
     /// re-provisioned with fresh slack for future in-place inserts, and
     /// records and leaves no slot names any more are dropped.
@@ -1457,22 +1457,23 @@ impl FlatTree {
         *self = new;
     }
 
-    /// Emits the node `old` names into `new`, its subtree first, unless it
-    /// has been (`map` holds each emitted node's new slot), and returns its
-    /// slot there.
+    /// Emits the node `old` names into `new` — a record is reserved before
+    /// its subtree and written after it — unless `map` holds its new slot
+    /// already, and returns that slot.
     fn re_emit(&self, old: u32, new: &mut FlatTree, map: &mut PerSlot) -> u32 {
         if *map.of(old) != u32::MAX {
             return *map.of(old);
         }
         let ids = &self.rule_slab[self.span(old).range()];
         let slack = span_slack(ids.len() as u32);
+        let slot = match Slot::of(old) {
+            Slot::Leaf(_) => new.push_leaf(ids, slack),
+            Slot::Internal(_) => new.reserve_internal(),
+        };
+        *map.of(old) = slot;
         let Slot::Internal(n) = Slot::of(old) else {
-            let slot = new.push_leaf(ids, slack);
-            *map.of(old) = slot;
             return slot;
         };
-        let slot = new.reserve_internal();
-        *map.of(old) = slot;
         let rec = self.nodes[n];
         let base = rec.child_base as usize;
         let children: Vec<u32> = self.children[base..base + self.child_count(n)]
