@@ -2199,23 +2199,15 @@ mod tests {
         assert_one_order("toy hypercuts", &toy, &HyperCutsConfig::paper_defaults());
         // The benchmark's acl 2 k ruleset (`pclass_bench::acl_ruleset`) and
         // its 10 k one, and fw and ipc sets of 2,000.
-        let acl = ClassBenchGenerator::new(SeedStyle::Acl, 20080414)
-            .generate(2_191)
-            .truncated(2_000, "acl1_2000");
+        let generate = |style, rules| ClassBenchGenerator::new(style, 20080414).generate(rules);
         let sets = [
-            ("acl 2k", acl),
             (
-                "fw 2k",
-                ClassBenchGenerator::new(SeedStyle::Fw, 20080414).generate(2_000),
+                "acl 2k",
+                generate(SeedStyle::Acl, 2_191).truncated(2_000, "acl1_2000"),
             ),
-            (
-                "ipc 2k",
-                ClassBenchGenerator::new(SeedStyle::Ipc, 20080414).generate(2_000),
-            ),
-            (
-                "acl 10k",
-                ClassBenchGenerator::new(SeedStyle::Acl, 20080414).generate(10_000),
-            ),
+            ("fw 2k", generate(SeedStyle::Fw, 2_000)),
+            ("ipc 2k", generate(SeedStyle::Ipc, 2_000)),
+            ("acl 10k", generate(SeedStyle::Acl, 10_000)),
         ];
         for (what, rs) in &sets {
             assert_one_order(what, rs, &HiCutsConfig::paper_defaults());
