@@ -22,9 +22,9 @@
 //!
 //! The content pins hold what a build emits to the byte: an FNV-1a hash
 //! over the tree's dump, the `Debug` of its `BuildStats`, `TreeStats` and
-//! `ArenaStats`, and the `Debug` of the arena `flatten()` serves — every
+//! `ArenaStats`, and the `Debug` of the served arena (`FlatTree`) — every
 //! node record, cut record with its division magics, child slot, rule id
-//! and rule image.  A change to how trees are *built* that claims nothing
+//! and rule image, and nothing of the classifier type that wraps it.  A change to how trees are *built* that claims nothing
 //! moved must leave them unedited.
 //!
 //! The shape pins hold the same builds blind to how the arena numbers its
@@ -72,7 +72,7 @@ fn content_pin<C: RosterPolicy>(tree: &CutTreeClassifier<C>) -> u64 {
         tree.build_stats(),
         tree.stats(),
         served.arena_stats(),
-        served
+        served.flat_tree()
     )
     .expect("hashing cannot fail");
     hash.0
@@ -259,10 +259,10 @@ fn benchmark_builds_are_content_pinned_at_2k_and_10k() {
         got.push((rules, "hypercuts", content_pin(&hypercuts)));
     }
     let want = vec![
-        (2_000, "hicuts", 0x4ca9_aeee_49ee_7a71),
-        (2_000, "hypercuts", 0x368d_145b_8b58_bb91),
-        (10_000, "hicuts", 0x928f_61d4_648c_e75d),
-        (10_000, "hypercuts", 0xc66c_6f3f_7eec_9ff6),
+        (2_000, "hicuts", 0xbda1_8654_19c2_70b7),
+        (2_000, "hypercuts", 0x35e6_e977_6a0e_2d2a),
+        (10_000, "hicuts", 0xde4f_6cab_d9f0_c959),
+        (10_000, "hypercuts", 0xc85f_7f11_b3a9_8d51),
     ];
     assert_eq!(got, want);
 }
@@ -273,7 +273,7 @@ fn benchmark_builds_are_content_pinned_at_2k_and_10k() {
 #[ignore = "64,000-rule build: run in release, `-- --ignored`"]
 fn acl64k_hicuts_build_is_content_pinned() {
     let tree = HiCutsClassifier::build(&benchmark_ruleset(64_000), &HiCutsConfig::paper_defaults());
-    assert_eq!(content_pin(&tree), 0xf353_87e5_bba5_ae3e);
+    assert_eq!(content_pin(&tree), 0x37fb_e0d7_370a_da8a);
 }
 
 /// The content pin of the most replicated build the suite makes: fw
@@ -283,7 +283,7 @@ fn acl64k_hicuts_build_is_content_pinned() {
 fn fw10k_hicuts_build_is_content_pinned() {
     let rs = ClassBenchGenerator::new(SeedStyle::Fw, 20080414).generate(10_000);
     let tree = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
-    assert_eq!(content_pin(&tree), 0x76cb_ceb4_bbc5_db38);
+    assert_eq!(content_pin(&tree), 0xd886_3d8c_17fa_7efc);
 }
 
 #[test]
