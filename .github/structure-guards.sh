@@ -81,6 +81,19 @@ grep -F "lookup_stats_follow_the_per_node_accounting: test" "$RUNNER_TEMP/tests.
 ! grep -rnE '\b(DecisionTree|NodeKind|from_tree)\b' crates src examples tests || exit 1
 ! grep -nE "fn (walk_scalar|step_packet|scan_slab)\b" crates/algos/src/flat.rs || exit 1
 test "$(grep -cE 'fn step_lane\b' crates/algos/src/flat.rs)" -eq 1
+# One classifier per software arena: the built HiCuts/HyperCuts tree
+# (dtree::CutTreeClassifier) serves, updates and reports itself.  No second
+# roster name, no serving wrapper in flat.rs, FlatTreeClassifier only as the
+# alias the benchmark names, and no product code (above each file's first
+# #[cfg(test)]) copies a built tree through flatten(); an iterator's
+# flatten() is not a copy.
+! grep -rn 'FLAT_NAME' crates || exit 1
+! grep -nE 'struct FlatTreeClassifier|impl\b.*\bClassifier for\b' crates/algos/src/flat.rs || exit 1
+! grep -rn 'FlatTreeClassifier' crates src examples tests --include=*.rs \
+  | grep -vE 'pub type FlatTreeClassifier = HiCutsClassifier;|pub use pclass_algos::FlatTreeClassifier;' || exit 1
+for f in crates/*/src/*.rs crates/*/src/bin/*.rs src/lib.rs examples/*.rs; do
+  ! sed '/#\[cfg(test)\]/q' "$f" | grep -nE '\.flatten\(' | grep -v 'iter()\.flatten()' || exit 1
+done
 # One recursive tree builder, for software and hardware alike.
 test "$(grep -rn 'fn build_node' crates --include=*.rs | wc -l)" -eq 1
 # It builds each node in one pass, with the walk's own child index: above

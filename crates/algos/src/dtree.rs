@@ -25,9 +25,10 @@
 //!   step — driven by a [`CutPolicy`].  Four policies exist:
 //!   [`crate::hicuts::HiCutsConfig`], [`crate::hypercuts::HyperCutsConfig`]
 //!   and, in `pclass-core`, the paper's modified HiCuts and HyperCuts.
-//! * [`CutTreeClassifier`] — the classifier shell both
+//! * [`CutTreeClassifier`] — the one classifier type both
 //!   [`crate::hicuts::HiCutsClassifier`] and
-//!   [`crate::hypercuts::HyperCutsClassifier`] are.
+//!   [`crate::hypercuts::HyperCutsClassifier`] are: built, served, updated
+//!   and reported as one value over one arena.
 //!
 //! A node costs O(rules + rule references + children) to emit, not
 //! O(rules × children).  Every child index — in the cut evaluations and in
@@ -42,10 +43,11 @@
 //! closed form, not a count of the work this host does.
 
 use crate::counters::{BuildStats, LookupStats};
-use crate::flat::{FlatCut, FlatTree, FlatTreeClassifier};
+use crate::flat::{FlatCut, FlatTree};
 use crate::Classifier;
 use pclass_types::{
-    Dimension, FieldRange, MatchResult, PacketHeader, Rule, RuleId, RuleSet, FIELD_COUNT,
+    ArenaStats, Dimension, FieldRange, MatchResult, PacketHeader, Rule, RuleId, RuleSet,
+    FIELD_COUNT,
 };
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -532,10 +534,9 @@ mod build {
 
     /// What [`CutTreeClassifier`] needs of a policy beyond its cuts.
     pub trait RosterPolicy: CutPolicy {
-        /// Name of the built classifier ([`Classifier::name`]).
+        /// Name of the built classifier ([`Classifier::name`]), the name
+        /// the serving roster lists it under.
         const NAME: &'static str;
-        /// Roster name of its flat-arena form.
-        const FLAT_NAME: &'static str;
 
         /// Space factor of the algorithm's space measure.
         fn spfac(&self) -> f64;
@@ -763,16 +764,22 @@ mod build {
 }
 
 /// A packet classifier over a tree built under one of the original
-/// algorithms' cut policies — the one shell behind
+/// algorithms' cut policies — the one type behind
 /// [`crate::hicuts::HiCutsClassifier`] (`C` =
 /// [`HiCutsConfig`](crate::hicuts::HiCutsConfig)) and
 /// [`crate::hypercuts::HyperCutsClassifier`] (`C` =
 /// [`HyperCutsConfig`](crate::hypercuts::HyperCutsConfig)).
 ///
-/// It holds the arena [`TreeBuilder::build`] emits, as emitted — byte for
-/// byte what [`CutTreeClassifier::flatten`] serves — and walks it; what sets
-/// it apart is the software [`MemoryModel`] it reports its size under
-/// (Table 2) and the [`BuildStats`] of its build (Table 3).
+/// It holds the arena [`TreeBuilder::build`] emits, as emitted, beside the
+/// policy that cut it and the [`BuildStats`] of the build (Table 3), and
+/// it is built, served, updated and reported as that one value: it walks
+/// the arena a lane of packets at a time ([`FlatTree::classify_batch`]),
+/// patches it in place on a rule update, re-flattening once dead slots
+/// pass a twentieth of the rule slab (see [`crate::update`]), and counts
+/// it two ways —
+/// [`Classifier::memory_bytes`] is the arena's real bytes, and
+/// [`CutTreeClassifier::model_bytes`] is the software [`MemoryModel`]'s
+/// (Table 2).
 #[derive(Debug, Clone)]
 pub struct CutTreeClassifier<C> {
     flat: FlatTree,
@@ -816,11 +823,33 @@ impl<C: RosterPolicy> CutTreeClassifier<C> {
         &self.build_stats
     }
 
-    /// A serving classifier over a copy of the arena (roster name
-    /// `hicuts-flat` / `hypercuts-flat`): the same walk, measured by its
-    /// actual bytes, and open to rule updates.
-    pub fn flatten(&self) -> FlatTreeClassifier {
-        FlatTreeClassifier::new(C::FLAT_NAME, self.flat.clone())
+    /// Bytes of the tree and its rules under the software [`MemoryModel`]
+    /// (Table 2's software column), not the arena's own.
+    pub fn model_bytes(&self) -> usize {
+        self.flat.model_bytes()
+    }
+
+    /// The arena the classifier serves.
+    pub fn flat_tree(&self) -> &FlatTree {
+        &self.flat
+    }
+
+    /// The arena, to drive through [`FlatTree`]'s own update calls, which
+    /// never re-flatten on their own.
+    pub fn flat_tree_mut(&mut self) -> &mut FlatTree {
+        &mut self.flat
+    }
+
+    /// Arena footprint statistics.
+    pub fn arena_stats(&self) -> ArenaStats {
+        self.flat.arena_stats()
+    }
+
+    /// A copy of the classifier.  The repository benchmark times this as
+    /// its set-up's one copy of the arena; it goes when the benchmark
+    /// serves the tree it builds (ROADMAP item 1).
+    pub fn flatten(&self) -> Self {
+        self.clone()
     }
 }
 
@@ -833,16 +862,24 @@ impl<C: RosterPolicy> Classifier for CutTreeClassifier<C> {
         self.flat.classify(pkt, None)
     }
 
+    fn classify_batch(&self, pkts: &[PacketHeader], out: &mut Vec<MatchResult>) {
+        self.flat.classify_batch(pkts, out);
+    }
+
     fn classify_with_stats(&self, pkt: &PacketHeader, stats: &mut LookupStats) -> MatchResult {
         self.flat.classify(pkt, Some(stats))
     }
 
     fn memory_bytes(&self) -> usize {
-        self.flat.model_bytes()
+        self.flat.total_bytes()
     }
 
     fn worst_case_memory_accesses(&self) -> Option<u64> {
         Some(self.flat.worst_case_accesses())
+    }
+
+    fn arena_stats(&self) -> Option<ArenaStats> {
+        Some(self.flat.arena_stats())
     }
 }
 

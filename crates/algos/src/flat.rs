@@ -124,8 +124,9 @@
 //! exactly one home and a lookup never looks anywhere else.  The slots a
 //! moved span leaves behind are dead weight in the slab; their share of it
 //! — the [`FlatTree::dirty_ratio`] — is what degrades the cache-compact
-//! layout, so once it crosses `REFLATTEN_DIRTY_RATIO`
-//! [`FlatTreeClassifier`] triggers an amortized [`FlatTree::reflatten`]:
+//! layout, so once it crosses a twentieth of the slab the classifier
+//! serving the arena ([`CutTreeClassifier`](crate::dtree::CutTreeClassifier))
+//! triggers an amortized [`FlatTree::reflatten`]:
 //! one sequential compaction pass that rebuilds the slabs from the live
 //! node graph (no tree rebuild), drops the dead slots and re-provisions
 //! every span with fresh slack.
@@ -133,7 +134,6 @@
 use crate::counters::LookupStats;
 use crate::dtree::{CutSpec, MemoryModel, TreeStats};
 use crate::update::UpdateError;
-use crate::Classifier;
 use pclass_types::{
     ArenaStats, Dimension, DimensionSpec, FieldRange, MatchResult, PacketHeader, Rule, RuleId,
     RuleSet, UpdateStats, FIELD_COUNT,
@@ -786,7 +786,7 @@ impl FlatTree {
     /// handful of multiplies, because [`FlatTree::prefetch_hint`] asks once
     /// per served batch.
     #[inline]
-    fn total_bytes(&self) -> usize {
+    pub(crate) fn total_bytes(&self) -> usize {
         use std::mem::size_of;
         self.structure_bytes()
             + self.rule_slab.len() * size_of::<RuleId>()
@@ -1565,120 +1565,19 @@ fn decode(best: u32) -> MatchResult {
     }
 }
 
-/// A [`Classifier`] serving a [`FlatTree`] arena.
-///
-/// Obtained from a built cut-tree classifier via
-/// [`CutTreeClassifier::flatten`](crate::dtree::CutTreeClassifier::flatten),
-/// which hands it a copy of its arena; the serving roster registers these as
-/// `hicuts-flat` / `hypercuts-flat`, so the engine and the equivalence
-/// tests pick the flat variants up with no extra glue.
-#[derive(Debug, Clone)]
-pub struct FlatTreeClassifier {
-    name: &'static str,
-    flat: FlatTree,
-}
-
-/// [`FlatTree::dirty_ratio`] past which [`FlatTreeClassifier`] re-flattens
-/// after an update: dead slots never make up more than a twentieth of the
-/// slab, and the compaction stays rare (`algos.update.reflattens` reads 1
-/// at the end of the benchmark's traced `churn10k` run).
-const REFLATTEN_DIRTY_RATIO: f64 = 0.05;
-
-impl FlatTreeClassifier {
-    /// Wraps a flattened tree under a roster name.
-    pub fn new(name: &'static str, flat: FlatTree) -> FlatTreeClassifier {
-        FlatTreeClassifier { name, flat }
-    }
-
-    /// The underlying arena.
-    pub fn flat_tree(&self) -> &FlatTree {
-        &self.flat
-    }
-
-    /// Arena footprint statistics.
-    pub fn arena_stats(&self) -> ArenaStats {
-        self.flat.arena_stats()
-    }
-
-    fn maybe_reflatten(&mut self) {
-        if self.flat.dirty_ratio() > REFLATTEN_DIRTY_RATIO {
-            self.flat.reflatten();
-        }
-    }
-}
-
-impl crate::update::UpdatableClassifier for FlatTreeClassifier {
-    fn insert(&mut self, rule: Rule) -> Result<(), UpdateError> {
-        self.flat.insert(&rule)?;
-        self.maybe_reflatten();
-        Ok(())
-    }
-
-    fn delete(&mut self, rule_id: RuleId) -> Result<(), UpdateError> {
-        self.flat.delete(rule_id)?;
-        self.maybe_reflatten();
-        Ok(())
-    }
-
-    fn live_rules(&self) -> Vec<Rule> {
-        self.flat.live_rules()
-    }
-
-    fn spec(&self) -> DimensionSpec {
-        *self.flat.spec()
-    }
-
-    fn update_stats(&self) -> UpdateStats {
-        self.flat.update_stats()
-    }
-}
-
-impl Classifier for FlatTreeClassifier {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn classify(&self, pkt: &PacketHeader) -> MatchResult {
-        self.flat.classify(pkt, None)
-    }
-
-    fn classify_batch(&self, pkts: &[PacketHeader], out: &mut Vec<MatchResult>) {
-        self.flat.classify_batch(pkts, out);
-    }
-
-    fn classify_with_stats(&self, pkt: &PacketHeader, stats: &mut LookupStats) -> MatchResult {
-        self.flat.classify(pkt, Some(stats))
-    }
-
-    fn memory_bytes(&self) -> usize {
-        // The arena is measured by its actual in-memory bytes (that is the
-        // point of the layout), not by the idealised 32-bit software model
-        // `hicuts` and `hypercuts` report under.
-        self.flat.total_bytes()
-    }
-
-    fn worst_case_memory_accesses(&self) -> Option<u64> {
-        Some(self.flat.worst_case_accesses())
-    }
-
-    fn arena_stats(&self) -> Option<ArenaStats> {
-        Some(self.flat.arena_stats())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dtree::{CutTreeClassifier, RosterPolicy, TreeBuilder};
     use crate::hicuts::{HiCutsClassifier, HiCutsConfig};
     use crate::hypercuts::{HyperCutsClassifier, HyperCutsConfig};
+    use crate::update::REFLATTEN_DIRTY_RATIO;
+    use crate::Classifier;
     use pclass_types::toy;
 
-    fn toy_flat() -> (HiCutsClassifier, FlatTreeClassifier) {
+    fn toy_flat() -> HiCutsClassifier {
         let rs = toy::table1_ruleset();
-        let hc = HiCutsClassifier::build(&rs, &HiCutsConfig::figure1());
-        let flat = hc.flatten();
-        (hc, flat)
+        HiCutsClassifier::build(&rs, &HiCutsConfig::figure1())
     }
 
     #[test]
@@ -1723,7 +1622,7 @@ mod tests {
 
     #[test]
     fn lane_widths_agree_with_scalar_walk() {
-        let (_, flat) = toy_flat();
+        let flat = toy_flat();
         let pkts: Vec<PacketHeader> = (0..131u32)
             .map(|i| {
                 PacketHeader::from_fields([(i * 37) % 256, 80, 40, (i * 11) % 256, (i * 53) % 256])
@@ -1743,7 +1642,7 @@ mod tests {
     #[test]
     fn flat_agrees_with_linear_search_per_packet() {
         let rs = toy::table1_ruleset();
-        let (_, flat) = toy_flat();
+        let flat = toy_flat();
         for f0 in (0..=255u32).step_by(3) {
             for f4 in (0..=255u32).step_by(5) {
                 let pkt = PacketHeader::from_fields([f0, 80, 40, 180, f4]);
@@ -1755,8 +1654,7 @@ mod tests {
     #[test]
     fn flat_batch_matches_per_packet_all_batch_sizes() {
         let rs = toy::table1_ruleset();
-        let hc = HyperCutsClassifier::build(&rs, &HyperCutsConfig::paper_defaults());
-        let flat = hc.flatten();
+        let flat = HyperCutsClassifier::build(&rs, &HyperCutsConfig::paper_defaults());
         let pkts: Vec<PacketHeader> = (0..97u32)
             .map(|i| {
                 PacketHeader::from_fields([(i * 37) % 256, 80, 40, (i * 11) % 256, (i * 53) % 256])
@@ -1772,7 +1670,7 @@ mod tests {
 
     #[test]
     fn batch_appends_after_existing_results() {
-        let (_, flat) = toy_flat();
+        let flat = toy_flat();
         let pkt = PacketHeader::from_fields([145, 100, 10, 10, 200]);
         let mut out = vec![MatchResult::NoMatch];
         flat.classify_batch(&[pkt], &mut out);
@@ -1782,8 +1680,8 @@ mod tests {
 
     #[test]
     fn root_is_record_zero_and_shared_leaves_are_deduplicated() {
-        let (hc, flat) = toy_flat();
-        let built = hc.build_stats();
+        let flat = toy_flat();
+        let built = flat.build_stats();
         // The builder emits each node once: every node it made, shared or
         // not, has exactly one entry.
         let nodes = built.internal_nodes + built.leaf_nodes;
@@ -1794,7 +1692,7 @@ mod tests {
 
     #[test]
     fn arena_stats_are_consistent() {
-        let (hc, flat) = toy_flat();
+        let flat = toy_flat();
         let stats = flat.arena_stats();
         assert_eq!(stats.nodes, flat.flat_tree().node_count());
         assert_eq!(
@@ -1808,14 +1706,14 @@ mod tests {
         assert_eq!(flat.memory_bytes(), stats.total_bytes);
         assert_eq!(
             flat.worst_case_memory_accesses(),
-            Some(hc.stats().worst_case_accesses)
+            Some(flat.stats().worst_case_accesses)
         );
         assert_eq!(flat.name(), "hicuts-flat");
     }
 
     #[test]
     fn lookup_stats_follow_the_per_node_accounting() {
-        let (_, flat) = toy_flat();
+        let flat = toy_flat();
         // Figure 1's walk: the root (src_ip x4) and its protocol x2 child,
         // each a node load and a one-dimension child selection, then the
         // leaf [R0 R2 R5], a node load and an early-exit scan that stops
@@ -1898,7 +1796,7 @@ mod tests {
     #[test]
     fn every_slot_decodes_in_range_and_reflatten_keeps_only_reachable_entries() {
         use pclass_classbench::{ClassBenchGenerator, SeedStyle};
-        let (_, toy) = toy_flat();
+        let toy = toy_flat();
         let mut toy = toy.flat_tree().clone();
         let spec = *toy.spec();
         for id in [20u32, 21] {
@@ -1938,7 +1836,7 @@ mod tests {
                 spfac: 2.0,
             },
         );
-        let mut flat = hc.flatten().flat_tree().clone();
+        let mut flat = hc.flat_tree().clone();
         assert_eq!(flat.root(), LEAF_TAG);
         assert_eq!((flat.nodes.len(), flat.leaves.len()), (0, 1));
         assert_eq!(flat.worst_case_accesses(), 1 + rs.len() as u64);
@@ -1975,7 +1873,7 @@ mod tests {
     #[test]
     fn delete_then_reinsert_round_trips_with_slack_reuse() {
         let rs = toy::table1_ruleset();
-        let (_, flatc) = toy_flat();
+        let flatc = toy_flat();
         let mut flat = flatc.flat_tree().clone();
         assert_eq!(flat.live_rules().len(), 10);
         assert_eq!(flat.dirty_ratio(), 0.0);
@@ -1997,7 +1895,7 @@ mod tests {
 
     #[test]
     fn full_spans_move_to_the_slab_end_and_reflatten_compacts() {
-        let (_, flatc) = toy_flat();
+        let flatc = toy_flat();
         let mut flat = flatc.flat_tree().clone();
         let spec = *flat.spec();
         let pristine = flat.arena_stats().rule_refs;
@@ -2027,7 +1925,7 @@ mod tests {
 
     #[test]
     fn a_reused_id_carries_nothing_of_the_rule_it_replaced() {
-        let (_, flatc) = toy_flat();
+        let flatc = toy_flat();
         let mut flat = flatc.flat_tree().clone();
         let spec = *flat.spec();
         // Two rules that share nothing in dimension 0, and a grid of
@@ -2160,11 +2058,11 @@ mod tests {
     /// re-emits it node for node, and the classifier serves it as built.
     fn assert_one_order<P: RosterPolicy>(what: &str, rs: &RuleSet, policy: &P) {
         let (built, _) = TreeBuilder::build(rs, policy);
-        let served = CutTreeClassifier::build(rs, policy).flatten();
+        let served = CutTreeClassifier::build(rs, policy);
         assert_eq!(
             format!("{:?}", served.flat_tree()),
             format!("{built:?}"),
-            "{what}: flatten() serves the built arena"
+            "{what}: the classifier serves the built arena"
         );
         let mut re = built.clone();
         re.reflatten();
@@ -2239,7 +2137,7 @@ mod tests {
     #[test]
     fn classifier_triggers_amortized_reflatten_past_threshold() {
         use crate::update::UpdatableClassifier;
-        let (_, mut c) = toy_flat();
+        let mut c = toy_flat();
         let spec = UpdatableClassifier::spec(&c);
         for id in [30u32, 31] {
             c.insert(Rule::wildcard(id, &spec)).unwrap();
@@ -2249,7 +2147,7 @@ mod tests {
         assert!(c.flat_tree().dirty_ratio() <= REFLATTEN_DIRTY_RATIO);
         assert_eq!(c.live_rules().len(), 12);
         // And the bare arena never compacts on its own: dead slots stay.
-        let (_, flatc) = toy_flat();
+        let flatc = toy_flat();
         let mut flat = flatc.flat_tree().clone();
         flat.insert(&Rule::wildcard(30, &spec)).unwrap();
         assert_eq!(flat.update_stats().reflattens, 0);
@@ -2258,7 +2156,7 @@ mod tests {
 
     #[test]
     fn updates_unshare_merged_leaves() {
-        let (_, flatc) = toy_flat();
+        let flatc = toy_flat();
         let mut flat = flatc.flat_tree().clone();
         let spec = *flat.spec();
         // A narrow rule: any leaf shared with an untouched region must be
@@ -2280,7 +2178,7 @@ mod tests {
 
     #[test]
     fn insert_rejects_ids_far_beyond_the_occupied_range() {
-        let (_, flatc) = toy_flat();
+        let flatc = toy_flat();
         let mut flat = flatc.flat_tree().clone();
         let spec = *flat.spec();
         // Within the gap: an append at the lowest priority, which decides
@@ -2343,7 +2241,7 @@ mod tests {
                 push_common_rules: true,
             },
         );
-        let mut flat = hc.flatten().flat_tree().clone();
+        let mut flat = hc.flat_tree().clone();
         // A wildcard rule reaches far outside the compacted box: packets
         // out there must still match it after the insert.
         flat.insert(&Rule::wildcard(9, &spec)).unwrap();
@@ -2359,8 +2257,7 @@ mod tests {
     fn empty_ruleset_flattens_to_single_leaf() {
         let spec = *toy::table1_ruleset().spec();
         let empty = pclass_types::RuleSet::new("empty", spec, vec![]).unwrap();
-        let hc = HiCutsClassifier::build(&empty, &HiCutsConfig::paper_defaults());
-        let flat = hc.flatten();
+        let flat = HiCutsClassifier::build(&empty, &HiCutsConfig::paper_defaults());
         assert_eq!(flat.flat_tree().node_count(), 1);
         assert_eq!(flat.flat_tree().root(), LEAF_TAG, "the root is leaf 0");
         let pkt = PacketHeader::from_fields([1, 2, 3, 4, 5]);

@@ -63,8 +63,7 @@ impl Default for HiCutsConfig {
 pub type HiCutsClassifier = CutTreeClassifier<HiCutsConfig>;
 
 impl RosterPolicy for HiCutsConfig {
-    const NAME: &'static str = "hicuts";
-    const FLAT_NAME: &'static str = "hicuts-flat";
+    const NAME: &'static str = "hicuts-flat";
 
     fn spfac(&self) -> f64 {
         self.spfac
@@ -235,7 +234,7 @@ mod tests {
         let hc = toy_classifier(3, 2.0);
         assert!(hc.memory_bytes() > 0);
         assert!(hc.worst_case_memory_accesses().unwrap() >= 2);
-        assert_eq!(hc.name(), "hicuts");
+        assert_eq!(hc.name(), "hicuts-flat");
         assert_eq!(hc.config().binth, 3);
     }
 

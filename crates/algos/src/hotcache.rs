@@ -802,9 +802,8 @@ mod tests {
         RuleSet::new("hot", DimensionSpec::FIVE_TUPLE, rules).unwrap()
     }
 
-    fn updatable(rs: &RuleSet) -> crate::flat::FlatTreeClassifier {
-        crate::hicuts::HiCutsClassifier::build(rs, &crate::hicuts::HiCutsConfig::paper_defaults())
-            .flatten()
+    fn updatable(rs: &RuleSet) -> crate::HiCutsClassifier {
+        crate::HiCutsClassifier::build(rs, &crate::HiCutsConfig::paper_defaults())
     }
 
     #[test]

@@ -76,8 +76,7 @@ impl Default for HyperCutsConfig {
 pub type HyperCutsClassifier = CutTreeClassifier<HyperCutsConfig>;
 
 impl RosterPolicy for HyperCutsConfig {
-    const NAME: &'static str = "hypercuts";
-    const FLAT_NAME: &'static str = "hypercuts-flat";
+    const NAME: &'static str = "hypercuts-flat";
 
     fn spfac(&self) -> f64 {
         self.spfac
@@ -358,7 +357,7 @@ mod tests {
             MatchResult::Matched(5)
         );
         assert!(stats.memory_accesses >= 2);
-        assert_eq!(hc.name(), "hypercuts");
+        assert_eq!(hc.name(), "hypercuts-flat");
         assert!(hc.memory_bytes() > 0);
         assert!(hc.worst_case_memory_accesses().is_some());
         assert!(hc.config().binth == 3);

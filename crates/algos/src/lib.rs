@@ -18,11 +18,12 @@
 //! * [`rfc::RfcClassifier`] — Recursive Flow Classification, the fastest
 //!   software algorithm in the paper's comparison (§5.2 quotes a ×546
 //!   speed-up of the ASIC over RFC).
-//! * [`flat::FlatTreeClassifier`] — the cache-compact flat arena
-//!   ([`flat::FlatTree`]) every HiCuts/HyperCuts tree is built into, with a
-//!   batched level-synchronous traversal; handed out by a built
-//!   classifier's `flatten()` and served as `hicuts-flat` /
-//!   `hypercuts-flat`.
+//!
+//! Both cut-tree classifiers are one type,
+//! [`dtree::CutTreeClassifier`], over the cache-compact flat arena
+//! ([`flat::FlatTree`]) their builder emits: the built tree serves that
+//! arena with a batched level-synchronous traversal, takes rule updates on
+//! it in place, and reports it, as `hicuts-flat` / `hypercuts-flat`.
 //!
 //! The *modified*, hardware-oriented HiCuts/HyperCuts variants live in
 //! `pclass-core`; they share the [`counters`] instrumentation defined here so
@@ -31,8 +32,8 @@
 //!
 //! # Example
 //!
-//! Build a HiCuts tree, flatten it into the arena, and check both
-//! (including the vectorised lane walk) against linear search:
+//! Build a HiCuts tree and check its batched lane walk against linear
+//! search:
 //!
 //! ```
 //! use pclass_algos::Classifier;
@@ -43,11 +44,10 @@
 //! let trace = TraceGenerator::new(&rs, 7).generate(256);
 //!
 //! let tree = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
-//! let flat = tree.flatten();
 //!
 //! let headers: Vec<_> = trace.headers().copied().collect();
 //! let mut out = Vec::new();
-//! flat.classify_batch(&headers, &mut out);
+//! tree.classify_batch(&headers, &mut out);
 //! for (header, got) in headers.iter().zip(&out) {
 //!     assert_eq!(*got, rs.classify_linear(header));
 //! }
@@ -66,7 +66,7 @@ pub mod rfc;
 pub mod update;
 
 pub use counters::{BuildStats, LookupStats, OpCounters};
-pub use flat::{FlatTree, FlatTreeClassifier, LaneWidth};
+pub use flat::{FlatTree, LaneWidth};
 pub use hicuts::{HiCutsClassifier, HiCutsConfig};
 pub use hotcache::{CachedClassifier, HotCache, HotCacheConfig};
 pub use hypercuts::{HyperCutsClassifier, HyperCutsConfig};
@@ -75,6 +75,11 @@ pub use rfc::{RfcClassifier, RfcError};
 pub use update::{RuleUpdate, UpdatableClassifier, UpdateError};
 
 use pclass_types::{MatchResult, PacketHeader};
+
+/// The name the repository benchmark serves the HiCuts arena under: the
+/// built [`HiCutsClassifier`] itself.  It stays only while the benchmark
+/// names it, and goes with ROADMAP item 1.
+pub type FlatTreeClassifier = HiCutsClassifier;
 
 /// Common interface of every software classifier in the workspace.
 ///
@@ -114,8 +119,10 @@ pub trait Classifier {
     fn classify_with_stats(&self, pkt: &PacketHeader, stats: &mut LookupStats) -> MatchResult;
 
     /// Bytes of memory occupied by the search structure *and* the stored
-    /// ruleset, using the software memory model documented in
-    /// [`dtree::MemoryModel`].
+    /// ruleset.  A cut tree counts its arena's real bytes (its
+    /// [`dtree::MemoryModel`] bytes, Table 2's, are
+    /// [`dtree::CutTreeClassifier::model_bytes`]); linear search and RFC
+    /// count theirs under the same software model.
     fn memory_bytes(&self) -> usize;
 
     /// Worst-case number of memory accesses a single classification can
@@ -125,8 +132,8 @@ pub trait Classifier {
         None
     }
 
-    /// Arena layout statistics when the structure is a flattened arena
-    /// (`flat::FlatTreeClassifier` overrides this); `None` for the other
+    /// Arena layout statistics when the structure is a flat arena
+    /// ([`dtree::CutTreeClassifier`] overrides this); `None` for the other
     /// structures.  The multi-tenant serving layer
     /// folds this into its per-tenant memory reports.
     fn arena_stats(&self) -> Option<pclass_types::ArenaStats> {

@@ -12,10 +12,8 @@
 //!   fresh slack) and re-flattening (amortized) once the dead slots moved
 //!   spans leave behind make up too much of the slab.
 //! * The built HiCuts and HyperCuts classifiers
-//!   ([`crate::dtree::CutTreeClassifier`]) are immutable build products.
-//!   One becomes updatable through
-//!   [`flatten`](crate::dtree::CutTreeClassifier::flatten), which hands out
-//!   a copy of its arena.
+//!   ([`crate::dtree::CutTreeClassifier`]) serve that arena and take
+//!   updates on it as built, with no copy.
 //!
 //! Every insert passes [`validate_insert`] before anything is touched, so
 //! what an update stream may contain is defined in one place.
@@ -28,6 +26,8 @@
 //! compare against — renumbers them via [`renumbered_ruleset`] and maps
 //! decisions back through the returned id map.
 
+use crate::dtree::{CutTreeClassifier, RosterPolicy};
+use crate::flat::FlatTree;
 use crate::Classifier;
 use pclass_types::{Dimension, DimensionSpec, MatchResult, Rule, RuleId, RuleSet, UpdateStats};
 
@@ -149,36 +149,31 @@ impl std::error::Error for UpdateError {}
 /// A [`Classifier`] whose rule set can be patched in place, without a full
 /// rebuild, while keeping decisions exactly first-match-by-id.
 ///
-/// Implemented by the flat-arena [`crate::flat::FlatTreeClassifier`] (and
-/// by [`crate::hotcache::CachedClassifier`] over an updatable inner
-/// classifier); the epoch-swap serving cell in `pclass-engine` drives this
+/// Implemented by the built cut-tree classifiers
+/// ([`crate::dtree::CutTreeClassifier`], so [`crate::HiCutsClassifier`]
+/// and [`crate::HyperCutsClassifier`]) and by
+/// [`crate::hotcache::CachedClassifier`] over an updatable inner
+/// classifier; the epoch-swap serving cell in `pclass-engine` drives this
 /// trait on the snapshot its readers have drained from while they keep
-/// serving the published one.
+/// serving the published one.  A built tree takes an update in place:
 ///
-/// The built `hicuts` and `hypercuts` classifiers are immutable build
-/// products and do **not** implement it (their `flatten` copy does):
+/// ```
+/// use pclass_algos::{
+///     Classifier, HiCutsClassifier, HiCutsConfig, HyperCutsClassifier, UpdatableClassifier,
+/// };
+/// use pclass_types::{toy, MatchResult, PacketHeader};
 ///
-/// ```compile_fail,E0277
-/// use pclass_algos::{HiCutsClassifier, UpdatableClassifier};
 /// fn updatable<C: UpdatableClassifier>() {}
 /// updatable::<HiCutsClassifier>();
-/// ```
+/// updatable::<HyperCutsClassifier>();
 ///
-/// (E0277, the unsatisfied bound, is the error meant; the example below
-/// imports the same paths, so a rename breaks it rather than passing
-/// here.)  A built classifier takes updates once it is flattened:
-///
-/// ```
-/// use pclass_algos::{FlatTreeClassifier, HiCutsClassifier, HiCutsConfig, UpdatableClassifier};
-/// use pclass_types::toy;
-///
-/// fn updatable<C: UpdatableClassifier>() {}
-/// updatable::<FlatTreeClassifier>();
-///
-/// let built = HiCutsClassifier::build(&toy::table1_ruleset(), &HiCutsConfig::figure1());
-/// let mut flat = built.flatten();
-/// flat.delete(5).unwrap();
-/// assert_eq!(flat.live_rules().len(), 9);
+/// let mut tree = HiCutsClassifier::build(&toy::table1_ruleset(), &HiCutsConfig::figure1());
+/// let pkt = PacketHeader::from_fields([145, 100, 10, 10, 200]);
+/// assert_eq!(tree.classify(&pkt), MatchResult::Matched(5));
+/// tree.delete(5).unwrap();
+/// assert_eq!(tree.live_rules().len(), 9);
+/// assert_ne!(tree.classify(&pkt), MatchResult::Matched(5));
+/// assert_eq!(tree.update_stats().deletes, 1);
 /// ```
 pub trait UpdatableClassifier: Classifier {
     /// Inserts a rule at the priority slot given by `rule.id`, which must
@@ -203,6 +198,47 @@ pub trait UpdatableClassifier: Classifier {
             RuleUpdate::Insert(rule) => self.insert(*rule),
             RuleUpdate::Delete(id) => self.delete(*id),
         }
+    }
+}
+
+/// [`FlatTree::dirty_ratio`](crate::flat::FlatTree::dirty_ratio) past which
+/// a cut tree re-flattens after an update: dead slots never make up more
+/// than a twentieth of the slab, and the compaction stays rare
+/// (`algos.update.reflattens` reads 1 at the end of the benchmark's traced
+/// `churn10k` run).
+pub(crate) const REFLATTEN_DIRTY_RATIO: f64 = 0.05;
+
+/// A built tree takes updates on its own arena, and re-flattens it once
+/// the dead slots moved spans leave behind pass [`REFLATTEN_DIRTY_RATIO`].
+impl<C: RosterPolicy> UpdatableClassifier for CutTreeClassifier<C> {
+    fn insert(&mut self, rule: Rule) -> Result<(), UpdateError> {
+        self.flat_tree_mut().insert(&rule)?;
+        compact_if_dirty(self.flat_tree_mut());
+        Ok(())
+    }
+
+    fn delete(&mut self, rule_id: RuleId) -> Result<(), UpdateError> {
+        self.flat_tree_mut().delete(rule_id)?;
+        compact_if_dirty(self.flat_tree_mut());
+        Ok(())
+    }
+
+    fn live_rules(&self) -> Vec<Rule> {
+        self.flat_tree().live_rules()
+    }
+
+    fn spec(&self) -> DimensionSpec {
+        *self.flat_tree().spec()
+    }
+
+    fn update_stats(&self) -> UpdateStats {
+        self.flat_tree().update_stats()
+    }
+}
+
+fn compact_if_dirty(flat: &mut FlatTree) {
+    if flat.dirty_ratio() > REFLATTEN_DIRTY_RATIO {
+        flat.reflatten();
     }
 }
 

@@ -95,8 +95,8 @@ fn table2() {
     );
     for &size in &ACL_TABLE_SIZES {
         let rs = acl_ruleset(size);
-        let sw_hi = software_hicuts(&rs).memory_bytes();
-        let sw_hy = software_hypercuts(&rs).memory_bytes();
+        let sw_hi = software_hicuts(&rs).model_bytes();
+        let sw_hy = software_hypercuts(&rs).model_bytes();
         let hw_hi = plan_hardware(&rs, CutAlgorithm::HiCuts)
             .map(|(s, _)| s.memory_bytes)
             .unwrap_or(0);

@@ -89,18 +89,12 @@ pub fn zipf_trace_for(ruleset: &RuleSet, packets: usize) -> Trace {
 /// Result of measuring one software classifier over a trace.
 #[derive(Debug, Clone)]
 pub struct SoftwareMeasurement {
-    /// Algorithm name.
-    pub name: &'static str,
-    /// Memory occupied by its search structure plus the ruleset (bytes).
-    pub memory_bytes: usize,
     /// Average operation mix per packet.
     pub avg_ops: OpCounters,
     /// Energy per packet on the SA-1100 model (normalised, joules).
     pub energy_per_packet_j: f64,
     /// Packets per second on the SA-1100 model.
     pub packets_per_second: f64,
-    /// Worst-case memory accesses of a lookup.
-    pub worst_case_accesses: u64,
 }
 
 /// Measures a software classifier over a trace with the SA-1100 model.
@@ -120,12 +114,9 @@ pub fn measure_software(classifier: &dyn Classifier, trace: &Trace) -> SoftwareM
         divs: total.ops.divs / n,
     };
     SoftwareMeasurement {
-        name: classifier.name(),
-        memory_bytes: classifier.memory_bytes(),
         avg_ops,
         energy_per_packet_j: model.normalized_energy_j(&avg_ops),
         packets_per_second: model.packets_per_second(&avg_ops),
-        worst_case_accesses: classifier.worst_case_memory_accesses().unwrap_or(0),
     }
 }
 
@@ -194,9 +185,8 @@ pub struct RosterSkip {
 pub struct ClassifierRoster {
     /// `(name, classifier)` pairs, in the fixed roster order: linear,
     /// hicuts-flat, hypercuts-flat, rfc, tcam, hw-hicuts, hw-hypercuts.
-    /// Each name matches [`Classifier::name`].  The built `hicuts` and
-    /// `hypercuts` classifiers are not entries: they walk the same arena
-    /// their `-flat` forms serve.
+    /// Each name matches [`Classifier::name`]; the two cut trees serve
+    /// the arenas their builders emitted.
     pub classifiers: Vec<(&'static str, SharedClassifier)>,
     /// Classifiers whose build failed on this ruleset.
     pub skipped: Vec<RosterSkip>,
@@ -225,14 +215,8 @@ pub fn serving_roster(ruleset: &RuleSet) -> ClassifierRoster {
             "linear",
             Ok(Arc::new(LinearClassifier::new(ruleset.clone()))),
         ),
-        (
-            "hicuts-flat",
-            Ok(Arc::new(software_hicuts(ruleset).flatten())),
-        ),
-        (
-            "hypercuts-flat",
-            Ok(Arc::new(software_hypercuts(ruleset).flatten())),
-        ),
+        ("hicuts-flat", Ok(Arc::new(software_hicuts(ruleset)))),
+        ("hypercuts-flat", Ok(Arc::new(software_hypercuts(ruleset)))),
         ("rfc", shared(RfcClassifier::build(ruleset))),
         ("tcam", shared(TcamClassifier::program(ruleset))),
         ("hw-hicuts", hw(CutAlgorithm::HiCuts)),

@@ -248,9 +248,7 @@ mod tests {
         let hypercuts = HyperCutsClassifier::build(rs, &HyperCutsConfig::paper_defaults());
         vec![
             Arc::new(LinearClassifier::new(rs.clone())),
-            Arc::new(hicuts.flatten()),
             Arc::new(hicuts),
-            Arc::new(hypercuts.flatten()),
             Arc::new(hypercuts),
             Arc::new(RfcClassifier::build(rs).expect("RFC fits")),
             Arc::new(TcamClassifier::program(rs).expect("TCAM programs")),

@@ -242,8 +242,8 @@ mod tests {
         (rs, trace)
     }
 
-    fn flat_for(rs: &pclass_types::RuleSet) -> pclass_algos::FlatTreeClassifier {
-        HiCutsClassifier::build(rs, &HiCutsConfig::paper_defaults()).flatten()
+    fn flat_for(rs: &pclass_types::RuleSet) -> HiCutsClassifier {
+        HiCutsClassifier::build(rs, &HiCutsConfig::paper_defaults())
     }
 
     #[test]
@@ -329,7 +329,7 @@ mod tests {
 
     /// A flat classifier whose `Clone` counts itself, so a test can see
     /// which publishes copy the structure.
-    struct Counted(pclass_algos::FlatTreeClassifier, Arc<AtomicUsize>);
+    struct Counted(HiCutsClassifier, Arc<AtomicUsize>);
 
     impl Clone for Counted {
         fn clone(&self) -> Counted {

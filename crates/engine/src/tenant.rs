@@ -1029,7 +1029,7 @@ mod tests {
     use super::*;
     use pclass_algos::hicuts::{HiCutsClassifier, HiCutsConfig};
     use pclass_algos::update::{classify_live_linear, RuleUpdate};
-    use pclass_algos::{CachedClassifier, FlatTreeClassifier, LinearClassifier};
+    use pclass_algos::{CachedClassifier, LinearClassifier};
     use pclass_classbench::{ClassBenchGenerator, SeedStyle, TraceGenerator};
     use pclass_types::{CacheStats, Rule, RuleSet};
     use proptest::prelude::*;
@@ -1050,8 +1050,8 @@ mod tests {
             .collect()
     }
 
-    fn flatten(rs: &RuleSet) -> FlatTreeClassifier {
-        HiCutsClassifier::build(rs, &HiCutsConfig::paper_defaults()).flatten()
+    fn hicuts(rs: &RuleSet) -> HiCutsClassifier {
+        HiCutsClassifier::build(rs, &HiCutsConfig::paper_defaults())
     }
 
     /// How a tenant is cached: behind a private cache of its own, here of
@@ -1448,7 +1448,7 @@ mod tests {
                     .workers(workers)
                     .batch_size(32)
                     .tenant_router(workloads.iter().enumerate().map(|(t, (rs, _))| {
-                        (TenantSpec::new(format!("t{t}")), cached(flatten(rs)))
+                        (TenantSpec::new(format!("t{t}")), cached(hicuts(rs)))
                     }));
             let ids = router.tenant_ids();
             let parts: Vec<(TenantId, &Trace)> = ids
@@ -1525,7 +1525,7 @@ mod tests {
     #[test]
     fn cached_tenant_report_carries_the_inner_arena_and_charges_the_cache() {
         let (rs, _) = workload(62, 80, 0);
-        let tenant = cached(flatten(&rs));
+        let tenant = cached(hicuts(&rs));
         let arena = tenant.inner().arena_stats();
         let bytes = tenant.inner().memory_bytes() + tenant.cache().memory_bytes();
         assert!(tenant.cache().memory_bytes() > 0);

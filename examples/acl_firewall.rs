@@ -196,14 +196,14 @@ fn main() {
     }
     println!("  (TCAM decisions verified against linear search on 5,000 packets)");
 
-    // A live policy push: the same policy as a flat arena behind the
+    // A live policy push: the same policy as a HiCuts tree behind the
     // software engine's epoch-swap cell.  Between two passes the guest WLAN
     // loses plain HTTP — rule 9 is replaced in place by 8443/tcp — through
     // one `apply_batch`, which patches the arena (no rebuild) and publishes
     // it as the next generation; a pass in flight would drain on the old
     // one.
-    let flat = HiCutsClassifier::build(&policy, &HiCutsConfig::paper_defaults()).flatten();
-    let live = Arc::new(LiveClassifier::new(flat));
+    let tree = HiCutsClassifier::build(&policy, &HiCutsConfig::paper_defaults());
+    let live = Arc::new(LiveClassifier::new(tree));
     let serving = EngineConfig::new()
         .workers(2)
         .live_engine(Arc::clone(&live));

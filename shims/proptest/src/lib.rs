@@ -214,7 +214,7 @@ macro_rules! prop_assume {
 
 /// The property-test entry point.  Supports the upstream grammar subset:
 ///
-/// ```ignore
+/// ```text
 /// proptest! {
 ///     #![proptest_config(ProptestConfig::with_cases(24))]
 ///     #[test]

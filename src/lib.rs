@@ -55,12 +55,13 @@ pub use pclass_types as types;
 
 /// Convenient glob import of the most commonly used items.
 pub mod prelude {
-    pub use pclass_algos::flat::{FlatTree, FlatTreeClassifier, LaneWidth};
+    pub use pclass_algos::flat::{FlatTree, LaneWidth};
     pub use pclass_algos::hicuts::HiCutsClassifier;
     pub use pclass_algos::hypercuts::HyperCutsClassifier;
     pub use pclass_algos::linear::LinearClassifier;
     pub use pclass_algos::rfc::RfcClassifier;
     pub use pclass_algos::Classifier;
+    pub use pclass_algos::FlatTreeClassifier;
     pub use pclass_classbench::{ClassBenchGenerator, SeedStyle, TraceGenerator};
     pub use pclass_core::builder::{BuildConfig, CutAlgorithm, SpeedMode};
     pub use pclass_core::hw::{Accelerator, AcceleratorClassifier, ClassificationReport};

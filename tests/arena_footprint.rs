@@ -63,7 +63,6 @@ impl std::fmt::Write for Fnv1a {
 
 /// The content pin of a build (see the module docs).
 fn content_pin<C: RosterPolicy>(tree: &CutTreeClassifier<C>) -> u64 {
-    let served = tree.flatten();
     let mut hash = Fnv1a(0xcbf2_9ce4_8422_2325);
     write!(
         hash,
@@ -71,8 +70,8 @@ fn content_pin<C: RosterPolicy>(tree: &CutTreeClassifier<C>) -> u64 {
         tree.dump(),
         tree.build_stats(),
         tree.stats(),
-        served.arena_stats(),
-        served.flat_tree()
+        tree.arena_stats(),
+        tree.flat_tree()
     )
     .expect("hashing cannot fail");
     hash.0
@@ -94,8 +93,7 @@ fn preorder(arena: &FlatTree, slot: u32, ordinal: &mut HashMap<u32, usize>, orde
 
 /// The shape pin of a build (see the module docs).
 fn shape_pin<C: RosterPolicy>(tree: &CutTreeClassifier<C>) -> u64 {
-    let served = tree.flatten();
-    let arena = served.flat_tree();
+    let arena = tree.flat_tree();
     // The root is internal record 0, or leaf 0 when there is none.
     let root = if arena.node(0).is_some() { 0 } else { 1 << 31 };
     let (mut ordinal, mut order) = (HashMap::new(), Vec::new());
@@ -110,7 +108,7 @@ fn shape_pin<C: RosterPolicy>(tree: &CutTreeClassifier<C>) -> u64 {
         hash,
         "{:?}{:?}{}{:?}{:?}",
         arena.live_rules(),
-        served.arena_stats(),
+        tree.arena_stats(),
         tree.dump(),
         tree.build_stats(),
         tree.stats()
@@ -119,13 +117,13 @@ fn shape_pin<C: RosterPolicy>(tree: &CutTreeClassifier<C>) -> u64 {
     hash.0
 }
 
-fn benchmark_arena(rules: usize) -> FlatTreeClassifier {
-    HiCutsClassifier::build(&benchmark_ruleset(rules), &HiCutsConfig::paper_defaults()).flatten()
+fn benchmark_arena(rules: usize) -> HiCutsClassifier {
+    HiCutsClassifier::build(&benchmark_ruleset(rules), &HiCutsConfig::paper_defaults())
 }
 
 /// The summed [`LookupStats`] of 4,096 packets aimed at the arena's
 /// ruleset, and the most memory accesses one of them took.
-fn trace_stats(arena: &FlatTreeClassifier, rules: usize) -> (LookupStats, u64) {
+fn trace_stats(arena: &HiCutsClassifier, rules: usize) -> (LookupStats, u64) {
     let trace = TraceGenerator::new(&benchmark_ruleset(rules), 31).generate(4_096);
     let mut total = LookupStats::new();
     let mut worst = 0;

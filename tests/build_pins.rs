@@ -11,7 +11,7 @@
 //!   unoptimised; CI runs it in release);
 //! * for software HiCuts and HyperCuts on the Table 1 toy set and on
 //!   ClassBench acl/fw/ipc 300: an FNV-1a hash over the per-packet
-//!   (decision, [`LookupStats`]) pairs of a fixed trace, `memory_bytes()`,
+//!   (decision, [`LookupStats`]) pairs of a fixed trace, `model_bytes()`,
 //!   the tree statistics, `worst_case_memory_accesses()` and
 //!   `build_stats()`; and the Figure 1 and Figure 3 dumps.
 
@@ -260,7 +260,7 @@ fn table4_layouts_are_pinned() {
     assert_eq!(got, want);
 }
 
-/// What one software tree is pinned to, in this order: `memory_bytes`,
+/// What one software tree is pinned to, in this order: `model_bytes`,
 /// `worst_case_memory_accesses`; the tree's internal nodes, leaves, stored
 /// rule references, max depth, max leaf rules and worst-case accesses; the
 /// build's loads, stores, ALU ops, branches, multiplies, divides, internal
@@ -296,7 +296,7 @@ fn software_pin<C: RosterPolicy>(
     let tree = c.stats();
     let build = c.build_stats();
     [
-        c.memory_bytes() as u64,
+        c.model_bytes() as u64,
         c.worst_case_memory_accesses().expect("a tree has a bound"),
         tree.internal_nodes as u64,
         tree.leaf_nodes as u64,

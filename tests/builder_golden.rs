@@ -32,15 +32,9 @@ fn summed_lookup_stats(classifier: &impl Classifier, trace: &Trace) -> LookupSta
     total
 }
 
-/// Pointer tree and arena must do — and count — exactly the same work.
-fn assert_lookup_stats(
-    tree: &impl Classifier,
-    flat: &impl Classifier,
-    trace: &Trace,
-    want: LookupStats,
-) {
+/// The summed work of a trace is exactly the pinned count.
+fn assert_lookup_stats(tree: &impl Classifier, trace: &Trace, want: LookupStats) {
     assert_eq!(summed_lookup_stats(tree, trace), want, "{}", tree.name());
-    assert_eq!(summed_lookup_stats(flat, trace), want, "{}", flat.name());
 }
 
 #[test]
@@ -65,7 +59,7 @@ fn software_hicuts_counts_are_pinned() {
             cut_evaluations: 78359,
         }
     );
-    assert_eq!(hc.memory_bytes(), 55328);
+    assert_eq!(hc.model_bytes(), 55328);
     assert_eq!(
         hc.stats(),
         TreeStats {
@@ -77,9 +71,8 @@ fn software_hicuts_counts_are_pinned() {
             worst_case_accesses: 18,
         }
     );
-    let flat = hc.flatten();
     assert_eq!(
-        flat.arena_stats(),
+        hc.arena_stats(),
         ArenaStats {
             nodes: 1183,
             cut_records: 95,
@@ -94,7 +87,6 @@ fn software_hicuts_counts_are_pinned() {
     );
     assert_lookup_stats(
         &hc,
-        &flat,
         &trace_for(&rs, 2_000),
         LookupStats {
             ops: OpCounters {
@@ -134,7 +126,7 @@ fn software_hypercuts_counts_are_pinned() {
             cut_evaluations: 25497,
         }
     );
-    assert_eq!(hc.memory_bytes(), 34476);
+    assert_eq!(hc.model_bytes(), 34476);
     assert_eq!(
         hc.stats(),
         TreeStats {
@@ -146,9 +138,8 @@ fn software_hypercuts_counts_are_pinned() {
             worst_case_accesses: 20,
         }
     );
-    let flat = hc.flatten();
     assert_eq!(
-        flat.arena_stats(),
+        hc.arena_stats(),
         ArenaStats {
             nodes: 572,
             cut_records: 78,
@@ -164,7 +155,6 @@ fn software_hypercuts_counts_are_pinned() {
     );
     assert_lookup_stats(
         &hc,
-        &flat,
         &trace_for(&rs, 2_000),
         LookupStats {
             ops: OpCounters {

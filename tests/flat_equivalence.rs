@@ -21,6 +21,7 @@
 
 use packet_classifier::prelude::*;
 use pclass_algos::counters::LookupStats;
+use pclass_algos::dtree::{CutTreeClassifier, RosterPolicy};
 use pclass_algos::hicuts::HiCutsConfig;
 use pclass_algos::hypercuts::HyperCutsConfig;
 use pclass_algos::update::{classify_live_linear, UpdatableClassifier};
@@ -123,7 +124,7 @@ fn seeded_rulesets(width: u8, large: bool, first: u64, count: u64) -> Vec<RuleSe
 /// Both flat builders for `rs`: the paper's parameters, or `binth = 3`
 /// (the Table 1 configurations, HyperCuts' heuristics on) where the paper's
 /// `binth` would leave a lone leaf.
-fn flat_builders(rs: &RuleSet) -> [FlatTreeClassifier; 2] {
+fn flat_builders(rs: &RuleSet) -> (HiCutsClassifier, HyperCutsClassifier) {
     let (mut hicuts, mut hypercuts) = (
         HiCutsConfig::paper_defaults(),
         HyperCutsConfig::paper_defaults(),
@@ -132,10 +133,10 @@ fn flat_builders(rs: &RuleSet) -> [FlatTreeClassifier; 2] {
         hicuts = HiCutsConfig::figure1();
         hypercuts.binth = 3;
     }
-    [
-        HiCutsClassifier::build(rs, &hicuts).flatten(),
-        HyperCutsClassifier::build(rs, &hypercuts).flatten(),
-    ]
+    (
+        HiCutsClassifier::build(rs, &hicuts),
+        HyperCutsClassifier::build(rs, &hypercuts),
+    )
 }
 
 /// `classifier` over every header, batched in chunks of 97, `passes`
@@ -167,6 +168,30 @@ fn assert_per_packet(classifier: &dyn Classifier, headers: &[PacketHeader], trut
     }
 }
 
+/// `flat` on `headers` against `truth`: per packet, at every lane width,
+/// and behind a pass-through, a one-entry cache that every header evicts
+/// and one that serves hits on its second pass.  Returns whether the tree
+/// has an internal node.
+fn check_arena<C: RosterPolicy + Send + Sync>(
+    flat: &CutTreeClassifier<C>,
+    headers: &[PacketHeader],
+    truth: &[MatchResult],
+    context: &str,
+) -> bool {
+    assert_per_packet(flat, headers, truth);
+    for lanes in LaneWidth::ALL {
+        let mut out = Vec::new();
+        flat.flat_tree()
+            .classify_batch_lanes(headers, &mut out, lanes);
+        assert!(out == truth, "{context}: {} {lanes:?}", flat.name());
+    }
+    for (capacity, passes) in [(0, 1), (1, 1), (64, 2)] {
+        let cached = CachedClassifier::new(flat.clone(), HotCacheConfig::new(capacity, 4));
+        assert_batches(&cached, headers, truth, passes);
+    }
+    flat.flat_tree().node(0).is_some()
+}
+
 /// Every header of a `width`-bit space, on every ruleset of `sets`, by
 /// every classifier that takes a narrow spec; at least half of the
 /// rulesets must build internal nodes under each flat builder.
@@ -176,24 +201,9 @@ fn check_every_header(width: u8, sets: &[RuleSet]) {
     for rs in sets {
         let context = format!("{} at {width} bits", rs.name());
         let truth: Vec<MatchResult> = headers.iter().map(|h| rs.classify_linear(h)).collect();
-        for (b, flat) in flat_builders(rs).into_iter().enumerate() {
-            if flat.flat_tree().node(0).is_some() {
-                cut[b] += 1;
-            }
-            assert_per_packet(&flat, &headers, &truth);
-            for lanes in LaneWidth::ALL {
-                let mut out = Vec::new();
-                flat.flat_tree()
-                    .classify_batch_lanes(&headers, &mut out, lanes);
-                assert!(out == truth, "{context}: {} {lanes:?}", flat.name());
-            }
-            // A pass-through, a one-entry cache that every header evicts,
-            // and one that serves hits on its second pass.
-            for (capacity, passes) in [(0, 1), (1, 1), (64, 2)] {
-                let cached = CachedClassifier::new(flat.clone(), HotCacheConfig::new(capacity, 4));
-                assert_batches(&cached, &headers, &truth, passes);
-            }
-        }
+        let (hicuts, hypercuts) = flat_builders(rs);
+        cut[0] += usize::from(check_arena(&hicuts, &headers, &truth, &context));
+        cut[1] += usize::from(check_arena(&hypercuts, &headers, &truth, &context));
         match RfcClassifier::build(rs) {
             Ok(rfc) => {
                 assert_per_packet(&rfc, &headers, &truth);
@@ -238,36 +248,48 @@ fn an_update_script_across_a_reflatten_is_exact_on_every_header() {
     let spec = DimensionSpec::new([2; FIELD_COUNT]);
     let full = random_ruleset(spec, 80, 0x0DA7E);
     let half = full.truncated(40, "first_half");
-    for flat in flat_builders(&half) {
-        let name = flat.name();
-        let mut cached = CachedClassifier::new(flat, HotCacheConfig::new(64, 4));
-        let check = |cached: &CachedClassifier<FlatTreeClassifier>, step: &str| {
-            let live = cached.live_rules();
-            let truth: Vec<MatchResult> = headers
-                .iter()
-                .map(|h| classify_live_linear(&live, h))
-                .collect();
-            let mut out = Vec::new();
-            for chunk in headers.chunks(97) {
-                cached.classify_batch(chunk, &mut out);
-            }
-            assert!(out == truth, "{name} after {step}");
-        };
-        // The second half appended, then one rule past an id gap.
-        for rule in &full.rules()[40..] {
-            cached.insert(*rule).unwrap();
-            check(&cached, &format!("insert {}", rule.id));
+    let (hicuts, hypercuts) = flat_builders(&half);
+    assert_script_exact(hicuts, &headers, &full);
+    assert_script_exact(hypercuts, &headers, &full);
+}
+
+/// `flat`, built over the first half of `full` and behind a hot cache,
+/// classifies every header as linear search over its live rules after
+/// each step of one script: the second half appended, one rule past an id
+/// gap, every even id deleted — across at least one re-flatten.
+fn assert_script_exact<C: RosterPolicy + Send + Sync>(
+    flat: CutTreeClassifier<C>,
+    headers: &[PacketHeader],
+    full: &RuleSet,
+) {
+    let name = flat.name();
+    let mut cached = CachedClassifier::new(flat, HotCacheConfig::new(64, 4));
+    let check = |cached: &CachedClassifier<CutTreeClassifier<C>>, step: &str| {
+        let live = cached.live_rules();
+        let truth: Vec<MatchResult> = headers
+            .iter()
+            .map(|h| classify_live_linear(&live, h))
+            .collect();
+        let mut out = Vec::new();
+        for chunk in headers.chunks(97) {
+            cached.classify_batch(chunk, &mut out);
         }
-        let past_gap = Rule::new(100, full.rules()[7].ranges);
-        cached.insert(past_gap).unwrap();
-        check(&cached, "insert 100");
-        for id in (0..80).step_by(2) {
-            cached.delete(id).unwrap();
-            check(&cached, &format!("delete {id}"));
-        }
-        let stats = cached.update_stats();
-        assert!(stats.reflattens >= 1, "{name}: no re-flatten: {stats:?}");
+        assert!(out == truth, "{name} after {step}");
+    };
+    // The second half appended, then one rule past an id gap.
+    for rule in &full.rules()[40..] {
+        cached.insert(*rule).unwrap();
+        check(&cached, &format!("insert {}", rule.id));
     }
+    let past_gap = Rule::new(100, full.rules()[7].ranges);
+    cached.insert(past_gap).unwrap();
+    check(&cached, "insert 100");
+    for id in (0..80).step_by(2) {
+        cached.delete(id).unwrap();
+        check(&cached, &format!("delete {id}"));
+    }
+    let stats = cached.update_stats();
+    assert!(stats.reflattens >= 1, "{name}: no re-flatten: {stats:?}");
 }
 
 /// The benchmark's `acl64k_uniform` inputs (ruleset and trace seed
@@ -283,7 +305,7 @@ fn acl64k_serves_a_whole_uniform_trace_as_linear_search_does() {
         .max_burst(1)
         .generate(131_072);
     let headers: Vec<PacketHeader> = trace.headers().copied().collect();
-    let flat = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults()).flatten();
+    let flat = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
     let mut served = Vec::new();
     flat.classify_batch(&headers, &mut served);
     let (rs, headers, served) = (&rs, &headers, &served);
@@ -314,17 +336,45 @@ fn flat_pairs(
     spfac: f64,
     compaction: bool,
     push_common: bool,
-) -> [FlatTreeClassifier; 2] {
+) -> (HiCutsClassifier, HyperCutsClassifier) {
     let hypercuts = HyperCutsConfig {
         binth,
         spfac,
         region_compaction: compaction,
         push_common_rules: push_common,
     };
-    [
-        HiCutsClassifier::build(rs, &HiCutsConfig { binth, spfac }).flatten(),
-        HyperCutsClassifier::build(rs, &hypercuts).flatten(),
-    ]
+    (
+        HiCutsClassifier::build(rs, &HiCutsConfig { binth, spfac }),
+        HyperCutsClassifier::build(rs, &hypercuts),
+    )
+}
+
+/// `flat` decides every header as `expected` says: per packet, on the
+/// stats path that prices the `sim_*` metrics, and batched at 0 / 1 / odd
+/// / full batch sizes.
+fn assert_packet_for_packet(
+    flat: &dyn Classifier,
+    headers: &[PacketHeader],
+    expected: &[MatchResult],
+) {
+    for (h, want) in headers.iter().zip(expected) {
+        prop_assert_eq!(flat.classify(h), *want, "{} per-packet", flat.name());
+        let mut stats = LookupStats::new();
+        prop_assert_eq!(flat.classify_with_stats(h, &mut stats), *want);
+        prop_assert!(stats.memory_accesses >= 1);
+    }
+    for batch in [0usize, 1, 3, 7, headers.len().max(1)] {
+        let mut out = Vec::new();
+        if batch == 0 {
+            flat.classify_batch(&[], &mut out);
+            prop_assert!(out.is_empty());
+            continue;
+        }
+        for chunk in headers.chunks(batch) {
+            flat.classify_batch(chunk, &mut out);
+        }
+        prop_assert_eq!(&out, &expected, "{} batch {}", flat.name(), batch);
+    }
 }
 
 proptest! {
@@ -344,30 +394,9 @@ proptest! {
         let headers: Vec<PacketHeader> = trace.headers().copied().collect();
         let expected: Vec<MatchResult> = headers.iter().map(|h| rs.classify_linear(h)).collect();
         let spfac = f64::from(spfac_tenths) / 10.0;
-        for flat in flat_pairs(&rs, binth, spfac, compaction, push_common) {
-            // Per packet, and on the stats path that prices the `sim_*`
-            // metrics.
-            for (h, want) in headers.iter().zip(&expected) {
-                prop_assert_eq!(flat.classify(h), *want, "{} per-packet", flat.name());
-                let mut stats = LookupStats::new();
-                prop_assert_eq!(flat.classify_with_stats(h, &mut stats), *want);
-                prop_assert!(stats.memory_accesses >= 1);
-            }
-
-            // Batched at 0 / 1 / odd / full batch sizes.
-            for batch in [0usize, 1, 3, 7, headers.len().max(1)] {
-                let mut out = Vec::new();
-                if batch == 0 {
-                    flat.classify_batch(&[], &mut out);
-                    prop_assert!(out.is_empty());
-                    continue;
-                }
-                for chunk in headers.chunks(batch) {
-                    flat.classify_batch(chunk, &mut out);
-                }
-                prop_assert_eq!(&out, &expected, "{} batch {}", flat.name(), batch);
-            }
-        }
+        let (hicuts, hypercuts) = flat_pairs(&rs, binth, spfac, compaction, push_common);
+        assert_packet_for_packet(&hicuts, &headers, &expected);
+        assert_packet_for_packet(&hypercuts, &headers, &expected);
     }
 }
 
@@ -381,7 +410,8 @@ fn flat_tree_matches_linear_search_on_mixed_styles() {
         let rs = ClassBenchGenerator::new(style, seed).generate(120);
         let trace = TraceGenerator::new(&rs, seed ^ 0xCAFE).generate(400);
         let truth = trace.ground_truth(&rs);
-        for flat in flat_pairs(&rs, 16, 4.0, true, true) {
+        let (hicuts, hypercuts) = flat_pairs(&rs, 16, 4.0, true, true);
+        for flat in [&hicuts as &dyn Classifier, &hypercuts] {
             let headers: Vec<PacketHeader> = trace.headers().copied().collect();
             let mut out = Vec::new();
             flat.classify_batch(&headers, &mut out);
@@ -394,10 +424,14 @@ fn flat_tree_matches_linear_search_on_mixed_styles() {
 fn flat_tree_survives_degenerate_rulesets() {
     // A single rule and a ruleset that collapses to one leaf.
     let rs = ClassBenchGenerator::new(SeedStyle::Acl, 5).generate(1);
-    for flat in flat_pairs(&rs, 16, 4.0, true, true) {
+    let (hicuts, hypercuts) = flat_pairs(&rs, 16, 4.0, true, true);
+    for (flat, arena) in [
+        (&hicuts as &dyn Classifier, hicuts.flat_tree()),
+        (&hypercuts, hypercuts.flat_tree()),
+    ] {
         let pkt = PacketHeader::five_tuple(0x0A000001, 0xC0A80101, 1234, 80, 6);
         assert_eq!(flat.classify(&pkt), rs.classify_linear(&pkt));
-        assert!(flat.flat_tree().node_count() >= 1);
-        assert!(flat.arena_stats().total_bytes > 0);
+        assert!(arena.node_count() >= 1);
+        assert!(arena.arena_stats().total_bytes > 0);
     }
 }

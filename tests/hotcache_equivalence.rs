@@ -39,7 +39,7 @@ proptest! {
         };
         let headers: Vec<_> = trace.headers().copied().collect();
 
-        let inner = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults()).flatten();
+        let inner = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
         let plain = inner.clone();
         let cached = CachedClassifier::new(inner, HotCacheConfig::new(capacity, assoc));
         prop_assert_eq!(cached.name(), plain.name(), "cache is transparent");
@@ -74,7 +74,7 @@ proptest! {
             .copied()
             .collect();
 
-        let inner = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults()).flatten();
+        let inner = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
         let mut plain = inner.clone();
         let mut cached = CachedClassifier::new(inner, HotCacheConfig::new(capacity, 4));
 

@@ -210,7 +210,7 @@ proptest! {
         let trace = TraceGenerator::new(&rs, seed ^ 0xFADE).generate(packets);
         let stream = SustainedStream::new(&rs, &trace);
         let hc = HiCutsConfig { binth, spfac: 4.0 };
-        let flat = |rs: &RuleSet| HiCutsClassifier::build(rs, &hc).flatten();
+        let flat = |rs: &RuleSet| HiCutsClassifier::build(rs, &hc);
         if cached {
             let build = |rs: &RuleSet| CachedClassifier::new(flat(rs), HotCacheConfig::new(256, 4));
             assert_serves_correctly_while_the_stream_lands(&rs, build, &trace, &stream);
@@ -232,7 +232,7 @@ fn sustained_cell_on_acl1_2000_verifies_and_spans_the_window() {
     assert_eq!(stream.updates.len(), 80, "2% of 2000, delete+insert pairs");
 
     let hc = HiCutsConfig::paper_defaults();
-    let flat = |rs: &RuleSet| HiCutsClassifier::build(rs, &hc).flatten();
+    let flat = |rs: &RuleSet| HiCutsClassifier::build(rs, &hc);
     assert_serves_correctly_while_the_stream_lands(&rs, flat, &trace, &stream);
     let cached = |rs: &RuleSet| CachedClassifier::new(flat(rs), HotCacheConfig::new(256, 4));
     assert_serves_correctly_while_the_stream_lands(&rs, cached, &trace, &stream);
@@ -299,19 +299,19 @@ fn deep_and_delete_heavy_streams_match_rebuild_on_every_updatable() {
             &rs,
             &updates,
             &headers,
-            |rs| HiCutsClassifier::build(rs, &HiCutsConfig::paper_defaults()).flatten(),
+            |rs| HiCutsClassifier::build(rs, &HiCutsConfig::paper_defaults()),
             tag,
         );
         check(
             &rs,
             &updates,
             &headers,
-            |rs| HyperCutsClassifier::build(rs, &HyperCutsConfig::paper_defaults()).flatten(),
+            |rs| HyperCutsClassifier::build(rs, &HyperCutsConfig::paper_defaults()),
             tag,
         );
     }
     // Delete-heavy genuinely drains: fewer live rules than the base set.
-    let mut c = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults()).flatten();
+    let mut c = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
     for u in ChurnProfile::DeleteHeavy.stream(&rs) {
         c.apply(&u).expect("drain applies");
     }

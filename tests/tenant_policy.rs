@@ -291,7 +291,7 @@ fn sixteen_weighted_tenants_meet_their_slo_relative_shares() {
                 .tenant_router(workloads.iter().enumerate().map(|(t, (weight, rs, _))| {
                     (
                         TenantSpec::new(format!("t{t}")).weight(*weight),
-                        HiCutsClassifier::build(rs, &HiCutsConfig::paper_defaults()).flatten(),
+                        HiCutsClassifier::build(rs, &HiCutsConfig::paper_defaults()),
                     )
                 }));
         let ids = router.tenant_ids();

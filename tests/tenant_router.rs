@@ -115,13 +115,12 @@ proptest! {
 #[test]
 fn churn_on_one_tenant_is_invisible_to_the_others() {
     let workloads = tenant_workloads(20080414, 3, 200);
-    let flatten =
-        |rs: &RuleSet| HiCutsClassifier::build(rs, &HiCutsConfig::paper_defaults()).flatten();
+    let hicuts = |rs: &RuleSet| HiCutsClassifier::build(rs, &HiCutsConfig::paper_defaults());
     let router = EngineConfig::new().workers(2).tenant_router(
         workloads
             .iter()
             .enumerate()
-            .map(|(t, (rs, _))| (TenantSpec::new(format!("t{t}")), flatten(rs))),
+            .map(|(t, (rs, _))| (TenantSpec::new(format!("t{t}")), hicuts(rs))),
     );
     let ids = router.tenant_ids();
     let traces: Vec<Trace> = workloads.iter().map(|(_, tr)| tr.clone()).collect();

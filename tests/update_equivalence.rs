@@ -14,6 +14,7 @@
 //! or none at all, so dead slots pile up for the whole script).
 
 use packet_classifier::prelude::*;
+use pclass_algos::dtree::{CutTreeClassifier, RosterPolicy};
 use pclass_algos::hicuts::HiCutsConfig;
 use pclass_algos::hypercuts::HyperCutsConfig;
 use pclass_algos::update::{
@@ -74,14 +75,13 @@ fn apply_all<C: UpdatableClassifier>(classifier: &mut C, updates: &[RuleUpdate])
 }
 
 /// Applies an update stream to the bare arena — which never compacts on
-/// its own — re-flattening after every update or not at all, and re-wraps
-/// the result.
-fn drive_arena(
-    base: &FlatTreeClassifier,
+/// its own — re-flattening after every update or not at all.
+fn drive_arena<C: RosterPolicy>(
+    mut classifier: CutTreeClassifier<C>,
     updates: &[RuleUpdate],
     reflatten_every_update: bool,
-) -> FlatTreeClassifier {
-    let mut flat = base.flat_tree().clone();
+) -> CutTreeClassifier<C> {
+    let flat = classifier.flat_tree_mut();
     for u in updates {
         match u {
             RuleUpdate::Insert(rule) => flat.insert(rule),
@@ -92,7 +92,25 @@ fn drive_arena(
             flat.reflatten();
         }
     }
-    FlatTreeClassifier::new(base.name(), flat)
+    classifier
+}
+
+/// `classifier` after `updates` under one compaction policy of the flat
+/// arenas: re-flatten after every update (0), the classifier's amortized
+/// default (1), or never (2).
+fn churned_arena<C: RosterPolicy>(
+    mut classifier: CutTreeClassifier<C>,
+    updates: &[RuleUpdate],
+    policy: u8,
+) -> CutTreeClassifier<C> {
+    match policy {
+        0 => drive_arena(classifier, updates, true),
+        1 => {
+            apply_all(&mut classifier, updates);
+            classifier
+        }
+        _ => drive_arena(classifier, updates, false),
+    }
 }
 
 /// The core property: post-script decisions equal linear search over the
@@ -180,26 +198,14 @@ proptest! {
             region_compaction: compaction,
             push_common_rules: push_common,
         };
-        // Compaction policy of the flat arenas: re-flatten after every
-        // update / the classifier's amortized default / never.
-        let churned_arena = |base: FlatTreeClassifier| match threshold_pick {
-            0 => drive_arena(&base, &updates, true),
-            1 => {
-                let mut c = base;
-                apply_all(&mut c, &updates);
-                c
-            }
-            _ => drive_arena(&base, &updates, false),
-        };
-
         // HiCuts flat arena.
-        let build_hcf = |rs: &RuleSet| HiCutsClassifier::build(rs, &hc_config).flatten();
-        let c = churned_arena(build_hcf(&rs));
+        let build_hcf = |rs: &RuleSet| HiCutsClassifier::build(rs, &hc_config);
+        let c = churned_arena(build_hcf(&rs), &updates, threshold_pick);
         assert_equivalent(&c, build_hcf, &headers);
 
         // HyperCuts flat arena (region compaction + push-common vary).
-        let build_hycf = |rs: &RuleSet| HyperCutsClassifier::build(rs, &hyc_config).flatten();
-        let c = churned_arena(build_hycf(&rs));
+        let build_hycf = |rs: &RuleSet| HyperCutsClassifier::build(rs, &hyc_config);
+        let c = churned_arena(build_hycf(&rs), &updates, threshold_pick);
         assert_equivalent(&c, build_hycf, &headers);
     }
 }
@@ -215,8 +221,7 @@ fn one_percent_churn_on_acl1_2000_matches_rebuild() {
     let updates = pclass_bench::churn::churn_updates(&rs, 0.01);
     assert_eq!(updates.len(), 40, "1% of 2000, delete+insert pairs");
 
-    let build =
-        |rs: &RuleSet| HiCutsClassifier::build(rs, &HiCutsConfig::paper_defaults()).flatten();
+    let build = |rs: &RuleSet| HiCutsClassifier::build(rs, &HiCutsConfig::paper_defaults());
     let mut c = build(&rs);
     for u in &updates {
         c.apply(u).expect("churn update applies");
@@ -253,7 +258,7 @@ fn replace_stream_on_acl_2000_plateaus() {
     let trace = pclass_bench::trace_for(&rs, 2_000);
     let headers: Vec<PacketHeader> = trace.headers().copied().collect();
 
-    let mut c = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults()).flatten();
+    let mut c = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
     let pristine = c.arena_stats().total_bytes;
     let mut first_cycle = 0;
     for cycle in 1..=8 {
@@ -309,7 +314,7 @@ fn live_twins_track_a_direct_classifier_across_reflattens_at_10k() {
         .flat_map(|r| [RuleUpdate::Delete(r.id), RuleUpdate::Insert(*r)])
         .collect();
 
-    let mut direct = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults()).flatten();
+    let mut direct = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
     let live = LiveClassifier::new(direct.clone());
     let (mut at, mut burst_no) = (0, 0usize);
     while at < stream.len() {
@@ -390,7 +395,8 @@ fn boundary_updates_get_one_verdict_from_both_arenas() {
             ..HyperCutsConfig::paper_defaults()
         },
     );
-    let mut structures = [hc.flatten(), hyc.flatten()];
+    let (mut hc, mut hyc) = (hc, hyc);
+    let mut structures: [&mut dyn UpdatableClassifier; 2] = [&mut hc, &mut hyc];
 
     let limit = id_limit(rs.len());
     let mut too_wide = Rule::wildcard(n + 1, &spec);
@@ -476,18 +482,17 @@ fn a_sparse_insert_is_charged_for_its_gap_and_a_delete_refunds_it() {
     // Warm the arena so the measured insert changes nothing but the table:
     // a first pass un-shares every node the rule reaches, the re-flatten
     // leaves every span slack for it.
-    let base = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults()).flatten();
-    let mut arena = base.flat_tree().clone();
+    let mut c = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
+    let arena = c.flat_tree_mut();
     arena.insert(&Rule::wildcard(far, &spec)).unwrap();
     arena.delete(far).unwrap();
     arena.reflatten();
-    let mut c = FlatTreeClassifier::new(base.name(), arena);
 
-    let too_sparse =
-        |c: &mut FlatTreeClassifier| match c.insert(Rule::wildcard(u32::MAX - 1, &spec)) {
-            Err(UpdateError::RuleIdTooSparse { limit, .. }) => limit,
-            other => panic!("expected RuleIdTooSparse, got {other:?}"),
-        };
+    let too_sparse = |c: &mut HiCutsClassifier| match c.insert(Rule::wildcard(u32::MAX - 1, &spec))
+    {
+        Err(UpdateError::RuleIdTooSparse { limit, .. }) => limit,
+        other => panic!("expected RuleIdTooSparse, got {other:?}"),
+    };
     let before = (c.memory_bytes(), c.arena_stats(), c.live_rules());
     assert_eq!(too_sparse(&mut c), far + 1);
 
@@ -522,8 +527,8 @@ fn live_rules_follow_a_model_set_with_holes_in_the_id_range() {
     let updates = scripted_updates(0x5EED, 400, rs.rules(), &fresh_pool);
 
     let mut model: BTreeMap<RuleId, Rule> = rs.rules().iter().map(|r| (r.id, *r)).collect();
-    let mut c = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults()).flatten();
-    let check = |c: &FlatTreeClassifier, model: &BTreeMap<RuleId, Rule>, step: usize| {
+    let mut c = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
+    let check = |c: &HiCutsClassifier, model: &BTreeMap<RuleId, Rule>, step: usize| {
         let want: Vec<Rule> = model.values().copied().collect();
         assert_eq!(c.live_rules(), want, "step {step}");
     };
@@ -574,13 +579,13 @@ fn flat_worst_case_bound_holds_after_updates() {
     let hyc = HyperCutsClassifier::build(&rs, &HyperCutsConfig::paper_defaults());
     // Before any update the served copy and the built tree agree on the
     // bound.
-    let mut flat = hc.flatten();
+    let mut flat = hc.clone();
     assert_eq!(
         flat.worst_case_memory_accesses(),
         hc.worst_case_memory_accesses()
     );
     assert_eq!(
-        hyc.flatten().worst_case_memory_accesses(),
+        hyc.clone().worst_case_memory_accesses(),
         hyc.worst_case_memory_accesses()
     );
 

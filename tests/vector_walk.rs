@@ -130,8 +130,8 @@ proptest! {
                 push_common_rules: push_common,
             },
         );
-        assert_lanes_match_linear_search("hicuts-flat", hicuts.flatten().flat_tree(), &headers);
-        assert_lanes_match_linear_search("hypercuts-flat", hypercuts.flatten().flat_tree(), &headers);
+        assert_lanes_match_linear_search("hicuts-flat", hicuts.flat_tree(), &headers);
+        assert_lanes_match_linear_search("hypercuts-flat", hypercuts.flat_tree(), &headers);
     }
 
     /// Post-churn arenas: random insert/delete scripts with no re-flatten,
@@ -161,8 +161,11 @@ proptest! {
         for (name, build) in [
             (
                 "hicuts-flat",
-                Box::new(|| HiCutsClassifier::build(&rs, &HiCutsConfig { binth, spfac }).flatten())
-                    as Box<dyn Fn() -> FlatTreeClassifier>,
+                Box::new(|| {
+                    HiCutsClassifier::build(&rs, &HiCutsConfig { binth, spfac })
+                        .flat_tree()
+                        .clone()
+                }) as Box<dyn Fn() -> FlatTree>,
             ),
             (
                 "hypercuts-flat",
@@ -176,11 +179,12 @@ proptest! {
                             push_common_rules: true,
                         },
                     )
-                    .flatten()
+                    .flat_tree()
+                    .clone()
                 }),
             ),
         ] {
-            let mut flat = build().flat_tree().clone();
+            let mut flat = build();
             let next_id = (rs.len() + fresh_pool.len()) as u32;
             apply_script(&mut flat, &script, &fresh_pool, next_id);
             prop_assert!(flat.dirty_ratio() > 0.0, "{} arena is not dirty", name);
@@ -202,7 +206,7 @@ fn churned_acl_arenas_with_moved_spans_are_lane_exact() {
     for (rs, fraction, past_1_mib) in [(&small, 0.10, false), (&large, 0.02, true)] {
         let trace = pclass_bench::trace_for(rs, 2_000);
         let headers: Vec<PacketHeader> = trace.headers().copied().collect();
-        let c = HiCutsClassifier::build(rs, &HiCutsConfig::paper_defaults()).flatten();
+        let c = HiCutsClassifier::build(rs, &HiCutsConfig::paper_defaults());
         let mut flat = c.flat_tree().clone();
         for u in pclass_bench::churn::churn_updates(rs, fraction) {
             match u {
