@@ -209,7 +209,8 @@ pub trait UpdatableClassifier: Classifier {
 pub(crate) const REFLATTEN_DIRTY_RATIO: f64 = 0.05;
 
 /// A built tree takes updates on its own arena, and re-flattens it once
-/// the dead slots moved spans leave behind pass [`REFLATTEN_DIRTY_RATIO`].
+/// the dead slots moved spans leave behind make up more than a twentieth
+/// of the rule slab.
 impl<C: RosterPolicy> UpdatableClassifier for CutTreeClassifier<C> {
     fn insert(&mut self, rule: Rule) -> Result<(), UpdateError> {
         self.flat_tree_mut().insert(&rule)?;
