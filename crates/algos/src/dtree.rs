@@ -772,13 +772,11 @@ mod build {
 ///
 /// It holds the arena [`TreeBuilder::build`] emits, as emitted, beside the
 /// policy that cut it and the [`BuildStats`] of the build (Table 3), and
-/// it is built, served, updated and reported as that one value: it walks
+/// it is built, served, updated and reported as that one value.  It walks
 /// the arena a lane of packets at a time ([`FlatTree::classify_batch`]),
-/// patches it in place on a rule update, re-flattening once dead slots
-/// pass a twentieth of the rule slab (see [`crate::update`]), and counts
-/// it two ways —
-/// [`Classifier::memory_bytes`] is the arena's real bytes, and
-/// [`CutTreeClassifier::model_bytes`] is the software [`MemoryModel`]'s
+/// patches it in place on a rule update ([`crate::update`]), and counts
+/// it two ways: [`Classifier::memory_bytes`] is the arena's real bytes,
+/// [`CutTreeClassifier::model_bytes`] the software [`MemoryModel`]'s
 /// (Table 2).
 #[derive(Debug, Clone)]
 pub struct CutTreeClassifier<C> {

@@ -213,14 +213,16 @@ pub(crate) const REFLATTEN_DIRTY_RATIO: f64 = 0.05;
 /// of the rule slab.
 impl<C: RosterPolicy> UpdatableClassifier for CutTreeClassifier<C> {
     fn insert(&mut self, rule: Rule) -> Result<(), UpdateError> {
-        self.flat_tree_mut().insert(&rule)?;
-        compact_if_dirty(self.flat_tree_mut());
+        let flat = self.flat_tree_mut();
+        flat.insert(&rule)?;
+        compact_if_dirty(flat);
         Ok(())
     }
 
     fn delete(&mut self, rule_id: RuleId) -> Result<(), UpdateError> {
-        self.flat_tree_mut().delete(rule_id)?;
-        compact_if_dirty(self.flat_tree_mut());
+        let flat = self.flat_tree_mut();
+        flat.delete(rule_id)?;
+        compact_if_dirty(flat);
         Ok(())
     }
 
