@@ -24,12 +24,18 @@ if [ -z "${RUNNER_TEMP:-}" ]; then
 fi
 
 cargo test --locked -q --workspace -- --list > "$RUNNER_TEMP/tests.list"
+# One test path: `cargo test` runs every test (the test profile optimises
+# the heavy pins into its time budget), so no test is `#[ignore]`d and no CI
+# step selects ignored tests.
+! grep -rn '#\[ignore' crates src tests shims examples || exit 1
+! grep -nE -- '--(include-)?ignored' .github/workflows/ci.yml || exit 1
 grep -F "simulated_counts_are_pinned: test" "$RUNNER_TEMP/tests.list"
 grep -F "prop_mirror_walk_equals_the_bit_level_walk: test" "$RUNNER_TEMP/tests.list"
 grep -F "image_tree_and_linear_search_agree: test" "$RUNNER_TEMP/tests.list"
 grep -F "benchmark_arenas_are_pinned_at_2k_and_10k: test" "$RUNNER_TEMP/tests.list"
+grep -F "acl64k_arena_fits_76_mib: test" "$RUNNER_TEMP/tests.list"
 # What a build emits, to the byte: dump, BuildStats, TreeStats, ArenaStats
-# and the served arena, hashed (the 64 k and fw 10 k pins run in release).
+# and the served arena, hashed.
 grep -F "benchmark_builds_are_content_pinned_at_2k_and_10k: test" "$RUNNER_TEMP/tests.list"
 grep -F "acl64k_hicuts_build_is_content_pinned: test" "$RUNNER_TEMP/tests.list"
 grep -F "fw10k_hicuts_build_is_content_pinned: test" "$RUNNER_TEMP/tests.list"
@@ -41,6 +47,9 @@ grep -F "acl64k_hicuts_build_is_shape_pinned: test" "$RUNNER_TEMP/tests.list"
 grep -F "fw10k_hicuts_build_is_shape_pinned: test" "$RUNNER_TEMP/tests.list"
 grep -F "every_slot_decodes_in_range_and_reflatten_keeps_only_reachable_entries: test" "$RUNNER_TEMP/tests.list"
 grep -F "a_lone_leaf_root_takes_updates_and_reflattens: test" "$RUNNER_TEMP/tests.list"
+# An update reaches only the children its rule intersects: after a churn no
+# reachable span holds a dead id.
+grep -F "churned_arenas_reach_only_live_ids: test" "$RUNNER_TEMP/tests.list"
 # One node order: the software classifiers serve the arena the builder
 # emits, and reflatten re-emits it in the builder's own pre-order, so a
 # pristine re-flatten is the build byte for byte, slack aside.  No
@@ -57,6 +66,7 @@ grep -F "the_benchmark_arenas_take_the_lane_width_their_size_calls_for: test" "$
 # software trees' counts, lookups and Figure 1/3 dumps.
 grep -F "hardware_images_are_pinned: test" "$RUNNER_TEMP/tests.list"
 grep -F "table4_layouts_are_pinned: test" "$RUNNER_TEMP/tests.list"
+grep -F "table4_fw1_5000_hypercuts_layout_is_pinned: test" "$RUNNER_TEMP/tests.list"
 grep -F "software_trees_are_pinned: test" "$RUNNER_TEMP/tests.list"
 grep -F "figure_dumps_are_pinned: test" "$RUNNER_TEMP/tests.list"
 # One walk in the flat arena: LaneWidth::Scalar and per-packet
@@ -64,8 +74,8 @@ grep -F "figure_dumps_are_pinned: test" "$RUNNER_TEMP/tests.list"
 # Its oracle is linear search: every lane width, and every header of
 # narrow header spaces (both flat builders at every lane width, behind
 # hot caches, RFC, and an update script across a re-flatten); the
-# benchmark's whole acl 64 k trace in release; the stats path's counts
-# are pinned packet for packet (tests/build_pins.rs).
+# benchmark's whole acl 64 k trace; the stats path's counts are pinned
+# packet for packet (tests/build_pins.rs).
 grep -F "every_lane_width_matches_linear_search: test" "$RUNNER_TEMP/tests.list"
 grep -F "flat_tree_is_packet_for_packet_identical: test" "$RUNNER_TEMP/tests.list"
 grep -F "every_2_bit_header_is_classified_exactly: test" "$RUNNER_TEMP/tests.list"

@@ -33,6 +33,9 @@
 //! child slot written as its node's first-visit ordinal, then the live
 //! rules, `ArenaStats`, dump, `BuildStats` and `TreeStats`.  A change that
 //! only renumbers the served nodes moves the content pins and leaves these.
+//!
+//! The acl 64 k and fw 10 k HiCuts builds are the heaviest the suite makes,
+//! so each is built once per run and shared by the tests that read it.
 
 use packet_classifier::prelude::*;
 use pclass_algos::counters::{LookupStats, OpCounters};
@@ -43,6 +46,7 @@ use pclass_algos::hypercuts::HyperCutsConfig;
 use pclass_types::ArenaStats;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 fn benchmark_ruleset(rules: usize) -> RuleSet {
     ClassBenchGenerator::new(SeedStyle::Acl, 20080414).generate(rules)
@@ -119,6 +123,21 @@ fn shape_pin<C: RosterPolicy>(tree: &CutTreeClassifier<C>) -> u64 {
 
 fn benchmark_arena(rules: usize) -> HiCutsClassifier {
     HiCutsClassifier::build(&benchmark_ruleset(rules), &HiCutsConfig::paper_defaults())
+}
+
+/// The arena `acl64k_uniform` serves, built once.
+fn acl64k_arena() -> &'static HiCutsClassifier {
+    static ARENA: OnceLock<HiCutsClassifier> = OnceLock::new();
+    ARENA.get_or_init(|| benchmark_arena(64_000))
+}
+
+/// The fw 10,000-rule HiCuts build, built once.
+fn fw10k_arena() -> &'static HiCutsClassifier {
+    static ARENA: OnceLock<HiCutsClassifier> = OnceLock::new();
+    ARENA.get_or_init(|| {
+        let rs = ClassBenchGenerator::new(SeedStyle::Fw, 20080414).generate(10_000);
+        HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults())
+    })
 }
 
 /// The summed [`LookupStats`] of 4,096 packets aimed at the arena's
@@ -222,12 +241,10 @@ fn benchmark_arenas_are_pinned_at_2k_and_10k() {
 }
 
 /// The cell the arena's layout is judged on (`struct_mib` on
-/// `acl64k_uniform`).  Release only — the build takes minutes unoptimised;
-/// CI runs it by name after `cargo build --release`.
+/// `acl64k_uniform`).
 #[test]
-#[ignore = "64,000-rule build: run in release, `-- --ignored acl64k`"]
 fn acl64k_arena_fits_76_mib() {
-    let arena = benchmark_arena(64_000);
+    let arena = acl64k_arena();
     let stats = arena.arena_stats();
     assert_eq!(stats.nodes, 1_054_556);
     assert_eq!(stats.cut_records, 269_372);
@@ -265,23 +282,18 @@ fn benchmark_builds_are_content_pinned_at_2k_and_10k() {
     assert_eq!(got, want);
 }
 
-/// The content pin of the arena `acl64k_uniform` serves.  Release only,
-/// beside [`acl64k_arena_fits_76_mib`].
+/// The content pin of the arena `acl64k_uniform` serves, beside
+/// [`acl64k_arena_fits_76_mib`].
 #[test]
-#[ignore = "64,000-rule build: run in release, `-- --ignored`"]
 fn acl64k_hicuts_build_is_content_pinned() {
-    let tree = HiCutsClassifier::build(&benchmark_ruleset(64_000), &HiCutsConfig::paper_defaults());
-    assert_eq!(content_pin(&tree), 0x37fb_e0d7_370a_da8a);
+    assert_eq!(content_pin(acl64k_arena()), 0x37fb_e0d7_370a_da8a);
 }
 
 /// The content pin of the most replicated build the suite makes: fw
-/// 10,000 under HiCuts, millions of nodes.  Release only.
+/// 10,000 under HiCuts, millions of nodes.
 #[test]
-#[ignore = "fw 10,000-rule build: run in release, `-- --ignored`"]
 fn fw10k_hicuts_build_is_content_pinned() {
-    let rs = ClassBenchGenerator::new(SeedStyle::Fw, 20080414).generate(10_000);
-    let tree = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
-    assert_eq!(content_pin(&tree), 0xd886_3d8c_17fa_7efc);
+    assert_eq!(content_pin(fw10k_arena()), 0xd886_3d8c_17fa_7efc);
 }
 
 #[test]
@@ -303,19 +315,14 @@ fn benchmark_builds_are_shape_pinned_at_2k_and_10k() {
     assert_eq!(got, want);
 }
 
-/// The shape pin of the arena `acl64k_uniform` serves.  Release only.
+/// The shape pin of the arena `acl64k_uniform` serves.
 #[test]
-#[ignore = "64,000-rule build: run in release, `-- --ignored`"]
 fn acl64k_hicuts_build_is_shape_pinned() {
-    let tree = HiCutsClassifier::build(&benchmark_ruleset(64_000), &HiCutsConfig::paper_defaults());
-    assert_eq!(shape_pin(&tree), 0xfa23_6911_a975_7cce);
+    assert_eq!(shape_pin(acl64k_arena()), 0xfa23_6911_a975_7cce);
 }
 
-/// The shape pin of the fw 10,000-rule HiCuts build.  Release only.
+/// The shape pin of the fw 10,000-rule HiCuts build.
 #[test]
-#[ignore = "fw 10,000-rule build: run in release, `-- --ignored`"]
 fn fw10k_hicuts_build_is_shape_pinned() {
-    let rs = ClassBenchGenerator::new(SeedStyle::Fw, 20080414).generate(10_000);
-    let tree = HiCutsClassifier::build(&rs, &HiCutsConfig::paper_defaults());
-    assert_eq!(shape_pin(&tree), 0xe089_c50b_19cd_60f5);
+    assert_eq!(shape_pin(fw10k_arena()), 0xe089_c50b_19cd_60f5);
 }

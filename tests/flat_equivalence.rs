@@ -12,8 +12,7 @@
 //!   RFC chunk boundary left out, fails here on its own.
 //! * The repository benchmark's `acl64k_uniform` cell — 64,000 acl rules,
 //!   131,072 uniform packets — is served by `hicuts-flat` and every
-//!   decision held to linear search (`#[ignore]`d: minutes unoptimised; CI
-//!   runs it in release).
+//!   decision held to linear search.
 //! * On ClassBench rulesets, random builder configurations (`binth`,
 //!   `spfac`, the HyperCuts heuristics) and batch sizes (including 0, 1
 //!   and odd sizes that leave a partial tail), every decision — per
@@ -298,7 +297,6 @@ fn assert_script_exact<C: RosterPolicy + Send + Sync>(
 /// its first 16,384 packets the benchmark takes the arena's own walk as
 /// truth; this is the independent check of the rest.
 #[test]
-#[ignore = "builds 64,000 rules and searches them linearly 131,072 times: run with --release -- --ignored"]
 fn acl64k_serves_a_whole_uniform_trace_as_linear_search_does() {
     let rs = ClassBenchGenerator::new(SeedStyle::Acl, 20080414).generate(64_000);
     let trace = TraceGenerator::new(&rs, 20080414)
